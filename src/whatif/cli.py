@@ -17,7 +17,7 @@ from pathlib import Path
 from .dsl import ENGINE_DEFAULT_TIMEOUT, load_templates, parse_scenario, validate
 from .durations import parse_duration
 from .engine import Outcome, run_scenario
-from .errors import WhatifError
+from .errors import InvalidScenario, WhatifError
 from .executors import make_executor
 from .report import (
     METRICS_FILE,
@@ -63,18 +63,18 @@ def cmd_run(args) -> int:
     except (OSError, WhatifError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = validate(doc, templates, args.timeout_default)
-    if not report.ok:
-        print(str(report), file=sys.stderr)
+    executor = make_executor(args.executor)
+    try:
+        result = run_scenario(
+            doc, templates, executor,
+            seed=args.seed, default_timeout=args.timeout_default,
+        )
+    except InvalidScenario as exc:  # the engine validates before it starts anything
+        print(str(exc.report), file=sys.stderr)
         return EXIT_INVALID
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    executor = make_executor(args.executor)
-    result = run_scenario(
-        doc, templates, executor,
-        seed=args.seed, default_timeout=args.timeout_default,
-    )
     result.trace.save(out / TRACE_FILE)
     result.store.save(out / METRICS_FILE)
     records, store = load_run(out)

@@ -7,11 +7,19 @@ newly satisfied actions in document order, evaluates assertions, and
 decides the run outcome. Executors affect the run only through the events
 they emit, and the engine affects executors only through commands, so a
 simulated run is a deterministic function of (document, seed).
+
+A cycle's work grows with what the event touched, not with the document:
+every phase change goes through ``Engine._move``, which marks the actions
+that depend on the changed node for a dependency recheck, keeps per-cluster
+phase counters, and bumps the scope versions that decide whether a state
+assertion needs evaluating again.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -22,9 +30,10 @@ from .dsl import (
     ENGINE_DEFAULT_TIMEOUT,
     ActionSpec,
     ScenarioDoc,
+    _with_builtins,
     build_tree,
     effective_timeout,
-    expand_targets,
+    expand_targets,  # unused here; bench/tracer.py wraps it on this module
     instantiate_template,
     validate,
 )
@@ -57,8 +66,9 @@ from .lifecycle import (
     advance_to,
     aggregate_phase,
     classify_failure,
-    find_node,
+    find_node,  # unused here; bench/tracer.py wraps it on this module
     iter_nodes,
+    phase_order,
     revoke_chaos_tag,
     tag_chaos_target,
 )
@@ -96,16 +106,16 @@ class RunResult:
     annotations: AnnotationLog = field(default_factory=AnnotationLog, compare=False)
 
 
-def ready_since(clause, tree: ResourceNode) -> Optional[float]:
+def ready_since(clause, nodes: dict) -> Optional[float]:
     """When the running/success parts of a clause became satisfied; None if not.
 
-    A `running` target satisfies once it reached Running and has not failed;
-    completing successfully keeps it satisfied so a fast job cannot deadlock
-    its dependents.
+    ``nodes`` maps resource names to tree nodes. A `running` target satisfies
+    once it reached Running and has not failed; completing successfully keeps
+    it satisfied so a fast job cannot deadlock its dependents.
     """
     base = 0.0
     for name in clause.running:
-        node = find_node(tree, name)
+        node = nodes.get(name)
         if node is None or node.phase not in (Phase.RUNNING, Phase.SUCCESS):
             return None
         at = node.phase_times.get(Phase.RUNNING)
@@ -113,16 +123,16 @@ def ready_since(clause, tree: ResourceNode) -> Optional[float]:
             at = node.phase_times.get(node.phase, 0.0)
         base = max(base, at)
     for name in clause.success:
-        node = find_node(tree, name)
+        node = nodes.get(name)
         if node is None or node.phase != Phase.SUCCESS:
             return None
         base = max(base, node.phase_times.get(Phase.SUCCESS, 0.0))
     return base
 
 
-def dependency_satisfied(clause, tree: ResourceNode, clock) -> bool:
+def dependency_satisfied(clause, nodes: dict, clock) -> bool:
     """True when every referenced state holds and any `after` delay elapsed."""
-    base = ready_since(clause, tree)
+    base = ready_since(clause, nodes)
     if base is None:
         return False
     if clause.after is not None:
@@ -180,8 +190,30 @@ class Engine:
             if action.kind == "Checkpoint"
         }
 
+        # Incremental dispatch, by action index in document order: the actions
+        # waiting on each name, and those due for a dependency check (all of
+        # them in the first cycle).
+        self.dependents: dict[str, list[int]] = {}
+        for index, action in enumerate(doc.actions):
+            for name in dict.fromkeys(action.depends.names()):
+                self.dependents.setdefault(name, []).append(index)
+        self.dirty: set[int] = set(range(len(doc.actions)))
+        self.timed: set[int] = set()  # `after:` timer armed, not yet dispatched
+        # Per-cluster child counts by phase bucket (see _bucket; every child
+        # starts Uninitialized), per-node scope versions, the scope version
+        # each asserting action last evaluated its state assertions against,
+        # and the number of actions not yet terminal.
+        self.child_counts = {
+            node.name: [len(node.children), 0, 0, 0, 0]
+            for node in self.nodes.values()
+            if node.kind == "cluster"
+        }
+        self.scope_version: Counter = Counter()
+        self.state_checked: dict[str, int] = {}
+        self.unfinished = len(doc.actions)
+        self.job_specs: dict[str, JobSpec] = {}  # resolved template text -> parsed job
+
         self.dispatched: set = set()
-        self.after_armed: set = set()
         self.kill_watch: dict[str, list] = {}  # chaos action -> kill targets
         self.active_faults: dict[str, str] = {}  # chaos action -> executor handle
         self.finished = False
@@ -200,8 +232,7 @@ class Engine:
             actions=[{"name": a.name, "kind": a.kind} for a in self.doc.actions],
             assertions={name: [t for t, _ in pairs] for name, pairs in self.asserts.items()},
         )
-        for phase in advance_to(self.tree, Phase.RUNNING, now):
-            self._trace_transition(self.tree, phase)
+        self._move(self.tree, Phase.RUNNING, now, None)
         guard = sum(effective_timeout(a, self.doc, self.default_timeout) for a in self.doc.actions)
         self.queue.push(now + guard + GUARD_SLACK, Event(EventKind.TIME, now + guard + GUARD_SLACK, timer_id="guard"))
 
@@ -274,16 +305,14 @@ class Engine:
         if event.phase == Phase.FAILED:
             node.failure_class = event.failure_class or classify_failure(node, event.failure_mode)
             node.failure_reason = event.reason or event.failure_mode or "failed"
-        for phase in advance_to(node, event.phase, now):
-            self._trace_transition(node, phase, commands)
+        self._move(node, event.phase, now, commands)
 
         newly_terminal = [node] if node.phase.terminal else []
         owner = node.owner
         if owner is not None and owner.kind == "cluster" and not owner.phase.terminal:
-            agg = aggregate_phase([(c.phase, c.failure_class) for c in owner.children], owner.tolerated)
-            if _order(agg) > _order(owner.phase):
-                for phase in advance_to(owner, agg, now):
-                    self._trace_transition(owner, phase, commands)
+            agg = self.cluster_phase(owner)
+            if phase_order(agg) > phase_order(owner.phase):
+                self._move(owner, agg, now, commands)
                 if owner.phase.terminal:
                     newly_terminal.append(owner)
 
@@ -343,14 +372,13 @@ class Engine:
             action = tags.get("action", "")
             self.active_faults.pop(action, None)
             for target in [t for t in tags.get("targets", "").split(",") if t]:
-                if find_node(self.tree, target) is not None:
+                if target in self.nodes:
                     revoke_chaos_tag(self.tree, target)
             node = self.nodes.get(action)
             if node is not None and not node.phase.terminal:
                 if action in self.annotations.open_labels():
                     self._close_region(action, event.at, commands)
-                for phase in advance_to(node, Phase.SUCCESS, event.at):
-                    self._trace_transition(node, phase, commands)
+                self._move(node, Phase.SUCCESS, event.at, commands)
                 self._on_terminal(node, event.at, commands)
             return
         if event.subject and event.subject not in self.nodes:
@@ -359,29 +387,51 @@ class Engine:
     # --- dispatch -------------------------------------------------------------
 
     def _recheck_dispatch(self, commands: list) -> None:
+        """Dispatch every newly satisfied action, in document order.
+
+        Only two kinds of action can have become satisfied since they were
+        last checked: the dirty ones, whose targets changed phase, and the
+        ones with an armed `after:` timer, which turn satisfied at any event
+        at or past their due instant. Each pass visits those in document
+        order; an action dirtied by a dispatch joins the current pass when
+        it comes later in the document and the next pass otherwise, and
+        passes repeat while a dispatch made progress.
+        """
         progress = True
         while progress and not self.finished:
             progress = False
-            for action in self.doc.actions:
+            pending = sorted(self.dirty | self.timed)  # a sorted list is a heap
+            queued = set(pending)
+            self.dirty = set()
+            while pending:
+                index = heapq.heappop(pending)
+                action = self.doc.actions[index]
                 if action.name in self.dispatched:
                     continue
                 clause = action.depends
-                if not dependency_satisfied(clause, self.tree, self.clock):
-                    self._maybe_arm_after(action, clause)
+                if not dependency_satisfied(clause, self.nodes, self.clock):
+                    self._maybe_arm_after(action, index)
                     continue
                 self.dispatched.add(action.name)
+                self.timed.discard(index)
                 self._dispatch(action, commands)
                 progress = True
                 if self.finished:
                     return
+                later = {i for i in self.dirty if i > index}
+                self.dirty -= later
+                for i in later - queued:
+                    heapq.heappush(pending, i)
+                queued |= later
 
-    def _maybe_arm_after(self, action: ActionSpec, clause) -> None:
-        if clause.after is None or action.name in self.after_armed:
+    def _maybe_arm_after(self, action: ActionSpec, index: int) -> None:
+        clause = action.depends
+        if clause.after is None or index in self.timed:
             return
-        base = ready_since(clause, self.tree)
+        base = ready_since(clause, self.nodes)
         if base is None:
             return
-        self.after_armed.add(action.name)
+        self.timed.add(index)
         due = base + clause.after
         self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"after:{action.name}"))
 
@@ -405,24 +455,23 @@ class Engine:
             self._fail(f"{action.name}: {exc}", commands)
 
     def _dispatch_service(self, action: ActionSpec, now: float, commands: list) -> None:
-        spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}).named(action.name)
+        spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}, action.name)
         self._create_job(spec, now, commands)
         self.annotations.point(action.name, now)
         self._trace_annotation("point", action.name, now, commands)
 
     def _dispatch_cluster(self, action: ActionSpec, now: float, commands: list) -> None:
         node = self.nodes[action.name]
-        for phase in advance_to(node, Phase.PENDING, now):
-            self._trace_transition(node, phase, commands)
+        self._move(node, Phase.PENDING, now, commands)
         for index, child in enumerate(node.children):
             inputs = action.inputs[index % len(action.inputs)] if action.inputs else {}
-            spec = self._resolve_job(action, inputs).named(child.name)
+            spec = self._resolve_job(action, inputs, child.name)
             self._create_job(spec, now, commands)
             self.annotations.point(child.name, now)
             self._trace_annotation("point", child.name, now, commands)
 
     def _dispatch_call(self, action: ActionSpec, now: float, commands: list) -> None:
-        spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}).named(action.name)
+        spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}, action.name)
         self._create_job(spec, now, commands)
         self.annotations.open_region(action.name, now)
         self._trace_annotation("open", action.name, now, commands)
@@ -430,8 +479,7 @@ class Engine:
     def _dispatch_chaos(self, action: ActionSpec, now: float, commands: list) -> None:
         spec = self._resolve_fault(action)
         node = self.nodes[action.name]
-        for phase in advance_to(node, Phase.PENDING, now):
-            self._trace_transition(node, phase, commands)
+        self._move(node, Phase.PENDING, now, commands)
         tag = ChaosTag(spec.kind, action.name)
         for target in spec.targets:
             tag_chaos_target(self.tree, target, tag)
@@ -450,8 +498,7 @@ class Engine:
         except (UnsupportedFault, TargetNotRunning, SpawnError) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}", commands)
             return
-        for phase in advance_to(node, Phase.RUNNING, now):
-            self._trace_transition(node, phase, commands)
+        self._move(node, Phase.RUNNING, now, commands)
         self.annotations.open_region(action.name, now)
         self._trace_annotation("open", action.name, now, commands)
         if spec.kind == "kill":
@@ -461,8 +508,7 @@ class Engine:
 
     def _dispatch_checkpoint(self, action: ActionSpec, now: float, commands: list) -> None:
         node = self.nodes[action.name]
-        for phase in advance_to(node, Phase.RUNNING, now):
-            self._trace_transition(node, phase, commands)
+        self._move(node, Phase.RUNNING, now, commands)
         command = ReconcileCommand("Snapshot", action.name, {"keys": list(action.values)})
         commands.append(command)
         self._trace_command(command, now)
@@ -478,8 +524,7 @@ class Engine:
             values=dict(checkpoint.values),
             phases={name: phase.value for name, phase in checkpoint.phases.items()},
         )
-        for phase in advance_to(node, Phase.SUCCESS, now):
-            self._trace_transition(node, phase, commands)
+        self._move(node, Phase.SUCCESS, now, commands)
         self._on_terminal(node, now, commands)
 
     def _create_job(self, spec: JobSpec, now: float, commands: list) -> None:
@@ -500,20 +545,21 @@ class Engine:
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
 
-    def _resolve_job(self, action: ActionSpec, inputs: dict) -> JobSpec:
+    def _resolve_job(self, action: ActionSpec, inputs: dict, name: str) -> JobSpec:
+        """The job spec for one instance, parsed once per distinct template text."""
         if action.inline_job is not None:
-            return parse_job_body(action.inline_job)
+            return parse_job_body(action.inline_job).named(name)
         ref = action.callable if action.kind == "Call" else action.template_ref
         template = self.templates[ref]
-        merged = dict(inputs)
-        if "services" in template.parameters and "services" not in merged and action.kind == "Call":
-            merged["services"] = ", ".join(expand_targets(action.services, self.doc))
-        text = instantiate_template(template, merged)
-        try:
-            body = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"template {ref} body does not parse: {exc}") from exc
-        return parse_job_body(body)
+        text = instantiate_template(template, _with_builtins(template, inputs, action, self.doc))
+        spec = self.job_specs.get(text)
+        if spec is None:
+            try:
+                body = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                raise SchemaError(f"template {ref} body does not parse: {exc}") from exc
+            spec = self.job_specs[text] = parse_job_body(body)
+        return spec.named(name)
 
     def _resolve_fault(self, action: ActionSpec) -> FaultSpec:
         if action.fault is not None:
@@ -526,17 +572,19 @@ class Engine:
     # --- assertions ------------------------------------------------------------
 
     def _evaluate_assertions(self, now: float, commands: list, state: bool, metrics: bool) -> None:
-        for action in self.doc.actions:
+        for name in self.asserts:  # in document order
             if self.finished:
                 return
-            if action.name not in self.asserts or action.name not in self.dispatched:
-                continue
-            if self.nodes[action.name].phase.terminal:
-                continue
-            self._evaluate_action_assertions(action.name, now, commands, state, metrics)
+            if name in self.dispatched and not self.nodes[name].phase.terminal:
+                self._evaluate_action_assertions(name, now, commands, state, metrics)
 
     def _evaluate_action_assertions(self, name: str, now: float, commands: list, state: bool, metrics: bool) -> None:
         node = self.nodes[name]
+        # A state assertion reads only the owner's scope, and it held false
+        # the last time that scope was seen, so it needs no re-evaluation
+        # until a job in the scope changes phase.
+        version = self.scope_version[name]
+        state = state and self.state_checked.get(name) != version
         for text, ast in self.asserts.get(name, []):
             if self.finished:
                 return
@@ -556,6 +604,8 @@ class Engine:
                 self.trace.append("event", now, event="Metrics", subject=name, expr=text, fired=True)
                 self._fail(f"{name}: assertion fired: {text}", commands)
                 return
+        if state:
+            self.state_checked[name] = version
 
     def _maybe_arm_tick(self) -> None:
         if self._tick_armed or self.finished:
@@ -581,18 +631,15 @@ class Engine:
                 if not node.phase.terminal:
                     if action_name in self.annotations.open_labels():
                         self._close_region(action_name, now, commands)
-                    for phase in advance_to(node, Phase.SUCCESS, now):
-                        self._trace_transition(node, phase, commands)
+                    self._move(node, Phase.SUCCESS, now, commands)
                     self._on_terminal(node, now, commands)
 
     # --- outcome ----------------------------------------------------------------
 
     def _check_completion(self) -> None:
-        if self.finished:
+        if self.finished or self.unfinished:
             return
         action_nodes = [self.nodes[a.name] for a in self.doc.actions]
-        if not all(node.phase.terminal for node in action_nodes):
-            return
         agg = aggregate_phase([(n.phase, n.failure_class) for n in action_nodes], tolerated=0)
         if agg == Phase.SUCCESS or not action_nodes:
             self.outcome = Outcome.SUCCESS
@@ -650,9 +697,49 @@ class Engine:
         self.executor.shutdown()
         if not self.tree.phase.terminal and self.outcome in (Outcome.SUCCESS, Outcome.FAILED):
             target = Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED
-            for phase in advance_to(self.tree, target, now):
-                self._trace_transition(self.tree, phase, None)
+            self._move(self.tree, target, now, None)
         self.trace.append("outcome", now, outcome=self.outcome.value, reason=self.reason)
+
+    # --- phase changes ---------------------------------------------------------------
+
+    def _move(self, node: ResourceNode, target: Phase, at: float, commands: Optional[list]) -> None:
+        """Advance ``node`` to ``target``: the one place where a phase changes.
+
+        Traces each hop, then updates what depends on phases: the dependents
+        to recheck, the owner cluster's child counts, the unfinished-action
+        count, and the scope versions of the node and its ancestors.
+        """
+        bucket = _bucket(node)
+        hops = advance_to(node, target, at)
+        if not hops:
+            return
+        for phase in hops:
+            self._trace_transition(node, phase, commands)
+        owner = node.owner
+        if owner is not None and owner.kind == "cluster":
+            counts = self.child_counts[owner.name]
+            counts[bucket] -= 1
+            counts[_bucket(node)] += 1
+        if owner is self.tree and node.phase.terminal:
+            self.unfinished -= 1
+        self.dirty.update(self.dependents.get(node.name, ()))
+        while node is not None:
+            self.scope_version[node.name] += 1
+            node = node.owner
+
+    def cluster_phase(self, cluster: ResourceNode) -> Phase:
+        """The cluster's aggregate phase, from its child counts.
+
+        Equal to ``aggregate_phase`` over the cluster's children, in O(1).
+        """
+        unstarted, running, _, expected, unexpected = self.child_counts[cluster.name]
+        if unexpected or expected > cluster.tolerated:
+            return Phase.FAILED
+        if unstarted:
+            return Phase.PENDING
+        if running:
+            return Phase.RUNNING
+        return Phase.SUCCESS
 
     # --- trace helpers -------------------------------------------------------------
 
@@ -682,8 +769,14 @@ class Engine:
         self._trace_annotation("close", label, at, commands, start=region.start, end=region.end)
 
 
-def _order(phase: Phase) -> int:
-    return (Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED).index(phase)
+def _bucket(node: ResourceNode) -> int:
+    """Index of the node's phase in a cluster's child counts."""
+    if node.phase == Phase.FAILED:
+        return 3 if node.failure_class == FailureClass.EXPECTED else 4
+    return _BUCKETS[node.phase]
+
+
+_BUCKETS = {Phase.UNINITIALIZED: 0, Phase.PENDING: 0, Phase.RUNNING: 1, Phase.SUCCESS: 2}
 
 
 def run_scenario(

@@ -231,7 +231,7 @@ def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> Resource
                 [(c.phase, c.failure_class) for c in node.children],
                 node.tolerated,
             )
-            if _phase_order(agg) > _phase_order(node.phase):
+            if phase_order(agg) > phase_order(node.phase):
                 advance_to(node, agg, at)
         if node is tree:
             break
@@ -239,5 +239,6 @@ def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> Resource
     return tree
 
 
-def _phase_order(p: Phase) -> int:
+def phase_order(p: Phase) -> int:
+    """Position of a phase on the lifecycle chain; Failed sorts after Success."""
     return (Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED).index(p)

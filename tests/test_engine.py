@@ -6,13 +6,17 @@ from whatif.dsl import DependsClause, Template, parse_scenario
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
 from whatif.errors import InvalidScenario
 from whatif.events import Event, EventKind, SimClock
-from whatif.lifecycle import Phase, ResourceNode, advance_to
+from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 
 from conftest import script_template
 
 
 def state_event(subject, phase, at=0.0, mode="", reason=""):
     return Event(EventKind.STATE, at, subject=subject, phase=phase, failure_mode=mode, reason=reason)
+
+
+def nodes(tree):
+    return {n.name: n for n in iter_nodes(tree)}
 
 
 def dispatch_commands(commands):
@@ -81,34 +85,34 @@ class TestDependencySatisfied:
     def test_running_target(self):
         tree = self.tree(masters=(Phase.RUNNING, 1.0))
         clause = DependsClause(running=["masters"])
-        assert dependency_satisfied(clause, tree, SimClock(2.0))
+        assert dependency_satisfied(clause, nodes(tree), SimClock(2.0))
 
     def test_success_required_not_running(self):
         tree = self.tree(boot=(Phase.RUNNING, 1.0))
         clause = DependsClause(success=["boot"])
-        assert not dependency_satisfied(clause, tree, SimClock(2.0))
+        assert not dependency_satisfied(clause, nodes(tree), SimClock(2.0))
 
     def test_after_delay(self):
         tree = self.tree(boot=(Phase.SUCCESS, 0.0))
         tree.children[0].phase_times[Phase.SUCCESS] = 0.0
         clause = DependsClause(success=["boot"], after=10.0)
-        assert not dependency_satisfied(clause, tree, SimClock(5.0))
-        assert dependency_satisfied(clause, tree, SimClock(10.0))
+        assert not dependency_satisfied(clause, nodes(tree), SimClock(5.0))
+        assert dependency_satisfied(clause, nodes(tree), SimClock(10.0))
 
     def test_running_satisfied_by_later_success(self):
         tree = self.tree(fast=(Phase.SUCCESS, 1.0))
         clause = DependsClause(running=["fast"])
-        assert dependency_satisfied(clause, tree, SimClock(2.0))
+        assert dependency_satisfied(clause, nodes(tree), SimClock(2.0))
 
     def test_failed_target_never_satisfies(self):
         tree = self.tree(bad=(Phase.FAILED, 1.0))
-        assert not dependency_satisfied(DependsClause(running=["bad"]), tree, SimClock(9.0))
-        assert not dependency_satisfied(DependsClause(success=["bad"]), tree, SimClock(9.0))
+        assert not dependency_satisfied(DependsClause(running=["bad"]), nodes(tree), SimClock(9.0))
+        assert not dependency_satisfied(DependsClause(success=["bad"]), nodes(tree), SimClock(9.0))
 
     def test_ready_since_is_latest_target_time(self):
         tree = self.tree(a=(Phase.SUCCESS, 3.0), b=(Phase.SUCCESS, 7.0))
         clause = DependsClause(success=["a", "b"])
-        assert ready_since(clause, tree) == 7.0
+        assert ready_since(clause, nodes(tree)) == 7.0
 
 
 class TestRunOutcomes:
