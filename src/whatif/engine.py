@@ -1,6 +1,6 @@
 """The reconciliation core: one logical loop that owns all run state.
 
-Events (state changes, timers, fired metric rules, tag notifications) are
+Events (state changes, timers, metric ingests, tag notifications) are
 consumed in (timestamp, sequence) order from a single queue. Each event
 starts a reconciliation cycle that re-checks dependencies, dispatches
 newly satisfied actions in document order, evaluates assertions, and
@@ -13,6 +13,14 @@ every phase change goes through ``Engine._move``, which marks the actions
 that depend on the changed node for a dependency recheck, keeps per-cluster
 phase counters, and bumps the scope versions that decide whether a state
 assertion needs evaluating again.
+
+A metrics assertion is evaluated only at the instants its value can change:
+when its action is dispatched, when a point of its metric is ingested (the
+store pushes a Metrics event), when the oldest point in its window expires
+or a future-stamped one enters it (one armed timer per rule), when a
+checkpoint its threshold reads is taken, and once more when its action
+succeeds. Each rule keeps its window reduced incrementally
+(``WindowAggregate``).
 """
 
 from __future__ import annotations
@@ -53,7 +61,9 @@ from .events import Event, EventKind, EventQueue, SimClock, WallClock
 from .executors.base import Executor, FaultSpec, JobSpec, parse_fault_body, parse_job_body
 from .expressions import (
     MetricsExprAst,
-    eval_metrics,
+    WindowAggregate,
+    alert_holds,
+    eval_metrics,  # unused here; bench/tracer.py wraps it on this module
     eval_state,
     parse_expression,
     snapshot_scope,
@@ -94,6 +104,19 @@ class ReconcileCommand:
     verb: str  # CreateJob | KillJob | InjectFault | RevokeFault | Snapshot | Annotate | Transition | AbortRun
     target: str
     args: dict = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class Rule:
+    """A metrics assertion of one action, with its incremental window."""
+
+    order: int  # position among all rules, in document order
+    owner: str
+    text: str
+    ast: MetricsExprAst
+    window: WindowAggregate
+    timer: str  # id of its window timer
+    due: Optional[float] = None  # when its armed window timer fires
 
 
 @dataclass
@@ -150,7 +173,6 @@ class Engine:
         executor: Optional[Executor] = None,
         clock=None,
         seed: int = 0,
-        tick_interval: float = 1.0,
         default_timeout: float = ENGINE_DEFAULT_TIMEOUT,
     ):
         self.doc = doc
@@ -166,7 +188,6 @@ class Engine:
         self.executor = executor
         self.clock = clock if clock is not None else (SimClock() if executor.name == "sim" else WallClock())
         self.seed = seed
-        self.tick_interval = tick_interval
         self.default_timeout = default_timeout
 
         self.queue = EventQueue()
@@ -179,11 +200,27 @@ class Engine:
         self.tree = build_tree(doc)
         self.nodes = {node.name: node for node in iter_nodes(self.tree)}
         self.actions = {action.name: action for action in doc.actions}
-        self.asserts = {
-            action.name: [(text, parse_expression(text)) for text in action.assertions]
-            for action in doc.actions
-            if action.assertions
-        }
+        # Each action's assertions in text order: a state AST, or a Rule for a
+        # metrics one. Rules are also indexed by the metric they read and by
+        # the checkpoints their thresholds read; `armed` holds the rules with
+        # a window timer in the queue.
+        self.asserts: dict[str, list] = {}
+        self.rules: dict[str, list[Rule]] = {}
+        self.checkpoint_readers: dict[str, list[Rule]] = {}
+        self.armed: set[Rule] = set()
+        order = 0
+        for action in doc.actions:
+            for index, text in enumerate(action.assertions):
+                ast = parse_expression(text)
+                if isinstance(ast, MetricsExprAst):
+                    window = WindowAggregate(ast.metric, ast.reducer, ast.window)
+                    rule = Rule(order, action.name, text, ast, window, f"window:{action.name}:{index}")
+                    order += 1
+                    self.rules.setdefault(ast.metric, []).append(rule)
+                    for name in dict.fromkeys(t.checkpoint[0] for t in ast.condition.terms if t.checkpoint):
+                        self.checkpoint_readers.setdefault(name, []).append(rule)
+                    ast = rule
+                self.asserts.setdefault(action.name, []).append((text, ast))
         self.checkpoint_exprs = {
             action.name: [(key, parse_expression(text)) for key, text in action.values.items()]
             for action in doc.actions
@@ -214,31 +251,46 @@ class Engine:
         self.job_specs: dict[str, JobSpec] = {}  # resolved template text -> parsed job
 
         self.dispatched: set = set()
+        self.started: set = set()  # jobs whose start_job returned
         self.kill_watch: dict[str, list] = {}  # chaos action -> kill targets
         self.active_faults: dict[str, str] = {}  # chaos action -> executor handle
         self.finished = False
         self.outcome = Outcome.SUCCESS
         self.reason = ""
-        self._tick_armed = False
 
     # --- public surface ---------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run to an outcome. An internal error aborts the run; cleanup always runs."""
+        try:
+            self._loop()
+        except WhatifError:
+            raise
+        except Exception as exc:
+            logger.exception("internal error")
+            self._abort(f"internal error: {type(exc).__name__}: {exc}")
+        finally:
+            self._finalize()
+        return RunResult(
+            self.outcome, self.reason, self.trace,
+            store=self.store, checkpoints=self.checkpoints, annotations=self.annotations,
+        )
+
+    def _loop(self) -> None:
         now = self.clock.now()
         self.trace.append(
             "run", now,
-            scenario=self.doc.name, seed=self.seed,
-            executor=self.executor.name, tick=self.tick_interval,
+            scenario=self.doc.name, seed=self.seed, executor=self.executor.name,
             actions=[{"name": a.name, "kind": a.kind} for a in self.doc.actions],
             assertions={name: [t for t, _ in pairs] for name, pairs in self.asserts.items()},
         )
+        self.store.watch(self.rules.keys(), self.queue, self.clock)
         self._move(self.tree, Phase.RUNNING, now, None)
         guard = sum(effective_timeout(a, self.doc, self.default_timeout) for a in self.doc.actions)
         self.queue.push(now + guard + GUARD_SLACK, Event(EventKind.TIME, now + guard + GUARD_SLACK, timer_id="guard"))
 
         commands: list[ReconcileCommand] = []
         self._recheck_dispatch(commands)
-        self._maybe_arm_tick()
         self._check_completion()
 
         while not self.finished:
@@ -253,12 +305,6 @@ class Engine:
                 self.reconcile(item)
             else:
                 item()  # scheduled executor/timer work; may emit events
-
-        self._finalize()
-        return RunResult(
-            self.outcome, self.reason, self.trace,
-            store=self.store, checkpoints=self.checkpoints, annotations=self.annotations,
-        )
 
     def reconcile(self, event: Event) -> list[ReconcileCommand]:
         """One reconciliation cycle; returns the commands it issued."""
@@ -276,7 +322,6 @@ class Engine:
                 self._on_tag(event, commands)
             if not self.finished:
                 self._recheck_dispatch(commands)
-                self._maybe_arm_tick()
                 self._check_completion()
         except IllegalTransition as exc:
             self._abort(f"illegal transition: {exc}", commands)
@@ -323,7 +368,7 @@ class Engine:
 
         self._watch_kill_faults(event.subject, now, commands)
         if not self.finished:
-            self._evaluate_assertions(now, commands, state=True, metrics=False)
+            self._evaluate_state_assertions(now, commands)
 
     def _on_terminal(self, node: ResourceNode, now: float, commands: list) -> None:
         if node.name in self.actions:
@@ -357,14 +402,12 @@ class Engine:
             node = self.nodes.get(name)
             if node is not None and not node.phase.terminal:
                 self._abort(f"timeout: action {name} did not finish in time", commands)
-        elif timer == "tick":
-            self._tick_armed = False
-            self._evaluate_assertions(now, commands, state=True, metrics=True)
+        elif timer.startswith("window:"):
+            self._evaluate_rules(now, commands)
         # "after:" timers only need the dispatch recheck that follows.
 
     def _on_metrics(self, event: Event, commands: list) -> None:
-        if event.fired:
-            self._fail(f"{event.subject}: assertion fired: {event.expr_id}", commands)
+        self._evaluate_rules(event.at, commands)
 
     def _on_tag(self, event: Event, commands: list) -> None:
         tags = event.tags
@@ -453,6 +496,10 @@ class Engine:
                 self._dispatch_checkpoint(action, now, commands)
         except (SchemaError, WhatifError) as exc:
             self._fail(f"{action.name}: {exc}", commands)
+        # A live action's assertions: the first look at a metrics window, and
+        # at a state scope that may never change again.
+        if action.name in self.asserts and self._live(action.name):
+            self._evaluate_action_assertions(action.name, now, commands, state=True, metrics=True)
 
     def _dispatch_service(self, action: ActionSpec, now: float, commands: list) -> None:
         spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}, action.name)
@@ -526,6 +573,7 @@ class Engine:
         )
         self._move(node, Phase.SUCCESS, now, commands)
         self._on_terminal(node, now, commands)
+        self._evaluate_rules(now, commands, set(self.checkpoint_readers.get(action.name, ())))
 
     def _create_job(self, spec: JobSpec, now: float, commands: list) -> None:
         command = ReconcileCommand("CreateJob", spec.name, {
@@ -535,6 +583,7 @@ class Engine:
         self._trace_command(command, now)
         try:
             self.executor.start_job(spec)
+            self.started.add(spec.name)
         except SpawnError as exc:
             # The job never came up: surface the standard lifecycle so the
             # failure classifies as an unexpected crash of that service.
@@ -571,12 +620,14 @@ class Engine:
 
     # --- assertions ------------------------------------------------------------
 
-    def _evaluate_assertions(self, now: float, commands: list, state: bool, metrics: bool) -> None:
+    def _live(self, name: str) -> bool:
+        """Whether the action's assertions are checked: dispatched, not yet terminal."""
+        return not self.finished and name in self.dispatched and not self.nodes[name].phase.terminal
+
+    def _evaluate_state_assertions(self, now: float, commands: list) -> None:
         for name in self.asserts:  # in document order
-            if self.finished:
-                return
-            if name in self.dispatched and not self.nodes[name].phase.terminal:
-                self._evaluate_action_assertions(name, now, commands, state, metrics)
+            if self._live(name):
+                self._evaluate_action_assertions(name, now, commands, state=True, metrics=False)
 
     def _evaluate_action_assertions(self, name: str, now: float, commands: list, state: bool, metrics: bool) -> None:
         node = self.nodes[name]
@@ -585,39 +636,68 @@ class Engine:
         # until a job in the scope changes phase.
         version = self.scope_version[name]
         state = state and self.state_checked.get(name) != version
-        for text, ast in self.asserts.get(name, []):
+        for text, item in self.asserts.get(name, []):
             if self.finished:
                 return
-            if isinstance(ast, MetricsExprAst):
-                if not metrics:
-                    continue
-                try:
-                    fired = eval_metrics(ast, self.store, now, self.checkpoints)
-                except (UnknownMetric, UnknownCheckpoint, ValueError) as exc:
-                    self._fail(f"{name}: expression error: {type(exc).__name__}: {exc}", commands)
+            if isinstance(item, Rule):
+                if metrics and self._evaluate_rule(item, now, commands):
                     return
-            else:
-                if not state:
-                    continue
-                fired = eval_state(ast, snapshot_scope(node))
-            if fired:
-                self.trace.append("event", now, event="Metrics", subject=name, expr=text, fired=True)
-                self._fail(f"{name}: assertion fired: {text}", commands)
+            elif state and eval_state(item, snapshot_scope(node)):
+                self._fire(name, text, now, commands)
                 return
         if state:
             self.state_checked[name] = version
 
-    def _maybe_arm_tick(self) -> None:
-        if self._tick_armed or self.finished:
-            return
-        needed = any(
-            name in self.dispatched and not self.nodes[name].phase.terminal
-            for name in self.asserts
-        )
-        if needed:
-            due = self.clock.now() + self.tick_interval
-            self.queue.push(due, Event(EventKind.TIME, due, timer_id="tick"))
-            self._tick_armed = True
+    def _evaluate_rules(self, now: float, commands: list, changed: Optional[set] = None) -> None:
+        """Evaluate every live rule whose value may have changed, in document order.
+
+        Those are the rules in ``changed``, the rules on each metric with new
+        points (the store's pending notices, taken here, not only the one of
+        the event at hand) and the rules whose window timer is due. Any other
+        rule reads what it read when it was last evaluated and found quiet,
+        so the first rule to fire is the one a poll of every rule would find.
+        """
+        changed = set(changed or ())
+        for metric in self.store.take_notices():
+            changed.update(self.rules.get(metric, ()))
+        changed.update(rule for rule in self.armed if rule.due <= now)
+        for rule in sorted(changed, key=lambda r: r.order):
+            if not self._live(rule.owner):
+                self.armed.discard(rule)  # finished: never evaluated again
+            elif self._evaluate_rule(rule, now, commands):
+                return
+
+    def _evaluate_rule(self, rule: Rule, now: float, commands: list) -> bool:
+        """Evaluate one metrics rule at ``now``; True when that failed the run.
+
+        A rule that stays quiet and live re-arms its window timer for the
+        next instant its window changes without an ingest; a timer that
+        falls due after the rule was evaluated at or past it finds nothing.
+        """
+        if rule.due is not None and rule.due <= now:
+            rule.due = None
+            self.armed.discard(rule)
+        try:
+            fired = alert_holds(rule.ast, self._rule_value(rule, now), self.checkpoints)
+        except (UnknownMetric, UnknownCheckpoint, ValueError) as exc:
+            self._fail(f"{rule.owner}: expression error: {type(exc).__name__}: {exc}", commands)
+            return True
+        if fired:
+            self._fire(rule.owner, rule.text, now, commands)
+            return True
+        due = rule.window.next_change()
+        if due is not None and self._live(rule.owner) and (rule.due is None or due < rule.due):
+            rule.due = due
+            self.armed.add(rule)
+            self.queue.push(due, Event(EventKind.TIME, due, timer_id=rule.timer))
+        return False
+
+    def _rule_value(self, rule: Rule, now: float) -> Optional[float]:
+        return rule.window.advance(self.store, now)
+
+    def _fire(self, name: str, text: str, now: float, commands: list) -> None:
+        self.trace.append("event", now, event="Metrics", subject=name, expr=text, fired=True)
+        self._fail(f"{name}: assertion fired: {text}", commands)
 
     # --- fault bookkeeping -------------------------------------------------------
 
@@ -684,13 +764,7 @@ class Engine:
         for label in self.annotations.open_labels():
             self._close_region(label, now, None)
         for node in iter_nodes(self.tree):
-            in_cluster = node.owner is not None and node.owner.kind == "cluster"
-            is_job = in_cluster or (
-                node.name in self.dispatched
-                and node.name in self.actions
-                and self.actions[node.name].kind in ("Service", "Call")
-            )
-            if is_job and node.phase in (Phase.PENDING, Phase.RUNNING):
+            if node.name in self.started and not node.phase.terminal:
                 command = ReconcileCommand("KillJob", node.name, {})
                 self._trace_command(command, now)
                 self.executor.kill_job(node.name)
@@ -785,12 +859,8 @@ def run_scenario(
     executor: Optional[Executor] = None,
     clock=None,
     seed: int = 0,
-    tick_interval: float = 1.0,
     default_timeout: float = ENGINE_DEFAULT_TIMEOUT,
 ) -> RunResult:
     """Validate, run, and trace one scenario; see Engine for the mechanics."""
-    engine = Engine(
-        doc, templates, executor, clock=clock, seed=seed,
-        tick_interval=tick_interval, default_timeout=default_timeout,
-    )
+    engine = Engine(doc, templates, executor, clock=clock, seed=seed, default_timeout=default_timeout)
     return engine.run()

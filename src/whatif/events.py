@@ -41,8 +41,6 @@ class Event:
     failure_mode: str = ""  # STATE, when phase is Failed
     failure_class: Optional[FailureClass] = None
     reason: str = ""
-    expr_id: str = ""  # METRICS
-    fired: bool = False
     tags: dict = field(default_factory=dict)  # TAG
 
     def describe(self) -> dict:
@@ -60,10 +58,6 @@ class Event:
             data["class"] = self.failure_class.value
         if self.reason:
             data["reason"] = self.reason
-        if self.expr_id:
-            data["expr"] = self.expr_id
-        if self.kind == EventKind.METRICS:
-            data["fired"] = self.fired
         if self.tags:
             data["tags"] = dict(self.tags)
         return data
@@ -151,24 +145,29 @@ class SimClock:
 
 
 class WallClock:
-    """Wall time in seconds relative to run start, clamped non-decreasing."""
+    """Seconds since run start on the monotonic clock, never decreasing.
+
+    Stepping the system clock cannot move run time: only the unix time
+    captured at start is used, to map the unix-ms stamps jobs print. Watcher
+    threads read the clock too, so reads and ``set`` share a lock.
+    """
 
     virtual = False
 
     def __init__(self):
-        self._t0 = time.time()
+        self._t0 = time.monotonic()
+        self._unix0 = time.time()
         self._last = 0.0
+        self._lock = threading.Lock()
 
     def now(self) -> float:
-        value = time.time() - self._t0
-        if value < self._last:
+        with self._lock:
+            self._last = max(self._last, time.monotonic() - self._t0)
             return self._last
-        self._last = value
-        return value
 
     def set(self, at: float) -> None:
-        if at > self._last:
-            self._last = at
+        with self._lock:
+            self._last = max(self._last, at)
 
     def from_unix_ms(self, ms: float) -> float:
-        return ms / 1000.0 - self._t0
+        return ms / 1000.0 - self._unix0

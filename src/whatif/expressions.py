@@ -20,7 +20,9 @@ condition holds and the run must fail.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -425,6 +427,7 @@ def _apply_op(lhs, op: str, rhs) -> bool:
 
 
 def reduce_series(reducer: str, values: Sequence[float]) -> float:
+    """The brute-force reduction; SUM and AVG use the correctly rounded ``math.fsum``."""
     if not values:
         raise ValueError("cannot reduce an empty series")
     if reducer == "MAX":
@@ -432,9 +435,9 @@ def reduce_series(reducer: str, values: Sequence[float]) -> float:
     if reducer == "MIN":
         return min(values)
     if reducer == "AVG":
-        return sum(values) / len(values)
+        return math.fsum(values) / len(values)
     if reducer == "SUM":
-        return sum(values)
+        return math.fsum(values)
     if reducer == "LAST":
         return values[-1]
     if reducer == "COUNT":
@@ -454,7 +457,11 @@ def eval_metrics(ast: MetricsExprAst, store, now: float, checkpoints=None) -> bo
     """Evaluate an alert rule. An empty window is no data, hence no alert."""
     if ast.condition is None:
         raise ValueError("metrics expression has no condition; use eval_reducer")
-    value = eval_reducer(ast, store, now)
+    return alert_holds(ast, eval_reducer(ast, store, now), checkpoints)
+
+
+def alert_holds(ast: MetricsExprAst, value: Optional[float], checkpoints=None) -> bool:
+    """Whether the rule's condition holds for its reduced window ``value``."""
     if value is None:
         return False
     terms = [_resolve_term(t, checkpoints) for t in ast.condition.terms]
@@ -481,6 +488,142 @@ def _resolve_term(term: Term, checkpoints) -> float:
     if key not in checkpoint.values:
         raise UnknownCheckpoint(f"{name}.{key}")
     return checkpoint.values[key] * term.scale
+
+
+# --- incremental windows ---------------------------------------------------------
+
+# Values below this magnitude are summed exactly: fewer than 2**23 of them
+# cannot overflow a partial sum.
+_EXACT_LIMIT = 2.0 ** 1000
+
+
+class WindowAggregate:
+    """One rule's reducer over its query window, kept as points arrive and expire.
+
+    The window holds the points of ``metric`` with ``now - window <= at <=
+    now``, the test ``MetricsStore.query`` applies. ``advance`` admits the
+    points accepted since its last call and evicts those that left the
+    window, each once, so a point costs O(1) amortized instead of a copy of
+    the window per evaluation. MAX and MIN keep a monotonic deque; SUM and
+    AVG keep exact Shewchuk partials (a value is added on admission and its
+    negation on eviction), so they equal ``reduce_series`` bit for bit. While
+    the window holds a non-finite or huge value it reduces by brute force.
+    ``now`` must not decrease between calls; a smaller one is raised to the
+    last.
+    """
+
+    def __init__(self, metric: str, reducer: str, window: float):
+        self.metric = metric
+        self.reducer = reducer
+        self.window = window
+        self.points: deque = deque()  # (at, value) in the window, oldest first
+        self.admitted = 0  # store index of the next point to admit
+        self.upcoming: Optional[float] = None  # stamp of the first point after now
+        self.extremes: deque = deque()  # MAX/MIN: (store index, value), monotonic
+        self.partials: list = []  # SUM/AVG: non-overlapping, exact sum of the window
+        self.inexact = 0  # window values kept out of extremes and partials
+        self.now = -math.inf
+
+    def advance(self, store, now: float) -> Optional[float]:
+        """The reduced window at ``now``; None when the window is empty."""
+        now = self.now = max(now, self.now)
+        self.upcoming = None
+        for at, value in store.points_from(self.metric, self.admitted):
+            if at > now:
+                self.upcoming = at
+                break
+            self._admit(at, value)
+        lower = now - self.window
+        while self.points and self.points[0][0] < lower:
+            self._evict()
+        return self.value()
+
+    def next_change(self) -> Optional[float]:
+        """The first instant after the last ``advance`` at which the window changes
+        without a new point: the oldest point expires or a future-stamped one enters."""
+        due = self.upcoming
+        if self.points:
+            expiry = expiry_instant(self.points[0][0], self.window)
+            due = expiry if due is None else min(due, expiry)
+        return due
+
+    def value(self) -> Optional[float]:
+        if not self.points:
+            return None
+        reducer = self.reducer
+        if self.inexact:
+            return reduce_series(reducer, [value for _, value in self.points])
+        if reducer in ("MAX", "MIN"):
+            return self.extremes[0][1]
+        if reducer == "LAST":
+            return self.points[-1][1]
+        if reducer == "COUNT":
+            return float(len(self.points))
+        total = math.fsum(self.partials)
+        return total if reducer == "SUM" else total / len(self.points)
+
+    def _admit(self, at: float, value: float) -> None:
+        index = self.admitted
+        self.admitted += 1
+        self.points.append((at, value))
+        if not abs(value) < _EXACT_LIMIT:
+            self.inexact += 1
+        elif self.reducer == "MAX":
+            while self.extremes and self.extremes[-1][1] < value:
+                self.extremes.pop()
+            self.extremes.append((index, value))
+        elif self.reducer == "MIN":
+            while self.extremes and self.extremes[-1][1] > value:
+                self.extremes.pop()
+            self.extremes.append((index, value))
+        elif self.reducer in ("SUM", "AVG") and value:
+            _add_partial(self.partials, value)
+
+    def _evict(self) -> None:
+        index = self.admitted - len(self.points)
+        _, value = self.points.popleft()
+        if not abs(value) < _EXACT_LIMIT:
+            self.inexact -= 1
+        elif self.extremes and self.extremes[0][0] == index:
+            self.extremes.popleft()
+        elif self.reducer in ("SUM", "AVG") and value:
+            _add_partial(self.partials, -value)
+
+
+def _add_partial(partials: list, x: float) -> None:
+    """Add ``x`` to an exact sum kept as non-overlapping partials (Shewchuk 1997)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def expiry_instant(at: float, window: float) -> float:
+    """The first instant ``now`` at which a point stamped ``at`` fails ``at >= now - window``."""
+    # Bracket the answer between an instant still inside (lo) and one past it
+    # (hi), around the estimate at + window, then bisect down to adjacent floats.
+    lo = hi = at + window
+    step = math.ulp(hi)
+    while not at < hi - window:
+        lo, hi, step = hi, hi + step, step * 2
+    step = math.ulp(lo)
+    while at < lo - window:
+        hi, lo, step = lo, lo - step, step * 2
+    while True:
+        mid = lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            return hi
+        if at < mid - window:
+            hi = mid
+        else:
+            lo = mid
 
 
 # --- scope enforcement -----------------------------------------------------------

@@ -7,7 +7,10 @@ the same line protocol jobs speak on stdout::
     metric <name> <float> <unix-ms>
 
 Ingestion may happen concurrently from executor watchers; queries take a
-consistent snapshot under the same lock.
+consistent snapshot under the same lock. The engine names the metrics its
+assertions read with ``watch``; an ingest of such a metric then pushes a
+Metrics event into the run queue, at most one pending per metric, which
+is how both executors, threads included, wake the loop.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     UnknownMetric,
     UnknownRegion,
 )
+from .events import Event, EventKind
 from .lifecycle import ResourceNode, iter_nodes
 
 
@@ -64,6 +68,28 @@ class MetricsStore:
         self._times: dict[str, list[float]] = {}
         self._values: dict[str, list[float]] = {}
         self.dropped = 0
+        self._watched: frozenset = frozenset()
+        self._pending: set = set()  # watched metrics with an unacknowledged event
+        self._queue = None
+        self._clock = None
+
+    def watch(self, names, queue, clock) -> None:
+        """Push a Metrics event into ``queue`` when a point of one of ``names`` arrives.
+
+        A metric has at most one pending event: later points need none until
+        the engine takes the notice with ``take_notices``, since the
+        evaluation that follows reads them from the store anyway.
+        """
+        with self._lock:
+            self._watched = frozenset(names)
+            self._queue = queue
+            self._clock = clock
+
+    def take_notices(self) -> list[str]:
+        """The watched metrics with new points since the last call; their next point notifies again."""
+        with self._lock:
+            names, self._pending = list(self._pending), set()
+            return names
 
     def declare(self, name: str) -> None:
         """Register a metric name before any point arrives."""
@@ -85,7 +111,12 @@ class MetricsStore:
                 return False
             times.append(point.at)
             values.append(point.value)
-            return True
+            notify = point.name in self._watched and point.name not in self._pending
+            if notify:
+                self._pending.add(point.name)
+        if notify:
+            self._queue.push_event(Event(EventKind.METRICS, self._clock.now(), subject=point.name))
+        return True
 
     def query(self, name: str, frm: float, to: float) -> list[tuple[float, float]]:
         """All points with frm <= at <= to, in time order."""
@@ -98,6 +129,13 @@ class MetricsStore:
             lo = bisect.bisect_left(times, frm)
             hi = bisect.bisect_right(times, to)
             return list(zip(times[lo:hi], self._values[name][lo:hi]))
+
+    def points_from(self, name: str, start: int) -> list[tuple[float, float]]:
+        """The points of ``name`` from the ``start``-th accepted one on, in time order."""
+        with self._lock:
+            if name not in self._times:
+                raise UnknownMetric(name)
+            return list(zip(self._times[name][start:], self._values[name][start:]))
 
     def names(self) -> list[str]:
         with self._lock:

@@ -48,9 +48,6 @@ class RunTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
     def to_text(self) -> str:
         return "".join(record.to_json() + "\n" for record in self.records)
 

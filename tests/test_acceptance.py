@@ -5,6 +5,7 @@ lines as they pass.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -102,7 +103,7 @@ def test_criterion_1_scheduling_policies():
         spans = _regions(chained, 6)
         assert _overlapping_pairs(spans) == 0
         for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
-            assert 0.0 <= next_start - prev_end <= 1.0  # within one engine tick
+            assert next_start == prev_end  # dispatched in the cycle of the `success` it waited for
 
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"300 simulated runs took {elapsed:.1f}s"
@@ -298,8 +299,8 @@ def test_criterion_5_expression_oracle_equivalence():
     # Reducers: all windows over series of <= 10 deterministic points.
     rng = random.Random(5)
     reducers = {
-        "MAX": max, "MIN": min, "SUM": sum,
-        "AVG": lambda v: sum(v) / len(v),
+        "MAX": max, "MIN": min, "SUM": math.fsum,  # correctly rounded sums
+        "AVG": lambda v: math.fsum(v) / len(v),
         "LAST": lambda v: v[-1],
         "COUNT": lambda v: float(len(v)),
     }

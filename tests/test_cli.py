@@ -7,6 +7,7 @@ import pytest
 
 from whatif.cli import main
 from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, render_scenario
+from whatif.executors import SimExecutor
 from conftest import SCENARIOS
 
 VALID = SCENARIOS / "partition-demo.yaml"
@@ -44,6 +45,35 @@ spec:
     - { at: 0s, do: running }
     - { at: 60s, do: success }
 """
+
+TWO_SERVICES = """
+spec:
+- action: Service
+  name: first
+  service: { script: [ { at: 0s, do: running }, { at: 5s, do: success } ] }
+- action: Service
+  name: second
+  service: { script: [ { at: 0s, do: running }, { at: 5s, do: success } ] }
+"""
+
+
+class BrokenExecutor(SimExecutor):
+    """A simulator whose second start_job fails with an error that is not a WhatifError."""
+
+    def __init__(self):
+        super().__init__()
+        self.starts = 0
+        self.killed = []
+
+    def start_job(self, spec):
+        self.starts += 1
+        if self.starts == 2:
+            raise RuntimeError("executor bug")
+        super().start_job(spec)
+
+    def kill_job(self, name):
+        self.killed.append(name)
+        super().kill_job(name)
 
 
 class TestValidate:
@@ -88,6 +118,22 @@ class TestRun:
         path = tmp_path / "slow.yaml"
         path.write_text(SLOW)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_internal_error_exit_3_writes_run_files(self, tmp_path, monkeypatch):
+        executor = BrokenExecutor()
+        monkeypatch.setattr("whatif.cli.make_executor", lambda name: executor)
+        path = tmp_path / "two.yaml"
+        path.write_text(TWO_SERVICES)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        records = [json.loads(line) for line in (out / "trace.ndjson").read_text().splitlines()]
+        assert records[-1]["kind"] == "outcome"
+        assert records[-1]["outcome"] == "Aborted"
+        assert records[-1]["reason"] == "internal error: RuntimeError: executor bug"
+        assert executor.killed == ["first"]
+        kills = [r["target"] for r in records if r["kind"] == "command" and r["verb"] == "KillJob"]
+        assert kills == ["first"]
+        assert json.loads((out / "report.json").read_text())["outcome"] == "Aborted"
 
     def test_invalid_scenario_exit_2(self, tmp_path):
         path = tmp_path / "cyclic.yaml"

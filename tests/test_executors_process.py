@@ -1,5 +1,6 @@
 """Local-process executor: real children, exit mapping, signals, metrics."""
 
+import sys
 import time
 
 import pytest
@@ -47,6 +48,18 @@ def drain(queue, clock, want, timeout=10.0):
         elif callable(item):
             item()
     return events
+
+
+class TestWallClock:
+    def test_never_decreases_when_the_system_clock_steps_back(self, monkeypatch):
+        clock = WallClock()
+        real_time = time.time
+        readings = [clock.now()]
+        monkeypatch.setattr(time, "time", lambda: real_time() - 3600.0)
+        for _ in range(200):
+            readings.append(clock.now())
+        assert readings == sorted(readings)
+        assert readings[-1] < 60.0
 
 
 class TestProcessJobs:
@@ -197,3 +210,35 @@ spec:
         proc_result = run_scenario(doc, proc_templates, ProcessExecutor())
         assert sim_result.outcome is proc_result.outcome is Outcome.FAILED
         assert self.shapes(sim_result.trace) == self.shapes(proc_result.trace)
+
+
+SPIKY = """
+import sys, time
+for value in (10, 12, 11, 99):
+    print("metric x %s %d" % (value, int(time.time() * 1000)), flush=True)
+    time.sleep(0.1)
+time.sleep(float(sys.argv[1]))
+"""
+
+
+class TestProcessAlerts:
+    def test_spike_fails_the_run_while_the_emitter_still_runs(self, tmp_path):
+        tail = 6.0
+        emitter = tmp_path / "spiky.py"
+        emitter.write_text(SPIKY)
+        rule = "MAX() QUERY(x, 1m, now) IS ABOVE(50)"
+        doc = parse_scenario(f"""
+spec:
+- action: Service
+  name: spiky
+  service: {{ command: {sys.executable} {emitter} {tail}, metrics: stdout-lines, declares: [x] }}
+  assertions: ["{rule}"]
+""")
+        started = time.monotonic()
+        result = run_scenario(doc, {}, ProcessExecutor())
+        assert time.monotonic() - started < tail
+        assert result.outcome is Outcome.FAILED
+        assert result.reason == f"spiky: assertion fired: {rule}"
+        spike_at = next(at for at, value in result.store.series("x") if value == 99)
+        fired = next(r for r in result.trace if r.kind == "event" and r.data.get("fired"))
+        assert spike_at <= fired.at < spike_at + tail

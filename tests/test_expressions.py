@@ -1,6 +1,7 @@
 """Expression parsing, evaluation, reducers, and scope enforcement."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,8 +193,8 @@ def test_state_truth_table_all_scopes_up_to_three_jobs():
 class TestReducers:
     def brute(self, reducer, values):
         return {
-            "MAX": max, "MIN": min, "SUM": sum,
-            "AVG": lambda v: sum(v) / len(v),
+            "MAX": max, "MIN": min, "SUM": math.fsum,  # correctly rounded sums
+            "AVG": lambda v: math.fsum(v) / len(v),
             "LAST": lambda v: v[-1],
             "COUNT": lambda v: float(len(v)),
         }[reducer](values)

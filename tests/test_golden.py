@@ -116,14 +116,14 @@ def trace_digest(doc, templates, tmp_path) -> str:
 
 # sha256 of trace.ndjson for each generated document.
 GOLDEN = {
-    "after-race": "fe814185b7ba831a586303ed04c8d9f6fb09d916e09790d5a0a05be565e19fdb",
-    "chain-120": "b75c56ea5d6c3cba946f796c5efceeb5b3cca237c76bfff6438ac31862c68c0b",
-    "cluster-200": "7119e35bfb45ed8b97289493d5bd0eec25bbb0fa8f713c9c8d8b255c265d24f6",
-    "metrics-300": "d405dd8443936416f625e408b01ddf4ecf9cf67323d5fb7fc06cd22b968cab67",
+    "after-race": "ef13febd7a77aeb18e364dc738e1ef204e5d16257bca9ecd3668fb1eded3b99b",
+    "chain-120": "f54e8e0417c6868084fcbabc9bfb32fe2464fb9ab3ab92a241900769946dbe38",
+    "cluster-200": "c92a79aed5da6608030e0668589c24d43294f4af748b80b8c633e07ff1055a6a",
+    "metrics-300": "cb7b7fcb5e64adc62d61b2cc2b72a79ced0d29825f5e54d15bb6d517e2eeb1db",
 }
-DEMO_GOLDEN = "0d5fa5d17ca0dfe50ee62f31b1ce5d65a8ce35f5f14ca57816751a92a851e90b"
+DEMO_GOLDEN = "46cc3bb79aa9ec259fea54ba2ebaa72e9ad46812bbc9e875fddbbc288400b471"
 # sha256 over the concatenated per-document digests of the 25 corpus documents.
-CORPUS_GOLDEN = "de71962791f715db7566ac2c8b7c726fe08e4a87c1a673562f907e7b2b6e4645"
+CORPUS_GOLDEN = "7c037029eb5d12975a8d3a0fda522bc49a93d020b732bb98a97c3b28092eb5f4"
 
 
 def _build(name: str):

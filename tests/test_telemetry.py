@@ -1,9 +1,13 @@
 """Metrics store, checkpoints, and the annotation log."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from whatif.errors import DuplicateCheckpoint, UnknownMetric, UnknownRegion
+from whatif.events import EventKind, EventQueue, WallClock
 from whatif.expressions import parse_expression
 from whatif.lifecycle import Phase, ResourceNode
 from whatif.telemetry import AnnotationLog, CheckpointRegistry, MetricPoint, MetricsStore
@@ -86,6 +90,62 @@ class TestStore:
         assert "metric m 1.5 250\n" in text
         loaded = MetricsStore.load(path)
         assert loaded.series("m") == store.series("m")
+
+
+class TestNotices:
+    def test_unwatched_metrics_push_nothing(self):
+        store, queue = MetricsStore(), EventQueue()
+        store.watch(["cpu"], queue, WallClock())
+        store.ingest(MetricPoint("mem", 1.0, 0.0))
+        assert len(queue) == 0
+        store.ingest(MetricPoint("cpu", 1.0, 0.0))
+        store.ingest(MetricPoint("cpu", 2.0, 0.0))
+        assert len(queue) == 1  # one pending event per metric
+        assert store.take_notices() == ["cpu"]
+        store.ingest(MetricPoint("cpu", 3.0, 0.0))
+        assert len(queue) == 2
+
+    def test_no_point_is_left_without_a_pending_event(self):
+        """Watcher threads ingest while a consumer takes notices: after the last
+        event, the consumer has read every point (a lost notice would strand some)."""
+        store, queue = MetricsStore(), EventQueue()
+        names = ["m0", "m1"]
+        store.watch(names, queue, WallClock())
+        per_thread, threads = 2000, 4
+        seen = {name: 0 for name in names}
+        done = threading.Event()
+
+        def produce(i):
+            for k in range(per_thread):
+                store.ingest(MetricPoint(names[i % 2], float(k), 0.0))
+
+        def consume():
+            while True:
+                popped = queue.pop_next()
+                if popped is None:
+                    if done.is_set() and len(queue) == 0:
+                        return
+                    continue
+                assert popped[1].kind is EventKind.METRICS
+                for name in store.take_notices():
+                    seen[name] = len(store.points_from(name, 0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producers = [threading.Thread(target=produce, args=(i,)) for i in range(threads)]
+            consumer = threading.Thread(target=consume)
+            consumer.start()
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30)
+            done.set()
+            consumer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive() and not any(t.is_alive() for t in producers)
+        assert seen == {name: per_thread * threads // 2 for name in names}
 
 
 class TestCheckpoints:
