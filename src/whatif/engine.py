@@ -20,7 +20,9 @@ store pushes a Metrics event), when the oldest point in its window expires
 or a future-stamped one enters it (one armed timer per rule), when a
 checkpoint its threshold reads is taken, and once more when its action
 succeeds. Each rule keeps its window reduced incrementally
-(``WindowAggregate``).
+(``WindowAggregate``). A metric or checkpoint that does not exist yet reads
+as no data until that last evaluation, so the order in which the jobs that
+declare metrics start does not matter.
 """
 
 from __future__ import annotations
@@ -264,11 +266,12 @@ class Engine:
         """Run to an outcome. An internal error aborts the run; cleanup always runs."""
         try:
             self._loop()
-        except WhatifError:
-            raise
         except Exception as exc:
             logger.exception("internal error")
             self._abort(f"internal error: {type(exc).__name__}: {exc}")
+        except BaseException as exc:  # KeyboardInterrupt, SystemExit: clean up, record, re-raise
+            self._abort(f"interrupted: {type(exc).__name__}")
+            raise
         finally:
             self._finalize()
         return RunResult(
@@ -670,6 +673,11 @@ class Engine:
     def _evaluate_rule(self, rule: Rule, now: float, commands: list) -> bool:
         """Evaluate one metrics rule at ``now``; True when that failed the run.
 
+        A metric no job has declared yet, or a checkpoint not taken yet,
+        reads as no data: its first point, or the checkpoint, evaluates the
+        rule again. Only the last evaluation, once the action succeeded,
+        fails the run on a reference that still does not exist.
+
         A rule that stays quiet and live re-arms its window timer for the
         next instant its window changes without an ingest; a timer that
         falls due after the rule was evaluated at or past it finds nothing.
@@ -680,8 +688,10 @@ class Engine:
         try:
             fired = alert_holds(rule.ast, self._rule_value(rule, now), self.checkpoints)
         except (UnknownMetric, UnknownCheckpoint, ValueError) as exc:
-            self._fail(f"{rule.owner}: expression error: {type(exc).__name__}: {exc}", commands)
-            return True
+            if isinstance(exc, ValueError) or self.nodes[rule.owner].phase.terminal:
+                self._fail(f"{rule.owner}: expression error: {type(exc).__name__}: {exc}", commands)
+                return True
+            fired = False
         if fired:
             self._fire(rule.owner, rule.text, now, commands)
             return True

@@ -4,7 +4,7 @@ import pytest
 
 from whatif.dsl import DependsClause, Template, parse_scenario
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
-from whatif.errors import InvalidScenario
+from whatif.errors import InvalidScenario, UnknownRegion
 from whatif.events import Event, EventKind, SimClock
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 
@@ -254,6 +254,37 @@ class TestRunOutcomes:
         result = run_scenario(doc, templates)
         assert result.outcome is Outcome.FAILED
         assert "assertion fired" in result.reason
+
+    SOLO = (
+        "spec:\n- action: Service\n  name: solo\n"
+        "  service:\n    script:\n"
+        "    - { at: 0s, do: running }\n    - { at: 1s, do: success }\n"
+    )
+
+    def broken_run(self, monkeypatch, exc):
+        engine = Engine(parse_scenario(self.SOLO))
+
+        def reconcile(event):
+            raise exc
+
+        monkeypatch.setattr(engine, "reconcile", reconcile)
+        return engine
+
+    def test_whatif_error_inside_the_run_aborts_it(self, monkeypatch):
+        engine = self.broken_run(monkeypatch, UnknownRegion("r"))
+        result = engine.run()
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "internal error: UnknownRegion: r")
+        outcomes = [r.data for r in result.trace if r.kind == "outcome"]
+        assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnknownRegion: r"}]
+        assert engine.tree.phase is not Phase.SUCCESS
+
+    def test_interrupt_records_an_aborted_outcome_and_propagates(self, monkeypatch):
+        engine = self.broken_run(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            engine.run()
+        outcomes = [r.data for r in engine.trace if r.kind == "outcome"]
+        assert outcomes == [{"outcome": "Aborted", "reason": "interrupted: KeyboardInterrupt"}]
+        assert engine.tree.phase is not Phase.SUCCESS
 
 
 class TestTraceInvariants:
