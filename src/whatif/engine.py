@@ -11,8 +11,10 @@ simulated run is a deterministic function of (document, seed).
 A cycle's work grows with what the event touched, not with the document:
 every phase change goes through ``Engine._move``, which marks the actions
 that depend on the changed node for a dependency recheck, keeps per-cluster
-phase counters, and bumps the scope versions that decide whether a state
-assertion needs evaluating again.
+phase counts, and bumps the scope versions that decide whether a state
+assertion needs evaluating again. A cluster's phase and its state
+assertions are answered from those counts (``CountedScope``), so a child's
+event costs O(1) however many instances the cluster has.
 
 A metrics assertion is evaluated only at the instants its value can change:
 when its action is dispatched, when a point of its metric is ingested (the
@@ -45,6 +47,7 @@ from .dsl import (
     effective_timeout,
     expand_targets,  # unused here; bench/tracer.py wraps it on this module
     instantiate_template,
+    load_yaml,
     validate,
 )
 from .errors import (
@@ -68,7 +71,7 @@ from .expressions import (
     eval_metrics,  # unused here; bench/tracer.py wraps it on this module
     eval_state,
     parse_expression,
-    snapshot_scope,
+    snapshot_scope,  # unused here; bench/tracer.py wraps it on this module
 )
 from .lifecycle import (
     ChaosTag,
@@ -238,12 +241,12 @@ class Engine:
                 self.dependents.setdefault(name, []).append(index)
         self.dirty: set[int] = set(range(len(doc.actions)))
         self.timed: set[int] = set()  # `after:` timer armed, not yet dispatched
-        # Per-cluster child counts by phase bucket (see _bucket; every child
+        # Per-cluster child counts by phase slot (see _slot; every child
         # starts Uninitialized), per-node scope versions, the scope version
         # each asserting action last evaluated its state assertions against,
         # and the number of actions not yet terminal.
-        self.child_counts = {
-            node.name: [len(node.children), 0, 0, 0, 0]
+        self.phase_counts = {
+            node.name: [len(node.children), 0, 0, 0, 0, 0]
             for node in self.nodes.values()
             if node.kind == "cluster"
         }
@@ -607,7 +610,7 @@ class Engine:
         spec = self.job_specs.get(text)
         if spec is None:
             try:
-                body = yaml.safe_load(text)
+                body = load_yaml(text)
             except yaml.YAMLError as exc:
                 raise SchemaError(f"template {ref} body does not parse: {exc}") from exc
             spec = self.job_specs[text] = parse_job_body(body)
@@ -618,8 +621,7 @@ class Engine:
             return parse_fault_body(action.fault, self.doc)
         template = self.templates[action.template_ref]
         text = instantiate_template(template, action.inputs[0] if action.inputs else {})
-        body = yaml.safe_load(text)
-        return parse_fault_body(body, self.doc)
+        return parse_fault_body(load_yaml(text), self.doc)
 
     # --- assertions ------------------------------------------------------------
 
@@ -645,11 +647,19 @@ class Engine:
             if isinstance(item, Rule):
                 if metrics and self._evaluate_rule(item, now, commands):
                     return
-            elif state and eval_state(item, snapshot_scope(node)):
+            elif state and eval_state(item, self._scope(node)):
                 self._fire(name, text, now, commands)
                 return
         if state:
             self.state_checked[name] = version
+
+    def _scope(self, node: ResourceNode) -> CountedScope:
+        """The asserting action's scope: a cluster's children, or a leaf action's own job."""
+        counts = self.phase_counts.get(node.name)
+        if counts is None:
+            counts = [0] * 6
+            counts[_slot(node)] = 1
+        return CountedScope(node, counts, self.nodes)
 
     def _evaluate_rules(self, now: float, commands: list, changed: Optional[set] = None) -> None:
         """Evaluate every live rule whose value may have changed, in document order.
@@ -793,7 +803,7 @@ class Engine:
         to recheck, the owner cluster's child counts, the unfinished-action
         count, and the scope versions of the node and its ancestors.
         """
-        bucket = _bucket(node)
+        slot = _slot(node)
         hops = advance_to(node, target, at)
         if not hops:
             return
@@ -801,9 +811,9 @@ class Engine:
             self._trace_transition(node, phase, commands)
         owner = node.owner
         if owner is not None and owner.kind == "cluster":
-            counts = self.child_counts[owner.name]
-            counts[bucket] -= 1
-            counts[_bucket(node)] += 1
+            counts = self.phase_counts[owner.name]
+            counts[slot] -= 1
+            counts[_slot(node)] += 1
         if owner is self.tree and node.phase.terminal:
             self.unfinished -= 1
         self.dirty.update(self.dependents.get(node.name, ()))
@@ -816,14 +826,7 @@ class Engine:
 
         Equal to ``aggregate_phase`` over the cluster's children, in O(1).
         """
-        unstarted, running, _, expected, unexpected = self.child_counts[cluster.name]
-        if unexpected or expected > cluster.tolerated:
-            return Phase.FAILED
-        if unstarted:
-            return Phase.PENDING
-        if running:
-            return Phase.RUNNING
-        return Phase.SUCCESS
+        return _counted_phase(self.phase_counts[cluster.name], cluster.tolerated)
 
     # --- trace helpers -------------------------------------------------------------
 
@@ -853,14 +856,65 @@ class Engine:
         self._trace_annotation("close", label, at, commands, start=region.start, end=region.end)
 
 
-def _bucket(node: ResourceNode) -> int:
-    """Index of the node's phase in a cluster's child counts."""
-    if node.phase == Phase.FAILED:
-        return 3 if node.failure_class == FailureClass.EXPECTED else 4
-    return _BUCKETS[node.phase]
+class CountedScope:
+    """An asserting action's scope, answered from phase counts in O(1).
+
+    Answers the questions of ``ScopeSnapshot``, which scans its jobs instead:
+    ``counts`` holds how many of the scope's jobs sit in each phase slot (a
+    cluster's live counts, or a leaf action's one job) and ``nodes`` finds a
+    named job.
+    """
+
+    __slots__ = ("owner", "counts", "nodes")
+
+    def __init__(self, owner: ResourceNode, counts: list, nodes: dict):
+        self.owner = owner
+        self.counts = counts
+        self.nodes = nodes
+
+    def count(self, fn: str, subject: Optional[str] = None) -> int:
+        slots = _SLOTS_OF[fn]
+        if subject is None:
+            return sum(self.counts[i] for i in slots)
+        job = self._job(subject)
+        return int(job is not None and _slot(job) in slots)
+
+    def phase_of(self, subject: str) -> Optional[Phase]:
+        job = self._job(subject)
+        return None if job is None else job.phase
+
+    def aggregate(self) -> Phase:
+        return _counted_phase(self.counts, 0)
+
+    def _job(self, name: str) -> Optional[ResourceNode]:
+        node = self.nodes.get(name)
+        owner = self.owner
+        if node is not None and (node.owner is owner if owner.children else node is owner):
+            return node
+        return None
 
 
-_BUCKETS = {Phase.UNINITIALIZED: 0, Phase.PENDING: 0, Phase.RUNNING: 1, Phase.SUCCESS: 2}
+def _slot(node: ResourceNode) -> int:
+    """Index of the node's phase in phase counts: Uninitialized, Pending,
+    Running, Success, then Failed split into Expected and the rest."""
+    if node.phase is Phase.FAILED:
+        return 4 if node.failure_class is FailureClass.EXPECTED else 5
+    return phase_order(node.phase)
+
+
+# The slots each state fn counts; `.state.failed()` counts either class.
+_SLOTS_OF = {"pending": (1,), "running": (2,), "success": (3,), "failed": (4, 5), "all": range(6)}
+
+
+def _counted_phase(counts: list, tolerated: int) -> Phase:
+    """``aggregate_phase`` over jobs given by their phase counts."""
+    if counts[5] or counts[4] > tolerated:
+        return Phase.FAILED
+    if counts[0] or counts[1]:
+        return Phase.PENDING
+    if counts[2]:
+        return Phase.RUNNING
+    return Phase.SUCCESS
 
 
 def run_scenario(

@@ -105,14 +105,6 @@ class EventQueue:
             at, _, item = heapq.heappop(self._heap)
             return at, item
 
-    def pop_due(self, now: float) -> Optional[tuple]:
-        """Pop the earliest item if it is due at ``now``."""
-        with self._cond:
-            if self._heap and self._heap[0][0] <= now:
-                at, _, item = heapq.heappop(self._heap)
-                return at, item
-            return None
-
     def wait_next(self, clock, poll: float = 0.05) -> Optional[tuple]:
         """Block until the earliest item falls due on the wall clock."""
         with self._cond:

@@ -63,8 +63,9 @@ class ProcessExecutor(Executor):
 
     def _watch(self, name: str, proc: subprocess.Popen) -> None:
         if proc.stdout is not None:
-            for line in proc.stdout:
-                self._ingest_line(line)
+            with proc.stdout:
+                for line in proc.stdout:
+                    self._ingest_line(line)
         returncode = proc.wait()
         with self._lock:
             if name in self._engine_killed:

@@ -33,6 +33,12 @@ from .lifecycle import FailureClass, Phase, ResourceNode, aggregate_phase, find_
 STATE_FNS = ("failed", "running", "success", "pending", "all")
 REDUCERS = ("MAX", "MIN", "AVG", "SUM", "LAST", "COUNT")
 _PHASE_NAMES = tuple(p.value for p in Phase)
+_FN_PHASE = {
+    "failed": Phase.FAILED,
+    "running": Phase.RUNNING,
+    "success": Phase.SUCCESS,
+    "pending": Phase.PENDING,
+}
 _SUBJECT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 
 
@@ -115,10 +121,33 @@ class ScopeJob:
 
 @dataclass(frozen=True)
 class ScopeSnapshot:
-    """Jobs visible to one asserting entity: only those it created."""
+    """Jobs visible to one asserting entity: only those it created.
+
+    ``eval_state`` reads a scope only through ``count``, ``phase_of`` and
+    ``aggregate``. A snapshot answers them by scanning its jobs; it is the
+    reference for the engine's scopes, which answer from phase counts.
+    """
 
     owner: str
     jobs: tuple = ()
+
+    def count(self, fn: str, subject: Optional[str] = None) -> int:
+        """How many jobs (only ``subject``, when named) the state fn counts."""
+        jobs = self.jobs
+        if subject is not None:
+            jobs = tuple(j for j in jobs if j.name == subject)
+        if fn == "all":
+            return len(jobs)
+        want = _FN_PHASE[fn]
+        return sum(1 for j in jobs if j.phase == want)
+
+    def phase_of(self, subject: str) -> Optional[Phase]:
+        """The named job's phase; None when it is not in the scope."""
+        return next((j.phase for j in self.jobs if j.name == subject), None)
+
+    def aggregate(self) -> Phase:
+        """The phase of the whole scope, tolerating no failure."""
+        return aggregate_phase([(j.phase, j.failure_class) for j in self.jobs])
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -361,19 +390,14 @@ def parse_expression(src) -> StateExprAst | MetricsExprAst:
 
 # --- evaluation ----------------------------------------------------------------
 
-_FN_PHASE = {
-    "failed": Phase.FAILED,
-    "running": Phase.RUNNING,
-    "success": Phase.SUCCESS,
-    "pending": Phase.PENDING,
-}
+def eval_state(ast: StateExprAst, scope) -> bool:
+    """Evaluate a state expression against one scope.
 
-
-def eval_state(ast: StateExprAst, scope: ScopeSnapshot) -> bool:
-    """Evaluate a state expression against one scope snapshot.
-
-    Aggregations count jobs in the snapshot only; `.state.failed()` counts
-    every Failed job regardless of its failure class.
+    ``scope`` answers the three questions of ``ScopeSnapshot``. Aggregations
+    count jobs in the scope only; `.state.failed()` counts every Failed job
+    regardless of its failure class. `.state.all() == "Phase"` compares the
+    named job's phase, or the aggregate phase of the whole scope when no job
+    is named.
     """
     if isinstance(ast, BoolGroup):
         if ast.op == "AND":
@@ -382,34 +406,13 @@ def eval_state(ast: StateExprAst, scope: ScopeSnapshot) -> bool:
     if isinstance(ast, Not):
         return not eval_state(ast.item, scope)
     if isinstance(ast, Compare):
+        call = ast.call
         if isinstance(ast.value, str):
-            return _compare_phase(ast, scope)
-        count = _count(ast.call, scope)
-        return _apply_op(count, ast.op, ast.value)
+            actual = scope.aggregate() if call.subject is None else scope.phase_of(call.subject)
+            result = actual is not None and actual.value == ast.value
+            return result if ast.op == "==" else not result
+        return _apply_op(scope.count(call.fn, call.subject), ast.op, ast.value)
     raise TypeError(f"not a state expression: {ast!r}")
-
-
-def _count(call: StateCall, scope: ScopeSnapshot) -> int:
-    jobs = scope.jobs
-    if call.subject is not None:
-        jobs = tuple(j for j in jobs if j.name == call.subject)
-    if call.fn == "all":
-        return len(jobs)
-    want = _FN_PHASE[call.fn]
-    return sum(1 for j in jobs if j.phase == want)
-
-
-def _compare_phase(ast: Compare, scope: ScopeSnapshot) -> bool:
-    # `.state.all() == "Phase"`: the named job's phase, or the aggregate
-    # phase of the whole scope when no job is named.
-    if ast.call.subject is not None:
-        matches = [j for j in scope.jobs if j.name == ast.call.subject]
-        actual = matches[0].phase.value if matches else None
-    else:
-        agg = aggregate_phase([(j.phase, j.failure_class) for j in scope.jobs])
-        actual = agg.value
-    result = actual == ast.value
-    return result if ast.op == "==" else not result
 
 
 def _apply_op(lhs, op: str, rhs) -> bool:

@@ -1,13 +1,16 @@
 """Incremental reconciliation against brute-force oracles.
 
 The engine rechecks only the actions whose dependencies changed (plus those
-with an armed `after:` timer), derives cluster phases from counters, and
-skips state assertions whose scope did not change. The oracle engine below
-rechecks every undispatched action and re-evaluates every state assertion
-on every cycle; on random documents both must write the same trace, and
-after every cycle each cluster's counter-derived phase must equal
-`aggregate_phase` over its children.
+with an armed `after:` timer), derives cluster phases and answers state
+assertions from phase counts, and skips state assertions whose scope did
+not change. The oracle engine below rechecks every undispatched action and
+re-evaluates every state assertion over a `snapshot_scope` on every cycle;
+on random documents both must write the same trace. After every cycle each
+cluster's counted phase must equal `aggregate_phase` over its children, and
+every asserting action's counted scope must answer as its snapshot does.
 """
+
+import sys
 
 import yaml
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -15,20 +18,30 @@ from hypothesis import strategies as st
 
 from whatif.dsl import Template, parse_scenario, validate
 from whatif.engine import Engine, dependency_satisfied
-from whatif.lifecycle import aggregate_phase
+from whatif.expressions import STATE_FNS, ScopeJob, snapshot_scope
+from whatif.lifecycle import Phase, aggregate_phase
 
-from test_golden import AFTER_RACE
+from test_golden import AFTER_RACE, cluster_doc
 
 
 class CheckedEngine(Engine):
-    """The engine under test, checking its cluster counters after each cycle."""
+    """The engine under test, checking its phase counts after each cycle."""
 
     def reconcile(self, event):
         commands = super().reconcile(event)
-        for name in self.child_counts:
+        for name in self.phase_counts:
             cluster = self.nodes[name]
             expected = aggregate_phase([(c.phase, c.failure_class) for c in cluster.children], cluster.tolerated)
-            assert self.cluster_phase(cluster) is expected, (name, self.child_counts[name])
+            assert self.cluster_phase(cluster) is expected, (name, self.phase_counts[name])
+        for name in self.actions:
+            owner = self.nodes[name]
+            counted, snapshot = Engine._scope(self, owner), snapshot_scope(owner)
+            for subject in [None, *self.nodes, "ghost"]:
+                for fn in STATE_FNS:
+                    assert counted.count(fn, subject) == snapshot.count(fn, subject), (name, fn, subject)
+                if subject is not None:
+                    assert counted.phase_of(subject) is snapshot.phase_of(subject), (name, subject)
+            assert counted.aggregate() is snapshot.aggregate(), name
         return commands
 
 
@@ -55,6 +68,9 @@ class FullScanEngine(CheckedEngine):
         self.state_checked.clear()
         super()._evaluate_action_assertions(name, now, commands, state, metrics)
 
+    def _scope(self, node):
+        return snapshot_scope(node)
+
 
 TEMPLATES = {
     "node": Template("node", {"up": None, "end": None, "how": "success"},
@@ -65,6 +81,24 @@ TEMPLATES = {
 }
 
 seconds = st.integers(0, 4).map(lambda s: f"{s}s")
+
+
+@st.composite
+def cluster_assertions(draw, cluster, instances):
+    """A state assertion over a cluster: any state fn or a phase, of the whole
+    cluster or of one named instance, sometimes two comparisons joined."""
+
+    def comparison():
+        subject = draw(st.sampled_from(["", *(f"{cluster}-{i}" for i in range(instances))]))
+        if draw(st.integers(0, 3)) == 0:
+            op = draw(st.sampled_from(["==", "!="]))
+            return f'{subject}.state.all() {op} "{draw(st.sampled_from([p.value for p in Phase]))}"'
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
+        return f"{subject}.state.{draw(st.sampled_from(STATE_FNS))}() {op} {draw(st.integers(0, instances))}"
+
+    first = comparison()
+    join = draw(st.sampled_from([None, "AND", "OR"]))
+    return first if join is None else f"({first}) {join} ({comparison()})"
 
 
 @st.composite
@@ -121,7 +155,7 @@ def documents(draw):
             action["cluster"] = {"templateRef": "node", "instances": instances,
                                  "toleratedFailures": draw(st.integers(0, instances - 1)), "inputs": inputs}
             if draw(st.booleans()):
-                action["assertions"] = [f".state.failed() > {draw(st.integers(0, instances - 1))}"]
+                action["assertions"] = draw(st.lists(cluster_assertions(name, instances), min_size=1, max_size=2))
         elif kind == "Call":
             targets = draw(st.lists(
                 st.sampled_from(services + [f".cluster.{c}.all" for c in clusters]),
@@ -176,3 +210,30 @@ def test_incremental_dispatch_matches_full_scan(text):
     oracle = FullScanEngine(parse_scenario(text), TEMPLATES).run()
     assert incremental.trace.to_text() == oracle.trace.to_text()
     assert (incremental.outcome, incremental.reason) == (oracle.outcome, oracle.reason)
+
+
+def test_cluster_assertion_cost_grows_linearly_in_instances(monkeypatch):
+    """A cluster's state assertion is answered from its phase counts: running
+    a cluster of N instances builds no scope snapshot, and the Python calls
+    the whole run makes grow linearly in N, not with N per child event."""
+    snapshot_jobs = []
+    monkeypatch.setattr(ScopeJob, "__init__", lambda job, *a, **k: snapshot_jobs.append(a))
+    calls = {}
+    for n in (100, 400):
+        doc, templates = cluster_doc(n)
+        engine = Engine(doc, templates)
+        made = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                made[0] += 1
+
+        sys.setprofile(count)
+        try:
+            result = engine.run()
+        finally:
+            sys.setprofile(None)
+        assert result.reason == "all actions completed"
+        calls[n] = made[0]
+    assert snapshot_jobs == []
+    assert calls[400] <= 4.4 * calls[100], calls

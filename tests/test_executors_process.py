@@ -36,7 +36,7 @@ def drain(queue, clock, want, timeout=10.0):
     deadline = time.time() + timeout
     terminal = 0
     while time.time() < deadline and terminal < want:
-        popped = queue.pop_due(clock.now() + 1e9)
+        popped = queue.pop_next()
         if popped is None:
             time.sleep(0.02)
             continue
@@ -95,6 +95,16 @@ class TestProcessJobs:
         series = store.series("beats")
         assert [value for _, value in series] == [0.0, 1.0, 2.0]
         assert all(at >= 0.0 for at, _ in series)
+        executor.shutdown()
+
+    def test_stdout_pipe_closed_by_the_terminal_event(self):
+        executor, queue, clock, store = make_harness()
+        executor.start_job(JobSpec(
+            name="emitter", command=EMITTER, metrics_source="stdout-lines", declares=["beats"],
+        ))
+        events = drain(queue, clock, want=1)
+        assert events[-1].phase is Phase.SUCCESS
+        assert executor.procs["emitter"].stdout.closed
         executor.shutdown()
 
     def test_non_metric_lines_ignored(self):
