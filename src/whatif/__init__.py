@@ -18,11 +18,21 @@ from .dsl import (
     validate,
 )
 from .engine import Engine, Outcome, RunResult, run_scenario
-from .executors import ProcessExecutor, SimExecutor, make_executor
+from .executors import SimExecutor, make_executor
 from .expressions import eval_metrics, eval_state, parse_expression
 from .lifecycle import FailureClass, Phase
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The process executor loads on first use; see whatif.executors.
+    if name == "ProcessExecutor":
+        from .executors import ProcessExecutor
+
+        return ProcessExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Engine",

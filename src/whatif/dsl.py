@@ -24,7 +24,6 @@ keeps a run from blocking or dying on a malformed document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .expressions import MetricsExprAst, check_scope, parse_expression
 from .lifecycle import ResourceNode
+from .values import Value
 
 ACTION_KINDS = ("Service", "Cluster", "Chaos", "Call", "Checkpoint")
 
@@ -66,16 +66,25 @@ def load_yaml(text: str, all_documents: bool = False):
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
-@dataclass
-class ScenarioDefaults:
-    timeout: Optional[float] = None
+class ScenarioDefaults(Value):
+    __slots__ = ("timeout",)
+
+    def __init__(self, timeout: Optional[float] = None):
+        self.timeout = timeout
 
 
-@dataclass
-class DependsClause:
-    running: list[str] = field(default_factory=list)
-    success: list[str] = field(default_factory=list)
-    after: Optional[float] = None
+class DependsClause(Value):
+    __slots__ = ("running", "success", "after")
+
+    def __init__(
+        self,
+        running: Optional[list[str]] = None,
+        success: Optional[list[str]] = None,
+        after: Optional[float] = None,
+    ):
+        self.running = [] if running is None else running
+        self.success = [] if success is None else success
+        self.after = after
 
     def is_empty(self) -> bool:
         return not self.running and not self.success and self.after is None
@@ -84,35 +93,65 @@ class DependsClause:
         return list(self.running) + list(self.success)
 
 
-@dataclass
-class ActionSpec:
-    name: str
-    kind: str
-    depends: DependsClause = field(default_factory=DependsClause)
-    template_ref: Optional[str] = None
-    inputs: list[dict] = field(default_factory=list)
-    # Cluster
-    instances: Optional[int] = None
-    tolerated_failures: int = 0
-    # Call
-    callable: Optional[str] = None
-    services: list[str] = field(default_factory=list)
-    # Chaos (inline fault body, raw mapping)
-    fault: Optional[dict] = None
-    # Checkpoint
-    values: dict = field(default_factory=dict)
-    # Service (inline job body, raw mapping)
-    inline_job: Optional[dict] = None
-    assertions: list[str] = field(default_factory=list)
-    timeout: Optional[float] = None
+class ActionSpec(Value):
+    __slots__ = (
+        "name", "kind", "depends", "template_ref", "inputs", "instances", "tolerated_failures",
+        "callable", "services", "fault", "values", "inline_job", "assertions", "timeout",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        depends: Optional[DependsClause] = None,
+        template_ref: Optional[str] = None,
+        inputs: Optional[list[dict]] = None,
+        # Cluster
+        instances: Optional[int] = None,
+        tolerated_failures: int = 0,
+        # Call
+        callable: Optional[str] = None,
+        services: Optional[list[str]] = None,
+        # Chaos (inline fault body, raw mapping)
+        fault: Optional[dict] = None,
+        # Checkpoint
+        values: Optional[dict] = None,
+        # Service (inline job body, raw mapping)
+        inline_job: Optional[dict] = None,
+        assertions: Optional[list[str]] = None,
+        timeout: Optional[float] = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.depends = DependsClause() if depends is None else depends
+        self.template_ref = template_ref
+        self.inputs = [] if inputs is None else inputs
+        self.instances = instances
+        self.tolerated_failures = tolerated_failures
+        self.callable = callable
+        self.services = [] if services is None else services
+        self.fault = fault
+        self.values = {} if values is None else values
+        self.inline_job = inline_job
+        self.assertions = [] if assertions is None else assertions
+        self.timeout = timeout
 
 
-@dataclass
-class ScenarioDoc:
-    name: str = "scenario"
-    actions: list[ActionSpec] = field(default_factory=list)
-    defaults: ScenarioDefaults = field(default_factory=ScenarioDefaults)
-    warnings: list[str] = field(default_factory=list, compare=False)
+class ScenarioDoc(Value):
+    __slots__ = ("name", "actions", "defaults", "warnings")
+    _uncompared = ("warnings",)
+
+    def __init__(
+        self,
+        name: str = "scenario",
+        actions: Optional[list[ActionSpec]] = None,
+        defaults: Optional[ScenarioDefaults] = None,
+        warnings: Optional[list[str]] = None,
+    ):
+        self.name = name
+        self.actions = [] if actions is None else actions
+        self.defaults = ScenarioDefaults() if defaults is None else defaults
+        self.warnings = [] if warnings is None else warnings
 
     def action(self, name: str) -> Optional[ActionSpec]:
         for action in self.actions:
@@ -124,22 +163,26 @@ class ScenarioDoc:
         return {a.name: a for a in self.actions if a.kind == "Cluster"}
 
 
-@dataclass
-class Template:
+class Template(Value):
     """A reusable body with ``{{placeholder}}`` markers.
 
     ``parameters`` maps each declared placeholder to its default value, or
     None when the caller must supply it.
     """
 
-    name: str
-    parameters: dict = field(default_factory=dict)
-    body: str = ""
+    __slots__ = ("name", "parameters", "body")
+
+    def __init__(self, name: str, parameters: Optional[dict] = None, body: str = ""):
+        self.name = name
+        self.parameters = {} if parameters is None else parameters
+        self.body = body
 
 
-@dataclass
-class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
+class ValidationReport(Value):
+    __slots__ = ("findings",)
+
+    def __init__(self, findings: Optional[list[Finding]] = None):
+        self.findings = [] if findings is None else findings
 
     @property
     def ok(self) -> bool:

@@ -30,9 +30,7 @@ declare metrics start does not matter.
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -89,10 +87,16 @@ from .lifecycle import (
 )
 from .telemetry import AnnotationLog, CheckpointRegistry, MetricsStore
 from .trace import RunTrace
-
-logger = logging.getLogger(__name__)
+from .values import Value
 
 GUARD_SLACK = 60.0
+
+
+def _logger():
+    """The engine's logger. Only rare branches log, so ``logging`` loads on first use."""
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 class Outcome(Enum):
@@ -104,34 +108,59 @@ class Outcome(Enum):
         return self.value
 
 
-@dataclass
-class ReconcileCommand:
-    verb: str  # CreateJob | KillJob | InjectFault | RevokeFault | Snapshot | Annotate | Transition | AbortRun
-    target: str
-    args: dict = field(default_factory=dict)
+class ReconcileCommand(Value):
+    __slots__ = ("verb", "target", "args")
+
+    def __init__(self, verb: str, target: str, args: Optional[dict] = None):
+        self.verb = verb  # CreateJob | KillJob | InjectFault | RevokeFault | Snapshot | Annotate | Transition | AbortRun
+        self.target = target
+        self.args = {} if args is None else args
 
 
-@dataclass(eq=False)
 class Rule:
     """A metrics assertion of one action, with its incremental window."""
 
-    order: int  # position among all rules, in document order
-    owner: str
-    text: str
-    ast: MetricsExprAst
-    window: WindowAggregate
-    timer: str  # id of its window timer
-    due: Optional[float] = None  # when its armed window timer fires
+    __slots__ = ("order", "owner", "text", "ast", "window", "timer", "due")
+
+    def __init__(
+        self,
+        order: int,
+        owner: str,
+        text: str,
+        ast: MetricsExprAst,
+        window: WindowAggregate,
+        timer: str,
+        due: Optional[float] = None,
+    ):
+        self.order = order  # position among all rules, in document order
+        self.owner = owner
+        self.text = text
+        self.ast = ast
+        self.window = window
+        self.timer = timer  # id of its window timer
+        self.due = due  # when its armed window timer fires
 
 
-@dataclass
 class RunResult:
-    outcome: Outcome
-    reason: str
-    trace: RunTrace
-    store: MetricsStore = field(default_factory=MetricsStore, compare=False)
-    checkpoints: CheckpointRegistry = field(default_factory=CheckpointRegistry, compare=False)
-    annotations: AnnotationLog = field(default_factory=AnnotationLog, compare=False)
+    """What a run returns: its outcome, trace, metrics, checkpoints and annotations."""
+
+    __slots__ = ("outcome", "reason", "trace", "store", "checkpoints", "annotations")
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        reason: str,
+        trace: RunTrace,
+        store: Optional[MetricsStore] = None,
+        checkpoints: Optional[CheckpointRegistry] = None,
+        annotations: Optional[AnnotationLog] = None,
+    ):
+        self.outcome = outcome
+        self.reason = reason
+        self.trace = trace
+        self.store = MetricsStore() if store is None else store
+        self.checkpoints = CheckpointRegistry() if checkpoints is None else checkpoints
+        self.annotations = AnnotationLog() if annotations is None else annotations
 
 
 def ready_since(clause, nodes: dict) -> Optional[float]:
@@ -270,7 +299,7 @@ class Engine:
         try:
             self._loop()
         except Exception as exc:
-            logger.exception("internal error")
+            _logger().exception("internal error")
             self._abort(f"internal error: {type(exc).__name__}: {exc}")
         except BaseException as exc:  # KeyboardInterrupt, SystemExit: clean up, record, re-raise
             self._abort(f"interrupted: {type(exc).__name__}")
@@ -347,7 +376,7 @@ class Engine:
     def _on_state(self, event: Event, commands: list) -> None:
         node = self.nodes.get(event.subject)
         if node is None:
-            logger.warning("state event for unknown resource %s", event.subject)
+            _logger().warning("state event for unknown resource %s", event.subject)
             return
         if node.phase.terminal or event.phase is None:
             return
@@ -431,7 +460,7 @@ class Engine:
                 self._on_terminal(node, event.at, commands)
             return
         if event.subject and event.subject not in self.nodes:
-            logger.warning("tag event for unknown target %s", event.subject)
+            _logger().warning("tag event for unknown target %s", event.subject)
 
     # --- dispatch -------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import FrozenValue
 
 
 class WhatifError(Exception):
@@ -101,13 +101,15 @@ class UnknownHandle(WhatifError):
 
 # --- validation findings --------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(FrozenValue):
     """One diagnostic produced by static validation."""
 
-    severity: str  # "error" | "warning"
-    location: str  # action name, expression text, or document path
-    message: str
+    __slots__ = ("severity", "location", "message")
+
+    def __init__(self, severity: str, location: str, message: str):
+        self.severity = severity  # "error" | "warning"
+        self.location = location  # action name, expression text, or document path
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.location}: {self.message}"

@@ -14,11 +14,11 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
 from .lifecycle import FailureClass, Phase
+from .values import Value
 
 
 class EventKind(Enum):
@@ -31,17 +31,30 @@ class EventKind(Enum):
         return self.value
 
 
-@dataclass
-class Event:
-    kind: EventKind
-    at: float
-    subject: str = ""
-    timer_id: str = ""  # TIME
-    phase: Optional[Phase] = None  # STATE
-    failure_mode: str = ""  # STATE, when phase is Failed
-    failure_class: Optional[FailureClass] = None
-    reason: str = ""
-    tags: dict = field(default_factory=dict)  # TAG
+class Event(Value):
+    __slots__ = ("kind", "at", "subject", "timer_id", "phase", "failure_mode", "failure_class", "reason", "tags")
+
+    def __init__(
+        self,
+        kind: EventKind,
+        at: float,
+        subject: str = "",
+        timer_id: str = "",  # TIME
+        phase: Optional[Phase] = None,  # STATE
+        failure_mode: str = "",  # STATE, when phase is Failed
+        failure_class: Optional[FailureClass] = None,
+        reason: str = "",
+        tags: Optional[dict] = None,  # TAG
+    ):
+        self.kind = kind
+        self.at = at
+        self.subject = subject
+        self.timer_id = timer_id
+        self.phase = phase
+        self.failure_mode = failure_mode
+        self.failure_class = failure_class
+        self.reason = reason
+        self.tags = {} if tags is None else tags
 
     def describe(self) -> dict:
         """Compact, JSON-safe view for trace records."""

@@ -1,7 +1,11 @@
-"""Pluggable job/fault backends: a deterministic simulator and local processes."""
+"""Pluggable job/fault backends: a deterministic simulator and local processes.
+
+The process executor, with ``subprocess`` and ``signal``, is imported on
+first use: by ``make_executor("process")`` or by looking up
+``ProcessExecutor`` here.
+"""
 
 from .base import Executor, FaultSpec, JobSpec, SimEffect, parse_fault_body, parse_job_body
-from .process import ProcessExecutor
 from .sim import SimExecutor
 
 
@@ -9,8 +13,18 @@ def make_executor(name: str) -> Executor:
     if name == "sim":
         return SimExecutor()
     if name == "process":
+        from .process import ProcessExecutor
+
         return ProcessExecutor()
     raise ValueError(f"unknown executor {name!r}")
+
+
+def __getattr__(name: str):
+    if name == "ProcessExecutor":
+        from .process import ProcessExecutor
+
+        return ProcessExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

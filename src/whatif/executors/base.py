@@ -26,51 +26,79 @@ Fault schema::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..durations import parse_duration
 from ..errors import SchemaError
 from ..lifecycle import Phase
+from ..values import FrozenValue, Value
 
 TRANSITION_OPS = {"running": Phase.RUNNING, "success": Phase.SUCCESS, "failed": Phase.FAILED}
 EFFECT_OPS = ("running", "success", "failed", "crash", "metric", "send", "block")
 
 
-@dataclass(frozen=True)
-class SimEffect:
-    offset: float
-    op: str
-    metric: Optional[str] = None
-    value: Optional[float] = None
-    target: Optional[str] = None
+class SimEffect(FrozenValue):
+    __slots__ = ("offset", "op", "metric", "value", "target")
+
+    def __init__(
+        self,
+        offset: float,
+        op: str,
+        metric: Optional[str] = None,
+        value: Optional[float] = None,
+        target: Optional[str] = None,
+    ):
+        self.offset = offset
+        self.op = op
+        self.metric = metric
+        self.value = value
+        self.target = target
 
     @property
     def phase(self) -> Optional[Phase]:
         return TRANSITION_OPS.get(self.op)
 
 
-@dataclass
-class JobSpec:
-    name: str = ""
-    command: Optional[str] = None
-    script: list = field(default_factory=list)
-    env: dict = field(default_factory=dict)
-    metrics_source: str = "none"  # "stdout-lines" | "none"
-    expected_runtime: Optional[float] = None
-    declares: list = field(default_factory=list)
+class JobSpec(Value):
+    __slots__ = ("name", "command", "script", "env", "metrics_source", "declares")
+
+    def __init__(
+        self,
+        name: str = "",
+        command: Optional[str] = None,
+        script: Optional[list] = None,
+        env: Optional[dict] = None,
+        metrics_source: str = "none",  # "stdout-lines" | "none"
+        declares: Optional[list] = None,
+    ):
+        self.name = name
+        self.command = command
+        self.script = [] if script is None else script
+        self.env = {} if env is None else env
+        self.metrics_source = metrics_source
+        self.declares = [] if declares is None else declares
 
     def named(self, name: str) -> "JobSpec":
-        return replace(self, name=name)
+        """A shallow copy under another name: it shares the script, env and declares."""
+        return JobSpec(name, self.command, self.script, self.env, self.metrics_source, self.declares)
 
 
-@dataclass
-class FaultSpec:
-    kind: str  # kill | suspend | partition
-    targets: list = field(default_factory=list)
-    dst: list = field(default_factory=list)  # partition destinations
-    direction: str = "both"  # partition: to | from | both
-    duration: Optional[float] = None
+class FaultSpec(Value):
+    __slots__ = ("kind", "targets", "dst", "direction", "duration")
+
+    def __init__(
+        self,
+        kind: str,
+        targets: Optional[list] = None,
+        dst: Optional[list] = None,
+        direction: str = "both",
+        duration: Optional[float] = None,
+    ):
+        self.kind = kind  # kill | suspend | partition
+        self.targets = [] if targets is None else targets
+        self.dst = [] if dst is None else dst  # partition destinations
+        self.direction = direction  # partition: to | from | both
+        self.duration = duration
 
 
 class Executor:
@@ -155,9 +183,9 @@ def parse_job_body(body: dict) -> JobSpec:
             if value not in ("stdout-lines", "none"):
                 raise SchemaError(f"metrics must be 'stdout-lines' or 'none', got {value!r}")
             spec.metrics_source = value
-        elif key == "expectedRuntime":
+        elif key == "expectedRuntime":  # checked, then ignored: no executor uses it
             try:
-                spec.expected_runtime = parse_duration(value)
+                parse_duration(value)
             except ValueError as exc:
                 raise SchemaError(f"expectedRuntime: {exc}") from exc
         elif key == "declares":

@@ -10,7 +10,6 @@ emissions scheduled inside the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import SpawnError, TargetNotRunning, UnknownHandle, UnsupportedFault
@@ -20,18 +19,32 @@ from ..telemetry import MetricPoint
 from .base import Executor, FaultSpec, JobSpec
 
 
-@dataclass
 class _SimJob:
-    spec: JobSpec
-    started_at: float
-    index: int = 0  # next effect to fire
-    phase: Phase = Phase.UNINITIALIZED
-    suspended: bool = False
-    blocked: bool = False
-    held: bool = False  # chain paused by a suspend window
-    mailbox: int = 0
-    finished: bool = False
-    token: int = 0  # bumped to invalidate scheduled callbacks
+    __slots__ = ("spec", "started_at", "index", "phase", "suspended", "blocked", "held", "mailbox", "finished", "token")
+
+    def __init__(
+        self,
+        spec: JobSpec,
+        started_at: float,
+        index: int = 0,  # next effect to fire
+        phase: Phase = Phase.UNINITIALIZED,
+        suspended: bool = False,
+        blocked: bool = False,
+        held: bool = False,  # chain paused by a suspend window
+        mailbox: int = 0,
+        finished: bool = False,
+        token: int = 0,  # bumped to invalidate scheduled callbacks
+    ):
+        self.spec = spec
+        self.started_at = started_at
+        self.index = index
+        self.phase = phase
+        self.suspended = suspended
+        self.blocked = blocked
+        self.held = held
+        self.mailbox = mailbox
+        self.finished = finished
+        self.token = token
 
 
 class SimExecutor(Executor):

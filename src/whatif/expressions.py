@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .durations import parse_duration
 from .errors import ExprSyntaxError, Finding, UnknownCheckpoint
 from .lifecycle import FailureClass, Phase, ResourceNode, aggregate_phase, find_node, iter_nodes
+from .values import FrozenValue
 
 STATE_FNS = ("failed", "running", "success", "pending", "all")
 REDUCERS = ("MAX", "MIN", "AVG", "SUM", "LAST", "COUNT")
@@ -47,80 +47,103 @@ def infer_flavor(text: str) -> str:
     return "Metrics" if re.search(r"\bQUERY\b", text) else "State"
 
 
-@dataclass(frozen=True)
-class ExpressionSource:
-    text: str
-    flavor: str = field(init=False)
+class ExpressionSource(FrozenValue):
+    __slots__ = ("text", "flavor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "flavor", infer_flavor(self.text))
+    def __init__(self, text: str):
+        self.text = text
+        self.flavor = infer_flavor(text)
 
 
 # --- ASTs -------------------------------------------------------------------
 
-class StateExprAst:
+class StateExprAst(FrozenValue):
     """Marker base for state-expression nodes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class StateCall(StateExprAst):
     """Aggregation call `.state.<fn>()`, optionally scoped to one job name."""
 
-    fn: str
-    subject: Optional[str] = None
+    __slots__ = ("fn", "subject")
+
+    def __init__(self, fn: str, subject: Optional[str] = None):
+        self.fn = fn
+        self.subject = subject
 
 
-@dataclass(frozen=True)
 class Compare(StateExprAst):
-    call: StateCall
-    op: str  # < <= > >= == !=
-    value: object  # int count, or phase-name string (==/!= on .all() only)
+    __slots__ = ("call", "op", "value")
+
+    def __init__(self, call: StateCall, op: str, value: object):
+        self.call = call
+        self.op = op  # < <= > >= == !=
+        self.value = value  # int count, or phase-name string (==/!= on .all() only)
 
 
-@dataclass(frozen=True)
 class Not(StateExprAst):
-    item: StateExprAst
+    __slots__ = ("item",)
+
+    def __init__(self, item: StateExprAst):
+        self.item = item
 
 
-@dataclass(frozen=True)
 class BoolGroup(StateExprAst):
-    op: str  # AND | OR
-    items: tuple
+    __slots__ = ("op", "items")
+
+    def __init__(self, op: str, items: tuple):
+        self.op = op  # AND | OR
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(FrozenValue):
     """Threshold term: a number or CHECKPOINT(name.key), optionally scaled."""
 
-    value: Optional[float] = None
-    checkpoint: Optional[tuple] = None  # (checkpoint name, key)
-    scale: float = 1.0
+    __slots__ = ("value", "checkpoint", "scale")
+
+    def __init__(self, value: Optional[float] = None, checkpoint: Optional[tuple] = None, scale: float = 1.0):
+        self.value = value
+        self.checkpoint = checkpoint  # (checkpoint name, key)
+        self.scale = scale
 
 
-@dataclass(frozen=True)
-class Condition:
-    kind: str  # ABOVE | BELOW | WITHIN | OUTSIDE
-    terms: tuple
+class Condition(FrozenValue):
+    __slots__ = ("kind", "terms")
+
+    def __init__(self, kind: str, terms: tuple):
+        self.kind = kind  # ABOVE | BELOW | WITHIN | OUTSIDE
+        self.terms = terms
 
 
-@dataclass(frozen=True)
-class MetricsExprAst:
-    reducer: str
-    metric: str
-    window: float  # seconds looking back from the anchor
-    condition: Optional[Condition] = None
-    anchor: str = "now"
+class MetricsExprAst(FrozenValue):
+    __slots__ = ("reducer", "metric", "window", "condition", "anchor")
+
+    def __init__(
+        self,
+        reducer: str,
+        metric: str,
+        window: float,
+        condition: Optional[Condition] = None,
+        anchor: str = "now",
+    ):
+        self.reducer = reducer
+        self.metric = metric
+        self.window = window  # seconds looking back from the anchor
+        self.condition = condition
+        self.anchor = anchor
 
 
-@dataclass(frozen=True)
-class ScopeJob:
-    name: str
-    phase: Phase
-    failure_class: Optional[FailureClass] = None
+class ScopeJob(FrozenValue):
+    __slots__ = ("name", "phase", "failure_class")
+
+    def __init__(self, name: str, phase: Phase, failure_class: Optional[FailureClass] = None):
+        self.name = name
+        self.phase = phase
+        self.failure_class = failure_class
 
 
-@dataclass(frozen=True)
-class ScopeSnapshot:
+class ScopeSnapshot(FrozenValue):
     """Jobs visible to one asserting entity: only those it created.
 
     ``eval_state`` reads a scope only through ``count``, ``phase_of`` and
@@ -128,8 +151,11 @@ class ScopeSnapshot:
     reference for the engine's scopes, which answer from phase counts.
     """
 
-    owner: str
-    jobs: tuple = ()
+    __slots__ = ("owner", "jobs")
+
+    def __init__(self, owner: str, jobs: tuple = ()):
+        self.owner = owner
+        self.jobs = jobs
 
     def count(self, fn: str, subject: Optional[str] = None) -> int:
         """How many jobs (only ``subject``, when named) the state fn counts."""
@@ -170,11 +196,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+class _Token(FrozenValue):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:

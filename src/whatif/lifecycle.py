@@ -14,11 +14,11 @@ a service before a fault is injected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .errors import IllegalTransition, UnknownService
+from .values import FrozenValue
 
 META_CHAOS_KEY = "metadata.Chaos"
 META_CHAOS_SOURCE_KEY = "metadata.Chaos.source"
@@ -62,30 +62,51 @@ LEGAL_TRANSITIONS = {
 _CHAIN = (Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING)
 
 
-@dataclass(frozen=True)
-class ChaosTag:
+class ChaosTag(FrozenValue):
     """Marker placed on a service before a fault targets it."""
 
-    fault_kind: str  # kill | partition | suspend
-    source_action: str
-
+    __slots__ = ("fault_kind", "source_action")
     key = META_CHAOS_KEY
 
+    def __init__(self, fault_kind: str, source_action: str):
+        self.fault_kind = fault_kind  # kill | partition | suspend
+        self.source_action = source_action
 
-@dataclass
+
 class ResourceNode:
-    """One node of the ownership tree (scenario, action, or child job)."""
+    """One node of the ownership tree (scenario, action, or child job).
 
-    name: str
-    kind: str = "service"
-    phase: Phase = Phase.UNINITIALIZED
-    owner: Optional["ResourceNode"] = field(default=None, repr=False)
-    children: list["ResourceNode"] = field(default_factory=list)
-    meta: dict[str, str] = field(default_factory=dict)
-    failure_reason: Optional[str] = None
-    failure_class: Optional[FailureClass] = None
-    tolerated: int = 0
-    phase_times: dict[Phase, float] = field(default_factory=dict)
+    Nodes compare by identity: each stands for one resource of the run.
+    """
+
+    __slots__ = (
+        "name", "kind", "phase", "owner", "children", "meta",
+        "failure_reason", "failure_class", "tolerated", "phase_times",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        kind: str = "service",
+        phase: Phase = Phase.UNINITIALIZED,
+        owner: Optional["ResourceNode"] = None,
+        children: Optional[list["ResourceNode"]] = None,
+        meta: Optional[dict[str, str]] = None,
+        failure_reason: Optional[str] = None,
+        failure_class: Optional[FailureClass] = None,
+        tolerated: int = 0,
+        phase_times: Optional[dict[Phase, float]] = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.phase = phase
+        self.owner = owner
+        self.children = [] if children is None else children
+        self.meta = {} if meta is None else meta
+        self.failure_reason = failure_reason
+        self.failure_class = failure_class
+        self.tolerated = tolerated
+        self.phase_times = {} if phase_times is None else phase_times
 
     def add_child(self, child: "ResourceNode") -> "ResourceNode":
         child.owner = self

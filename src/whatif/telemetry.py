@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -27,33 +26,40 @@ from .errors import (
 )
 from .events import Event, EventKind
 from .lifecycle import ResourceNode, iter_nodes
+from .values import FrozenValue, Value
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    name: str
-    value: float
-    at: float
+class MetricPoint(FrozenValue):
+    __slots__ = ("name", "value", "at")
+
+    def __init__(self, name: str, value: float, at: float):
+        self.name = name
+        self.value = value
+        self.at = at
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(FrozenValue):
     """Immutable snapshot of metric reductions and tree phases."""
 
-    name: str
-    at: float
-    values: dict
-    phases: dict
+    __slots__ = ("name", "at", "values", "phases")
+
+    def __init__(self, name: str, at: float, values: dict, phases: dict):
+        self.name = name
+        self.at = at
+        self.values = values
+        self.phases = phases
 
 
-@dataclass
-class Annotation:
+class Annotation(Value):
     """Timeline marker: a Point for instants, a Region for spans."""
 
-    kind: str  # "Point" | "Region"
-    label: str
-    start: float
-    end: Optional[float] = None
+    __slots__ = ("kind", "label", "start", "end")
+
+    def __init__(self, kind: str, label: str, start: float, end: Optional[float] = None):
+        self.kind = kind  # "Point" | "Region"
+        self.label = label
+        self.start = start
+        self.end = end
 
 
 class MetricsStore:

@@ -9,21 +9,28 @@ same document and seed serialize to byte-identical traces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from .values import Value
 
-@dataclass
-class TraceRecord:
-    seq: int
-    at: float
-    kind: str
-    data: dict = field(default_factory=dict)
+# One encoder for every record, with the settings of
+# json.dumps(..., sort_keys=True, separators=(",", ":")).
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class TraceRecord(Value):
+    __slots__ = ("seq", "at", "kind", "data")
+
+    def __init__(self, seq: int, at: float, kind: str, data: dict | None = None):
+        self.seq = seq
+        self.at = at
+        self.kind = kind
+        self.data = {} if data is None else data
 
     def to_json(self) -> str:
         payload = {"seq": self.seq, "at": self.at, "kind": self.kind}
         payload.update(self.data)
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _encode(payload)
 
 
 class RunTrace:

@@ -278,6 +278,20 @@ class TestRunOutcomes:
         assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnknownRegion: r"}]
         assert engine.tree.phase is not Phase.SUCCESS
 
+    def test_internal_error_and_unknown_subjects_log_on_the_engine_logger(self, monkeypatch, caplog):
+        engine = Engine(parse_scenario(self.SOLO))
+        with caplog.at_level("WARNING", logger="whatif.engine"):
+            engine.reconcile(state_event("ghost", Phase.RUNNING))
+            engine.reconcile(Event(EventKind.TAG, 0.0, subject="phantom", tags={"event": "x"}))
+            self.broken_run(monkeypatch, RuntimeError("boom")).run()
+        logged = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+        assert logged == [
+            ("whatif.engine", "WARNING", "state event for unknown resource ghost"),
+            ("whatif.engine", "WARNING", "tag event for unknown target phantom"),
+            ("whatif.engine", "ERROR", "internal error"),
+        ]
+        assert caplog.records[-1].exc_info[0] is RuntimeError
+
     def test_interrupt_records_an_aborted_outcome_and_propagates(self, monkeypatch):
         engine = self.broken_run(monkeypatch, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):

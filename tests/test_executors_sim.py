@@ -276,3 +276,10 @@ class TestParseJobBody:
         spec = parse_job_body({"command": "true", "metrics": "stdout-lines", "declares": ["m"]})
         assert spec.metrics_source == "stdout-lines"
         assert spec.declares == ["m"]
+
+    def test_expected_runtime_is_checked_and_ignored(self):
+        from whatif.errors import SchemaError
+        spec = parse_job_body({"command": "true", "expectedRuntime": "90s"})
+        assert spec == parse_job_body({"command": "true"})
+        with pytest.raises(SchemaError, match="expectedRuntime: "):
+            parse_job_body({"command": "true", "expectedRuntime": "soon"})

@@ -1,0 +1,64 @@
+"""What `import whatif` loads, checked in a fresh interpreter.
+
+A simulated run needs neither the process executor (with ``subprocess`` and
+``signal``) nor ``logging``, and the package's data classes are plain
+classes, so importing it must not load these modules. The check counts
+modules; it times nothing.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO
+
+NOT_LOADED = ("dataclasses", "inspect", "logging", "subprocess", "signal")
+
+PROBE = f"""
+import json, sys
+sys.path.insert(0, {str(REPO / "src")!r})
+before = set(sys.modules)
+import whatif
+added = sorted(set(sys.modules) - before)
+
+from_package = whatif.ProcessExecutor
+from whatif.executors import ProcessExecutor, make_executor
+made = make_executor("process")
+from whatif.executors import process
+print(json.dumps({{
+    "added": added,
+    "package_attr": from_package is process.ProcessExecutor,
+    "executors_attr": ProcessExecutor is process.ProcessExecutor,
+    "made": type(made) is process.ProcessExecutor,
+    "in_all": "ProcessExecutor" in whatif.__all__ and "ProcessExecutor" in whatif.executors.__all__,
+}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def result() -> dict:
+    done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_process_executor_logging_or_dataclasses(result):
+    assert "whatif.engine" in result["added"]
+    assert [name for name in NOT_LOADED if name in result["added"]] == []
+    assert "whatif.executors.process" not in result["added"]
+
+
+def test_process_executor_still_resolves(result):
+    assert result["package_attr"] and result["executors_attr"]
+    assert result["made"]
+    assert result["in_all"]
+
+
+def test_unknown_attribute_still_raises():
+    import whatif
+    import whatif.executors
+
+    for module in (whatif, whatif.executors):
+        with pytest.raises(AttributeError, match="NoSuchName"):
+            module.NoSuchName
