@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -30,8 +29,6 @@ from .report import (
     render_text,
     report_json_text,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_TEST_FAILED = 1
@@ -77,9 +74,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result.trace.save(out / TRACE_FILE)
     result.store.save(out / METRICS_FILE)
-    records, store = load_run(out)
-    (out / REPORT_FILE).write_text(report_json_text(build_report(records)))
-    logger.info("run %s: %s (%s)", doc.name, result.outcome, result.reason)
+    (out / REPORT_FILE).write_text(report_json_text(build_report(result.trace.records)))
     print(f"{result.outcome}: {result.reason}", file=sys.stderr)
     if result.outcome == Outcome.SUCCESS:
         return EXIT_OK
@@ -140,11 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if args.verbose:  # without -v, the engine's rare warnings reach stderr through logging's default handler
+        import logging
+
+        logging.basicConfig(stream=sys.stderr, level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

@@ -17,8 +17,10 @@ logical dependencies::
 Templates live in a directory of YAML files and are instantiated by
 replacing ``{{placeholder}}`` markers in a single literal pass. The
 addressing macro ``.cluster.<name>.<all|index>`` expands to instance
-names like ``masters-0``. ``validate`` performs every static check that
-keeps a run from blocking or dying on a malformed document.
+names like ``masters-0``. ``compile_scenario`` checks a document once and
+compiles it into a ``Plan``: ``validate`` returns its findings, every
+static check that keeps a run from blocking or dying on a malformed
+document, and the engine runs the rest.
 """
 
 from __future__ import annotations
@@ -158,9 +160,6 @@ class ScenarioDoc(Value):
             if action.name == name:
                 return action
         return None
-
-    def clusters(self) -> dict[str, ActionSpec]:
-        return {a.name: a for a in self.actions if a.kind == "Cluster"}
 
 
 class Template(Value):
@@ -540,94 +539,170 @@ def cluster_child_names(cluster: str, instances: int) -> list[str]:
     return [f"{cluster}-{i}" for i in range(instances)]
 
 
-def expand_macro(macro: str, doc: ScenarioDoc) -> list[str]:
-    """Expand ``.cluster.<name>.<all|index>``; plain names pass through."""
+def expand_macro(macro: str, clusters: dict) -> list[str]:
+    """Expand ``.cluster.<name>.<all|index>`` by a cluster index (name -> instances); plain names pass through."""
     if not macro.startswith("."):
         return [macro]
     match = _MACRO_RE.fullmatch(macro)
     if match is None:
         raise SchemaError(f"malformed addressing macro {macro!r}")
     cluster_name, selector = match.group(1), match.group(2)
-    cluster = doc.clusters().get(cluster_name)
-    if cluster is None:
+    instances = clusters.get(cluster_name)
+    if instances is None:
         raise UnknownCluster(cluster_name)
     if selector == "all":
-        return cluster_child_names(cluster_name, cluster.instances)
+        return cluster_child_names(cluster_name, instances)
     index = int(selector)
-    if index >= cluster.instances:
-        raise IndexOutOfRange(f"{macro}: cluster has {cluster.instances} instances")
+    if index >= instances:
+        raise IndexOutOfRange(f"{macro}: cluster has {instances} instances")
     return [f"{cluster_name}-{index}"]
 
 
-def expand_targets(names: list[str], doc: ScenarioDoc) -> list[str]:
+def expand_targets(names: list[str], clusters: dict) -> list[str]:
     out: list[str] = []
     for name in names:
-        out.extend(expand_macro(name, doc))
+        out.extend(expand_macro(name, clusters))
     return out
 
 
-# --- static tree -------------------------------------------------------------------
+# --- compile and validate ------------------------------------------------------------
 
-def build_tree(doc: ScenarioDoc) -> ResourceNode:
-    """Ownership skeleton: scenario -> actions -> cluster instances."""
-    root = ResourceNode(doc.name, kind="scenario")
-    for action in doc.actions:
-        node = ResourceNode(action.name, kind=action.kind.lower())
-        if action.kind == "Cluster":
-            node.tolerated = action.tolerated_failures
-            for child_name in cluster_child_names(action.name, action.instances):
-                node.add_child(ResourceNode(child_name, kind="service"))
-        root.add_child(node)
-    return root
+class Plan:
+    """A document compiled once: what ``validate`` reports, and what a run looks up.
 
+    Every name resolves through ``nodes``, the one index of the ownership
+    tree (scenario -> actions -> cluster instances); ``clusters`` maps each
+    cluster to its instance count. Keyed by action name, in document order:
+    ``asserts`` holds an action's parsed (text, ast) assertions,
+    ``checkpoint_exprs`` a Checkpoint's (key, ast) values, ``texts`` a
+    templated action's instantiated text per inputs map, ``faults`` a Chaos
+    action's resolved FaultSpec with its target nodes, ``timeouts`` every
+    action's effective timeout, and ``dependents`` the indexes of the
+    actions whose ``depends`` names it. All of it is complete only when
+    ``report.ok``. The tree's nodes carry a run's phases, so a plan serves
+    one run.
+    """
 
-def known_service_names(doc: ScenarioDoc) -> set:
-    names = set()
-    for action in doc.actions:
-        if action.kind == "Service":
-            names.add(action.name)
-        elif action.kind == "Cluster":
-            names.update(cluster_child_names(action.name, action.instances))
-    return names
+    __slots__ = (
+        "report", "tree", "nodes", "clusters", "asserts", "checkpoint_exprs",
+        "texts", "faults", "timeouts", "dependents",
+    )
 
+    def __init__(self, tree: ResourceNode):
+        self.report = ValidationReport()
+        self.tree = tree
+        self.nodes: dict[str, ResourceNode] = {tree.name: tree}
+        self.clusters: dict[str, int] = {}
+        self.asserts: dict[str, list] = {}
+        self.checkpoint_exprs: dict[str, list] = {}
+        self.texts: dict[str, list[str]] = {}
+        self.faults: dict[str, tuple] = {}
+        self.timeouts: dict[str, Optional[float]] = {}
+        self.dependents: dict[str, list[int]] = {}
 
-def effective_timeout(action: ActionSpec, doc: ScenarioDoc, engine_default=ENGINE_DEFAULT_TIMEOUT):
-    """Own timeout, else scenario default, else the engine default."""
-    if action.timeout is not None:
-        return action.timeout
-    if doc.defaults.timeout is not None:
-        return doc.defaults.timeout
-    return engine_default
+    def is_service(self, name: str) -> bool:
+        node = self.nodes.get(name)
+        return node is not None and node.kind == "service"
 
+    def _add(self, node: ResourceNode, owner: ResourceNode) -> ResourceNode:
+        """Attach ``node`` under ``owner`` and index it, reporting a name already taken."""
+        previous = self.nodes.get(node.name)
+        self.nodes[node.name] = owner.add_child(node)
+        if previous is None or previous is self.tree:
+            return node
+        if previous.owner is self.tree and owner is self.tree:
+            message = "duplicate action name"
+        else:
+            cluster = owner.name if owner is not self.tree else previous.owner.name
+            message = f"name used by an action and by an instance of cluster {cluster}"
+        self.report.findings.append(Finding("error", node.name, message))
+        return node
 
-# --- validation --------------------------------------------------------------------
 
 def _find_cycle(edges: dict) -> Optional[list[str]]:
-    """Return one dependency cycle as a name path, or None."""
-    visiting: dict[str, int] = {}  # 0=in stack, 1=done
-    stack: list[str] = []
+    """Return one dependency cycle as a name path, or None.
 
-    def visit(node: str) -> Optional[list[str]]:
-        state = visiting.get(node)
-        if state == 1:
-            return None
-        if state == 0:
-            return stack[stack.index(node):] + [node]
-        visiting[node] = 0
-        stack.append(node)
-        for nxt in edges.get(node, ()):
-            cycle = visit(nxt)
-            if cycle is not None:
-                return cycle
-        stack.pop()
-        visiting[node] = 1
-        return None
-
-    for name in edges:
-        cycle = visit(name)
-        if cycle is not None:
-            return cycle
+    A depth-first search in name and edge order, kept on explicit stacks so
+    that a chain of any length fits.
+    """
+    done: set = set()
+    for start in edges:
+        if start in done:
+            continue
+        path, on_path, pending = [start], {start}, [iter(edges[start])]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                on_path.discard(path[-1])
+                done.add(path.pop())
+                pending.pop()
+            elif nxt in on_path:
+                return path[path.index(nxt):] + [nxt]
+            elif nxt not in done:
+                path.append(nxt)
+                on_path.add(nxt)
+                pending.append(iter(edges.get(nxt, ())))
     return None
+
+
+def compile_scenario(
+    doc: ScenarioDoc,
+    templates: Optional[dict] = None,
+    default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
+) -> Plan:
+    """Check a document and compile it for a run, in one pass.
+
+    The plan's report holds every static check that keeps a run
+    well-formed: dependency cycles, dangling references (depends,
+    templateRef, macros, chaos targets, checkpoints), names used twice,
+    expression errors with scope violations, cluster tolerance bounds, and
+    actions that could block forever when no timeout applies at any level.
+    """
+    from .executors.base import parse_fault_body
+
+    templates = templates or {}
+    plan = Plan(ResourceNode(doc.name, kind="scenario"))
+    findings = plan.report.findings
+    findings.extend(Finding("warning", "document", warning) for warning in doc.warnings)
+
+    action_nodes = []
+    for action in doc.actions:
+        node = plan._add(ResourceNode(action.name, kind=action.kind.lower()), plan.tree)
+        action_nodes.append(node)
+        if action.kind == "Cluster":
+            node.tolerated = action.tolerated_failures
+            plan.clusters[action.name] = action.instances
+            for child_name in cluster_child_names(action.name, action.instances):
+                plan._add(ResourceNode(child_name, kind="service"), node)
+
+    # Dependencies: dangling references, then cycles via topological scan.
+    edges: dict[str, list[str]] = {a.name: [] for a in doc.actions}
+    for index, action in enumerate(doc.actions):
+        for dep in action.depends.names():
+            if dep not in edges:
+                findings.append(Finding("error", action.name, f"unknown action: {dep}"))
+            else:
+                edges[action.name].append(dep)
+        for dep in dict.fromkeys(action.depends.names()):
+            plan.dependents.setdefault(dep, []).append(index)
+    cycle = _find_cycle(edges)
+    if cycle is not None:
+        findings.append(Finding("error", cycle[0], "dependency cycle: " + "->".join(cycle)))
+
+    checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
+    scenario_timeout = default_timeout if doc.defaults.timeout is None else doc.defaults.timeout
+    for action, node in zip(doc.actions, action_nodes):
+        plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
+        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parse_fault_body))
+
+    if default_timeout is None and doc.defaults.timeout is None:
+        for action in doc.actions:
+            if action.timeout is None and (action.depends.running or action.depends.success):
+                findings.append(Finding(
+                    "error", action.name,
+                    "no effective timeout and a depends clause that could block forever",
+                ))
+    return plan
 
 
 def validate(
@@ -635,54 +710,8 @@ def validate(
     templates: Optional[dict] = None,
     engine_default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
 ) -> ValidationReport:
-    """Every static check that keeps a run well-formed.
-
-    Reports dependency cycles, dangling references (depends, templateRef,
-    macros, chaos targets), expression errors with scope violations, cluster
-    tolerance bounds, and actions that could block forever when no timeout
-    applies at any level.
-    """
-    from .executors.base import parse_fault_body
-
-    templates = templates or {}
-    findings: list[Finding] = []
-    for warning in doc.warnings:
-        findings.append(Finding("warning", "document", warning))
-
-    names = [a.name for a in doc.actions]
-    seen: set = set()
-    for name in names:
-        if name in seen:
-            findings.append(Finding("error", name, "duplicate action name"))
-        seen.add(name)
-
-    # Dependencies: dangling references, then cycles via topological scan.
-    edges: dict[str, list[str]] = {a.name: [] for a in doc.actions}
-    for action in doc.actions:
-        for dep in action.depends.names():
-            if dep not in seen:
-                findings.append(Finding("error", action.name, f"unknown action: {dep}"))
-            else:
-                edges[action.name].append(dep)
-    cycle = _find_cycle(edges)
-    if cycle is not None:
-        findings.append(Finding("error", cycle[0], "dependency cycle: " + "->".join(cycle)))
-
-    tree = build_tree(doc)
-    services = known_service_names(doc)
-
-    for action in doc.actions:
-        findings.extend(_validate_action(action, doc, templates, services, tree, parse_fault_body))
-
-    if engine_default_timeout is None and doc.defaults.timeout is None:
-        for action in doc.actions:
-            if action.timeout is None and (action.depends.running or action.depends.success):
-                findings.append(Finding(
-                    "error", action.name,
-                    "no effective timeout and a depends clause that could block forever",
-                ))
-
-    return ValidationReport(findings)
+    """Every static check that keeps a run well-formed: ``compile_scenario``'s report."""
+    return compile_scenario(doc, templates, engine_default_timeout).report
 
 
 def _required_template(action: ActionSpec) -> Optional[str]:
@@ -693,91 +722,100 @@ def _required_template(action: ActionSpec) -> Optional[str]:
     return None
 
 
-def _validate_action(action, doc, templates, services, tree, parse_fault_body) -> list[Finding]:
+def _compile_action(plan, action, node, templates, checkpoints, parse_fault_body) -> list[Finding]:
     findings: list[Finding] = []
+    name = action.name
 
     if action.kind == "Cluster" and action.tolerated_failures >= action.instances:
         findings.append(Finding(
-            "error", action.name,
+            "error", name,
             f"toleratedFailures ({action.tolerated_failures}) must be below instances ({action.instances})",
         ))
     if action.kind != "Cluster" and len(action.inputs) > 1:
-        findings.append(Finding("warning", action.name, "only the first inputs map is used"))
+        findings.append(Finding("warning", name, "only the first inputs map is used"))
 
-    resolved_body = None
+    texts: list[str] = []
     ref = _required_template(action)
     if ref is not None and action.inline_job is None:
         template = templates.get(ref)
         if template is None:
-            findings.append(Finding("error", action.name, f"unknown template: {ref}"))
+            findings.append(Finding("error", name, f"unknown template: {ref}"))
         else:
-            inputs_list = action.inputs or [{}]
-            for inputs in inputs_list:
+            plan.texts[name] = texts
+            for inputs in action.inputs or [{}]:
                 try:
-                    resolved_body = instantiate_template(template, _with_builtins(template, inputs, action, doc))
+                    texts.append(instantiate_template(template, _with_builtins(template, inputs, action, plan.clusters)))
                 except (MissingParameter, UnknownParameter) as exc:
-                    findings.append(Finding(
-                        "error", action.name,
-                        f"template {ref}: {type(exc).__name__}: {exc}",
-                    ))
+                    findings.append(Finding("error", name, f"template {ref}: {type(exc).__name__}: {exc}"))
                     break
+                except (SchemaError, UnknownCluster, IndexOutOfRange):
+                    break  # a bad services macro, reported with the call's targets below
 
     if action.kind == "Call":
         for target in action.services:
-            findings.extend(_check_target(target, action, doc, services, severity="warning"))
+            findings.extend(_check_target(target, name, plan))
 
     if action.kind == "Chaos":
         fault_body = action.fault
-        if fault_body is None and resolved_body is not None:
+        if fault_body is None and texts:
             try:
-                fault_body = load_yaml(resolved_body)
+                fault_body = load_yaml(texts[0])
             except yaml.YAMLError as exc:
-                findings.append(Finding("error", action.name, f"fault template does not parse: {exc}"))
+                findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
         if isinstance(fault_body, dict):
             try:
-                spec = parse_fault_body(fault_body, doc)
+                spec = parse_fault_body(fault_body, plan.clusters)
             except (SchemaError, UnknownCluster, IndexOutOfRange) as exc:
-                findings.append(Finding("error", action.name, f"invalid fault: {exc}"))
+                findings.append(Finding("error", name, f"invalid fault: {exc}"))
             else:
                 for target in spec.targets + spec.dst:
-                    if target not in services:
-                        findings.append(Finding("error", action.name, f"unknown fault target: {target}"))
+                    if not plan.is_service(target):
+                        findings.append(Finding("error", name, f"unknown fault target: {target}"))
+                plan.faults[name] = (spec, [plan.nodes.get(target) for target in spec.targets])
         elif fault_body is not None:
-            findings.append(Finding("error", action.name, "fault body must be a map"))
+            findings.append(Finding("error", name, "fault body must be a map"))
 
     for text in action.assertions:
-        findings.extend(_validate_expression(text, action.name, tree, require_condition=True))
+        findings.extend(_compile_assertion(plan, text, node, checkpoints))
     for key, text in action.values.items():
-        findings.extend(_validate_checkpoint_value(text, f"{action.name}.{key}"))
-
+        findings.extend(_compile_checkpoint_value(plan, text, name, key))
     return findings
 
 
-def _check_target(target, action, doc, services, severity) -> list[Finding]:
+def _check_target(target, owner, plan) -> list[Finding]:
     try:
-        expanded = expand_macro(target, doc)
+        expanded = expand_macro(target, plan.clusters)
     except (SchemaError, UnknownCluster, IndexOutOfRange) as exc:
-        return [Finding("error", action.name, f"bad target {target!r}: {exc}")]
-    findings = []
-    for name in expanded:
-        if name not in services:
-            findings.append(Finding(severity, action.name, f"unknown service: {name}"))
-    return findings
+        return [Finding("error", owner, f"bad target {target!r}: {exc}")]
+    return [Finding("warning", owner, f"unknown service: {name}") for name in expanded if not plan.is_service(name)]
 
 
-def _validate_expression(text, owner, tree, require_condition) -> list[Finding]:
+def _compile_assertion(plan, text, node, checkpoints) -> list[Finding]:
+    owner = node.name
     try:
         ast = parse_expression(text)
     except ExprSyntaxError as exc:
         return [Finding("error", owner, f"expression {text!r}: {exc}")]
-    if isinstance(ast, MetricsExprAst):
-        if require_condition and ast.condition is None:
-            return [Finding("error", owner, f"assertion {text!r} has no condition")]
-        return []
-    return check_scope(ast, owner, tree)
+    if not isinstance(ast, MetricsExprAst):
+        findings = check_scope(ast, node, plan.nodes)
+    elif ast.condition is None:
+        return [Finding("error", owner, f"assertion {text!r} has no condition")]
+    else:
+        findings = []
+        for term in ast.condition.terms:
+            if term.checkpoint is None:
+                continue
+            checkpoint, key = term.checkpoint
+            if checkpoint not in checkpoints:
+                findings.append(Finding("error", owner, f"assertion {text!r}: unknown checkpoint: {checkpoint}"))
+            elif key not in checkpoints[checkpoint]:
+                findings.append(Finding("error", owner, f"assertion {text!r}: checkpoint {checkpoint} has no value {key}"))
+    plan.asserts.setdefault(owner, []).append((text, ast))
+    return findings
 
 
-def _validate_checkpoint_value(text, location) -> list[Finding]:
+def _compile_checkpoint_value(plan, text, name, key) -> list[Finding]:
+    location = f"{name}.{key}"
     try:
         ast = parse_expression(text)
     except ExprSyntaxError as exc:
@@ -786,12 +824,13 @@ def _validate_checkpoint_value(text, location) -> list[Finding]:
         return [Finding("error", location, "checkpoint values must be metrics reductions")]
     if ast.condition is not None:
         return [Finding("error", location, "checkpoint values take no condition")]
+    plan.checkpoint_exprs.setdefault(name, []).append((key, ast))
     return []
 
 
-def _with_builtins(template: Template, inputs: dict, action: ActionSpec, doc: ScenarioDoc) -> dict:
+def _with_builtins(template: Template, inputs: dict, action: ActionSpec, clusters: dict) -> dict:
     """Auto-supplied inputs, injected only when the template declares them."""
     merged = dict(inputs)
     if "services" in template.parameters and "services" not in merged and action.kind == "Call":
-        merged["services"] = ", ".join(expand_targets(action.services, doc))
+        merged["services"] = ", ".join(expand_targets(action.services, clusters))
     return merged

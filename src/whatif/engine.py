@@ -40,13 +40,11 @@ from .dsl import (
     ENGINE_DEFAULT_TIMEOUT,
     ActionSpec,
     ScenarioDoc,
-    _with_builtins,
-    build_tree,
-    effective_timeout,
+    compile_scenario,
     expand_targets,  # unused here; bench/tracer.py wraps it on this module
-    instantiate_template,
+    instantiate_template,  # unused here; bench/tracer.py wraps it on this module
     load_yaml,
-    validate,
+    validate,  # unused here; bench/tracer.py wraps it on this module
 )
 from .errors import (
     InvalidScenario,
@@ -61,14 +59,14 @@ from .errors import (
     WhatifError,
 )
 from .events import Event, EventKind, EventQueue, SimClock, WallClock
-from .executors.base import Executor, FaultSpec, JobSpec, parse_fault_body, parse_job_body
+from .executors.base import Executor, JobSpec, parse_job_body
 from .expressions import (
     MetricsExprAst,
     WindowAggregate,
     alert_holds,
     eval_metrics,  # unused here; bench/tracer.py wraps it on this module
     eval_state,
-    parse_expression,
+    parse_expression,  # unused here; bench/tracer.py wraps it on this module
     snapshot_scope,  # unused here; bench/tracer.py wraps it on this module
 )
 from .lifecycle import (
@@ -198,7 +196,11 @@ def dependency_satisfied(clause, nodes: dict, clock) -> bool:
 
 
 class Engine:
-    """Runs one scenario to completion over a bound executor."""
+    """Runs one scenario to completion over a bound executor.
+
+    The document is compiled once (``compile_scenario``): every name, template
+    text, fault and expression the run needs is read from that plan.
+    """
 
     def __init__(
         self,
@@ -210,10 +212,10 @@ class Engine:
         default_timeout: float = ENGINE_DEFAULT_TIMEOUT,
     ):
         self.doc = doc
-        self.templates = templates or {}
-        report = validate(doc, self.templates, default_timeout)
-        if not report.ok:
-            raise InvalidScenario(report)
+        plan = compile_scenario(doc, templates, default_timeout)
+        if not plan.report.ok:
+            raise InvalidScenario(plan.report)
+        self.plan = plan
 
         if executor is None:
             from .executors.sim import SimExecutor
@@ -222,7 +224,6 @@ class Engine:
         self.executor = executor
         self.clock = clock if clock is not None else (SimClock() if executor.name == "sim" else WallClock())
         self.seed = seed
-        self.default_timeout = default_timeout
 
         self.queue = EventQueue()
         self.trace = RunTrace()
@@ -231,9 +232,8 @@ class Engine:
         self.annotations = AnnotationLog()
         self.executor.bind(self.queue, self.clock, self.store)
 
-        self.tree = build_tree(doc)
-        self.nodes = {node.name: node for node in iter_nodes(self.tree)}
-        self.actions = {action.name: action for action in doc.actions}
+        self.tree = plan.tree
+        self.nodes = plan.nodes
         # Each action's assertions in text order: a state AST, or a Rule for a
         # metrics one. Rules are also indexed by the metric they read and by
         # the checkpoints their thresholds read; `armed` holds the rules with
@@ -243,42 +243,28 @@ class Engine:
         self.checkpoint_readers: dict[str, list[Rule]] = {}
         self.armed: set[Rule] = set()
         order = 0
-        for action in doc.actions:
-            for index, text in enumerate(action.assertions):
-                ast = parse_expression(text)
+        for owner, pairs in plan.asserts.items():
+            for index, (text, ast) in enumerate(pairs):
                 if isinstance(ast, MetricsExprAst):
                     window = WindowAggregate(ast.metric, ast.reducer, ast.window)
-                    rule = Rule(order, action.name, text, ast, window, f"window:{action.name}:{index}")
+                    rule = Rule(order, owner, text, ast, window, f"window:{owner}:{index}")
                     order += 1
                     self.rules.setdefault(ast.metric, []).append(rule)
                     for name in dict.fromkeys(t.checkpoint[0] for t in ast.condition.terms if t.checkpoint):
                         self.checkpoint_readers.setdefault(name, []).append(rule)
                     ast = rule
-                self.asserts.setdefault(action.name, []).append((text, ast))
-        self.checkpoint_exprs = {
-            action.name: [(key, parse_expression(text)) for key, text in action.values.items()]
-            for action in doc.actions
-            if action.kind == "Checkpoint"
-        }
+                self.asserts.setdefault(owner, []).append((text, ast))
 
         # Incremental dispatch, by action index in document order: the actions
-        # waiting on each name, and those due for a dependency check (all of
-        # them in the first cycle).
-        self.dependents: dict[str, list[int]] = {}
-        for index, action in enumerate(doc.actions):
-            for name in dict.fromkeys(action.depends.names()):
-                self.dependents.setdefault(name, []).append(index)
+        # due for a dependency check (all of them in the first cycle); the
+        # plan's `dependents` names the actions waiting on each name.
         self.dirty: set[int] = set(range(len(doc.actions)))
         self.timed: set[int] = set()  # `after:` timer armed, not yet dispatched
         # Per-cluster child counts by phase slot (see _slot; every child
         # starts Uninitialized), per-node scope versions, the scope version
         # each asserting action last evaluated its state assertions against,
         # and the number of actions not yet terminal.
-        self.phase_counts = {
-            node.name: [len(node.children), 0, 0, 0, 0, 0]
-            for node in self.nodes.values()
-            if node.kind == "cluster"
-        }
+        self.phase_counts = {name: [instances, 0, 0, 0, 0, 0] for name, instances in plan.clusters.items()}
         self.scope_version: Counter = Counter()
         self.state_checked: dict[str, int] = {}
         self.unfinished = len(doc.actions)
@@ -286,7 +272,10 @@ class Engine:
 
         self.dispatched: set = set()
         self.started: set = set()  # jobs whose start_job returned
-        self.kill_watch: dict[str, list] = {}  # chaos action -> kill targets
+        # Kill faults that end when their targets do: each one's count of
+        # targets not yet terminal, and the faults watching each target.
+        self.kill_watch: dict[str, int] = {}
+        self.kill_watchers: dict[str, list[str]] = {}
         self.active_faults: dict[str, str] = {}  # chaos action -> executor handle
         self.finished = False
         self.outcome = Outcome.SUCCESS
@@ -321,7 +310,7 @@ class Engine:
         )
         self.store.watch(self.rules.keys(), self.queue, self.clock)
         self._move(self.tree, Phase.RUNNING, now, None)
-        guard = sum(effective_timeout(a, self.doc, self.default_timeout) for a in self.doc.actions)
+        guard = sum(self.plan.timeouts.values())
         self.queue.push(now + guard + GUARD_SLACK, Event(EventKind.TIME, now + guard + GUARD_SLACK, timer_id="guard"))
 
         commands: list[ReconcileCommand] = []
@@ -401,15 +390,13 @@ class Engine:
             if self.finished:
                 return
 
-        self._watch_kill_faults(event.subject, now, commands)
+        self._watch_kill_faults(node, now, commands)
         if not self.finished:
             self._evaluate_state_assertions(now, commands)
 
     def _on_terminal(self, node: ResourceNode, now: float, commands: list) -> None:
-        if node.name in self.actions:
-            action = self.actions[node.name]
-            if action.kind in ("Call", "Chaos") and node.name in self.annotations.open_labels():
-                self._close_region(node.name, now, commands)
+        if node.kind in ("call", "chaos") and node.name in self.annotations.open_labels():
+            self._close_region(node.name, now, commands)
         if node.phase == Phase.FAILED:
             if node.failure_class == FailureClass.UNEXPECTED:
                 self._fail(f"{node.name}: {node.failure_reason or 'unexpected failure'}", commands)
@@ -451,7 +438,7 @@ class Engine:
             self.active_faults.pop(action, None)
             for target in [t for t in tags.get("targets", "").split(",") if t]:
                 if target in self.nodes:
-                    revoke_chaos_tag(self.tree, target)
+                    revoke_chaos_tag(self.nodes[target])
             node = self.nodes.get(action)
             if node is not None and not node.phase.terminal:
                 if action in self.annotations.open_labels():
@@ -515,8 +502,7 @@ class Engine:
 
     def _dispatch(self, action: ActionSpec, commands: list) -> None:
         now = self.clock.now()
-        timeout = effective_timeout(action, self.doc, self.default_timeout)
-        due = now + timeout
+        due = now + self.plan.timeouts[action.name]
         self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
         try:
             if action.kind == "Service":
@@ -537,7 +523,7 @@ class Engine:
             self._evaluate_action_assertions(action.name, now, commands, state=True, metrics=True)
 
     def _dispatch_service(self, action: ActionSpec, now: float, commands: list) -> None:
-        spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}, action.name)
+        spec = self._resolve_job(action, 0, action.name)
         self._create_job(spec, now, commands)
         self.annotations.point(action.name, now)
         self._trace_annotation("point", action.name, now, commands)
@@ -546,28 +532,27 @@ class Engine:
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING, now, commands)
         for index, child in enumerate(node.children):
-            inputs = action.inputs[index % len(action.inputs)] if action.inputs else {}
-            spec = self._resolve_job(action, inputs, child.name)
+            spec = self._resolve_job(action, index, child.name)
             self._create_job(spec, now, commands)
             self.annotations.point(child.name, now)
             self._trace_annotation("point", child.name, now, commands)
 
     def _dispatch_call(self, action: ActionSpec, now: float, commands: list) -> None:
-        spec = self._resolve_job(action, action.inputs[0] if action.inputs else {}, action.name)
+        spec = self._resolve_job(action, 0, action.name)
         self._create_job(spec, now, commands)
         self.annotations.open_region(action.name, now)
         self._trace_annotation("open", action.name, now, commands)
 
     def _dispatch_chaos(self, action: ActionSpec, now: float, commands: list) -> None:
-        spec = self._resolve_fault(action)
+        spec, targets = self.plan.faults[action.name]
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING, now, commands)
         tag = ChaosTag(spec.kind, action.name)
-        for target in spec.targets:
-            tag_chaos_target(self.tree, target, tag)
+        for target in targets:
+            tag_chaos_target(target, tag)
             self.trace.append(
-                "event", now, event="Tag", subject=target,
-                tags={ChaosTag.key: spec.kind, "target": target, "source": action.name},
+                "event", now, event="Tag", subject=target.name,
+                tags={ChaosTag.key: spec.kind, "target": target.name, "source": action.name},
             )
         command = ReconcileCommand("InjectFault", action.name, {
             "kind": spec.kind, "targets": list(spec.targets), "dst": list(spec.dst),
@@ -584,7 +569,10 @@ class Engine:
         self.annotations.open_region(action.name, now)
         self._trace_annotation("open", action.name, now, commands)
         if spec.kind == "kill":
-            self.kill_watch[action.name] = list(spec.targets)
+            live = [target for target in dict.fromkeys(targets) if not target.phase.terminal]
+            self.kill_watch[action.name] = len(live)
+            for target in live:
+                self.kill_watchers.setdefault(target.name, []).append(action.name)
         else:
             self.active_faults[action.name] = handle
 
@@ -596,7 +584,7 @@ class Engine:
         self._trace_command(command, now)
         try:
             checkpoint = self.checkpoints.snapshot(
-                action.name, self.checkpoint_exprs.get(action.name, []), self.tree, self.store, now,
+                action.name, self.plan.checkpoint_exprs.get(action.name, []), self.tree, self.store, now,
             )
         except UnknownMetric as exc:
             self._fail(f"{action.name}: expression error: unknown metric {exc}", commands)
@@ -629,28 +617,25 @@ class Engine:
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
 
-    def _resolve_job(self, action: ActionSpec, inputs: dict, name: str) -> JobSpec:
-        """The job spec for one instance, parsed once per distinct template text."""
+    def _resolve_job(self, action: ActionSpec, index: int, name: str) -> JobSpec:
+        """The job spec of instance ``index``, parsed once per distinct template text.
+
+        Instance ``index`` takes the plan's text for inputs map ``index``,
+        cycling through the maps; a Service or Call is instance 0.
+        """
         if action.inline_job is not None:
             return parse_job_body(action.inline_job).named(name)
-        ref = action.callable if action.kind == "Call" else action.template_ref
-        template = self.templates[ref]
-        text = instantiate_template(template, _with_builtins(template, inputs, action, self.doc))
+        texts = self.plan.texts[action.name]
+        text = texts[index % len(texts)]
         spec = self.job_specs.get(text)
         if spec is None:
             try:
                 body = load_yaml(text)
             except yaml.YAMLError as exc:
+                ref = action.callable if action.kind == "Call" else action.template_ref
                 raise SchemaError(f"template {ref} body does not parse: {exc}") from exc
             spec = self.job_specs[text] = parse_job_body(body)
         return spec.named(name)
-
-    def _resolve_fault(self, action: ActionSpec) -> FaultSpec:
-        if action.fault is not None:
-            return parse_fault_body(action.fault, self.doc)
-        template = self.templates[action.template_ref]
-        text = instantiate_template(template, action.inputs[0] if action.inputs else {})
-        return parse_fault_body(load_yaml(text), self.doc)
 
     # --- assertions ------------------------------------------------------------
 
@@ -750,18 +735,21 @@ class Engine:
 
     # --- fault bookkeeping -------------------------------------------------------
 
-    def _watch_kill_faults(self, subject: str, now: float, commands: list) -> None:
-        for action_name, targets in list(self.kill_watch.items()):
-            if subject not in targets:
+    def _watch_kill_faults(self, target: ResourceNode, now: float, commands: list) -> None:
+        """Count a target that just turned terminal; a kill fault whose count reaches 0 succeeds."""
+        if not target.phase.terminal:
+            return
+        for action_name in self.kill_watchers.pop(target.name, ()):
+            self.kill_watch[action_name] -= 1
+            if self.kill_watch[action_name]:
                 continue
-            if all(self.nodes[t].phase.terminal for t in targets if t in self.nodes):
-                del self.kill_watch[action_name]
-                node = self.nodes[action_name]
-                if not node.phase.terminal:
-                    if action_name in self.annotations.open_labels():
-                        self._close_region(action_name, now, commands)
-                    self._move(node, Phase.SUCCESS, now, commands)
-                    self._on_terminal(node, now, commands)
+            del self.kill_watch[action_name]
+            node = self.nodes[action_name]
+            if not node.phase.terminal:
+                if action_name in self.annotations.open_labels():
+                    self._close_region(action_name, now, commands)
+                self._move(node, Phase.SUCCESS, now, commands)
+                self._on_terminal(node, now, commands)
 
     # --- outcome ----------------------------------------------------------------
 
@@ -845,7 +833,7 @@ class Engine:
             counts[_slot(node)] += 1
         if owner is self.tree and node.phase.terminal:
             self.unfinished -= 1
-        self.dirty.update(self.dependents.get(node.name, ()))
+        self.dirty.update(self.plan.dependents.get(node.name, ()))
         while node is not None:
             self.scope_version[node.name] += 1
             node = node.owner

@@ -59,10 +59,6 @@ class IllegalTransition(WhatifError):
     """A phase transition outside the legal lifecycle chain; engine bug."""
 
 
-class UnknownService(WhatifError):
-    """A chaos target does not resolve to a service node in the tree."""
-
-
 # --- telemetry ------------------------------------------------------------
 
 class UnknownMetric(WhatifError):

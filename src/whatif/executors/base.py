@@ -201,22 +201,22 @@ def parse_job_body(body: dict) -> JobSpec:
     return spec
 
 
-def _target_list(raw, where: str, doc=None) -> list:
+def _target_list(raw, where: str, clusters=None) -> list:
     if isinstance(raw, str):
         names = [part.strip() for part in raw.split(",") if part.strip()]
     elif isinstance(raw, list):
         names = [str(part) for part in raw]
     else:
         raise SchemaError(f"{where} must be a name, list, or comma-separated string")
-    if doc is None:
+    if clusters is None:
         return names
     from ..dsl import expand_targets
 
-    return expand_targets(names, doc)
+    return expand_targets(names, clusters)
 
 
-def parse_fault_body(body: dict, doc=None) -> FaultSpec:
-    """Build a FaultSpec, expanding addressing macros when a doc is given."""
+def parse_fault_body(body: dict, clusters=None) -> FaultSpec:
+    """Build a FaultSpec, expanding addressing macros when a cluster index (name -> instances) is given."""
     if not isinstance(body, dict):
         raise SchemaError("fault body must be a map")
     kind = body.get("kind")
@@ -233,8 +233,8 @@ def parse_fault_body(body: dict, doc=None) -> FaultSpec:
     if kind == "partition":
         if "source" not in body or "dst" not in body:
             raise SchemaError("partition requires source and dst")
-        spec.targets = _target_list(body["source"], "source", doc)
-        spec.dst = _target_list(body["dst"], "dst", doc)
+        spec.targets = _target_list(body["source"], "source", clusters)
+        spec.dst = _target_list(body["dst"], "dst", clusters)
         spec.direction = body.get("direction", "both")
         if spec.direction not in ("to", "from", "both"):
             raise SchemaError(f"unknown partition direction {body.get('direction')!r}")
@@ -245,7 +245,7 @@ def parse_fault_body(body: dict, doc=None) -> FaultSpec:
     else:
         if "targets" not in body:
             raise SchemaError(f"{kind} fault requires targets")
-        spec.targets = _target_list(body["targets"], "targets", doc)
+        spec.targets = _target_list(body["targets"], "targets", clusters)
         if not spec.targets:
             raise SchemaError(f"{kind} fault requires at least one target")
         if kind == "suspend" and spec.duration is None:

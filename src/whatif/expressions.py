@@ -27,7 +27,14 @@ from typing import Optional, Sequence
 
 from .durations import parse_duration
 from .errors import ExprSyntaxError, Finding, UnknownCheckpoint
-from .lifecycle import FailureClass, Phase, ResourceNode, aggregate_phase, find_node, iter_nodes
+from .lifecycle import (
+    FailureClass,
+    Phase,
+    ResourceNode,
+    aggregate_phase,
+    find_node,  # unused here; bench/tracer.py wraps it on this module
+    iter_nodes,
+)
 from .values import FrozenValue
 
 STATE_FNS = ("failed", "running", "success", "pending", "all")
@@ -682,26 +689,23 @@ def snapshot_scope(owner_node: ResourceNode) -> ScopeSnapshot:
     return ScopeSnapshot(owner_node.name, jobs)
 
 
-def check_scope(ast, owner: str, tree: ResourceNode) -> list[Finding]:
+def check_scope(ast, owner_node: ResourceNode, nodes: dict) -> list[Finding]:
     """Reject state expressions that reach outside the owner's local scope.
 
     Jobs referenced by name must have been created by the owner; the
-    scenario root may reference any level of the hierarchy. Metrics
-    expressions are exempt: cross-references to a job's performance
-    metrics are allowed.
+    scenario root may reference any level of the hierarchy. ``nodes`` maps
+    every name of the tree to its node. Metrics expressions are exempt:
+    cross-references to a job's performance metrics are allowed.
     """
     if isinstance(ast, MetricsExprAst):
         return []
-    owner_node = find_node(tree, owner)
-    if owner_node is None:
-        return [Finding("error", owner, "unknown asserting resource")]
+    owner = owner_node.name
     allowed = {node.name for node in scope_job_nodes(owner_node)}
     findings = []
-    all_names = {node.name for node in iter_nodes(tree)}
     for call in _iter_calls(ast):
         if call.subject is None or call.subject in allowed:
             continue
-        if call.subject in all_names:
+        if call.subject in nodes:
             message = f"references job {call.subject!r} outside the local scope"
         else:
             message = f"references unknown job {call.subject!r}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .errors import IllegalTransition, UnknownService
+from .errors import IllegalTransition
 from .values import FrozenValue
 
 META_CHAOS_KEY = "metadata.Chaos"
@@ -203,24 +203,18 @@ def aggregate_phase(
     return Phase.RUNNING
 
 
-def tag_chaos_target(tree: ResourceNode, target_service: str, tag: ChaosTag) -> ResourceNode:
-    """Place a chaos tag on the named service, before the fault is injected."""
-    node = find_node(tree, target_service)
-    if node is None:
-        raise UnknownService(target_service)
+def tag_chaos_target(node: ResourceNode, tag: ChaosTag) -> ResourceNode:
+    """Place a chaos tag on a service, before the fault is injected."""
     node.meta[META_CHAOS_KEY] = tag.fault_kind
     node.meta[META_CHAOS_SOURCE_KEY] = tag.source_action
-    return tree
+    return node
 
 
-def revoke_chaos_tag(tree: ResourceNode, target_service: str) -> ResourceNode:
+def revoke_chaos_tag(node: ResourceNode) -> ResourceNode:
     """Remove the chaos tag when the fault window ends."""
-    node = find_node(tree, target_service)
-    if node is None:
-        raise UnknownService(target_service)
     node.meta.pop(META_CHAOS_KEY, None)
     node.meta.pop(META_CHAOS_SOURCE_KEY, None)
-    return tree
+    return node
 
 
 def classify_failure(node: ResourceNode, observed_mode: str) -> FailureClass:
@@ -233,31 +227,6 @@ def classify_failure(node: ResourceNode, observed_mode: str) -> FailureClass:
     if tag is not None and tag.fault_kind == observed_mode:
         return FailureClass.EXPECTED
     return FailureClass.UNEXPECTED
-
-
-def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> ResourceNode:
-    """Re-aggregate ancestors of a failed leaf, bottom-up, within ``tree``.
-
-    A leaf that does not exist is a no-op (nothing to propagate). Each
-    ancestor with children is moved to its aggregate phase through legal
-    intermediate hops; terminal ancestors are left alone.
-    """
-    leaf = find_node(tree, failed_leaf)
-    if leaf is None:
-        return tree
-    node = leaf.owner
-    while node is not None:
-        if node.children and not node.phase.terminal:
-            agg = aggregate_phase(
-                [(c.phase, c.failure_class) for c in node.children],
-                node.tolerated,
-            )
-            if phase_order(agg) > phase_order(node.phase):
-                advance_to(node, agg, at)
-        if node is tree:
-            break
-        node = node.owner
-    return tree
 
 
 def phase_order(p: Phase) -> int:

@@ -1,9 +1,10 @@
 """Run reports: rebuild everything an operator needs from the run files.
 
-A report is derived entirely from the persisted trace and metrics, never
-from in-memory engine state, so regenerating one after the fact yields
-identical output. Three renderings: a JSON document, a human-readable
-timeline, and plot-ready series with annotation markers.
+A report is derived entirely from the trace records, never from other
+engine state. `whatif run` builds it from the records it holds in memory,
+and `whatif report` from those `load_run` reads back from the run files;
+both give identical output. Three renderings: a JSON document, a
+human-readable timeline, and plot-ready series with annotation markers.
 """
 
 from __future__ import annotations

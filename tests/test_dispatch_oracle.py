@@ -33,8 +33,8 @@ class CheckedEngine(Engine):
             cluster = self.nodes[name]
             expected = aggregate_phase([(c.phase, c.failure_class) for c in cluster.children], cluster.tolerated)
             assert self.cluster_phase(cluster) is expected, (name, self.phase_counts[name])
-        for name in self.actions:
-            owner = self.nodes[name]
+        for action in self.doc.actions:
+            name, owner = action.name, self.nodes[action.name]
             counted, snapshot = Engine._scope(self, owner), snapshot_scope(owner)
             for subject in [None, *self.nodes, "ghost"]:
                 for fn in STATE_FNS:

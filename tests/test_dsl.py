@@ -8,6 +8,7 @@ from whatif.dsl import (
     DependsClause,
     ScenarioDoc,
     Template,
+    compile_scenario,
     expand_macro,
     instantiate_template,
     parse_scenario,
@@ -153,40 +154,40 @@ class TestTemplates:
 
 class TestMacros:
     @pytest.fixture
-    def doc(self):
-        return ScenarioDoc(actions=[
+    def clusters(self):
+        return compile_scenario(ScenarioDoc(actions=[
             ActionSpec(name="masters", kind="Cluster", template_ref="x", instances=4),
-        ])
+        ])).clusters
 
-    def test_all_selector(self, doc):
-        assert expand_macro(".cluster.masters.all", doc) == [
+    def test_all_selector(self, clusters):
+        assert expand_macro(".cluster.masters.all", clusters) == [
             "masters-0", "masters-1", "masters-2", "masters-3",
         ]
 
-    def test_index_selector(self, doc):
-        assert expand_macro(".cluster.masters.2", doc) == ["masters-2"]
+    def test_index_selector(self, clusters):
+        assert expand_macro(".cluster.masters.2", clusters) == ["masters-2"]
 
-    def test_plain_name_passthrough(self, doc):
-        assert expand_macro("masters-3", doc) == ["masters-3"]
+    def test_plain_name_passthrough(self, clusters):
+        assert expand_macro("masters-3", clusters) == ["masters-3"]
 
-    def test_index_out_of_range(self, doc):
+    def test_index_out_of_range(self, clusters):
         with pytest.raises(IndexOutOfRange):
-            expand_macro(".cluster.masters.7", doc)
+            expand_macro(".cluster.masters.7", clusters)
 
-    def test_unknown_cluster(self, doc):
+    def test_unknown_cluster(self, clusters):
         with pytest.raises(UnknownCluster):
-            expand_macro(".cluster.ghost.all", doc)
+            expand_macro(".cluster.ghost.all", clusters)
 
-    def test_malformed_macro(self, doc):
+    def test_malformed_macro(self, clusters):
         with pytest.raises(SchemaError):
-            expand_macro(".cluster.masters", doc)
+            expand_macro(".cluster.masters", clusters)
 
     @given(st.integers(min_value=1, max_value=9))
     def test_all_returns_every_instance_in_order(self, instances):
         doc = ScenarioDoc(actions=[
             ActionSpec(name="c", kind="Cluster", template_ref="x", instances=instances),
         ])
-        names = expand_macro(".cluster.c.all", doc)
+        names = expand_macro(".cluster.c.all", compile_scenario(doc).clusters)
         assert names == [f"c-{i}" for i in range(instances)]
 
 
@@ -208,6 +209,18 @@ class TestValidate:
         report = validate(doc, {"t": Template("t", {}, "command: true\n")})
         assert not report.ok
         assert any("dependency cycle" in f.message for f in report.errors())
+
+    def test_long_chain_in_reverse_order(self):
+        """The cycle search keeps its own stack, so a chain deeper than Python's recursion limit fits."""
+        actions = [
+            ActionSpec(name=f"c{i}", kind="Call", callable="t",
+                       depends=DependsClause(success=[f"c{i - 1}"] if i else []))
+            for i in reversed(range(1500))
+        ]
+        assert validate(ScenarioDoc(actions=actions), {"t": Template("t", {}, "command: true\n")}).ok
+        actions[-1].depends.success = ["c1499"]
+        report = validate(ScenarioDoc(actions=actions), {"t": Template("t", {}, "command: true\n")})
+        assert [f.message.count("->") for f in report.errors()] == [1500]
 
     def test_dangling_depends(self):
         doc = parse_scenario(
@@ -280,6 +293,41 @@ class TestValidate:
         )
         report = validate(doc, {"t": Template("t", {}, "command: true\n")})
         assert any("duplicate action name" in f.message for f in report.errors())
+
+    def test_action_name_taken_by_a_cluster_instance(self):
+        service = "- action: Service\n  name: db-1\n  service: { templateRef: t }\n"
+        cluster = "- action: Cluster\n  name: db\n  cluster: { templateRef: t, instances: 2 }\n"
+        templates = {"t": Template("t", {}, "command: true\n")}
+        for spec in (service + cluster, cluster + service):
+            report = validate(parse_scenario("spec:\n" + spec), templates)
+            assert [(f.location, f.message) for f in report.errors()] == [
+                ("db-1", "name used by an action and by an instance of cluster db"),
+            ]
+
+    def test_checkpoint_reference_needs_the_checkpoint_and_its_key(self):
+        def report_for(reference):
+            return validate(parse_scenario(
+                "spec:\n"
+                "- action: Checkpoint\n  name: seen\n"
+                "  checkpoint: { values: { cpu: 'MAX() QUERY(cpu, 1m, now)' } }\n"
+                "- action: Call\n  name: s\n  call: { callable: t, services: [] }\n"
+                f"  assertions: ['MAX() QUERY(cpu, 1m, now) IS ABOVE({reference})']\n"
+            ), {"t": Template("t", {}, "command: true\n")})
+
+        assert report_for("CHECKPOINT(seen.cpu) * 2").ok
+        assert [f.message for f in report_for("CHECKPOINT(nosuch.cpu)").errors()] == [
+            "assertion 'MAX() QUERY(cpu, 1m, now) IS ABOVE(CHECKPOINT(nosuch.cpu))': unknown checkpoint: nosuch",
+        ]
+        assert [f.message for f in report_for("CHECKPOINT(seen.mem)").errors()] == [
+            "assertion 'MAX() QUERY(cpu, 1m, now) IS ABOVE(CHECKPOINT(seen.mem))': checkpoint seen has no value mem",
+        ]
+
+    def test_bad_macro_in_a_call_that_takes_services_is_a_finding(self):
+        doc = parse_scenario(
+            "spec:\n- action: Call\n  name: a\n  call: { callable: t, services: [ .cluster.ghost.all ] }\n"
+        )
+        report = validate(doc, {"t": Template("t", {"services": None}, "command: true\n")})
+        assert [f.message for f in report.errors()] == ["bad target '.cluster.ghost.all': ghost"]
 
     def test_warnings_do_not_flip_ok(self):
         doc = parse_scenario(

@@ -22,7 +22,7 @@ from whatif.expressions import (
     parse_expression,
     reduce_series,
 )
-from whatif.lifecycle import FailureClass, Phase, ResourceNode
+from whatif.lifecycle import FailureClass, Phase, ResourceNode, iter_nodes
 from whatif.telemetry import Checkpoint, CheckpointRegistry, MetricPoint, MetricsStore
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
@@ -276,36 +276,41 @@ class TestEvalMetrics:
 
 
 class TestScope:
-    def tree(self):
+    def nodes(self):
+        """The name index of a scenario with two 2-instance clusters."""
         root = ResourceNode("scenario", kind="scenario")
         a = root.add_child(ResourceNode("cluster-a", kind="cluster"))
         b = root.add_child(ResourceNode("cluster-b", kind="cluster"))
         for i in range(2):
             a.add_child(ResourceNode(f"cluster-a-{i}"))
             b.add_child(ResourceNode(f"cluster-b-{i}"))
-        return root
+        return {node.name: node for node in iter_nodes(root)}
+
+    def check(self, ast, owner):
+        nodes = self.nodes()
+        return check_scope(ast, nodes[owner], nodes)
 
     def test_own_services_pass(self):
         ast = parse_expression("cluster-a-0.state.failed() > 0")
-        assert check_scope(ast, "cluster-a", self.tree()) == []
+        assert self.check(ast, "cluster-a") == []
 
     def test_foreign_jobs_rejected(self):
         ast = parse_expression("cluster-b-0.state.failed() > 0")
-        findings = check_scope(ast, "cluster-a", self.tree())
+        findings = self.check(ast, "cluster-a")
         assert findings and findings[0].severity == "error"
         assert "outside the local scope" in findings[0].message
 
     def test_root_may_reach_down(self):
         ast = parse_expression("cluster-b-1.state.failed() > 0")
-        assert check_scope(ast, "scenario", self.tree()) == []
+        assert self.check(ast, "scenario") == []
 
     def test_metrics_expressions_exempt(self):
         ast = parse_expression("MAX() QUERY(anything, 1m, now) IS ABOVE(1)")
-        assert check_scope(ast, "cluster-a", self.tree()) == []
+        assert self.check(ast, "cluster-a") == []
 
     def test_unprefixed_always_local(self):
         ast = parse_expression(".state.failed() > 0")
-        assert check_scope(ast, "cluster-a", self.tree()) == []
+        assert self.check(ast, "cluster-a") == []
 
     def test_evaluation_sees_snapshot_only(self):
         """The evaluator cannot observe anything beyond its snapshot."""

@@ -14,6 +14,7 @@ import yaml
 
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import run_scenario
+from whatif.report import METRICS_FILE, TRACE_FILE, build_report, load_run, report_json_text
 
 from conftest import stage_template
 from test_acceptance import CORPUS_TEMPLATES, DEFECTS, _generate_scenario
@@ -149,3 +150,18 @@ def test_golden_validation_corpus(tmp_path):
     assert len(digests) == 25
     assert hashlib.sha256("".join(digests).encode("ascii")).hexdigest() == CORPUS_GOLDEN
 
+
+
+def test_report_from_memory_equals_report_from_run_files(partition_demo, tmp_path):
+    """`whatif run` builds report.json from the trace records it holds; reading
+    the run files back must give the same report, on every golden document."""
+    cases = [partition_demo, *(_build(name) for name in sorted(GOLDEN))]
+    cases += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+    for doc, templates in cases:
+        result = run_scenario(doc, templates)
+        result.trace.save(tmp_path / TRACE_FILE)
+        result.store.save(tmp_path / METRICS_FILE)
+        in_memory = build_report(result.trace.records)
+        from_files = build_report(load_run(tmp_path)[0])
+        assert in_memory == from_files, doc.name
+        assert report_json_text(in_memory) == report_json_text(from_files), doc.name

@@ -1,9 +1,10 @@
-"""What `import whatif` loads, checked in a fresh interpreter.
+"""What `import whatif` and `import whatif.cli` load, checked in fresh interpreters.
 
 A simulated run needs neither the process executor (with ``subprocess`` and
 ``signal``) nor ``logging``, and the package's data classes are plain
-classes, so importing it must not load these modules. The check counts
-modules; it times nothing.
+classes, so importing it must not load these modules; nor must the CLI,
+which loads ``logging`` only for ``-v``. The check counts modules; it times
+nothing.
 """
 
 import json
@@ -37,6 +38,15 @@ print(json.dumps({{
 """
 
 
+CLI_PROBE = f"""
+import json, sys
+sys.path.insert(0, {str(REPO / "src")!r})
+before = set(sys.modules)
+import whatif.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
 @pytest.fixture(scope="module")
 def result() -> dict:
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, timeout=60, check=True)
@@ -47,6 +57,14 @@ def test_import_loads_no_process_executor_logging_or_dataclasses(result):
     assert "whatif.engine" in result["added"]
     assert [name for name in NOT_LOADED if name in result["added"]] == []
     assert "whatif.executors.process" not in result["added"]
+
+
+def test_cli_import_loads_none_of_them():
+    done = subprocess.run([sys.executable, "-c", CLI_PROBE], capture_output=True, text=True, timeout=60, check=True)
+    added = json.loads(done.stdout)
+    assert "whatif.cli" in added
+    assert [name for name in NOT_LOADED if name in added] == []
+    assert "whatif.executors.process" not in added
 
 
 def test_process_executor_still_resolves(result):

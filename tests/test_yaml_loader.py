@@ -13,8 +13,7 @@ import yaml
 from whatif.dsl import (
     Template,
     _YAML_LOADER,
-    _with_builtins,
-    instantiate_template,
+    compile_scenario,
     load_templates,
     load_yaml,
     parse_scenario,
@@ -69,15 +68,7 @@ MALFORMED = [
 
 def _instantiated(doc, templates) -> list[str]:
     """Every template text the engine would parse for this document."""
-    texts = []
-    for action in doc.actions:
-        ref = action.callable if action.kind == "Call" else action.template_ref
-        if ref is None or action.inline_job is not None:
-            continue
-        template = templates[ref]
-        for inputs in action.inputs or [{}]:
-            texts.append(instantiate_template(template, _with_builtins(template, inputs, action, doc)))
-    return texts
+    return [text for texts in compile_scenario(doc, templates).texts.values() for text in texts]
 
 
 def _documents() -> list[str]:
