@@ -5,14 +5,15 @@ consumed in (timestamp, sequence) order from a single queue. Each event
 starts a reconciliation cycle that re-checks dependencies, dispatches
 newly satisfied actions in document order, evaluates assertions, and
 decides the run outcome. Executors affect the run only through the events
-they emit, and the engine affects executors only through commands, so a
-simulated run is a deterministic function of (document, seed).
+they emit, and the engine reaches executors only through calls, each traced
+as a ``command`` record, so a simulated run is a deterministic function of
+(document, seed) and its trace is the run's one record of what it did.
 
 A cycle's work grows with what the event touched, not with the document:
 every phase change goes through ``Engine._move``, which marks the actions
 that depend on the changed node for a dependency recheck, keeps per-cluster
-phase counts, and bumps the scope versions that decide whether a state
-assertion needs evaluating again. A cluster's phase and its state
+phase counts, and marks stale the asserting actions whose state
+assertions need evaluating again. A cluster's phase and its state
 assertions are answered from those counts (``CountedScope``), so a child's
 event costs O(1) however many instances the cluster has.
 
@@ -30,7 +31,6 @@ declare metrics start does not matter.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from enum import Enum
 from typing import Optional
 
@@ -85,7 +85,6 @@ from .lifecycle import (
 )
 from .telemetry import AnnotationLog, CheckpointRegistry, MetricsStore
 from .trace import RunTrace
-from .values import Value
 
 GUARD_SLACK = 60.0
 
@@ -104,15 +103,6 @@ class Outcome(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class ReconcileCommand(Value):
-    __slots__ = ("verb", "target", "args")
-
-    def __init__(self, verb: str, target: str, args: Optional[dict] = None):
-        self.verb = verb  # CreateJob | KillJob | InjectFault | RevokeFault | Snapshot | Annotate | Transition | AbortRun
-        self.target = target
-        self.args = {} if args is None else args
 
 
 class Rule:
@@ -261,12 +251,13 @@ class Engine:
         self.dirty: set[int] = set(range(len(doc.actions)))
         self.timed: set[int] = set()  # `after:` timer armed, not yet dispatched
         # Per-cluster child counts by phase slot (see _slot; every child
-        # starts Uninitialized), per-node scope versions, the scope version
-        # each asserting action last evaluated its state assertions against,
-        # and the number of actions not yet terminal.
+        # starts Uninitialized), the stale asserting actions (a job in their
+        # scope changed phase since their state assertions were last
+        # evaluated), each asserting action's place in document order, and
+        # the number of actions not yet terminal.
         self.phase_counts = {name: [instances, 0, 0, 0, 0, 0] for name, instances in plan.clusters.items()}
-        self.scope_version: Counter = Counter()
-        self.state_checked: dict[str, int] = {}
+        self.stale: set[str] = set()
+        self.assert_order = {name: index for index, name in enumerate(self.asserts)}
         self.unfinished = len(doc.actions)
         self.job_specs: dict[str, JobSpec] = {}  # resolved template text -> parsed job
 
@@ -309,12 +300,11 @@ class Engine:
             assertions={name: [t for t, _ in pairs] for name, pairs in self.asserts.items()},
         )
         self.store.watch(self.rules.keys(), self.queue, self.clock)
-        self._move(self.tree, Phase.RUNNING, now, None)
+        self._move(self.tree, Phase.RUNNING, now)
         guard = sum(self.plan.timeouts.values())
         self.queue.push(now + guard + GUARD_SLACK, Event(EventKind.TIME, now + guard + GUARD_SLACK, timer_id="guard"))
 
-        commands: list[ReconcileCommand] = []
-        self._recheck_dispatch(commands)
+        self._recheck_dispatch()
         self._check_completion()
 
         while not self.finished:
@@ -330,39 +320,28 @@ class Engine:
             else:
                 item()  # scheduled executor/timer work; may emit events
 
-    def reconcile(self, event: Event) -> list[ReconcileCommand]:
-        """One reconciliation cycle; returns the commands it issued."""
-        commands: list[ReconcileCommand] = []
+    def reconcile(self, event: Event) -> None:
+        """One reconciliation cycle; what it does is appended to the trace."""
         if self.finished:
-            return commands
+            return
         try:
             if event.kind == EventKind.STATE:
-                self._on_state(event, commands)
+                self._on_state(event)
             elif event.kind == EventKind.TIME:
-                self._on_time(event, commands)
+                self._on_time(event)
             elif event.kind == EventKind.METRICS:
-                self._on_metrics(event, commands)
+                self._on_metrics(event)
             elif event.kind == EventKind.TAG:
-                self._on_tag(event, commands)
+                self._on_tag(event)
             if not self.finished:
-                self._recheck_dispatch(commands)
+                self._recheck_dispatch()
                 self._check_completion()
         except IllegalTransition as exc:
-            self._abort(f"illegal transition: {exc}", commands)
-        return commands
-
-    def fire_tag_event(self, source: str, payload: dict) -> Event:
-        """Enqueue a Tag event carrying contextual data between controllers."""
-        tags = dict(payload)
-        event = Event(EventKind.TAG, self.clock.now(), subject=tags.get("target", ""), tags=tags)
-        if source:
-            event.tags.setdefault("source", source)
-        self.queue.push_event(event)
-        return event
+            self._abort(f"illegal transition: {exc}")
 
     # --- event handlers -----------------------------------------------------
 
-    def _on_state(self, event: Event, commands: list) -> None:
+    def _on_state(self, event: Event) -> None:
         node = self.nodes.get(event.subject)
         if node is None:
             _logger().warning("state event for unknown resource %s", event.subject)
@@ -374,64 +353,64 @@ class Engine:
         if event.phase == Phase.FAILED:
             node.failure_class = event.failure_class or classify_failure(node, event.failure_mode)
             node.failure_reason = event.reason or event.failure_mode or "failed"
-        self._move(node, event.phase, now, commands)
+        self._move(node, event.phase, now)
 
         newly_terminal = [node] if node.phase.terminal else []
         owner = node.owner
         if owner is not None and owner.kind == "cluster" and not owner.phase.terminal:
             agg = self.cluster_phase(owner)
             if phase_order(agg) > phase_order(owner.phase):
-                self._move(owner, agg, now, commands)
+                self._move(owner, agg, now)
                 if owner.phase.terminal:
                     newly_terminal.append(owner)
 
         for done in newly_terminal:
-            self._on_terminal(done, now, commands)
+            self._on_terminal(done, now)
             if self.finished:
                 return
 
-        self._watch_kill_faults(node, now, commands)
+        self._watch_kill_faults(node, now)
         if not self.finished:
-            self._evaluate_state_assertions(now, commands)
+            self._evaluate_state_assertions(now)
 
-    def _on_terminal(self, node: ResourceNode, now: float, commands: list) -> None:
+    def _on_terminal(self, node: ResourceNode, now: float) -> None:
         if node.kind in ("call", "chaos") and node.name in self.annotations.open_labels():
-            self._close_region(node.name, now, commands)
+            self._close_region(node.name, now)
         if node.phase == Phase.FAILED:
             if node.failure_class == FailureClass.UNEXPECTED:
-                self._fail(f"{node.name}: {node.failure_reason or 'unexpected failure'}", commands)
+                self._fail(f"{node.name}: {node.failure_reason or 'unexpected failure'}")
                 return
             # Expected failure: culpable only when it pushed its owner over
             # tolerance, or when it sits at scenario level (tolerance 0).
             owner = node.owner
             if owner is not None and owner.kind == "cluster":
                 if owner.phase == Phase.FAILED:
-                    self._fail(f"{node.name}: expected failure beyond cluster tolerance", commands)
+                    self._fail(f"{node.name}: expected failure beyond cluster tolerance")
                 return
             if owner is self.tree or (owner is not None and owner.kind == "scenario"):
-                self._fail(f"{node.name}: {node.failure_reason or 'failure'} at scenario level", commands)
+                self._fail(f"{node.name}: {node.failure_reason or 'failure'} at scenario level")
             return
         if node.phase == Phase.SUCCESS and node.name in self.asserts:
-            self._evaluate_action_assertions(node.name, now, commands, state=True, metrics=True)
+            self._evaluate_action_assertions(node.name, now, metrics=True)
 
-    def _on_time(self, event: Event, commands: list) -> None:
+    def _on_time(self, event: Event) -> None:
         timer = event.timer_id
         now = event.at
         if timer == "guard":
-            self._abort("timeout: run exceeded its total timeout budget", commands)
+            self._abort("timeout: run exceeded its total timeout budget")
         elif timer.startswith("timeout:"):
             name = timer.split(":", 1)[1]
             node = self.nodes.get(name)
             if node is not None and not node.phase.terminal:
-                self._abort(f"timeout: action {name} did not finish in time", commands)
+                self._abort(f"timeout: action {name} did not finish in time")
         elif timer.startswith("window:"):
-            self._evaluate_rules(now, commands)
+            self._evaluate_rules(now)
         # "after:" timers only need the dispatch recheck that follows.
 
-    def _on_metrics(self, event: Event, commands: list) -> None:
-        self._evaluate_rules(event.at, commands)
+    def _on_metrics(self, event: Event) -> None:
+        self._evaluate_rules(event.at)
 
-    def _on_tag(self, event: Event, commands: list) -> None:
+    def _on_tag(self, event: Event) -> None:
         tags = event.tags
         if tags.get("event") == "fault-revoked":
             action = tags.get("action", "")
@@ -442,16 +421,16 @@ class Engine:
             node = self.nodes.get(action)
             if node is not None and not node.phase.terminal:
                 if action in self.annotations.open_labels():
-                    self._close_region(action, event.at, commands)
-                self._move(node, Phase.SUCCESS, event.at, commands)
-                self._on_terminal(node, event.at, commands)
+                    self._close_region(action, event.at)
+                self._move(node, Phase.SUCCESS, event.at)
+                self._on_terminal(node, event.at)
             return
         if event.subject and event.subject not in self.nodes:
             _logger().warning("tag event for unknown target %s", event.subject)
 
     # --- dispatch -------------------------------------------------------------
 
-    def _recheck_dispatch(self, commands: list) -> None:
+    def _recheck_dispatch(self) -> None:
         """Dispatch every newly satisfied action, in document order.
 
         Only two kinds of action can have become satisfied since they were
@@ -479,7 +458,7 @@ class Engine:
                     continue
                 self.dispatched.add(action.name)
                 self.timed.discard(index)
-                self._dispatch(action, commands)
+                self._dispatch(action)
                 progress = True
                 if self.finished:
                     return
@@ -500,53 +479,53 @@ class Engine:
         due = base + clause.after
         self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"after:{action.name}"))
 
-    def _dispatch(self, action: ActionSpec, commands: list) -> None:
+    def _dispatch(self, action: ActionSpec) -> None:
         now = self.clock.now()
         due = now + self.plan.timeouts[action.name]
         self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
         try:
             if action.kind == "Service":
-                self._dispatch_service(action, now, commands)
+                self._dispatch_service(action, now)
             elif action.kind == "Cluster":
-                self._dispatch_cluster(action, now, commands)
+                self._dispatch_cluster(action, now)
             elif action.kind == "Call":
-                self._dispatch_call(action, now, commands)
+                self._dispatch_call(action, now)
             elif action.kind == "Chaos":
-                self._dispatch_chaos(action, now, commands)
+                self._dispatch_chaos(action, now)
             elif action.kind == "Checkpoint":
-                self._dispatch_checkpoint(action, now, commands)
+                self._dispatch_checkpoint(action, now)
         except (SchemaError, WhatifError) as exc:
-            self._fail(f"{action.name}: {exc}", commands)
+            self._fail(f"{action.name}: {exc}")
         # A live action's assertions: the first look at a metrics window, and
         # at a state scope that may never change again.
         if action.name in self.asserts and self._live(action.name):
-            self._evaluate_action_assertions(action.name, now, commands, state=True, metrics=True)
+            self._evaluate_action_assertions(action.name, now, metrics=True)
 
-    def _dispatch_service(self, action: ActionSpec, now: float, commands: list) -> None:
+    def _dispatch_service(self, action: ActionSpec, now: float) -> None:
         spec = self._resolve_job(action, 0, action.name)
-        self._create_job(spec, now, commands)
+        self._create_job(spec, now)
         self.annotations.point(action.name, now)
-        self._trace_annotation("point", action.name, now, commands)
+        self._trace_annotation("point", action.name, now)
 
-    def _dispatch_cluster(self, action: ActionSpec, now: float, commands: list) -> None:
+    def _dispatch_cluster(self, action: ActionSpec, now: float) -> None:
         node = self.nodes[action.name]
-        self._move(node, Phase.PENDING, now, commands)
+        self._move(node, Phase.PENDING, now)
         for index, child in enumerate(node.children):
             spec = self._resolve_job(action, index, child.name)
-            self._create_job(spec, now, commands)
+            self._create_job(spec, now)
             self.annotations.point(child.name, now)
-            self._trace_annotation("point", child.name, now, commands)
+            self._trace_annotation("point", child.name, now)
 
-    def _dispatch_call(self, action: ActionSpec, now: float, commands: list) -> None:
+    def _dispatch_call(self, action: ActionSpec, now: float) -> None:
         spec = self._resolve_job(action, 0, action.name)
-        self._create_job(spec, now, commands)
+        self._create_job(spec, now)
         self.annotations.open_region(action.name, now)
-        self._trace_annotation("open", action.name, now, commands)
+        self._trace_annotation("open", action.name, now)
 
-    def _dispatch_chaos(self, action: ActionSpec, now: float, commands: list) -> None:
+    def _dispatch_chaos(self, action: ActionSpec, now: float) -> None:
         spec, targets = self.plan.faults[action.name]
         node = self.nodes[action.name]
-        self._move(node, Phase.PENDING, now, commands)
+        self._move(node, Phase.PENDING, now)
         tag = ChaosTag(spec.kind, action.name)
         for target in targets:
             tag_chaos_target(target, tag)
@@ -554,20 +533,18 @@ class Engine:
                 "event", now, event="Tag", subject=target.name,
                 tags={ChaosTag.key: spec.kind, "target": target.name, "source": action.name},
             )
-        command = ReconcileCommand("InjectFault", action.name, {
+        self._trace_command("InjectFault", action.name, now, {
             "kind": spec.kind, "targets": list(spec.targets), "dst": list(spec.dst),
             "direction": spec.direction, "duration": spec.duration,
         })
-        commands.append(command)
-        self._trace_command(command, now)
         try:
             handle = self.executor.inject_fault(action.name, spec)
         except (UnsupportedFault, TargetNotRunning, SpawnError) as exc:
-            self._fail(f"{action.name}: {type(exc).__name__}: {exc}", commands)
+            self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
-        self._move(node, Phase.RUNNING, now, commands)
+        self._move(node, Phase.RUNNING, now)
         self.annotations.open_region(action.name, now)
-        self._trace_annotation("open", action.name, now, commands)
+        self._trace_annotation("open", action.name, now)
         if spec.kind == "kill":
             live = [target for target in dict.fromkeys(targets) if not target.phase.terminal]
             self.kill_watch[action.name] = len(live)
@@ -576,34 +553,30 @@ class Engine:
         else:
             self.active_faults[action.name] = handle
 
-    def _dispatch_checkpoint(self, action: ActionSpec, now: float, commands: list) -> None:
+    def _dispatch_checkpoint(self, action: ActionSpec, now: float) -> None:
         node = self.nodes[action.name]
-        self._move(node, Phase.RUNNING, now, commands)
-        command = ReconcileCommand("Snapshot", action.name, {"keys": list(action.values)})
-        commands.append(command)
-        self._trace_command(command, now)
+        self._move(node, Phase.RUNNING, now)
+        self._trace_command("Snapshot", action.name, now, {"keys": list(action.values)})
         try:
             checkpoint = self.checkpoints.snapshot(
                 action.name, self.plan.checkpoint_exprs.get(action.name, []), self.tree, self.store, now,
             )
         except UnknownMetric as exc:
-            self._fail(f"{action.name}: expression error: unknown metric {exc}", commands)
+            self._fail(f"{action.name}: expression error: unknown metric {exc}")
             return
         self.trace.append(
             "checkpoint", now, name=checkpoint.name,
             values=dict(checkpoint.values),
             phases={name: phase.value for name, phase in checkpoint.phases.items()},
         )
-        self._move(node, Phase.SUCCESS, now, commands)
-        self._on_terminal(node, now, commands)
-        self._evaluate_rules(now, commands, set(self.checkpoint_readers.get(action.name, ())))
+        self._move(node, Phase.SUCCESS, now)
+        self._on_terminal(node, now)
+        self._evaluate_rules(now, set(self.checkpoint_readers.get(action.name, ())))
 
-    def _create_job(self, spec: JobSpec, now: float, commands: list) -> None:
-        command = ReconcileCommand("CreateJob", spec.name, {
+    def _create_job(self, spec: JobSpec, now: float) -> None:
+        self._trace_command("CreateJob", spec.name, now, {
             "command": spec.command, "script_effects": len(spec.script), "metrics": spec.metrics_source,
         })
-        commands.append(command)
-        self._trace_command(command, now)
         try:
             self.executor.start_job(spec)
             self.started.add(spec.name)
@@ -643,29 +616,32 @@ class Engine:
         """Whether the action's assertions are checked: dispatched, not yet terminal."""
         return not self.finished and name in self.dispatched and not self.nodes[name].phase.terminal
 
-    def _evaluate_state_assertions(self, now: float, commands: list) -> None:
-        for name in self.asserts:  # in document order
-            if self._live(name):
-                self._evaluate_action_assertions(name, now, commands, state=True, metrics=False)
+    def _evaluate_state_assertions(self, now: float) -> None:
+        """Evaluate the state assertions of the live stale actions, in document order.
 
-    def _evaluate_action_assertions(self, name: str, now: float, commands: list, state: bool, metrics: bool) -> None:
+        A state assertion reads only its owner's scope, and it held false the
+        last time that scope was seen, so it needs no re-evaluation until a
+        job in the scope changes phase. An action that is not live drops out
+        too: a terminal one is done, and the others are evaluated at dispatch.
+        """
+        stale, self.stale = self.stale, set()
+        for name in sorted(stale, key=self.assert_order.__getitem__):
+            if self._live(name):
+                self._evaluate_action_assertions(name, now, metrics=False)
+
+    def _evaluate_action_assertions(self, name: str, now: float, metrics: bool) -> None:
+        """Evaluate the action's state assertions, and its metrics rules when ``metrics``."""
         node = self.nodes[name]
-        # A state assertion reads only the owner's scope, and it held false
-        # the last time that scope was seen, so it needs no re-evaluation
-        # until a job in the scope changes phase.
-        version = self.scope_version[name]
-        state = state and self.state_checked.get(name) != version
+        self.stale.discard(name)
         for text, item in self.asserts.get(name, []):
             if self.finished:
                 return
             if isinstance(item, Rule):
-                if metrics and self._evaluate_rule(item, now, commands):
+                if metrics and self._evaluate_rule(item, now):
                     return
-            elif state and eval_state(item, self._scope(node)):
-                self._fire(name, text, now, commands)
+            elif eval_state(item, self._scope(node)):
+                self._fire(name, text, now)
                 return
-        if state:
-            self.state_checked[name] = version
 
     def _scope(self, node: ResourceNode) -> CountedScope:
         """The asserting action's scope: a cluster's children, or a leaf action's own job."""
@@ -675,7 +651,7 @@ class Engine:
             counts[_slot(node)] = 1
         return CountedScope(node, counts, self.nodes)
 
-    def _evaluate_rules(self, now: float, commands: list, changed: Optional[set] = None) -> None:
+    def _evaluate_rules(self, now: float, changed: Optional[set] = None) -> None:
         """Evaluate every live rule whose value may have changed, in document order.
 
         Those are the rules in ``changed``, the rules on each metric with new
@@ -691,10 +667,10 @@ class Engine:
         for rule in sorted(changed, key=lambda r: r.order):
             if not self._live(rule.owner):
                 self.armed.discard(rule)  # finished: never evaluated again
-            elif self._evaluate_rule(rule, now, commands):
+            elif self._evaluate_rule(rule, now):
                 return
 
-    def _evaluate_rule(self, rule: Rule, now: float, commands: list) -> bool:
+    def _evaluate_rule(self, rule: Rule, now: float) -> bool:
         """Evaluate one metrics rule at ``now``; True when that failed the run.
 
         A metric no job has declared yet, or a checkpoint not taken yet,
@@ -713,11 +689,11 @@ class Engine:
             fired = alert_holds(rule.ast, self._rule_value(rule, now), self.checkpoints)
         except (UnknownMetric, UnknownCheckpoint, ValueError) as exc:
             if isinstance(exc, ValueError) or self.nodes[rule.owner].phase.terminal:
-                self._fail(f"{rule.owner}: expression error: {type(exc).__name__}: {exc}", commands)
+                self._fail(f"{rule.owner}: expression error: {type(exc).__name__}: {exc}")
                 return True
             fired = False
         if fired:
-            self._fire(rule.owner, rule.text, now, commands)
+            self._fire(rule.owner, rule.text, now)
             return True
         due = rule.window.next_change()
         if due is not None and self._live(rule.owner) and (rule.due is None or due < rule.due):
@@ -729,13 +705,13 @@ class Engine:
     def _rule_value(self, rule: Rule, now: float) -> Optional[float]:
         return rule.window.advance(self.store, now)
 
-    def _fire(self, name: str, text: str, now: float, commands: list) -> None:
+    def _fire(self, name: str, text: str, now: float) -> None:
         self.trace.append("event", now, event="Metrics", subject=name, expr=text, fired=True)
-        self._fail(f"{name}: assertion fired: {text}", commands)
+        self._fail(f"{name}: assertion fired: {text}")
 
     # --- fault bookkeeping -------------------------------------------------------
 
-    def _watch_kill_faults(self, target: ResourceNode, now: float, commands: list) -> None:
+    def _watch_kill_faults(self, target: ResourceNode, now: float) -> None:
         """Count a target that just turned terminal; a kill fault whose count reaches 0 succeeds."""
         if not target.phase.terminal:
             return
@@ -747,9 +723,9 @@ class Engine:
             node = self.nodes[action_name]
             if not node.phase.terminal:
                 if action_name in self.annotations.open_labels():
-                    self._close_region(action_name, now, commands)
-                self._move(node, Phase.SUCCESS, now, commands)
-                self._on_terminal(node, now, commands)
+                    self._close_region(action_name, now)
+                self._move(node, Phase.SUCCESS, now)
+                self._on_terminal(node, now)
 
     # --- outcome ----------------------------------------------------------------
 
@@ -767,65 +743,59 @@ class Engine:
             self.reason = f"{failed.name}: {failed.failure_reason or 'failed'}"
         self.finished = True
 
-    def _fail(self, reason: str, commands: list) -> None:
+    def _fail(self, reason: str) -> None:
         if self.finished:
             return
         self.outcome = Outcome.FAILED
         self.reason = reason
         self.finished = True
-        command = ReconcileCommand("AbortRun", self.doc.name, {"outcome": "Failed", "reason": reason})
-        commands.append(command)
-        self._trace_command(command, self.clock.now())
+        self._trace_command("AbortRun", self.doc.name, self.clock.now(), {"outcome": "Failed", "reason": reason})
 
-    def _abort(self, reason: str, commands: Optional[list] = None) -> None:
+    def _abort(self, reason: str) -> None:
         if self.finished:
             return
         self.outcome = Outcome.ABORTED
         self.reason = reason
         self.finished = True
-        command = ReconcileCommand("AbortRun", self.doc.name, {"outcome": "Aborted", "reason": reason})
-        if commands is not None:
-            commands.append(command)
-        self._trace_command(command, self.clock.now())
+        self._trace_command("AbortRun", self.doc.name, self.clock.now(), {"outcome": "Aborted", "reason": reason})
 
     def _finalize(self) -> None:
         now = self.clock.now()
         for action_name, handle in list(self.active_faults.items()):
-            command = ReconcileCommand("RevokeFault", action_name, {})
-            self._trace_command(command, now)
+            self._trace_command("RevokeFault", action_name, now)
             try:
                 self.executor.revoke_fault(handle)
             except UnknownHandle:
                 pass
             self.active_faults.pop(action_name, None)
         for label in self.annotations.open_labels():
-            self._close_region(label, now, None)
+            self._close_region(label, now)
         for node in iter_nodes(self.tree):
             if node.name in self.started and not node.phase.terminal:
-                command = ReconcileCommand("KillJob", node.name, {})
-                self._trace_command(command, now)
+                self._trace_command("KillJob", node.name, now)
                 self.executor.kill_job(node.name)
         self.executor.shutdown()
         if not self.tree.phase.terminal and self.outcome in (Outcome.SUCCESS, Outcome.FAILED):
             target = Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED
-            self._move(self.tree, target, now, None)
+            self._move(self.tree, target, now)
         self.trace.append("outcome", now, outcome=self.outcome.value, reason=self.reason)
 
     # --- phase changes ---------------------------------------------------------------
 
-    def _move(self, node: ResourceNode, target: Phase, at: float, commands: Optional[list]) -> None:
+    def _move(self, node: ResourceNode, target: Phase, at: float) -> None:
         """Advance ``node`` to ``target``: the one place where a phase changes.
 
         Traces each hop, then updates what depends on phases: the dependents
         to recheck, the owner cluster's child counts, the unfinished-action
-        count, and the scope versions of the node and its ancestors.
+        count, and the stale set, which gains the node and its ancestors
+        that hold assertions.
         """
         slot = _slot(node)
         hops = advance_to(node, target, at)
         if not hops:
             return
         for phase in hops:
-            self._trace_transition(node, phase, commands)
+            self._trace_transition(node, phase)
         owner = node.owner
         if owner is not None and owner.kind == "cluster":
             counts = self.phase_counts[owner.name]
@@ -835,7 +805,8 @@ class Engine:
             self.unfinished -= 1
         self.dirty.update(self.plan.dependents.get(node.name, ()))
         while node is not None:
-            self.scope_version[node.name] += 1
+            if node.name in self.asserts:
+                self.stale.add(node.name)
             node = node.owner
 
     def cluster_phase(self, cluster: ResourceNode) -> Phase:
@@ -847,7 +818,7 @@ class Engine:
 
     # --- trace helpers -------------------------------------------------------------
 
-    def _trace_transition(self, node: ResourceNode, phase: Phase, commands: Optional[list] = None) -> None:
+    def _trace_transition(self, node: ResourceNode, phase: Phase) -> None:
         at = node.phase_times.get(phase, self.clock.now())
         data = {"subject": node.name, "to": phase.value}
         if phase == Phase.FAILED:
@@ -856,21 +827,18 @@ class Engine:
             if node.failure_reason:
                 data["reason"] = node.failure_reason
         self.trace.append("transition", at, **data)
-        if commands is not None:
-            commands.append(ReconcileCommand("Transition", node.name, {"to": phase.value}))
 
-    def _trace_command(self, command: ReconcileCommand, at: float) -> None:
-        self.trace.append("command", at, verb=command.verb, target=command.target, args=command.args)
+    def _trace_command(self, verb: str, target: str, at: float, args: Optional[dict] = None) -> None:
+        """Record one call into the executor, or the run's abort."""
+        self.trace.append("command", at, verb=verb, target=target, args={} if args is None else args)
 
-    def _trace_annotation(self, action: str, label: str, at: float, commands: Optional[list], **extra) -> None:
+    def _trace_annotation(self, action: str, label: str, at: float, **extra) -> None:
         kind = "Point" if action == "point" else "Region"
         self.trace.append("annotation", at, action=action, label=label, ann_kind=kind, **extra)
-        if commands is not None:
-            commands.append(ReconcileCommand("Annotate", label, {"action": action}))
 
-    def _close_region(self, label: str, at: float, commands: Optional[list]) -> None:
+    def _close_region(self, label: str, at: float) -> None:
         region = self.annotations.close_region(label, at)
-        self._trace_annotation("close", label, at, commands, start=region.start, end=region.end)
+        self._trace_annotation("close", label, at, start=region.start, end=region.end)
 
 
 class CountedScope:

@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..durations import parse_duration
-from ..errors import SchemaError
+from ..errors import SchemaError, UnknownHandle
+from ..events import Event, EventKind
 from ..lifecycle import Phase
 from ..values import FrozenValue, Value
 
@@ -102,14 +103,20 @@ class FaultSpec(Value):
 
 
 class Executor:
-    """Backend interface; the engine drives it exclusively via commands.
+    """Backend interface: the engine calls it, and it answers through events.
 
-    Concrete executors emit State events (and for reconciliation-relevant
-    fault bookkeeping, Tag events) into the queue they are bound to, and
-    ingest metric points straight into the bound store.
+    Concrete executors emit State events into the queue they are bound to,
+    and a ``fault-revoked`` Tag event when a fault ends, and they ingest
+    metric points straight into the bound store. The fault bookkeeping is
+    shared: a fault's handle is its action's name, ``faults`` holds the
+    faults still in effect (a kill is over once injected), and one with a
+    duration is revoked when the duration elapses, unless revoked before.
     """
 
     name = "abstract"
+
+    def __init__(self):
+        self.faults: dict[str, FaultSpec] = {}  # handle -> fault in effect
 
     def bind(self, queue, clock, store) -> None:
         self.queue = queue
@@ -126,13 +133,44 @@ class Executor:
         raise NotImplementedError
 
     def revoke_fault(self, handle: str) -> None:
-        raise NotImplementedError
+        """End a fault in effect: undo it, then report its end."""
+        spec = self.faults.pop(handle, None)
+        if spec is None:
+            raise UnknownHandle(handle)
+        self._lift(spec)
+        self.queue.push_event(Event(
+            EventKind.TAG, self.clock.now(),
+            subject=handle,
+            tags={"event": "fault-revoked", "action": handle, "fault": spec.kind, "targets": ",".join(spec.targets)},
+        ))
 
     def supports_fault(self, kind: str) -> bool:
         raise NotImplementedError
 
     def shutdown(self) -> None:
         pass
+
+    def _lift(self, spec: FaultSpec) -> None:
+        """Undo a revoked fault's effect on its targets."""
+        raise NotImplementedError
+
+    def _record_fault(self, action: str, spec: FaultSpec) -> str:
+        """Record a fault just injected for ``action``; return its handle."""
+        if spec.kind != "kill":
+            self.faults[action] = spec
+            if spec.duration is not None:
+                self.queue.push(self.clock.now() + spec.duration, lambda: self._auto_revoke(action))
+        return action
+
+    def _auto_revoke(self, handle: str) -> None:
+        if handle in self.faults:
+            self.revoke_fault(handle)
+
+    def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
+        self.queue.push_event(Event(
+            EventKind.STATE, self.clock.now(),
+            subject=name, phase=phase, failure_mode=mode, reason=reason,
+        ))
 
 
 def _parse_effect(raw, index: int) -> SimEffect:

@@ -14,8 +14,7 @@ import signal
 import subprocess
 import threading
 
-from ..errors import SpawnError, TargetNotRunning, UnknownHandle, UnsupportedFault
-from ..events import Event, EventKind
+from ..errors import SpawnError, TargetNotRunning, UnsupportedFault
 from ..lifecycle import Phase
 from ..telemetry import MetricPoint
 from .base import Executor, FaultSpec, JobSpec
@@ -25,9 +24,9 @@ class ProcessExecutor(Executor):
     name = "process"
 
     def __init__(self):
+        super().__init__()
         self.procs: dict[str, subprocess.Popen] = {}
         self.threads: list[threading.Thread] = []
-        self.faults: dict[str, dict] = {}
         self._fault_killed: set = set()
         self._engine_killed: set = set()
         self._lock = threading.Lock()
@@ -110,49 +109,21 @@ class ProcessExecutor(Executor):
             proc = self.procs.get(target)
             if proc is None or proc.poll() is not None:
                 raise TargetNotRunning(target)
-        handle = action
-        fault = {"spec": spec, "action": action, "active": True}
-        self.faults[handle] = fault
         if spec.kind == "kill":
             for target in spec.targets:
                 with self._lock:
                     self._fault_killed.add(target)
                 self.procs[target].kill()
-            fault["active"] = False
         else:  # suspend
             for target in spec.targets:
                 self.procs[target].send_signal(signal.SIGSTOP)
-            if spec.duration is not None:
-                due = self.clock.now() + spec.duration
-                self.queue.push(due, lambda: self._auto_revoke(handle))
-        return handle
+        return self._record_fault(action, spec)
 
-    def revoke_fault(self, handle: str) -> None:
-        fault = self.faults.get(handle)
-        if fault is None or not fault["active"]:
-            raise UnknownHandle(handle)
-        fault["active"] = False
-        spec: FaultSpec = fault["spec"]
-        if spec.kind == "suspend":
-            for target in spec.targets:
-                proc = self.procs.get(target)
-                if proc is not None and proc.poll() is None:
-                    proc.send_signal(signal.SIGCONT)
-        self.queue.push_event(Event(
-            EventKind.TAG, self.clock.now(),
-            subject=fault["action"],
-            tags={
-                "event": "fault-revoked",
-                "action": fault["action"],
-                "fault": spec.kind,
-                "targets": ",".join(spec.targets),
-            },
-        ))
-
-    def _auto_revoke(self, handle: str) -> None:
-        fault = self.faults.get(handle)
-        if fault is not None and fault["active"]:
-            self.revoke_fault(handle)
+    def _lift(self, spec: FaultSpec) -> None:
+        for target in spec.targets:  # a suspend: a kill is never in effect
+            proc = self.procs.get(target)
+            if proc is not None and proc.poll() is None:
+                proc.send_signal(signal.SIGCONT)
 
     # --- plumbing ------------------------------------------------------------
 
@@ -164,9 +135,3 @@ class ProcessExecutor(Executor):
                 proc.kill()
         for thread in self.threads:
             thread.join(timeout=2.0)
-
-    def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
-        self.queue.push_event(Event(
-            EventKind.STATE, self.clock.now(),
-            subject=name, phase=phase, failure_mode=mode, reason=reason,
-        ))

@@ -10,10 +10,8 @@ emissions scheduled inside the window.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..errors import SpawnError, TargetNotRunning, UnknownHandle, UnsupportedFault
-from ..events import Event, EventKind
+from ..errors import SpawnError, TargetNotRunning, UnsupportedFault
+from ..events import Event
 from ..lifecycle import Phase
 from ..telemetry import MetricPoint
 from .base import Executor, FaultSpec, JobSpec
@@ -51,9 +49,8 @@ class SimExecutor(Executor):
     name = "sim"
 
     def __init__(self):
+        super().__init__()
         self.jobs: dict[str, _SimJob] = {}
-        self.faults: dict[str, dict] = {}
-        self.partitions: dict[str, FaultSpec] = {}
 
     # --- jobs -----------------------------------------------------------
 
@@ -91,9 +88,6 @@ class SimExecutor(Executor):
             job = self.jobs.get(target)
             if job is None or job.finished or job.phase != Phase.RUNNING:
                 raise TargetNotRunning(target)
-        handle = action
-        fault = {"spec": spec, "action": action, "active": True}
-        self.faults[handle] = fault
         if spec.kind == "kill":
             for target in spec.targets:
                 job = self.jobs[target]
@@ -101,50 +95,17 @@ class SimExecutor(Executor):
                 job.token += 1
                 job.phase = Phase.FAILED
                 self._emit(target, Phase.FAILED, mode="kill", reason=f"killed by {action}")
-            fault["active"] = False  # nothing left to revoke
         elif spec.kind == "suspend":
             for target in spec.targets:
                 self.jobs[target].suspended = True
-            self._arm_auto_revoke(handle, spec.duration)
-        else:  # partition
-            self.partitions[handle] = spec
-            self._arm_auto_revoke(handle, spec.duration)
-        return handle
+        return self._record_fault(action, spec)  # a partition acts through `faults`
 
-    def revoke_fault(self, handle: str) -> None:
-        fault = self.faults.get(handle)
-        if fault is None or not fault["active"]:
-            raise UnknownHandle(handle)
-        fault["active"] = False
-        spec: FaultSpec = fault["spec"]
+    def _lift(self, spec: FaultSpec) -> None:
         if spec.kind == "suspend":
             for target in spec.targets:
                 job = self.jobs.get(target)
                 if job is not None and not job.finished:
                     self._resume(job)
-        elif spec.kind == "partition":
-            self.partitions.pop(handle, None)
-        self.queue.push_event(Event(
-            EventKind.TAG, self.clock.now(),
-            subject=fault["action"],
-            tags={
-                "event": "fault-revoked",
-                "action": fault["action"],
-                "fault": spec.kind,
-                "targets": ",".join(spec.targets),
-            },
-        ))
-
-    def _arm_auto_revoke(self, handle: str, duration: Optional[float]) -> None:
-        if duration is None:
-            return
-        due = self.clock.now() + duration
-        self.queue.push(due, lambda: self._auto_revoke(handle))
-
-    def _auto_revoke(self, handle: str) -> None:
-        fault = self.faults.get(handle)
-        if fault is not None and fault["active"]:
-            self.revoke_fault(handle)
 
     # --- effect chain -----------------------------------------------------------
 
@@ -232,7 +193,9 @@ class SimExecutor(Executor):
 
     def _dropped(self, src: str, dst: str) -> bool:
         # direction "to": source->dst delivered, dst->source dropped.
-        for spec in self.partitions.values():
+        for spec in self.faults.values():
+            if spec.kind != "partition":
+                continue
             if spec.direction in ("to", "both") and src in spec.dst and dst in spec.targets:
                 return True
             if spec.direction in ("from", "both") and src in spec.targets and dst in spec.dst:
@@ -240,12 +203,6 @@ class SimExecutor(Executor):
         return False
 
     # --- plumbing ---------------------------------------------------------------------
-
-    def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
-        self.queue.push_event(Event(
-            EventKind.STATE, self.clock.now(),
-            subject=name, phase=phase, failure_mode=mode, reason=reason,
-        ))
 
     def advance_to(self, to: float) -> list[Event]:
         """Harness mode: fire everything due through ``to``, in (time, seq) order.

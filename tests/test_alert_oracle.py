@@ -135,9 +135,9 @@ def test_expiry_when_stamp_and_window_cancel():
 class BruteRules(Engine):
     """Oracle: every live rule, by brute force over the store, wherever the engine evaluates rules."""
 
-    def _evaluate_rules(self, now, commands, changed=None):
+    def _evaluate_rules(self, now, changed=None):
         every = {item for pairs in self.asserts.values() for _, item in pairs if isinstance(item, Rule)}
-        super()._evaluate_rules(now, commands, every)
+        super()._evaluate_rules(now, every)
 
     def _rule_value(self, rule, now):
         super()._rule_value(rule, now)  # keeps the rule's window timers as the engine has them
@@ -155,16 +155,16 @@ class TickReference(Engine):
             return eval_reducer(rule.ast, self.store, now)
         return None
 
-    def _on_time(self, event, commands):
+    def _on_time(self, event):
         if event.timer_id != "tick":
-            super()._on_time(event, commands)
+            super()._on_time(event)
             return
         self.tick_armed = False
         self.ticking = True
         try:
             for name in self.asserts:
                 if self._live(name):
-                    self._evaluate_action_assertions(name, event.at, commands, state=True, metrics=True)
+                    self._evaluate_action_assertions(name, event.at, metrics=True)
         finally:
             self.ticking = False
 

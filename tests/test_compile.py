@@ -4,7 +4,8 @@
 macro or a state assertion costs the same in a document of any size, and
 the engine reads each template text, fault and expression from the plan
 instead of deriving it again. A kill fault counts its targets that are not
-yet terminal, so a wide kill costs O(1) per target event. The scaling
+yet terminal, so a wide kill costs O(1) per target event, and an event
+re-evaluates only the state assertions whose scope it changed. The scaling
 checks count operations (`conftest.count_operations`), not wall time.
 """
 
@@ -73,6 +74,18 @@ def test_wide_kill_work_per_event_does_not_grow_with_the_cluster():
         total[n], per_event[n] = ops, ops / events
     assert per_event[400] <= 1.1 * per_event[200], per_event
     assert total[400] <= 2.3 * total[200], total
+
+
+def test_state_assertion_work_per_event_does_not_grow_with_the_chain():
+    """An event re-evaluates only the state assertions whose scope it changed,
+    not every asserting action of the document."""
+    per_event = {}
+    for n in (250, 1000):
+        doc, templates = chain(n, "assertion")
+        result, ops = count_operations(lambda: run_scenario(doc, templates, default_timeout=1e6))
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+        per_event[n] = ops / sum(1 for r in result.trace if r.kind == "event")
+    assert per_event[1000] <= 1.1 * per_event[250], per_event
 
 
 def test_engine_compiles_each_expression_and_template_once(monkeypatch):

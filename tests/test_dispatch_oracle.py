@@ -28,7 +28,7 @@ class CheckedEngine(Engine):
     """The engine under test, checking its phase counts after each cycle."""
 
     def reconcile(self, event):
-        commands = super().reconcile(event)
+        super().reconcile(event)
         for name in self.phase_counts:
             cluster = self.nodes[name]
             expected = aggregate_phase([(c.phase, c.failure_class) for c in cluster.children], cluster.tolerated)
@@ -42,13 +42,12 @@ class CheckedEngine(Engine):
                 if subject is not None:
                     assert counted.phase_of(subject) is snapshot.phase_of(subject), (name, subject)
             assert counted.aggregate() is snapshot.aggregate(), name
-        return commands
 
 
 class FullScanEngine(CheckedEngine):
     """Oracle: a full dependency scan and every state assertion, every cycle."""
 
-    def _recheck_dispatch(self, commands):
+    def _recheck_dispatch(self):
         progress = True
         while progress and not self.finished:
             progress = False
@@ -59,14 +58,15 @@ class FullScanEngine(CheckedEngine):
                     self._maybe_arm_after(action, index)
                     continue
                 self.dispatched.add(action.name)
-                self._dispatch(action, commands)
+                self._dispatch(action)
                 progress = True
                 if self.finished:
                     return
 
-    def _evaluate_action_assertions(self, name, now, commands, state, metrics):
-        self.state_checked.clear()
-        super()._evaluate_action_assertions(name, now, commands, state, metrics)
+    def _evaluate_state_assertions(self, now):
+        for name in self.asserts:  # in document order
+            if self._live(name):
+                self._evaluate_action_assertions(name, now, metrics=False)
 
     def _scope(self, node):
         return snapshot_scope(node)

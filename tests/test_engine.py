@@ -19,8 +19,18 @@ def nodes(tree):
     return {n.name: n for n in iter_nodes(tree)}
 
 
-def dispatch_commands(commands):
-    return [(c.verb, c.target) for c in commands if c.verb in ("CreateJob", "InjectFault")]
+def cycle(engine, event):
+    """Run one reconciliation cycle; return the trace records it appended."""
+    start = len(engine.trace)
+    engine.reconcile(event)
+    return engine.trace.records[start:]
+
+
+def dispatch_commands(records):
+    return [
+        (r.data["verb"], r.data["target"]) for r in records
+        if r.kind == "command" and r.data["verb"] in ("CreateJob", "InjectFault")
+    ]
 
 
 class TestReconcileExamples:
@@ -31,47 +41,43 @@ class TestReconcileExamples:
         doc, templates = partition_demo
         engine = Engine(doc, templates)
         # Initial cycle dispatches the dependency-free cluster.
-        first = engine.reconcile(Event(EventKind.TIME, 0.0, timer_id="start"))
+        first = cycle(engine, Event(EventKind.TIME, 0.0, timer_id="start"))
         assert dispatch_commands(first) == [("CreateJob", f"masters-{i}") for i in range(4)]
         return engine
 
     def drive_to_running(self, engine, names, at=0.0):
-        commands = []
+        records = []
         for name in names:
             engine.reconcile(state_event(name, Phase.PENDING, at))
-            commands = engine.reconcile(state_event(name, Phase.RUNNING, at))
-        return commands
+            records = cycle(engine, state_event(name, Phase.RUNNING, at))
+        return records
 
     def test_masters_running_creates_boot(self, engine):
-        commands = self.drive_to_running(engine, [f"masters-{i}" for i in range(4)])
-        assert ("CreateJob", "boot") in dispatch_commands(commands)
+        records = self.drive_to_running(engine, [f"masters-{i}" for i in range(4)])
+        assert ("CreateJob", "boot") in dispatch_commands(records)
 
     def test_time_event_with_no_waiting_timers(self, engine):
-        commands = engine.reconcile(Event(EventKind.TIME, 0.0, timer_id="nothing-waits"))
-        assert commands == []
+        assert cycle(engine, Event(EventKind.TIME, 0.0, timer_id="nothing-waits")) == []
 
     def test_wait_success_dispatches_two_in_document_order(self, engine):
         self.drive_to_running(engine, [f"masters-{i}" for i in range(4)])
         for call in ("boot", "import-workload", "wait-for-3x-replication"):
             engine.reconcile(state_event(call, Phase.PENDING))
             engine.reconcile(state_event(call, Phase.RUNNING))
-            commands = engine.reconcile(state_event(call, Phase.SUCCESS))
-        assert dispatch_commands(commands) == [
+            records = cycle(engine, state_event(call, Phase.SUCCESS))
+        assert dispatch_commands(records) == [
             ("CreateJob", "run-workload"),
             ("InjectFault", "partition0"),
         ]
 
     def test_tag_event_for_unknown_target_changes_nothing(self, engine):
         before = {n: node.phase for n, node in engine.nodes.items()}
-        event = engine.fire_tag_event("chaos-controller", {"target": "ghost-7", "x": "1"})
-        assert event.kind is EventKind.TAG
-        commands = engine.reconcile(event)
-        assert commands == []
+        tags = {"target": "ghost-7", "x": "1", "source": "chaos-controller"}
+        assert cycle(engine, Event(EventKind.TAG, 0.0, subject="ghost-7", tags=tags)) == []
         assert {n: node.phase for n, node in engine.nodes.items()} == before
 
     def test_empty_tag_payload_is_legal(self, engine):
-        event = engine.fire_tag_event("", {})
-        assert engine.reconcile(event) == []
+        assert cycle(engine, Event(EventKind.TAG, 0.0)) == []
 
 
 class TestDependencySatisfied:

@@ -9,7 +9,6 @@ instance its own.
 import pytest
 
 from whatif.dsl import ActionSpec, DependsClause, ScenarioDefaults, ScenarioDoc, Template, ValidationReport
-from whatif.engine import ReconcileCommand
 from whatif.errors import Finding
 from whatif.events import Event, EventKind
 from whatif.executors.base import FaultSpec, JobSpec, SimEffect
@@ -82,7 +81,6 @@ UNHASHABLE = {
     ),
     Template: (lambda: ("t", {"p": None}, "x"), lambda: ("u", {}, "y")),
     ValidationReport: (lambda: ([Finding("error", "a", "m")],), lambda: ([],)),
-    ReconcileCommand: (lambda: ("CreateJob", "a", {"x": 1}), lambda: ("KillJob", "b", {})),
 }
 
 CASES = {**HASHABLE, **UNHASHABLE}
@@ -141,7 +139,6 @@ MUTABLE_DEFAULTS = [
     (Template, ("t",)),
     (ValidationReport, ()),
     (TraceRecord, (0, 0.0, "run")),
-    (ReconcileCommand, ("KillJob", "a")),
 ]
 
 
