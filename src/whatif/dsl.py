@@ -42,6 +42,7 @@ from .errors import (
     UnknownCluster,
     UnknownParameter,
 )
+from .executors.base import parse_fault_body, parse_job_body
 from .expressions import MetricsExprAst, check_scope, parse_expression
 from .lifecycle import ResourceNode
 from .values import Value
@@ -575,17 +576,18 @@ class Plan:
     cluster to its instance count. Keyed by action name, in document order:
     ``asserts`` holds an action's parsed (text, ast) assertions,
     ``checkpoint_exprs`` a Checkpoint's (key, ast) values, ``texts`` a
-    templated action's instantiated text per inputs map, ``faults`` a Chaos
-    action's resolved FaultSpec with its target nodes, ``timeouts`` every
-    action's effective timeout, and ``dependents`` the indexes of the
-    actions whose ``depends`` names it. All of it is complete only when
-    ``report.ok``. The tree's nodes carry a run's phases, so a plan serves
-    one run.
+    templated action's instantiated text per inputs map, ``jobs`` a Service,
+    Cluster or Call's JobSpec per inputs map (one for an inline body; equal
+    texts share one), ``faults`` a Chaos action's resolved FaultSpec with
+    its target nodes, ``timeouts`` every action's effective timeout, and
+    ``dependents`` the indexes of the actions whose ``depends`` names it.
+    All of it is complete only when ``report.ok``. The tree's nodes carry a
+    run's phases, so a plan serves one run.
     """
 
     __slots__ = (
         "report", "tree", "nodes", "clusters", "asserts", "checkpoint_exprs",
-        "texts", "faults", "timeouts", "dependents",
+        "texts", "jobs", "faults", "timeouts", "dependents",
     )
 
     def __init__(self, tree: ResourceNode):
@@ -596,6 +598,7 @@ class Plan:
         self.asserts: dict[str, list] = {}
         self.checkpoint_exprs: dict[str, list] = {}
         self.texts: dict[str, list[str]] = {}
+        self.jobs: dict[str, list] = {}
         self.faults: dict[str, tuple] = {}
         self.timeouts: dict[str, Optional[float]] = {}
         self.dependents: dict[str, list[int]] = {}
@@ -654,12 +657,11 @@ def compile_scenario(
 
     The plan's report holds every static check that keeps a run
     well-formed: dependency cycles, dangling references (depends,
-    templateRef, macros, chaos targets, checkpoints), names used twice,
-    expression errors with scope violations, cluster tolerance bounds, and
-    actions that could block forever when no timeout applies at any level.
+    templateRef, macros, chaos targets, checkpoints), names used twice, job
+    and fault bodies that do not parse, expression errors with scope
+    violations, cluster tolerance bounds, and actions that could block
+    forever when no timeout applies at any level.
     """
-    from .executors.base import parse_fault_body
-
     templates = templates or {}
     plan = Plan(ResourceNode(doc.name, kind="scenario"))
     findings = plan.report.findings
@@ -691,9 +693,10 @@ def compile_scenario(
 
     checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
     scenario_timeout = default_timeout if doc.defaults.timeout is None else doc.defaults.timeout
+    parsed: dict = {}  # instantiated job text -> its JobSpec, across actions
     for action, node in zip(doc.actions, action_nodes):
         plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
-        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parse_fault_body))
+        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed))
 
     if default_timeout is None and doc.defaults.timeout is None:
         for action in doc.actions:
@@ -722,7 +725,7 @@ def _required_template(action: ActionSpec) -> Optional[str]:
     return None
 
 
-def _compile_action(plan, action, node, templates, checkpoints, parse_fault_body) -> list[Finding]:
+def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[Finding]:
     findings: list[Finding] = []
     name = action.name
 
@@ -750,6 +753,20 @@ def _compile_action(plan, action, node, templates, checkpoints, parse_fault_body
                     break
                 except (SchemaError, UnknownCluster, IndexOutOfRange):
                     break  # a bad services macro, reported with the call's targets below
+
+    if action.kind in ("Service", "Cluster", "Call"):
+        specs = plan.jobs[name] = []
+        try:
+            if action.inline_job is not None:
+                specs.append(parse_job_body(action.inline_job))
+            for text in texts:
+                if text not in parsed:
+                    parsed[text] = parse_job_body(load_yaml(text))
+                specs.append(parsed[text])
+        except yaml.YAMLError as exc:
+            findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
+        except SchemaError as exc:
+            findings.append(Finding("error", name, str(exc)))
 
     if action.kind == "Call":
         for target in action.services:

@@ -34,8 +34,6 @@ import heapq
 from enum import Enum
 from typing import Optional
 
-import yaml
-
 from .dsl import (
     ENGINE_DEFAULT_TIMEOUT,
     ActionSpec,
@@ -43,23 +41,20 @@ from .dsl import (
     compile_scenario,
     expand_targets,  # unused here; bench/tracer.py wraps it on this module
     instantiate_template,  # unused here; bench/tracer.py wraps it on this module
-    load_yaml,
     validate,  # unused here; bench/tracer.py wraps it on this module
 )
 from .errors import (
     InvalidScenario,
     IllegalTransition,
-    SchemaError,
     SpawnError,
     TargetNotRunning,
     UnknownCheckpoint,
     UnknownHandle,
     UnknownMetric,
     UnsupportedFault,
-    WhatifError,
 )
 from .events import Event, EventKind, EventQueue, SimClock, WallClock
-from .executors.base import Executor, JobSpec, parse_job_body
+from .executors.base import Executor, JobSpec
 from .expressions import (
     MetricsExprAst,
     WindowAggregate,
@@ -70,7 +65,6 @@ from .expressions import (
     snapshot_scope,  # unused here; bench/tracer.py wraps it on this module
 )
 from .lifecycle import (
-    ChaosTag,
     FailureClass,
     Phase,
     ResourceNode,
@@ -80,10 +74,8 @@ from .lifecycle import (
     find_node,  # unused here; bench/tracer.py wraps it on this module
     iter_nodes,
     phase_order,
-    revoke_chaos_tag,
-    tag_chaos_target,
 )
-from .telemetry import AnnotationLog, CheckpointRegistry, MetricsStore
+from .telemetry import CheckpointRegistry, MetricsStore
 from .trace import RunTrace
 
 GUARD_SLACK = 60.0
@@ -130,9 +122,9 @@ class Rule:
 
 
 class RunResult:
-    """What a run returns: its outcome, trace, metrics, checkpoints and annotations."""
+    """What a run returns: its outcome, trace, metrics and checkpoints."""
 
-    __slots__ = ("outcome", "reason", "trace", "store", "checkpoints", "annotations")
+    __slots__ = ("outcome", "reason", "trace", "store", "checkpoints")
 
     def __init__(
         self,
@@ -141,14 +133,12 @@ class RunResult:
         trace: RunTrace,
         store: Optional[MetricsStore] = None,
         checkpoints: Optional[CheckpointRegistry] = None,
-        annotations: Optional[AnnotationLog] = None,
     ):
         self.outcome = outcome
         self.reason = reason
         self.trace = trace
         self.store = MetricsStore() if store is None else store
         self.checkpoints = CheckpointRegistry() if checkpoints is None else checkpoints
-        self.annotations = AnnotationLog() if annotations is None else annotations
 
 
 def ready_since(clause, nodes: dict) -> Optional[float]:
@@ -188,8 +178,8 @@ def dependency_satisfied(clause, nodes: dict, clock) -> bool:
 class Engine:
     """Runs one scenario to completion over a bound executor.
 
-    The document is compiled once (``compile_scenario``): every name, template
-    text, fault and expression the run needs is read from that plan.
+    The document is compiled once (``compile_scenario``): every name, job,
+    fault and expression the run needs is read from that plan.
     """
 
     def __init__(
@@ -219,7 +209,7 @@ class Engine:
         self.trace = RunTrace()
         self.store = MetricsStore()
         self.checkpoints = CheckpointRegistry()
-        self.annotations = AnnotationLog()
+        self.regions: dict[str, float] = {}  # open region label -> start; the trace records the rest
         self.executor.bind(self.queue, self.clock, self.store)
 
         self.tree = plan.tree
@@ -259,7 +249,6 @@ class Engine:
         self.stale: set[str] = set()
         self.assert_order = {name: index for index, name in enumerate(self.asserts)}
         self.unfinished = len(doc.actions)
-        self.job_specs: dict[str, JobSpec] = {}  # resolved template text -> parsed job
 
         self.dispatched: set = set()
         self.started: set = set()  # jobs whose start_job returned
@@ -286,10 +275,7 @@ class Engine:
             raise
         finally:
             self._finalize()
-        return RunResult(
-            self.outcome, self.reason, self.trace,
-            store=self.store, checkpoints=self.checkpoints, annotations=self.annotations,
-        )
+        return RunResult(self.outcome, self.reason, self.trace, store=self.store, checkpoints=self.checkpoints)
 
     def _loop(self) -> None:
         now = self.clock.now()
@@ -351,7 +337,7 @@ class Engine:
         now = event.at
 
         if event.phase == Phase.FAILED:
-            node.failure_class = event.failure_class or classify_failure(node, event.failure_mode)
+            node.failure_class = classify_failure(node, event.failure_mode)
             node.failure_reason = event.reason or event.failure_mode or "failed"
         self._move(node, event.phase, now)
 
@@ -374,8 +360,7 @@ class Engine:
             self._evaluate_state_assertions(now)
 
     def _on_terminal(self, node: ResourceNode, now: float) -> None:
-        if node.kind in ("call", "chaos") and node.name in self.annotations.open_labels():
-            self._close_region(node.name, now)
+        self._close_region(node.name, now)
         if node.phase == Phase.FAILED:
             if node.failure_class == FailureClass.UNEXPECTED:
                 self._fail(f"{node.name}: {node.failure_reason or 'unexpected failure'}")
@@ -411,22 +396,19 @@ class Engine:
         self._evaluate_rules(event.at)
 
     def _on_tag(self, event: Event) -> None:
+        """A fault ended (``fault-revoked``, the one Tag an executor emits): its action succeeds."""
         tags = event.tags
-        if tags.get("event") == "fault-revoked":
-            action = tags.get("action", "")
-            self.active_faults.pop(action, None)
-            for target in [t for t in tags.get("targets", "").split(",") if t]:
-                if target in self.nodes:
-                    revoke_chaos_tag(self.nodes[target])
-            node = self.nodes.get(action)
-            if node is not None and not node.phase.terminal:
-                if action in self.annotations.open_labels():
-                    self._close_region(action, event.at)
-                self._move(node, Phase.SUCCESS, event.at)
-                self._on_terminal(node, event.at)
+        if tags.get("event") != "fault-revoked":
             return
-        if event.subject and event.subject not in self.nodes:
-            _logger().warning("tag event for unknown target %s", event.subject)
+        action = tags["action"]
+        self.active_faults.pop(action, None)
+        for target in self.plan.faults[action][1]:
+            target.chaos = None
+        node = self.nodes[action]
+        if not node.phase.terminal:
+            self._close_region(action, event.at)
+            self._move(node, Phase.SUCCESS, event.at)
+            self._on_terminal(node, event.at)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -483,55 +465,45 @@ class Engine:
         now = self.clock.now()
         due = now + self.plan.timeouts[action.name]
         self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
-        try:
-            if action.kind == "Service":
-                self._dispatch_service(action, now)
-            elif action.kind == "Cluster":
-                self._dispatch_cluster(action, now)
-            elif action.kind == "Call":
-                self._dispatch_call(action, now)
-            elif action.kind == "Chaos":
-                self._dispatch_chaos(action, now)
-            elif action.kind == "Checkpoint":
-                self._dispatch_checkpoint(action, now)
-        except (SchemaError, WhatifError) as exc:
-            self._fail(f"{action.name}: {exc}")
+        if action.kind == "Service":
+            self._dispatch_service(action, now)
+        elif action.kind == "Cluster":
+            self._dispatch_cluster(action, now)
+        elif action.kind == "Call":
+            self._dispatch_call(action, now)
+        elif action.kind == "Chaos":
+            self._dispatch_chaos(action, now)
+        elif action.kind == "Checkpoint":
+            self._dispatch_checkpoint(action, now)
         # A live action's assertions: the first look at a metrics window, and
         # at a state scope that may never change again.
         if action.name in self.asserts and self._live(action.name):
             self._evaluate_action_assertions(action.name, now, metrics=True)
 
     def _dispatch_service(self, action: ActionSpec, now: float) -> None:
-        spec = self._resolve_job(action, 0, action.name)
-        self._create_job(spec, now)
-        self.annotations.point(action.name, now)
+        self._create_job(self._resolve_job(action, 0, action.name), now)
         self._trace_annotation("point", action.name, now)
 
     def _dispatch_cluster(self, action: ActionSpec, now: float) -> None:
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING, now)
         for index, child in enumerate(node.children):
-            spec = self._resolve_job(action, index, child.name)
-            self._create_job(spec, now)
-            self.annotations.point(child.name, now)
+            self._create_job(self._resolve_job(action, index, child.name), now)
             self._trace_annotation("point", child.name, now)
 
     def _dispatch_call(self, action: ActionSpec, now: float) -> None:
-        spec = self._resolve_job(action, 0, action.name)
-        self._create_job(spec, now)
-        self.annotations.open_region(action.name, now)
-        self._trace_annotation("open", action.name, now)
+        self._create_job(self._resolve_job(action, 0, action.name), now)
+        self._open_region(action.name, now)
 
     def _dispatch_chaos(self, action: ActionSpec, now: float) -> None:
         spec, targets = self.plan.faults[action.name]
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING, now)
-        tag = ChaosTag(spec.kind, action.name)
         for target in targets:
-            tag_chaos_target(target, tag)
+            target.chaos = spec.kind
             self.trace.append(
                 "event", now, event="Tag", subject=target.name,
-                tags={ChaosTag.key: spec.kind, "target": target.name, "source": action.name},
+                tags={"metadata.Chaos": spec.kind, "target": target.name, "source": action.name},
             )
         self._trace_command("InjectFault", action.name, now, {
             "kind": spec.kind, "targets": list(spec.targets), "dst": list(spec.dst),
@@ -543,8 +515,7 @@ class Engine:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
         self._move(node, Phase.RUNNING, now)
-        self.annotations.open_region(action.name, now)
-        self._trace_annotation("open", action.name, now)
+        self._open_region(action.name, now)
         if spec.kind == "kill":
             live = [target for target in dict.fromkeys(targets) if not target.phase.terminal]
             self.kill_watch[action.name] = len(live)
@@ -591,24 +562,13 @@ class Engine:
             ))
 
     def _resolve_job(self, action: ActionSpec, index: int, name: str) -> JobSpec:
-        """The job spec of instance ``index``, parsed once per distinct template text.
+        """The plan's job for instance ``index``, under the instance's name.
 
-        Instance ``index`` takes the plan's text for inputs map ``index``,
-        cycling through the maps; a Service or Call is instance 0.
+        Instance ``index`` takes the job of inputs map ``index``, cycling
+        through the maps; a Service or Call is instance 0.
         """
-        if action.inline_job is not None:
-            return parse_job_body(action.inline_job).named(name)
-        texts = self.plan.texts[action.name]
-        text = texts[index % len(texts)]
-        spec = self.job_specs.get(text)
-        if spec is None:
-            try:
-                body = load_yaml(text)
-            except yaml.YAMLError as exc:
-                ref = action.callable if action.kind == "Call" else action.template_ref
-                raise SchemaError(f"template {ref} body does not parse: {exc}") from exc
-            spec = self.job_specs[text] = parse_job_body(body)
-        return spec.named(name)
+        specs = self.plan.jobs[action.name]
+        return specs[index % len(specs)].named(name)
 
     # --- assertions ------------------------------------------------------------
 
@@ -722,8 +682,7 @@ class Engine:
             del self.kill_watch[action_name]
             node = self.nodes[action_name]
             if not node.phase.terminal:
-                if action_name in self.annotations.open_labels():
-                    self._close_region(action_name, now)
+                self._close_region(action_name, now)
                 self._move(node, Phase.SUCCESS, now)
                 self._on_terminal(node, now)
 
@@ -768,7 +727,7 @@ class Engine:
             except UnknownHandle:
                 pass
             self.active_faults.pop(action_name, None)
-        for label in self.annotations.open_labels():
+        for label in list(self.regions):
             self._close_region(label, now)
         for node in iter_nodes(self.tree):
             if node.name in self.started and not node.phase.terminal:
@@ -836,9 +795,15 @@ class Engine:
         kind = "Point" if action == "point" else "Region"
         self.trace.append("annotation", at, action=action, label=label, ann_kind=kind, **extra)
 
+    def _open_region(self, label: str, at: float) -> None:
+        self.regions[label] = at
+        self._trace_annotation("open", label, at)
+
     def _close_region(self, label: str, at: float) -> None:
-        region = self.annotations.close_region(label, at)
-        self._trace_annotation("close", label, at, start=region.start, end=region.end)
+        """Close the region ``label`` if it is open; it ends no earlier than it started."""
+        start = self.regions.pop(label, None)
+        if start is not None:
+            self._trace_annotation("close", label, at, start=start, end=max(at, start))
 
 
 class CountedScope:

@@ -73,10 +73,6 @@ class DuplicateCheckpoint(WhatifError):
     """A checkpoint name was already used in this run."""
 
 
-class UnknownRegion(WhatifError):
-    """close_region was called for a label with no open region."""
-
-
 # --- executors ------------------------------------------------------------
 
 class SpawnError(WhatifError):

@@ -17,7 +17,7 @@ import time
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .lifecycle import FailureClass, Phase
+from .lifecycle import Phase
 from .values import Value
 
 
@@ -32,7 +32,7 @@ class EventKind(Enum):
 
 
 class Event(Value):
-    __slots__ = ("kind", "at", "subject", "timer_id", "phase", "failure_mode", "failure_class", "reason", "tags")
+    __slots__ = ("kind", "at", "subject", "timer_id", "phase", "failure_mode", "reason", "tags")
 
     def __init__(
         self,
@@ -42,7 +42,6 @@ class Event(Value):
         timer_id: str = "",  # TIME
         phase: Optional[Phase] = None,  # STATE
         failure_mode: str = "",  # STATE, when phase is Failed
-        failure_class: Optional[FailureClass] = None,
         reason: str = "",
         tags: Optional[dict] = None,  # TAG
     ):
@@ -52,7 +51,6 @@ class Event(Value):
         self.timer_id = timer_id
         self.phase = phase
         self.failure_mode = failure_mode
-        self.failure_class = failure_class
         self.reason = reason
         self.tags = {} if tags is None else tags
 
@@ -67,8 +65,6 @@ class Event(Value):
             data["phase"] = self.phase.value
         if self.failure_mode:
             data["mode"] = self.failure_mode
-        if self.failure_class is not None:
-            data["class"] = self.failure_class.value
         if self.reason:
             data["reason"] = self.reason
         if self.tags:

@@ -8,8 +8,8 @@ legal chain:
 
 Success and Failed are terminal. Parents with children derive their phase
 from their children via ``aggregate_phase``, and failure classification
-(expected chaos vs. application bug) is decided by the chaos tag placed on
-a service before a fault is injected.
+(expected chaos vs. application bug) is decided by the fault kind a chaos
+action marks on a service before it injects the fault.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .errors import IllegalTransition
-from .values import FrozenValue
-
-META_CHAOS_KEY = "metadata.Chaos"
-META_CHAOS_SOURCE_KEY = "metadata.Chaos.source"
 
 FAULT_KINDS = ("kill", "partition", "suspend")
 
@@ -62,17 +58,6 @@ LEGAL_TRANSITIONS = {
 _CHAIN = (Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING)
 
 
-class ChaosTag(FrozenValue):
-    """Marker placed on a service before a fault targets it."""
-
-    __slots__ = ("fault_kind", "source_action")
-    key = META_CHAOS_KEY
-
-    def __init__(self, fault_kind: str, source_action: str):
-        self.fault_kind = fault_kind  # kill | partition | suspend
-        self.source_action = source_action
-
-
 class ResourceNode:
     """One node of the ownership tree (scenario, action, or child job).
 
@@ -80,7 +65,7 @@ class ResourceNode:
     """
 
     __slots__ = (
-        "name", "kind", "phase", "owner", "children", "meta",
+        "name", "kind", "phase", "owner", "children", "chaos",
         "failure_reason", "failure_class", "tolerated", "phase_times",
     )
 
@@ -91,7 +76,7 @@ class ResourceNode:
         phase: Phase = Phase.UNINITIALIZED,
         owner: Optional["ResourceNode"] = None,
         children: Optional[list["ResourceNode"]] = None,
-        meta: Optional[dict[str, str]] = None,
+        chaos: Optional[str] = None,
         failure_reason: Optional[str] = None,
         failure_class: Optional[FailureClass] = None,
         tolerated: int = 0,
@@ -102,7 +87,7 @@ class ResourceNode:
         self.phase = phase
         self.owner = owner
         self.children = [] if children is None else children
-        self.meta = {} if meta is None else meta
+        self.chaos = chaos  # kind of the fault aimed at this service until it is revoked
         self.failure_reason = failure_reason
         self.failure_class = failure_class
         self.tolerated = tolerated
@@ -112,13 +97,6 @@ class ResourceNode:
         child.owner = self
         self.children.append(child)
         return child
-
-    @property
-    def chaos_tag(self) -> Optional[ChaosTag]:
-        kind = self.meta.get(META_CHAOS_KEY)
-        if kind is None:
-            return None
-        return ChaosTag(kind, self.meta.get(META_CHAOS_SOURCE_KEY, ""))
 
 
 def iter_nodes(tree: ResourceNode) -> Iterator[ResourceNode]:
@@ -203,28 +181,13 @@ def aggregate_phase(
     return Phase.RUNNING
 
 
-def tag_chaos_target(node: ResourceNode, tag: ChaosTag) -> ResourceNode:
-    """Place a chaos tag on a service, before the fault is injected."""
-    node.meta[META_CHAOS_KEY] = tag.fault_kind
-    node.meta[META_CHAOS_SOURCE_KEY] = tag.source_action
-    return node
-
-
-def revoke_chaos_tag(node: ResourceNode) -> ResourceNode:
-    """Remove the chaos tag when the fault window ends."""
-    node.meta.pop(META_CHAOS_KEY, None)
-    node.meta.pop(META_CHAOS_SOURCE_KEY, None)
-    return node
-
-
 def classify_failure(node: ResourceNode, observed_mode: str) -> FailureClass:
     """Decide whether a failure was part of the experiment.
 
-    Expected only when the node carries a chaos tag whose fault kind matches
-    the observed failure mode; a kill tag does not excuse an unrelated crash.
+    Expected only when a fault of the observed failure mode is aimed at the
+    node; a kill does not excuse an unrelated crash.
     """
-    tag = node.chaos_tag
-    if tag is not None and tag.fault_kind == observed_mode:
+    if node.chaos is not None and node.chaos == observed_mode:
         return FailureClass.EXPECTED
     return FailureClass.UNEXPECTED
 

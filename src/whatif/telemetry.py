@@ -1,4 +1,4 @@
-"""Embedded telemetry: time-series store, checkpoints, annotation log.
+"""Embedded telemetry: time-series store and checkpoints.
 
 This is the data plane behind metrics expressions and run reports. The
 store is in-memory, per-run, with optional append-only persistence using
@@ -19,14 +19,10 @@ import bisect
 import threading
 from typing import Optional
 
-from .errors import (
-    DuplicateCheckpoint,
-    UnknownMetric,
-    UnknownRegion,
-)
+from .errors import DuplicateCheckpoint, UnknownMetric
 from .events import Event, EventKind
 from .lifecycle import ResourceNode, iter_nodes
-from .values import FrozenValue, Value
+from .values import FrozenValue
 
 
 class MetricPoint(FrozenValue):
@@ -48,18 +44,6 @@ class Checkpoint(FrozenValue):
         self.at = at
         self.values = values
         self.phases = phases
-
-
-class Annotation(Value):
-    """Timeline marker: a Point for instants, a Region for spans."""
-
-    __slots__ = ("kind", "label", "start", "end")
-
-    def __init__(self, kind: str, label: str, start: float, end: Optional[float] = None):
-        self.kind = kind  # "Point" | "Region"
-        self.label = label
-        self.start = start
-        self.end = end
 
 
 class MetricsStore:
@@ -214,38 +198,3 @@ class CheckpointRegistry:
     def all(self) -> list[Checkpoint]:
         return list(self._checkpoints.values())
 
-
-class AnnotationLog:
-    """Point and region markers for the run timeline.
-
-    Services are marked with Points; Calls and Faults open Regions that
-    must be closed by run end (the engine closes leftovers on abort).
-    """
-
-    def __init__(self):
-        self._annotations: list[Annotation] = []
-        self._open: dict[str, Annotation] = {}
-
-    def point(self, label: str, at: float) -> Annotation:
-        annotation = Annotation("Point", label, at)
-        self._annotations.append(annotation)
-        return annotation
-
-    def open_region(self, label: str, start: float) -> Annotation:
-        annotation = Annotation("Region", label, start)
-        self._annotations.append(annotation)
-        self._open[label] = annotation
-        return annotation
-
-    def close_region(self, label: str, end: float) -> Annotation:
-        annotation = self._open.pop(label, None)
-        if annotation is None:
-            raise UnknownRegion(label)
-        annotation.end = max(end, annotation.start)
-        return annotation
-
-    def open_labels(self) -> list[str]:
-        return list(self._open)
-
-    def all(self) -> list[Annotation]:
-        return list(self._annotations)

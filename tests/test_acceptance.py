@@ -26,6 +26,7 @@ from whatif.lifecycle import (
     ResourceNode,
     aggregate_phase,
 )
+from whatif.report import build_report
 from whatif.telemetry import MetricPoint, MetricsStore
 
 from conftest import stage_template
@@ -59,9 +60,9 @@ def _stage_doc(policy: str, durations, delay=None) -> ScenarioDoc:
 
 def _regions(result, count):
     spans = {}
-    for annotation in result.annotations.all():
-        if annotation.kind == "Region":
-            spans[annotation.label] = (annotation.start, annotation.end)
+    for annotation in build_report(result.trace.records)["annotations"]:
+        if annotation["kind"] == "Region":
+            spans[annotation["label"]] = (annotation["start"], annotation["end"])
     return [spans[f"stage-{i}"] for i in range(count)]
 
 
@@ -154,9 +155,8 @@ def test_criterion_2_panic_abort():
                      if r.kind == "command" and r.data["verb"] == "CreateJob" and r.seq > crash_seq]
     assert creates_after == []
 
-    assert result.annotations.open_labels() == []
-    regions = [a for a in result.annotations.all() if a.kind == "Region"]
-    assert regions and all(a.end is not None for a in regions)
+    regions = [a for a in build_report(result.trace.records)["annotations"] if a["kind"] == "Region"]
+    assert regions and all(a["end"] is not None for a in regions)
     _passed(2, "untagged crash fails the run, halts dispatch, and closes every region")
 
 
@@ -219,11 +219,12 @@ def test_criterion_3_fault_then_continue_checkpoint():
     started = time.monotonic()
     healthy = run_scenario(_leak_doc("healthy-node"), LEAK_TEMPLATES)
     assert healthy.outcome is Outcome.SUCCESS, healthy.reason
-    maxseen = healthy.checkpoints.get("maxSeen")
-    assert maxseen is not None and maxseen.values["goroutines"] == 1000.0
+    report = build_report(healthy.trace.records)
+    [maxseen] = [c for c in report["checkpoints"] if c["name"] == "maxSeen"]
+    assert maxseen["values"]["goroutines"] == 1000.0
     # The partition was injected and repaired: its region spans 10 sim-minutes.
-    region = next(a for a in healthy.annotations.all() if a.label == "partition0")
-    assert region.end - region.start == 600.0
+    region = next(a for a in report["annotations"] if a["label"] == "partition0")
+    assert region["end"] - region["start"] == 600.0
 
     leaky = run_scenario(_leak_doc("leaky-node"), LEAK_TEMPLATES)
     assert leaky.outcome is Outcome.FAILED

@@ -13,6 +13,7 @@ from conftest import SCENARIOS
 VALID = SCENARIOS / "partition-demo.yaml"
 TEMPLATES = SCENARIOS / "templates"
 NAME_COLLISION = SCENARIOS / "invalid" / "name-collision.yaml"
+BAD_JOB_BODY = SCENARIOS / "invalid" / "bad-job-body.yaml"
 
 CYCLIC = """
 spec:
@@ -89,6 +90,18 @@ class TestValidate:
     def test_name_collision_exit_2(self, capsys):
         assert main(["validate", str(NAME_COLLISION), "--templates", str(TEMPLATES)]) == 2
         assert "db-1: name used by an action and by an instance of cluster db" in capsys.readouterr().out
+
+    def test_bad_job_bodies_exit_2(self, tmp_path, capsys):
+        assert main(["validate", str(BAD_JOB_BODY), "--templates", str(TEMPLATES)]) == 2
+        out = capsys.readouterr().out
+        assert "misspelled-effect: script[0]: unknown effect 'runnning'" in out
+        assert "unknown-key: unknown job body key 'scirpt'" in out
+        (tmp_path / "templates").mkdir()
+        (tmp_path / "templates" / "lib.yaml").write_text("name: broken\nbody: 'script: [unclosed'\n")
+        path = tmp_path / "templated.yaml"
+        path.write_text("spec:\n- {action: Service, name: s, service: {templateRef: broken}}\n")
+        assert main(["validate", str(path), "--templates", str(tmp_path / "templates")]) == 2
+        assert "s: template broken body does not parse: " in capsys.readouterr().out
 
     def test_cyclic_deps_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cyclic.yaml"

@@ -4,11 +4,13 @@ import pytest
 
 from whatif.dsl import DependsClause, Template, parse_scenario
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
-from whatif.errors import InvalidScenario, UnknownRegion
+from whatif.errors import InvalidScenario, UnknownHandle
 from whatif.events import Event, EventKind, SimClock
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 
 from conftest import script_template
+from test_acceptance import CORPUS_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES
+from test_golden import GOLDEN, _build, corpus_docs
 
 
 def state_event(subject, phase, at=0.0, mode="", reason=""):
@@ -24,6 +26,23 @@ def cycle(engine, event):
     start = len(engine.trace)
     engine.reconcile(event)
     return engine.trace.records[start:]
+
+
+def assert_regions_close_once(trace) -> int:
+    """Every opened region has exactly one later close for its label, ending no
+    earlier than it starts. Returns the number of regions."""
+    opens, closes = {}, {}
+    for record in trace:
+        if record.kind == "annotation" and record.data["action"] == "open":
+            opens[record.data["label"]] = record
+        elif record.kind == "annotation" and record.data["action"] == "close":
+            closes.setdefault(record.data["label"], []).append(record)
+    assert closes.keys() == opens.keys()
+    for label, opened in opens.items():
+        [closed] = closes[label]
+        assert closed.seq > opened.seq, label
+        assert closed.data["start"] == opened.at and closed.data["end"] >= closed.data["start"], label
+    return len(opens)
 
 
 def dispatch_commands(records):
@@ -277,23 +296,32 @@ class TestRunOutcomes:
         return engine
 
     def test_whatif_error_inside_the_run_aborts_it(self, monkeypatch):
-        engine = self.broken_run(monkeypatch, UnknownRegion("r"))
+        engine = self.broken_run(monkeypatch, UnknownHandle("r"))
         result = engine.run()
-        assert (result.outcome, result.reason) == (Outcome.ABORTED, "internal error: UnknownRegion: r")
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "internal error: UnknownHandle: r")
         outcomes = [r.data for r in result.trace if r.kind == "outcome"]
-        assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnknownRegion: r"}]
+        assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnknownHandle: r"}]
         assert engine.tree.phase is not Phase.SUCCESS
+
+    def test_illegal_transition_in_a_dispatch_aborts_the_run(self):
+        """An engine bug met while dispatching is no test failure: the run aborts (exit 3)."""
+        doc = parse_scenario(
+            self.SOLO + "- action: Checkpoint\n  name: snap\n  depends: { success: [solo] }\n"
+        )
+        engine = Engine(doc)
+        engine.nodes["snap"].phase = Phase.SUCCESS  # so its dispatch moves it backwards
+        result = engine.run()
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "illegal transition: snap: Success -> Running")
+        assert [r.data["verb"] for r in result.trace if r.kind == "command"][-1] == "AbortRun"
 
     def test_internal_error_and_unknown_subjects_log_on_the_engine_logger(self, monkeypatch, caplog):
         engine = Engine(parse_scenario(self.SOLO))
         with caplog.at_level("WARNING", logger="whatif.engine"):
             engine.reconcile(state_event("ghost", Phase.RUNNING))
-            engine.reconcile(Event(EventKind.TAG, 0.0, subject="phantom", tags={"event": "x"}))
             self.broken_run(monkeypatch, RuntimeError("boom")).run()
         logged = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
         assert logged == [
             ("whatif.engine", "WARNING", "state event for unknown resource ghost"),
-            ("whatif.engine", "WARNING", "tag event for unknown target phantom"),
             ("whatif.engine", "ERROR", "internal error"),
         ]
         assert caplog.records[-1].exc_info[0] is RuntimeError
@@ -382,7 +410,23 @@ class TestTraceInvariants:
         assert result.outcome is Outcome.FAILED
         assert any(r.kind == "command" and r.data["verb"] == "RevokeFault"
                    for r in result.trace)
-        assert result.annotations.open_labels() == []
+        assert assert_regions_close_once(result.trace) == 1
+
+    def test_every_region_closes_once(self, partition_demo):
+        """On green, failed and timed-out runs, each region the trace opens closes exactly once."""
+        runs = [partition_demo, *(_build(name) for name in sorted(GOLDEN))]
+        runs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+        runs.append((parse_scenario(PANIC_DOC), PANIC_TEMPLATES))
+        runs.append((parse_scenario(
+            "spec:\n- action: Call\n  name: slow\n  timeout: 10s\n  call: { callable: t, services: [] }\n"
+        ), {"t": script_template("t", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])}))
+        outcomes, regions = [], []
+        for doc, templates in runs:
+            result = run_scenario(doc, templates)
+            outcomes.append(result.outcome)
+            regions.append(assert_regions_close_once(result.trace))
+        assert outcomes[-2:] == [Outcome.FAILED, Outcome.ABORTED]
+        assert regions[-2:] == [1, 1] and sum(regions) >= 180
 
     def test_timestamps_non_decreasing(self, partition_demo):
         doc, templates = partition_demo

@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whatif.dsl import parse_scenario
+from whatif.engine import Engine
 from whatif.errors import IllegalTransition
 from whatif.lifecycle import (
     FAULT_KINDS,
-    ChaosTag,
     FailureClass,
     Phase,
     ResourceNode,
@@ -17,11 +18,10 @@ from whatif.lifecycle import (
     aggregate_phase,
     classify_failure,
     find_node,
-    revoke_chaos_tag,
-    tag_chaos_target,
     transition,
 )
 
+from conftest import script_template
 from oracles import propagate
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
@@ -131,30 +131,46 @@ def test_aggregate_exhaustive_oracle():
 
 
 class TestChaosTags:
-    def build(self):
-        root = ResourceNode("scenario", kind="scenario")
-        cluster = root.add_child(ResourceNode("masters", kind="cluster"))
-        for i in range(2):
-            cluster.add_child(ResourceNode(f"masters-{i}", phase=R))
-        return root
+    """A chaos action marks the fault kind on its targets until the fault is revoked."""
 
-    def test_tag_applies(self):
-        tree = self.build()
-        tag_chaos_target(find_node(tree, "masters-0"), ChaosTag("kill", "killer"))
-        node = find_node(tree, "masters-0")
-        assert node.meta["metadata.Chaos"] == "kill"
-        assert node.chaos_tag == ChaosTag("kill", "killer")
+    DOC = """
+spec:
+- action: Cluster
+  name: masters
+  cluster: { templateRef: node, instances: 2 }
+- action: Chaos
+  name: net
+  depends: { running: [ masters ] }
+  chaos: { fault: { kind: partition, source: masters-0, dst: masters-1, duration: 10s } }
+"""
+
+    def engine(self):
+        templates = {"node": script_template("node", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])}
+        return Engine(parse_scenario(self.DOC), templates)
+
+    def test_tag_applies(self, monkeypatch):
+        engine = self.engine()
+        inject = engine.executor.inject_fault
+        seen = []
+
+        def spy(action, spec):
+            seen.append([engine.nodes[f"masters-{i}"].chaos for i in range(2)])
+            return inject(action, spec)
+
+        monkeypatch.setattr(engine.executor, "inject_fault", spy)
+        engine.run()
+        assert seen == [["partition", None]]
 
     def test_revoke_removes(self):
-        tree = self.build()
-        tag_chaos_target(find_node(tree, "masters-0"), ChaosTag("partition", "net"))
-        revoke_chaos_tag(find_node(tree, "masters-0"))
-        assert find_node(tree, "masters-0").chaos_tag is None
+        engine = self.engine()
+        result = engine.run()
+        assert any(r.kind == "event" and r.data.get("tags", {}).get("event") == "fault-revoked" for r in result.trace)
+        assert [engine.nodes[f"masters-{i}"].chaos for i in range(2)] == [None, None]
 
 
 class TestClassify:
     def test_tagged_kill_observed_kill(self):
-        node = ResourceNode("n", phase=F, meta={"metadata.Chaos": "kill"})
+        node = ResourceNode("n", phase=F, chaos="kill")
         assert classify_failure(node, "kill") is EXP
 
     def test_untagged_crash(self):
@@ -162,15 +178,14 @@ class TestClassify:
         assert classify_failure(node, "crash") is UNEXP
 
     def test_mismatched_tag(self):
-        node = ResourceNode("n", phase=F, meta={"metadata.Chaos": "partition"})
+        node = ResourceNode("n", phase=F, chaos="partition")
         assert classify_failure(node, "crash") is UNEXP
 
     def test_truth_table_exhaustive(self):
         modes = list(FAULT_KINDS) + ["crash"]
         for tag in list(FAULT_KINDS) + [None]:
             for mode in modes:
-                meta = {"metadata.Chaos": tag} if tag else {}
-                node = ResourceNode("n", phase=F, meta=meta)
+                node = ResourceNode("n", phase=F, chaos=tag)
                 expected = EXP if (tag is not None and tag == mode) else UNEXP
                 assert classify_failure(node, mode) is expected
 

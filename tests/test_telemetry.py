@@ -6,11 +6,11 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whatif.errors import DuplicateCheckpoint, UnknownMetric, UnknownRegion
+from whatif.errors import DuplicateCheckpoint, UnknownMetric
 from whatif.events import EventKind, EventQueue, WallClock
 from whatif.expressions import parse_expression
 from whatif.lifecycle import Phase, ResourceNode
-from whatif.telemetry import AnnotationLog, CheckpointRegistry, MetricPoint, MetricsStore
+from whatif.telemetry import CheckpointRegistry, MetricPoint, MetricsStore
 
 
 class TestStore:
@@ -201,27 +201,3 @@ class TestCheckpoints:
         again = registry.get("cp")
         assert again is first and again.values == {"m": 7.0}
 
-
-class TestAnnotations:
-    def test_region_lifecycle(self):
-        log = AnnotationLog()
-        log.open_region("partition0", 10.0)
-        log.close_region("partition0", 610.0)
-        region = log.all()[0]
-        assert (region.kind, region.start, region.end) == ("Region", 10.0, 610.0)
-        assert log.open_labels() == []
-
-    def test_point(self):
-        log = AnnotationLog()
-        point = log.point("svc", 1.0)
-        assert point.kind == "Point" and point.end is None
-
-    def test_close_unknown(self):
-        with pytest.raises(UnknownRegion):
-            AnnotationLog().close_region("ghost", 1.0)
-
-    def test_close_clamps_to_start(self):
-        log = AnnotationLog()
-        log.open_region("r", 5.0)
-        region = log.close_region("r", 1.0)
-        assert region.end == 5.0

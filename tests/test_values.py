@@ -25,15 +25,14 @@ from whatif.expressions import (
     Term,
     _Token,
 )
-from whatif.lifecycle import ChaosTag, FailureClass, Phase, ResourceNode
-from whatif.telemetry import Annotation, Checkpoint, MetricPoint
+from whatif.lifecycle import FailureClass, Phase, ResourceNode
+from whatif.telemetry import Checkpoint, MetricPoint
 from whatif.trace import TraceRecord
 
 # class -> (arguments of one instance, arguments that differ in every
 # position). Each is a function so that every call builds new lists and dicts.
 HASHABLE = {
     Finding: (lambda: ("error", "a", "m"), lambda: ("warning", "b", "n")),
-    ChaosTag: (lambda: ("kill", "chaos"), lambda: ("suspend", "other")),
     MetricPoint: (lambda: ("cpu", 1.0, 2.0), lambda: ("mem", 3.0, 4.0)),
     SimEffect: (lambda: (1.0, "metric", "m", 2.0, None), lambda: (2.0, "send", "n", 3.0, "x")),
     ExpressionSource: (lambda: (".state.failed() > 0",), lambda: ("MAX() QUERY(m, 1m, now)",)),
@@ -55,12 +54,11 @@ HASHABLE = {
 UNHASHABLE = {
     TraceRecord: (lambda: (0, 1.0, "event", {"a": 1}), lambda: (1, 2.0, "command", {"b": 2})),
     Event: (
-        lambda: (EventKind.STATE, 1.0, "a", "", Phase.FAILED, "kill", FailureClass.EXPECTED, "r", {}),
-        lambda: (EventKind.TIME, 2.0, "b", "t", Phase.RUNNING, "crash", None, "s", {"k": "v"}),
+        lambda: (EventKind.STATE, 1.0, "a", "", Phase.FAILED, "kill", "r", {}),
+        lambda: (EventKind.TIME, 2.0, "b", "t", Phase.RUNNING, "crash", "s", {"k": "v"}),
     ),
     # Frozen, but its dict fields make it unhashable.
     Checkpoint: (lambda: ("cp", 1.0, {"m": 1.0}, {"a": Phase.RUNNING}), lambda: ("cq", 2.0, {}, {})),
-    Annotation: (lambda: ("Point", "a", 1.0, None), lambda: ("Region", "b", 2.0, 3.0)),
     JobSpec: (
         lambda: ("j", None, [SimEffect(0.0, "running")], {"A": "1"}, "none", ["m"]),
         lambda: ("k", "true", [], {}, "stdout-lines", []),

@@ -20,7 +20,6 @@ from whatif.dsl import (
     render_scenario,
     validate,
 )
-from whatif.engine import Outcome, run_scenario
 from whatif.errors import ScenarioSyntaxError
 
 from conftest import SCENARIOS
@@ -67,7 +66,7 @@ MALFORMED = [
 
 
 def _instantiated(doc, templates) -> list[str]:
-    """Every template text the engine would parse for this document."""
+    """Every template text compiling this document parses."""
     return [text for texts in compile_scenario(doc, templates).texts.values() for text in texts]
 
 
@@ -138,14 +137,33 @@ spec:
     assert len(messages) == 1 and messages[0].startswith("fault template does not parse: ")
 
 
-def test_malformed_job_template_fails_the_run():
+def test_malformed_job_template_is_a_finding():
     doc = parse_scenario("""
 name: bad-job
 spec:
 - {action: Service, name: s, service: {templateRef: broken}}
+- {action: Cluster, name: c, cluster: {templateRef: broken, instances: 2}}
+- {action: Call, name: k, call: {callable: misspelled, services: [s]}}
 """)
-    templates = {"broken": Template("broken", {}, "script:\n- { at: 0s, do: running\n")}
-    assert validate(doc, templates).ok
-    result = run_scenario(doc, templates)
-    assert result.outcome is Outcome.FAILED
-    assert result.reason.startswith("s: template broken body does not parse: ")
+    templates = {
+        "broken": Template("broken", {}, "script:\n- { at: 0s, do: running\n"),
+        "misspelled": Template("misspelled", {}, "script:\n- { at: 0s, do: runnning }\n"),
+    }
+    findings = [(f.severity, f.location, f.message) for f in validate(doc, templates).findings]
+    assert [location for _, location, _ in findings] == ["s", "c", "k"]
+    assert all(severity == "error" for severity, _, _ in findings)
+    assert all(message.startswith("template broken body does not parse: ") for _, _, message in findings[:2])
+    assert findings[2][2] == "script[0]: unknown effect 'runnning'"
+
+
+def test_malformed_inline_job_body_is_a_finding():
+    doc = parse_scenario("""
+name: bad-inline
+spec:
+- {action: Service, name: key, service: {scirpt: [{at: 0s, do: running}]}}
+- {action: Service, name: effect, service: {script: [{at: 0s, do: runnning}]}}
+""")
+    assert [str(f) for f in validate(doc).findings] == [
+        "error: key: unknown job body key 'scirpt'",
+        "error: effect: script[0]: unknown effect 'runnning'",
+    ]
