@@ -15,7 +15,9 @@ logical dependencies::
       call: { callable: boot, services: [ .cluster.masters.all ] }
 
 Templates live in a directory of YAML files and are instantiated by
-replacing ``{{placeholder}}`` markers in a single literal pass. The
+replacing ``{{placeholder}}`` markers in a single literal pass. A compile
+parses each job template once and fills the inputs into the parsed body,
+wherever that provably builds what parsing the instantiated text builds. The
 addressing macro ``.cluster.<name>.<all|index>`` expands to instance
 names like ``masters-0``. ``compile_scenario`` checks a document once and
 compiles it into a ``Plan``: ``validate`` returns its findings, every
@@ -514,11 +516,11 @@ def load_templates(directory) -> dict[str, Template]:
     return library
 
 
-def instantiate_template(template: Template, inputs: dict) -> str:
-    """Replace every ``{{placeholder}}`` with its input in one literal pass.
+def _resolve_inputs(template: Template, inputs: dict) -> dict:
+    """Each parameter's value: its input, else its default.
 
     Inputs must be declared parameters; parameters without defaults must be
-    supplied. The result carries no remaining markers.
+    supplied.
     """
     for key in inputs:
         if key not in template.parameters:
@@ -531,7 +533,135 @@ def instantiate_template(template: Template, inputs: dict) -> str:
             resolved[key] = default
         else:
             raise MissingParameter(key)
+    return resolved
+
+
+def instantiate_template(template: Template, inputs: dict) -> str:
+    """Replace every ``{{placeholder}}`` with its input in one literal pass.
+
+    This is what a template means; the result carries no remaining markers.
+    """
+    resolved = _resolve_inputs(template, inputs)
     return _PLACEHOLDER_RE.sub(lambda m: resolved[m.group(1)], template.body)
+
+
+# The k-th placeholder of a body, as the skeleton parses it: a plain scalar
+# that every YAML 1.1 implicit resolver leaves a string.
+_SLOT = "__whatif_slot_"
+_SLOT_RE = re.compile(r"__whatif_slot_(\d+)__")
+# An input that could parse otherwise than the sentinel it replaces: in a
+# plain scalar, one that is empty, starts with '-' or '...', has whitespace
+# at an end, or holds a YAML indicator; in a quoted one, a quote or a
+# backslash. In either, one that is not printable (a line break, a tab).
+_PLAIN_UNSAFE = re.compile(r"""[:#,\[\]{}'"\\&*!|>%@`?]|^(?:-|\.\.\.|\s|$)|\s$""")
+_QUOTED_UNSAFE = re.compile(r"""['"\\]""")
+
+
+class _TextPath(Exception):
+    """Filling a skeleton is not provably what parsing the instance text gives."""
+
+
+class _Skeleton:
+    """A template body parsed once, with a sentinel in place of each placeholder.
+
+    ``fill`` builds what ``load_yaml(instantiate_template(...))`` builds
+    without parsing: it copies the parsed body and puts the inputs into each
+    scalar that holds a sentinel. A scalar that was plain is resolved and
+    constructed again by the loader, so it keeps its YAML 1.1 type; a quoted
+    one stays a string. ``parse`` returns None, and ``fill`` raises
+    ``_TextPath``, wherever that could differ from the text path.
+    """
+
+    __slots__ = ("loader", "value", "names", "plain")
+
+    def __init__(self, loader, value, names: list, plain: set):
+        self.loader = loader  # resolves and constructs the filled plain scalars
+        self.value = value  # the body constructed with the sentinels in it
+        self.names = names  # sentinel k -> the parameter it stands for
+        self.plain = plain  # the sentinels that sit in a plain scalar
+
+    @classmethod
+    def parse(cls, template: Template) -> Optional["_Skeleton"]:
+        """Parse the body once; None where filling it might not equal the text path.
+
+        That is where a placeholder sits in a mapping key, in a scalar over
+        several lines (every block scalar is one) or with a tag or an anchor,
+        or outside any scalar (a comment, an anchor or tag name); where a
+        scalar holds a sentinel that its source does not (an escape); where a
+        node is met twice (an alias); where the body holds the sentinel
+        already; and where the skeleton does not parse, so that the text path
+        reports the error. A body without placeholders takes the text path
+        too: it has one text, parsed once all the same, and a fill would only
+        add a copy.
+        """
+        if _SLOT in template.body or not _PLACEHOLDER_RE.search(template.body):
+            return None
+        names: list[str] = []
+
+        def slot(match) -> str:
+            names.append(match.group(1))
+            return f"{_SLOT}{len(names) - 1}__"
+
+        text = _PLACEHOLDER_RE.sub(slot, template.body)
+        loader = _YAML_LOADER(text)
+        try:
+            root = loader.get_single_node()
+            value = None if root is None else loader.construct_document(root)
+        except (yaml.YAMLError, ValueError):
+            return None
+        found: list[int] = []
+        plain: set = set()
+        seen: set = set()
+        stack = [] if root is None else [(root, False)]
+        while stack:
+            node, in_key = stack.pop()
+            if id(node) in seen:
+                return None
+            seen.add(id(node))
+            if isinstance(node, yaml.MappingNode):
+                for key, item in node.value:
+                    stack += [(key, True), (item, in_key)]
+            elif isinstance(node, yaml.SequenceNode):
+                stack += [(item, in_key) for item in node.value]
+            elif _SLOT in node.value:
+                slots = _SLOT_RE.findall(node.value)
+                source = text[node.start_mark.index:node.end_mark.index]
+                if (in_key or source[0] in "!&" or node.start_mark.line != node.end_mark.line
+                        or _SLOT_RE.findall(source) != slots):
+                    return None
+                found += map(int, slots)
+                if not node.style:  # plain: None from the pure loader, '' from libyaml
+                    plain.update(map(int, slots))
+        if sorted(found) != list(range(len(names))):
+            return None
+        return cls(loader, value, names, plain)
+
+    def fill(self, values: dict):
+        """The body constructed with ``values`` (parameter -> text) in place of the sentinels."""
+        for k, name in enumerate(self.names):
+            value = values[name]
+            if not value.isprintable() or (_PLAIN_UNSAFE if k in self.plain else _QUOTED_UNSAFE).search(value):
+                raise _TextPath
+        try:
+            return self._fill(self.value, values)
+        except (yaml.YAMLError, ValueError) as exc:  # the text path raises it too, with its own message
+            raise _TextPath from exc
+
+    def _fill(self, value, values: dict):
+        if isinstance(value, str):
+            return self._scalar(value, values) if _SLOT in value else value
+        if isinstance(value, dict):
+            return {key: self._fill(item, values) for key, item in value.items()}
+        if isinstance(value, (list, tuple, set)):
+            return type(value)(self._fill(item, values) for item in value)
+        return value
+
+    def _scalar(self, value: str, values: dict):
+        text = _SLOT_RE.sub(lambda m: values[self.names[int(m.group(1))]], value)
+        if int(_SLOT_RE.search(value).group(1)) not in self.plain:
+            return text
+        node = yaml.ScalarNode(self.loader.resolve(yaml.ScalarNode, text, (True, False)), text)
+        return self.loader.construct_document(node)
 
 
 # --- addressing macros ------------------------------------------------------------
@@ -694,9 +824,10 @@ def compile_scenario(
     checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
     scenario_timeout = default_timeout if doc.defaults.timeout is None else doc.defaults.timeout
     parsed: dict = {}  # instantiated job text -> its JobSpec, across actions
+    skeletons: dict = {}  # templateRef -> its parsed skeleton, or None for the text path
     for action, node in zip(doc.actions, action_nodes):
         plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
-        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed))
+        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed, skeletons))
 
     if default_timeout is None and doc.defaults.timeout is None:
         for action in doc.actions:
@@ -725,7 +856,7 @@ def _required_template(action: ActionSpec) -> Optional[str]:
     return None
 
 
-def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[Finding]:
+def _compile_action(plan, action, node, templates, checkpoints, parsed, skeletons) -> list[Finding]:
     findings: list[Finding] = []
     name = action.name
 
@@ -738,6 +869,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
         findings.append(Finding("warning", name, "only the first inputs map is used"))
 
     texts: list[str] = []
+    resolved: list[dict] = []  # each text's parameter values
     ref = _required_template(action)
     if ref is not None and action.inline_job is None:
         template = templates.get(ref)
@@ -745,23 +877,25 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
             findings.append(Finding("error", name, f"unknown template: {ref}"))
         else:
             plan.texts[name] = texts
-            for inputs in action.inputs or [{}]:
+            for inputs in (action.inputs if action.kind == "Cluster" else action.inputs[:1]) or [{}]:
                 try:
-                    texts.append(instantiate_template(template, _with_builtins(template, inputs, action, plan.clusters)))
+                    values = _resolve_inputs(template, _with_builtins(template, inputs, action, plan.clusters))
                 except (MissingParameter, UnknownParameter) as exc:
                     findings.append(Finding("error", name, f"template {ref}: {type(exc).__name__}: {exc}"))
                     break
                 except (SchemaError, UnknownCluster, IndexOutOfRange):
                     break  # a bad services macro, reported with the call's targets below
+                texts.append(instantiate_template(template, values))
+                resolved.append(values)
 
     if action.kind in ("Service", "Cluster", "Call"):
         specs = plan.jobs[name] = []
         try:
             if action.inline_job is not None:
                 specs.append(parse_job_body(action.inline_job))
-            for text in texts:
+            for text, values in zip(texts, resolved):
                 if text not in parsed:
-                    parsed[text] = parse_job_body(load_yaml(text))
+                    parsed[text] = parse_job_body(_load_instance(skeletons, ref, template, values, text))
                 specs.append(parsed[text])
         except yaml.YAMLError as exc:
             findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
@@ -797,6 +931,24 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
     for key, text in action.values.items():
         findings.extend(_compile_checkpoint_value(plan, text, name, key))
     return findings
+
+
+def _load_instance(skeletons: dict, ref: str, template: Template, values: dict, text: str):
+    """What ``load_yaml(text)`` constructs, ``text`` being ``template`` instantiated with ``values``.
+
+    The template's skeleton, parsed on first use and kept in ``skeletons``
+    under ``ref``, is filled with the values where that provably gives the
+    same; the text is parsed otherwise.
+    """
+    if ref not in skeletons:
+        skeletons[ref] = _Skeleton.parse(template)
+    skeleton = skeletons[ref]
+    if skeleton is not None:
+        try:
+            return skeleton.fill(values)
+        except _TextPath:
+            pass
+    return load_yaml(text)
 
 
 def _check_target(target, owner, plan) -> list[Finding]:

@@ -190,7 +190,10 @@ def _parse_effect(raw, index: int) -> SimEffect:
         if "name" not in raw or "value" not in raw:
             raise SchemaError(f"script[{index}]: metric effect needs name and value")
         metric = str(raw["name"])
-        value = float(raw["value"])
+        try:
+            value = float(raw["value"])
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"script[{index}].value: expected a number, got {raw['value']!r}") from exc
     elif op == "send":
         if "to" not in raw:
             raise SchemaError(f"script[{index}]: send effect needs 'to'")

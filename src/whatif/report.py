@@ -26,7 +26,14 @@ class CorruptRun(WhatifError):
 
 
 def build_report(records: list[TraceRecord]) -> dict:
-    """Shape the trace into the report structure."""
+    """Shape the trace into the report structure; CorruptRun if a record lacks what it reads."""
+    try:
+        return _shape(records)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CorruptRun(f"malformed trace record: {type(exc).__name__}: {exc}") from exc
+
+
+def _shape(records: list[TraceRecord]) -> dict:
     header = next((r for r in records if r.kind == "run"), None)
     outcome = next((r for r in records if r.kind == "outcome"), None)
     if header is None or outcome is None:
@@ -112,10 +119,13 @@ def load_run(out_dir) -> tuple:
         raise CorruptRun(f"missing {TRACE_FILE} in {out_dir}")
     try:
         records = load_trace(trace_path)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CorruptRun(f"unreadable trace: {exc}") from exc
     metrics_path = out / METRICS_FILE
-    store = MetricsStore.load(metrics_path) if metrics_path.is_file() else MetricsStore()
+    try:
+        store = MetricsStore.load(metrics_path) if metrics_path.is_file() else MetricsStore()
+    except ValueError as exc:
+        raise CorruptRun(f"unreadable metrics: {exc}") from exc
     return records, store
 
 

@@ -63,11 +63,15 @@ class RunTrace:
 
 
 def load_trace(path) -> list[TraceRecord]:
+    """Read the records of a trace file; ValueError for a line that is not one."""
     records = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         if not line.strip():
             continue
         payload = json.loads(line)
+        if not (isinstance(payload, dict) and isinstance(payload.get("seq"), int)
+                and isinstance(payload.get("at"), (int, float)) and isinstance(payload.get("kind"), str)):
+            raise ValueError(f"line {number} is not a record with a seq, an at and a kind")
         seq = payload.pop("seq")
         at = payload.pop("at")
         kind = payload.pop("kind")

@@ -14,6 +14,7 @@ VALID = SCENARIOS / "partition-demo.yaml"
 TEMPLATES = SCENARIOS / "templates"
 NAME_COLLISION = SCENARIOS / "invalid" / "name-collision.yaml"
 BAD_JOB_BODY = SCENARIOS / "invalid" / "bad-job-body.yaml"
+BAD_METRIC_VALUE = SCENARIOS / "invalid" / "bad-metric-value.yaml"
 
 CYCLIC = """
 spec:
@@ -102,6 +103,14 @@ class TestValidate:
         path.write_text("spec:\n- {action: Service, name: s, service: {templateRef: broken}}\n")
         assert main(["validate", str(path), "--templates", str(tmp_path / "templates")]) == 2
         assert "s: template broken body does not parse: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_numeric_metric_values_exit_2(self, command, tmp_path, capsys):
+        args = [command, str(BAD_METRIC_VALUE), "--templates", str(TEMPLATES)]
+        assert main(args + (["--out", str(tmp_path / "out")] if command == "run" else [])) == 2
+        captured = capsys.readouterr()
+        assert "word: script[1].value: expected a number, got 'high'" in captured.out + captured.err
+        assert "list: script[1].value: expected a number, got [1]" in captured.out + captured.err
 
     def test_cyclic_deps_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cyclic.yaml"
@@ -281,3 +290,25 @@ class TestReport:
     def test_corrupt_trace_exit_2(self, tmp_path):
         (tmp_path / "trace.ndjson").write_text("not json\n")
         assert main(["report", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", ["[1,2]", '"text"', "7", '{"seq":0,"kind":"run"}', '{"seq":0,"at":"0","kind":"run"}'])
+    def test_trace_line_that_is_not_a_record_exit_2(self, run_dir, line, capsys):
+        trace = run_dir / "trace.ndjson"
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:3] + [line] + lines[3:]) + "\n")
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable trace: line 4 is not a record")
+
+    def test_record_missing_a_field_exit_2(self, run_dir, capsys):
+        trace = run_dir / "trace.ndjson"
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        transition = next(r for r in records if r["kind"] == "transition")
+        del transition["subject"]
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err == "error: malformed trace record: KeyError: 'subject'\n"
+
+    def test_unreadable_metrics_exit_2(self, run_dir, capsys):
+        (run_dir / "metrics.txt").write_text("metric cpu high 1000\n")
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable metrics: ")

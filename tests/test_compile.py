@@ -15,6 +15,7 @@ import yaml
 from whatif import dsl
 from whatif.dsl import Template, compile_scenario, parse_scenario, validate
 from whatif.engine import Engine, Outcome, run_scenario
+from whatif.executors.base import parse_job_body
 
 from conftest import count_operations
 
@@ -116,6 +117,35 @@ def test_engine_compiles_each_expression_and_template_once(monkeypatch):
     assert counts == {"parse": 3, "instantiate": 3}
     assert engine.run().outcome is Outcome.SUCCESS
     assert counts == {"parse": 3, "instantiate": 3}
+
+
+@pytest.mark.parametrize("instances", [200, 1000])
+def test_compile_parses_each_template_once(instances, monkeypatch):
+    """Each template is parsed once per compile, into a skeleton that every
+    inputs map fills; however many distinct instance texts there are."""
+    parses = []
+
+    class CountingLoader(dsl._YAML_LOADER):
+        def __init__(self, stream):
+            parses.append(stream)
+            super().__init__(stream)
+
+    node = Template("node", {"up": None, "cpu": None}, "declares: [cpu]\nscript:\n- { at: '{{up}}', do: running }\n"
+                    "- { at: 1s, do: metric, name: cpu, value: {{cpu}} }\n- { at: 100s, do: success }\n")
+    inputs = [{"up": f"{i}ms", "cpu": str(i % 97)} for i in range(instances)]
+    doc = _doc([
+        {"action": "Cluster", "name": "db", "cluster": {"templateRef": "node", "instances": instances, "inputs": inputs}},
+        {"action": "Call", "name": "work", "depends": {"running": ["db"]},
+         "call": {"callable": "step", "services": ["db-0", "db-1"]}},
+    ])
+    monkeypatch.setattr(dsl, "_YAML_LOADER", CountingLoader)
+    plan = compile_scenario(doc, {"node": node, "step": STEP})
+    assert plan.report.ok, str(plan.report)
+    assert len(parses) == 2
+    assert len(set(plan.texts["db"])) == instances
+    monkeypatch.undo()
+    for text, spec in list(zip(plan.texts["db"], plan.jobs["db"]))[::97]:
+        assert spec == parse_job_body(dsl.load_yaml(text))
 
 
 def test_plan_indexes_every_name_once():

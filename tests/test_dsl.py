@@ -329,6 +329,23 @@ class TestValidate:
         report = validate(doc, {"t": Template("t", {"services": None}, "command: true\n")})
         assert [f.message for f in report.errors()] == ["bad target '.cluster.ghost.all': ghost"]
 
+    @pytest.mark.parametrize("kind", ["Service", "Call", "Chaos"])
+    def test_only_the_first_inputs_map_is_compiled(self, kind):
+        bodies = {
+            "Service": "{templateRef: t, inputs: [{d: 5s}, {}]}",
+            "Call": "{callable: t, services: [s], inputs: [{d: 5s}, {}]}",
+            "Chaos": "{templateRef: t, inputs: [{d: 5s}, {}]}",
+        }
+        body = "kind: suspend\ntargets: [s]\nduration: {{d}}\n" if kind == "Chaos" else \
+            "script:\n- { at: 0s, do: running }\n- { at: {{d}}, do: success }\n"
+        doc = parse_scenario(
+            "spec:\n- {action: Service, name: s, service: {script: [{at: 0s, do: running}, {at: 9s, do: success}]}}\n"
+            f"- {{action: {kind}, name: a, depends: {{running: [s]}}, {kind.lower()}: {bodies[kind]}}}\n"
+        )
+        plan = compile_scenario(doc, {"t": Template("t", {"d": None}, body)})
+        assert [str(f) for f in plan.report.findings] == ["warning: a: only the first inputs map is used"]
+        assert plan.texts["a"] == [body.replace("{{d}}", "5s")]
+
     def test_warnings_do_not_flip_ok(self):
         doc = parse_scenario(
             "mystery: 1\n"

@@ -1,19 +1,32 @@
 """The YAML loader against PyYAML's pure-Python safe loader.
 
 `dsl.load_yaml` parses every document the program reads: scenarios,
-template files, and each instantiated template body. It runs on libyaml
-when PyYAML has it, so on the documents the tests and the benchmark use it
-must construct the values `yaml.SafeLoader` constructs, and a document that
-does not parse must still fail with the program's own error at each site.
+template files, and instantiated template bodies. It runs on libyaml when
+PyYAML has it, so on the documents the tests and the benchmark use it must
+construct the values `yaml.SafeLoader` constructs, and a document that does
+not parse must still fail with the program's own error at each site.
+
+A job template is parsed once per compile into a skeleton, which each
+inputs map fills. Instantiating the text and parsing it stays the
+definition: wherever the skeleton is filled, it must construct exactly what
+`load_yaml(instantiate_template(...))` constructs, under either loader.
 """
+
+import datetime
+import math
+from contextlib import contextmanager
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from whatif import dsl
 from whatif.dsl import (
     Template,
     _YAML_LOADER,
     compile_scenario,
+    instantiate_template,
     load_templates,
     load_yaml,
     parse_scenario,
@@ -65,21 +78,64 @@ MALFORMED = [
 ]
 
 
+LOADERS = [
+    pytest.param(getattr(yaml, "CSafeLoader", yaml.SafeLoader), id="libyaml"),
+    pytest.param(yaml.SafeLoader, id="pure"),
+]
+
+
+@contextmanager
+def loader_in_use(loader):
+    saved = dsl._YAML_LOADER
+    dsl._YAML_LOADER = loader
+    try:
+        yield
+    finally:
+        dsl._YAML_LOADER = saved
+
+
+def same(a, b) -> bool:
+    """Equal by type and value, recursively and in order; NaN equals NaN.
+
+    `==` would take 1, 1.0 and True for one another, and 0.0 for -0.0.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            same(ka, kb) and same(va, vb) for (ka, va), (kb, vb) in zip(a.items(), b.items())
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, set):
+        return {(type(x), repr(x)) for x in a} == {(type(y), repr(y)) for y in b}
+    return repr(a) == repr(b)
+
+
+def test_same_tells_types_apart():
+    assert same({"a": [1, 2.5, None]}, {"a": [1, 2.5, None]})
+    assert same(math.nan, float("nan"))
+    for a, b in [(1, 1.0), (1, True), (0.0, -0.0), ("1", 1), ({"a": 1}, {"a": 1.0}),
+                 ([1, 2], [2, 1]), ({"a": 1, "b": 2}, {"b": 2, "a": 1})]:
+        assert not same(a, b), (a, b)
+
+
+def _corpus() -> list[tuple]:
+    """(document, templates): the demo, the valid criterion-7 corpus, three golden documents."""
+    pairs = [(parse_scenario((SCENARIOS / "partition-demo.yaml").read_text()), load_templates(SCENARIOS / "templates"))]
+    pairs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+    pairs += [_build(name) for name in ("chain-120", "cluster-200", "metrics-300")]
+    return pairs
+
+
 def _instantiated(doc, templates) -> list[str]:
-    """Every template text compiling this document parses."""
+    """Every template text compiling this document instantiates."""
     return [text for texts in compile_scenario(doc, templates).texts.values() for text in texts]
 
 
 def _documents() -> list[str]:
     texts = [(SCENARIOS / "partition-demo.yaml").read_text(), SCALARS, AFTER_RACE, *WORKLOAD_STYLE]
-    demo_doc = parse_scenario(texts[0])
-    demo_templates = load_templates(SCENARIOS / "templates")
-    texts += _instantiated(demo_doc, demo_templates)
-    for doc in corpus_docs():
-        texts.append(render_scenario(doc))
-        texts += _instantiated(doc, CORPUS_TEMPLATES)
-    for name in ("chain-120", "cluster-200", "metrics-300"):
-        doc, templates = _build(name)
+    for doc, templates in _corpus():
         texts.append(render_scenario(doc))
         texts += _instantiated(doc, templates)
     return texts
@@ -93,7 +149,150 @@ def test_loader_constructs_what_the_safe_loader_constructs():
     texts = _documents()
     assert len(texts) > 400
     for text in texts:
-        assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader), text
+        assert same(load_yaml(text), yaml.load(text, Loader=yaml.SafeLoader)), text
+
+
+# --- one parse per template: the skeleton against the text path -------------------
+
+def _filled_or_text_path(template: Template, values: dict):
+    """The filled skeleton, or None where the structured path hands over to the text path."""
+    skeleton = dsl._Skeleton.parse(template)
+    if skeleton is None:
+        return None
+    try:
+        return (skeleton.fill(values),)
+    except dsl._TextPath:
+        return None
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_filled_skeleton_constructs_what_the_corpus_texts_parse_to(loader, monkeypatch):
+    instances = []
+    load_instance = dsl._load_instance
+
+    def recorded(skeletons, ref, template, values, text):
+        instances.append((template, values, text))
+        return load_instance(skeletons, ref, template, values, text)
+
+    monkeypatch.setattr(dsl, "_load_instance", recorded)
+    with loader_in_use(loader):
+        for doc, templates in _corpus():
+            compile_scenario(doc, templates)
+        templated = [(t, values, text) for t, values, text in instances if "{{" in t.body]
+        assert len(templated) > 150
+        for template, values, text in templated:
+            filled = _filled_or_text_path(template, values)
+            assert filled is not None, text  # no corpus template needs the text path
+            assert same(filled[0], load_yaml(text)), text
+
+
+# Where a placeholder can sit: plain, quoted, block, key and mid-scalar positions,
+# and the places the skeleton hands to the text path (tags, anchors, comments,
+# scalars over several lines).
+POSITIONS = [
+    "a: {{x}}\n",
+    "a: {{x}}\nb: {{x}}\n",
+    "- {{x}}\n- pre {{y}} post\n",
+    "a: [{{x}}, {{y}}]\n",
+    "{a: {{x}}, b: c}\n",
+    "a: {{x}}s\n",
+    "a: x{{x}}{{y}}\n",
+    "a: {{x}}.{{y}}\n",
+    "{{x}}",
+    "a: '{{x}}'\nb: \"{{y}}\"\n",
+    "a: 'it''s {{x}} and {{y}}'\n",
+    "a: \"\\t{{x}}\\u00e9\"\n",
+    "env: { TARGETS: '{{x}}' }\n",
+    "script:\n  - { at: {{x}}, do: metric, name: cpu, value: {{y}} }\n",
+    "a: |\n  {{x}}\n",
+    "a: >\n  {{x}} {{y}}\n",
+    "{{x}}: 1\n",
+    "{ {{x}}: 1 }\n",
+    "a: !!str {{x}}\n",
+    "a: ! '{{x}}'\n",
+    "a: &anchor {{x}}\nb: *anchor\n",
+    "a: 1 # {{x}}\nb: {{y}}\n",
+    "a: \"one\n  {{x}}\n  two\"\n",
+    "a: one\n  {{x}}\n",
+    "a: [{{x}}\n  , {{y}}]\n",
+]
+
+TRICKY = [
+    "", " ", " a", "a ", "a b", "a  b", "~", "null", "Null", "yes", "No", "on", "OFF", "true",
+    "5", "-5", "+5", "007", "0x1F", "0b101", "0b_", "1_000", "1:30", "190:20:30", ".5", "1.", "1e3",
+    "1.0e+3", ".inf", "-.inf", ".NaN", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
+    "2001-12-14 21:59:43.10 +5", "2001-13-45", "0000-01-01", "=", "<<", "...", "---", "-", "?",
+    "a: b", "a:b", "a #b", "a#b", "#", "'", "''", '"', "\\", "a\nb", "\t", "x\ty", "\r", "\x85",
+    "\u2028", "\xa0", "\ufeff", "\x00", "é", "[1]", "{}", "&a", "*a", "!x", "|", ">", "%", "@",
+    "`", ",", "__whatif_slot_0__",
+]
+
+INPUTS = st.one_of(
+    st.sampled_from(TRICKY),
+    st.text(alphabet="ab19e.:-_+~#,[]{}'\"\\&*!|>%@`? \t\n\r\x85\xa0é", max_size=8),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.dates().map(str),
+    st.datetimes().map(str),
+)
+
+
+def _outcome(load):
+    try:
+        return True, load()
+    except Exception as exc:  # the text path's own errors, compared by type
+        return False, type(exc)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=400, deadline=None)
+@given(body=st.sampled_from(POSITIONS), x=INPUTS, y=INPUTS)
+@example(body="a: {{x}}\n", x="5", y="")
+@example(body="a: {{x}}\n", x="1:30", y="")
+# One input for each rule that sends a plain or quoted input to the text path.
+@example(body="a: {{x}}\n", x="a ", y="")
+@example(body="a: {{x}}\n", x=" a", y="")
+@example(body="a: [{{x}}, {{y}}]\n", x="", y="1")
+@example(body="a: {{x}}\n", x="- a", y="")
+@example(body="a: {{x}}\n", x="-", y="")
+@example(body="{{x}}", x="...", y="")
+@example(body="a: {{x}}\n", x="a #b", y="")
+@example(body="a: {{x}}\n", x="a\nb", y="")
+@example(body="a: '{{x}}'\nb: \"{{y}}\"\n", x="'", y="")
+@example(body="a: '{{x}}'\nb: \"{{y}}\"\n", x="", y="\\t")
+def test_filled_skeleton_constructs_what_the_text_parses_to(loader, body, x, y):
+    template = Template("t", {"x": None, "y": None}, body)
+    values = {"x": x, "y": y}
+    with loader_in_use(loader):
+        filled = _filled_or_text_path(template, values)
+        if filled is None:
+            return
+        parsed, value = _outcome(lambda: load_yaml(instantiate_template(template, values)))
+        assert parsed, (body, values, value)
+        assert same(filled[0], value), (body, values)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_plain_inputs_keep_their_yaml_types(loader):
+    template = Template("t", {"x": None}, "a: {{x}}\nb: '{{x}}'\n")
+    cases = [("5", 5), ("yes", True), ("~", None), ("0x1F", 31), (".5", 0.5),
+             ("2001-12-14", datetime.date(2001, 12, 14)), ("1:30", 90), ("a b", "a b")]
+    with loader_in_use(loader):
+        for text, value in cases:
+            loaded = dsl._load_instance({}, "t", template, {"x": text}, instantiate_template(template, {"x": text}))
+            assert same(loaded, {"a": value, "b": text}), text
+        assert _filled_or_text_path(template, {"x": "5"}) is not None
+        assert _filled_or_text_path(template, {"x": "1:30"}) is None  # ':' is an indicator
+
+
+@pytest.mark.parametrize("body", [
+    "{{x}}: 1\n", "a: |\n  {{x}}\n", "a: !!str {{x}}\n", "a: &n {{x}}\nb: *n\n", "a: 1 # {{x}}\n",
+    "a: 'one\n  {{x}}'\n", "a: [unclosed {{x}}\n", "a: __whatif_slot_0__ {{x}}\n",
+    "a: \"\\x5f_whatif_slot_0__\" # {{x}}\n", "a: __whatif_slot_0__ # {{x}}\n", "a: &n [1, *n]\nb: {{x}}\n",
+    "a: 1\n",  # no placeholder: one text, parsed once
+])
+def test_placeholders_the_skeleton_cannot_fill_take_the_text_path(body):
+    assert dsl._Skeleton.parse(Template("t", {"x": None}, body)) is None
 
 
 def test_template_files_load_as_with_the_safe_loader():
