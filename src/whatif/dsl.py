@@ -65,10 +65,17 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_yaml(text: str, all_documents: bool = False):
-    """Parse YAML safely: the document, or with ``all_documents`` a list of every document."""
-    if all_documents:
-        return list(yaml.load_all(text, Loader=_YAML_LOADER))
-    return yaml.load(text, Loader=_YAML_LOADER)
+    """Parse YAML safely: the document, or with ``all_documents`` a list of every document.
+
+    Every error is a ``yaml.YAMLError``, also a scalar that the YAML 1.1
+    resolver types but that does not construct (the date ``2001-13-45``).
+    """
+    try:
+        if all_documents:
+            return list(yaml.load_all(text, Loader=_YAML_LOADER))
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except ValueError as exc:
+        raise yaml.constructor.ConstructorError(None, None, f"cannot construct a value: {exc}") from exc
 
 
 class ScenarioDefaults(Value):
@@ -90,9 +97,6 @@ class DependsClause(Value):
         self.running = [] if running is None else running
         self.success = [] if success is None else success
         self.after = after
-
-    def is_empty(self) -> bool:
-        return not self.running and not self.success and self.after is None
 
     def names(self) -> list[str]:
         return list(self.running) + list(self.success)

@@ -69,7 +69,7 @@ from .lifecycle import (
     Phase,
     ResourceNode,
     advance_to,
-    aggregate_phase,
+    aggregate_phase,  # unused here; bench/tracer.py wraps it on this module
     classify_failure,
     find_node,  # unused here; bench/tracer.py wraps it on this module
     iter_nodes,
@@ -209,7 +209,6 @@ class Engine:
         self.trace = RunTrace()
         self.store = MetricsStore()
         self.checkpoints = CheckpointRegistry()
-        self.regions: dict[str, float] = {}  # open region label -> start; the trace records the rest
         self.executor.bind(self.queue, self.clock, self.store)
 
         self.tree = plan.tree
@@ -360,7 +359,6 @@ class Engine:
             self._evaluate_state_assertions(now)
 
     def _on_terminal(self, node: ResourceNode, now: float) -> None:
-        self._close_region(node.name, now)
         if node.phase == Phase.FAILED:
             if node.failure_class == FailureClass.UNEXPECTED:
                 self._fail(f"{node.name}: {node.failure_reason or 'unexpected failure'}")
@@ -406,7 +404,6 @@ class Engine:
             target.chaos = None
         node = self.nodes[action]
         if not node.phase.terminal:
-            self._close_region(action, event.at)
             self._move(node, Phase.SUCCESS, event.at)
             self._on_terminal(node, event.at)
 
@@ -465,12 +462,10 @@ class Engine:
         now = self.clock.now()
         due = now + self.plan.timeouts[action.name]
         self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
-        if action.kind == "Service":
-            self._dispatch_service(action, now)
+        if action.kind in ("Service", "Call"):
+            self._create_job(self._resolve_job(action, 0, action.name), now)
         elif action.kind == "Cluster":
             self._dispatch_cluster(action, now)
-        elif action.kind == "Call":
-            self._dispatch_call(action, now)
         elif action.kind == "Chaos":
             self._dispatch_chaos(action, now)
         elif action.kind == "Checkpoint":
@@ -480,20 +475,11 @@ class Engine:
         if action.name in self.asserts and self._live(action.name):
             self._evaluate_action_assertions(action.name, now, metrics=True)
 
-    def _dispatch_service(self, action: ActionSpec, now: float) -> None:
-        self._create_job(self._resolve_job(action, 0, action.name), now)
-        self._trace_annotation("point", action.name, now)
-
     def _dispatch_cluster(self, action: ActionSpec, now: float) -> None:
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING, now)
         for index, child in enumerate(node.children):
             self._create_job(self._resolve_job(action, index, child.name), now)
-            self._trace_annotation("point", child.name, now)
-
-    def _dispatch_call(self, action: ActionSpec, now: float) -> None:
-        self._create_job(self._resolve_job(action, 0, action.name), now)
-        self._open_region(action.name, now)
 
     def _dispatch_chaos(self, action: ActionSpec, now: float) -> None:
         spec, targets = self.plan.faults[action.name]
@@ -515,7 +501,6 @@ class Engine:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
         self._move(node, Phase.RUNNING, now)
-        self._open_region(action.name, now)
         if spec.kind == "kill":
             live = [target for target in dict.fromkeys(targets) if not target.phase.terminal]
             self.kill_watch[action.name] = len(live)
@@ -682,24 +667,17 @@ class Engine:
             del self.kill_watch[action_name]
             node = self.nodes[action_name]
             if not node.phase.terminal:
-                self._close_region(action_name, now)
                 self._move(node, Phase.SUCCESS, now)
                 self._on_terminal(node, now)
 
     # --- outcome ----------------------------------------------------------------
 
     def _check_completion(self) -> None:
+        """Succeed once every action is terminal: a Failed one already failed the run (``_on_terminal``)."""
         if self.finished or self.unfinished:
             return
-        action_nodes = [self.nodes[a.name] for a in self.doc.actions]
-        agg = aggregate_phase([(n.phase, n.failure_class) for n in action_nodes], tolerated=0)
-        if agg == Phase.SUCCESS or not action_nodes:
-            self.outcome = Outcome.SUCCESS
-            self.reason = "all actions completed"
-        else:
-            failed = next(n for n in action_nodes if n.phase == Phase.FAILED)
-            self.outcome = Outcome.FAILED
-            self.reason = f"{failed.name}: {failed.failure_reason or 'failed'}"
+        self.outcome = Outcome.SUCCESS
+        self.reason = "all actions completed"
         self.finished = True
 
     def _fail(self, reason: str) -> None:
@@ -727,8 +705,6 @@ class Engine:
             except UnknownHandle:
                 pass
             self.active_faults.pop(action_name, None)
-        for label in list(self.regions):
-            self._close_region(label, now)
         for node in iter_nodes(self.tree):
             if node.name in self.started and not node.phase.terminal:
                 self._trace_command("KillJob", node.name, now)
@@ -790,20 +766,6 @@ class Engine:
     def _trace_command(self, verb: str, target: str, at: float, args: Optional[dict] = None) -> None:
         """Record one call into the executor, or the run's abort."""
         self.trace.append("command", at, verb=verb, target=target, args={} if args is None else args)
-
-    def _trace_annotation(self, action: str, label: str, at: float, **extra) -> None:
-        kind = "Point" if action == "point" else "Region"
-        self.trace.append("annotation", at, action=action, label=label, ann_kind=kind, **extra)
-
-    def _open_region(self, label: str, at: float) -> None:
-        self.regions[label] = at
-        self._trace_annotation("open", label, at)
-
-    def _close_region(self, label: str, at: float) -> None:
-        """Close the region ``label`` if it is open; it ends no earlier than it started."""
-        start = self.regions.pop(label, None)
-        if start is not None:
-            self._trace_annotation("close", label, at, start=start, end=max(at, start))
 
 
 class CountedScope:

@@ -5,6 +5,19 @@ engine state. `whatif run` builds it from the records it holds in memory,
 and `whatif report` from those `load_run` reads back from the run files;
 both give identical output. Three renderings: a JSON document, a
 human-readable timeline, and plot-ready series with annotation markers.
+
+Annotations mark where each workload ran and each fault was in effect.
+They are derived from the records that state those facts, in the order
+their labels first appear:
+
+- a Point is a ``CreateJob`` command whose target is not a Call (a
+  Service, or a cluster instance), at the command's time;
+- a Region starts at a Call's ``CreateJob`` command, or at a Chaos
+  action's transition to Running;
+- a Region ends at that action's first transition to Success or Failed,
+  or else at the ``outcome`` record's time.
+
+Older traces also hold ``annotation`` records; the report ignores them.
 """
 
 from __future__ import annotations
@@ -26,11 +39,23 @@ class CorruptRun(WhatifError):
 
 
 def build_report(records: list[TraceRecord]) -> dict:
-    """Shape the trace into the report structure; CorruptRun if a record lacks what it reads."""
+    """Shape the trace into the report structure.
+
+    CorruptRun if a record lacks a field the report reads, or a field it
+    copies has the wrong type.
+    """
     try:
         return _shape(records)
     except (KeyError, TypeError, AttributeError) as exc:
         raise CorruptRun(f"malformed trace record: {type(exc).__name__}: {exc}") from exc
+
+
+def _field(record: TraceRecord, key: str, kind: type, *default):
+    """The record's ``key`` field, or ``default`` when given and it is absent; CorruptRun unless a ``kind``."""
+    value = record.data.get(key, *default) if default else record.data[key]
+    if not isinstance(value, kind):
+        raise CorruptRun(f"malformed trace record {record.seq}: {key} is not a {kind.__name__}")
+    return value
 
 
 def _shape(records: list[TraceRecord]) -> dict:
@@ -38,23 +63,41 @@ def _shape(records: list[TraceRecord]) -> dict:
     outcome = next((r for r in records if r.kind == "outcome"), None)
     if header is None or outcome is None:
         raise CorruptRun("trace is missing its run header or outcome record")
+    actions = _field(header, "actions", list, [])
+    kinds = {action["name"]: action["kind"] for action in actions}
 
     resources: dict[str, dict] = {}
+    annotations: dict[str, dict] = {}
+    regions: dict[str, dict] = {}  # the open ones, by label
+    commands = []
     for record in records:
-        if record.kind != "transition":
-            continue
-        subject = record.data["subject"]
-        entry = resources.setdefault(subject, {"phases": []})
-        entry["phases"].append({"phase": record.data["to"], "at": record.at})
-        if record.data["to"] in ("Success", "Failed"):
-            entry["end"] = record.at
-        if record.data.get("class"):
-            entry["failure_class"] = record.data["class"]
-        if record.data.get("reason"):
-            entry["reason"] = record.data["reason"]
-    for entry in resources.values():
-        if entry["phases"]:
-            entry["start"] = entry["phases"][0]["at"]
+        if record.kind == "command":
+            verb, target = _field(record, "verb", str), _field(record, "target", str)
+            commands.append({"verb": verb, "target": target, "at": record.at})
+            if verb != "CreateJob":
+                continue
+            if kinds.get(target) == "Call":
+                annotations[target] = regions[target] = {"kind": "Region", "label": target, "start": record.at}
+            else:
+                annotations[target] = {"kind": "Point", "label": target, "start": record.at}
+        elif record.kind == "transition":
+            subject, to = _field(record, "subject", str), _field(record, "to", str)
+            entry = resources.get(subject)
+            if entry is None:
+                entry = resources[subject] = {"phases": [], "start": record.at}
+            entry["phases"].append({"phase": to, "at": record.at})
+            if to == "Running" and kinds.get(subject) == "Chaos":
+                annotations[subject] = regions[subject] = {"kind": "Region", "label": subject, "start": record.at}
+            elif to in ("Success", "Failed"):
+                entry["end"] = record.at
+                if subject in regions:
+                    regions.pop(subject)["end"] = record.at
+            if record.data.get("class"):
+                entry["failure_class"] = _field(record, "class", str)
+            if record.data.get("reason"):
+                entry["reason"] = _field(record, "reason", str)
+    for region in regions.values():
+        region["end"] = outcome.at
 
     fired = [
         {"subject": r.data.get("subject", ""), "expr": r.data.get("expr", ""), "at": r.at}
@@ -62,7 +105,9 @@ def _shape(records: list[TraceRecord]) -> dict:
         if r.kind == "event" and r.data.get("event") == "Metrics" and r.data.get("fired")
     ]
     assertions = []
-    for owner, texts in header.data.get("assertions", {}).items():
+    for owner, texts in _field(header, "assertions", dict, {}).items():
+        if not isinstance(texts, list):
+            raise CorruptRun(f"malformed trace record {header.seq}: assertions of {owner} is not a list")
         for text in texts:
             hit = next((f for f in fired if f["subject"] == owner and f["expr"] == text), None)
             assertions.append({
@@ -72,41 +117,27 @@ def _shape(records: list[TraceRecord]) -> dict:
                 "at": hit["at"] if hit else None,
             })
 
-    annotations: dict[str, dict] = {}
-    for record in records:
-        if record.kind != "annotation":
-            continue
-        label = record.data["label"]
-        what = record.data["action"]
-        if what == "point":
-            annotations[label] = {"kind": "Point", "label": label, "start": record.at}
-        elif what == "open":
-            annotations[label] = {"kind": "Region", "label": label, "start": record.at, "end": None}
-        elif what == "close" and label in annotations:
-            annotations[label]["end"] = record.at
-
     checkpoints = [
-        {"name": r.data["name"], "at": r.at, "values": r.data["values"], "phases": r.data["phases"]}
+        {
+            "name": _field(r, "name", str),
+            "at": r.at,
+            "values": _field(r, "values", dict),
+            "phases": _field(r, "phases", dict),
+        }
         for r in records
         if r.kind == "checkpoint"
     ]
 
-    commands = [
-        {"verb": r.data["verb"], "target": r.data["target"], "at": r.at}
-        for r in records
-        if r.kind == "command"
-    ]
-
     return {
-        "scenario": header.data.get("scenario", ""),
-        "seed": header.data.get("seed", 0),
-        "executor": header.data.get("executor", ""),
-        "outcome": outcome.data["outcome"],
-        "reason": outcome.data.get("reason", ""),
-        "actions": header.data.get("actions", []),
+        "scenario": _field(header, "scenario", str, ""),
+        "seed": _field(header, "seed", int, 0),
+        "executor": _field(header, "executor", str, ""),
+        "outcome": _field(outcome, "outcome", str),
+        "reason": _field(outcome, "reason", str, ""),
+        "actions": actions,
         "resources": resources,
         "assertions": assertions,
-        "annotations": [annotations[label] for label in annotations],
+        "annotations": list(annotations.values()),
         "checkpoints": checkpoints,
         "commands": commands,
     }
@@ -149,8 +180,7 @@ def render_text(report: dict) -> str:
         if annotation["kind"] == "Point":
             moments.append((annotation["start"], f"* {annotation['label']}"))
         else:
-            end = annotation.get("end")
-            span = f"[{annotation['start']:.3f} .. {end:.3f}]" if end is not None else f"[{annotation['start']:.3f} .. )"
+            span = f"[{annotation['start']:.3f} .. {annotation['end']:.3f}]"
             moments.append((annotation["start"], f"region {annotation['label']} {span}"))
     for at, text in sorted(moments, key=lambda m: m[0]):
         lines.append(f"  {at:10.3f}  {text}")

@@ -87,10 +87,6 @@ class MetricsStore:
             self._times.setdefault(name, [])
             self._values.setdefault(name, [])
 
-    def known(self, name: str) -> bool:
-        with self._lock:
-            return name in self._times
-
     def ingest(self, point: MetricPoint) -> bool:
         """Store one point. Returns False when dropped as out-of-order."""
         with self._lock:

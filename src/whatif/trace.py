@@ -1,9 +1,11 @@
 """The run trace: an append-only, totally ordered record of one run.
 
 Each record is one newline-delimited JSON object with a sequence number,
-a timestamp, a kind (run, event, command, transition, annotation,
-checkpoint, outcome), and kind-specific fields. Simulated runs with the
-same document and seed serialize to byte-identical traces.
+a timestamp, a kind (run, event, command, transition, checkpoint,
+outcome), and kind-specific fields. Each fact is recorded once; the report
+derives what follows from several facts, such as the annotations. Older
+traces also hold ``annotation`` records, which readers ignore. Simulated
+runs with the same document and seed serialize to byte-identical traces.
 """
 
 from __future__ import annotations

@@ -6,15 +6,18 @@ import random
 import pytest
 
 from whatif.cli import main
-from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, render_scenario
+from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario, render_scenario
+from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
-from conftest import SCENARIOS
+from whatif.report import build_report, report_json_text
+from conftest import SCENARIOS, script_template
 
 VALID = SCENARIOS / "partition-demo.yaml"
 TEMPLATES = SCENARIOS / "templates"
 NAME_COLLISION = SCENARIOS / "invalid" / "name-collision.yaml"
 BAD_JOB_BODY = SCENARIOS / "invalid" / "bad-job-body.yaml"
 BAD_METRIC_VALUE = SCENARIOS / "invalid" / "bad-metric-value.yaml"
+BAD_TIMESTAMP = SCENARIOS / "invalid" / "bad-timestamp.yaml"
 
 CYCLIC = """
 spec:
@@ -26,6 +29,27 @@ spec:
   name: b
   depends: { success: [a] }
   call: { callable: boot, services: [] }
+"""
+
+TIMED_OUT_CALL = "spec:\n- action: Call\n  name: slow\n  timeout: 10s\n  call: { callable: t, services: [] }\n"
+
+# The trace of TIMED_OUT_CALL as runs wrote it when each annotation was also
+# its own `annotation` record.
+TIMED_OUT_CALL_OLD_TRACE = """\
+{"actions":[{"kind":"Call","name":"slow"}],"assertions":{},"at":0.0,"executor":"sim","kind":"run","scenario":"scenario","seed":0,"seq":0}
+{"at":0.0,"kind":"transition","seq":1,"subject":"scenario","to":"Pending"}
+{"at":0.0,"kind":"transition","seq":2,"subject":"scenario","to":"Running"}
+{"args":{"command":null,"metrics":"none","script_effects":2},"at":0.0,"kind":"command","seq":3,"target":"slow","verb":"CreateJob"}
+{"action":"open","ann_kind":"Region","at":0.0,"kind":"annotation","label":"slow","seq":4}
+{"at":0.0,"event":"State","kind":"event","phase":"Pending","seq":5,"subject":"slow"}
+{"at":0.0,"kind":"transition","seq":6,"subject":"slow","to":"Pending"}
+{"at":0.0,"event":"State","kind":"event","phase":"Running","seq":7,"subject":"slow"}
+{"at":0.0,"kind":"transition","seq":8,"subject":"slow","to":"Running"}
+{"at":10.0,"event":"Time","kind":"event","seq":9,"timer":"timeout:slow"}
+{"args":{"outcome":"Aborted","reason":"timeout: action slow did not finish in time"},"at":10.0,"kind":"command","seq":10,"target":"scenario","verb":"AbortRun"}
+{"action":"close","ann_kind":"Region","at":10.0,"end":10.0,"kind":"annotation","label":"slow","seq":11,"start":0.0}
+{"args":{},"at":10.0,"kind":"command","seq":12,"target":"slow","verb":"KillJob"}
+{"at":10.0,"kind":"outcome","outcome":"Aborted","reason":"timeout: action slow did not finish in time","seq":13}
 """
 
 CRASHY = """
@@ -111,6 +135,20 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "word: script[1].value: expected a number, got 'high'" in captured.out + captured.err
         assert "list: script[1].value: expected a number, got [1]" in captured.out + captured.err
+
+    def test_bad_timestamp_exit_2(self, capsys):
+        assert main(["validate", str(BAD_TIMESTAMP), "--templates", str(TEMPLATES)]) == 2
+        assert capsys.readouterr().err == "error: cannot construct a value: month must be in 1..12\n"
+
+    def test_bad_timestamp_input_exit_2(self, tmp_path, capsys):
+        (tmp_path / "templates").mkdir()
+        (tmp_path / "templates" / "lib.yaml").write_text(
+            "name: dated\nparameters: [when]\nbody: 'script: [{at: {{when}}, do: running}]'\n")
+        path = tmp_path / "templated.yaml"
+        path.write_text("spec:\n- {action: Service, name: s, service: {templateRef: dated, inputs: [{when: '2001-13-45'}]}}\n")
+        assert main(["validate", str(path), "--templates", str(tmp_path / "templates")]) == 2
+        assert ("s: template dated body does not parse: cannot construct a value: month must be in 1..12"
+                in capsys.readouterr().out)
 
     def test_cyclic_deps_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cyclic.yaml"
@@ -307,6 +345,30 @@ class TestReport:
         trace.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(run_dir)]) == 2
         assert capsys.readouterr().err == "error: malformed trace record: KeyError: 'subject'\n"
+
+    @pytest.mark.parametrize("field, value, kind", [("values", [1], "dict"), ("phases", "Running", "dict"), ("name", 7, "str")])
+    def test_field_of_the_wrong_type_exit_2(self, run_dir, field, value, kind, capsys):
+        record = {"seq": 999, "at": 1, "kind": "checkpoint", "name": "x", "values": {}, "phases": {}}
+        record[field] = value
+        with (run_dir / "trace.ndjson").open("a") as trace:
+            trace.write(json.dumps(record) + "\n")
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"error: malformed trace record 999: {field} is not a {kind}\n"
+
+    def test_assertion_texts_not_a_list_exit_2(self, run_dir, capsys):
+        trace = run_dir / "trace.ndjson"
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        records[0]["assertions"] = {"run-workload": "MAX() > 1"}
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err == "error: malformed trace record 0: assertions of run-workload is not a list\n"
+
+    def test_old_trace_with_annotation_records_gives_the_same_report(self, tmp_path, capsys):
+        (tmp_path / "trace.ndjson").write_text(TIMED_OUT_CALL_OLD_TRACE)
+        assert main(["report", str(tmp_path), "--format", "json"]) == 0
+        templates = {"t": script_template("t", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])}
+        result = run_scenario(parse_scenario(TIMED_OUT_CALL), templates)
+        assert capsys.readouterr().out == report_json_text(build_report(result.trace.records))
 
     def test_unreadable_metrics_exit_2(self, run_dir, capsys):
         (run_dir / "metrics.txt").write_text("metric cpu high 1000\n")

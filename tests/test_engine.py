@@ -7,6 +7,7 @@ from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, ru
 from whatif.errors import InvalidScenario, UnknownHandle
 from whatif.events import Event, EventKind, SimClock
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
+from whatif.report import build_report
 
 from conftest import script_template
 from test_acceptance import CORPUS_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES
@@ -28,21 +29,16 @@ def cycle(engine, event):
     return engine.trace.records[start:]
 
 
-def assert_regions_close_once(trace) -> int:
-    """Every opened region has exactly one later close for its label, ending no
-    earlier than it starts. Returns the number of regions."""
-    opens, closes = {}, {}
-    for record in trace:
-        if record.kind == "annotation" and record.data["action"] == "open":
-            opens[record.data["label"]] = record
-        elif record.kind == "annotation" and record.data["action"] == "close":
-            closes.setdefault(record.data["label"], []).append(record)
-    assert closes.keys() == opens.keys()
-    for label, opened in opens.items():
-        [closed] = closes[label]
-        assert closed.seq > opened.seq, label
-        assert closed.data["start"] == opened.at and closed.data["end"] >= closed.data["start"], label
-    return len(opens)
+def report_regions(trace) -> dict:
+    """The report's Regions by label. Each one ends no earlier than it starts,
+    when its action ends, or with the run if the action never did."""
+    report = build_report(trace.records)
+    [outcome_at] = [r.at for r in trace if r.kind == "outcome"]
+    regions = {a["label"]: a for a in report["annotations"] if a["kind"] == "Region"}
+    for label, region in regions.items():
+        assert region["end"] >= region["start"], label
+        assert region["end"] == report["resources"][label].get("end", outcome_at), label
+    return regions
 
 
 def dispatch_commands(records):
@@ -354,14 +350,10 @@ class TestTraceInvariants:
 
     def test_no_overlap_for_chained_calls(self, partition_demo):
         doc, templates = partition_demo
-        trace = run_scenario(doc, templates).trace
-        closes = {r.data["label"]: r.seq for r in trace
-                  if r.kind == "annotation" and r.data["action"] == "close"}
-        opens = {r.data["label"]: r.seq for r in trace
-                 if r.kind == "annotation" and r.data["action"] == "open"}
+        regions = report_regions(run_scenario(doc, templates).trace)
         chain = ["boot", "import-workload", "wait-for-3x-replication", "run-workload"]
         for first, second in zip(chain, chain[1:]):
-            assert closes[first] < opens[second]
+            assert regions[first]["end"] <= regions[second]["start"]
 
     def test_tag_precedes_injection(self, partition_demo):
         doc, templates = partition_demo
@@ -410,10 +402,11 @@ class TestTraceInvariants:
         assert result.outcome is Outcome.FAILED
         assert any(r.kind == "command" and r.data["verb"] == "RevokeFault"
                    for r in result.trace)
-        assert assert_regions_close_once(result.trace) == 1
+        regions = report_regions(result.trace)
+        assert list(regions) == ["net"] and regions["net"]["end"] == 10.0
 
     def test_every_region_closes_once(self, partition_demo):
-        """On green, failed and timed-out runs, each region the trace opens closes exactly once."""
+        """On green, failed and timed-out runs, each Region of the report ends once, no earlier than it starts."""
         runs = [partition_demo, *(_build(name) for name in sorted(GOLDEN))]
         runs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
         runs.append((parse_scenario(PANIC_DOC), PANIC_TEMPLATES))
@@ -424,7 +417,7 @@ class TestTraceInvariants:
         for doc, templates in runs:
             result = run_scenario(doc, templates)
             outcomes.append(result.outcome)
-            regions.append(assert_regions_close_once(result.trace))
+            regions.append(len(report_regions(result.trace)))
         assert outcomes[-2:] == [Outcome.FAILED, Outcome.ABORTED]
         assert regions[-2:] == [1, 1] and sum(regions) >= 180
 

@@ -4,6 +4,10 @@ Each document below is run on the sim executor and the sha256 of its saved
 trace is compared with the digest recorded when the test was written. A
 change that alters a trace on purpose must say so and re-record the digest;
 any other mismatch means the engine's observable behaviour drifted.
+
+The same runs also pin the sha256 of their report.json text: the report is
+what an operator reads, so it stays byte-identical even across a deliberate
+change of the trace format.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ from whatif.engine import run_scenario
 from whatif.report import METRICS_FILE, TRACE_FILE, build_report, load_run, report_json_text
 
 from conftest import stage_template
-from test_acceptance import CORPUS_TEMPLATES, DEFECTS, _generate_scenario
+from test_acceptance import CORPUS_TEMPLATES, DEFECTS, PANIC_DOC, PANIC_TEMPLATES, _generate_scenario
 
 
 def _script(effects: list) -> str:
@@ -117,14 +121,14 @@ def trace_digest(doc, templates, tmp_path) -> str:
 
 # sha256 of trace.ndjson for each generated document.
 GOLDEN = {
-    "after-race": "ef13febd7a77aeb18e364dc738e1ef204e5d16257bca9ecd3668fb1eded3b99b",
-    "chain-120": "f54e8e0417c6868084fcbabc9bfb32fe2464fb9ab3ab92a241900769946dbe38",
-    "cluster-200": "c92a79aed5da6608030e0668589c24d43294f4af748b80b8c633e07ff1055a6a",
-    "metrics-300": "cb7b7fcb5e64adc62d61b2cc2b72a79ced0d29825f5e54d15bb6d517e2eeb1db",
+    "after-race": "d77c6da37cbd333b136cc27b6874ca890da68da30f6aa4f17696e395d5bea2c2",
+    "chain-120": "0b59c1e2ab5a5415a72db5a7527bd198dc9a9ee5d9fbf2cc709aa45af72e059d",
+    "cluster-200": "dd2fd11ee90f848a0c505a9d07eb2f73930653482155d67dea0d346bfa0696e7",
+    "metrics-300": "4b53f198221cd0bf18eda8dfb6ba278efd5a8f303a14cc787af8f9a95b9b1bac",
 }
-DEMO_GOLDEN = "46cc3bb79aa9ec259fea54ba2ebaa72e9ad46812bbc9e875fddbbc288400b471"
+DEMO_GOLDEN = "9fa15602e0a4180a67955f681e59f9449643e4fd6a014c063c1c11a6619c2333"
 # sha256 over the concatenated per-document digests of the 25 corpus documents.
-CORPUS_GOLDEN = "7c037029eb5d12975a8d3a0fda522bc49a93d020b732bb98a97c3b28092eb5f4"
+CORPUS_GOLDEN = "6c1f55bbb9c0b56221f9d3bcfa634b57853584396e4ca2ea0c89ce96950a46a1"
 
 
 def _build(name: str):
@@ -150,6 +154,41 @@ def test_golden_validation_corpus(tmp_path):
     assert len(digests) == 25
     assert hashlib.sha256("".join(digests).encode("ascii")).hexdigest() == CORPUS_GOLDEN
 
+
+def report_digest(doc, templates) -> str:
+    report = build_report(run_scenario(doc, templates).trace.records)
+    return hashlib.sha256(report_json_text(report).encode("ascii")).hexdigest()
+
+
+# sha256 of report.json for the golden documents, the demo and the panic run.
+REPORT_GOLDEN = {
+    "after-race": "18372683a1dbfad3e0931496e112c7158b0ad6ed38460394aa0c770cb3ac6948",
+    "chain-120": "e1c9761557389b14b5a3c8e4fe6d5c5bb6a88dd1a569c9404463280473505490",
+    "cluster-200": "bc7d13460a026d4ec41f0c27e117c179e5c7793101af69e802c1c265686c542e",
+    "metrics-300": "069ed5ccc5bc5e698648fea45a8d05a4ee5347e51425d12f53a6bc8928a389e5",
+}
+DEMO_REPORT_GOLDEN = "90a89c6303d2756ecc6a309deecb286dc4dc7bf1c6d48a969b210726ae81330d"
+PANIC_REPORT_GOLDEN = "d1033cc224257a283d7936e3e132a5da0a3acf1ae82135836ddec7668c161699"
+# sha256 over the concatenated per-document report digests of the 25 corpus documents.
+CORPUS_REPORT_GOLDEN = "1dd458fe4d18185e72622dd98f933f52591536fbddc566913d68b0e4f5b15793"
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_golden_report(name):
+    assert report_digest(*_build(name)) == REPORT_GOLDEN[name]
+
+
+def test_golden_demo_report(partition_demo):
+    assert report_digest(*partition_demo) == DEMO_REPORT_GOLDEN
+
+
+def test_golden_panic_report():
+    assert report_digest(parse_scenario(PANIC_DOC), PANIC_TEMPLATES) == PANIC_REPORT_GOLDEN
+
+
+def test_golden_corpus_reports():
+    digests = [report_digest(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+    assert hashlib.sha256("".join(digests).encode("ascii")).hexdigest() == CORPUS_REPORT_GOLDEN
 
 
 def test_report_from_memory_equals_report_from_run_files(partition_demo, tmp_path):

@@ -77,6 +77,10 @@ MALFORMED = [
     "\t- tab indented\n",
 ]
 
+# Scalars that the YAML 1.1 resolver types but that do not construct: both
+# loaders raise a plain ValueError for them.
+UNCONSTRUCTIBLE = ["2001-13-45", "0b_", "0x_"]
+
 
 LOADERS = [
     pytest.param(getattr(yaml, "CSafeLoader", yaml.SafeLoader), id="libyaml"),
@@ -310,7 +314,7 @@ def test_malformed_documents_fail_with_both_loaders():
 
 
 def test_malformed_scenario_is_a_syntax_error():
-    for text in MALFORMED:
+    for text in MALFORMED + [f"spec: {scalar}\n" for scalar in UNCONSTRUCTIBLE]:
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario(text)
 
@@ -365,4 +369,40 @@ spec:
     assert [str(f) for f in validate(doc).findings] == [
         "error: key: unknown job body key 'scirpt'",
         "error: effect: script[0]: unknown effect 'runnning'",
+    ]
+
+
+@pytest.mark.parametrize("scalar", UNCONSTRUCTIBLE)
+def test_unconstructible_scalar_is_a_yaml_error(scalar):
+    text = f"a: {scalar}\n"
+    with pytest.raises(ValueError):
+        yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.raises(yaml.YAMLError, match="^cannot construct a value: "):
+        load_yaml(text)
+    with pytest.raises(yaml.YAMLError, match="^cannot construct a value: "):
+        load_yaml(f"b: 1\n---\n{text}", all_documents=True)
+
+
+def test_unconstructible_template_file_names_the_file(tmp_path):
+    bad = tmp_path / "lib.yaml"
+    bad.write_text("name: dated\nbody: 'script: []'\nsince: 2001-13-45\n")
+    with pytest.raises(ScenarioSyntaxError) as info:
+        load_templates(tmp_path)
+    assert str(info.value) == f"{bad}: cannot construct a value: month must be in 1..12"
+
+
+def test_unconstructible_template_input_is_a_finding():
+    doc = parse_scenario("""
+name: bad-input
+spec:
+- {action: Service, name: s, service: {templateRef: dated, inputs: [{when: "2001-13-45"}]}}
+- {action: Chaos, name: cut, depends: {running: [s]}, chaos: {templateRef: net, inputs: [{bits: "0b_"}]}}
+""")
+    templates = {
+        "dated": Template("dated", {"when": None}, "script:\n- { at: {{when}}, do: running }\n"),
+        "net": Template("net", {"bits": None}, "kind: partition\nsource: s\nduration: {{bits}}\n"),
+    }
+    assert [str(f) for f in validate(doc, templates).findings] == [
+        "error: s: template dated body does not parse: cannot construct a value: month must be in 1..12",
+        "error: cut: fault template does not parse: cannot construct a value: invalid literal for int() with base 2: ''",
     ]
