@@ -1,9 +1,10 @@
 """Operator commands: validate, run, and report scenarios.
 
 Exit codes are part of the contract: 0 success, 1 the test failed,
-2 invalid scenario or unreadable input, 3 run aborted (timeout or engine
-error). Logs go to stderr; machine-readable output goes to files under
-the run directory.
+2 invalid scenario, unreadable input or an unusable run directory, 3 run
+aborted (timeout, engine error, or SIGINT, SIGTERM or SIGHUP). Logs go to
+stderr; machine-readable output goes to files under the run directory,
+also for an aborted run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .dsl import ENGINE_DEFAULT_TIMEOUT, load_templates, parse_scenario, validate
 from .durations import parse_duration
-from .engine import Outcome, run_scenario
+from .engine import Engine, Outcome
 from .errors import InvalidScenario, WhatifError
 from .executors import make_executor
 from .report import (
@@ -60,25 +61,41 @@ def cmd_run(args) -> int:
     except (OSError, WhatifError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    executor = make_executor(args.executor)
     try:
-        result = run_scenario(
-            doc, templates, executor,
+        engine = Engine(
+            doc, templates, make_executor(args.executor),
             seed=args.seed, default_timeout=args.timeout_default,
         )
     except InvalidScenario as exc:  # the engine validates before it starts anything
         print(str(exc.report), file=sys.stderr)
         return EXIT_INVALID
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result.trace.save(out / TRACE_FILE)
-    result.store.save(out / METRICS_FILE)
-    (out / REPORT_FILE).write_text(report_json_text(build_report(result.trace.records)))
-    print(f"{result.outcome}: {result.reason}", file=sys.stderr)
-    if result.outcome == Outcome.SUCCESS:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+
+    # SIGTERM and SIGHUP interrupt the run as SIGINT does: the engine kills
+    # its jobs and records an Aborted outcome, and the run files get written.
+    import signal  # here, so that importing the CLI does not load it
+
+    handlers = {sig: signal.signal(sig, signal.default_int_handler) for sig in (signal.SIGTERM, signal.SIGHUP)}
+    try:
+        try:
+            engine.run()
+        except KeyboardInterrupt:
+            pass  # recorded by the engine as `interrupted: KeyboardInterrupt`
+        engine.trace.save(out / TRACE_FILE)
+        engine.store.save(out / METRICS_FILE)
+        (out / REPORT_FILE).write_text(report_json_text(build_report(engine.trace.records)))
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    print(f"{engine.outcome}: {engine.reason}", file=sys.stderr)
+    if engine.outcome == Outcome.SUCCESS:
         return EXIT_OK
-    if result.outcome == Outcome.FAILED:
+    if engine.outcome == Outcome.FAILED:
         return EXIT_TEST_FAILED
     return EXIT_ABORTED
 

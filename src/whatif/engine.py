@@ -293,7 +293,7 @@ class Engine:
         self._check_completion()
 
         while not self.finished:
-            popped = self.queue.pop_next() if self.clock.virtual else self.queue.wait_next(self.clock)
+            popped = self.queue.pop_next() if self.clock.virtual else self.queue.wait_next(self.clock, self.executor.wait)
             if popped is None:
                 self._abort("timeout: no pending events but actions remain unfinished")
                 break

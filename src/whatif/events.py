@@ -5,14 +5,13 @@ by (timestamp, sequence number), which gives reconciliation a total order.
 Queue items are either Events (consumed by the engine loop) or plain
 callables (scheduled work such as scripted simulator effects and timer
 internals). Under the simulated clock the loop jumps time to each item;
-under the wall clock it waits until items fall due, while executor watcher
-threads push events concurrently.
+under the wall clock it waits in the executor until items fall due, so
+one thread runs the whole run.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -76,7 +75,7 @@ QueueItem = Union[Event, Callable[[], None]]
 
 
 class EventQueue:
-    """Priority queue of (at, seq, item) with thread-safe pushes.
+    """Priority queue of (at, seq, item).
 
     The sequence number breaks timestamp ties in push order, which is what
     makes simulated runs fully deterministic.
@@ -85,48 +84,45 @@ class EventQueue:
     def __init__(self):
         self._heap: list = []
         self._seq = 0
-        self._cond = threading.Condition()
 
     def push(self, at: float, item: QueueItem) -> int:
-        with self._cond:
-            seq = self._seq
-            self._seq += 1
-            heapq.heappush(self._heap, (at, seq, item))
-            self._cond.notify()
-            return seq
+        seq = self._seq
+        self._seq += 1
+        heapq.heappush(self._heap, (at, seq, item))
+        return seq
 
     def push_event(self, event: Event) -> int:
         return self.push(event.at, event)
 
     def __len__(self) -> int:
-        with self._cond:
-            return len(self._heap)
+        return len(self._heap)
 
     def peek_time(self) -> Optional[float]:
-        with self._cond:
-            return self._heap[0][0] if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop_next(self) -> Optional[tuple]:
         """Pop the earliest item immediately (simulated time)."""
-        with self._cond:
-            if not self._heap:
-                return None
-            at, _, item = heapq.heappop(self._heap)
-            return at, item
+        if not self._heap:
+            return None
+        at, _, item = heapq.heappop(self._heap)
+        return at, item
 
-    def wait_next(self, clock, poll: float = 0.05) -> Optional[tuple]:
-        """Block until the earliest item falls due on the wall clock."""
-        with self._cond:
-            while True:
-                now = clock.now()
-                if self._heap:
-                    at = self._heap[0][0]
-                    if at <= now:
-                        popped_at, _, item = heapq.heappop(self._heap)
-                        return popped_at, item
-                    self._cond.wait(timeout=min(at - now, poll))
-                else:
-                    self._cond.wait(timeout=poll)
+    def wait_next(self, clock, wait: Callable[[Optional[float]], bool]) -> Optional[tuple]:
+        """Pop the earliest item once it falls due on the wall clock.
+
+        Meanwhile ``wait(seconds until due)`` may push items (``Executor.wait``).
+        On an empty queue, return None once ``wait(None)`` says nothing can arrive.
+        """
+        while True:
+            if not self._heap:
+                if not wait(None):
+                    return None
+                continue
+            delay = self._heap[0][0] - clock.now()
+            if delay <= 0:
+                at, _, item = heapq.heappop(self._heap)
+                return at, item
+            wait(delay)
 
 
 class SimClock:
@@ -149,8 +145,7 @@ class WallClock:
     """Seconds since run start on the monotonic clock, never decreasing.
 
     Stepping the system clock cannot move run time: only the unix time
-    captured at start is used, to map the unix-ms stamps jobs print. Watcher
-    threads read the clock too, so reads and ``set`` share a lock.
+    captured at start is used, to map the unix-ms stamps jobs print.
     """
 
     virtual = False
@@ -159,16 +154,13 @@ class WallClock:
         self._t0 = time.monotonic()
         self._unix0 = time.time()
         self._last = 0.0
-        self._lock = threading.Lock()
 
     def now(self) -> float:
-        with self._lock:
-            self._last = max(self._last, time.monotonic() - self._t0)
-            return self._last
+        self._last = max(self._last, time.monotonic() - self._t0)
+        return self._last
 
     def set(self, at: float) -> None:
-        with self._lock:
-            self._last = max(self._last, at)
+        self._last = max(self._last, at)
 
     def from_unix_ms(self, ms: float) -> float:
         return ms / 1000.0 - self._unix0

@@ -26,6 +26,7 @@ Fault schema::
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 from ..durations import parse_duration
@@ -146,6 +147,15 @@ class Executor:
 
     def supports_fault(self, kind: str) -> bool:
         raise NotImplementedError
+
+    def wait(self, timeout: Optional[float]) -> bool:
+        """Block until a job has news or ``timeout`` seconds pass; False when no job can bring news.
+
+        ``None`` sets no limit. Here no job can: this sleeps, or returns at once for no limit.
+        """
+        if timeout is not None:
+            time.sleep(timeout)
+        return False
 
     def shutdown(self) -> None:
         pass

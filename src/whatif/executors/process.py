@@ -1,23 +1,34 @@
 """Local-process executor: real child processes on the workstation.
 
-Each job is one spawned process with a watcher thread that ingests
-``metric <name> <float> <unix-ms>`` stdout lines and reports the exit
-status as a State event. Kill and suspend faults map to SIGKILL and
-SIGSTOP/SIGCONT; network partitions need the simulated executor.
+Each job is one process in a process group of its own. The engine's loop
+waits in ``wait`` on each job's pidfd (Linux 5.3+) and stdout pipe, which
+ingests ``metric <name> <float> <unix-ms>`` lines and, when a job exits,
+kills the rest of its group, reaps it and emits its exit status as a State
+event. Kill and suspend faults send SIGKILL and SIGSTOP/SIGCONT to the
+group; network partitions need the simulated executor.
 """
 
 from __future__ import annotations
 
 import os
+import selectors
 import shlex
 import signal
 import subprocess
-import threading
+from typing import Optional
 
 from ..errors import SpawnError, TargetNotRunning, UnsupportedFault
 from ..lifecycle import Phase
 from ..telemetry import MetricPoint
 from .base import Executor, FaultSpec, JobSpec
+
+
+def _signal_group(proc: subprocess.Popen, sig: int) -> None:
+    """Send ``sig`` to the job's process group; a group already gone is no error."""
+    try:
+        os.killpg(proc.pid, sig)
+    except ProcessLookupError:
+        pass
 
 
 class ProcessExecutor(Executor):
@@ -26,10 +37,10 @@ class ProcessExecutor(Executor):
     def __init__(self):
         super().__init__()
         self.procs: dict[str, subprocess.Popen] = {}
-        self.threads: list[threading.Thread] = []
         self._fault_killed: set = set()
-        self._engine_killed: set = set()
-        self._lock = threading.Lock()
+        self._pidfds: dict[str, int] = {}  # jobs not reaped yet
+        self._tails: dict[str, bytes] = {}  # each pipe's unterminated last line
+        self._selector = selectors.DefaultSelector()
 
     # --- jobs -------------------------------------------------------------
 
@@ -50,34 +61,70 @@ class ProcessExecutor(Executor):
                 stdout=subprocess.PIPE if want_stdout else subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
                 env=env,
-                text=True,
+                start_new_session=True,
             )
         except (OSError, ValueError) as exc:
             raise SpawnError(f"{spec.name}: {exc}") from exc
         self.procs[spec.name] = proc
-        self._emit(spec.name, Phase.RUNNING)
-        thread = threading.Thread(target=self._watch, args=(spec.name, proc), daemon=True)
-        thread.start()
-        self.threads.append(thread)
-
-    def _watch(self, name: str, proc: subprocess.Popen) -> None:
+        self._pidfds[spec.name] = pidfd = os.pidfd_open(proc.pid)
+        self._selector.register(pidfd, selectors.EVENT_READ, spec.name)
         if proc.stdout is not None:
-            with proc.stdout:
-                for line in proc.stdout:
-                    self._ingest_line(line)
-        returncode = proc.wait()
-        with self._lock:
-            if name in self._engine_killed:
-                return
-            fault_killed = name in self._fault_killed
-        if returncode == 0:
-            self._emit(name, Phase.SUCCESS)
-        else:
-            mode = "kill" if fault_killed else "crash"
-            self._emit(name, Phase.FAILED, mode=mode, reason=f"exit={returncode}")
+            os.set_blocking(proc.stdout.fileno(), False)
+            self._selector.register(proc.stdout, selectors.EVENT_READ, spec.name)
+        self._emit(spec.name, Phase.RUNNING)
 
-    def _ingest_line(self, line: str) -> None:
-        parts = line.split()
+    def wait(self, timeout: Optional[float]) -> bool:
+        if not self._pidfds:  # no job left to bring news
+            return super().wait(timeout)
+        for key, _ in self._selector.select(timeout):
+            name = key.data
+            if isinstance(key.fileobj, int):  # the pidfd: the job exited
+                returncode = self._reap(name)
+                if returncode == 0:
+                    self._emit(name, Phase.SUCCESS)
+                else:
+                    mode = "kill" if name in self._fault_killed else "crash"
+                    self._emit(name, Phase.FAILED, mode=mode, reason=f"exit={returncode}")
+            elif not key.fileobj.closed:  # not closed by a reap earlier in this batch
+                self._read(name, key.fileobj)
+        return True
+
+    def _reap(self, name: str) -> int:
+        """Kill what is left of the job's group, reap the job, ingest the rest of its output."""
+        proc = self.procs[name]
+        _signal_group(proc, signal.SIGKILL)  # while the unreaped job still pins its group id
+        returncode = proc.wait()
+        pidfd = self._pidfds.pop(name)
+        self._selector.unregister(pidfd)
+        os.close(pidfd)
+        if proc.stdout is not None and not proc.stdout.closed:
+            while self._read(name, proc.stdout):
+                pass
+            if not proc.stdout.closed:  # a killed grandchild may hold the pipe a moment longer
+                self._close(name, proc.stdout)
+        return returncode
+
+    def _read(self, name: str, pipe) -> bool:
+        """Ingest the complete lines in ``pipe``; at EOF the last one too. True when more may follow now."""
+        try:
+            chunk = os.read(pipe.fileno(), 65536)
+        except BlockingIOError:
+            return False
+        if not chunk:
+            self._close(name, pipe)
+            return False
+        *lines, self._tails[name] = (self._tails.get(name, b"") + chunk).split(b"\n")
+        for line in lines:
+            self._ingest_line(line)
+        return True
+
+    def _close(self, name: str, pipe) -> None:
+        self._ingest_line(self._tails.pop(name, b""))
+        self._selector.unregister(pipe)
+        pipe.close()
+
+    def _ingest_line(self, line: bytes) -> None:
+        parts = line.decode(errors="replace").split()
         if len(parts) != 4 or parts[0] != "metric":
             return
         try:
@@ -85,17 +132,12 @@ class ProcessExecutor(Executor):
             unix_ms = float(parts[3])
         except ValueError:
             return
-        at = self.clock.from_unix_ms(unix_ms) if hasattr(self.clock, "from_unix_ms") else self.clock.now()
-        self.store.ingest(MetricPoint(parts[1], value, max(0.0, at)))
+        self.store.ingest(MetricPoint(parts[1], value, max(0.0, self.clock.from_unix_ms(unix_ms))))
 
     def kill_job(self, name: str) -> None:
         proc = self.procs.get(name)
-        if proc is None:
-            return
-        with self._lock:
-            self._engine_killed.add(name)
-        if proc.poll() is None:
-            proc.kill()
+        if proc is not None:
+            _signal_group(proc, signal.SIGKILL)
 
     # --- faults -------------------------------------------------------------
 
@@ -110,28 +152,18 @@ class ProcessExecutor(Executor):
             if proc is None or proc.poll() is not None:
                 raise TargetNotRunning(target)
         if spec.kind == "kill":
-            for target in spec.targets:
-                with self._lock:
-                    self._fault_killed.add(target)
-                self.procs[target].kill()
-        else:  # suspend
-            for target in spec.targets:
-                self.procs[target].send_signal(signal.SIGSTOP)
+            self._fault_killed.update(spec.targets)
+        for target in spec.targets:
+            _signal_group(self.procs[target], signal.SIGKILL if spec.kind == "kill" else signal.SIGSTOP)
         return self._record_fault(action, spec)
 
     def _lift(self, spec: FaultSpec) -> None:
         for target in spec.targets:  # a suspend: a kill is never in effect
-            proc = self.procs.get(target)
-            if proc is not None and proc.poll() is None:
-                proc.send_signal(signal.SIGCONT)
+            _signal_group(self.procs[target], signal.SIGCONT)
 
     # --- plumbing ------------------------------------------------------------
 
     def shutdown(self) -> None:
-        for name, proc in self.procs.items():
-            with self._lock:
-                self._engine_killed.add(name)
-            if proc.poll() is None:
-                proc.kill()
-        for thread in self.threads:
-            thread.join(timeout=2.0)
+        for name in list(self._pidfds):
+            self._reap(name)
+        self._selector.close()

@@ -6,17 +6,16 @@ the same line protocol jobs speak on stdout::
 
     metric <name> <float> <unix-ms>
 
-Ingestion may happen concurrently from executor watchers; queries take a
-consistent snapshot under the same lock. The engine names the metrics its
-assertions read with ``watch``; an ingest of such a metric then pushes a
-Metrics event into the run queue, at most one pending per metric, which
-is how both executors, threads included, wake the loop.
+Every ingest and query runs on the engine's thread: the process executor
+ingests job output while the loop waits in it. The engine names the
+metrics its assertions read with ``watch``; an ingest of such a metric
+then pushes a Metrics event into the run queue, at most one pending per
+metric, which is how both executors wake the loop.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 from typing import Optional
 
 from .errors import DuplicateCheckpoint, UnknownMetric
@@ -54,7 +53,6 @@ class MetricsStore:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._times: dict[str, list[float]] = {}
         self._values: dict[str, list[float]] = {}
         self.dropped = 0
@@ -70,37 +68,31 @@ class MetricsStore:
         the engine takes the notice with ``take_notices``, since the
         evaluation that follows reads them from the store anyway.
         """
-        with self._lock:
-            self._watched = frozenset(names)
-            self._queue = queue
-            self._clock = clock
+        self._watched = frozenset(names)
+        self._queue = queue
+        self._clock = clock
 
     def take_notices(self) -> list[str]:
         """The watched metrics with new points since the last call; their next point notifies again."""
-        with self._lock:
-            names, self._pending = list(self._pending), set()
-            return names
+        names, self._pending = list(self._pending), set()
+        return names
 
     def declare(self, name: str) -> None:
         """Register a metric name before any point arrives."""
-        with self._lock:
-            self._times.setdefault(name, [])
-            self._values.setdefault(name, [])
+        self._times.setdefault(name, [])
+        self._values.setdefault(name, [])
 
     def ingest(self, point: MetricPoint) -> bool:
         """Store one point. Returns False when dropped as out-of-order."""
-        with self._lock:
-            times = self._times.setdefault(point.name, [])
-            values = self._values.setdefault(point.name, [])
-            if times and point.at < times[-1]:
-                self.dropped += 1
-                return False
-            times.append(point.at)
-            values.append(point.value)
-            notify = point.name in self._watched and point.name not in self._pending
-            if notify:
-                self._pending.add(point.name)
-        if notify:
+        times = self._times.setdefault(point.name, [])
+        values = self._values.setdefault(point.name, [])
+        if times and point.at < times[-1]:
+            self.dropped += 1
+            return False
+        times.append(point.at)
+        values.append(point.value)
+        if point.name in self._watched and point.name not in self._pending:
+            self._pending.add(point.name)
             self._queue.push_event(Event(EventKind.METRICS, self._clock.now(), subject=point.name))
         return True
 
@@ -108,39 +100,33 @@ class MetricsStore:
         """All points with frm <= at <= to, in time order."""
         if frm > to:
             raise ValueError(f"query window inverted: {frm} > {to}")
-        with self._lock:
-            if name not in self._times:
-                raise UnknownMetric(name)
-            times = self._times[name]
-            lo = bisect.bisect_left(times, frm)
-            hi = bisect.bisect_right(times, to)
-            return list(zip(times[lo:hi], self._values[name][lo:hi]))
+        if name not in self._times:
+            raise UnknownMetric(name)
+        times = self._times[name]
+        lo = bisect.bisect_left(times, frm)
+        hi = bisect.bisect_right(times, to)
+        return list(zip(times[lo:hi], self._values[name][lo:hi]))
 
     def points_from(self, name: str, start: int) -> list[tuple[float, float]]:
         """The points of ``name`` from the ``start``-th accepted one on, in time order."""
-        with self._lock:
-            if name not in self._times:
-                raise UnknownMetric(name)
-            return list(zip(self._times[name][start:], self._values[name][start:]))
+        if name not in self._times:
+            raise UnknownMetric(name)
+        return list(zip(self._times[name][start:], self._values[name][start:]))
 
     def names(self) -> list[str]:
-        with self._lock:
-            return list(self._times)
+        return list(self._times)
 
     def series(self, name: str) -> list[tuple[float, float]]:
-        with self._lock:
-            if name not in self._times:
-                raise UnknownMetric(name)
-            return list(zip(self._times[name], self._values[name]))
+        if name not in self._times:
+            raise UnknownMetric(name)
+        return list(zip(self._times[name], self._values[name]))
 
     def save(self, path) -> None:
         """Persist every accepted point in the stdout line protocol."""
-        with self._lock:
-            names = list(self._times)
-            with open(path, "w", encoding="ascii") as fh:
-                for name in names:
-                    for at, value in zip(self._times[name], self._values[name]):
-                        fh.write(f"metric {name} {value!r} {round(at * 1000)}\n")
+        with open(path, "w", encoding="ascii") as fh:
+            for name, times in self._times.items():
+                for at, value in zip(times, self._values[name]):
+                    fh.write(f"metric {name} {value!r} {round(at * 1000)}\n")
 
     @classmethod
     def load(cls, path) -> "MetricsStore":

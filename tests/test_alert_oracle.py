@@ -155,6 +155,17 @@ class TickReference(Engine):
             return eval_reducer(rule.ast, self.store, now)
         return None
 
+    def reconcile(self, event):
+        # A tick only reads rules. Letting it dispatch too would start an
+        # `after:` action before the other items due at the same instant,
+        # an order the engine never takes.
+        if event.timer_id != "tick" or self.finished:
+            super().reconcile(event)
+            return
+        self._on_time(event)
+        if not self.finished:
+            self._check_completion()
+
     def _on_time(self, event):
         if event.timer_id != "tick":
             super()._on_time(event)

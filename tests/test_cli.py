@@ -204,6 +204,15 @@ class TestRun:
         assert kills == ["first"]
         assert json.loads((out / "report.json").read_text())["outcome"] == "Aborted"
 
+    def test_out_under_a_regular_file_exit_2_before_the_run(self, tmp_path, capsys):
+        marker = tmp_path / "ran"
+        path = tmp_path / "touch.yaml"
+        path.write_text(f"spec:\n- action: Service\n  name: toucher\n  service: {{ command: touch {marker} }}\n")
+        (tmp_path / "file").write_text("")
+        assert main(["run", str(path), "--executor", "process", "--out", str(tmp_path / "file" / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not marker.exists()
+
     def test_invalid_scenario_exit_2(self, tmp_path):
         path = tmp_path / "cyclic.yaml"
         path.write_text(CYCLIC)

@@ -1,9 +1,16 @@
 """Local-process executor: real children, exit mapping, signals, metrics."""
 
+import json
+import os
+import signal
+import subprocess
 import sys
+import threading
 import time
 
 import pytest
+
+from conftest import REPO
 
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import Outcome, run_scenario
@@ -30,15 +37,31 @@ def make_harness():
     return executor, queue, clock, store
 
 
-def drain(queue, clock, want, timeout=10.0):
+def gone(target, kill=os.kill, timeout=10.0):
+    """Whether no process answers ``kill(target, 0)`` within ``timeout``.
+
+    Killed processes that were re-parented stay zombies until PID 1 reaps
+    them, so this polls.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            kill(target, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def drain(executor, queue, want, timeout=10.0):
     """Collect State/Tag events until ``want`` terminal states arrived."""
     events = []
-    deadline = time.time() + timeout
+    deadline = time.monotonic() + timeout
     terminal = 0
-    while time.time() < deadline and terminal < want:
+    while time.monotonic() < deadline and terminal < want:
         popped = queue.pop_next()
         if popped is None:
-            time.sleep(0.02)
+            executor.wait(max(0.0, deadline - time.monotonic()))
             continue
         _, item = popped
         if hasattr(item, "phase"):
@@ -66,14 +89,14 @@ class TestProcessJobs:
     def test_exit_zero_maps_to_success(self):
         executor, queue, clock, store = make_harness()
         executor.start_job(JobSpec(name="ok", command="true"))
-        events = drain(queue, clock, want=1)
+        events = drain(executor, queue, want=1)
         assert [e.phase for e in events] == [Phase.PENDING, Phase.RUNNING, Phase.SUCCESS]
         executor.shutdown()
 
     def test_exit_one_maps_to_failed(self):
         executor, queue, clock, store = make_harness()
         executor.start_job(JobSpec(name="bad", command="false"))
-        events = drain(queue, clock, want=1)
+        events = drain(executor, queue, want=1)
         failed = events[-1]
         assert failed.phase is Phase.FAILED
         assert failed.failure_mode == "crash"
@@ -91,7 +114,7 @@ class TestProcessJobs:
         executor.start_job(JobSpec(
             name="emitter", command=EMITTER, metrics_source="stdout-lines", declares=["beats"],
         ))
-        drain(queue, clock, want=1)
+        drain(executor, queue, want=1)
         series = store.series("beats")
         assert [value for _, value in series] == [0.0, 1.0, 2.0]
         assert all(at >= 0.0 for at, _ in series)
@@ -102,7 +125,7 @@ class TestProcessJobs:
         executor.start_job(JobSpec(
             name="emitter", command=EMITTER, metrics_source="stdout-lines", declares=["beats"],
         ))
-        events = drain(queue, clock, want=1)
+        events = drain(executor, queue, want=1)
         assert events[-1].phase is Phase.SUCCESS
         assert executor.procs["emitter"].stdout.closed
         executor.shutdown()
@@ -115,7 +138,7 @@ class TestProcessJobs:
             metrics_source="stdout-lines",
             declares=["m"],
         ))
-        drain(queue, clock, want=1)
+        drain(executor, queue, want=1)
         assert store.series("m") == []
         executor.shutdown()
 
@@ -134,7 +157,7 @@ class TestProcessFaults:
         executor.start_job(JobSpec(name="sleeper", command="sleep 30"))
         time.sleep(0.2)
         executor.inject_fault("killer", FaultSpec("kill", targets=["sleeper"]))
-        events = drain(queue, clock, want=1)
+        events = drain(executor, queue, want=1)
         failed = events[-1]
         assert failed.phase is Phase.FAILED and failed.failure_mode == "kill"
         executor.shutdown()
@@ -152,7 +175,7 @@ class TestProcessFaults:
         handle = executor.inject_fault("pause", FaultSpec("suspend", targets=["napper"], duration=30.0))
         time.sleep(0.3)
         executor.revoke_fault(handle)
-        events = drain(queue, clock, want=1)
+        events = drain(executor, queue, want=1)
         assert events[-1].phase is Phase.SUCCESS
         tags = [e for e in events if e.tags.get("event") == "fault-revoked"]
         assert tags
@@ -252,3 +275,86 @@ spec:
         spike_at = next(at for at, value in result.store.series("x") if value == 99)
         fired = next(r for r in result.trace if r.kind == "event" and r.data.get("fired"))
         assert spike_at <= fired.at < spike_at + tail
+
+
+class TestNothingOutlivesARun:
+    def test_timeout_abort_kills_the_background_processes_of_a_job(self, tmp_path):
+        pidfile = tmp_path / "pid"
+        doc = parse_scenario("spec:\n- { action: Call, name: slow, timeout: 300ms, call: { callable: t, services: [] } }\n")
+        templates = {"t": Template("t", {}, f"command: \"sh -c 'sleep 30 & echo $! > {pidfile}; sleep 30'\"\n")}
+        executor = ProcessExecutor()
+        result = run_scenario(doc, templates, executor)
+        assert result.outcome is Outcome.ABORTED
+        assert result.reason == "timeout: action slow did not finish in time"
+        assert executor.procs["slow"].returncode is not None
+        assert gone(executor.procs["slow"].pid, os.killpg)
+        assert gone(int(pidfile.read_text()))
+
+    def test_exit_is_seen_while_a_background_process_holds_stdout(self):
+        executor, queue, clock, store = make_harness()
+        started = time.monotonic()
+        executor.start_job(JobSpec(name="quick", command="sh -c 'sleep 5 & exit 3'", metrics_source="stdout-lines"))
+        events = drain(executor, queue, want=1)
+        assert time.monotonic() - started < 0.2
+        assert events[-1].phase is Phase.FAILED and events[-1].reason == "exit=3"
+        assert executor.procs["quick"].stdout.closed
+        executor.shutdown()
+        assert gone(executor.procs["quick"].pid, os.killpg)
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+    def test_signalled_cli_run_exits_3_with_run_files(self, tmp_path, sig):
+        pidfile = tmp_path / "pid"
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "spec:\n- action: Service\n  name: svc\n"
+            f"  service: {{ command: \"sh -c 'echo $$ > {pidfile}; sleep 30 & sleep 30'\" }}\n"
+        )
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "whatif.cli", "run", str(scenario), "--executor", "process", "--out", str(out)],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 20
+            while not (pidfile.exists() and pidfile.read_text().strip()) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            pgid = int(pidfile.read_text())
+            run.send_signal(sig)
+            _, stderr = run.communicate(timeout=20)
+        finally:
+            run.kill()
+            run.wait()
+        assert run.returncode == 3, stderr
+        assert "Traceback" not in stderr
+        assert (out / "trace.ndjson").exists() and (out / "metrics.txt").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["outcome"] == "Aborted" and report["reason"].startswith("interrupted:")
+        assert gone(pgid, os.killpg)
+
+
+def test_a_process_run_starts_no_thread():
+    counts = []
+
+    class CountingExecutor(ProcessExecutor):
+        def wait(self, timeout):
+            counts.append(threading.active_count())
+            return super().wait(timeout)
+
+    body = json.dumps({"command": EMITTER.replace("range(3)", "range(10)"), "metrics": "stdout-lines",
+                       "declares": ["beats"]})
+    doc = parse_scenario("""
+spec:
+- { action: Service, name: a, service: { templateRef: emitter } }
+- { action: Service, name: b, service: { templateRef: emitter } }
+- action: Chaos
+  name: cut
+  depends: { running: [a, b], after: 200ms }
+  chaos: { fault: { kind: kill, targets: [a] } }
+""")
+    before = threading.active_count()
+    result = run_scenario(doc, {"emitter": Template("emitter", {}, body)}, CountingExecutor())
+    assert result.outcome is Outcome.FAILED
+    assert result.store.series("beats")
+    assert counts and set(counts) == {before}
+    assert threading.active_count() == before

@@ -1,8 +1,5 @@
 """Metrics store, checkpoints, and the annotation log."""
 
-import sys
-import threading
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,47 +102,32 @@ class TestNotices:
         store.ingest(MetricPoint("cpu", 3.0, 0.0))
         assert len(queue) == 2
 
-    def test_no_point_is_left_without_a_pending_event(self):
-        """Watcher threads ingest while a consumer takes notices: after the last
-        event, the consumer has read every point (a lost notice would strand some)."""
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["m0", "m1", None]), max_size=60))
+    def test_no_point_is_left_without_a_pending_event(self, steps):
+        """Ingests of two watched metrics interleaved with the consumer's
+        turns (None): once the queue is empty, the consumer has read every
+        point (a lost notice would strand some)."""
         store, queue = MetricsStore(), EventQueue()
         names = ["m0", "m1"]
         store.watch(names, queue, WallClock())
-        per_thread, threads = 2000, 4
         seen = {name: 0 for name in names}
-        done = threading.Event()
-
-        def produce(i):
-            for k in range(per_thread):
-                store.ingest(MetricPoint(names[i % 2], float(k), 0.0))
 
         def consume():
-            while True:
-                popped = queue.pop_next()
-                if popped is None:
-                    if done.is_set() and len(queue) == 0:
-                        return
-                    continue
+            popped = queue.pop_next()
+            if popped is not None:
                 assert popped[1].kind is EventKind.METRICS
                 for name in store.take_notices():
                     seen[name] = len(store.points_from(name, 0))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            producers = [threading.Thread(target=produce, args=(i,)) for i in range(threads)]
-            consumer = threading.Thread(target=consume)
-            consumer.start()
-            for thread in producers:
-                thread.start()
-            for thread in producers:
-                thread.join(timeout=30)
-            done.set()
-            consumer.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not consumer.is_alive() and not any(t.is_alive() for t in producers)
-        assert seen == {name: per_thread * threads // 2 for name in names}
+        for step in steps:
+            if step is None:
+                consume()
+            else:
+                store.ingest(MetricPoint(step, 1.0, 0.0))
+        while len(queue):
+            consume()
+        assert seen == {name: steps.count(name) for name in names}
 
 
 class TestCheckpoints:
