@@ -49,7 +49,6 @@ from .errors import (
     SpawnError,
     TargetNotRunning,
     UnknownCheckpoint,
-    UnknownHandle,
     UnknownMetric,
     UnsupportedFault,
 )
@@ -65,20 +64,21 @@ from .expressions import (
     snapshot_scope,  # unused here; bench/tracer.py wraps it on this module
 )
 from .lifecycle import (
+    SLOTS,
     FailureClass,
     Phase,
     ResourceNode,
     advance_to,
     aggregate_phase,  # unused here; bench/tracer.py wraps it on this module
     classify_failure,
+    counted_phase,
     find_node,  # unused here; bench/tracer.py wraps it on this module
     iter_nodes,
     phase_order,
+    slot,
 )
 from .telemetry import CheckpointRegistry, MetricsStore
 from .trace import RunTrace
-
-GUARD_SLACK = 60.0
 
 
 def _logger():
@@ -153,10 +153,7 @@ def ready_since(clause, nodes: dict) -> Optional[float]:
         node = nodes.get(name)
         if node is None or node.phase not in (Phase.RUNNING, Phase.SUCCESS):
             return None
-        at = node.phase_times.get(Phase.RUNNING)
-        if at is None:
-            at = node.phase_times.get(node.phase, 0.0)
-        base = max(base, at)
+        base = max(base, node.phase_times[Phase.RUNNING])
     for name in clause.success:
         node = nodes.get(name)
         if node is None or node.phase != Phase.SUCCESS:
@@ -189,7 +186,7 @@ class Engine:
         executor: Optional[Executor] = None,
         clock=None,
         seed: int = 0,
-        default_timeout: float = ENGINE_DEFAULT_TIMEOUT,
+        default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
     ):
         self.doc = doc
         plan = compile_scenario(doc, templates, default_timeout)
@@ -239,12 +236,12 @@ class Engine:
         # plan's `dependents` names the actions waiting on each name.
         self.dirty: set[int] = set(range(len(doc.actions)))
         self.timed: set[int] = set()  # `after:` timer armed, not yet dispatched
-        # Per-cluster child counts by phase slot (see _slot; every child
-        # starts Uninitialized), the stale asserting actions (a job in their
-        # scope changed phase since their state assertions were last
+        # Per-cluster child counts by phase slot (see lifecycle.slot; every
+        # child starts Uninitialized), the stale asserting actions (a job in
+        # their scope changed phase since their state assertions were last
         # evaluated), each asserting action's place in document order, and
         # the number of actions not yet terminal.
-        self.phase_counts = {name: [instances, 0, 0, 0, 0, 0] for name, instances in plan.clusters.items()}
+        self.phase_counts = {name: [instances] + [0] * (SLOTS - 1) for name, instances in plan.clusters.items()}
         self.stale: set[str] = set()
         self.assert_order = {name: index for index, name in enumerate(self.asserts)}
         self.unfinished = len(doc.actions)
@@ -255,7 +252,6 @@ class Engine:
         # targets not yet terminal, and the faults watching each target.
         self.kill_watch: dict[str, int] = {}
         self.kill_watchers: dict[str, list[str]] = {}
-        self.active_faults: dict[str, str] = {}  # chaos action -> executor handle
         self.finished = False
         self.outcome = Outcome.SUCCESS
         self.reason = ""
@@ -286,8 +282,6 @@ class Engine:
         )
         self.store.watch(self.rules.keys(), self.queue, self.clock)
         self._move(self.tree, Phase.RUNNING, now)
-        guard = sum(self.plan.timeouts.values())
-        self.queue.push(now + guard + GUARD_SLACK, Event(EventKind.TIME, now + guard + GUARD_SLACK, timer_id="guard"))
 
         self._recheck_dispatch()
         self._check_completion()
@@ -379,9 +373,7 @@ class Engine:
     def _on_time(self, event: Event) -> None:
         timer = event.timer_id
         now = event.at
-        if timer == "guard":
-            self._abort("timeout: run exceeded its total timeout budget")
-        elif timer.startswith("timeout:"):
+        if timer.startswith("timeout:"):
             name = timer.split(":", 1)[1]
             node = self.nodes.get(name)
             if node is not None and not node.phase.terminal:
@@ -399,7 +391,6 @@ class Engine:
         if tags.get("event") != "fault-revoked":
             return
         action = tags["action"]
-        self.active_faults.pop(action, None)
         for target in self.plan.faults[action][1]:
             target.chaos = None
         node = self.nodes[action]
@@ -460,8 +451,10 @@ class Engine:
 
     def _dispatch(self, action: ActionSpec) -> None:
         now = self.clock.now()
-        due = now + self.plan.timeouts[action.name]
-        self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
+        timeout = self.plan.timeouts[action.name]
+        if timeout is not None:  # None: no timeout applies at any level
+            due = now + timeout
+            self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
         if action.kind in ("Service", "Call"):
             self._create_job(self._resolve_job(action, 0, action.name), now)
         elif action.kind == "Cluster":
@@ -496,7 +489,7 @@ class Engine:
             "direction": spec.direction, "duration": spec.duration,
         })
         try:
-            handle = self.executor.inject_fault(action.name, spec)
+            self.executor.inject_fault(action.name, spec)
         except (UnsupportedFault, TargetNotRunning, SpawnError) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
@@ -506,8 +499,6 @@ class Engine:
             self.kill_watch[action.name] = len(live)
             for target in live:
                 self.kill_watchers.setdefault(target.name, []).append(action.name)
-        else:
-            self.active_faults[action.name] = handle
 
     def _dispatch_checkpoint(self, action: ActionSpec, now: float) -> None:
         node = self.nodes[action.name]
@@ -592,8 +583,8 @@ class Engine:
         """The asserting action's scope: a cluster's children, or a leaf action's own job."""
         counts = self.phase_counts.get(node.name)
         if counts is None:
-            counts = [0] * 6
-            counts[_slot(node)] = 1
+            counts = [0] * SLOTS
+            counts[slot(node.phase, node.failure_class)] = 1
         return CountedScope(node, counts, self.nodes)
 
     def _evaluate_rules(self, now: float, changed: Optional[set] = None) -> None:
@@ -698,13 +689,9 @@ class Engine:
 
     def _finalize(self) -> None:
         now = self.clock.now()
-        for action_name, handle in list(self.active_faults.items()):
+        for action_name in list(self.executor.faults):
             self._trace_command("RevokeFault", action_name, now)
-            try:
-                self.executor.revoke_fault(handle)
-            except UnknownHandle:
-                pass
-            self.active_faults.pop(action_name, None)
+            self.executor.revoke_fault(action_name)
         for node in iter_nodes(self.tree):
             if node.name in self.started and not node.phase.terminal:
                 self._trace_command("KillJob", node.name, now)
@@ -725,7 +712,7 @@ class Engine:
         count, and the stale set, which gains the node and its ancestors
         that hold assertions.
         """
-        slot = _slot(node)
+        was = slot(node.phase, node.failure_class)
         hops = advance_to(node, target, at)
         if not hops:
             return
@@ -734,8 +721,8 @@ class Engine:
         owner = node.owner
         if owner is not None and owner.kind == "cluster":
             counts = self.phase_counts[owner.name]
-            counts[slot] -= 1
-            counts[_slot(node)] += 1
+            counts[was] -= 1
+            counts[slot(node.phase, node.failure_class)] += 1
         if owner is self.tree and node.phase.terminal:
             self.unfinished -= 1
         self.dirty.update(self.plan.dependents.get(node.name, ()))
@@ -749,7 +736,7 @@ class Engine:
 
         Equal to ``aggregate_phase`` over the cluster's children, in O(1).
         """
-        return _counted_phase(self.phase_counts[cluster.name], cluster.tolerated)
+        return counted_phase(self.phase_counts[cluster.name], cluster.tolerated)
 
     # --- trace helpers -------------------------------------------------------------
 
@@ -789,14 +776,14 @@ class CountedScope:
         if subject is None:
             return sum(self.counts[i] for i in slots)
         job = self._job(subject)
-        return int(job is not None and _slot(job) in slots)
+        return int(job is not None and slot(job.phase, job.failure_class) in slots)
 
     def phase_of(self, subject: str) -> Optional[Phase]:
         job = self._job(subject)
         return None if job is None else job.phase
 
     def aggregate(self) -> Phase:
-        return _counted_phase(self.counts, 0)
+        return counted_phase(self.counts, 0)
 
     def _job(self, name: str) -> Optional[ResourceNode]:
         node = self.nodes.get(name)
@@ -806,27 +793,9 @@ class CountedScope:
         return None
 
 
-def _slot(node: ResourceNode) -> int:
-    """Index of the node's phase in phase counts: Uninitialized, Pending,
-    Running, Success, then Failed split into Expected and the rest."""
-    if node.phase is Phase.FAILED:
-        return 4 if node.failure_class is FailureClass.EXPECTED else 5
-    return phase_order(node.phase)
-
-
 # The slots each state fn counts; `.state.failed()` counts either class.
-_SLOTS_OF = {"pending": (1,), "running": (2,), "success": (3,), "failed": (4, 5), "all": range(6)}
-
-
-def _counted_phase(counts: list, tolerated: int) -> Phase:
-    """``aggregate_phase`` over jobs given by their phase counts."""
-    if counts[5] or counts[4] > tolerated:
-        return Phase.FAILED
-    if counts[0] or counts[1]:
-        return Phase.PENDING
-    if counts[2]:
-        return Phase.RUNNING
-    return Phase.SUCCESS
+_SLOTS_OF = {p.value.lower(): (slot(p, None),) for p in (Phase.PENDING, Phase.RUNNING, Phase.SUCCESS)}
+_SLOTS_OF.update(failed=(slot(Phase.FAILED, FailureClass.EXPECTED), slot(Phase.FAILED, None)), all=range(SLOTS))
 
 
 def run_scenario(
@@ -835,7 +804,7 @@ def run_scenario(
     executor: Optional[Executor] = None,
     clock=None,
     seed: int = 0,
-    default_timeout: float = ENGINE_DEFAULT_TIMEOUT,
+    default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
 ) -> RunResult:
     """Validate, run, and trace one scenario; see Engine for the mechanics."""
     engine = Engine(doc, templates, executor, clock=clock, seed=seed, default_timeout=default_timeout)

@@ -88,7 +88,7 @@ class TargetNotRunning(WhatifError):
 
 
 class UnknownHandle(WhatifError):
-    """revoke_fault was called with an inactive or unknown handle."""
+    """revoke_fault was called for an action with no fault in effect."""
 
 
 # --- validation findings --------------------------------------------------

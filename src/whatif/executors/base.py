@@ -35,7 +35,6 @@ from ..events import Event, EventKind
 from ..lifecycle import Phase
 from ..values import FrozenValue, Value
 
-TRANSITION_OPS = {"running": Phase.RUNNING, "success": Phase.SUCCESS, "failed": Phase.FAILED}
 EFFECT_OPS = ("running", "success", "failed", "crash", "metric", "send", "block")
 
 
@@ -55,10 +54,6 @@ class SimEffect(FrozenValue):
         self.metric = metric
         self.value = value
         self.target = target
-
-    @property
-    def phase(self) -> Optional[Phase]:
-        return TRANSITION_OPS.get(self.op)
 
 
 class JobSpec(Value):
@@ -109,15 +104,16 @@ class Executor:
     Concrete executors emit State events into the queue they are bound to,
     and a ``fault-revoked`` Tag event when a fault ends, and they ingest
     metric points straight into the bound store. The fault bookkeeping is
-    shared: a fault's handle is its action's name, ``faults`` holds the
-    faults still in effect (a kill is over once injected), and one with a
-    duration is revoked when the duration elapses, unless revoked before.
+    shared: ``faults`` holds the faults still in effect by the name of the
+    action that injected them (a kill is over once injected), and one with
+    a duration is revoked when the duration elapses, unless revoked before.
+    A target of overlapping suspends resumes when the last of them ends.
     """
 
     name = "abstract"
 
     def __init__(self):
-        self.faults: dict[str, FaultSpec] = {}  # handle -> fault in effect
+        self.faults: dict[str, FaultSpec] = {}  # action -> its fault in effect
 
     def bind(self, queue, clock, store) -> None:
         self.queue = queue
@@ -130,23 +126,24 @@ class Executor:
     def kill_job(self, name: str) -> None:
         raise NotImplementedError
 
-    def inject_fault(self, action: str, spec: FaultSpec) -> str:
+    def inject_fault(self, action: str, spec: FaultSpec) -> None:
         raise NotImplementedError
 
-    def revoke_fault(self, handle: str) -> None:
-        """End a fault in effect: undo it, then report its end."""
-        spec = self.faults.pop(handle, None)
+    def revoke_fault(self, action: str) -> None:
+        """End the action's fault in effect: undo it, then report its end."""
+        spec = self.faults.pop(action, None)
         if spec is None:
-            raise UnknownHandle(handle)
-        self._lift(spec)
+            raise UnknownHandle(action)
+        if spec.kind == "suspend":  # a target resumes once no suspend holds it
+            suspended = {t for other in self.faults.values() if other.kind == "suspend" for t in other.targets}
+            for target in spec.targets:
+                if target not in suspended:
+                    self._resume_target(target)
         self.queue.push_event(Event(
             EventKind.TAG, self.clock.now(),
-            subject=handle,
-            tags={"event": "fault-revoked", "action": handle, "fault": spec.kind, "targets": ",".join(spec.targets)},
+            subject=action,
+            tags={"event": "fault-revoked", "action": action, "fault": spec.kind, "targets": ",".join(spec.targets)},
         ))
-
-    def supports_fault(self, kind: str) -> bool:
-        raise NotImplementedError
 
     def wait(self, timeout: Optional[float]) -> bool:
         """Block until a job has news or ``timeout`` seconds pass; False when no job can bring news.
@@ -160,21 +157,20 @@ class Executor:
     def shutdown(self) -> None:
         pass
 
-    def _lift(self, spec: FaultSpec) -> None:
-        """Undo a revoked fault's effect on its targets."""
+    def _resume_target(self, name: str) -> None:
+        """Let a job that no suspend holds any longer go on."""
         raise NotImplementedError
 
-    def _record_fault(self, action: str, spec: FaultSpec) -> str:
-        """Record a fault just injected for ``action``; return its handle."""
+    def _record_fault(self, action: str, spec: FaultSpec) -> None:
+        """Record a fault just injected for ``action``."""
         if spec.kind != "kill":
             self.faults[action] = spec
             if spec.duration is not None:
                 self.queue.push(self.clock.now() + spec.duration, lambda: self._auto_revoke(action))
-        return action
 
-    def _auto_revoke(self, handle: str) -> None:
-        if handle in self.faults:
-            self.revoke_fault(handle)
+    def _auto_revoke(self, action: str) -> None:
+        if action in self.faults:
+            self.revoke_fault(action)
 
     def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
         self.queue.push_event(Event(

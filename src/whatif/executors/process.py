@@ -141,12 +141,9 @@ class ProcessExecutor(Executor):
 
     # --- faults -------------------------------------------------------------
 
-    def supports_fault(self, kind: str) -> bool:
-        return kind in ("kill", "suspend")
-
-    def inject_fault(self, action: str, spec: FaultSpec) -> str:
-        if not self.supports_fault(spec.kind):
-            raise UnsupportedFault(f"{spec.kind} requires the simulated executor")
+    def inject_fault(self, action: str, spec: FaultSpec) -> None:
+        if spec.kind == "partition":
+            raise UnsupportedFault("partition requires the simulated executor")
         for target in spec.targets:
             proc = self.procs.get(target)
             if proc is None or proc.poll() is not None:
@@ -155,11 +152,10 @@ class ProcessExecutor(Executor):
             self._fault_killed.update(spec.targets)
         for target in spec.targets:
             _signal_group(self.procs[target], signal.SIGKILL if spec.kind == "kill" else signal.SIGSTOP)
-        return self._record_fault(action, spec)
+        self._record_fault(action, spec)
 
-    def _lift(self, spec: FaultSpec) -> None:
-        for target in spec.targets:  # a suspend: a kill is never in effect
-            _signal_group(self.procs[target], signal.SIGCONT)
+    def _resume_target(self, name: str) -> None:
+        _signal_group(self.procs[name], signal.SIGCONT)
 
     # --- plumbing ------------------------------------------------------------
 

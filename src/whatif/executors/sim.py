@@ -10,7 +10,7 @@ emissions scheduled inside the window.
 
 from __future__ import annotations
 
-from ..errors import SpawnError, TargetNotRunning, UnsupportedFault
+from ..errors import SpawnError, TargetNotRunning
 from ..events import Event
 from ..lifecycle import Phase
 from ..telemetry import MetricPoint
@@ -18,31 +18,21 @@ from .base import Executor, FaultSpec, JobSpec
 
 
 class _SimJob:
-    __slots__ = ("spec", "started_at", "index", "phase", "suspended", "blocked", "held", "mailbox", "finished", "token")
+    """One simulated job. At most one ``_fire`` of it is queued at a time,
+    and none while it is blocked or held."""
 
-    def __init__(
-        self,
-        spec: JobSpec,
-        started_at: float,
-        index: int = 0,  # next effect to fire
-        phase: Phase = Phase.UNINITIALIZED,
-        suspended: bool = False,
-        blocked: bool = False,
-        held: bool = False,  # chain paused by a suspend window
-        mailbox: int = 0,
-        finished: bool = False,
-        token: int = 0,  # bumped to invalidate scheduled callbacks
-    ):
+    __slots__ = ("spec", "started_at", "index", "phase", "suspended", "blocked", "held", "mailbox", "finished")
+
+    def __init__(self, spec: JobSpec, started_at: float):
         self.spec = spec
         self.started_at = started_at
-        self.index = index
-        self.phase = phase
-        self.suspended = suspended
-        self.blocked = blocked
-        self.held = held
-        self.mailbox = mailbox
-        self.finished = finished
-        self.token = token
+        self.index = 0  # next effect to fire
+        self.phase = Phase.UNINITIALIZED
+        self.suspended = False
+        self.blocked = False
+        self.held = False  # chain paused by a suspend window
+        self.mailbox = 0
+        self.finished = False
 
 
 class SimExecutor(Executor):
@@ -72,18 +62,12 @@ class SimExecutor(Executor):
 
     def kill_job(self, name: str) -> None:
         job = self.jobs.get(name)
-        if job is not None and not job.finished:
+        if job is not None:
             job.finished = True
-            job.token += 1
 
     # --- faults -----------------------------------------------------------
 
-    def supports_fault(self, kind: str) -> bool:
-        return kind in ("kill", "suspend", "partition")
-
-    def inject_fault(self, action: str, spec: FaultSpec) -> str:
-        if not self.supports_fault(spec.kind):
-            raise UnsupportedFault(spec.kind)
+    def inject_fault(self, action: str, spec: FaultSpec) -> None:
         for target in spec.targets:
             job = self.jobs.get(target)
             if job is None or job.finished or job.phase != Phase.RUNNING:
@@ -92,20 +76,12 @@ class SimExecutor(Executor):
             for target in spec.targets:
                 job = self.jobs[target]
                 job.finished = True
-                job.token += 1
                 job.phase = Phase.FAILED
                 self._emit(target, Phase.FAILED, mode="kill", reason=f"killed by {action}")
         elif spec.kind == "suspend":
             for target in spec.targets:
                 self.jobs[target].suspended = True
-        return self._record_fault(action, spec)  # a partition acts through `faults`
-
-    def _lift(self, spec: FaultSpec) -> None:
-        if spec.kind == "suspend":
-            for target in spec.targets:
-                job = self.jobs.get(target)
-                if job is not None and not job.finished:
-                    self._resume(job)
+        self._record_fault(action, spec)  # a partition acts through `faults`
 
     # --- effect chain -----------------------------------------------------------
 
@@ -114,13 +90,12 @@ class SimExecutor(Executor):
             return
         effect = job.spec.script[job.index]
         due = max(self.clock.now(), job.started_at + effect.offset)
-        index, token = job.index, job.token
-        self.queue.push(due, lambda: self._fire(job, index, token))
+        self.queue.push(due, lambda: self._fire(job))
 
-    def _fire(self, job: _SimJob, index: int, token: int) -> None:
-        if job.finished or token != job.token or index != job.index:
+    def _fire(self, job: _SimJob) -> None:
+        if job.finished:
             return
-        effect = job.spec.script[index]
+        effect = job.spec.script[job.index]
         if job.suspended:
             if effect.op == "metric":
                 # Emissions scheduled inside the suspend window are dropped.
@@ -164,12 +139,14 @@ class SimExecutor(Executor):
             job.phase = Phase.RUNNING
             self._emit(name, Phase.RUNNING)
 
-    def _resume(self, job: _SimJob) -> None:
+    def _resume_target(self, name: str) -> None:
+        job = self.jobs[name]
+        if job.finished:
+            return
         job.suspended = False
         if job.held:
             job.held = False
-            index, token = job.index, job.token
-            self.queue.push(self.clock.now(), lambda: self._fire(job, index, token))
+            self.queue.push(self.clock.now(), lambda: self._fire(job))
         elif job.blocked and job.mailbox > 0:
             job.blocked = False
             job.mailbox -= 1

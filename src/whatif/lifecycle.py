@@ -2,14 +2,17 @@
 
 All managed resources (scenario, clusters, services, calls, faults,
 checkpoints) carry the same five-value phase field and move along a single
-legal chain:
+legal chain, which is the declaration order of ``Phase``:
 
     Uninitialized -> Pending -> Running -> Success | Failed
 
-Success and Failed are terminal. Parents with children derive their phase
-from their children via ``aggregate_phase``, and failure classification
-(expected chaos vs. application bug) is decided by the fault kind a chaos
-action marks on a service before it injects the fault.
+Success and Failed are terminal. ``phase_order``, ``transition`` and
+``advance_to`` all read the chain from that order. Parents with children
+derive their phase from how many children sit in each ``slot``
+(``counted_phase``; ``aggregate_phase`` counts a list of children first),
+and failure classification (expected chaos vs. application bug) is decided
+by the fault kind a chaos action marks on a service before it injects the
+fault.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class Phase(Enum):
 
     @property
     def terminal(self) -> bool:
-        return self in (Phase.SUCCESS, Phase.FAILED)
+        return self is Phase.SUCCESS or self is Phase.FAILED
 
     def __str__(self) -> str:
         return self.value
@@ -45,17 +48,15 @@ class FailureClass(Enum):
         return self.value
 
 
-# Legal edges of the lifecycle chain. There are no skips: a resource that
-# fails before it ever ran still passes through Running on its way down,
-# so every phase history is a prefix of U, P, R, (S|F).
-LEGAL_TRANSITIONS = {
-    (Phase.UNINITIALIZED, Phase.PENDING),
-    (Phase.PENDING, Phase.RUNNING),
-    (Phase.RUNNING, Phase.SUCCESS),
-    (Phase.RUNNING, Phase.FAILED),
-}
+# The chain in declaration order. There are no skips: a resource that fails
+# before it ever ran still passes through Running on its way down, so every
+# phase history is a prefix of U, P, R, (S|F).
+_PHASES = tuple(Phase)
+_ORDER = {phase: index for index, phase in enumerate(_PHASES)}
 
-_CHAIN = (Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING)
+# Phase counts have one slot per phase, then one for Failed children that
+# are not classified Expected (see ``slot``).
+SLOTS = len(_PHASES) + 1
 
 
 class ResourceNode:
@@ -113,6 +114,12 @@ def find_node(tree: ResourceNode, name: str) -> Optional[ResourceNode]:
     return None
 
 
+def _next(phase: Phase, target: Phase) -> Phase:
+    """The phase after the non-terminal ``phase`` on the way to ``target``."""
+    nxt = _PHASES[_ORDER[phase] + 1]
+    return target if nxt.terminal and target.terminal else nxt
+
+
 def transition(node: ResourceNode, to: Phase, at: float = 0.0) -> ResourceNode:
     """Move a node along one legal edge of the lifecycle chain.
 
@@ -120,9 +127,9 @@ def transition(node: ResourceNode, to: Phase, at: float = 0.0) -> ResourceNode:
     legal chain raises IllegalTransition, which signals an engine bug and
     aborts the run.
     """
-    if to == node.phase:
+    if to is node.phase:
         return node
-    if (node.phase, to) not in LEGAL_TRANSITIONS:
+    if node.phase.terminal or to is not _next(node.phase, to):
         raise IllegalTransition(f"{node.name}: {node.phase} -> {to}")
     node.phase = to
     node.phase_times.setdefault(to, at)
@@ -135,50 +142,54 @@ def advance_to(node: ResourceNode, target: Phase, at: float = 0.0) -> list[Phase
     Returns the phases actually entered, in order, so the caller can record
     each hop. Moving backwards raises IllegalTransition.
     """
-    order = list(_CHAIN) + [target if target.terminal else Phase.SUCCESS]
-    if node.phase.terminal:
-        if node.phase == target:
-            return []
-        raise IllegalTransition(f"{node.name}: {node.phase} -> {target}")
-    if not target.terminal and order.index(target) < order.index(node.phase):
+    if node.phase is target:
+        return []
+    if node.phase.terminal or _ORDER[target] < _ORDER[node.phase]:
         raise IllegalTransition(f"{node.name}: {node.phase} -> {target}")
     hops: list[Phase] = []
-    while node.phase != target:
-        nxt = order[order.index(node.phase) + 1]
-        transition(node, nxt, at)
-        hops.append(nxt)
+    while node.phase is not target:
+        transition(node, _next(node.phase, target), at)
+        hops.append(node.phase)
     return hops
+
+
+def slot(phase: Phase, failure_class: Optional[FailureClass]) -> int:
+    """Index of a child's phase in phase counts: its place on the chain, or
+    the last slot for a Failed child not classified Expected."""
+    if phase is Phase.FAILED and failure_class is not FailureClass.EXPECTED:
+        return SLOTS - 1
+    return _ORDER[phase]
+
+
+def counted_phase(counts: Sequence[int], tolerated: int) -> Phase:
+    """A parent's phase from its children's counts per ``slot``.
+
+    Failed children classified Expected count against ``tolerated``; once
+    within tolerance they are treated as completed, so a cluster that
+    absorbed a declared fault can still reach Success. Any other Failed
+    child fails the parent.
+    """
+    uninitialized, pending, running, _, expected, unexpected = counts
+    if unexpected or expected > tolerated:
+        return Phase.FAILED
+    if uninitialized or pending:
+        return Phase.PENDING
+    if running:
+        return Phase.RUNNING
+    return Phase.SUCCESS
 
 
 def aggregate_phase(
     children: Sequence[tuple[Phase, Optional[FailureClass]]],
     tolerated: int = 0,
 ) -> Phase:
-    """Derive a parent's phase from its children's phases.
-
-    Failed children classified Expected count against ``tolerated``; once
-    within tolerance they are treated as completed, so a cluster that
-    absorbed a declared fault can still reach Success. A Failed child with
-    no classification is treated as Unexpected.
-    """
+    """Derive a parent's phase from its children's (phase, failure class) pairs."""
     if tolerated < 0:
         raise ValueError("tolerated must be >= 0")
-    unexpected = 0
-    expected = 0
-    for phase, fclass in children:
-        if phase == Phase.FAILED:
-            if fclass == FailureClass.EXPECTED:
-                expected += 1
-            else:
-                unexpected += 1
-    if unexpected > 0 or expected > tolerated:
-        return Phase.FAILED
-    if any(p in (Phase.UNINITIALIZED, Phase.PENDING) for p, _ in children):
-        return Phase.PENDING
-    if all(p == Phase.SUCCESS or p == Phase.FAILED for p, _ in children):
-        # Failed children here are Expected and within tolerance.
-        return Phase.SUCCESS
-    return Phase.RUNNING
+    counts = [0] * SLOTS
+    for phase, failure_class in children:
+        counts[slot(phase, failure_class)] += 1
+    return counted_phase(counts, tolerated)
 
 
 def classify_failure(node: ResourceNode, observed_mode: str) -> FailureClass:
@@ -194,4 +205,4 @@ def classify_failure(node: ResourceNode, observed_mode: str) -> FailureClass:
 
 def phase_order(p: Phase) -> int:
     """Position of a phase on the lifecycle chain; Failed sorts after Success."""
-    return (Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED).index(p)
+    return _ORDER[p]

@@ -183,6 +183,13 @@ class TestRun:
         assert report["outcome"] == "Failed"
         assert "fragile" in report["reason"]
 
+    def test_spawn_failure_exit_1(self, tmp_path, capsys):
+        """A simulated Service with only a command cannot start: the test fails, it does not abort."""
+        path = tmp_path / "command-only.yaml"
+        path.write_text("spec:\n- action: Service\n  name: cmd\n  service: { command: 'sleep 1' }\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "cmd: spawn failed" in capsys.readouterr().err
+
     def test_timeout_exit_3(self, tmp_path):
         path = tmp_path / "slow.yaml"
         path.write_text(SLOW)

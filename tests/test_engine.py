@@ -2,14 +2,14 @@
 
 import pytest
 
-from whatif.dsl import DependsClause, Template, parse_scenario
+from whatif.dsl import DependsClause, Template, parse_scenario, validate
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
 from whatif.errors import InvalidScenario, UnknownHandle
 from whatif.events import Event, EventKind, SimClock
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 from whatif.report import build_report
 
-from conftest import script_template
+from conftest import SCENARIOS, script_template
 from test_acceptance import CORPUS_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES
 from test_golden import GOLDEN, _build, corpus_docs
 
@@ -190,7 +190,7 @@ class TestRunOutcomes:
         assert result.outcome is Outcome.ABORTED
         assert "timeout" in result.reason and "slow" in result.reason
 
-    def test_unsatisfiable_dependency_aborts_on_guard(self):
+    def test_unsatisfiable_dependency_aborts_on_its_targets_timeout(self):
         doc = parse_scenario(
             "defaults: { timeout: 30s }\n"
             "spec:\n"
@@ -201,8 +201,51 @@ class TestRunOutcomes:
         )
         templates = {"t": script_template("t", ["{ at: 0s, do: running }", "{ at: 1s, do: success }"])}
         result = run_scenario(doc, templates)
-        assert result.outcome is Outcome.ABORTED
-        assert "timeout" in result.reason
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action forever did not finish in time")
+
+    def test_after_delay_longer_than_every_timeout_succeeds(self):
+        """A timeout bounds an action from its dispatch; the wait for its dependencies is not counted."""
+        doc = parse_scenario((SCENARIOS / "long-after.yaml").read_text())
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+        assert [r.at for r in result.trace if r.kind == "outcome"] == [302.0]
+
+    def test_no_timeout_at_any_level(self):
+        doc = parse_scenario(self.SOLO)
+        assert validate(doc, {}, None).ok
+        result = run_scenario(doc, default_timeout=None)
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+
+    def test_job_that_never_finishes_without_a_timeout_aborts_when_nothing_is_pending(self):
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: forever\n"
+            "  service:\n    script:\n    - { at: 0s, do: running }\n"
+        )
+        result = run_scenario(doc, default_timeout=None)
+        assert (result.outcome, result.reason) == (
+            Outcome.ABORTED, "timeout: no pending events but actions remain unfinished",
+        )
+
+    def test_spawn_failure_fails_the_run_as_a_crash(self):
+        doc = parse_scenario("spec:\n- action: Service\n  name: cmd\n  service: { command: 'sleep 1' }\n")
+        result = run_scenario(doc)
+        assert result.outcome is Outcome.FAILED
+        assert result.reason == "cmd: spawn failed: cmd: simulated jobs need a script"
+        [failed] = [r for r in result.trace if r.kind == "transition" and r.data == {
+            "subject": "cmd", "to": "Failed", "class": "Unexpected", "reason": result.reason[len("cmd: "):],
+        }]
+        assert failed.at == 0.0
+
+    def test_scripted_failure_fails_the_run_as_unexpected(self):
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: bad\n"
+            "  service:\n    script:\n    - { at: 0s, do: running }\n    - { at: 2s, do: failed }\n"
+        )
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.FAILED, "bad: scripted failure")
+        [failed] = [r for r in result.trace if r.kind == "transition" and r.data["subject"] == "bad"
+                    and r.data["to"] == "Failed"]
+        assert (failed.at, failed.data["class"]) == (2.0, "Unexpected")
 
     def test_after_delay_schedules_later(self):
         doc = parse_scenario(

@@ -172,13 +172,39 @@ class TestProcessFaults:
         executor, queue, clock, store = make_harness()
         executor.start_job(JobSpec(name="napper", command="sleep 0.5"))
         time.sleep(0.1)
-        handle = executor.inject_fault("pause", FaultSpec("suspend", targets=["napper"], duration=30.0))
+        executor.inject_fault("pause", FaultSpec("suspend", targets=["napper"], duration=30.0))
         time.sleep(0.3)
-        executor.revoke_fault(handle)
+        executor.revoke_fault("pause")
         events = drain(executor, queue, want=1)
         assert events[-1].phase is Phase.SUCCESS
         tags = [e for e in events if e.tags.get("event") == "fault-revoked"]
         assert tags
+        executor.shutdown()
+
+
+    def test_overlapping_suspends_resume_when_the_last_ends(self):
+        executor, queue, clock, store = make_harness()
+        executor.start_job(JobSpec(name="napper", command="sleep 30"))
+        stat = f"/proc/{executor.procs['napper'].pid}/stat"
+
+        def state():
+            with open(stat) as f:
+                return f.read().rsplit(")", 1)[1].split()[0]
+
+        def settles(want, timeout=5.0):
+            deadline = time.monotonic() + timeout
+            while state() != want and time.monotonic() < deadline:
+                time.sleep(0.02)
+            return state() == want
+
+        executor.inject_fault("a", FaultSpec("suspend", targets=["napper"], duration=30.0))
+        executor.inject_fault("b", FaultSpec("suspend", targets=["napper"], duration=30.0))
+        assert settles("T")
+        executor.revoke_fault("a")
+        time.sleep(0.3)
+        assert state() == "T"  # `b` still holds it
+        executor.revoke_fault("b")
+        assert settles("S")
         executor.shutdown()
 
 

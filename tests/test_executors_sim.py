@@ -155,12 +155,12 @@ class TestSuspend:
             ex, queue, clock, store = make_sim_harness()
             self.make_emitter(ex)
             ex.advance_to(2.5)
-            handle = ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
+            ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
             if auto:
                 events = ex.advance_to(30.0)
             else:
                 events = ex.advance_to(5.4)
-                ex.revoke_fault(handle)
+                ex.revoke_fault("pause")
                 events += ex.advance_to(30.0)
             shape = [(e.subject, str(e.phase), dict(e.tags)) for e in events]
             return shape, store.series("m")
@@ -172,10 +172,32 @@ class TestSuspend:
         ex, queue, clock, store = sim_harness
         ex.start_job(job("j", (0.0, "running"), (50.0, "success")))
         ex.advance_to(1.0)
-        handle = ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=40.0))
-        ex.revoke_fault(handle)
+        ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=40.0))
+        ex.revoke_fault("pause")
         with pytest.raises(UnknownHandle):
-            ex.revoke_fault(handle)
+            ex.revoke_fault("pause")
+
+    def test_overlapping_suspends_resume_when_the_last_ends(self, sim_harness):
+        ex, queue, clock, store = sim_harness
+        effects = [(0.0, "running")]
+        effects += [SimEffect(float(t), "metric", metric="m", value=float(t)) for t in range(0, 101, 10)]
+        ex.start_job(job("x", *effects, (110.0, "success")))
+        ex.advance_to(5.0)
+        ex.inject_fault("a", FaultSpec("suspend", targets=["x"], duration=60.0))  # 5-65 s
+        ex.advance_to(35.0)
+        ex.inject_fault("b", FaultSpec("suspend", targets=["x"], duration=60.0))  # 35-95 s
+        ex.advance_to(200.0)
+        assert [at for at, _ in store.series("m")] == [0.0, 100.0]
+
+    def test_message_received_while_suspended_releases_a_blocked_job_on_resume(self, sim_harness):
+        ex, queue, clock, store = sim_harness
+        ex.start_job(job("A", (0.0, "running"), SimEffect(3.0, "send", target="B"), (4.0, "success")))
+        ex.start_job(job("B", (0.0, "running"), (1.0, "block"), (2.0, "success")))
+        ex.advance_to(1.5)  # B is blocked
+        ex.inject_fault("pause", FaultSpec("suspend", targets=["B"], duration=10.0))
+        events = ex.advance_to(30.0)
+        b_success = [e.at for e in events if e.subject == "B" and e.phase is Phase.SUCCESS]
+        assert b_success == [11.5]  # the message came at 3 s; the resume at 11.5 s releases it
 
     def test_revocation_emits_tag_event(self, sim_harness):
         ex, queue, clock, store = sim_harness
