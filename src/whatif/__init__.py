@@ -17,7 +17,7 @@ from .dsl import (
     render_scenario,
     validate,
 )
-from .engine import Engine, Outcome, RunResult, run_scenario
+from .engine import Engine, Outcome, run_scenario
 from .executors import SimExecutor, make_executor
 from .expressions import eval_metrics, eval_state, parse_expression
 from .lifecycle import FailureClass, Phase
@@ -40,7 +40,6 @@ __all__ = [
     "Outcome",
     "Phase",
     "ProcessExecutor",
-    "RunResult",
     "ScenarioDoc",
     "SimExecutor",
     "Template",

@@ -76,11 +76,19 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    # SIGTERM and SIGHUP interrupt the run as SIGINT does: the engine kills
-    # its jobs and records an Aborted outcome, and the run files get written.
+    # SIGINT, SIGTERM and SIGHUP interrupt the run: the engine kills its jobs
+    # and records an Aborted outcome, and the run files get written. Only the
+    # first signal interrupts; a later one would cut that cleanup short.
     import signal  # here, so that importing the CLI does not load it
 
-    handlers = {sig: signal.signal(sig, signal.default_int_handler) for sig in (signal.SIGTERM, signal.SIGHUP)}
+    signalled = []
+
+    def interrupt(signum, frame):
+        if not signalled:
+            signalled.append(signum)
+            raise KeyboardInterrupt
+
+    handlers = {sig: signal.signal(sig, interrupt) for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)}
     try:
         try:
             engine.run()

@@ -78,13 +78,6 @@ def load_yaml(text: str, all_documents: bool = False):
         raise yaml.constructor.ConstructorError(None, None, f"cannot construct a value: {exc}") from exc
 
 
-class ScenarioDefaults(Value):
-    __slots__ = ("timeout",)
-
-    def __init__(self, timeout: Optional[float] = None):
-        self.timeout = timeout
-
-
 class DependsClause(Value):
     __slots__ = ("running", "success", "after")
 
@@ -147,19 +140,19 @@ class ActionSpec(Value):
 
 
 class ScenarioDoc(Value):
-    __slots__ = ("name", "actions", "defaults", "warnings")
+    __slots__ = ("name", "actions", "timeout", "warnings")
     _uncompared = ("warnings",)
 
     def __init__(
         self,
         name: str = "scenario",
         actions: Optional[list[ActionSpec]] = None,
-        defaults: Optional[ScenarioDefaults] = None,
+        timeout: Optional[float] = None,  # `defaults.timeout`
         warnings: Optional[list[str]] = None,
     ):
         self.name = name
         self.actions = [] if actions is None else actions
-        self.defaults = ScenarioDefaults() if defaults is None else defaults
+        self.timeout = timeout
         self.warnings = [] if warnings is None else warnings
 
     def action(self, name: str) -> Optional[ActionSpec]:
@@ -406,7 +399,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
         if not isinstance(defaults, dict):
             raise SchemaError("'defaults' must be a map")
         if "timeout" in defaults:
-            doc.defaults.timeout = _parse_duration_field(defaults["timeout"], "defaults.timeout")
+            doc.timeout = _parse_duration_field(defaults["timeout"], "defaults.timeout")
         for key in defaults:
             if key != "timeout":
                 raise SchemaError(f"defaults: unknown key {key!r}")
@@ -420,8 +413,8 @@ def parse_scenario(text: str) -> ScenarioDoc:
 def render_scenario(doc: ScenarioDoc) -> str:
     """Serialize a document back to YAML; parse(render(doc)) == doc."""
     out: dict = {"name": doc.name}
-    if doc.defaults.timeout is not None:
-        out["defaults"] = {"timeout": format_duration(doc.defaults.timeout)}
+    if doc.timeout is not None:
+        out["defaults"] = {"timeout": format_duration(doc.timeout)}
     out["spec"] = [_render_action(a) for a in doc.actions]
     return yaml.safe_dump(out, sort_keys=False)
 
@@ -826,14 +819,14 @@ def compile_scenario(
         findings.append(Finding("error", cycle[0], "dependency cycle: " + "->".join(cycle)))
 
     checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
-    scenario_timeout = default_timeout if doc.defaults.timeout is None else doc.defaults.timeout
+    scenario_timeout = default_timeout if doc.timeout is None else doc.timeout
     parsed: dict = {}  # instantiated job text -> its JobSpec, across actions
     skeletons: dict = {}  # templateRef -> its parsed skeleton, or None for the text path
     for action, node in zip(doc.actions, action_nodes):
         plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
         findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed, skeletons))
 
-    if default_timeout is None and doc.defaults.timeout is None:
+    if default_timeout is None and doc.timeout is None:
         for action in doc.actions:
             if action.timeout is None and (action.depends.running or action.depends.success):
                 findings.append(Finding(

@@ -77,7 +77,7 @@ from .lifecycle import (
     phase_order,
     slot,
 )
-from .telemetry import CheckpointRegistry, MetricsStore
+from .telemetry import MetricsStore, snapshot
 from .trace import RunTrace
 
 
@@ -119,26 +119,6 @@ class Rule:
         self.window = window
         self.timer = timer  # id of its window timer
         self.due = due  # when its armed window timer fires
-
-
-class RunResult:
-    """What a run returns: its outcome, trace, metrics and checkpoints."""
-
-    __slots__ = ("outcome", "reason", "trace", "store", "checkpoints")
-
-    def __init__(
-        self,
-        outcome: Outcome,
-        reason: str,
-        trace: RunTrace,
-        store: Optional[MetricsStore] = None,
-        checkpoints: Optional[CheckpointRegistry] = None,
-    ):
-        self.outcome = outcome
-        self.reason = reason
-        self.trace = trace
-        self.store = MetricsStore() if store is None else store
-        self.checkpoints = CheckpointRegistry() if checkpoints is None else checkpoints
 
 
 def ready_since(clause, nodes: dict) -> Optional[float]:
@@ -205,7 +185,7 @@ class Engine:
         self.queue = EventQueue()
         self.trace = RunTrace()
         self.store = MetricsStore()
-        self.checkpoints = CheckpointRegistry()
+        self.checkpoints: dict[str, dict] = {}  # checkpoint name -> its values, each written once
         self.executor.bind(self.queue, self.clock, self.store)
 
         self.tree = plan.tree
@@ -253,13 +233,13 @@ class Engine:
         self.kill_watch: dict[str, int] = {}
         self.kill_watchers: dict[str, list[str]] = {}
         self.finished = False
-        self.outcome = Outcome.SUCCESS
+        self.outcome = Outcome.ABORTED  # until the run decides it: an undecided run is no Success
         self.reason = ""
 
     # --- public surface ---------------------------------------------------
 
-    def run(self) -> RunResult:
-        """Run to an outcome. An internal error aborts the run; cleanup always runs."""
+    def run(self) -> Engine:
+        """Run to an outcome; returns the engine. An internal error aborts the run; cleanup always runs."""
         try:
             self._loop()
         except Exception as exc:
@@ -270,7 +250,7 @@ class Engine:
             raise
         finally:
             self._finalize()
-        return RunResult(self.outcome, self.reason, self.trace, store=self.store, checkpoints=self.checkpoints)
+        return self
 
     def _loop(self) -> None:
         now = self.clock.now()
@@ -364,7 +344,7 @@ class Engine:
                 if owner.phase == Phase.FAILED:
                     self._fail(f"{node.name}: expected failure beyond cluster tolerance")
                 return
-            if owner is self.tree or (owner is not None and owner.kind == "scenario"):
+            if owner is self.tree:
                 self._fail(f"{node.name}: {node.failure_reason or 'failure'} at scenario level")
             return
         if node.phase == Phase.SUCCESS and node.name in self.asserts:
@@ -490,7 +470,7 @@ class Engine:
         })
         try:
             self.executor.inject_fault(action.name, spec)
-        except (UnsupportedFault, TargetNotRunning, SpawnError) as exc:
+        except (UnsupportedFault, TargetNotRunning) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
         self._move(node, Phase.RUNNING, now)
@@ -505,16 +485,15 @@ class Engine:
         self._move(node, Phase.RUNNING, now)
         self._trace_command("Snapshot", action.name, now, {"keys": list(action.values)})
         try:
-            checkpoint = self.checkpoints.snapshot(
-                action.name, self.plan.checkpoint_exprs.get(action.name, []), self.tree, self.store, now,
-            )
+            values, phases = snapshot(self.plan.checkpoint_exprs.get(action.name, []), self.tree, self.store, now)
         except UnknownMetric as exc:
             self._fail(f"{action.name}: expression error: unknown metric {exc}")
             return
+        self.checkpoints[action.name] = values
         self.trace.append(
-            "checkpoint", now, name=checkpoint.name,
-            values=dict(checkpoint.values),
-            phases={name: phase.value for name, phase in checkpoint.phases.items()},
+            "checkpoint", now, name=action.name,
+            values=dict(values),
+            phases={name: phase.value for name, phase in phases.items()},
         )
         self._move(node, Phase.SUCCESS, now)
         self._on_terminal(node, now)
@@ -805,7 +784,7 @@ def run_scenario(
     clock=None,
     seed: int = 0,
     default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
-) -> RunResult:
-    """Validate, run, and trace one scenario; see Engine for the mechanics."""
+) -> Engine:
+    """Validate, run, and trace one scenario; returns the finished Engine, see there for the mechanics."""
     engine = Engine(doc, templates, executor, clock=clock, seed=seed, default_timeout=default_timeout)
     return engine.run()

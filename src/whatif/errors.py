@@ -69,10 +69,6 @@ class UnknownCheckpoint(WhatifError):
     """A CHECKPOINT reference names a missing checkpoint or key."""
 
 
-class DuplicateCheckpoint(WhatifError):
-    """A checkpoint name was already used in this run."""
-
-
 # --- executors ------------------------------------------------------------
 
 class SpawnError(WhatifError):

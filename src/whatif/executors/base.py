@@ -36,6 +36,7 @@ from ..lifecycle import Phase
 from ..values import FrozenValue, Value
 
 EFFECT_OPS = ("running", "success", "failed", "crash", "metric", "send", "block")
+FAULT_KINDS = ("kill", "suspend", "partition")
 
 
 class SimEffect(FrozenValue):
@@ -267,7 +268,7 @@ def parse_fault_body(body: dict, clusters=None) -> FaultSpec:
     if not isinstance(body, dict):
         raise SchemaError("fault body must be a map")
     kind = body.get("kind")
-    if kind not in ("kill", "suspend", "partition"):
+    if kind not in FAULT_KINDS:
         raise SchemaError(f"unknown fault kind {kind!r}")
     spec = FaultSpec(kind=kind)
     if "duration" in body:

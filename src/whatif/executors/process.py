@@ -19,7 +19,6 @@ from typing import Optional
 
 from ..errors import SpawnError, TargetNotRunning, UnsupportedFault
 from ..lifecycle import Phase
-from ..telemetry import MetricPoint
 from .base import Executor, FaultSpec, JobSpec
 
 
@@ -132,7 +131,7 @@ class ProcessExecutor(Executor):
             unix_ms = float(parts[3])
         except ValueError:
             return
-        self.store.ingest(MetricPoint(parts[1], value, max(0.0, self.clock.from_unix_ms(unix_ms))))
+        self.store.ingest(parts[1], value, max(0.0, self.clock.from_unix_ms(unix_ms)))
 
     def kill_job(self, name: str) -> None:
         proc = self.procs.get(name)
@@ -162,4 +161,10 @@ class ProcessExecutor(Executor):
     def shutdown(self) -> None:
         for name in list(self._pidfds):
             self._reap(name)
+        for proc in self.procs.values():
+            if proc.returncode is None:  # started, but interrupted before its pidfd was registered
+                _signal_group(proc, signal.SIGKILL)
+                proc.wait()
+            if proc.stdout is not None:
+                proc.stdout.close()
         self._selector.close()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from ..errors import SpawnError, TargetNotRunning
 from ..events import Event
 from ..lifecycle import Phase
-from ..telemetry import MetricPoint
 from .base import Executor, FaultSpec, JobSpec
 
 
@@ -120,7 +119,7 @@ class SimExecutor(Executor):
         name = job.spec.name
         now = self.clock.now()
         if effect.op == "metric":
-            self.store.ingest(MetricPoint(effect.metric, effect.value, now))
+            self.store.ingest(effect.metric, effect.value, now)
         elif effect.op == "send":
             self._deliver(name, effect.target)
         elif effect.op == "crash":

@@ -49,19 +49,6 @@ _FN_PHASE = {
 _SUBJECT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 
 
-def infer_flavor(text: str) -> str:
-    """Metrics iff the text contains a QUERY term, otherwise State."""
-    return "Metrics" if re.search(r"\bQUERY\b", text) else "State"
-
-
-class ExpressionSource(FrozenValue):
-    __slots__ = ("text", "flavor")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.flavor = infer_flavor(text)
-
-
 # --- ASTs -------------------------------------------------------------------
 
 class StateExprAst(FrozenValue):
@@ -124,7 +111,7 @@ class Condition(FrozenValue):
 
 
 class MetricsExprAst(FrozenValue):
-    __slots__ = ("reducer", "metric", "window", "condition", "anchor")
+    __slots__ = ("reducer", "metric", "window", "condition")
 
     def __init__(
         self,
@@ -132,13 +119,11 @@ class MetricsExprAst(FrozenValue):
         metric: str,
         window: float,
         condition: Optional[Condition] = None,
-        anchor: str = "now",
     ):
         self.reducer = reducer
         self.metric = metric
-        self.window = window  # seconds looking back from the anchor
+        self.window = window  # seconds looking back from now
         self.condition = condition
-        self.anchor = anchor
 
 
 class ScopeJob(FrozenValue):
@@ -405,17 +390,13 @@ def _parse_scale(parser: _Parser) -> float:
     return 1.0
 
 
-def parse_expression(src) -> StateExprAst | MetricsExprAst:
-    """Parse an expression of either flavor.
+def parse_expression(text: str) -> StateExprAst | MetricsExprAst:
+    """Parse an expression: a metrics one iff the text has a QUERY term, else a state one.
 
-    Accepts an ExpressionSource or a plain string; the flavor is inferred
-    (Metrics iff a QUERY term is present). Raises ExprSyntaxError with the
-    offending character position.
+    Raises ExprSyntaxError with the offending character position.
     """
-    if isinstance(src, str):
-        src = ExpressionSource(src)
-    parser = _Parser(src.text)
-    if src.flavor == "Metrics":
+    parser = _Parser(text)
+    if re.search(r"\bQUERY\b", text):
         ast = _parse_metrics(parser)
     else:
         ast = _parse_state(parser)
@@ -499,7 +480,10 @@ def eval_metrics(ast: MetricsExprAst, store, now: float, checkpoints=None) -> bo
 
 
 def alert_holds(ast: MetricsExprAst, value: Optional[float], checkpoints=None) -> bool:
-    """Whether the rule's condition holds for its reduced window ``value``."""
+    """Whether the rule's condition holds for its reduced window ``value``.
+
+    ``checkpoints`` maps each checkpoint taken so far to its values.
+    """
     if value is None:
         return False
     terms = [_resolve_term(t, checkpoints) for t in ast.condition.terms]
@@ -520,12 +504,12 @@ def _resolve_term(term: Term, checkpoints) -> float:
     if term.checkpoint is None:
         return term.value * term.scale
     name, key = term.checkpoint
-    checkpoint = checkpoints.get(name) if checkpoints is not None else None
-    if checkpoint is None:
+    values = checkpoints.get(name) if checkpoints is not None else None
+    if values is None:
         raise UnknownCheckpoint(name)
-    if key not in checkpoint.values:
+    if key not in values:
         raise UnknownCheckpoint(f"{name}.{key}")
-    return checkpoint.values[key] * term.scale
+    return values[key] * term.scale
 
 
 # --- incremental windows ---------------------------------------------------------

@@ -22,8 +22,6 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import IllegalTransition
 
-FAULT_KINDS = ("kill", "partition", "suspend")
-
 
 class Phase(Enum):
     UNINITIALIZED = "Uninitialized"

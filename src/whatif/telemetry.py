@@ -1,4 +1,4 @@
-"""Embedded telemetry: time-series store and checkpoints.
+"""Embedded telemetry: time-series store and checkpoint snapshots.
 
 This is the data plane behind metrics expressions and run reports. The
 store is in-memory, per-run, with optional append-only persistence using
@@ -16,33 +16,10 @@ metric, which is how both executors wake the loop.
 from __future__ import annotations
 
 import bisect
-from typing import Optional
 
-from .errors import DuplicateCheckpoint, UnknownMetric
+from .errors import UnknownMetric
 from .events import Event, EventKind
 from .lifecycle import ResourceNode, iter_nodes
-from .values import FrozenValue
-
-
-class MetricPoint(FrozenValue):
-    __slots__ = ("name", "value", "at")
-
-    def __init__(self, name: str, value: float, at: float):
-        self.name = name
-        self.value = value
-        self.at = at
-
-
-class Checkpoint(FrozenValue):
-    """Immutable snapshot of metric reductions and tree phases."""
-
-    __slots__ = ("name", "at", "values", "phases")
-
-    def __init__(self, name: str, at: float, values: dict, phases: dict):
-        self.name = name
-        self.at = at
-        self.values = values
-        self.phases = phases
 
 
 class MetricsStore:
@@ -82,18 +59,18 @@ class MetricsStore:
         self._times.setdefault(name, [])
         self._values.setdefault(name, [])
 
-    def ingest(self, point: MetricPoint) -> bool:
+    def ingest(self, name: str, value: float, at: float) -> bool:
         """Store one point. Returns False when dropped as out-of-order."""
-        times = self._times.setdefault(point.name, [])
-        values = self._values.setdefault(point.name, [])
-        if times and point.at < times[-1]:
+        times = self._times.setdefault(name, [])
+        values = self._values.setdefault(name, [])
+        if times and at < times[-1]:
             self.dropped += 1
             return False
-        times.append(point.at)
-        values.append(point.value)
-        if point.name in self._watched and point.name not in self._pending:
-            self._pending.add(point.name)
-            self._queue.push_event(Event(EventKind.METRICS, self._clock.now(), subject=point.name))
+        times.append(at)
+        values.append(value)
+        if name in self._watched and name not in self._pending:
+            self._pending.add(name)
+            self._queue.push_event(Event(EventKind.METRICS, self._clock.now(), subject=name))
         return True
 
     def query(self, name: str, frm: float, to: float) -> list[tuple[float, float]]:
@@ -136,47 +113,21 @@ class MetricsStore:
                 parts = line.split()
                 if len(parts) != 4 or parts[0] != "metric":
                     continue
-                store.ingest(MetricPoint(parts[1], float(parts[2]), int(parts[3]) / 1000.0))
+                store.ingest(parts[1], float(parts[2]), int(parts[3]) / 1000.0)
         return store
 
 
-class CheckpointRegistry:
-    """Named, write-once snapshots referenceable from later assertions."""
+def snapshot(exprs, tree: ResourceNode, store: MetricsStore, now: float) -> tuple[dict, dict]:
+    """A checkpoint's ``(values, phases)``: its reducer-only expressions and every node's phase at ``now``.
 
-    def __init__(self):
-        self._checkpoints: dict[str, Checkpoint] = {}
+    ``exprs`` is a list of (key, MetricsExprAst) pairs; an expression whose
+    window holds no data contributes no key.
+    """
+    from .expressions import eval_reducer
 
-    def snapshot(
-        self,
-        name: str,
-        exprs,
-        tree: ResourceNode,
-        store: MetricsStore,
-        now: float,
-    ) -> Checkpoint:
-        """Evaluate reducer-only expressions and freeze them under ``name``.
-
-        ``exprs`` is a list of (key, MetricsExprAst) pairs; an expression
-        whose window holds no data contributes no key. The phase map
-        captures every node of the tree.
-        """
-        from .expressions import eval_reducer
-
-        if name in self._checkpoints:
-            raise DuplicateCheckpoint(name)
-        values = {}
-        for key, ast in exprs:
-            reduced = eval_reducer(ast, store, now)
-            if reduced is not None:
-                values[key] = reduced
-        phases = {node.name: node.phase for node in iter_nodes(tree)}
-        checkpoint = Checkpoint(name, now, values, phases)
-        self._checkpoints[name] = checkpoint
-        return checkpoint
-
-    def get(self, name: str) -> Optional[Checkpoint]:
-        return self._checkpoints.get(name)
-
-    def all(self) -> list[Checkpoint]:
-        return list(self._checkpoints.values())
-
+    values = {}
+    for key, ast in exprs:
+        reduced = eval_reducer(ast, store, now)
+        if reduced is not None:
+            values[key] = reduced
+    return values, {node.name: node.phase for node in iter_nodes(tree)}

@@ -27,7 +27,7 @@ from whatif.lifecycle import (
     aggregate_phase,
 )
 from whatif.report import build_report
-from whatif.telemetry import MetricPoint, MetricsStore
+from whatif.telemetry import MetricsStore
 
 from conftest import stage_template
 from oracles import propagate
@@ -315,7 +315,7 @@ def test_criterion_5_expression_oracle_equivalence():
             store = MetricsStore()
             store.declare("m")
             for at, value in points:
-                store.ingest(MetricPoint("m", value, at))
+                store.ingest("m", value, at)
             for window, now in [(100, 100), (50, 75), (50, 50), (10, 95)]:
                 in_window = [value for at, value in points if now - window <= at <= now]
                 for name, brute in reducers.items():

@@ -23,7 +23,7 @@ from whatif.dsl import Template, parse_scenario, validate
 from whatif.engine import Engine, Rule
 from whatif.events import Event, EventKind
 from whatif.expressions import REDUCERS, WindowAggregate, eval_reducer, expiry_instant, reduce_series
-from whatif.telemetry import MetricPoint, MetricsStore
+from whatif.telemetry import MetricsStore
 
 from test_golden import metrics_doc
 
@@ -76,7 +76,7 @@ def _replay(steps, window):
             _check_windows(store, windows, window, now)
         now = target
         if value is not None:
-            store.ingest(MetricPoint("m", value, now + offset))
+            store.ingest("m", value, now + offset)
         _check_windows(store, windows, window, now)
     assert all(w.value() is None for w in windows.values())
 
@@ -111,7 +111,7 @@ def test_windows_with_special_values_match_brute_force(steps, window):
 
 def test_expiry_is_the_first_instant_out_of_the_window():
     store = MetricsStore()
-    store.ingest(MetricPoint("m", 1.0, 0.1))
+    store.ingest("m", 1.0, 0.1)
     window = WindowAggregate("m", "COUNT", 0.2)
     assert window.advance(store, 0.1) == 1.0
     due = window.next_change()

@@ -85,7 +85,7 @@ class TestParseScenario:
             "  depends: { after: 500ms }\n"
             "  call: { callable: x, services: [] }\n"
         )
-        assert doc.defaults.timeout == 3600.0
+        assert doc.timeout == 3600.0
         assert doc.actions[0].timeout == 90.0
         assert doc.actions[0].depends.after == 0.5
 
@@ -398,7 +398,7 @@ def scenario_docs(draw):
         actions.append(action)
     defaults_timeout = draw(st.none() | st.integers(min_value=1, max_value=7200).map(float))
     doc = ScenarioDoc(name=draw(_names), actions=actions)
-    doc.defaults.timeout = defaults_timeout
+    doc.timeout = defaults_timeout
     return doc
 
 

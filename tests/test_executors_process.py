@@ -1,5 +1,6 @@
 """Local-process executor: real children, exit mapping, signals, metrics."""
 
+import glob
 import json
 import os
 import signal
@@ -13,7 +14,7 @@ import pytest
 from conftest import REPO
 
 from whatif.dsl import Template, parse_scenario
-from whatif.engine import Outcome, run_scenario
+from whatif.engine import Engine, Outcome, run_scenario
 from whatif.errors import SpawnError, TargetNotRunning, UnsupportedFault
 from whatif.events import EventQueue, WallClock
 from whatif.executors.base import FaultSpec, JobSpec
@@ -37,20 +38,37 @@ def make_harness():
     return executor, queue, clock, store
 
 
-def gone(target, kill=os.kill, timeout=10.0):
-    """Whether no process answers ``kill(target, 0)`` within ``timeout``.
+def states(target, group=False):
+    """The state letter of process ``target``, or of each member of process group ``target``, by pid."""
+    found = {}
+    for path in glob.glob("/proc/[0-9]*/stat") if group else [f"/proc/{target}/stat"]:
+        try:
+            with open(path) as fh:
+                stat = fh.read()
+        except OSError:  # no such process (any more)
+            continue
+        state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if not group or int(pgrp) == target:
+            found[int(stat.split(None, 1)[0])] = state
+    return found
 
-    Killed processes that were re-parented stay zombies until PID 1 reaps
-    them, so this polls.
+
+def gone(target, group=False, timeout=10.0):
+    """True once process ``target``, or every member of process group ``target``, has exited.
+
+    A zombie counts as gone: it has exited, and one that was re-parented
+    waits for PID 1 to reap it, which the run cannot do. A process still
+    alive after ``timeout`` fails the test, which lists each pid left over
+    and its state.
     """
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            kill(target, 0)
-        except ProcessLookupError:
+    while True:
+        left = {pid: state for pid, state in states(target, group).items() if state != "Z"}
+        if not left:
             return True
+        if time.monotonic() >= deadline:
+            pytest.fail(f"alive after {timeout} s, by pid: {left}")
         time.sleep(0.02)
-    return False
 
 
 def drain(executor, queue, want, timeout=10.0):
@@ -313,7 +331,7 @@ class TestNothingOutlivesARun:
         assert result.outcome is Outcome.ABORTED
         assert result.reason == "timeout: action slow did not finish in time"
         assert executor.procs["slow"].returncode is not None
-        assert gone(executor.procs["slow"].pid, os.killpg)
+        assert gone(executor.procs["slow"].pid, group=True)
         assert gone(int(pidfile.read_text()))
 
     def test_exit_is_seen_while_a_background_process_holds_stdout(self):
@@ -325,10 +343,14 @@ class TestNothingOutlivesARun:
         assert events[-1].phase is Phase.FAILED and events[-1].reason == "exit=3"
         assert executor.procs["quick"].stdout.closed
         executor.shutdown()
-        assert gone(executor.procs["quick"].pid, os.killpg)
+        assert gone(executor.procs["quick"].pid, group=True)
 
-    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
-    def test_signalled_cli_run_exits_3_with_run_files(self, tmp_path, sig):
+    # A second signal at once must not cut the cleanup short nor turn the run into a Success.
+    @pytest.mark.parametrize(
+        "sigs", [(signal.SIGTERM,), (signal.SIGINT,), (signal.SIGTERM, signal.SIGINT)],
+        ids=["SIGTERM", "SIGINT", "SIGTERM-then-SIGINT"],
+    )
+    def test_signalled_cli_run_exits_3_with_run_files(self, tmp_path, sigs):
         pidfile = tmp_path / "pid"
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(
@@ -346,7 +368,8 @@ class TestNothingOutlivesARun:
             while not (pidfile.exists() and pidfile.read_text().strip()) and time.monotonic() < deadline:
                 time.sleep(0.02)
             pgid = int(pidfile.read_text())
-            run.send_signal(sig)
+            for sig in sigs:
+                run.send_signal(sig)
             _, stderr = run.communicate(timeout=20)
         finally:
             run.kill()
@@ -356,7 +379,33 @@ class TestNothingOutlivesARun:
         assert (out / "trace.ndjson").exists() and (out / "metrics.txt").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["outcome"] == "Aborted" and report["reason"].startswith("interrupted:")
-        assert gone(pgid, os.killpg)
+        assert gone(pgid, group=True)
+
+    def test_an_interrupted_abort_is_no_success(self):
+        class InterruptedAbort(Engine):
+            def _abort(self, reason):
+                raise KeyboardInterrupt
+
+        doc = parse_scenario("spec:\n- { action: Call, name: slow, timeout: 300ms, call: { callable: t, services: [] } }\n")
+        executor = ProcessExecutor()
+        engine = InterruptedAbort(doc, {"t": Template("t", {}, "command: 'sleep 30'\n")}, executor)
+        with pytest.raises(KeyboardInterrupt):
+            engine.run()
+        assert engine.outcome is Outcome.ABORTED
+        assert engine.trace.records[-1].data["outcome"] == "Aborted"
+        assert gone(executor.procs["slow"].pid, group=True)
+
+    def test_an_interrupt_after_the_fork_leaves_no_job(self, monkeypatch):
+        def interrupted(pid):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "pidfd_open", interrupted)
+        doc = parse_scenario("spec:\n- { action: Service, name: svc, service: { command: 'sleep 30' } }\n")
+        executor = ProcessExecutor()
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(doc, {}, executor)
+        assert executor.procs["svc"].returncode == -signal.SIGKILL
+        assert gone(executor.procs["svc"].pid, group=True)
 
 
 def test_a_process_run_starts_no_thread():

@@ -10,11 +10,11 @@ from whatif.errors import ExprSyntaxError, UnknownCheckpoint, UnknownMetric
 from whatif.expressions import (
     BoolGroup,
     Compare,
-    ExpressionSource,
     MetricsExprAst,
     ScopeJob,
     ScopeSnapshot,
     StateCall,
+    StateExprAst,
     check_scope,
     eval_metrics,
     eval_reducer,
@@ -23,7 +23,7 @@ from whatif.expressions import (
     reduce_series,
 )
 from whatif.lifecycle import FailureClass, Phase, ResourceNode, iter_nodes
-from whatif.telemetry import Checkpoint, CheckpointRegistry, MetricPoint, MetricsStore
+from whatif.telemetry import MetricsStore
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
 EXP, UNEXP = FailureClass.EXPECTED, FailureClass.UNEXPECTED
@@ -55,8 +55,8 @@ class TestParse:
             parse_expression(".state.failed(3) > 1")
 
     def test_flavor_inference(self):
-        assert ExpressionSource(".state.failed() > 0").flavor == "State"
-        assert ExpressionSource("MAX() QUERY(m, 1m, now) IS ABOVE(1)").flavor == "Metrics"
+        assert isinstance(parse_expression(".state.failed() > 0"), StateExprAst)
+        assert isinstance(parse_expression("MAX() QUERY(m, 1m, now) IS ABOVE(1)"), MetricsExprAst)
 
     def test_whitespace_insensitive(self):
         a = parse_expression(".state.failed()>4")
@@ -213,7 +213,7 @@ class TestEvalMetrics:
     def store_with(self, points, name="metric"):
         store = MetricsStore()
         for at, value in points:
-            store.ingest(MetricPoint(name, value, at))
+            store.ingest(name, value, at)
         return store
 
     def test_above_threshold(self):
@@ -241,8 +241,7 @@ class TestEvalMetrics:
     def test_checkpoint_scaling(self):
         # 1000 * 1.2 = 1200 threshold; window max 1100 stays quiet.
         store = self.store_with([(10, 1100)], name="goroutines")
-        checkpoints = CheckpointRegistry()
-        checkpoints._checkpoints["maxSeen"] = Checkpoint("maxSeen", 5.0, {"goroutines": 1000.0}, {})
+        checkpoints = {"maxSeen": {"goroutines": 1000.0}}
         ast = parse_expression(
             "MAX() QUERY(goroutines, 5m, now) IS ABOVE(CHECKPOINT(maxSeen.goroutines) * 1.2)"
         )
@@ -254,7 +253,7 @@ class TestEvalMetrics:
         store = self.store_with([(10, 1)])
         ast = parse_expression("MAX() QUERY(metric, 1m, now) IS ABOVE(CHECKPOINT(none.key))")
         with pytest.raises(UnknownCheckpoint):
-            eval_metrics(ast, store, now=20, checkpoints=CheckpointRegistry())
+            eval_metrics(ast, store, now=20, checkpoints={})
 
     def test_within_outside(self):
         store = self.store_with([(10, 5.0)])

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from whatif.dsl import parse_scenario
 from whatif.engine import Engine
 from whatif.errors import IllegalTransition
+from whatif.executors.base import FAULT_KINDS
 from whatif.lifecycle import (
-    FAULT_KINDS,
     FailureClass,
     Phase,
     ResourceNode,

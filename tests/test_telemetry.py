@@ -3,30 +3,32 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whatif.errors import DuplicateCheckpoint, UnknownMetric
+from whatif.dsl import parse_scenario
+from whatif.engine import Outcome, run_scenario
+from whatif.errors import UnknownMetric
 from whatif.events import EventKind, EventQueue, WallClock
 from whatif.expressions import parse_expression
 from whatif.lifecycle import Phase, ResourceNode
-from whatif.telemetry import CheckpointRegistry, MetricPoint, MetricsStore
+from whatif.telemetry import MetricsStore, snapshot
 
 
 class TestStore:
     def test_ingest_then_query(self):
         store = MetricsStore()
-        store.ingest(MetricPoint("goroutines", 1200, 5.0))
+        store.ingest("goroutines", 1200, 5.0)
         assert store.query("goroutines", 0, 10) == [(5.0, 1200)]
 
     def test_out_of_order_dropped_with_warning(self):
         store = MetricsStore()
-        assert store.ingest(MetricPoint("m", 1, 10.0))
-        assert not store.ingest(MetricPoint("m", 2, 9.0))
+        assert store.ingest("m", 1, 10.0)
+        assert not store.ingest("m", 2, 9.0)
         assert store.dropped == 1
         assert store.query("m", 0, 100) == [(10.0, 1)]
 
     def test_equal_timestamps_accepted(self):
         store = MetricsStore()
-        store.ingest(MetricPoint("m", 1, 10.0))
-        assert store.ingest(MetricPoint("m", 2, 10.0))
+        store.ingest("m", 1, 10.0)
+        assert store.ingest("m", 2, 10.0)
         assert len(store.query("m", 0, 100)) == 2
 
     def test_unknown_metric(self):
@@ -35,13 +37,13 @@ class TestStore:
 
     def test_window_before_first_point_is_empty(self):
         store = MetricsStore()
-        store.ingest(MetricPoint("m", 1, 50.0))
+        store.ingest("m", 1, 50.0)
         assert store.query("m", 0, 10) == []
 
     def test_boundaries_inclusive(self):
         store = MetricsStore()
         for at in (1.0, 2.0, 3.0):
-            store.ingest(MetricPoint("m", at, at))
+            store.ingest("m", at, at)
         assert [at for at, _ in store.query("m", 1.0, 3.0)] == [1.0, 2.0, 3.0]
         assert [at for at, _ in store.query("m", 1.5, 3.0)] == [2.0, 3.0]
 
@@ -63,7 +65,7 @@ class TestStore:
         accepted = []
         last = None
         for at, value in points:
-            if store.ingest(MetricPoint("m", value, at)):
+            if store.ingest("m", value, at):
                 accepted.append((at, value))
                 assert last is None or at >= last
                 last = at
@@ -73,14 +75,14 @@ class TestStore:
     def test_ten_thousand_points_window_subset(self):
         store = MetricsStore()
         for i in range(10000):
-            store.ingest(MetricPoint("m", float(i), i / 100.0))
+            store.ingest("m", float(i), i / 100.0)
         window = store.query("m", 10.0, 70.0)  # one minute
         assert window == [(i / 100.0, float(i)) for i in range(1000, 7001)]
 
     def test_persistence_round_trip(self, tmp_path):
         store = MetricsStore()
-        store.ingest(MetricPoint("m", 1.5, 0.25))
-        store.ingest(MetricPoint("m", -2.0, 1.0))
+        store.ingest("m", 1.5, 0.25)
+        store.ingest("m", -2.0, 1.0)
         path = tmp_path / "metrics.txt"
         store.save(path)
         text = path.read_text()
@@ -93,13 +95,13 @@ class TestNotices:
     def test_unwatched_metrics_push_nothing(self):
         store, queue = MetricsStore(), EventQueue()
         store.watch(["cpu"], queue, WallClock())
-        store.ingest(MetricPoint("mem", 1.0, 0.0))
+        store.ingest("mem", 1.0, 0.0)
         assert len(queue) == 0
-        store.ingest(MetricPoint("cpu", 1.0, 0.0))
-        store.ingest(MetricPoint("cpu", 2.0, 0.0))
+        store.ingest("cpu", 1.0, 0.0)
+        store.ingest("cpu", 2.0, 0.0)
         assert len(queue) == 1  # one pending event per metric
         assert store.take_notices() == ["cpu"]
-        store.ingest(MetricPoint("cpu", 3.0, 0.0))
+        store.ingest("cpu", 3.0, 0.0)
         assert len(queue) == 2
 
     @settings(max_examples=200, deadline=None)
@@ -124,7 +126,7 @@ class TestNotices:
             if step is None:
                 consume()
             else:
-                store.ingest(MetricPoint(step, 1.0, 0.0))
+                store.ingest(step, 1.0, 0.0)
         while len(queue):
             consume()
         assert seen == {name: steps.count(name) for name in names}
@@ -139,47 +141,41 @@ class TestCheckpoints:
     def test_snapshot_reduces_window_max(self):
         store = MetricsStore()
         for at, value in [(10, 900.0), (20, 1000.0), (30, 950.0)]:
-            store.ingest(MetricPoint("goroutines", value, at))
-        registry = CheckpointRegistry()
+            store.ingest("goroutines", value, at)
         exprs = [("goroutines", parse_expression("MAX() QUERY(goroutines, 5m, now)"))]
-        checkpoint = registry.snapshot("maxSeen", exprs, self.tree(), store, now=40)
-        assert checkpoint.values == {"goroutines": 1000.0}
-        assert checkpoint.phases["svc"] == Phase.RUNNING
+        values, phases = snapshot(exprs, self.tree(), store, now=40)
+        assert values == {"goroutines": 1000.0}
+        assert phases["svc"] == Phase.RUNNING
 
     def test_empty_exprs_phases_only(self):
-        registry = CheckpointRegistry()
-        checkpoint = registry.snapshot("cp", [], self.tree(), MetricsStore(), now=1)
-        assert checkpoint.values == {}
-        assert set(checkpoint.phases) == {"scenario", "svc"}
-
-    def test_duplicate_name(self):
-        registry = CheckpointRegistry()
-        registry.snapshot("cp", [], self.tree(), MetricsStore(), now=1)
-        with pytest.raises(DuplicateCheckpoint):
-            registry.snapshot("cp", [], self.tree(), MetricsStore(), now=2)
+        values, phases = snapshot([], self.tree(), MetricsStore(), now=1)
+        assert values == {}
+        assert set(phases) == {"scenario", "svc"}
 
     def test_quiet_metric_contributes_no_key(self):
         store = MetricsStore()
         store.declare("quiet")
-        registry = CheckpointRegistry()
         exprs = [("quiet", parse_expression("MAX() QUERY(quiet, 1m, now)"))]
-        checkpoint = registry.snapshot("cp", exprs, self.tree(), store, now=5)
-        assert "quiet" not in checkpoint.values
+        values, _ = snapshot(exprs, self.tree(), store, now=5)
+        assert "quiet" not in values
 
     def test_unknown_metric_surfaces(self):
-        registry = CheckpointRegistry()
         exprs = [("g", parse_expression("MAX() QUERY(ghost, 1m, now)"))]
         with pytest.raises(UnknownMetric):
-            registry.snapshot("cp", exprs, self.tree(), MetricsStore(), now=5)
+            snapshot(exprs, self.tree(), MetricsStore(), now=5)
 
     def test_repeated_reads_identical(self):
-        registry = CheckpointRegistry()
-        store = MetricsStore()
-        store.ingest(MetricPoint("m", 7.0, 1.0))
-        exprs = [("m", parse_expression("LAST() QUERY(m, 1m, now)"))]
-        registry.snapshot("cp", exprs, self.tree(), store, now=2)
-        first = registry.get("cp")
-        store.ingest(MetricPoint("m", 99.0, 3.0))
-        again = registry.get("cp")
-        assert again is first and again.values == {"m": 7.0}
-
+        # A checkpoint is written once, when it is taken: a later point leaves it as it was.
+        doc = parse_scenario(
+            "spec:\n"
+            "- {action: Service, name: svc, service: {script: [{at: 0s, do: running},\n"
+            "   {at: 1s, do: metric, name: m, value: 7}, {at: 3s, do: metric, name: m, value: 99},\n"
+            "   {at: 4s, do: success}]}}\n"
+            "- {action: Checkpoint, name: cp, depends: {running: [svc], after: 2s},\n"
+            "   checkpoint: {values: {m: 'LAST() QUERY(m, 1m, now)'}}}\n"
+        )
+        engine = run_scenario(doc)
+        assert engine.outcome is Outcome.SUCCESS
+        assert engine.checkpoints == {"cp": {"m": 7.0}}
+        [record] = [r for r in engine.trace if r.kind == "checkpoint"]
+        assert record.at == 2.0 and record.data["values"] == {"m": 7.0}

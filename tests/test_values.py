@@ -8,7 +8,7 @@ instance its own.
 
 import pytest
 
-from whatif.dsl import ActionSpec, DependsClause, ScenarioDefaults, ScenarioDoc, Template, ValidationReport
+from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, Template, ValidationReport
 from whatif.errors import Finding
 from whatif.events import Event, EventKind
 from whatif.executors.base import FaultSpec, JobSpec, SimEffect
@@ -16,7 +16,6 @@ from whatif.expressions import (
     BoolGroup,
     Compare,
     Condition,
-    ExpressionSource,
     MetricsExprAst,
     Not,
     ScopeJob,
@@ -26,16 +25,13 @@ from whatif.expressions import (
     _Token,
 )
 from whatif.lifecycle import FailureClass, Phase, ResourceNode
-from whatif.telemetry import Checkpoint, MetricPoint
 from whatif.trace import TraceRecord
 
 # class -> (arguments of one instance, arguments that differ in every
 # position). Each is a function so that every call builds new lists and dicts.
 HASHABLE = {
     Finding: (lambda: ("error", "a", "m"), lambda: ("warning", "b", "n")),
-    MetricPoint: (lambda: ("cpu", 1.0, 2.0), lambda: ("mem", 3.0, 4.0)),
     SimEffect: (lambda: (1.0, "metric", "m", 2.0, None), lambda: (2.0, "send", "n", 3.0, "x")),
-    ExpressionSource: (lambda: (".state.failed() > 0",), lambda: ("MAX() QUERY(m, 1m, now)",)),
     StateCall: (lambda: ("failed", None), lambda: ("running", "a-0")),
     Compare: (lambda: (StateCall("failed"), ">", 4), lambda: (StateCall("running"), "<", 5)),
     Not: (lambda: (StateCall("failed"),), lambda: (StateCall("running"),)),
@@ -43,8 +39,8 @@ HASHABLE = {
     Term: (lambda: (1.0, None, 1.0), lambda: (None, ("cp", "k"), 1.2)),
     Condition: (lambda: ("ABOVE", (Term(1.0),)), lambda: ("BELOW", (Term(2.0),))),
     MetricsExprAst: (
-        lambda: ("MAX", "cpu", 60.0, None, "now"),
-        lambda: ("MIN", "mem", 30.0, Condition("ABOVE", (Term(1.0),)), "then"),
+        lambda: ("MAX", "cpu", 60.0, None),
+        lambda: ("MIN", "mem", 30.0, Condition("ABOVE", (Term(1.0),))),
     ),
     ScopeJob: (lambda: ("a", Phase.FAILED, FailureClass.EXPECTED), lambda: ("b", Phase.RUNNING, None)),
     ScopeSnapshot: (lambda: ("c", (ScopeJob("c-0", Phase.RUNNING),)), lambda: ("d", ())),
@@ -57,14 +53,11 @@ UNHASHABLE = {
         lambda: (EventKind.STATE, 1.0, "a", "", Phase.FAILED, "kill", "r", {}),
         lambda: (EventKind.TIME, 2.0, "b", "t", Phase.RUNNING, "crash", "s", {"k": "v"}),
     ),
-    # Frozen, but its dict fields make it unhashable.
-    Checkpoint: (lambda: ("cp", 1.0, {"m": 1.0}, {"a": Phase.RUNNING}), lambda: ("cq", 2.0, {}, {})),
     JobSpec: (
         lambda: ("j", None, [SimEffect(0.0, "running")], {"A": "1"}, "none", ["m"]),
         lambda: ("k", "true", [], {}, "stdout-lines", []),
     ),
     FaultSpec: (lambda: ("kill", ["a-0"], [], "both", None), lambda: ("partition", ["b"], ["c"], "to", 5.0)),
-    ScenarioDefaults: (lambda: (None,), lambda: (60.0,)),
     DependsClause: (lambda: (["a"], ["b"], None), lambda: (["c"], [], 1.0)),
     ActionSpec: (
         lambda: ("a", "Cluster", DependsClause(), "t", [{"x": "1"}], 3, 1, None, [], None, {}, None, [], None),
@@ -74,8 +67,8 @@ UNHASHABLE = {
         ),
     ),
     ScenarioDoc: (
-        lambda: ("s", [ActionSpec("a", "Call")], ScenarioDefaults(), []),
-        lambda: ("t", [], ScenarioDefaults(60.0), []),  # warnings alone do not count
+        lambda: ("s", [ActionSpec("a", "Call")], None, []),
+        lambda: ("t", [], 60.0, []),  # warnings alone do not count
     ),
     Template: (lambda: ("t", {"p": None}, "x"), lambda: ("u", {}, "y")),
     ValidationReport: (lambda: ([Finding("error", "a", "m")],), lambda: ([],)),
@@ -144,9 +137,9 @@ def _containers(obj, path=""):
     """Every list, dict and nested data object reachable from obj's fields."""
     for name in type(obj).__slots__:
         value = getattr(obj, name)
-        if isinstance(value, (list, dict, DependsClause, ScenarioDefaults)):
+        if isinstance(value, (list, dict, DependsClause)):
             yield path + name, value
-            if isinstance(value, (DependsClause, ScenarioDefaults)):
+            if isinstance(value, DependsClause):
                 yield from _containers(value, f"{path}{name}.")
 
 
