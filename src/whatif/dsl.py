@@ -15,14 +15,15 @@ logical dependencies::
       call: { callable: boot, services: [ .cluster.masters.all ] }
 
 Templates live in a directory of YAML files and are instantiated by
-replacing ``{{placeholder}}`` markers in a single literal pass. A compile
-parses each job template once and fills the inputs into the parsed body,
-wherever that provably builds what parsing the instantiated text builds. The
-addressing macro ``.cluster.<name>.<all|index>`` expands to instance
-names like ``masters-0``. ``compile_scenario`` checks a document once and
-compiles it into a ``Plan``: ``validate`` returns its findings, every
-static check that keeps a run from blocking or dying on a malformed
-document, and the engine runs the rest.
+replacing ``{{placeholder}}`` markers in a single literal pass. Each
+``Template`` object is parsed once, on the first compile that uses it, and
+every compile fills the inputs into the parsed body, wherever that provably
+builds what parsing the instantiated text builds. The addressing macro
+``.cluster.<name>.<all|index>`` expands to instance names like
+``masters-0``. ``compile_scenario`` checks a document once and compiles it
+into a ``Plan``: ``validate`` returns its findings, every static check that
+keeps a run from blocking or dying on a malformed document, and the engine
+runs the rest.
 """
 
 from __future__ import annotations
@@ -166,15 +167,18 @@ class Template(Value):
     """A reusable body with ``{{placeholder}}`` markers.
 
     ``parameters`` maps each declared placeholder to its default value, or
-    None when the caller must supply it.
+    None when the caller must supply it. ``_skeleton`` keeps the body's
+    parsed skeleton once a compile has used it (see ``_load_instance``).
     """
 
-    __slots__ = ("name", "parameters", "body")
+    __slots__ = ("name", "parameters", "body", "_skeleton")
+    _uncompared = ("_skeleton",)
 
     def __init__(self, name: str, parameters: Optional[dict] = None, body: str = ""):
         self.name = name
         self.parameters = {} if parameters is None else parameters
         self.body = body
+        self._skeleton = None  # (body, loader, skeleton or None), set on first use
 
 
 class ValidationReport(Value):
@@ -566,13 +570,15 @@ class _Skeleton:
     scalar that holds a sentinel. A scalar that was plain is resolved and
     constructed again by the loader, so it keeps its YAML 1.1 type; a quoted
     one stays a string. ``parse`` returns None, and ``fill`` raises
-    ``_TextPath``, wherever that could differ from the text path.
+    ``_TextPath``, wherever that could differ from the text path. A body
+    without placeholders is a skeleton with no sentinel, which ``fill``
+    copies.
     """
 
     __slots__ = ("loader", "value", "names", "plain")
 
     def __init__(self, loader, value, names: list, plain: set):
-        self.loader = loader  # resolves and constructs the filled plain scalars
+        self.loader = loader  # resolves and constructs the filled plain scalars; None with no slot
         self.value = value  # the body constructed with the sentinels in it
         self.names = names  # sentinel k -> the parameter it stands for
         self.plain = plain  # the sentinels that sit in a plain scalar
@@ -587,11 +593,10 @@ class _Skeleton:
         scalar holds a sentinel that its source does not (an escape); where a
         node is met twice (an alias); where the body holds the sentinel
         already; and where the skeleton does not parse, so that the text path
-        reports the error. A body without placeholders takes the text path
-        too: it has one text, parsed once all the same, and a fill would only
-        add a copy.
+        reports the error. A body without placeholders parses as its one
+        text does, aliases included, and needs none of these checks.
         """
-        if _SLOT in template.body or not _PLACEHOLDER_RE.search(template.body):
+        if _SLOT in template.body:
             return None
         names: list[str] = []
 
@@ -606,6 +611,8 @@ class _Skeleton:
             value = None if root is None else loader.construct_document(root)
         except (yaml.YAMLError, ValueError):
             return None
+        if not names:
+            return cls(None, value, names, set())
         found: list[int] = []
         plain: set = set()
         seen: set = set()
@@ -634,24 +641,42 @@ class _Skeleton:
         return cls(loader, value, names, plain)
 
     def fill(self, values: dict):
-        """The body constructed with ``values`` (parameter -> text) in place of the sentinels."""
+        """The body constructed with ``values`` (parameter -> text) in place of the sentinels.
+
+        Every container is new, so no two fills share a mutable value.
+        """
         for k, name in enumerate(self.names):
             value = values[name]
             if not value.isprintable() or (_PLAIN_UNSAFE if k in self.plain else _QUOTED_UNSAFE).search(value):
                 raise _TextPath
         try:
-            return self._fill(self.value, values)
+            return self._fill(self.value, values, {})
         except (yaml.YAMLError, ValueError) as exc:  # the text path raises it too, with its own message
             raise _TextPath from exc
 
-    def _fill(self, value, values: dict):
+    def _fill(self, value, values: dict, copies: dict):
+        """A copy of ``value`` with its sentinels filled.
+
+        ``copies`` maps each container copied so far to its copy, so that an
+        alias, a recursive one too, copies to an alias.
+        """
         if isinstance(value, str):
-            return self._scalar(value, values) if _SLOT in value else value
-        if isinstance(value, dict):
-            return {key: self._fill(item, values) for key, item in value.items()}
-        if isinstance(value, (list, tuple, set)):
-            return type(value)(self._fill(item, values) for item in value)
-        return value
+            # Only a scalar the parse walk found holds a sentinel: with no
+            # placeholder, there was no walk and an escape can spell one.
+            return self._scalar(value, values) if self.names and _SLOT in value else value
+        if not isinstance(value, (dict, list, set)):
+            return value
+        copy = copies.get(id(value))
+        if copy is None:
+            copy = copies[id(value)] = type(value)()
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    copy[key] = self._fill(item, values, copies)
+            elif isinstance(value, list):
+                copy.extend([self._fill(item, values, copies) for item in value])
+            else:  # a set's members are mapping keys, which hold no sentinel
+                copy.update(value)
+        return copy
 
     def _scalar(self, value: str, values: dict):
         text = _SLOT_RE.sub(lambda m: values[self.names[int(m.group(1))]], value)
@@ -821,10 +846,9 @@ def compile_scenario(
     checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
     scenario_timeout = default_timeout if doc.timeout is None else doc.timeout
     parsed: dict = {}  # instantiated job text -> its JobSpec, across actions
-    skeletons: dict = {}  # templateRef -> its parsed skeleton, or None for the text path
     for action, node in zip(doc.actions, action_nodes):
         plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
-        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed, skeletons))
+        findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed))
 
     if default_timeout is None and doc.timeout is None:
         for action in doc.actions:
@@ -853,7 +877,7 @@ def _required_template(action: ActionSpec) -> Optional[str]:
     return None
 
 
-def _compile_action(plan, action, node, templates, checkpoints, parsed, skeletons) -> list[Finding]:
+def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[Finding]:
     findings: list[Finding] = []
     name = action.name
 
@@ -892,7 +916,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed, skeleton
                 specs.append(parse_job_body(action.inline_job))
             for text, values in zip(texts, resolved):
                 if text not in parsed:
-                    parsed[text] = parse_job_body(_load_instance(skeletons, ref, template, values, text))
+                    parsed[text] = parse_job_body(_load_instance(template, values, text))
                 specs.append(parsed[text])
         except yaml.YAMLError as exc:
             findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
@@ -907,7 +931,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed, skeleton
         fault_body = action.fault
         if fault_body is None and texts:
             try:
-                fault_body = load_yaml(texts[0])
+                fault_body = _load_instance(template, resolved[0], texts[0])
             except yaml.YAMLError as exc:
                 findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
         if isinstance(fault_body, dict):
@@ -930,16 +954,18 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed, skeleton
     return findings
 
 
-def _load_instance(skeletons: dict, ref: str, template: Template, values: dict, text: str):
+def _load_instance(template: Template, values: dict, text: str):
     """What ``load_yaml(text)`` constructs, ``text`` being ``template`` instantiated with ``values``.
 
-    The template's skeleton, parsed on first use and kept in ``skeletons``
-    under ``ref``, is filled with the values where that provably gives the
-    same; the text is parsed otherwise.
+    Every template instance is built here. The template keeps its skeleton,
+    parsed on first use and again when the body was reassigned or the loader
+    is another one; the skeleton is filled with the values where that
+    provably gives the same, and the text is parsed otherwise.
     """
-    if ref not in skeletons:
-        skeletons[ref] = _Skeleton.parse(template)
-    skeleton = skeletons[ref]
+    memo = template._skeleton
+    if memo is None or memo[0] != template.body or memo[1] is not _YAML_LOADER:
+        memo = template._skeleton = (template.body, _YAML_LOADER, _Skeleton.parse(template))
+    skeleton = memo[2]
     if skeleton is not None:
         try:
             return skeleton.fill(values)

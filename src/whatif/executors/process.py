@@ -65,11 +65,18 @@ class ProcessExecutor(Executor):
         except (OSError, ValueError) as exc:
             raise SpawnError(f"{spec.name}: {exc}") from exc
         self.procs[spec.name] = proc
-        self._pidfds[spec.name] = pidfd = os.pidfd_open(proc.pid)
-        self._selector.register(pidfd, selectors.EVENT_READ, spec.name)
+        # Each step is recorded once it is complete, so an interrupt between
+        # two leaves ``shutdown`` nothing half registered to undo.
         if proc.stdout is not None:
             os.set_blocking(proc.stdout.fileno(), False)
             self._selector.register(proc.stdout, selectors.EVENT_READ, spec.name)
+        pidfd = os.pidfd_open(proc.pid)
+        try:
+            self._selector.register(pidfd, selectors.EVENT_READ, spec.name)
+        except BaseException:
+            os.close(pidfd)
+            raise
+        self._pidfds[spec.name] = pidfd
         self._emit(spec.name, Phase.RUNNING)
 
     def wait(self, timeout: Optional[float]) -> bool:
@@ -162,7 +169,7 @@ class ProcessExecutor(Executor):
         for name in list(self._pidfds):
             self._reap(name)
         for proc in self.procs.values():
-            if proc.returncode is None:  # started, but interrupted before its pidfd was registered
+            if proc.returncode is None:  # started, but interrupted before its pidfd was recorded
                 _signal_group(proc, signal.SIGKILL)
                 proc.wait()
             if proc.stdout is not None:

@@ -7,7 +7,8 @@ same class and their fields are equal, and ``repr`` shows every field. A
 ``FrozenValue`` also hashes by its fields; nothing assigns to its fields
 after ``__init__``. The fields are the ``__slots__`` of the class and its
 bases, in declaration order; names listed in ``_uncompared`` are left out
-of equality and hashing.
+of equality and hashing, and a field whose name starts with an underscore,
+a memo, is also left out of ``repr``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = [name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ())]
-        cls._fields = tuple(fields)
+        cls._fields = tuple(name for name in fields if not name.startswith("_"))
         cls._compared = tuple(name for name in fields if name not in cls._uncompared)
 
     def _key(self) -> tuple:

@@ -119,10 +119,8 @@ def test_engine_compiles_each_expression_and_template_once(monkeypatch):
     assert counts == {"parse": 3, "instantiate": 3}
 
 
-@pytest.mark.parametrize("instances", [200, 1000])
-def test_compile_parses_each_template_once(instances, monkeypatch):
-    """Each template is parsed once per compile, into a skeleton that every
-    inputs map fills; however many distinct instance texts there are."""
+def counting_loader(monkeypatch) -> list:
+    """Count every YAML stream the program parses from now on: the list it appends each one to."""
     parses = []
 
     class CountingLoader(dsl._YAML_LOADER):
@@ -130,6 +128,15 @@ def test_compile_parses_each_template_once(instances, monkeypatch):
             parses.append(stream)
             super().__init__(stream)
 
+    monkeypatch.setattr(dsl, "_YAML_LOADER", CountingLoader)
+    return parses
+
+
+@pytest.mark.parametrize("instances", [200, 1000])
+def test_compile_parses_each_template_once(instances, monkeypatch):
+    """Each template is parsed once, on the first compile that uses it, into a
+    skeleton that every inputs map fills, however many distinct instance
+    texts there are; a second compile of the same templates parses nothing."""
     node = Template("node", {"up": None, "cpu": None}, "declares: [cpu]\nscript:\n- { at: '{{up}}', do: running }\n"
                     "- { at: 1s, do: metric, name: cpu, value: {{cpu}} }\n- { at: 100s, do: success }\n")
     inputs = [{"up": f"{i}ms", "cpu": str(i % 97)} for i in range(instances)]
@@ -138,14 +145,41 @@ def test_compile_parses_each_template_once(instances, monkeypatch):
         {"action": "Call", "name": "work", "depends": {"running": ["db"]},
          "call": {"callable": "step", "services": ["db-0", "db-1"]}},
     ])
-    monkeypatch.setattr(dsl, "_YAML_LOADER", CountingLoader)
-    plan = compile_scenario(doc, {"node": node, "step": STEP})
+    templates = {"node": node, "step": Template(STEP.name, STEP.parameters, STEP.body)}
+    parses = counting_loader(monkeypatch)
+    plan = compile_scenario(doc, templates)
     assert plan.report.ok, str(plan.report)
     assert len(parses) == 2
+    again = compile_scenario(doc, templates)
+    assert len(parses) == 2
+    assert again.jobs == plan.jobs and again.texts == plan.texts
     assert len(set(plan.texts["db"])) == instances
     monkeypatch.undo()
     for text, spec in list(zip(plan.texts["db"], plan.jobs["db"]))[::97]:
         assert spec == parse_job_body(dsl.load_yaml(text))
+
+
+def test_runs_of_one_loaded_document_parse_its_templates_once(monkeypatch):
+    """Running the same loaded document again constructs no YAML after the
+    first compile, and every run writes the same trace."""
+    body = "declares: [cpu]\nscript:\n- { at: 0s, do: running }\n" + "".join(
+        f"- {{ at: {i}s, do: metric, name: cpu, value: {i % 7}.5 }}\n" for i in range(1, 40)
+    ) + "- { at: 60s, do: success }\n"
+    doc = _doc([
+        {"action": "Cluster", "name": "db", "cluster": {"templateRef": "node", "instances": 3}},
+        {"action": "Call", "name": "work", "depends": {"running": ["db"], "after": "5s"},
+         "call": {"callable": "step", "services": [".cluster.db.all"]},
+         "assertions": ["MAX() QUERY(cpu, 30s, now) IS ABOVE(7)"]},
+    ])
+    templates = {"node": Template("node", {}, body), "step": Template(STEP.name, STEP.parameters, STEP.body)}
+    parses = counting_loader(monkeypatch)
+    traces = []
+    for run in range(3):
+        result = run_scenario(doc, templates, seed=1)
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+        assert len(parses) == 2, run
+        traces.append(result.trace.to_text())
+    assert traces[0] == traces[1] == traces[2]
 
 
 def test_plan_indexes_every_name_once():

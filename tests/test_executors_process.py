@@ -407,6 +407,41 @@ class TestNothingOutlivesARun:
         assert executor.procs["svc"].returncode == -signal.SIGKILL
         assert gone(executor.procs["svc"].pid, group=True)
 
+    @pytest.mark.parametrize("step", ["pidfd", "pipe"])
+    def test_an_interrupt_while_registering_a_job_leaves_no_job(self, step, monkeypatch):
+        def open_pidfds():
+            return sum(1 for fd in os.listdir("/proc/self/fd")
+                       if _readlink(f"/proc/self/fd/{fd}") == "anon_inode:[pidfd]")
+
+        executor = ProcessExecutor()
+        register = executor._selector.register
+
+        def interrupted(fileobj, events, data=None):
+            if isinstance(fileobj, int) == (step == "pidfd"):
+                raise KeyboardInterrupt
+            return register(fileobj, events, data)
+
+        monkeypatch.setattr(executor._selector, "register", interrupted)
+        doc = parse_scenario("spec:\n- { action: Service, name: svc, service: { command: 'sleep 30', metrics: stdout-lines } }\n")
+        engine = Engine(doc, {}, executor)
+        before = open_pidfds()
+        with pytest.raises(KeyboardInterrupt):
+            engine.run()
+        assert engine.trace.records[-1].kind == "outcome"
+        assert engine.outcome is Outcome.ABORTED
+        assert executor._selector.get_map() is None  # closed
+        assert open_pidfds() == before
+        assert executor.procs["svc"].returncode == -signal.SIGKILL
+        assert executor.procs["svc"].stdout.closed
+        assert gone(executor.procs["svc"].pid, group=True)
+
+
+def _readlink(path):
+    try:
+        return os.readlink(path)
+    except OSError:  # the fd listing itself, closed by now
+        return None
+
 
 def test_a_process_run_starts_no_thread():
     counts = []

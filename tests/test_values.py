@@ -8,7 +8,7 @@ instance its own.
 
 import pytest
 
-from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, Template, ValidationReport
+from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, Template, ValidationReport, _load_instance
 from whatif.errors import Finding
 from whatif.events import Event, EventKind
 from whatif.executors.base import FaultSpec, JobSpec, SimEffect
@@ -117,6 +117,16 @@ def test_repr_names_the_class_and_every_field():
     assert repr(StateCall("failed")) == "StateCall(fn='failed', subject=None)"
     assert repr(Finding("error", "a", "m")) == "Finding(severity='error', location='a', message='m')"
     assert str(Finding("error", "a", "m")) == "error: a: m"
+
+
+def test_a_template_compares_and_shows_the_same_once_parsed():
+    used, fresh = Template("t", {"p": None}, "a: {{p}}\n"), Template("t", {"p": None}, "a: {{p}}\n")
+    assert _load_instance(used, {"p": "1"}, "a: 1\n") == {"a": 1}
+    assert used._skeleton is not None and fresh._skeleton is None
+    assert used == fresh
+    assert repr(used) == repr(fresh) == "Template(name='t', parameters={'p': None}, body='a: {{p}}\\n')"
+    with pytest.raises(TypeError):
+        hash(used)
 
 
 MUTABLE_DEFAULTS = [

@@ -6,10 +6,12 @@ PyYAML has it, so on the documents the tests and the benchmark use it must
 construct the values `yaml.SafeLoader` constructs, and a document that does
 not parse must still fail with the program's own error at each site.
 
-A job template is parsed once per compile into a skeleton, which each
-inputs map fills. Instantiating the text and parsing it stays the
-definition: wherever the skeleton is filled, it must construct exactly what
-`load_yaml(instantiate_template(...))` constructs, under either loader.
+A job or fault template is parsed into a skeleton once per `Template`
+object, on its first compile, and each inputs map of every compile after
+that fills it. Instantiating the text and parsing it stays the definition:
+wherever the skeleton is filled, it must construct exactly what
+`load_yaml(instantiate_template(...))` constructs, under either loader, and
+each fill must be a value of its own.
 """
 
 import datetime
@@ -34,6 +36,7 @@ from whatif.dsl import (
     validate,
 )
 from whatif.errors import ScenarioSyntaxError
+from whatif.executors.base import SimEffect, parse_fault_body, parse_job_body
 
 from conftest import SCENARIOS
 from test_acceptance import CORPUS_TEMPLATES
@@ -96,6 +99,19 @@ def loader_in_use(loader):
         yield
     finally:
         dsl._YAML_LOADER = saved
+
+
+def counting(loader):
+    """A subclass of ``loader`` that lists every stream it is made to parse."""
+
+    class Counting(loader):
+        streams = []
+
+        def __init__(self, stream):
+            self.streams.append(stream)
+            super().__init__(stream)
+
+    return Counting
 
 
 def same(a, b) -> bool:
@@ -174,17 +190,17 @@ def test_filled_skeleton_constructs_what_the_corpus_texts_parse_to(loader, monke
     instances = []
     load_instance = dsl._load_instance
 
-    def recorded(skeletons, ref, template, values, text):
+    def recorded(template, values, text):
         instances.append((template, values, text))
-        return load_instance(skeletons, ref, template, values, text)
+        return load_instance(template, values, text)
 
     monkeypatch.setattr(dsl, "_load_instance", recorded)
     with loader_in_use(loader):
         for doc, templates in _corpus():
             compile_scenario(doc, templates)
-        templated = [(t, values, text) for t, values, text in instances if "{{" in t.body]
-        assert len(templated) > 150
-        for template, values, text in templated:
+        assert sum(1 for template, _, _ in instances if "{{" in template.body) > 150
+        assert sum(1 for template, _, _ in instances if "{{" not in template.body) > 20
+        for template, values, text in instances:
             filled = _filled_or_text_path(template, values)
             assert filled is not None, text  # no corpus template needs the text path
             assert same(filled[0], load_yaml(text)), text
@@ -283,7 +299,7 @@ def test_plain_inputs_keep_their_yaml_types(loader):
              ("2001-12-14", datetime.date(2001, 12, 14)), ("1:30", 90), ("a b", "a b")]
     with loader_in_use(loader):
         for text, value in cases:
-            loaded = dsl._load_instance({}, "t", template, {"x": text}, instantiate_template(template, {"x": text}))
+            loaded = _load(template, {"x": text})
             assert same(loaded, {"a": value, "b": text}), text
         assert _filled_or_text_path(template, {"x": "5"}) is not None
         assert _filled_or_text_path(template, {"x": "1:30"}) is None  # ':' is an indicator
@@ -293,10 +309,199 @@ def test_plain_inputs_keep_their_yaml_types(loader):
     "{{x}}: 1\n", "a: |\n  {{x}}\n", "a: !!str {{x}}\n", "a: &n {{x}}\nb: *n\n", "a: 1 # {{x}}\n",
     "a: 'one\n  {{x}}'\n", "a: [unclosed {{x}}\n", "a: __whatif_slot_0__ {{x}}\n",
     "a: \"\\x5f_whatif_slot_0__\" # {{x}}\n", "a: __whatif_slot_0__ # {{x}}\n", "a: &n [1, *n]\nb: {{x}}\n",
-    "a: 1\n",  # no placeholder: one text, parsed once
 ])
 def test_placeholders_the_skeleton_cannot_fill_take_the_text_path(body):
     assert dsl._Skeleton.parse(Template("t", {"x": None}, body)) is None
+
+
+def _load(template: Template, values: dict):
+    """The instance the compile builds for ``values``: the filled skeleton or the parsed text."""
+    return dsl._load_instance(template, values, instantiate_template(template, values))
+
+
+# Bodies without a placeholder: each is a skeleton with no slot, which every
+# fill copies. They keep aliases (a merge key, a recursive one), a set, and an
+# escape that spells the sentinel, which a fill must leave as it is.
+PLACEHOLDER_FREE = [
+    "a: 1\n", "", "plain text\n", "- 1\n- [2, {b: 3}]\n", SCALARS, *WORKLOAD_STYLE,
+    "anchor: &base {at: 0s, do: running}\nscript: [*base, *base, {<<: *base, do: success}]\n",
+    "a: &n [1, *n]\n", "a: !!set {x, y}\n", "a: \"\\x5f_whatif_slot_0__\"\n",
+]
+
+
+def _shape(value, seen=None) -> list:
+    """Each container of ``value`` in walk order, as the index of its first visit."""
+    seen = {} if seen is None else seen
+    if not isinstance(value, (dict, list, set)):
+        return []
+    if id(value) in seen:
+        return [seen[id(value)]]
+    seen[id(value)] = len(seen)
+    items = value.values() if isinstance(value, dict) else value
+    return [seen[id(value)]] + [index for item in items for index in _shape(item, seen)]
+
+
+def _containers(value, seen=None) -> list:
+    """Each container of ``value``, once."""
+    seen = set() if seen is None else seen
+    if not isinstance(value, (dict, list, set)) or id(value) in seen:
+        return []
+    seen.add(id(value))
+    items = value.values() if isinstance(value, dict) else value
+    return [value] + [c for item in items for c in _containers(item, seen)]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("body", PLACEHOLDER_FREE)
+def test_a_body_without_placeholders_fills_to_what_its_text_parses_to(loader, body):
+    with loader_in_use(loader):
+        skeleton = dsl._Skeleton.parse(Template("t", {"x": None}, body))
+        assert skeleton is not None and skeleton.names == []
+        first, second, parsed = skeleton.fill({}), skeleton.fill({"x": "unused"}), load_yaml(body)
+    if body != "a: &n [1, *n]\n":  # `same` would not end
+        assert same(first, parsed) and same(second, parsed)
+    # The same containers, shared where the text's aliases share them ...
+    assert _shape(first) == _shape(second) == _shape(parsed)
+    # ... and none of them the skeleton's or another fill's.
+    mine = {id(c) for c in _containers(first)}
+    assert not mine & {id(c) for c in _containers(second)}
+    assert not mine & {id(c) for c in _containers(skeleton.value)}
+
+
+def test_a_recursive_alias_fills_to_a_recursive_copy():
+    filled = _load(Template("t", {}, "a: &n [1, *n]\n"), {})
+    assert filled["a"][0] == 1 and filled["a"][1] is filled["a"]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_template_is_parsed_on_its_first_use_only(loader):
+    counted = counting(loader)
+    templates = [Template("t", {"x": None}, "a: [{{x}}, '{{x}}']\n"), Template("u", {"x": "5"}, SCALARS)]
+    with loader_in_use(counted):
+        first = [_load(t, {"x": "5"}) for t in templates]
+        assert len(counted.streams) == 2
+        again = [_load(t, {"x": "yes"}) for t in templates for _ in range(3)]
+        assert len(counted.streams) == 2
+    assert same(first[0], {"a": [5, "5"]}) and same(again[0], {"a": [True, "yes"]})
+    assert same(first[1], load_yaml(SCALARS)) and same(again[-1], load_yaml(SCALARS))
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_templates_reused_across_compiles_are_parsed_once(loader):
+    counted = counting(loader)
+    with loader_in_use(counted):
+        for doc, templates in _corpus():
+            first = compile_scenario(doc, templates)
+            parsed = len(counted.streams)
+            second = compile_scenario(doc, templates)
+            assert len(counted.streams) == parsed, doc.name
+            assert second.jobs == first.jobs
+            assert [spec for spec, _ in second.faults.values()] == [spec for spec, _ in first.faults.values()]
+        assert counted.streams
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_reassigned_body_is_parsed_again(loader):
+    counted = counting(loader)
+    template = Template("t", {"x": None}, "a: {{x}}\n")
+    with loader_in_use(counted):
+        assert same(_load(template, {"x": "1"}), {"a": 1})
+        template.body = "b: '{{x}}'\n"
+        assert same(_load(template, {"x": "1"}), {"b": "1"})
+        template.body = "c: 2\n"
+        assert same(_load(template, {"x": "1"}), {"c": 2})
+        assert len(counted.streams) == 3
+        template.body = "c: " + "2\n"  # an equal text: the skeleton still holds
+        assert same(_load(template, {"x": "1"}), {"c": 2})
+        assert len(counted.streams) == 3
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("body", ["a: [{{x}}, 2001-12-14]\n", "a: [1, 2001-12-14]\n"])
+def test_a_loader_switch_parses_again(loader, body):
+    other = counting(yaml.SafeLoader if loader is not yaml.SafeLoader else _YAML_LOADER)
+    template = Template("t", {"x": None}, body)
+    with loader_in_use(loader):
+        first = _load(template, {"x": "7"})
+    with loader_in_use(other):
+        second = _load(template, {"x": "7"})
+        assert len(other.streams) == 1
+        assert template._skeleton[1] is other
+    assert same(first, second)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_mutated_plan_or_fill_does_not_reach_the_next_compile(loader):
+    doc = parse_scenario("""
+name: mutated
+spec:
+- {action: Service, name: s, service: {templateRef: node, inputs: [{up: 1s}]}}
+- {action: Service, name: t, service: {templateRef: fixed}}
+""")
+    templates = {
+        "node": Template("node", {"up": None}, "script:\n- { at: {{up}}, do: running }\n- { at: 9s, do: success }\n"),
+        "fixed": Template("fixed", {"up": "0s"}, "script:\n- { at: 0s, do: running }\n- { at: 9s, do: success }\n"),
+    }
+    with loader_in_use(loader):
+        first = compile_scenario(doc, templates)
+        for name in ("s", "t"):
+            first.jobs[name][0].script.append(SimEffect(10.0, "failed"))
+            first.jobs[name][0].script[0].offset = 5.0
+        for template in templates.values():
+            filled = _load(template, {"up": "1s"})
+            filled["script"].append({"at": "10s", "do": "failed"})
+            filled["script"][0]["do"] = "success"
+        second = compile_scenario(doc, templates)
+    expected = {name: [parse_job_body(load_yaml(text)) for text in texts] for name, texts in second.texts.items()}
+    assert second.jobs == expected
+    assert [e.op for e in second.jobs["t"][0].script] == ["running", "success"]
+
+
+# A fault template is built as a job template is: through its skeleton.
+NET = Template("net", {"src": None, "bits": "1"},
+               "kind: partition\nsource: {{src}}\ndst: 'b'\nduration: {{bits}}\ndirection: both\n")
+CUT = """
+name: cut
+spec:
+- {action: Service, name: a, service: {script: [{at: 0s, do: running}, {at: 5s, do: success}]}}
+- {action: Service, name: b, service: {script: [{at: 0s, do: running}, {at: 5s, do: success}]}}
+- {action: Chaos, name: cut, depends: {running: [a, b]}, chaos: {templateRef: net, inputs: [%s]}}
+"""
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_fault_template_fills_its_skeleton_once_per_template(loader):
+    counted = counting(loader)
+    doc = parse_scenario(CUT % "{src: a, bits: '30'}")
+    with loader_in_use(counted):
+        plans = [compile_scenario(doc, {"net": Template(NET.name, NET.parameters, NET.body)})]
+        templates = {"net": Template(NET.name, NET.parameters, NET.body)}
+        plans += [compile_scenario(doc, templates) for _ in range(2)]
+        assert len(counted.streams) == 2  # one skeleton for each Template object
+    text = instantiate_template(NET, {"src": "a", "bits": "30"})
+    for plan in plans:
+        assert plan.report.ok, str(plan.report)
+        spec, targets = plan.faults["cut"]
+        assert spec == parse_fault_body(load_yaml(text), plan.clusters)
+        assert (spec.targets, spec.dst, spec.duration) == (["a"], ["b"], 30.0)
+        assert targets == [plan.nodes["a"]]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("body,inputs,message", [
+    ("kind: partition\nsource: [{{src}}\n", "{src: a}", "fault template does not parse: "),
+    ("kind: partition\nsource: {{src}}\nduration: {{bits}}\n", "{src: a, bits: '0b_'}",
+     "fault template does not parse: cannot construct a value: invalid literal for int() with base 2: ''"),
+    ("kind: partition\nsource: {{src}}\n", "{src: 'a, b'}", "invalid fault: partition requires source and dst"),
+    ("kind: partition\nsource: '{{src}}'\ndst: b\nduration: 1s\n", "{src: c}", "unknown fault target: c"),
+])
+def test_fault_template_errors_read_the_same_on_every_compile(loader, body, inputs, message):
+    doc = parse_scenario(CUT % inputs)
+    templates = {"net": Template("net", {"src": None, "bits": "1"}, body)}
+    with loader_in_use(loader):
+        for _ in range(2):
+            messages = [f.message for f in validate(doc, templates).findings if f.location == "cut"]
+            assert len(messages) == 1 and messages[0].startswith(message), messages
 
 
 def test_template_files_load_as_with_the_safe_loader():
