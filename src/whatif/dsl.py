@@ -664,6 +664,8 @@ class _Skeleton:
             # Only a scalar the parse walk found holds a sentinel: with no
             # placeholder, there was no walk and an escape can spell one.
             return self._scalar(value, values) if self.names and _SLOT in value else value
+        if isinstance(value, tuple):  # a (key, value) pair of an !!omap or !!pairs
+            return tuple([self._fill(item, values, copies) for item in value])
         if not isinstance(value, (dict, list, set)):
             return value
         copy = copies.get(id(value))

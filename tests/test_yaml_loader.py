@@ -235,6 +235,8 @@ POSITIONS = [
     "a: \"one\n  {{x}}\n  two\"\n",
     "a: one\n  {{x}}\n",
     "a: [{{x}}\n  , {{y}}]\n",
+    "a: !!omap\n- k: {{x}}\n- l: [{{y}}]\n",
+    "a: !!pairs [{k: '{{x}}'}, {k: {{y}}}]\n",
 ]
 
 TRICKY = [
@@ -305,6 +307,24 @@ def test_plain_inputs_keep_their_yaml_types(loader):
         assert _filled_or_text_path(template, {"x": "1:30"}) is None  # ':' is an indicator
 
 
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("body,expected", [
+    ("a: !!omap\n- k: {{x}}\n- l: [{{x}}]\n", {"a": [("k", 5), ("l", [5])]}),
+    ("a: !!pairs [{k: {{x}}}, {k: '{{x}}'}, {l: [{{x}}]}]\n", {"a": [("k", 5), ("k", "5"), ("l", [5])]}),
+])
+def test_a_placeholder_in_an_ordered_map_is_filled(loader, body, expected):
+    # An !!omap or !!pairs entry is a (key, value) tuple, which the fill
+    # must copy through, not hand back with the sentinel in it.
+    template = Template("t", {"x": None}, body)
+    with loader_in_use(loader):
+        filled = _filled_or_text_path(template, {"x": "5"})
+        assert filled is not None
+        assert same(filled[0], expected)
+        assert same(filled[0], load_yaml(instantiate_template(template, {"x": "5"})))
+        filled[0]["a"][-1][1].append(6)
+        assert same(_load(template, {"x": "5"}), expected)
+
+
 @pytest.mark.parametrize("body", [
     "{{x}}: 1\n", "a: |\n  {{x}}\n", "a: !!str {{x}}\n", "a: &n {{x}}\nb: *n\n", "a: 1 # {{x}}\n",
     "a: 'one\n  {{x}}'\n", "a: [unclosed {{x}}\n", "a: __whatif_slot_0__ {{x}}\n",
@@ -326,12 +346,19 @@ PLACEHOLDER_FREE = [
     "a: 1\n", "", "plain text\n", "- 1\n- [2, {b: 3}]\n", SCALARS, *WORKLOAD_STYLE,
     "anchor: &base {at: 0s, do: running}\nscript: [*base, *base, {<<: *base, do: success}]\n",
     "a: &n [1, *n]\n", "a: !!set {x, y}\n", "a: \"\\x5f_whatif_slot_0__\"\n",
+    "a: !!omap [ {k: [1]}, {l: {m: 2}} ]\n", "a: &p !!pairs [ {k: [1]}, {k: [2]} ]\nb: *p\n",
 ]
 
 
 def _shape(value, seen=None) -> list:
-    """Each container of ``value`` in walk order, as the index of its first visit."""
+    """Each container of ``value`` in walk order, as the index of its first visit.
+
+    A tuple (an !!omap or !!pairs entry) is walked through but not counted:
+    the text path builds a new one on every parse too.
+    """
     seen = {} if seen is None else seen
+    if isinstance(value, tuple):
+        return [index for item in value for index in _shape(item, seen)]
     if not isinstance(value, (dict, list, set)):
         return []
     if id(value) in seen:
@@ -342,8 +369,10 @@ def _shape(value, seen=None) -> list:
 
 
 def _containers(value, seen=None) -> list:
-    """Each container of ``value``, once."""
+    """Each mutable container of ``value``, once, those inside a tuple too."""
     seen = set() if seen is None else seen
+    if isinstance(value, tuple):
+        return [c for item in value for c in _containers(item, seen)]
     if not isinstance(value, (dict, list, set)) or id(value) in seen:
         return []
     seen.add(id(value))
