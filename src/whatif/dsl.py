@@ -15,10 +15,10 @@ logical dependencies::
       call: { callable: boot, services: [ .cluster.masters.all ] }
 
 Templates live in a directory of YAML files and are instantiated by
-replacing ``{{placeholder}}`` markers in a single literal pass. Each
-``Template`` object is parsed once, on the first compile that uses it, and
-every compile fills the inputs into the parsed body, wherever that provably
-builds what parsing the instantiated text builds. The addressing macro
+replacing ``{{placeholder}}`` markers in a single literal pass; the instance
+text is what the template means. Each ``Template`` object parses each
+distinct instance text once, on the first compile that needs it, and every
+later compile shares that value, read only. The addressing macro
 ``.cluster.<name>.<all|index>`` expands to instance names like
 ``masters-0``. ``compile_scenario`` checks a document once and compiles it
 into a ``Plan``: ``validate`` returns its findings, every static check that
@@ -167,18 +167,19 @@ class Template(Value):
     """A reusable body with ``{{placeholder}}`` markers.
 
     ``parameters`` maps each declared placeholder to its default value, or
-    None when the caller must supply it. ``_skeleton`` keeps the body's
-    parsed skeleton once a compile has used it (see ``_load_instance``).
+    None when the caller must supply it. ``_parsed`` maps each instance
+    text that a compile has parsed to what ``load_yaml`` built from it (see
+    ``_load_instance``).
     """
 
-    __slots__ = ("name", "parameters", "body", "_skeleton")
-    _uncompared = ("_skeleton",)
+    __slots__ = ("name", "parameters", "body", "_parsed")
+    _uncompared = ("_parsed",)
 
     def __init__(self, name: str, parameters: Optional[dict] = None, body: str = ""):
         self.name = name
         self.parameters = {} if parameters is None else parameters
         self.body = body
-        self._skeleton = None  # (body, loader, skeleton or None), set on first use
+        self._parsed: dict = {}
 
 
 class ValidationReport(Value):
@@ -546,148 +547,6 @@ def instantiate_template(template: Template, inputs: dict) -> str:
     return _PLACEHOLDER_RE.sub(lambda m: resolved[m.group(1)], template.body)
 
 
-# The k-th placeholder of a body, as the skeleton parses it: a plain scalar
-# that every YAML 1.1 implicit resolver leaves a string.
-_SLOT = "__whatif_slot_"
-_SLOT_RE = re.compile(r"__whatif_slot_(\d+)__")
-# An input that could parse otherwise than the sentinel it replaces: in a
-# plain scalar, one that is empty, starts with '-' or '...', has whitespace
-# at an end, or holds a YAML indicator; in a quoted one, a quote or a
-# backslash. In either, one that is not printable (a line break, a tab).
-_PLAIN_UNSAFE = re.compile(r"""[:#,\[\]{}'"\\&*!|>%@`?]|^(?:-|\.\.\.|\s|$)|\s$""")
-_QUOTED_UNSAFE = re.compile(r"""['"\\]""")
-
-
-class _TextPath(Exception):
-    """Filling a skeleton is not provably what parsing the instance text gives."""
-
-
-class _Skeleton:
-    """A template body parsed once, with a sentinel in place of each placeholder.
-
-    ``fill`` builds what ``load_yaml(instantiate_template(...))`` builds
-    without parsing: it copies the parsed body and puts the inputs into each
-    scalar that holds a sentinel. A scalar that was plain is resolved and
-    constructed again by the loader, so it keeps its YAML 1.1 type; a quoted
-    one stays a string. ``parse`` returns None, and ``fill`` raises
-    ``_TextPath``, wherever that could differ from the text path. A body
-    without placeholders is a skeleton with no sentinel, which ``fill``
-    copies.
-    """
-
-    __slots__ = ("loader", "value", "names", "plain")
-
-    def __init__(self, loader, value, names: list, plain: set):
-        self.loader = loader  # resolves and constructs the filled plain scalars; None with no slot
-        self.value = value  # the body constructed with the sentinels in it
-        self.names = names  # sentinel k -> the parameter it stands for
-        self.plain = plain  # the sentinels that sit in a plain scalar
-
-    @classmethod
-    def parse(cls, template: Template) -> Optional["_Skeleton"]:
-        """Parse the body once; None where filling it might not equal the text path.
-
-        That is where a placeholder sits in a mapping key, in a scalar over
-        several lines (every block scalar is one) or with a tag or an anchor,
-        or outside any scalar (a comment, an anchor or tag name); where a
-        scalar holds a sentinel that its source does not (an escape); where a
-        node is met twice (an alias); where the body holds the sentinel
-        already; and where the skeleton does not parse, so that the text path
-        reports the error. A body without placeholders parses as its one
-        text does, aliases included, and needs none of these checks.
-        """
-        if _SLOT in template.body:
-            return None
-        names: list[str] = []
-
-        def slot(match) -> str:
-            names.append(match.group(1))
-            return f"{_SLOT}{len(names) - 1}__"
-
-        text = _PLACEHOLDER_RE.sub(slot, template.body)
-        loader = _YAML_LOADER(text)
-        try:
-            root = loader.get_single_node()
-            value = None if root is None else loader.construct_document(root)
-        except (yaml.YAMLError, ValueError):
-            return None
-        if not names:
-            return cls(None, value, names, set())
-        found: list[int] = []
-        plain: set = set()
-        seen: set = set()
-        stack = [] if root is None else [(root, False)]
-        while stack:
-            node, in_key = stack.pop()
-            if id(node) in seen:
-                return None
-            seen.add(id(node))
-            if isinstance(node, yaml.MappingNode):
-                for key, item in node.value:
-                    stack += [(key, True), (item, in_key)]
-            elif isinstance(node, yaml.SequenceNode):
-                stack += [(item, in_key) for item in node.value]
-            elif _SLOT in node.value:
-                slots = _SLOT_RE.findall(node.value)
-                source = text[node.start_mark.index:node.end_mark.index]
-                if (in_key or source[0] in "!&" or node.start_mark.line != node.end_mark.line
-                        or _SLOT_RE.findall(source) != slots):
-                    return None
-                found += map(int, slots)
-                if not node.style:  # plain: None from the pure loader, '' from libyaml
-                    plain.update(map(int, slots))
-        if sorted(found) != list(range(len(names))):
-            return None
-        return cls(loader, value, names, plain)
-
-    def fill(self, values: dict):
-        """The body constructed with ``values`` (parameter -> text) in place of the sentinels.
-
-        Every container is new, so no two fills share a mutable value.
-        """
-        for k, name in enumerate(self.names):
-            value = values[name]
-            if not value.isprintable() or (_PLAIN_UNSAFE if k in self.plain else _QUOTED_UNSAFE).search(value):
-                raise _TextPath
-        try:
-            return self._fill(self.value, values, {})
-        except (yaml.YAMLError, ValueError) as exc:  # the text path raises it too, with its own message
-            raise _TextPath from exc
-
-    def _fill(self, value, values: dict, copies: dict):
-        """A copy of ``value`` with its sentinels filled.
-
-        ``copies`` maps each container copied so far to its copy, so that an
-        alias, a recursive one too, copies to an alias.
-        """
-        if isinstance(value, str):
-            # Only a scalar the parse walk found holds a sentinel: with no
-            # placeholder, there was no walk and an escape can spell one.
-            return self._scalar(value, values) if self.names and _SLOT in value else value
-        if isinstance(value, tuple):  # a (key, value) pair of an !!omap or !!pairs
-            return tuple([self._fill(item, values, copies) for item in value])
-        if not isinstance(value, (dict, list, set)):
-            return value
-        copy = copies.get(id(value))
-        if copy is None:
-            copy = copies[id(value)] = type(value)()
-            if isinstance(value, dict):
-                for key, item in value.items():
-                    copy[key] = self._fill(item, values, copies)
-            elif isinstance(value, list):
-                copy.extend([self._fill(item, values, copies) for item in value])
-            else:  # a set's members are mapping keys, which hold no sentinel
-                copy.update(value)
-        return copy
-
-    def _scalar(self, value: str, values: dict):
-        text = _SLOT_RE.sub(lambda m: values[self.names[int(m.group(1))]], value)
-        if int(_SLOT_RE.search(value).group(1)) not in self.plain:
-            return text
-        node = yaml.ScalarNode(self.loader.resolve(yaml.ScalarNode, text, (True, False)), text)
-        return self.loader.construct_document(node)
-
-
 # --- addressing macros ------------------------------------------------------------
 
 def cluster_child_names(cluster: str, instances: int) -> list[str]:
@@ -892,7 +751,6 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
         findings.append(Finding("warning", name, "only the first inputs map is used"))
 
     texts: list[str] = []
-    resolved: list[dict] = []  # each text's parameter values
     ref = _required_template(action)
     if ref is not None and action.inline_job is None:
         template = templates.get(ref)
@@ -909,16 +767,15 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
                 except (SchemaError, UnknownCluster, IndexOutOfRange):
                     break  # a bad services macro, reported with the call's targets below
                 texts.append(instantiate_template(template, values))
-                resolved.append(values)
 
     if action.kind in ("Service", "Cluster", "Call"):
         specs = plan.jobs[name] = []
         try:
             if action.inline_job is not None:
                 specs.append(parse_job_body(action.inline_job))
-            for text, values in zip(texts, resolved):
+            for text in texts:
                 if text not in parsed:
-                    parsed[text] = parse_job_body(_load_instance(template, values, text))
+                    parsed[text] = parse_job_body(_load_instance(template, text))
                 specs.append(parsed[text])
         except yaml.YAMLError as exc:
             findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
@@ -933,7 +790,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
         fault_body = action.fault
         if fault_body is None and texts:
             try:
-                fault_body = _load_instance(template, resolved[0], texts[0])
+                fault_body = _load_instance(template, texts[0])
             except yaml.YAMLError as exc:
                 findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
         if isinstance(fault_body, dict):
@@ -956,24 +813,18 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
     return findings
 
 
-def _load_instance(template: Template, values: dict, text: str):
-    """What ``load_yaml(text)`` constructs, ``text`` being ``template`` instantiated with ``values``.
+def _load_instance(template: Template, text: str):
+    """What ``load_yaml(text)`` constructs, ``text`` being an instance of ``template``.
 
-    Every template instance is built here. The template keeps its skeleton,
-    parsed on first use and again when the body was reassigned or the loader
-    is another one; the skeleton is filled with the values where that
-    provably gives the same, and the text is parsed otherwise.
+    Every template instance is built here, and each distinct text is parsed
+    once per ``Template``: later compiles share the stored value, so it is
+    read only (``parse_job_body`` and ``parse_fault_body`` copy every
+    container they keep). An error is not stored, so a text that does not
+    parse raises on every compile.
     """
-    memo = template._skeleton
-    if memo is None or memo[0] != template.body or memo[1] is not _YAML_LOADER:
-        memo = template._skeleton = (template.body, _YAML_LOADER, _Skeleton.parse(template))
-    skeleton = memo[2]
-    if skeleton is not None:
-        try:
-            return skeleton.fill(values)
-        except _TextPath:
-            pass
-    return load_yaml(text)
+    if text not in template._parsed:
+        template._parsed[text] = load_yaml(text)
+    return template._parsed[text]
 
 
 def _check_target(target, owner, plan) -> list[Finding]:

@@ -4,10 +4,13 @@ Durations appear in scenario files (timeouts, `after` delays, fault
 durations) and inside metrics expressions (`QUERY(metric, 1m, now)`).
 Accepted forms: a bare number (seconds) or one or more `<number><unit>`
 segments with units ms, s, m, h (e.g. ``10m``, ``1h30m``, ``500ms``).
+A duration is finite: YAML's ``.nan`` and ``.inf``, and digits that
+overflow a float, are malformed.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 _SEGMENT = re.compile(r"(\d+(?:\.\d+)?)(ms|s|m|h)")
@@ -17,6 +20,13 @@ _UNIT_SECONDS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0}
 
 def parse_duration(value) -> float:
     """Convert a duration literal to seconds. Raises ValueError when malformed."""
+    seconds = _seconds(value)
+    if not math.isfinite(seconds):
+        raise ValueError(f"not a finite duration: {value!r}")
+    return seconds
+
+
+def _seconds(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < 0:
             raise ValueError(f"negative duration: {value!r}")

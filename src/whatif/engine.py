@@ -751,7 +751,7 @@ class CountedScope:
         self.nodes = nodes
 
     def count(self, fn: str, subject: Optional[str] = None) -> int:
-        slots = _SLOTS_OF[fn]
+        slots = _COUNTED_BY[fn]
         if subject is None:
             return sum(self.counts[i] for i in slots)
         job = self._job(subject)
@@ -773,8 +773,8 @@ class CountedScope:
 
 
 # The slots each state fn counts; `.state.failed()` counts either class.
-_SLOTS_OF = {p.value.lower(): (slot(p, None),) for p in (Phase.PENDING, Phase.RUNNING, Phase.SUCCESS)}
-_SLOTS_OF.update(failed=(slot(Phase.FAILED, FailureClass.EXPECTED), slot(Phase.FAILED, None)), all=range(SLOTS))
+_COUNTED_BY = {p.value.lower(): (slot(p, None),) for p in (Phase.PENDING, Phase.RUNNING, Phase.SUCCESS)}
+_COUNTED_BY.update(failed=(slot(Phase.FAILED, FailureClass.EXPECTED), slot(Phase.FAILED, None)), all=range(SLOTS))
 
 
 def run_scenario(

@@ -26,6 +26,7 @@ Fault schema::
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 
@@ -199,8 +200,10 @@ def _parse_effect(raw, index: int) -> SimEffect:
         metric = str(raw["name"])
         try:
             value = float(raw["value"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"script[{index}].value: expected a number, got {raw['value']!r}") from exc
+        except (TypeError, ValueError):
+            value = math.nan
+        if math.isnan(value):
+            raise SchemaError(f"script[{index}].value: expected a number, got {raw['value']!r}")
     elif op == "send":
         if "to" not in raw:
             raise SchemaError(f"script[{index}]: send effect needs 'to'")

@@ -339,7 +339,10 @@ def _parse_metrics(parser: _Parser) -> MetricsExprAst:
     window_token = parser.next()
     if window_token.kind not in ("duration", "number"):
         raise ExprSyntaxError(f"expected window duration, found {window_token.text!r}", window_token.pos)
-    window = parse_duration(window_token.text)
+    try:
+        window = parse_duration(window_token.text)
+    except ValueError as exc:  # digits that overflow a float
+        raise ExprSyntaxError(f"query window: {exc}", window_token.pos) from exc
     if window <= 0:
         raise ExprSyntaxError("query window must be positive", window_token.pos)
     parser.expect("comma", "','")

@@ -26,7 +26,7 @@ class MetricsStore:
     """Per-run time-series store keyed by metric name.
 
     Points arrive in time order per name; anything older than the last
-    accepted point for its name is dropped and counted as a warning.
+    accepted point for its name, and any NaN value, is dropped and counted.
     """
 
     def __init__(self):
@@ -60,10 +60,12 @@ class MetricsStore:
         self._values.setdefault(name, [])
 
     def ingest(self, name: str, value: float, at: float) -> bool:
-        """Store one point. Returns False when dropped as out-of-order."""
+        """Store one point. Returns False when dropped: out of order, or NaN,
+        which no threshold compares with and which hides the later points of
+        a window from MAX and MIN."""
         times = self._times.setdefault(name, [])
         values = self._values.setdefault(name, [])
-        if times and at < times[-1]:
+        if (times and at < times[-1]) or value != value:
             self.dropped += 1
             return False
         times.append(at)

@@ -18,6 +18,11 @@ NAME_COLLISION = SCENARIOS / "invalid" / "name-collision.yaml"
 BAD_JOB_BODY = SCENARIOS / "invalid" / "bad-job-body.yaml"
 BAD_METRIC_VALUE = SCENARIOS / "invalid" / "bad-metric-value.yaml"
 BAD_TIMESTAMP = SCENARIOS / "invalid" / "bad-timestamp.yaml"
+BAD_DURATION = SCENARIOS / "invalid" / "bad-duration.yaml"
+
+NINES = "9" * 400  # overflows a float to inf
+SERVICE = ("{action: Service, name: s, service: {declares: [m], script: [{at: 0s, do: running}, "
+           "{at: 1s, do: metric, name: m, value: 1}, {at: 5s, do: success}]}}")
 
 CYCLIC = """
 spec:
@@ -135,6 +140,41 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "word: script[1].value: expected a number, got 'high'" in captured.out + captured.err
         assert "list: script[1].value: expected a number, got [1]" in captured.out + captured.err
+        assert "nan: script[1].value: expected a number, got nan" in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("spec,message", [
+        pytest.param(f"defaults: {{timeout: .nan}}\nspec: [{SERVICE}]\n",
+                     "defaults.timeout: not a finite duration: nan", id="default-timeout"),
+        pytest.param("spec:\n- {action: Call, name: c, timeout: .inf, call: {callable: t, services: []}}\n",
+                     "(c).timeout: not a finite duration: inf", id="timeout"),
+        pytest.param(f"spec:\n- {{action: Call, name: c, depends: {{after: '{NINES}s'}}, call: {{callable: t, services: []}}}}\n",
+                     "(c).depends.after: not a finite duration: '999", id="after"),
+        pytest.param(f"spec:\n- {SERVICE}\n- {{action: Chaos, name: k, chaos: {{fault: {{kind: suspend, targets: [s], duration: .nan}}}}}}\n",
+                     "k: invalid fault: fault duration: not a finite duration: nan", id="fault-duration"),
+        pytest.param("spec:\n- {action: Service, name: s, service: {script: [{at: .nan, do: running}]}}\n",
+                     "s: script[0].at: not a finite duration: nan", id="script-at"),
+        pytest.param(f"spec:\n- {SERVICE[:-1]}, assertions: ['MAX() QUERY(m, {NINES}, now) IS ABOVE(5)']}}\n",
+                     "query window: not a finite duration: '999", id="query-window"),
+    ])
+    def test_non_finite_durations_exit_2(self, command, spec, message, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(spec)
+        args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+
+    def test_bad_duration_file_exit_2(self, capsys):
+        assert main(["validate", str(BAD_DURATION)]) == 2
+        assert "defaults.timeout: not a finite duration: nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_timeout_default_exit_2(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, str(VALID), "--templates", str(TEMPLATES), "--timeout-default", NINES])
+        assert info.value.code == 2
+        assert "argument --timeout-default: not a finite duration: '999" in capsys.readouterr().err
 
     def test_bad_timestamp_exit_2(self, capsys):
         assert main(["validate", str(BAD_TIMESTAMP), "--templates", str(TEMPLATES)]) == 2

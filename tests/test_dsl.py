@@ -1,5 +1,7 @@
 """Scenario parsing, templating, macros, and static validation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,7 +100,10 @@ class TestDurations:
     def test_parse(self, text, expected):
         assert parse_duration(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "10x", "m10", "-5s", None])
+    @pytest.mark.parametrize("bad", [
+        "", "10x", "m10", "-5s", None, math.nan, math.inf, pytest.param("9" * 400, id="400-nines"),
+        pytest.param("9" * 400 + "s", id="400-nines-s"), pytest.param("9" * 308 + "h", id="308-nines-h"),
+    ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_duration(bad)

@@ -291,7 +291,7 @@ spec:
 
 SPIKY = """
 import sys, time
-for value in (10, 12, 11, 99):
+for value in sys.argv[2:]:
     print("metric x %s %d" % (value, int(time.time() * 1000)), flush=True)
     time.sleep(0.1)
 time.sleep(float(sys.argv[1]))
@@ -299,26 +299,39 @@ time.sleep(float(sys.argv[1]))
 
 
 class TestProcessAlerts:
-    def test_spike_fails_the_run_while_the_emitter_still_runs(self, tmp_path):
-        tail = 6.0
+    @staticmethod
+    def run_spiky(tmp_path, rule, args):
+        """Run one Service that prints a point of ``x`` for each value in ``args[1:]``, then sleeps ``args[0]`` s."""
         emitter = tmp_path / "spiky.py"
         emitter.write_text(SPIKY)
-        rule = "MAX() QUERY(x, 1m, now) IS ABOVE(50)"
         doc = parse_scenario(f"""
 spec:
 - action: Service
   name: spiky
-  service: {{ command: {sys.executable} {emitter} {tail}, metrics: stdout-lines, declares: [x] }}
+  service: {{ command: {sys.executable} {emitter} {args}, metrics: stdout-lines, declares: [x] }}
   assertions: ["{rule}"]
 """)
+        return run_scenario(doc, {}, ProcessExecutor())
+
+    def test_spike_fails_the_run_while_the_emitter_still_runs(self, tmp_path):
+        tail = 6.0
+        rule = "MAX() QUERY(x, 1m, now) IS ABOVE(50)"
         started = time.monotonic()
-        result = run_scenario(doc, {}, ProcessExecutor())
+        result = self.run_spiky(tmp_path, rule, f"{tail} 10 12 11 99")
         assert time.monotonic() - started < tail
         assert result.outcome is Outcome.FAILED
         assert result.reason == f"spiky: assertion fired: {rule}"
         spike_at = next(at for at, value in result.store.series("x") if value == 99)
         fired = next(r for r in result.trace if r.kind == "event" and r.data.get("fired"))
         assert spike_at <= fired.at < spike_at + tail
+
+    def test_a_nan_point_is_dropped_and_hides_no_later_point(self, tmp_path):
+        rule = "MAX() QUERY(x, 1m, now) IS ABOVE(70)"
+        result = self.run_spiky(tmp_path, rule, "0 nan 100")
+        assert result.outcome is Outcome.FAILED
+        assert result.reason == f"spiky: assertion fired: {rule}"
+        assert [value for _, value in result.store.series("x")] == [100.0]
+        assert result.store.dropped == 1
 
 
 class TestNothingOutlivesARun:

@@ -25,6 +25,16 @@ class TestStore:
         assert store.dropped == 1
         assert store.query("m", 0, 100) == [(10.0, 1)]
 
+    def test_nan_dropped_and_counted(self, tmp_path):
+        store = MetricsStore()
+        assert not store.ingest("m", float("nan"), 1.0)
+        assert store.ingest("m", 100.0, 2.0)
+        assert store.dropped == 1 and store.series("m") == [(2.0, 100.0)]
+        path = tmp_path / "metrics.txt"
+        path.write_text("metric m nan 1000\nmetric m 100.0 2000\n")
+        loaded = MetricsStore.load(path)
+        assert loaded.dropped == 1 and loaded.series("m") == [(2.0, 100.0)]
+
     def test_equal_timestamps_accepted(self):
         store = MetricsStore()
         store.ingest("m", 1, 10.0)

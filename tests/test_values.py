@@ -121,8 +121,8 @@ def test_repr_names_the_class_and_every_field():
 
 def test_a_template_compares_and_shows_the_same_once_parsed():
     used, fresh = Template("t", {"p": None}, "a: {{p}}\n"), Template("t", {"p": None}, "a: {{p}}\n")
-    assert _load_instance(used, {"p": "1"}, "a: 1\n") == {"a": 1}
-    assert used._skeleton is not None and fresh._skeleton is None
+    assert _load_instance(used, "a: 1\n") == {"a": 1}
+    assert used._parsed and not fresh._parsed
     assert used == fresh
     assert repr(used) == repr(fresh) == "Template(name='t', parameters={'p': None}, body='a: {{p}}\\n')"
     with pytest.raises(TypeError):

@@ -6,12 +6,10 @@ PyYAML has it, so on the documents the tests and the benchmark use it must
 construct the values `yaml.SafeLoader` constructs, and a document that does
 not parse must still fail with the program's own error at each site.
 
-A job or fault template is parsed into a skeleton once per `Template`
-object, on its first compile, and each inputs map of every compile after
-that fills it. Instantiating the text and parsing it stays the definition:
-wherever the skeleton is filled, it must construct exactly what
-`load_yaml(instantiate_template(...))` constructs, under either loader, and
-each fill must be a value of its own.
+Each distinct instance text of a job or fault template is parsed once per
+`Template` object, on the first compile that needs it, and every later
+compile and run shares the stored value. So the stored value must stay what
+`load_yaml(text)` constructs, under either loader: nothing may change it.
 """
 
 import datetime
@@ -20,8 +18,6 @@ from contextlib import contextmanager
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from whatif import dsl
 from whatif.dsl import (
@@ -35,6 +31,7 @@ from whatif.dsl import (
     render_scenario,
     validate,
 )
+from whatif.engine import run_scenario
 from whatif.errors import ScenarioSyntaxError
 from whatif.executors.base import SimEffect, parse_fault_body, parse_job_body
 
@@ -85,10 +82,8 @@ MALFORMED = [
 UNCONSTRUCTIBLE = ["2001-13-45", "0b_", "0x_"]
 
 
-LOADERS = [
-    pytest.param(getattr(yaml, "CSafeLoader", yaml.SafeLoader), id="libyaml"),
-    pytest.param(yaml.SafeLoader, id="pure"),
-]
+LIBYAML = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+LOADERS = [pytest.param(LIBYAML, id="libyaml"), pytest.param(yaml.SafeLoader, id="pure")]
 
 
 @contextmanager
@@ -141,9 +136,14 @@ def test_same_tells_types_apart():
 
 
 def _corpus() -> list[tuple]:
-    """(document, templates): the demo, the valid criterion-7 corpus, three golden documents."""
+    """(document, templates): the demo, the valid criterion-7 corpus, three golden documents.
+
+    Every call makes new ``Template`` objects, so that no parse stored by an
+    earlier call (or under another loader) is reused.
+    """
     pairs = [(parse_scenario((SCENARIOS / "partition-demo.yaml").read_text()), load_templates(SCENARIOS / "templates"))]
-    pairs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+    fresh = {name: Template(t.name, t.parameters, t.body) for name, t in CORPUS_TEMPLATES.items()}
+    pairs += [(doc, fresh) for doc in corpus_docs()]
     pairs += [_build(name) for name in ("chain-120", "cluster-200", "metrics-300")]
     return pairs
 
@@ -172,126 +172,31 @@ def test_loader_constructs_what_the_safe_loader_constructs():
         assert same(load_yaml(text), yaml.load(text, Loader=yaml.SafeLoader)), text
 
 
-# --- one parse per template: the skeleton against the text path -------------------
+# --- one parse per instance text, shared read only ----------------------------------
 
-def _filled_or_text_path(template: Template, values: dict):
-    """The filled skeleton, or None where the structured path hands over to the text path."""
-    skeleton = dsl._Skeleton.parse(template)
-    if skeleton is None:
-        return None
-    try:
-        return (skeleton.fill(values),)
-    except dsl._TextPath:
-        return None
+def _load(template: Template, values: dict):
+    """The instance the compile builds for ``values``."""
+    return dsl._load_instance(template, instantiate_template(template, values))
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-def test_filled_skeleton_constructs_what_the_corpus_texts_parse_to(loader, monkeypatch):
-    instances = []
-    load_instance = dsl._load_instance
-
-    def recorded(template, values, text):
-        instances.append((template, values, text))
-        return load_instance(template, values, text)
-
-    monkeypatch.setattr(dsl, "_load_instance", recorded)
+def test_stored_instances_stay_what_their_texts_parse_to(loader):
+    # Every compile and run after the first shares the stored values, so
+    # nothing that reads them (the job and fault body parsers, the engine)
+    # may change them.
     with loader_in_use(loader):
-        for doc, templates in _corpus():
-            compile_scenario(doc, templates)
-        assert sum(1 for template, _, _ in instances if "{{" in template.body) > 150
-        assert sum(1 for template, _, _ in instances if "{{" not in template.body) > 20
-        for template, values, text in instances:
-            filled = _filled_or_text_path(template, values)
-            assert filled is not None, text  # no corpus template needs the text path
-            assert same(filled[0], load_yaml(text)), text
-
-
-# Where a placeholder can sit: plain, quoted, block, key and mid-scalar positions,
-# and the places the skeleton hands to the text path (tags, anchors, comments,
-# scalars over several lines).
-POSITIONS = [
-    "a: {{x}}\n",
-    "a: {{x}}\nb: {{x}}\n",
-    "- {{x}}\n- pre {{y}} post\n",
-    "a: [{{x}}, {{y}}]\n",
-    "{a: {{x}}, b: c}\n",
-    "a: {{x}}s\n",
-    "a: x{{x}}{{y}}\n",
-    "a: {{x}}.{{y}}\n",
-    "{{x}}",
-    "a: '{{x}}'\nb: \"{{y}}\"\n",
-    "a: 'it''s {{x}} and {{y}}'\n",
-    "a: \"\\t{{x}}\\u00e9\"\n",
-    "env: { TARGETS: '{{x}}' }\n",
-    "script:\n  - { at: {{x}}, do: metric, name: cpu, value: {{y}} }\n",
-    "a: |\n  {{x}}\n",
-    "a: >\n  {{x}} {{y}}\n",
-    "{{x}}: 1\n",
-    "{ {{x}}: 1 }\n",
-    "a: !!str {{x}}\n",
-    "a: ! '{{x}}'\n",
-    "a: &anchor {{x}}\nb: *anchor\n",
-    "a: 1 # {{x}}\nb: {{y}}\n",
-    "a: \"one\n  {{x}}\n  two\"\n",
-    "a: one\n  {{x}}\n",
-    "a: [{{x}}\n  , {{y}}]\n",
-    "a: !!omap\n- k: {{x}}\n- l: [{{y}}]\n",
-    "a: !!pairs [{k: '{{x}}'}, {k: {{y}}}]\n",
-]
-
-TRICKY = [
-    "", " ", " a", "a ", "a b", "a  b", "~", "null", "Null", "yes", "No", "on", "OFF", "true",
-    "5", "-5", "+5", "007", "0x1F", "0b101", "0b_", "1_000", "1:30", "190:20:30", ".5", "1.", "1e3",
-    "1.0e+3", ".inf", "-.inf", ".NaN", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
-    "2001-12-14 21:59:43.10 +5", "2001-13-45", "0000-01-01", "=", "<<", "...", "---", "-", "?",
-    "a: b", "a:b", "a #b", "a#b", "#", "'", "''", '"', "\\", "a\nb", "\t", "x\ty", "\r", "\x85",
-    "\u2028", "\xa0", "\ufeff", "\x00", "é", "[1]", "{}", "&a", "*a", "!x", "|", ">", "%", "@",
-    "`", ",", "__whatif_slot_0__",
-]
-
-INPUTS = st.one_of(
-    st.sampled_from(TRICKY),
-    st.text(alphabet="ab19e.:-_+~#,[]{}'\"\\&*!|>%@`? \t\n\r\x85\xa0é", max_size=8),
-    st.integers(-10**6, 10**6).map(str),
-    st.floats().map(repr),
-    st.dates().map(str),
-    st.datetimes().map(str),
-)
-
-
-def _outcome(load):
-    try:
-        return True, load()
-    except Exception as exc:  # the text path's own errors, compared by type
-        return False, type(exc)
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-@settings(max_examples=400, deadline=None)
-@given(body=st.sampled_from(POSITIONS), x=INPUTS, y=INPUTS)
-@example(body="a: {{x}}\n", x="5", y="")
-@example(body="a: {{x}}\n", x="1:30", y="")
-# One input for each rule that sends a plain or quoted input to the text path.
-@example(body="a: {{x}}\n", x="a ", y="")
-@example(body="a: {{x}}\n", x=" a", y="")
-@example(body="a: [{{x}}, {{y}}]\n", x="", y="1")
-@example(body="a: {{x}}\n", x="- a", y="")
-@example(body="a: {{x}}\n", x="-", y="")
-@example(body="{{x}}", x="...", y="")
-@example(body="a: {{x}}\n", x="a #b", y="")
-@example(body="a: {{x}}\n", x="a\nb", y="")
-@example(body="a: '{{x}}'\nb: \"{{y}}\"\n", x="'", y="")
-@example(body="a: '{{x}}'\nb: \"{{y}}\"\n", x="", y="\\t")
-def test_filled_skeleton_constructs_what_the_text_parses_to(loader, body, x, y):
-    template = Template("t", {"x": None, "y": None}, body)
-    values = {"x": x, "y": y}
-    with loader_in_use(loader):
-        filled = _filled_or_text_path(template, values)
-        if filled is None:
-            return
-        parsed, value = _outcome(lambda: load_yaml(instantiate_template(template, values)))
-        assert parsed, (body, values, value)
-        assert same(filled[0], value), (body, values)
+        corpus = _corpus()
+        for doc, templates in corpus:
+            for _ in range(2):
+                compile_scenario(doc, templates)
+                run_scenario(doc, templates, seed=1)
+    loaded = {id(t): t for _, templates in corpus for t in templates.values()}.values()
+    stored = [(text, value) for t in loaded for text, value in t._parsed.items()]
+    assert any(text.startswith("kind: partition") for text, _ in stored)  # a fault template
+    assert len(stored) > 150
+    for text, value in stored:
+        for fresh in (LIBYAML, yaml.SafeLoader):
+            assert same(value, yaml.load(text, Loader=fresh)), text
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -301,10 +206,7 @@ def test_plain_inputs_keep_their_yaml_types(loader):
              ("2001-12-14", datetime.date(2001, 12, 14)), ("1:30", 90), ("a b", "a b")]
     with loader_in_use(loader):
         for text, value in cases:
-            loaded = _load(template, {"x": text})
-            assert same(loaded, {"a": value, "b": text}), text
-        assert _filled_or_text_path(template, {"x": "5"}) is not None
-        assert _filled_or_text_path(template, {"x": "1:30"}) is None  # ':' is an indicator
+            assert same(_load(template, {"x": text}), {"a": value, "b": text}), text
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -313,106 +215,29 @@ def test_plain_inputs_keep_their_yaml_types(loader):
     ("a: !!pairs [{k: {{x}}}, {k: '{{x}}'}, {l: [{{x}}]}]\n", {"a": [("k", 5), ("k", "5"), ("l", [5])]}),
 ])
 def test_a_placeholder_in_an_ordered_map_is_filled(loader, body, expected):
-    # An !!omap or !!pairs entry is a (key, value) tuple, which the fill
-    # must copy through, not hand back with the sentinel in it.
+    # An !!omap or !!pairs entry is a (key, value) tuple.
     template = Template("t", {"x": None}, body)
     with loader_in_use(loader):
-        filled = _filled_or_text_path(template, {"x": "5"})
-        assert filled is not None
-        assert same(filled[0], expected)
-        assert same(filled[0], load_yaml(instantiate_template(template, {"x": "5"})))
-        filled[0]["a"][-1][1].append(6)
-        assert same(_load(template, {"x": "5"}), expected)
-
-
-@pytest.mark.parametrize("body", [
-    "{{x}}: 1\n", "a: |\n  {{x}}\n", "a: !!str {{x}}\n", "a: &n {{x}}\nb: *n\n", "a: 1 # {{x}}\n",
-    "a: 'one\n  {{x}}'\n", "a: [unclosed {{x}}\n", "a: __whatif_slot_0__ {{x}}\n",
-    "a: \"\\x5f_whatif_slot_0__\" # {{x}}\n", "a: __whatif_slot_0__ # {{x}}\n", "a: &n [1, *n]\nb: {{x}}\n",
-])
-def test_placeholders_the_skeleton_cannot_fill_take_the_text_path(body):
-    assert dsl._Skeleton.parse(Template("t", {"x": None}, body)) is None
-
-
-def _load(template: Template, values: dict):
-    """The instance the compile builds for ``values``: the filled skeleton or the parsed text."""
-    return dsl._load_instance(template, values, instantiate_template(template, values))
-
-
-# Bodies without a placeholder: each is a skeleton with no slot, which every
-# fill copies. They keep aliases (a merge key, a recursive one), a set, and an
-# escape that spells the sentinel, which a fill must leave as it is.
-PLACEHOLDER_FREE = [
-    "a: 1\n", "", "plain text\n", "- 1\n- [2, {b: 3}]\n", SCALARS, *WORKLOAD_STYLE,
-    "anchor: &base {at: 0s, do: running}\nscript: [*base, *base, {<<: *base, do: success}]\n",
-    "a: &n [1, *n]\n", "a: !!set {x, y}\n", "a: \"\\x5f_whatif_slot_0__\"\n",
-    "a: !!omap [ {k: [1]}, {l: {m: 2}} ]\n", "a: &p !!pairs [ {k: [1]}, {k: [2]} ]\nb: *p\n",
-]
-
-
-def _shape(value, seen=None) -> list:
-    """Each container of ``value`` in walk order, as the index of its first visit.
-
-    A tuple (an !!omap or !!pairs entry) is walked through but not counted:
-    the text path builds a new one on every parse too.
-    """
-    seen = {} if seen is None else seen
-    if isinstance(value, tuple):
-        return [index for item in value for index in _shape(item, seen)]
-    if not isinstance(value, (dict, list, set)):
-        return []
-    if id(value) in seen:
-        return [seen[id(value)]]
-    seen[id(value)] = len(seen)
-    items = value.values() if isinstance(value, dict) else value
-    return [seen[id(value)]] + [index for item in items for index in _shape(item, seen)]
-
-
-def _containers(value, seen=None) -> list:
-    """Each mutable container of ``value``, once, those inside a tuple too."""
-    seen = set() if seen is None else seen
-    if isinstance(value, tuple):
-        return [c for item in value for c in _containers(item, seen)]
-    if not isinstance(value, (dict, list, set)) or id(value) in seen:
-        return []
-    seen.add(id(value))
-    items = value.values() if isinstance(value, dict) else value
-    return [value] + [c for item in items for c in _containers(item, seen)]
+        for _ in range(2):
+            assert same(_load(template, {"x": "5"}), expected)
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-@pytest.mark.parametrize("body", PLACEHOLDER_FREE)
-def test_a_body_without_placeholders_fills_to_what_its_text_parses_to(loader, body):
-    with loader_in_use(loader):
-        skeleton = dsl._Skeleton.parse(Template("t", {"x": None}, body))
-        assert skeleton is not None and skeleton.names == []
-        first, second, parsed = skeleton.fill({}), skeleton.fill({"x": "unused"}), load_yaml(body)
-    if body != "a: &n [1, *n]\n":  # `same` would not end
-        assert same(first, parsed) and same(second, parsed)
-    # The same containers, shared where the text's aliases share them ...
-    assert _shape(first) == _shape(second) == _shape(parsed)
-    # ... and none of them the skeleton's or another fill's.
-    mine = {id(c) for c in _containers(first)}
-    assert not mine & {id(c) for c in _containers(second)}
-    assert not mine & {id(c) for c in _containers(skeleton.value)}
-
-
-def test_a_recursive_alias_fills_to_a_recursive_copy():
-    filled = _load(Template("t", {}, "a: &n [1, *n]\n"), {})
-    assert filled["a"][0] == 1 and filled["a"][1] is filled["a"]
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-def test_a_template_is_parsed_on_its_first_use_only(loader):
+def test_each_instance_text_is_parsed_once_per_template(loader):
     counted = counting(loader)
     templates = [Template("t", {"x": None}, "a: [{{x}}, '{{x}}']\n"), Template("u", {"x": "5"}, SCALARS)]
     with loader_in_use(counted):
         first = [_load(t, {"x": "5"}) for t in templates]
         assert len(counted.streams) == 2
-        again = [_load(t, {"x": "yes"}) for t in templates for _ in range(3)]
+        again = [_load(t, {"x": "5"}) for t in templates for _ in range(3)]
         assert len(counted.streams) == 2
-    assert same(first[0], {"a": [5, "5"]}) and same(again[0], {"a": [True, "yes"]})
-    assert same(first[1], load_yaml(SCALARS)) and same(again[-1], load_yaml(SCALARS))
+        other = [_load(t, {"x": "yes"}) for t in templates for _ in range(3)]
+        assert len(counted.streams) == 3  # u's body has no placeholder: its one text is stored
+        _load(Template("t", {"x": None}, templates[0].body), {"x": "5"})
+        assert len(counted.streams) == 4  # another Template object keeps its own
+    assert same(first[0], {"a": [5, "5"]}) and same(other[0], {"a": [True, "yes"]})
+    assert all(value is first[0] for value in again[:3])
+    assert same(first[1], load_yaml(SCALARS)) and other[-1] is first[1]
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -440,27 +265,107 @@ def test_a_reassigned_body_is_parsed_again(loader):
         template.body = "c: 2\n"
         assert same(_load(template, {"x": "1"}), {"c": 2})
         assert len(counted.streams) == 3
-        template.body = "c: " + "2\n"  # an equal text: the skeleton still holds
-        assert same(_load(template, {"x": "1"}), {"c": 2})
+        template.body = "a: {{x}}\n"  # a text parsed before
+        assert same(_load(template, {"x": "1"}), {"a": 1})
         assert len(counted.streams) == 3
 
 
 @pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize("body", ["a: [{{x}}, 2001-12-14]\n", "a: [1, 2001-12-14]\n"])
-def test_a_loader_switch_parses_again(loader, body):
-    other = counting(yaml.SafeLoader if loader is not yaml.SafeLoader else _YAML_LOADER)
+def test_a_loader_switch_reuses_the_stored_value(loader, body):
+    # The memo is keyed by the text alone, as both loaders build equal values.
+    other = counting(yaml.SafeLoader if loader is not yaml.SafeLoader else LIBYAML)
     template = Template("t", {"x": None}, body)
     with loader_in_use(loader):
         first = _load(template, {"x": "7"})
     with loader_in_use(other):
         second = _load(template, {"x": "7"})
-        assert len(other.streams) == 1
-        assert template._skeleton[1] is other
-    assert same(first, second)
+        assert not other.streams
+    assert second is first
+    assert same(first, yaml.load(instantiate_template(template, {"x": "7"}), Loader=other))
+
+
+# A placeholder is replaced as text wherever it sits, so an input can add
+# structure, and a placeholder in a comment, a key, a tag's scalar or an
+# anchored node means what the instantiated text means.
+POSITIONS = [
+    ("{{x}}: 1\n", "5", {5: 1}),
+    ("a: |\n  {{x}}\n", "5", {"a": "5\n"}),
+    ("a: !!str {{x}}\n", "5", {"a": "5"}),
+    ("a: &n {{x}}\nb: *n\n", "5", {"a": 5, "b": 5}),
+    ("a: 1 # {{x}}\n", "5", {"a": 1}),
+    ("a: 1 # {{x}}\n", "\nb: 2", {"a": 1, "b": 2}),
+    ("a: 'one\n  {{x}}'\n", "5", {"a": "one 5"}),
+    ("a: {{x}}\n", "b #c", {"a": "b"}),
+    ("a: [{{x}}]\n", "b: 1", {"a": [{"b": 1}]}),
+    ("a: x{{x}}\n", "1:30", {"a": "x1:30"}),
+    ("a: [unclosed {{x}}\n", "5", yaml.YAMLError),
+]
+
+
+@pytest.mark.parametrize("body,x,expected", POSITIONS, ids=[body for body, _, _ in POSITIONS])
+def test_an_instance_is_what_its_instantiated_text_parses_to(body, x, expected):
+    template = Template("t", {"x": None}, body)
+    text = instantiate_template(template, {"x": x})
+    if expected is yaml.YAMLError:
+        for _ in range(2):  # an error is not stored
+            with pytest.raises(yaml.YAMLError):
+                _load(template, {"x": x})
+        assert not template._parsed
+        return
+    first = _load(template, {"x": x})
+    assert same(first, expected) and same(first, load_yaml(text))
+    assert _load(template, {"x": x}) is first and list(template._parsed) == [text]
+
+
+# Bodies without a placeholder: every inputs map makes the same text, so each
+# is parsed once and every instance is the stored value. They keep aliases (a
+# merge key, a recursive one), a set, ordered maps and escaped text.
+PLACEHOLDER_FREE = [
+    "a: 1\n", "", "plain text\n", "- 1\n- [2, {b: 3}]\n", SCALARS, *WORKLOAD_STYLE,
+    "anchor: &base {at: 0s, do: running}\nscript: [*base, *base, {<<: *base, do: success}]\n",
+    "a: &n [1, *n]\n", "a: !!set {x, y}\n", "a: \"\\x5f_whatif_slot_0__\"\n",
+    "a: !!omap [ {k: [1]}, {l: {m: 2}} ]\n", "a: &p !!pairs [ {k: [1]}, {k: [2]} ]\nb: *p\n",
+]
+
+
+def _shape(value, seen=None) -> list:
+    """Each container of ``value`` in walk order, as the index of its first visit.
+
+    A tuple (an !!omap or !!pairs entry) is walked through but not counted.
+    """
+    seen = {} if seen is None else seen
+    if isinstance(value, tuple):
+        return [index for item in value for index in _shape(item, seen)]
+    if not isinstance(value, (dict, list, set)):
+        return []
+    if id(value) in seen:
+        return [seen[id(value)]]
+    seen[id(value)] = len(seen)
+    items = value.values() if isinstance(value, dict) else value
+    return [seen[id(value)]] + [index for item in items for index in _shape(item, seen)]
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-def test_a_mutated_plan_or_fill_does_not_reach_the_next_compile(loader):
+@pytest.mark.parametrize("body", PLACEHOLDER_FREE)
+def test_a_body_without_placeholders_is_parsed_once_for_any_inputs(loader, body):
+    counted = counting(loader)
+    template = Template("t", {"x": "default"}, body)
+    with loader_in_use(counted):
+        first, second = _load(template, {}), _load(template, {"x": "other"})
+        assert len(counted.streams) == 1
+    assert second is first
+    parsed = yaml.load(body, Loader=loader)
+    if body != "a: &n [1, *n]\n":  # `same` would not end
+        assert same(first, parsed)
+    else:
+        assert first["a"][0] == 1 and first["a"][1] is first["a"]
+    # The stored value shares containers where the text's aliases share them.
+    assert _shape(first) == _shape(parsed)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_mutated_plan_does_not_reach_the_next_compile(loader):
     doc = parse_scenario("""
 name: mutated
 spec:
@@ -476,17 +381,13 @@ spec:
         for name in ("s", "t"):
             first.jobs[name][0].script.append(SimEffect(10.0, "failed"))
             first.jobs[name][0].script[0].offset = 5.0
-        for template in templates.values():
-            filled = _load(template, {"up": "1s"})
-            filled["script"].append({"at": "10s", "do": "failed"})
-            filled["script"][0]["do"] = "success"
         second = compile_scenario(doc, templates)
     expected = {name: [parse_job_body(load_yaml(text)) for text in texts] for name, texts in second.texts.items()}
     assert second.jobs == expected
     assert [e.op for e in second.jobs["t"][0].script] == ["running", "success"]
 
 
-# A fault template is built as a job template is: through its skeleton.
+# A fault template is built as a job template is: through ``_load_instance``.
 NET = Template("net", {"src": None, "bits": "1"},
                "kind: partition\nsource: {{src}}\ndst: 'b'\nduration: {{bits}}\ndirection: both\n")
 CUT = """
@@ -499,14 +400,14 @@ spec:
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-def test_a_fault_template_fills_its_skeleton_once_per_template(loader):
+def test_a_fault_template_is_parsed_once_per_template(loader):
     counted = counting(loader)
     doc = parse_scenario(CUT % "{src: a, bits: '30'}")
     with loader_in_use(counted):
         plans = [compile_scenario(doc, {"net": Template(NET.name, NET.parameters, NET.body)})]
         templates = {"net": Template(NET.name, NET.parameters, NET.body)}
         plans += [compile_scenario(doc, templates) for _ in range(2)]
-        assert len(counted.streams) == 2  # one skeleton for each Template object
+        assert len(counted.streams) == 2  # one parse for each Template object
     text = instantiate_template(NET, {"src": "a", "bits": "30"})
     for plan in plans:
         assert plan.report.ok, str(plan.report)
@@ -591,6 +492,9 @@ spec:
     assert all(severity == "error" for severity, _, _ in findings)
     assert all(message.startswith("template broken body does not parse: ") for _, _, message in findings[:2])
     assert findings[2][2] == "script[0]: unknown effect 'runnning'"
+    # An error is not stored: the next compile finds the same.
+    assert [(f.severity, f.location, f.message) for f in validate(doc, templates).findings] == findings
+    assert not templates["broken"]._parsed
 
 
 def test_malformed_inline_job_body_is_a_finding():
