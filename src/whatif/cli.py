@@ -94,13 +94,17 @@ def cmd_run(args) -> int:
             engine.run()
         except KeyboardInterrupt:
             pass  # recorded by the engine as `interrupted: KeyboardInterrupt`
-        engine.trace.save(out / TRACE_FILE)
-        engine.store.save(out / METRICS_FILE)
-        (out / REPORT_FILE).write_text(report_json_text(build_report(engine.trace.records)))
+        print(f"{engine.outcome}: {engine.reason}", file=sys.stderr)
+        try:
+            engine.trace.save(out / TRACE_FILE)
+            engine.store.save(out / METRICS_FILE)
+            (out / REPORT_FILE).write_text(report_json_text(build_report(engine.trace.records)))
+        except OSError as exc:  # the run is over, but its directory cannot hold its files
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     finally:
         for sig, handler in handlers.items():
             signal.signal(sig, handler)
-    print(f"{engine.outcome}: {engine.reason}", file=sys.stderr)
     if engine.outcome == Outcome.SUCCESS:
         return EXIT_OK
     if engine.outcome == Outcome.FAILED:

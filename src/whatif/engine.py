@@ -138,7 +138,7 @@ def ready_since(clause, nodes: dict) -> Optional[float]:
         node = nodes.get(name)
         if node is None or node.phase != Phase.SUCCESS:
             return None
-        base = max(base, node.phase_times.get(Phase.SUCCESS, 0.0))
+        base = max(base, node.phase_times[Phase.SUCCESS])
     return base
 
 
@@ -271,27 +271,28 @@ class Engine:
             if popped is None:
                 self._abort("timeout: no pending events but actions remain unfinished")
                 break
-            at, item = popped
+            at, item = popped  # when the item was due; a fact's time is the clock's
             self.clock.set(at)
             if isinstance(item, Event):
-                self.trace.append("event", at, **item.describe())
+                self.trace.append("event", self.clock.now(), **item.describe())
                 self.reconcile(item)
             else:
                 item()  # scheduled executor/timer work; may emit events
 
     def reconcile(self, event: Event) -> None:
-        """One reconciliation cycle; what it does is appended to the trace."""
+        """One reconciliation cycle, at one reading of the engine clock; what it does is appended to the trace."""
         if self.finished:
             return
+        now = self.clock.now()
         try:
             if event.kind == EventKind.STATE:
-                self._on_state(event)
+                self._on_state(event, now)
             elif event.kind == EventKind.TIME:
-                self._on_time(event)
+                self._on_time(event, now)
             elif event.kind == EventKind.METRICS:
-                self._on_metrics(event)
+                self._evaluate_rules(now)
             elif event.kind == EventKind.TAG:
-                self._on_tag(event)
+                self._on_tag(event, now)
             if not self.finished:
                 self._recheck_dispatch()
                 self._check_completion()
@@ -300,14 +301,13 @@ class Engine:
 
     # --- event handlers -----------------------------------------------------
 
-    def _on_state(self, event: Event) -> None:
+    def _on_state(self, event: Event, now: float) -> None:
         node = self.nodes.get(event.subject)
         if node is None:
             _logger().warning("state event for unknown resource %s", event.subject)
             return
         if node.phase.terminal or event.phase is None:
             return
-        now = event.at
 
         if event.phase == Phase.FAILED:
             node.failure_class = classify_failure(node, event.failure_mode)
@@ -350,9 +350,8 @@ class Engine:
         if node.phase == Phase.SUCCESS and node.name in self.asserts:
             self._evaluate_action_assertions(node.name, now, metrics=True)
 
-    def _on_time(self, event: Event) -> None:
+    def _on_time(self, event: Event, now: float) -> None:
         timer = event.timer_id
-        now = event.at
         if timer.startswith("timeout:"):
             name = timer.split(":", 1)[1]
             node = self.nodes.get(name)
@@ -362,10 +361,7 @@ class Engine:
             self._evaluate_rules(now)
         # "after:" timers only need the dispatch recheck that follows.
 
-    def _on_metrics(self, event: Event) -> None:
-        self._evaluate_rules(event.at)
-
-    def _on_tag(self, event: Event) -> None:
+    def _on_tag(self, event: Event, now: float) -> None:
         """A fault ended (``fault-revoked``, the one Tag an executor emits): its action succeeds."""
         tags = event.tags
         if tags.get("event") != "fault-revoked":
@@ -375,8 +371,8 @@ class Engine:
             target.chaos = None
         node = self.nodes[action]
         if not node.phase.terminal:
-            self._move(node, Phase.SUCCESS, event.at)
-            self._on_terminal(node, event.at)
+            self._move(node, Phase.SUCCESS, now)
+            self._on_terminal(node, now)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -427,14 +423,13 @@ class Engine:
             return
         self.timed.add(index)
         due = base + clause.after
-        self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"after:{action.name}"))
+        self.queue.push(due, Event(EventKind.TIME, timer_id=f"after:{action.name}"))
 
     def _dispatch(self, action: ActionSpec) -> None:
         now = self.clock.now()
         timeout = self.plan.timeouts[action.name]
         if timeout is not None:  # None: no timeout applies at any level
-            due = now + timeout
-            self.queue.push(due, Event(EventKind.TIME, due, timer_id=f"timeout:{action.name}"))
+            self.queue.push(now + timeout, Event(EventKind.TIME, timer_id=f"timeout:{action.name}"))
         if action.kind in ("Service", "Call"):
             self._create_job(self._resolve_job(action, 0, action.name), now)
         elif action.kind == "Cluster":
@@ -510,9 +505,9 @@ class Engine:
             # The job never came up: surface the standard lifecycle so the
             # failure classifies as an unexpected crash of that service.
             for phase in (Phase.PENDING, Phase.RUNNING):
-                self.queue.push_event(Event(EventKind.STATE, now, subject=spec.name, phase=phase))
-            self.queue.push_event(Event(
-                EventKind.STATE, now, subject=spec.name, phase=Phase.FAILED,
+                self.queue.push(now, Event(EventKind.STATE, subject=spec.name, phase=phase))
+            self.queue.push(now, Event(
+                EventKind.STATE, subject=spec.name, phase=Phase.FAILED,
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
 
@@ -614,7 +609,7 @@ class Engine:
         if due is not None and self._live(rule.owner) and (rule.due is None or due < rule.due):
             rule.due = due
             self.armed.add(rule)
-            self.queue.push(due, Event(EventKind.TIME, due, timer_id=rule.timer))
+            self.queue.push(due, Event(EventKind.TIME, timer_id=rule.timer))
         return False
 
     def _rule_value(self, rule: Rule, now: float) -> Optional[float]:
@@ -720,14 +715,13 @@ class Engine:
     # --- trace helpers -------------------------------------------------------------
 
     def _trace_transition(self, node: ResourceNode, phase: Phase) -> None:
-        at = node.phase_times.get(phase, self.clock.now())
         data = {"subject": node.name, "to": phase.value}
         if phase == Phase.FAILED:
             if node.failure_class is not None:
                 data["class"] = node.failure_class.value
             if node.failure_reason:
                 data["reason"] = node.failure_reason
-        self.trace.append("transition", at, **data)
+        self.trace.append("transition", node.phase_times[phase], **data)
 
     def _trace_command(self, verb: str, target: str, at: float, args: Optional[dict] = None) -> None:
         """Record one call into the executor, or the run's abort."""

@@ -31,12 +31,13 @@ class EventKind(Enum):
 
 
 class Event(Value):
-    __slots__ = ("kind", "at", "subject", "timer_id", "phase", "failure_mode", "reason", "tags")
+    """What happened; its queue entry holds when it is due, and the engine stamps what it causes."""
+
+    __slots__ = ("kind", "subject", "timer_id", "phase", "failure_mode", "reason", "tags")
 
     def __init__(
         self,
         kind: EventKind,
-        at: float,
         subject: str = "",
         timer_id: str = "",  # TIME
         phase: Optional[Phase] = None,  # STATE
@@ -45,7 +46,6 @@ class Event(Value):
         tags: Optional[dict] = None,  # TAG
     ):
         self.kind = kind
-        self.at = at
         self.subject = subject
         self.timer_id = timer_id
         self.phase = phase
@@ -90,9 +90,6 @@ class EventQueue:
         self._seq += 1
         heapq.heappush(self._heap, (at, seq, item))
         return seq
-
-    def push_event(self, event: Event) -> int:
-        return self.push(event.at, event)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -142,7 +139,7 @@ class SimClock:
 
 
 class WallClock:
-    """Seconds since run start on the monotonic clock, never decreasing.
+    """Seconds since run start on the monotonic clock, which never decreases.
 
     Stepping the system clock cannot move run time: only the unix time
     captured at start is used, to map the unix-ms stamps jobs print.
@@ -153,14 +150,12 @@ class WallClock:
     def __init__(self):
         self._t0 = time.monotonic()
         self._unix0 = time.time()
-        self._last = 0.0
 
     def now(self) -> float:
-        self._last = max(self._last, time.monotonic() - self._t0)
-        return self._last
+        return time.monotonic() - self._t0
 
     def set(self, at: float) -> None:
-        self._last = max(self._last, at)
+        """Nothing to do: a wall-clock item pops only once it is due."""
 
     def from_unix_ms(self, ms: float) -> float:
         return ms / 1000.0 - self._unix0

@@ -141,8 +141,8 @@ class Executor:
             for target in spec.targets:
                 if target not in suspended:
                     self._resume_target(target)
-        self.queue.push_event(Event(
-            EventKind.TAG, self.clock.now(),
+        self.queue.push(self.clock.now(), Event(
+            EventKind.TAG,
             subject=action,
             tags={"event": "fault-revoked", "action": action, "fault": spec.kind, "targets": ",".join(spec.targets)},
         ))
@@ -175,9 +175,8 @@ class Executor:
             self.revoke_fault(action)
 
     def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
-        self.queue.push_event(Event(
-            EventKind.STATE, self.clock.now(),
-            subject=name, phase=phase, failure_mode=mode, reason=reason,
+        self.queue.push(self.clock.now(), Event(
+            EventKind.STATE, subject=name, phase=phase, failure_mode=mode, reason=reason,
         ))
 
 

@@ -180,23 +180,23 @@ class SimExecutor(Executor):
 
     # --- plumbing ---------------------------------------------------------------------
 
-    def advance_to(self, to: float) -> list[Event]:
+    def advance_to(self, to: float) -> list[tuple[float, Event]]:
         """Harness mode: fire everything due through ``to``, in (time, seq) order.
 
-        Returns the events delivered, with the bound clock left at ``to``.
-        Engine-driven runs pop the queue themselves instead.
+        Returns the (due time, event) pairs delivered, with the bound clock
+        left at ``to``. Engine-driven runs pop the queue themselves instead.
         """
         if to < self.clock.now():
             raise ValueError(f"cannot rewind the clock to {to}")
-        delivered: list[Event] = []
+        delivered: list[tuple[float, Event]] = []
         while True:
             at = self.queue.peek_time()
             if at is None or at > to:
                 break
-            popped_at, item = self.queue.pop_next()
-            self.clock.set(popped_at)
+            at, item = self.queue.pop_next()
+            self.clock.set(at)
             if isinstance(item, Event):
-                delivered.append(item)
+                delivered.append((at, item))
             else:
                 item()
         self.clock.set(to)

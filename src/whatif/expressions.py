@@ -533,8 +533,6 @@ class WindowAggregate:
     AVG keep exact Shewchuk partials (a value is added on admission and its
     negation on eviction), so they equal ``reduce_series`` bit for bit. While
     the window holds a non-finite or huge value it reduces by brute force.
-    ``now`` must not decrease between calls; a smaller one is raised to the
-    last.
     """
 
     def __init__(self, metric: str, reducer: str, window: float):
@@ -547,11 +545,9 @@ class WindowAggregate:
         self.extremes: deque = deque()  # MAX/MIN: (store index, value), monotonic
         self.partials: list = []  # SUM/AVG: non-overlapping, exact sum of the window
         self.inexact = 0  # window values kept out of extremes and partials
-        self.now = -math.inf
 
     def advance(self, store, now: float) -> Optional[float]:
         """The reduced window at ``now``; None when the window is empty."""
-        now = self.now = max(now, self.now)
         self.upcoming = None
         for at, value in store.points_from(self.metric, self.admitted):
             if at > now:

@@ -130,7 +130,7 @@ def transition(node: ResourceNode, to: Phase, at: float = 0.0) -> ResourceNode:
     if node.phase.terminal or to is not _next(node.phase, to):
         raise IllegalTransition(f"{node.name}: {node.phase} -> {to}")
     node.phase = to
-    node.phase_times.setdefault(to, at)
+    node.phase_times[to] = at  # the chain enters each phase once
     return node
 
 

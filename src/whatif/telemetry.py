@@ -1,10 +1,11 @@
 """Embedded telemetry: time-series store and checkpoint snapshots.
 
 This is the data plane behind metrics expressions and run reports. The
-store is in-memory, per-run, with optional append-only persistence using
-the same line protocol jobs speak on stdout::
+store is in-memory, per-run, and ``save`` writes it in the line protocol
+jobs speak on stdout, with each stamp in run-relative seconds instead of
+unix milliseconds, written exactly (``repr``)::
 
-    metric <name> <float> <unix-ms>
+    metric <name> <float> <seconds>
 
 Every ingest and query runs on the engine's thread: the process executor
 ingests job output while the loop waits in it. The engine names the
@@ -16,6 +17,7 @@ metric, which is how both executors wake the loop.
 from __future__ import annotations
 
 import bisect
+import math
 
 from .errors import UnknownMetric
 from .events import Event, EventKind
@@ -72,7 +74,7 @@ class MetricsStore:
         values.append(value)
         if name in self._watched and name not in self._pending:
             self._pending.add(name)
-            self._queue.push_event(Event(EventKind.METRICS, self._clock.now(), subject=name))
+            self._queue.push(self._clock.now(), Event(EventKind.METRICS, subject=name))
         return True
 
     def query(self, name: str, frm: float, to: float) -> list[tuple[float, float]]:
@@ -101,21 +103,25 @@ class MetricsStore:
         return list(zip(self._times[name], self._values[name]))
 
     def save(self, path) -> None:
-        """Persist every accepted point in the stdout line protocol."""
+        """Persist every accepted point, one ``metric <name> <value> <seconds>`` line each."""
         with open(path, "w", encoding="ascii") as fh:
             for name, times in self._times.items():
                 for at, value in zip(times, self._values[name]):
-                    fh.write(f"metric {name} {value!r} {round(at * 1000)}\n")
+                    fh.write(f"metric {name} {value!r} {at!r}\n")
 
     @classmethod
     def load(cls, path) -> "MetricsStore":
+        """Read what ``save`` wrote; ValueError for a value or stamp that is not a number, or a stamp not finite."""
         store = cls()
         with open(path, encoding="ascii") as fh:
             for line in fh:
                 parts = line.split()
                 if len(parts) != 4 or parts[0] != "metric":
                     continue
-                store.ingest(parts[1], float(parts[2]), int(parts[3]) / 1000.0)
+                at = float(parts[3])
+                if not math.isfinite(at):
+                    raise ValueError(f"stamp {parts[3]} of {parts[1]} is not finite")
+                store.ingest(parts[1], float(parts[2]), at)
         return store
 
 

@@ -6,6 +6,11 @@ outcome), and kind-specific fields. Each fact is recorded once; the report
 derives what follows from several facts, such as the annotations. Older
 traces also hold ``annotation`` records, which readers ignore. Simulated
 runs with the same document and seed serialize to byte-identical traces.
+
+A record's ``at`` is the engine clock when the engine handled the fact, in
+seconds since the run started. So a process job's Pending and Running are
+stamped when their events pop, not at the spawn instant. Record times
+never decrease: an earlier one is an engine defect, and ``append`` raises.
 """
 
 from __future__ import annotations
@@ -40,15 +45,14 @@ class RunTrace:
 
     def __init__(self):
         self.records: list[TraceRecord] = []
-        self._seq = 0
-        self._last_at = 0.0
 
     def append(self, kind: str, at: float, **data) -> TraceRecord:
-        at = max(at, self._last_at)
-        self._last_at = at
-        record = TraceRecord(self._seq, at, kind, data)
-        self._seq += 1
-        self.records.append(record)
+        """Record one fact; ValueError for an ``at`` earlier than the last record's."""
+        records = self.records
+        if records and at < records[-1].at:
+            raise ValueError(f"{kind} record at {at!r} is earlier than the last record's {records[-1].at!r}")
+        record = TraceRecord(len(records), at, kind, data)
+        records.append(record)
         return record
 
     def __iter__(self):

@@ -1,6 +1,6 @@
 """Reference implementations that the tests compare the program against."""
 
-from whatif.lifecycle import ResourceNode, advance_to, aggregate_phase, find_node, phase_order
+from whatif.lifecycle import Phase, ResourceNode, advance_to, aggregate_phase, find_node, iter_nodes, phase_order
 
 
 def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> ResourceNode:
@@ -26,3 +26,15 @@ def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> Resource
             break
         node = node.owner
     return tree
+
+
+def assert_one_time_per_fact(engine) -> None:
+    """The finished run's trace gives each fact one time: record times never
+    decrease, and each transition record's ``at`` is the engine's phase time."""
+    times = [record.at for record in engine.trace]
+    assert times == sorted(times)
+    nodes = {node.name: node for node in iter_nodes(engine.tree)}
+    for record in engine.trace:
+        if record.kind == "transition":
+            phase_time = nodes[record.data["subject"]].phase_times[Phase(record.data["to"])]
+            assert record.at == phase_time, (record.to_json(), phase_time)

@@ -30,7 +30,7 @@ from whatif.report import build_report
 from whatif.telemetry import MetricsStore
 
 from conftest import stage_template
-from oracles import propagate
+from oracles import assert_one_time_per_fact, propagate
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
 EXP, UNEXP = FailureClass.EXPECTED, FailureClass.UNEXPECTED
@@ -496,6 +496,7 @@ def test_criterion_8_process_smoke():
     )
     elapsed = time.monotonic() - started
     assert result.outcome is Outcome.SUCCESS, result.reason
+    assert_one_time_per_fact(result)
     killed = next(r for r in result.trace
                   if r.kind == "transition" and r.data["subject"] == "sleepers-0"
                   and r.data["to"] == "Failed")

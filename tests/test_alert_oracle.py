@@ -132,7 +132,20 @@ def test_expiry_when_stamp_and_window_cancel():
 # --- (b) and (c): whole runs ---------------------------------------------------------
 
 
-class BruteRules(Engine):
+class CheckedRules(Engine):
+    """The engine under test, checking that no rule is read at an earlier ``now`` than before."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read_at = {}  # rule -> the last `now` it was read at
+
+    def _rule_value(self, rule, now):
+        assert now >= self.read_at.get(rule, -math.inf), (rule.text, now, self.read_at[rule])
+        self.read_at[rule] = now
+        return super()._rule_value(rule, now)
+
+
+class BruteRules(CheckedRules):
     """Oracle: every live rule, by brute force over the store, wherever the engine evaluates rules."""
 
     def _evaluate_rules(self, now, changed=None):
@@ -162,20 +175,20 @@ class TickReference(Engine):
         if event.timer_id != "tick" or self.finished:
             super().reconcile(event)
             return
-        self._on_time(event)
+        self._on_time(event, self.clock.now())
         if not self.finished:
             self._check_completion()
 
-    def _on_time(self, event):
+    def _on_time(self, event, now):
         if event.timer_id != "tick":
-            super()._on_time(event)
+            super()._on_time(event, now)
             return
         self.tick_armed = False
         self.ticking = True
         try:
             for name in self.asserts:
                 if self._live(name):
-                    self._evaluate_action_assertions(name, event.at, metrics=True)
+                    self._evaluate_action_assertions(name, now, metrics=True)
         finally:
             self.ticking = False
 
@@ -184,7 +197,7 @@ class TickReference(Engine):
         if not self.tick_armed and any(self._live(name) for name in self.asserts):
             self.tick_armed = True
             due = self.clock.now() + 1.0
-            self.queue.push(due, Event(EventKind.TIME, due, timer_id="tick"))
+            self.queue.push(due, Event(EventKind.TIME, timer_id="tick"))
 
 
 def fire_time(result):
@@ -341,7 +354,7 @@ spec:
 @example(LATE_CHECKPOINT)
 def test_event_driven_matches_brute_force_and_never_fires_after_polling(text):
     assume(validate(parse_scenario(text), TEMPLATES).ok)
-    engine = _run(Engine, text)
+    engine = _run(CheckedRules, text)
     brute = _run(BruteRules, text)
     assert (engine.outcome, engine.reason, fire_time(engine)) == (brute.outcome, brute.reason, fire_time(brute))
     polled = _run(TickReference, text)

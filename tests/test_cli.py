@@ -11,6 +11,7 @@ from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
 from whatif.report import build_report, report_json_text
 from conftest import SCENARIOS, script_template
+from test_engine import LaggingEngine
 
 VALID = SCENARIOS / "partition-demo.yaml"
 TEMPLATES = SCENARIOS / "templates"
@@ -251,6 +252,14 @@ class TestRun:
         assert kills == ["first"]
         assert json.loads((out / "report.json").read_text())["outcome"] == "Aborted"
 
+    def test_a_record_stamped_before_the_last_exit_3_writes_run_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("whatif.cli.Engine", LaggingEngine)
+        out = tmp_path / "out"
+        assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(out)]) == 3
+        assert {p.name for p in out.iterdir()} == {"trace.ndjson", "metrics.txt", "report.json"}
+        report = json.loads((out / "report.json").read_text())
+        assert (report["outcome"], report["reason"].split(":")[:2]) == ("Aborted", ["internal error", " ValueError"])
+
     def test_out_under_a_regular_file_exit_2_before_the_run(self, tmp_path, capsys):
         marker = tmp_path / "ran"
         path = tmp_path / "touch.yaml"
@@ -259,6 +268,14 @@ class TestRun:
         assert main(["run", str(path), "--executor", "process", "--out", str(tmp_path / "file" / "sub")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not marker.exists()
+
+    def test_unwritable_run_file_exit_2_after_the_outcome(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trace.ndjson").mkdir(parents=True)
+        assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(out)]) == 2
+        outcome, error = capsys.readouterr().err.splitlines()
+        assert outcome == "Success: all actions completed"
+        assert error.startswith("error: ") and "trace.ndjson" in error
 
     def test_invalid_scenario_exit_2(self, tmp_path):
         path = tmp_path / "cyclic.yaml"

@@ -8,14 +8,23 @@ from whatif.errors import InvalidScenario, UnknownHandle
 from whatif.events import Event, EventKind, SimClock
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 from whatif.report import build_report
+from whatif.trace import RunTrace
 
 from conftest import SCENARIOS, script_template
+from oracles import assert_one_time_per_fact
 from test_acceptance import CORPUS_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES
 from test_golden import GOLDEN, _build, corpus_docs
 
 
-def state_event(subject, phase, at=0.0, mode="", reason=""):
-    return Event(EventKind.STATE, at, subject=subject, phase=phase, failure_mode=mode, reason=reason)
+def state_event(subject, phase, mode="", reason=""):
+    return Event(EventKind.STATE, subject=subject, phase=phase, failure_mode=mode, reason=reason)
+
+
+class LaggingEngine(Engine):
+    """A defective engine: it stamps each State event's facts 1 s before it handles them."""
+
+    def _on_state(self, event, now):
+        super()._on_state(event, now - 1.0)
 
 
 def nodes(tree):
@@ -56,15 +65,15 @@ class TestReconcileExamples:
         doc, templates = partition_demo
         engine = Engine(doc, templates)
         # Initial cycle dispatches the dependency-free cluster.
-        first = cycle(engine, Event(EventKind.TIME, 0.0, timer_id="start"))
+        first = cycle(engine, Event(EventKind.TIME, timer_id="start"))
         assert dispatch_commands(first) == [("CreateJob", f"masters-{i}") for i in range(4)]
         return engine
 
-    def drive_to_running(self, engine, names, at=0.0):
+    def drive_to_running(self, engine, names):
         records = []
         for name in names:
-            engine.reconcile(state_event(name, Phase.PENDING, at))
-            records = cycle(engine, state_event(name, Phase.RUNNING, at))
+            engine.reconcile(state_event(name, Phase.PENDING))
+            records = cycle(engine, state_event(name, Phase.RUNNING))
         return records
 
     def test_masters_running_creates_boot(self, engine):
@@ -72,7 +81,7 @@ class TestReconcileExamples:
         assert ("CreateJob", "boot") in dispatch_commands(records)
 
     def test_time_event_with_no_waiting_timers(self, engine):
-        assert cycle(engine, Event(EventKind.TIME, 0.0, timer_id="nothing-waits")) == []
+        assert cycle(engine, Event(EventKind.TIME, timer_id="nothing-waits")) == []
 
     def test_wait_success_dispatches_two_in_document_order(self, engine):
         self.drive_to_running(engine, [f"masters-{i}" for i in range(4)])
@@ -88,11 +97,11 @@ class TestReconcileExamples:
     def test_tag_event_for_unknown_target_changes_nothing(self, engine):
         before = {n: node.phase for n, node in engine.nodes.items()}
         tags = {"target": "ghost-7", "x": "1", "source": "chaos-controller"}
-        assert cycle(engine, Event(EventKind.TAG, 0.0, subject="ghost-7", tags=tags)) == []
+        assert cycle(engine, Event(EventKind.TAG, subject="ghost-7", tags=tags)) == []
         assert {n: node.phase for n, node in engine.nodes.items()} == before
 
     def test_empty_tag_payload_is_legal(self, engine):
-        assert cycle(engine, Event(EventKind.TAG, 0.0)) == []
+        assert cycle(engine, Event(EventKind.TAG)) == []
 
 
 class TestDependencySatisfied:
@@ -342,6 +351,14 @@ class TestRunOutcomes:
         assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnknownHandle: r"}]
         assert engine.tree.phase is not Phase.SUCCESS
 
+    def test_a_record_stamped_before_the_last_aborts_the_run(self):
+        """The trace refuses a fact time that goes backwards; the run aborts (exit 3) instead of hiding it."""
+        result = LaggingEngine(parse_scenario(self.SOLO)).run()
+        assert result.outcome is Outcome.ABORTED
+        assert result.reason.startswith("internal error: ValueError: transition record at -1.0 is earlier")
+        assert [r.kind for r in result.trace][-2:] == ["command", "outcome"]
+        assert_one_time_per_fact(result)  # the refused record is not in the trace
+
     def test_illegal_transition_in_a_dispatch_aborts_the_run(self):
         """An engine bug met while dispatching is no test failure: the run aborts (exit 3)."""
         doc = parse_scenario(
@@ -464,11 +481,24 @@ class TestTraceInvariants:
         assert outcomes[-2:] == [Outcome.FAILED, Outcome.ABORTED]
         assert regions[-2:] == [1, 1] and sum(regions) >= 180
 
+    def test_an_earlier_record_is_rejected(self):
+        trace = RunTrace()
+        trace.append("run", 1.0)
+        trace.append("event", 1.0)
+        with pytest.raises(ValueError, match="command record at 0.5 is earlier than the last record's 1.0"):
+            trace.append("command", 0.5)
+        assert [r.at for r in trace] == [1.0, 1.0]
+
     def test_timestamps_non_decreasing(self, partition_demo):
-        doc, templates = partition_demo
-        trace = run_scenario(doc, templates).trace
-        times = [r.at for r in trace]
-        assert times == sorted(times)
+        """On the demo, the golden documents, the 25 corpus documents and the
+        panic run, record times never decrease and every transition record is
+        stamped at the phase time the engine decided on."""
+        runs = [partition_demo, *(_build(name) for name in sorted(GOLDEN))]
+        runs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+        runs.append((parse_scenario(PANIC_DOC), PANIC_TEMPLATES))
+        assert len(runs) == 31
+        for doc, templates in runs:
+            assert_one_time_per_fact(run_scenario(doc, templates))
 
     def test_determinism_two_runs_byte_identical(self, partition_demo):
         doc, templates = partition_demo

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from conftest import REPO
+from oracles import assert_one_time_per_fact
 
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import Engine, Outcome, run_scenario
@@ -478,6 +479,7 @@ spec:
     before = threading.active_count()
     result = run_scenario(doc, {"emitter": Template("emitter", {}, body)}, CountingExecutor())
     assert result.outcome is Outcome.FAILED
+    assert_one_time_per_fact(result)
     assert result.store.series("beats")
     assert counts and set(counts) == {before}
     assert threading.active_count() == before

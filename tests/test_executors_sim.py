@@ -17,17 +17,17 @@ def job(name, *effects, declares=()):
     return JobSpec(name=name, script=script(*effects), declares=list(declares))
 
 
-def states(events):
-    return [(e.subject, e.phase.value) for e in events if e.phase is not None]
+def states(delivered):
+    return [(e.subject, e.phase.value) for _, e in delivered if e.phase is not None]
 
 
 class TestScriptedJobs:
     def test_running_then_success(self, sim_harness):
         ex, queue, clock, store = sim_harness
         ex.start_job(job("j", (0.0, "running"), (10.0, "success")))
-        events = ex.advance_to(20.0)
-        assert states(events) == [("j", "Pending"), ("j", "Running"), ("j", "Success")]
-        assert [e.at for e in events] == [0.0, 0.0, 10.0]
+        delivered = ex.advance_to(20.0)
+        assert states(delivered) == [("j", "Pending"), ("j", "Running"), ("j", "Success")]
+        assert [at for at, _ in delivered] == [0.0, 0.0, 10.0]
 
     def test_metrics_ingested_at_virtual_time(self, sim_harness):
         ex, queue, clock, store = sim_harness
@@ -42,8 +42,7 @@ class TestScriptedJobs:
     def test_crash_reports_mode(self, sim_harness):
         ex, queue, clock, store = sim_harness
         ex.start_job(job("j", (0.0, "running"), (3.0, "crash")))
-        events = ex.advance_to(5.0)
-        failed = [e for e in events if e.phase is Phase.FAILED]
+        failed = [e for _, e in ex.advance_to(5.0) if e.phase is Phase.FAILED]
         assert failed[0].failure_mode == "crash"
 
     def test_duplicate_name_rejected(self, sim_harness):
@@ -61,8 +60,7 @@ class TestScriptedJobs:
         ex, queue, clock, store = sim_harness
         ex.start_job(job("a", (0.0, "running"), (5.0, "success")))
         ex.start_job(job("b", (0.0, "running"), (5.0, "success")))
-        events = ex.advance_to(5.0)
-        assert states(events) == [
+        assert states(ex.advance_to(5.0)) == [
             ("a", "Pending"), ("b", "Pending"),
             ("a", "Running"), ("b", "Running"),
             ("a", "Success"), ("b", "Success"),
@@ -86,8 +84,8 @@ class TestScriptedJobs:
             ex, queue, clock, store = make_sim_harness()
             ex.start_job(job("a", (0.0, "running"), SimEffect(1.0, "metric", metric="m", value=1.0), (2.0, "success")))
             ex.start_job(job("b", (0.5, "running"), (2.0, "success")))
-            events = ex.advance_to(10.0)
-            return [(e.at, e.subject, str(e.phase)) for e in events], store.series("m")
+            delivered = ex.advance_to(10.0)
+            return [(at, e.subject, str(e.phase)) for at, e in delivered], store.series("m")
 
         assert run_once() == run_once()
 
@@ -98,8 +96,7 @@ class TestKill:
         ex.start_job(job("m-2", (0.0, "running"), (100.0, "success")))
         ex.advance_to(1.0)
         ex.inject_fault("killer", FaultSpec("kill", targets=["m-2"]))
-        events = ex.advance_to(2.0)
-        failed = [e for e in events if e.phase is Phase.FAILED]
+        failed = [e for _, e in ex.advance_to(2.0) if e.phase is Phase.FAILED]
         assert failed and failed[0].failure_mode == "kill"
 
     def test_target_must_be_running(self, sim_harness):
@@ -118,8 +115,7 @@ class TestKill:
         ))
         ex.advance_to(1.0)
         ex.inject_fault("killer", FaultSpec("kill", targets=["j"]))
-        events = ex.advance_to(20.0)
-        assert all(e.phase is not Phase.SUCCESS for e in events)
+        assert all(e.phase is not Phase.SUCCESS for _, e in ex.advance_to(20.0))
         assert store.series("m") == []
 
 
@@ -135,19 +131,18 @@ class TestSuspend:
         self.make_emitter(ex)
         ex.advance_to(2.5)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
-        events = ex.advance_to(30.0)
+        delivered = ex.advance_to(30.0)
         # Emissions scheduled strictly inside (2.5, 5.5) are dropped.
         assert [at for at, _ in store.series("m")] == [1.0, 2.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-        assert any(e.phase is Phase.SUCCESS for e in events)
+        assert any(e.phase is Phase.SUCCESS for _, e in delivered)
 
     def test_terminal_transition_defers_to_resume(self, sim_harness):
         ex, queue, clock, store = sim_harness
         ex.start_job(job("j", (0.0, "running"), (2.0, "success")))
         ex.advance_to(1.0)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=10.0))
-        events = ex.advance_to(30.0)
-        success = [e for e in events if e.phase is Phase.SUCCESS]
-        assert success and success[0].at == 11.0  # held until the window ends
+        success = [at for at, e in ex.advance_to(30.0) if e.phase is Phase.SUCCESS]
+        assert success and success[0] == 11.0  # held until the window ends
 
     def test_auto_revoke_matches_explicit(self):
         # Identical event shapes modulo the revocation timestamp itself.
@@ -157,12 +152,12 @@ class TestSuspend:
             ex.advance_to(2.5)
             ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
             if auto:
-                events = ex.advance_to(30.0)
+                delivered = ex.advance_to(30.0)
             else:
-                events = ex.advance_to(5.4)
+                delivered = ex.advance_to(5.4)
                 ex.revoke_fault("pause")
-                events += ex.advance_to(30.0)
-            shape = [(e.subject, str(e.phase), dict(e.tags)) for e in events]
+                delivered += ex.advance_to(30.0)
+            shape = [(e.subject, str(e.phase), dict(e.tags)) for _, e in delivered]
             return shape, store.series("m")
 
         auto_run, explicit_run = run(True), run(False)
@@ -195,8 +190,7 @@ class TestSuspend:
         ex.start_job(job("B", (0.0, "running"), (1.0, "block"), (2.0, "success")))
         ex.advance_to(1.5)  # B is blocked
         ex.inject_fault("pause", FaultSpec("suspend", targets=["B"], duration=10.0))
-        events = ex.advance_to(30.0)
-        b_success = [e.at for e in events if e.subject == "B" and e.phase is Phase.SUCCESS]
+        b_success = [at for at, e in ex.advance_to(30.0) if e.subject == "B" and e.phase is Phase.SUCCESS]
         assert b_success == [11.5]  # the message came at 3 s; the resume at 11.5 s releases it
 
     def test_revocation_emits_tag_event(self, sim_harness):
@@ -204,10 +198,9 @@ class TestSuspend:
         ex.start_job(job("j", (0.0, "running"), (50.0, "success")))
         ex.advance_to(1.0)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=2.0))
-        events = ex.advance_to(4.0)
-        tags = [e for e in events if e.tags.get("event") == "fault-revoked"]
-        assert tags and tags[0].tags["targets"] == "j"
-        assert tags[0].at == 3.0
+        tags = [(at, e) for at, e in ex.advance_to(4.0) if e.tags.get("event") == "fault-revoked"]
+        assert tags and tags[0][1].tags["targets"] == "j"
+        assert tags[0][0] == 3.0
 
 
 def chatty_pair():
@@ -236,9 +229,9 @@ class TestPartition:
         ex.inject_fault("net", FaultSpec(
             "partition", targets=["A"], dst=["B"], direction=direction, duration=100.0,
         ))
-        events = ex.advance_to(50.0)
-        a_done = any(e.subject == "A" and e.phase is Phase.SUCCESS for e in events)
-        b_done = any(e.subject == "B" and e.phase is Phase.SUCCESS for e in events)
+        delivered = ex.advance_to(50.0)
+        a_done = any(e.subject == "A" and e.phase is Phase.SUCCESS for _, e in delivered)
+        b_done = any(e.subject == "B" and e.phase is Phase.SUCCESS for _, e in delivered)
         assert b_done == a_to_b  # B finishes iff A's message reached it
         assert a_done == b_to_a
 
@@ -247,8 +240,7 @@ class TestPartition:
         spec_a, spec_b = chatty_pair()
         ex.start_job(spec_a)
         ex.start_job(spec_b)
-        events = ex.advance_to(50.0)
-        assert sum(1 for e in events if e.phase is Phase.SUCCESS) == 2
+        assert sum(1 for _, e in ex.advance_to(50.0) if e.phase is Phase.SUCCESS) == 2
 
     def test_revoked_partition_delivers_again(self):
         ex, queue, clock, store = make_sim_harness()
@@ -259,9 +251,8 @@ class TestPartition:
         ex.inject_fault("net", FaultSpec(
             "partition", targets=["B"], dst=["A"], direction="to", duration=5.0,
         ))
-        events = ex.advance_to(30.0)
-        b_success = [e for e in events if e.subject == "B" and e.phase is Phase.SUCCESS]
-        assert b_success and b_success[0].at == 8.0  # unblocked by the post-revoke message
+        b_success = [at for at, e in ex.advance_to(30.0) if e.subject == "B" and e.phase is Phase.SUCCESS]
+        assert b_success and b_success[0] == 8.0  # unblocked by the post-revoke message
 
     def test_auto_revoke_fires_exactly_at_duration(self):
         ex, queue, clock, store = make_sim_harness()
@@ -270,9 +261,8 @@ class TestPartition:
         ex.inject_fault("net", FaultSpec(
             "partition", targets=["A"], dst=["A"], direction="both", duration=600.0,
         ))
-        events = ex.advance_to(2000.0)
-        revokes = [e for e in events if e.tags.get("event") == "fault-revoked"]
-        assert revokes and revokes[0].at == 601.0
+        revokes = [at for at, e in ex.advance_to(2000.0) if e.tags.get("event") == "fault-revoked"]
+        assert revokes and revokes[0] == 601.0
 
 
 class TestParseJobBody:

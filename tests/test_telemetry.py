@@ -1,7 +1,7 @@
 """Metrics store, checkpoints, and the annotation log."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from whatif.dsl import parse_scenario
 from whatif.engine import Outcome, run_scenario
@@ -31,7 +31,7 @@ class TestStore:
         assert store.ingest("m", 100.0, 2.0)
         assert store.dropped == 1 and store.series("m") == [(2.0, 100.0)]
         path = tmp_path / "metrics.txt"
-        path.write_text("metric m nan 1000\nmetric m 100.0 2000\n")
+        path.write_text("metric m nan 1.0\nmetric m 100.0 2.0\n")
         loaded = MetricsStore.load(path)
         assert loaded.dropped == 1 and loaded.series("m") == [(2.0, 100.0)]
 
@@ -96,9 +96,31 @@ class TestStore:
         path = tmp_path / "metrics.txt"
         store.save(path)
         text = path.read_text()
-        assert "metric m 1.5 250\n" in text
+        assert "metric m 1.5 0.25\n" in text
         loaded = MetricsStore.load(path)
         assert loaded.series("m") == store.series("m")
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "soon"])
+    def test_load_rejects_a_stamp_that_is_not_a_finite_number(self, tmp_path, stamp):
+        path = tmp_path / "metrics.txt"
+        path.write_text(f"metric m 1.0 0.5\nmetric m 2.0 {stamp}\n")
+        with pytest.raises(ValueError):
+            MetricsStore.load(path)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=40))
+    @example([(0.0015, 1.0), (0.0016, 2.0), (1.2345678, 3.0), (-0.0, -0.0)])
+    @settings(max_examples=150)
+    def test_save_then_load_keeps_every_point_bit_for_bit(self, tmp_path_factory, points):
+        points.sort(key=lambda point: point[0])
+        store = MetricsStore()
+        for at, value in points:
+            assert store.ingest("m", value, at)
+        path = tmp_path_factory.mktemp("run") / "metrics.txt"
+        store.save(path)
+        loaded = MetricsStore.load(path)
+        assert [(at.hex(), value.hex()) for at, value in loaded.series("m")] == [
+            (at.hex(), value.hex()) for at, value in points]
 
 
 class TestNotices:
