@@ -10,7 +10,6 @@ also for an aborted run.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -122,7 +121,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         sys.stdout.write(report_json_text(report))
     elif args.format == "plotdata":
-        sys.stdout.write(json.dumps(plot_data(report, store), sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_json_text(plot_data(report, store)))
     else:
         sys.stdout.write(render_text(report))
     return EXIT_OK

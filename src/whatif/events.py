@@ -94,9 +94,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
     def pop_next(self) -> Optional[tuple]:
         """Pop the earliest item immediately (simulated time)."""
         if not self._heap:

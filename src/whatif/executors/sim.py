@@ -11,7 +11,6 @@ emissions scheduled inside the window.
 from __future__ import annotations
 
 from ..errors import SpawnError, TargetNotRunning
-from ..events import Event
 from ..lifecycle import Phase
 from .base import Executor, FaultSpec, JobSpec
 
@@ -177,27 +176,3 @@ class SimExecutor(Executor):
             if spec.direction in ("from", "both") and src in spec.targets and dst in spec.dst:
                 return True
         return False
-
-    # --- plumbing ---------------------------------------------------------------------
-
-    def advance_to(self, to: float) -> list[tuple[float, Event]]:
-        """Harness mode: fire everything due through ``to``, in (time, seq) order.
-
-        Returns the (due time, event) pairs delivered, with the bound clock
-        left at ``to``. Engine-driven runs pop the queue themselves instead.
-        """
-        if to < self.clock.now():
-            raise ValueError(f"cannot rewind the clock to {to}")
-        delivered: list[tuple[float, Event]] = []
-        while True:
-            at = self.queue.peek_time()
-            if at is None or at > to:
-                break
-            at, item = self.queue.pop_next()
-            self.clock.set(at)
-            if isinstance(item, Event):
-                delivered.append((at, item))
-            else:
-                item()
-        self.clock.set(to)
-        return delivered

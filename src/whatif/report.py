@@ -160,8 +160,75 @@ def load_run(out_dir) -> tuple:
     return records, store
 
 
+# json's C string encoder, the one json.dumps uses for ASCII output.
+_string = json.encoder.encode_basestring_ascii
+
+
+class _LeftToJson(Exception):
+    """The document holds a value the writer leaves to json.dumps."""
+
+
 def report_json_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte:
+    the text of ``report.json`` and of ``whatif report``'s JSON formats.
+
+    json's indented encoder is pure Python, so the writer does its work for
+    what reports hold: dicts with str keys, lists, tuples, strs, ints, finite
+    floats, bools and None. Strings go through json's C string encoder and
+    numbers through the ``repr`` json uses. Any other value (NaN, an
+    infinity, a subclass, a cycle) hands the whole document to json.dumps,
+    so json's own rules decide.
+    """
+    chunks: list[str] = []
+    try:
+        _write(report, "", "\n", chunks.append, set())
+    except _LeftToJson:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, prefix: str, newline: str, append, open_ids: set) -> None:
+    """Append ``prefix`` and the text of ``value``; ``newline`` is a line break and the indent of ``value``'s level."""
+    kind = type(value)
+    if kind is str:
+        append(prefix + _string(value))
+    elif kind is float and value - value == 0.0:  # finite
+        append(prefix + float.__repr__(value))
+    elif kind is int:
+        append(prefix + int.__repr__(value))
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            append(prefix + ("{}" if kind is dict else "[]"))
+            return
+        mark = id(value)
+        if mark in open_ids:
+            raise _LeftToJson
+        open_ids.add(mark)
+        inner = newline + "  "
+        if kind is dict:
+            separator = prefix + "{" + inner
+            for key in sorted(value):
+                if type(key) is not str:
+                    raise _LeftToJson
+                _write(value[key], separator + _string(key) + ": ", inner, append, open_ids)
+                separator = "," + inner
+            append(newline + "}")
+        else:
+            separator = prefix + "[" + inner
+            for item in value:
+                _write(item, separator, inner, append, open_ids)
+                separator = "," + inner
+            append(newline + "]")
+        open_ids.discard(mark)
+    elif value is None:
+        append(prefix + "null")
+    elif value is True:
+        append(prefix + "true")
+    elif value is False:
+        append(prefix + "false")
+    else:
+        raise _LeftToJson
 
 
 def render_text(report: dict) -> str:

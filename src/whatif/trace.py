@@ -20,9 +20,18 @@ from pathlib import Path
 
 from .values import Value
 
-# One encoder for every record, with the settings of
-# json.dumps(..., sort_keys=True, separators=(",", ":")).
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# One C encoder for every record, built once with the settings of
+# json.dumps(..., sort_keys=True, separators=(",", ":")): ASCII output, NaN
+# allowed, and the circular check through ``_open_ids``. JSONEncoder.encode
+# would build a new one for every record. The arguments are markers, default,
+# string encoder, indent, key and item separators, sort_keys, skipkeys and
+# allow_nan.
+_open_ids: dict = {}
+_encode = json.encoder.c_make_encoder(
+    _open_ids, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True)
+# json.loads, less its wrappers: a value, with JSON whitespace around it.
+_decode = json.JSONDecoder().raw_decode
+_space = json.decoder.WHITESPACE.match
 
 
 class TraceRecord(Value):
@@ -37,7 +46,10 @@ class TraceRecord(Value):
     def to_json(self) -> str:
         payload = {"seq": self.seq, "at": self.at, "kind": self.kind}
         payload.update(self.data)
-        return _encode(payload)
+        try:
+            return "".join(_encode(payload, 0))
+        finally:
+            _open_ids.clear()  # a failed call leaves the values it entered there, alive
 
 
 class RunTrace:
@@ -74,7 +86,10 @@ def load_trace(path) -> list[TraceRecord]:
     for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         if not line.strip():
             continue
-        payload = json.loads(line)
+        payload, end = _decode(line, _space(line).end())
+        end = _space(line, end).end()
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
         if not (isinstance(payload, dict) and isinstance(payload.get("seq"), int)
                 and isinstance(payload.get("at"), (int, float)) and isinstance(payload.get("kind"), str)):
             raise ValueError(f"line {number} is not a record with a seq, an at and a kind")

@@ -7,7 +7,7 @@ import pytest
 
 import whatif
 from whatif.dsl import Template, load_templates, parse_scenario
-from whatif.events import EventQueue, SimClock
+from whatif.events import Event, EventQueue, SimClock
 from whatif.executors.sim import SimExecutor
 from whatif.telemetry import MetricsStore
 
@@ -41,9 +41,34 @@ def count_operations(fn):
     return result, count
 
 
+class HarnessSim(SimExecutor):
+    """A simulator the tests drive by hand, with no engine popping its queue."""
+
+    def advance_to(self, to: float) -> list[tuple[float, Event]]:
+        """Fire everything due through ``to``, in (time, seq) order.
+
+        Returns the (due time, event) pairs delivered, with the bound clock
+        left at ``to``. An entry due later stays queued where it was, so
+        same-time ties keep their push order.
+        """
+        if to < self.clock.now():
+            raise ValueError(f"cannot rewind the clock to {to}")
+        delivered: list[tuple[float, Event]] = []
+        heap = self.queue._heap
+        while heap and heap[0][0] <= to:
+            at, item = self.queue.pop_next()
+            self.clock.set(at)
+            if isinstance(item, Event):
+                delivered.append((at, item))
+            else:
+                item()
+        self.clock.set(to)
+        return delivered
+
+
 def make_sim_harness():
     """A bare simulator bound to its own queue, clock, and store."""
-    executor = SimExecutor()
+    executor = HarnessSim()
     queue = EventQueue()
     clock = SimClock()
     store = MetricsStore()

@@ -1,6 +1,10 @@
 """Reference implementations that the tests compare the program against."""
 
+import json
+from pathlib import Path
+
 from whatif.lifecycle import Phase, ResourceNode, advance_to, aggregate_phase, find_node, iter_nodes, phase_order
+from whatif.trace import TraceRecord
 
 
 def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> ResourceNode:
@@ -38,3 +42,20 @@ def assert_one_time_per_fact(engine) -> None:
         if record.kind == "transition":
             phase_time = nodes[record.data["subject"]].phase_times[Phase(record.data["to"])]
             assert record.at == phase_time, (record.to_json(), phase_time)
+
+
+def load_trace_per_line(path) -> list[TraceRecord]:
+    """The records of a trace file, each line read by ``json.loads``: the reference for ``trace.load_trace``."""
+    records = []
+    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+        if not line.strip():
+            continue
+        payload = json.loads(line)
+        if not (isinstance(payload, dict) and isinstance(payload.get("seq"), int)
+                and isinstance(payload.get("at"), (int, float)) and isinstance(payload.get("kind"), str)):
+            raise ValueError(f"line {number} is not a record with a seq, an at and a kind")
+        seq = payload.pop("seq")
+        at = payload.pop("at")
+        kind = payload.pop("kind")
+        records.append(TraceRecord(seq, at, kind, payload))
+    return records

@@ -9,7 +9,7 @@ from whatif.cli import main
 from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario, render_scenario
 from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
-from whatif.report import build_report, report_json_text
+from whatif.report import build_report, load_run, plot_data, report_json_text
 from conftest import SCENARIOS, script_template
 from test_engine import LaggingEngine
 
@@ -394,6 +394,12 @@ class TestReport:
         partition = next(m for m in data["annotations"] if m["label"] == "partition0")
         assert partition["kind"] == "Region"
         assert partition["end"] - partition["start"] == 600.0
+
+    def test_plotdata_text_is_the_stdlib_encoding(self, run_dir, capsys):
+        assert main(["report", str(run_dir), "--format", "plotdata"]) == 0
+        records, store = load_run(run_dir)
+        expected = json.dumps(plot_data(build_report(records), store), sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_empty_run_dir_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
