@@ -9,6 +9,9 @@ they emit, and the engine reaches executors only through calls, each traced
 as a ``command`` record, so a simulated run is a deterministic function of
 (document, seed) and its trace is the run's one record of what it did.
 
+Time is ``Engine.now``: the clock is read once per step (the run start, a
+cycle, an abort from outside one, the cleanup), and the step's records carry it.
+
 A cycle's work grows with what the event touched, not with the document:
 every phase change goes through ``Engine._move``, which marks the actions
 that depend on the changed node for a dependency recheck, keeps per-cluster
@@ -110,7 +113,6 @@ class Rule:
         ast: MetricsExprAst,
         window: WindowAggregate,
         timer: str,
-        due: Optional[float] = None,
     ):
         self.order = order  # position among all rules, in document order
         self.owner = owner
@@ -118,7 +120,7 @@ class Rule:
         self.ast = ast
         self.window = window
         self.timer = timer  # id of its window timer
-        self.due = due  # when its armed window timer fires
+        self.due: Optional[float] = None  # when its armed window timer fires
 
 
 def ready_since(clause, nodes: dict) -> Optional[float]:
@@ -142,13 +144,13 @@ def ready_since(clause, nodes: dict) -> Optional[float]:
     return base
 
 
-def dependency_satisfied(clause, nodes: dict, clock) -> bool:
-    """True when every referenced state holds and any `after` delay elapsed."""
+def dependency_satisfied(clause, nodes: dict, now: float) -> bool:
+    """True when every referenced state holds and any `after` delay elapsed by ``now``."""
     base = ready_since(clause, nodes)
     if base is None:
         return False
     if clause.after is not None:
-        return clock.now() + 1e-9 >= base + clause.after
+        return now + 1e-9 >= base + clause.after
     return True
 
 
@@ -232,6 +234,7 @@ class Engine:
         # targets not yet terminal, and the faults watching each target.
         self.kill_watch: dict[str, int] = {}
         self.kill_watchers: dict[str, list[str]] = {}
+        self.now = 0.0  # the engine's time: the clock's one reading for the step under way
         self.finished = False
         self.outcome = Outcome.ABORTED  # until the run decides it: an undecided run is no Success
         self.reason = ""
@@ -244,8 +247,10 @@ class Engine:
             self._loop()
         except Exception as exc:
             _logger().exception("internal error")
+            self.now = self.clock.now()  # the abort is a step of its own
             self._abort(f"internal error: {type(exc).__name__}: {exc}")
         except BaseException as exc:  # KeyboardInterrupt, SystemExit: clean up, record, re-raise
+            self.now = self.clock.now()
             self._abort(f"interrupted: {type(exc).__name__}")
             raise
         finally:
@@ -253,15 +258,15 @@ class Engine:
         return self
 
     def _loop(self) -> None:
-        now = self.clock.now()
+        self.now = self.clock.now()
         self.trace.append(
-            "run", now,
+            "run", self.now,
             scenario=self.doc.name, seed=self.seed, executor=self.executor.name,
             actions=[{"name": a.name, "kind": a.kind} for a in self.doc.actions],
             assertions={name: [t for t, _ in pairs] for name, pairs in self.asserts.items()},
         )
         self.store.watch(self.rules.keys(), self.queue, self.clock)
-        self._move(self.tree, Phase.RUNNING, now)
+        self._move(self.tree, Phase.RUNNING)
 
         self._recheck_dispatch()
         self._check_completion()
@@ -269,30 +274,31 @@ class Engine:
         while not self.finished:
             popped = self.queue.pop_next() if self.clock.virtual else self.queue.wait_next(self.clock, self.executor.wait)
             if popped is None:
+                self.now = self.clock.now()
                 self._abort("timeout: no pending events but actions remain unfinished")
                 break
-            at, item = popped  # when the item was due; a fact's time is the clock's
+            at, item = popped  # when the item was due; a fact's time is its step's
             self.clock.set(at)
             if isinstance(item, Event):
-                self.trace.append("event", self.clock.now(), **item.describe())
                 self.reconcile(item)
             else:
                 item()  # scheduled executor/timer work; may emit events
 
     def reconcile(self, event: Event) -> None:
-        """One reconciliation cycle, at one reading of the engine clock; what it does is appended to the trace."""
+        """One reconciliation cycle, a step: the event and what it caused are traced at one clock reading."""
         if self.finished:
             return
-        now = self.clock.now()
+        self.now = self.clock.now()
+        self.trace.append("event", self.now, **event.describe())
         try:
             if event.kind == EventKind.STATE:
-                self._on_state(event, now)
+                self._on_state(event)
             elif event.kind == EventKind.TIME:
-                self._on_time(event, now)
+                self._on_time(event)
             elif event.kind == EventKind.METRICS:
-                self._evaluate_rules(now)
+                self._evaluate_rules()
             elif event.kind == EventKind.TAG:
-                self._on_tag(event, now)
+                self._on_tag(event)
             if not self.finished:
                 self._recheck_dispatch()
                 self._check_completion()
@@ -301,7 +307,7 @@ class Engine:
 
     # --- event handlers -----------------------------------------------------
 
-    def _on_state(self, event: Event, now: float) -> None:
+    def _on_state(self, event: Event) -> None:
         node = self.nodes.get(event.subject)
         if node is None:
             _logger().warning("state event for unknown resource %s", event.subject)
@@ -312,27 +318,27 @@ class Engine:
         if event.phase == Phase.FAILED:
             node.failure_class = classify_failure(node, event.failure_mode)
             node.failure_reason = event.reason or event.failure_mode or "failed"
-        self._move(node, event.phase, now)
+        self._move(node, event.phase)
 
         newly_terminal = [node] if node.phase.terminal else []
         owner = node.owner
         if owner is not None and owner.kind == "cluster" and not owner.phase.terminal:
             agg = self.cluster_phase(owner)
             if phase_order(agg) > phase_order(owner.phase):
-                self._move(owner, agg, now)
+                self._move(owner, agg)
                 if owner.phase.terminal:
                     newly_terminal.append(owner)
 
         for done in newly_terminal:
-            self._on_terminal(done, now)
+            self._on_terminal(done)
             if self.finished:
                 return
 
-        self._watch_kill_faults(node, now)
+        self._watch_kill_faults(node)
         if not self.finished:
-            self._evaluate_state_assertions(now)
+            self._evaluate_state_assertions()
 
-    def _on_terminal(self, node: ResourceNode, now: float) -> None:
+    def _on_terminal(self, node: ResourceNode) -> None:
         if node.phase == Phase.FAILED:
             if node.failure_class == FailureClass.UNEXPECTED:
                 self._fail(f"{node.name}: {node.failure_reason or 'unexpected failure'}")
@@ -348,9 +354,9 @@ class Engine:
                 self._fail(f"{node.name}: {node.failure_reason or 'failure'} at scenario level")
             return
         if node.phase == Phase.SUCCESS and node.name in self.asserts:
-            self._evaluate_action_assertions(node.name, now, metrics=True)
+            self._evaluate_action_assertions(node.name, metrics=True)
 
-    def _on_time(self, event: Event, now: float) -> None:
+    def _on_time(self, event: Event) -> None:
         timer = event.timer_id
         if timer.startswith("timeout:"):
             name = timer.split(":", 1)[1]
@@ -358,10 +364,10 @@ class Engine:
             if node is not None and not node.phase.terminal:
                 self._abort(f"timeout: action {name} did not finish in time")
         elif timer.startswith("window:"):
-            self._evaluate_rules(now)
+            self._evaluate_rules()
         # "after:" timers only need the dispatch recheck that follows.
 
-    def _on_tag(self, event: Event, now: float) -> None:
+    def _on_tag(self, event: Event) -> None:
         """A fault ended (``fault-revoked``, the one Tag an executor emits): its action succeeds."""
         tags = event.tags
         if tags.get("event") != "fault-revoked":
@@ -371,8 +377,8 @@ class Engine:
             target.chaos = None
         node = self.nodes[action]
         if not node.phase.terminal:
-            self._move(node, Phase.SUCCESS, now)
-            self._on_terminal(node, now)
+            self._move(node, Phase.SUCCESS)
+            self._on_terminal(node)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -399,7 +405,7 @@ class Engine:
                 if action.name in self.dispatched:
                     continue
                 clause = action.depends
-                if not dependency_satisfied(clause, self.nodes, self.clock):
+                if not dependency_satisfied(clause, self.nodes, self.now):
                     self._maybe_arm_after(action, index)
                     continue
                 self.dispatched.add(action.name)
@@ -422,44 +428,42 @@ class Engine:
         if base is None:
             return
         self.timed.add(index)
-        due = base + clause.after
-        self.queue.push(due, Event(EventKind.TIME, timer_id=f"after:{action.name}"))
+        self.queue.push(base + clause.after, Event(EventKind.TIME, timer_id=f"after:{action.name}"))
 
     def _dispatch(self, action: ActionSpec) -> None:
-        now = self.clock.now()
         timeout = self.plan.timeouts[action.name]
         if timeout is not None:  # None: no timeout applies at any level
-            self.queue.push(now + timeout, Event(EventKind.TIME, timer_id=f"timeout:{action.name}"))
+            self.queue.push(self.now + timeout, Event(EventKind.TIME, timer_id=f"timeout:{action.name}"))
         if action.kind in ("Service", "Call"):
-            self._create_job(self._resolve_job(action, 0, action.name), now)
+            self._create_job(self._resolve_job(action, 0, action.name))
         elif action.kind == "Cluster":
-            self._dispatch_cluster(action, now)
+            self._dispatch_cluster(action)
         elif action.kind == "Chaos":
-            self._dispatch_chaos(action, now)
+            self._dispatch_chaos(action)
         elif action.kind == "Checkpoint":
-            self._dispatch_checkpoint(action, now)
+            self._dispatch_checkpoint(action)
         # A live action's assertions: the first look at a metrics window, and
         # at a state scope that may never change again.
         if action.name in self.asserts and self._live(action.name):
-            self._evaluate_action_assertions(action.name, now, metrics=True)
+            self._evaluate_action_assertions(action.name, metrics=True)
 
-    def _dispatch_cluster(self, action: ActionSpec, now: float) -> None:
+    def _dispatch_cluster(self, action: ActionSpec) -> None:
         node = self.nodes[action.name]
-        self._move(node, Phase.PENDING, now)
+        self._move(node, Phase.PENDING)
         for index, child in enumerate(node.children):
-            self._create_job(self._resolve_job(action, index, child.name), now)
+            self._create_job(self._resolve_job(action, index, child.name))
 
-    def _dispatch_chaos(self, action: ActionSpec, now: float) -> None:
+    def _dispatch_chaos(self, action: ActionSpec) -> None:
         spec, targets = self.plan.faults[action.name]
         node = self.nodes[action.name]
-        self._move(node, Phase.PENDING, now)
+        self._move(node, Phase.PENDING)
         for target in targets:
             target.chaos = spec.kind
             self.trace.append(
-                "event", now, event="Tag", subject=target.name,
+                "event", self.now, event="Tag", subject=target.name,
                 tags={"metadata.Chaos": spec.kind, "target": target.name, "source": action.name},
             )
-        self._trace_command("InjectFault", action.name, now, {
+        self._trace_command("InjectFault", action.name, {
             "kind": spec.kind, "targets": list(spec.targets), "dst": list(spec.dst),
             "direction": spec.direction, "duration": spec.duration,
         })
@@ -468,34 +472,34 @@ class Engine:
         except (UnsupportedFault, TargetNotRunning) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
-        self._move(node, Phase.RUNNING, now)
+        self._move(node, Phase.RUNNING)
         if spec.kind == "kill":
             live = [target for target in dict.fromkeys(targets) if not target.phase.terminal]
             self.kill_watch[action.name] = len(live)
             for target in live:
                 self.kill_watchers.setdefault(target.name, []).append(action.name)
 
-    def _dispatch_checkpoint(self, action: ActionSpec, now: float) -> None:
+    def _dispatch_checkpoint(self, action: ActionSpec) -> None:
         node = self.nodes[action.name]
-        self._move(node, Phase.RUNNING, now)
-        self._trace_command("Snapshot", action.name, now, {"keys": list(action.values)})
+        self._move(node, Phase.RUNNING)
+        self._trace_command("Snapshot", action.name, {"keys": list(action.values)})
         try:
-            values, phases = snapshot(self.plan.checkpoint_exprs.get(action.name, []), self.tree, self.store, now)
+            values, phases = snapshot(self.plan.checkpoint_exprs.get(action.name, []), self.tree, self.store, self.now)
         except UnknownMetric as exc:
             self._fail(f"{action.name}: expression error: unknown metric {exc}")
             return
         self.checkpoints[action.name] = values
         self.trace.append(
-            "checkpoint", now, name=action.name,
+            "checkpoint", self.now, name=action.name,
             values=dict(values),
             phases={name: phase.value for name, phase in phases.items()},
         )
-        self._move(node, Phase.SUCCESS, now)
-        self._on_terminal(node, now)
-        self._evaluate_rules(now, set(self.checkpoint_readers.get(action.name, ())))
+        self._move(node, Phase.SUCCESS)
+        self._on_terminal(node)
+        self._evaluate_rules(set(self.checkpoint_readers.get(action.name, ())))
 
-    def _create_job(self, spec: JobSpec, now: float) -> None:
-        self._trace_command("CreateJob", spec.name, now, {
+    def _create_job(self, spec: JobSpec) -> None:
+        self._trace_command("CreateJob", spec.name, {
             "command": spec.command, "script_effects": len(spec.script), "metrics": spec.metrics_source,
         })
         try:
@@ -505,8 +509,8 @@ class Engine:
             # The job never came up: surface the standard lifecycle so the
             # failure classifies as an unexpected crash of that service.
             for phase in (Phase.PENDING, Phase.RUNNING):
-                self.queue.push(now, Event(EventKind.STATE, subject=spec.name, phase=phase))
-            self.queue.push(now, Event(
+                self.queue.push(self.now, Event(EventKind.STATE, subject=spec.name, phase=phase))
+            self.queue.push(self.now, Event(
                 EventKind.STATE, subject=spec.name, phase=Phase.FAILED,
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
@@ -526,7 +530,7 @@ class Engine:
         """Whether the action's assertions are checked: dispatched, not yet terminal."""
         return not self.finished and name in self.dispatched and not self.nodes[name].phase.terminal
 
-    def _evaluate_state_assertions(self, now: float) -> None:
+    def _evaluate_state_assertions(self) -> None:
         """Evaluate the state assertions of the live stale actions, in document order.
 
         A state assertion reads only its owner's scope, and it held false the
@@ -537,9 +541,9 @@ class Engine:
         stale, self.stale = self.stale, set()
         for name in sorted(stale, key=self.assert_order.__getitem__):
             if self._live(name):
-                self._evaluate_action_assertions(name, now, metrics=False)
+                self._evaluate_action_assertions(name, metrics=False)
 
-    def _evaluate_action_assertions(self, name: str, now: float, metrics: bool) -> None:
+    def _evaluate_action_assertions(self, name: str, metrics: bool) -> None:
         """Evaluate the action's state assertions, and its metrics rules when ``metrics``."""
         node = self.nodes[name]
         self.stale.discard(name)
@@ -547,10 +551,10 @@ class Engine:
             if self.finished:
                 return
             if isinstance(item, Rule):
-                if metrics and self._evaluate_rule(item, now):
+                if metrics and self._evaluate_rule(item):
                     return
             elif eval_state(item, self._scope(node)):
-                self._fire(name, text, now)
+                self._fire(name, text)
                 return
 
     def _scope(self, node: ResourceNode) -> CountedScope:
@@ -561,7 +565,7 @@ class Engine:
             counts[slot(node.phase, node.failure_class)] = 1
         return CountedScope(node, counts, self.nodes)
 
-    def _evaluate_rules(self, now: float, changed: Optional[set] = None) -> None:
+    def _evaluate_rules(self, changed: Optional[set] = None) -> None:
         """Evaluate every live rule whose value may have changed, in document order.
 
         Those are the rules in ``changed``, the rules on each metric with new
@@ -573,15 +577,15 @@ class Engine:
         changed = set(changed or ())
         for metric in self.store.take_notices():
             changed.update(self.rules.get(metric, ()))
-        changed.update(rule for rule in self.armed if rule.due <= now)
+        changed.update(rule for rule in self.armed if rule.due <= self.now)
         for rule in sorted(changed, key=lambda r: r.order):
             if not self._live(rule.owner):
                 self.armed.discard(rule)  # finished: never evaluated again
-            elif self._evaluate_rule(rule, now):
+            elif self._evaluate_rule(rule):
                 return
 
-    def _evaluate_rule(self, rule: Rule, now: float) -> bool:
-        """Evaluate one metrics rule at ``now``; True when that failed the run.
+    def _evaluate_rule(self, rule: Rule) -> bool:
+        """Evaluate one metrics rule at ``self.now``; True when that failed the run.
 
         A metric no job has declared yet, or a checkpoint not taken yet,
         reads as no data: its first point, or the checkpoint, evaluates the
@@ -592,18 +596,18 @@ class Engine:
         next instant its window changes without an ingest; a timer that
         falls due after the rule was evaluated at or past it finds nothing.
         """
-        if rule.due is not None and rule.due <= now:
+        if rule.due is not None and rule.due <= self.now:
             rule.due = None
             self.armed.discard(rule)
         try:
-            fired = alert_holds(rule.ast, self._rule_value(rule, now), self.checkpoints)
+            fired = alert_holds(rule.ast, self._rule_value(rule), self.checkpoints)
         except (UnknownMetric, UnknownCheckpoint, ValueError) as exc:
             if isinstance(exc, ValueError) or self.nodes[rule.owner].phase.terminal:
                 self._fail(f"{rule.owner}: expression error: {type(exc).__name__}: {exc}")
                 return True
             fired = False
         if fired:
-            self._fire(rule.owner, rule.text, now)
+            self._fire(rule.owner, rule.text)
             return True
         due = rule.window.next_change()
         if due is not None and self._live(rule.owner) and (rule.due is None or due < rule.due):
@@ -612,16 +616,16 @@ class Engine:
             self.queue.push(due, Event(EventKind.TIME, timer_id=rule.timer))
         return False
 
-    def _rule_value(self, rule: Rule, now: float) -> Optional[float]:
-        return rule.window.advance(self.store, now)
+    def _rule_value(self, rule: Rule) -> Optional[float]:
+        return rule.window.advance(self.store, self.now)
 
-    def _fire(self, name: str, text: str, now: float) -> None:
-        self.trace.append("event", now, event="Metrics", subject=name, expr=text, fired=True)
+    def _fire(self, name: str, text: str) -> None:
+        self.trace.append("event", self.now, event="Metrics", subject=name, expr=text, fired=True)
         self._fail(f"{name}: assertion fired: {text}")
 
     # --- fault bookkeeping -------------------------------------------------------
 
-    def _watch_kill_faults(self, target: ResourceNode, now: float) -> None:
+    def _watch_kill_faults(self, target: ResourceNode) -> None:
         """Count a target that just turned terminal; a kill fault whose count reaches 0 succeeds."""
         if not target.phase.terminal:
             return
@@ -632,8 +636,8 @@ class Engine:
             del self.kill_watch[action_name]
             node = self.nodes[action_name]
             if not node.phase.terminal:
-                self._move(node, Phase.SUCCESS, now)
-                self._on_terminal(node, now)
+                self._move(node, Phase.SUCCESS)
+                self._on_terminal(node)
 
     # --- outcome ----------------------------------------------------------------
 
@@ -646,39 +650,35 @@ class Engine:
         self.finished = True
 
     def _fail(self, reason: str) -> None:
-        if self.finished:
-            return
-        self.outcome = Outcome.FAILED
-        self.reason = reason
-        self.finished = True
-        self._trace_command("AbortRun", self.doc.name, self.clock.now(), {"outcome": "Failed", "reason": reason})
+        self._abort(reason, Outcome.FAILED)
 
-    def _abort(self, reason: str) -> None:
+    def _abort(self, reason: str, outcome: Outcome = Outcome.ABORTED) -> None:
+        """Decide the run, unless it is decided already: traced as an AbortRun at the step's time."""
         if self.finished:
             return
-        self.outcome = Outcome.ABORTED
+        self.outcome = outcome
         self.reason = reason
         self.finished = True
-        self._trace_command("AbortRun", self.doc.name, self.clock.now(), {"outcome": "Aborted", "reason": reason})
+        self._trace_command("AbortRun", self.doc.name, {"outcome": outcome.value, "reason": reason})
 
     def _finalize(self) -> None:
-        now = self.clock.now()
+        self.now = self.clock.now()  # a step of its own: the cleanup and the outcome
         for action_name in list(self.executor.faults):
-            self._trace_command("RevokeFault", action_name, now)
+            self._trace_command("RevokeFault", action_name)
             self.executor.revoke_fault(action_name)
         for node in iter_nodes(self.tree):
             if node.name in self.started and not node.phase.terminal:
-                self._trace_command("KillJob", node.name, now)
+                self._trace_command("KillJob", node.name)
                 self.executor.kill_job(node.name)
         self.executor.shutdown()
         if not self.tree.phase.terminal and self.outcome in (Outcome.SUCCESS, Outcome.FAILED):
             target = Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED
-            self._move(self.tree, target, now)
-        self.trace.append("outcome", now, outcome=self.outcome.value, reason=self.reason)
+            self._move(self.tree, target)
+        self.trace.append("outcome", self.now, outcome=self.outcome.value, reason=self.reason)
 
     # --- phase changes ---------------------------------------------------------------
 
-    def _move(self, node: ResourceNode, target: Phase, at: float) -> None:
+    def _move(self, node: ResourceNode, target: Phase) -> None:
         """Advance ``node`` to ``target``: the one place where a phase changes.
 
         Traces each hop, then updates what depends on phases: the dependents
@@ -687,7 +687,7 @@ class Engine:
         that hold assertions.
         """
         was = slot(node.phase, node.failure_class)
-        hops = advance_to(node, target, at)
+        hops = advance_to(node, target, self.now)
         if not hops:
             return
         for phase in hops:
@@ -723,9 +723,9 @@ class Engine:
                 data["reason"] = node.failure_reason
         self.trace.append("transition", node.phase_times[phase], **data)
 
-    def _trace_command(self, verb: str, target: str, at: float, args: Optional[dict] = None) -> None:
+    def _trace_command(self, verb: str, target: str, args: Optional[dict] = None) -> None:
         """Record one call into the executor, or the run's abort."""
-        self.trace.append("command", at, verb=verb, target=target, args={} if args is None else args)
+        self.trace.append("command", self.now, verb=verb, target=target, args={} if args is None else args)
 
 
 class CountedScope:

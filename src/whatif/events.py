@@ -131,8 +131,10 @@ class SimClock:
         return self._now
 
     def set(self, at: float) -> None:
-        if at > self._now:
-            self._now = at
+        """Move to ``at``; ValueError for an ``at`` earlier than the clock's time, which no queue item may be due at."""
+        if at < self._now:
+            raise ValueError(f"cannot set the simulated clock back from {self._now!r} to {at!r}")
+        self._now = at
 
 
 class WallClock:

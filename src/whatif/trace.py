@@ -7,8 +7,8 @@ derives what follows from several facts, such as the annotations. Older
 traces also hold ``annotation`` records, which readers ignore. Simulated
 runs with the same document and seed serialize to byte-identical traces.
 
-A record's ``at`` is the engine clock when the engine handled the fact, in
-seconds since the run started. So a process job's Pending and Running are
+A record's ``at`` is the one clock reading of the engine step that wrote it,
+in seconds since the run started. So a process job's Pending and Running are
 stamped when their events pop, not at the spawn instant. Record times
 never decrease: an earlier one is an engine defect, and ``append`` raises.
 """
@@ -16,6 +16,7 @@ never decrease: an earlier one is an engine defect, and ``append`` raises.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .values import Value
@@ -90,11 +91,11 @@ def load_trace(path) -> list[TraceRecord]:
         end = _space(line, end).end()
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
-        if not (isinstance(payload, dict) and isinstance(payload.get("seq"), int)
-                and isinstance(payload.get("at"), (int, float)) and isinstance(payload.get("kind"), str)):
+        # An int seq, a finite number at (a bool is neither) and a str kind.
+        seq, at = (payload.get("seq"), payload.get("at")) if isinstance(payload, dict) else (None, None)
+        if not (type(seq) is int and (type(at) is int or type(at) is float and math.isfinite(at))
+                and isinstance(payload.get("kind"), str)):
             raise ValueError(f"line {number} is not a record with a seq, an at and a kind")
-        seq = payload.pop("seq")
-        at = payload.pop("at")
-        kind = payload.pop("kind")
-        records.append(TraceRecord(seq, at, kind, payload))
+        del payload["seq"], payload["at"]
+        records.append(TraceRecord(seq, at, payload.pop("kind"), payload))
     return records

@@ -1,6 +1,7 @@
 """Reference implementations that the tests compare the program against."""
 
 import json
+import math
 from pathlib import Path
 
 from whatif.lifecycle import Phase, ResourceNode, advance_to, aggregate_phase, find_node, iter_nodes, phase_order
@@ -44,6 +45,51 @@ def assert_one_time_per_fact(engine) -> None:
             assert record.at == phase_time, (record.to_json(), phase_time)
 
 
+def run_one_time_per_step(engine):
+    """Run ``engine`` and check that each step's records carry its one clock
+    reading, what ``engine.now`` held in it. The steps are the run start, each
+    ``reconcile`` (its event's own record first), an ``_abort`` from outside a
+    cycle and ``_finalize``; between them they write every record once.
+    Checks ``assert_one_time_per_fact`` too, and returns the engine."""
+    steps = []  # (method name, index of its first record, of the record after its last, engine.now)
+    depth = 0
+
+    def stepped(name, method):
+        def step(*args):
+            nonlocal depth
+            if depth:  # called inside another step: part of it
+                return method(*args)
+            depth, start = 1, len(engine.trace)
+            try:
+                method(*args)
+            finally:  # checked after the run: the engine turns an AssertionError into an abort
+                depth = 0
+                steps.append((name, start, len(engine.trace), engine.now))
+        return step
+
+    names = ("reconcile", "_abort", "_finalize")
+    for name in names:
+        setattr(engine, name, stepped(name, getattr(engine, name)))
+    try:
+        engine.run()
+    finally:
+        for name in names:
+            delattr(engine, name)
+    records = engine.trace.records
+    head = records[:steps[0][1]]
+    assert head and {record.at for record in head} == {head[0].at}, [r.to_json() for r in head]
+    written = len(head)
+    for name, start, end, now in steps:
+        assert start == written, (name, start, written)  # no record outside a step
+        step = records[start:end]
+        assert all(record.at == now for record in step), (name, now, [r.to_json() for r in step])
+        assert name != "reconcile" or not step or step[0].kind == "event", step[0].to_json()
+        written = end
+    assert written == len(records)
+    assert_one_time_per_fact(engine)
+    return engine
+
+
 def load_trace_per_line(path) -> list[TraceRecord]:
     """The records of a trace file, each line read by ``json.loads``: the reference for ``trace.load_trace``."""
     records = []
@@ -51,8 +97,10 @@ def load_trace_per_line(path) -> list[TraceRecord]:
         if not line.strip():
             continue
         payload = json.loads(line)
-        if not (isinstance(payload, dict) and isinstance(payload.get("seq"), int)
-                and isinstance(payload.get("at"), (int, float)) and isinstance(payload.get("kind"), str)):
+        seq, at = (payload.get("seq"), payload.get("at")) if isinstance(payload, dict) else (None, None)
+        if not (isinstance(seq, int) and not isinstance(seq, bool)
+                and isinstance(at, (int, float)) and not isinstance(at, bool) and at == at and abs(at) != math.inf
+                and isinstance(payload.get("kind"), str)):
             raise ValueError(f"line {number} is not a record with a seq, an at and a kind")
         seq = payload.pop("seq")
         at = payload.pop("at")

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, Template, parse_scenario, validate
-from whatif.engine import Outcome, run_scenario
+from whatif.engine import Engine, Outcome, run_scenario
 from whatif.expressions import (
     ScopeJob,
     ScopeSnapshot,
@@ -30,7 +30,7 @@ from whatif.report import build_report
 from whatif.telemetry import MetricsStore
 
 from conftest import stage_template
-from oracles import assert_one_time_per_fact, propagate
+from oracles import propagate, run_one_time_per_step
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
 EXP, UNEXP = FailureClass.EXPECTED, FailureClass.UNEXPECTED
@@ -489,14 +489,13 @@ def test_criterion_8_process_smoke():
     from whatif.executors.process import ProcessExecutor
 
     started = time.monotonic()
-    result = run_scenario(
+    result = run_one_time_per_step(Engine(
         parse_scenario(PROCESS_DOC),
         {"sleeper": Template("sleeper", {}, "command: sleep 3\n")},
         ProcessExecutor(),
-    )
+    ))
     elapsed = time.monotonic() - started
     assert result.outcome is Outcome.SUCCESS, result.reason
-    assert_one_time_per_fact(result)
     killed = next(r for r in result.trace
                   if r.kind == "transition" and r.data["subject"] == "sleepers-0"
                   and r.data["to"] == "Failed")

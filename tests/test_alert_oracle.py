@@ -139,22 +139,22 @@ class CheckedRules(Engine):
         super().__init__(*args, **kwargs)
         self.read_at = {}  # rule -> the last `now` it was read at
 
-    def _rule_value(self, rule, now):
-        assert now >= self.read_at.get(rule, -math.inf), (rule.text, now, self.read_at[rule])
-        self.read_at[rule] = now
-        return super()._rule_value(rule, now)
+    def _rule_value(self, rule):
+        assert self.now >= self.read_at.get(rule, -math.inf), (rule.text, self.now, self.read_at[rule])
+        self.read_at[rule] = self.now
+        return super()._rule_value(rule)
 
 
 class BruteRules(CheckedRules):
     """Oracle: every live rule, by brute force over the store, wherever the engine evaluates rules."""
 
-    def _evaluate_rules(self, now, changed=None):
+    def _evaluate_rules(self, changed=None):
         every = {item for pairs in self.asserts.values() for _, item in pairs if isinstance(item, Rule)}
-        super()._evaluate_rules(now, every)
+        super()._evaluate_rules(every)
 
-    def _rule_value(self, rule, now):
-        super()._rule_value(rule, now)  # keeps the rule's window timers as the engine has them
-        return eval_reducer(rule.ast, self.store, now)
+    def _rule_value(self, rule):
+        super()._rule_value(rule)  # keeps the rule's window timers as the engine has them
+        return eval_reducer(rule.ast, self.store, self.now)
 
 
 class TickReference(Engine):
@@ -163,9 +163,9 @@ class TickReference(Engine):
     ticking = False
     tick_armed = False
 
-    def _rule_value(self, rule, now):
+    def _rule_value(self, rule):
         if self.ticking or self.nodes[rule.owner].phase.terminal:
-            return eval_reducer(rule.ast, self.store, now)
+            return eval_reducer(rule.ast, self.store, self.now)
         return None
 
     def reconcile(self, event):
@@ -175,20 +175,22 @@ class TickReference(Engine):
         if event.timer_id != "tick" or self.finished:
             super().reconcile(event)
             return
-        self._on_time(event, self.clock.now())
+        self.now = self.clock.now()
+        self.trace.append("event", self.now, **event.describe())
+        self._on_time(event)
         if not self.finished:
             self._check_completion()
 
-    def _on_time(self, event, now):
+    def _on_time(self, event):
         if event.timer_id != "tick":
-            super()._on_time(event, now)
+            super()._on_time(event)
             return
         self.tick_armed = False
         self.ticking = True
         try:
             for name in self.asserts:
                 if self._live(name):
-                    self._evaluate_action_assertions(name, now, metrics=True)
+                    self._evaluate_action_assertions(name, metrics=True)
         finally:
             self.ticking = False
 
@@ -196,7 +198,7 @@ class TickReference(Engine):
         super()._check_completion()
         if not self.tick_armed and any(self._live(name) for name in self.asserts):
             self.tick_armed = True
-            due = self.clock.now() + 1.0
+            due = self.now + 1.0
             self.queue.push(due, Event(EventKind.TIME, timer_id="tick"))
 
 

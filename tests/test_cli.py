@@ -408,13 +408,23 @@ class TestReport:
         (tmp_path / "trace.ndjson").write_text("not json\n")
         assert main(["report", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("line", ["[1,2]", '"text"', "7", '{"seq":0,"kind":"run"}', '{"seq":0,"at":"0","kind":"run"}'])
+    @pytest.mark.parametrize("line", [
+        "[1,2]", '"text"', "7", '{"seq":0,"kind":"run"}', '{"seq":0,"at":"0","kind":"run"}',
+        '{"seq":true,"at":0,"kind":"run"}', '{"seq":0,"at":false,"kind":"run"}', '{"seq":0,"at":1e400,"kind":"run"}',
+        '{"seq":0,"at":-Infinity,"kind":"run"}', '{"seq":0,"at":NaN,"kind":"run"}',
+    ])
     def test_trace_line_that_is_not_a_record_exit_2(self, run_dir, line, capsys):
         trace = run_dir / "trace.ndjson"
         lines = trace.read_text().splitlines()
         trace.write_text("\n".join(lines[:3] + [line] + lines[3:]) + "\n")
         assert main(["report", str(run_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: unreadable trace: line 4 is not a record")
+
+    def test_a_trace_of_a_bool_seq_and_non_finite_at_exit_2(self, tmp_path, capsys):
+        (tmp_path / "trace.ndjson").write_text(
+            '{"seq":true,"at":false,"kind":"run"}\n{"seq":1,"at":1e400,"kind":"outcome","outcome":"Success"}\n')
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable trace: line 1 is not a record")
 
     def test_record_missing_a_field_exit_2(self, run_dir, capsys):
         trace = run_dir / "trace.ndjson"

@@ -54,7 +54,7 @@ class FullScanEngine(CheckedEngine):
             for index, action in enumerate(self.doc.actions):
                 if action.name in self.dispatched:
                     continue
-                if not dependency_satisfied(action.depends, self.nodes, self.clock):
+                if not dependency_satisfied(action.depends, self.nodes, self.now):
                     self._maybe_arm_after(action, index)
                     continue
                 self.dispatched.add(action.name)
@@ -63,10 +63,10 @@ class FullScanEngine(CheckedEngine):
                 if self.finished:
                     return
 
-    def _evaluate_state_assertions(self, now):
+    def _evaluate_state_assertions(self):
         for name in self.asserts:  # in document order
             if self._live(name):
-                self._evaluate_action_assertions(name, now, metrics=False)
+                self._evaluate_action_assertions(name, metrics=False)
 
     def _scope(self, node):
         return snapshot_scope(node)

@@ -5,13 +5,13 @@ import pytest
 from whatif.dsl import DependsClause, Template, parse_scenario, validate
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
 from whatif.errors import InvalidScenario, UnknownHandle
-from whatif.events import Event, EventKind, SimClock
+from whatif.events import Event, EventKind
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 from whatif.report import build_report
 from whatif.trace import RunTrace
 
 from conftest import SCENARIOS, script_template
-from oracles import assert_one_time_per_fact
+from oracles import assert_one_time_per_fact, run_one_time_per_step
 from test_acceptance import CORPUS_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES
 from test_golden import GOLDEN, _build, corpus_docs
 
@@ -21,10 +21,11 @@ def state_event(subject, phase, mode="", reason=""):
 
 
 class LaggingEngine(Engine):
-    """A defective engine: it stamps each State event's facts 1 s before it handles them."""
+    """A defective engine: it stamps each State event's facts 1 s before the event's own record."""
 
-    def _on_state(self, event, now):
-        super()._on_state(event, now - 1.0)
+    def _on_state(self, event):
+        self.now -= 1.0
+        super()._on_state(event)
 
 
 def nodes(tree):
@@ -32,10 +33,11 @@ def nodes(tree):
 
 
 def cycle(engine, event):
-    """Run one reconciliation cycle; return the trace records it appended."""
+    """Run one reconciliation cycle; return the trace records it appended after the event's own."""
     start = len(engine.trace)
     engine.reconcile(event)
-    return engine.trace.records[start:]
+    assert engine.trace.records[start].data == event.describe()
+    return engine.trace.records[start + 1:]
 
 
 def report_regions(trace) -> dict:
@@ -115,29 +117,29 @@ class TestDependencySatisfied:
     def test_running_target(self):
         tree = self.tree(masters=(Phase.RUNNING, 1.0))
         clause = DependsClause(running=["masters"])
-        assert dependency_satisfied(clause, nodes(tree), SimClock(2.0))
+        assert dependency_satisfied(clause, nodes(tree), 2.0)
 
     def test_success_required_not_running(self):
         tree = self.tree(boot=(Phase.RUNNING, 1.0))
         clause = DependsClause(success=["boot"])
-        assert not dependency_satisfied(clause, nodes(tree), SimClock(2.0))
+        assert not dependency_satisfied(clause, nodes(tree), 2.0)
 
     def test_after_delay(self):
         tree = self.tree(boot=(Phase.SUCCESS, 0.0))
         tree.children[0].phase_times[Phase.SUCCESS] = 0.0
         clause = DependsClause(success=["boot"], after=10.0)
-        assert not dependency_satisfied(clause, nodes(tree), SimClock(5.0))
-        assert dependency_satisfied(clause, nodes(tree), SimClock(10.0))
+        assert not dependency_satisfied(clause, nodes(tree), 5.0)
+        assert dependency_satisfied(clause, nodes(tree), 10.0)
 
     def test_running_satisfied_by_later_success(self):
         tree = self.tree(fast=(Phase.SUCCESS, 1.0))
         clause = DependsClause(running=["fast"])
-        assert dependency_satisfied(clause, nodes(tree), SimClock(2.0))
+        assert dependency_satisfied(clause, nodes(tree), 2.0)
 
     def test_failed_target_never_satisfies(self):
         tree = self.tree(bad=(Phase.FAILED, 1.0))
-        assert not dependency_satisfied(DependsClause(running=["bad"]), nodes(tree), SimClock(9.0))
-        assert not dependency_satisfied(DependsClause(success=["bad"]), nodes(tree), SimClock(9.0))
+        assert not dependency_satisfied(DependsClause(running=["bad"]), nodes(tree), 9.0)
+        assert not dependency_satisfied(DependsClause(success=["bad"]), nodes(tree), 9.0)
 
     def test_ready_since_is_latest_target_time(self):
         tree = self.tree(a=(Phase.SUCCESS, 3.0), b=(Phase.SUCCESS, 7.0))
@@ -359,6 +361,20 @@ class TestRunOutcomes:
         assert [r.kind for r in result.trace][-2:] == ["command", "outcome"]
         assert_one_time_per_fact(result)  # the refused record is not in the trace
 
+    def test_an_item_due_before_the_simulated_time_aborts_the_run(self):
+        """The simulated clock never goes back: an item queued in the past is an engine defect, and the run aborts."""
+
+        class PastDue(Engine):
+            def _on_state(self, event):
+                super()._on_state(event)
+                if event.phase is Phase.RUNNING:
+                    self.queue.push(self.now - 1.0, Event(EventKind.TIME, timer_id="late"))
+
+        result = PastDue(parse_scenario(self.SOLO)).run()
+        assert (result.outcome, result.reason) == (
+            Outcome.ABORTED, "internal error: ValueError: cannot set the simulated clock back from 0.0 to -1.0")
+        assert [r.kind for r in result.trace][-2:] == ["command", "outcome"]
+
     def test_illegal_transition_in_a_dispatch_aborts_the_run(self):
         """An engine bug met while dispatching is no test failure: the run aborts (exit 3)."""
         doc = parse_scenario(
@@ -491,14 +507,15 @@ class TestTraceInvariants:
 
     def test_timestamps_non_decreasing(self, partition_demo):
         """On the demo, the golden documents, the 25 corpus documents and the
-        panic run, record times never decrease and every transition record is
-        stamped at the phase time the engine decided on."""
+        panic run, record times never decrease, every transition record is
+        stamped at the phase time the engine decided on, and every record of
+        one step carries that step's reading of the clock."""
         runs = [partition_demo, *(_build(name) for name in sorted(GOLDEN))]
         runs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
         runs.append((parse_scenario(PANIC_DOC), PANIC_TEMPLATES))
         assert len(runs) == 31
         for doc, templates in runs:
-            assert_one_time_per_fact(run_scenario(doc, templates))
+            run_one_time_per_step(Engine(doc, templates))
 
     def test_determinism_two_runs_byte_identical(self, partition_demo):
         doc, templates = partition_demo

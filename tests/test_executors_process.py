@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import REPO
-from oracles import assert_one_time_per_fact
+from oracles import run_one_time_per_step
 
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import Engine, Outcome, run_scenario
@@ -477,9 +477,50 @@ spec:
   chaos: { fault: { kind: kill, targets: [a] } }
 """)
     before = threading.active_count()
-    result = run_scenario(doc, {"emitter": Template("emitter", {}, body)}, CountingExecutor())
+    result = run_one_time_per_step(Engine(doc, {"emitter": Template("emitter", {}, body)}, CountingExecutor()))
     assert result.outcome is Outcome.FAILED
-    assert_one_time_per_fact(result)
     assert result.store.series("beats")
     assert counts and set(counts) == {before}
     assert threading.active_count() == before
+
+
+def _at(result, kind, **data):
+    """The ``at`` of the one record of ``kind`` whose fields include ``data``."""
+    [at] = [r.at for r in result.trace if r.kind == kind and data.items() <= r.data.items()]
+    return at
+
+
+def test_a_dependent_is_dispatched_at_the_time_its_depends_held():
+    """An event and every record its cycle writes share one reading of the wall clock."""
+    doc = parse_scenario("""
+spec:
+- { action: Service, name: a, service: { command: 'sleep 0.1' } }
+- { action: Service, name: b, depends: { running: [a] }, service: { command: 'true' } }
+""")
+    result = run_one_time_per_step(Engine(doc, {}, ProcessExecutor()))
+    assert result.outcome is Outcome.SUCCESS, result.reason
+    running = _at(result, "transition", subject="a", to="Running")
+    assert _at(result, "event", event="State", subject="a", phase="Running") == running
+    assert _at(result, "command", verb="CreateJob", target="b") == running
+
+
+def test_an_after_delay_is_waited_out_with_no_job_alive():
+    """The executor sleeps until the `after:` timer falls due, with no job left to bring news."""
+    waits = []
+
+    class RecordingExecutor(ProcessExecutor):
+        def wait(self, timeout):
+            waits.append((len(self._pidfds), timeout))
+            return super().wait(timeout)
+
+    doc = parse_scenario("""
+spec:
+- { action: Service, name: a, service: { command: 'true' } }
+- { action: Call, name: b, depends: { success: [a], after: 300ms }, call: { callable: t, services: [] } }
+""")
+    result = run_one_time_per_step(Engine(doc, {"t": Template("t", {}, "command: 'true'\n")}, RecordingExecutor()))
+    assert result.outcome is Outcome.SUCCESS, result.reason
+    created = _at(result, "command", verb="CreateJob", target="b")
+    assert created == _at(result, "event", event="Time", timer="after:b")
+    assert created >= _at(result, "transition", subject="a", to="Success") + 0.3
+    assert any(jobs == 0 and timeout is not None and timeout > 0 for jobs, timeout in waits), waits

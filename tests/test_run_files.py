@@ -160,6 +160,11 @@ MUTATIONS = {
     "trailing-non-json-space": lambda lines: [*lines[:3], lines[3] + "\x1f", *lines[4:]],
     "missing-at": lambda lines: [*lines[:3], '{"seq":3,"kind":"run"}', *lines[4:]],
     "string-at": lambda lines: [*lines[:3], '{"seq":3,"at":"0","kind":"run"}', *lines[4:]],
+    "bool-seq": lambda lines: [*lines[:3], '{"seq":true,"at":0.0,"kind":"run"}', *lines[4:]],
+    "bool-at": lambda lines: [*lines[:3], '{"seq":3,"at":false,"kind":"run"}', *lines[4:]],
+    "infinite-at": lambda lines: [*lines[:3], '{"seq":3,"at":1e400,"kind":"run"}', *lines[4:]],
+    "nan-at": lambda lines: [*lines[:3], '{"seq":3,"at":NaN,"kind":"run"}', *lines[4:]],
+    "huge-int-at": lambda lines: [*lines[:3], '{"seq":3,"at":' + "9" * 400 + ',"kind":"run"}', *lines[4:]],
 }
 
 
@@ -170,7 +175,7 @@ class TestTraceReader:
         path.write_text("\n".join(MUTATIONS[mutation](demo_lines)) + "\n", encoding="ascii")
         expected = outcome(load_trace_per_line, path)
         assert outcome(load_trace, path) == expected
-        assert isinstance(expected, list) == (mutation in ("unchanged", "json-whitespace-padding", "blank-lines"))
+        assert isinstance(expected, list) == (mutation in ("unchanged", "json-whitespace-padding", "blank-lines", "huge-int-at"))
 
     @settings(max_examples=300, deadline=None)
     @given(inserted=st.lists(st.text(alphabet=' \t{}[]",:.-+0123456789aeflnrstuE\\', max_size=30), max_size=4),
