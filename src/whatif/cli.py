@@ -37,6 +37,7 @@ EXIT_ABORTED = 3
 
 
 def _load_inputs(scenario_path: str, template_dir):
+    """Raises for an unreadable file, text that is not YAML or a bad template library, not for a schema error."""
     text = Path(scenario_path).read_text()
     doc = parse_scenario(text)
     templates = load_templates(template_dir) if template_dir else {}

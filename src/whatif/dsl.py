@@ -35,16 +35,7 @@ from typing import Optional
 import yaml
 
 from .durations import format_duration, parse_duration
-from .errors import (
-    ExprSyntaxError,
-    Finding,
-    IndexOutOfRange,
-    MissingParameter,
-    ScenarioSyntaxError,
-    SchemaError,
-    UnknownCluster,
-    UnknownParameter,
-)
+from .errors import ExprSyntaxError, Finding, ScenarioSyntaxError, SchemaError
 from .executors.base import parse_fault_body, parse_job_body
 from .expressions import MetricsExprAst, check_scope, parse_expression
 from .lifecycle import ResourceNode
@@ -141,20 +132,23 @@ class ActionSpec(Value):
 
 
 class ScenarioDoc(Value):
-    __slots__ = ("name", "actions", "timeout", "warnings")
-    _uncompared = ("warnings",)
+    """A parsed document; ``findings`` are what its parse found, which equality ignores."""
+
+    __slots__ = ("name", "actions", "timeout", "findings", "_reported")
+    _uncompared = ("findings", "_reported")
 
     def __init__(
         self,
         name: str = "scenario",
         actions: Optional[list[ActionSpec]] = None,
         timeout: Optional[float] = None,  # `defaults.timeout`
-        warnings: Optional[list[str]] = None,
+        findings: Optional[list[Finding]] = None,
     ):
         self.name = name
         self.actions = [] if actions is None else actions
         self.timeout = timeout
-        self.warnings = [] if warnings is None else warnings
+        self.findings = [] if findings is None else findings
+        self._reported: set[int] = set()  # positions in `actions` of the actions `findings` reports
 
     def action(self, name: str) -> Optional[ActionSpec]:
         for action in self.actions:
@@ -257,7 +251,11 @@ def _parse_depends(raw, where: str) -> DependsClause:
     return clause
 
 
-def _parse_action(raw, position: int) -> ActionSpec:
+def _parse_action(doc: ScenarioDoc, position: int, raw) -> None:
+    """Parse one ``spec`` entry; its action joins ``doc.actions`` once its kind and name parse.
+
+    The body parses first, as other actions' macros expand to a Cluster's instances.
+    """
     if not isinstance(raw, dict):
         raise SchemaError(f"spec[{position}]: action entry must be a map")
     kind = raw.get("action")
@@ -268,6 +266,15 @@ def _parse_action(raw, position: int) -> ActionSpec:
     _require_ident(name, f"{where}.name")
 
     action = ActionSpec(name=name, kind=kind)
+    doc.actions.append(action)
+    body_key = kind.lower()
+    body = raw.get(body_key)
+    if body is None:
+        body = {}
+    if not isinstance(body, dict):
+        raise SchemaError(f"{where}: {body_key} body must be a map")
+    _BODY_PARSERS[kind](action, body, where)
+
     action.depends = _parse_depends(raw.get("depends"), where)
     if "timeout" in raw:
         action.timeout = _parse_duration_field(raw["timeout"], f"{where}.timeout")
@@ -275,21 +282,10 @@ def _parse_action(raw, position: int) -> ActionSpec:
         if not isinstance(raw["assertions"], list) or not all(isinstance(a, str) for a in raw["assertions"]):
             raise SchemaError(f"{where}: assertions must be a list of expression strings")
         action.assertions = list(raw["assertions"])
-
-    body_key = kind.lower()
-    body = raw.get(body_key)
     known_keys = {"action", "name", "depends", "timeout", "assertions", body_key}
     for key in raw:
         if key not in known_keys:
             raise SchemaError(f"{where}: unknown key {key!r}")
-    if body is None:
-        body = {}
-    if not isinstance(body, dict):
-        raise SchemaError(f"{where}: {body_key} body must be a map")
-
-    parser = _BODY_PARSERS[kind]
-    parser(action, body, where)
-    return action
 
 
 def _parse_cluster_body(action: ActionSpec, body: dict, where: str) -> None:
@@ -374,44 +370,66 @@ _BODY_PARSERS = {
 }
 
 
-def parse_scenario(text: str) -> ScenarioDoc:
-    """Parse a scenario document.
+def _spec_entries(raw) -> list:
+    if not isinstance(raw, dict):
+        raise SchemaError("scenario document must be a mapping")
+    if "spec" not in raw:
+        raise SchemaError("missing mandatory top-level key 'spec'")
+    if raw["spec"] is None:
+        return []
+    if not isinstance(raw["spec"], list):
+        raise SchemaError("'spec' must be a list of actions")
+    return raw["spec"]
 
-    Actions keep document order. Unknown top-level keys are collected as
-    warnings; unknown action kinds raise SchemaError.
+
+def _parse_top_level(doc: ScenarioDoc, key, value) -> None:
+    if key == "name":
+        doc.name = _require_ident(value, "name")
+    elif key == "defaults":
+        if not isinstance(value, dict):
+            raise SchemaError("'defaults' must be a map")
+        if "timeout" in value:
+            doc.timeout = _parse_duration_field(value["timeout"], "defaults.timeout")
+        for default in value:
+            if default != "timeout":
+                raise SchemaError(f"defaults: unknown key {default!r}")
+    elif key != "spec":
+        doc.findings.append(Finding("warning", "document", f"unknown top-level key {key!r}"))
+
+
+def parse_scenario(text: str) -> ScenarioDoc:
+    """Parse a scenario document; every schema error is a finding in ``doc.findings``.
+
+    Only text that is not YAML raises (``ScenarioSyntaxError``). An error
+    stops only the top-level key or action entry it is in. An entry whose
+    kind and name parse is reported at its name, at its first error, and
+    stays in ``doc.actions`` with what parsed before it, so that references
+    to it resolve; ``compile_scenario`` runs none of its checks. Any other
+    error, and an unknown top-level key (a warning), is at ``document``.
     """
     try:
         raw = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError(str(exc)) from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise SchemaError("scenario document must be a mapping")
-    if "spec" not in raw:
-        raise SchemaError("missing mandatory top-level key 'spec'")
-    spec = raw["spec"]
-    if spec is None:
-        spec = []
-    if not isinstance(spec, list):
-        raise SchemaError("'spec' must be a list of actions")
-
     doc = ScenarioDoc()
-    if "name" in raw:
-        doc.name = _require_ident(raw["name"], "name")
-    if "defaults" in raw:
-        defaults = raw["defaults"]
-        if not isinstance(defaults, dict):
-            raise SchemaError("'defaults' must be a map")
-        if "timeout" in defaults:
-            doc.timeout = _parse_duration_field(defaults["timeout"], "defaults.timeout")
-        for key in defaults:
-            if key != "timeout":
-                raise SchemaError(f"defaults: unknown key {key!r}")
-    for key in raw:
-        if key not in ("name", "spec", "defaults"):
-            doc.warnings.append(f"unknown top-level key {key!r}")
-    doc.actions = [_parse_action(entry, i) for i, entry in enumerate(spec)]
+    raw = {} if raw is None else raw
+    try:
+        entries = _spec_entries(raw)
+    except SchemaError as exc:
+        doc.findings.append(Finding("error", "document", str(exc)))
+        return doc
+    parts = [(_parse_top_level, key, value) for key, value in raw.items()]
+    parts += [(_parse_action, position, entry) for position, entry in enumerate(entries)]
+    for parse, key, value in parts:
+        parsed = len(doc.actions)
+        try:
+            parse(doc, key, value)
+        except SchemaError as exc:
+            location = "document"
+            if len(doc.actions) > parsed:
+                location = doc.actions[-1].name
+                doc._reported.add(parsed)
+            doc.findings.append(Finding("error", location, str(exc)))
     return doc
 
 
@@ -518,15 +536,16 @@ def load_templates(directory) -> dict[str, Template]:
     return library
 
 
-def _resolve_inputs(template: Template, inputs: dict) -> dict:
-    """Each parameter's value: its input, else its default.
+def instantiate_template(template: Template, inputs: dict) -> str:
+    """Replace every ``{{placeholder}}`` with its input in one literal pass.
 
-    Inputs must be declared parameters; parameters without defaults must be
-    supplied.
+    This is what a template means; the result carries no remaining markers.
+    A parameter's value is its input, else its default: inputs must be
+    declared parameters, and parameters without defaults must be supplied.
     """
     for key in inputs:
         if key not in template.parameters:
-            raise UnknownParameter(key)
+            raise SchemaError(f"unknown parameter {key!r}")
     resolved = {}
     for key, default in template.parameters.items():
         if key in inputs:
@@ -534,16 +553,7 @@ def _resolve_inputs(template: Template, inputs: dict) -> dict:
         elif default is not None:
             resolved[key] = default
         else:
-            raise MissingParameter(key)
-    return resolved
-
-
-def instantiate_template(template: Template, inputs: dict) -> str:
-    """Replace every ``{{placeholder}}`` with its input in one literal pass.
-
-    This is what a template means; the result carries no remaining markers.
-    """
-    resolved = _resolve_inputs(template, inputs)
+            raise SchemaError(f"missing parameter {key!r}")
     return _PLACEHOLDER_RE.sub(lambda m: resolved[m.group(1)], template.body)
 
 
@@ -563,12 +573,12 @@ def expand_macro(macro: str, clusters: dict) -> list[str]:
     cluster_name, selector = match.group(1), match.group(2)
     instances = clusters.get(cluster_name)
     if instances is None:
-        raise UnknownCluster(cluster_name)
+        raise SchemaError(f"unknown cluster {cluster_name!r}")
     if selector == "all":
         return cluster_child_names(cluster_name, instances)
     index = int(selector)
     if index >= instances:
-        raise IndexOutOfRange(f"{macro}: cluster has {instances} instances")
+        raise SchemaError(f"{macro}: cluster has {instances} instances")
     return [f"{cluster_name}-{index}"]
 
 
@@ -673,26 +683,28 @@ def compile_scenario(
     templateRef, macros, chaos targets, checkpoints), names used twice, job
     and fault bodies that do not parse, expression errors with scope
     violations, cluster tolerance bounds, and actions that could block
-    forever when no timeout applies at any level.
+    forever when no timeout applies at any level. It starts with the parse's
+    findings, and an action reported there gets none of these checks.
     """
     templates = templates or {}
     plan = Plan(ResourceNode(doc.name, kind="scenario"))
     findings = plan.report.findings
-    findings.extend(Finding("warning", "document", warning) for warning in doc.warnings)
+    findings.extend(doc.findings)
 
-    action_nodes = []
-    for action in doc.actions:
+    checked = []  # (index, action, node) of each action that parsed without error
+    for index, action in enumerate(doc.actions):
         node = plan._add(ResourceNode(action.name, kind=action.kind.lower()), plan.tree)
-        action_nodes.append(node)
+        if index not in doc._reported:
+            checked.append((index, action, node))
         if action.kind == "Cluster":
             node.tolerated = action.tolerated_failures
-            plan.clusters[action.name] = action.instances
-            for child_name in cluster_child_names(action.name, action.instances):
+            plan.clusters[action.name] = instances = action.instances or 0  # None: unparsed
+            for child_name in cluster_child_names(action.name, instances):
                 plan._add(ResourceNode(child_name, kind="service"), node)
 
     # Dependencies: dangling references, then cycles via topological scan.
     edges: dict[str, list[str]] = {a.name: [] for a in doc.actions}
-    for index, action in enumerate(doc.actions):
+    for index, action, _ in checked:
         for dep in action.depends.names():
             if dep not in edges:
                 findings.append(Finding("error", action.name, f"unknown action: {dep}"))
@@ -707,12 +719,12 @@ def compile_scenario(
     checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
     scenario_timeout = default_timeout if doc.timeout is None else doc.timeout
     parsed: dict = {}  # instantiated job text -> its JobSpec, across actions
-    for action, node in zip(doc.actions, action_nodes):
+    for _, action, node in checked:
         plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
         findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed))
 
     if default_timeout is None and doc.timeout is None:
-        for action in doc.actions:
+        for _, action, _ in checked:
             if action.timeout is None and (action.depends.running or action.depends.success):
                 findings.append(Finding(
                     "error", action.name,
@@ -760,13 +772,14 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
             plan.texts[name] = texts
             for inputs in (action.inputs if action.kind == "Cluster" else action.inputs[:1]) or [{}]:
                 try:
-                    values = _resolve_inputs(template, _with_builtins(template, inputs, action, plan.clusters))
-                except (MissingParameter, UnknownParameter) as exc:
-                    findings.append(Finding("error", name, f"template {ref}: {type(exc).__name__}: {exc}"))
-                    break
-                except (SchemaError, UnknownCluster, IndexOutOfRange):
+                    inputs = _with_builtins(template, inputs, action, plan.clusters)
+                except SchemaError:
                     break  # a bad services macro, reported with the call's targets below
-                texts.append(instantiate_template(template, values))
+                try:
+                    texts.append(instantiate_template(template, inputs))
+                except SchemaError as exc:
+                    findings.append(Finding("error", name, f"template {ref}: {exc}"))
+                    break
 
     if action.kind in ("Service", "Cluster", "Call"):
         specs = plan.jobs[name] = []
@@ -796,7 +809,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
         if isinstance(fault_body, dict):
             try:
                 spec = parse_fault_body(fault_body, plan.clusters)
-            except (SchemaError, UnknownCluster, IndexOutOfRange) as exc:
+            except SchemaError as exc:
                 findings.append(Finding("error", name, f"invalid fault: {exc}"))
             else:
                 for target in spec.targets + spec.dst:
@@ -830,7 +843,7 @@ def _load_instance(template: Template, text: str):
 def _check_target(target, owner, plan) -> list[Finding]:
     try:
         expanded = expand_macro(target, plan.clusters)
-    except (SchemaError, UnknownCluster, IndexOutOfRange) as exc:
+    except SchemaError as exc:
         return [Finding("error", owner, f"bad target {target!r}: {exc}")]
     return [Finding("warning", owner, f"unknown service: {name}") for name in expanded if not plan.is_service(name)]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 _SEGMENT = re.compile(r"(\d+(?:\.\d+)?)(ms|s|m|h)")
 
@@ -30,7 +31,7 @@ def _seconds(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < 0:
             raise ValueError(f"negative duration: {value!r}")
-        return float(value)
+        return math.inf if value > sys.float_info.max else float(value)  # an int too large for a float
     if not isinstance(value, str):
         raise ValueError(f"not a duration: {value!r}")
     text = value.strip()

@@ -16,23 +16,7 @@ class ScenarioSyntaxError(WhatifError):
 
 
 class SchemaError(WhatifError):
-    """The document parses but violates the scenario schema."""
-
-
-class MissingParameter(WhatifError):
-    """A template parameter without a default was not supplied."""
-
-
-class UnknownParameter(WhatifError):
-    """An input key does not match any declared template parameter."""
-
-
-class UnknownCluster(WhatifError):
-    """An addressing macro names a cluster that is not declared."""
-
-
-class IndexOutOfRange(WhatifError):
-    """An addressing macro indexes past the cluster's instance count."""
+    """The document parses but violates the scenario schema, or a template input or macro does not resolve."""
 
 
 class InvalidScenario(WhatifError):

@@ -199,7 +199,7 @@ def _parse_effect(raw, index: int) -> SimEffect:
         metric = str(raw["name"])
         try:
             value = float(raw["value"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             value = math.nan
         if math.isnan(value):
             raise SchemaError(f"script[{index}].value: expected a number, got {raw['value']!r}")

@@ -33,7 +33,7 @@ from .lifecycle import (
     ResourceNode,
     aggregate_phase,
     find_node,  # unused here; bench/tracer.py wraps it on this module
-    iter_nodes,
+    iter_nodes,  # likewise unused here, and wrapped there
 )
 from .values import FrozenValue
 
@@ -652,12 +652,9 @@ def expiry_instant(at: float, window: float) -> float:
 def scope_job_nodes(owner_node: ResourceNode) -> list[ResourceNode]:
     """The jobs one resource may assert over: exactly those it created.
 
-    Clusters see their child services, leaf actions see their own single
-    job, and the scenario root sees every level of its hierarchy (the one
-    sanctioned downward reach).
+    Clusters see their child services, and leaf actions see their own single
+    job.
     """
-    if owner_node.owner is None:
-        return [node for node in iter_nodes(owner_node) if node is not owner_node]
     if owner_node.children:
         return list(owner_node.children)
     return [owner_node]
@@ -675,9 +672,8 @@ def snapshot_scope(owner_node: ResourceNode) -> ScopeSnapshot:
 def check_scope(ast, owner_node: ResourceNode, nodes: dict) -> list[Finding]:
     """Reject state expressions that reach outside the owner's local scope.
 
-    Jobs referenced by name must have been created by the owner; the
-    scenario root may reference any level of the hierarchy. ``nodes`` maps
-    every name of the tree to its node. Metrics expressions are exempt:
+    Jobs referenced by name must have been created by the owner. ``nodes``
+    maps every name of the tree to its node. Metrics expressions are exempt:
     cross-references to a job's performance metrics are allowed.
     """
     if isinstance(ast, MetricsExprAst):

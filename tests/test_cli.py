@@ -20,6 +20,7 @@ BAD_JOB_BODY = SCENARIOS / "invalid" / "bad-job-body.yaml"
 BAD_METRIC_VALUE = SCENARIOS / "invalid" / "bad-metric-value.yaml"
 BAD_TIMESTAMP = SCENARIOS / "invalid" / "bad-timestamp.yaml"
 BAD_DURATION = SCENARIOS / "invalid" / "bad-duration.yaml"
+SEVERAL_ERRORS = SCENARIOS / "invalid" / "several-errors.yaml"
 
 NINES = "9" * 400  # overflows a float to inf
 SERVICE = ("{action: Service, name: s, service: {declares: [m], script: [{at: 0s, do: running}, "
@@ -149,6 +150,8 @@ class TestValidate:
                      "defaults.timeout: not a finite duration: nan", id="default-timeout"),
         pytest.param("spec:\n- {action: Call, name: c, timeout: .inf, call: {callable: t, services: []}}\n",
                      "(c).timeout: not a finite duration: inf", id="timeout"),
+        pytest.param(f"spec:\n- {{action: Call, name: c, timeout: {NINES}, call: {{callable: t, services: []}}}}\n",
+                     "(c).timeout: not a finite duration: 999", id="integer-timeout"),
         pytest.param(f"spec:\n- {{action: Call, name: c, depends: {{after: '{NINES}s'}}, call: {{callable: t, services: []}}}}\n",
                      "(c).depends.after: not a finite duration: '999", id="after"),
         pytest.param(f"spec:\n- {SERVICE}\n- {{action: Chaos, name: k, chaos: {{fault: {{kind: suspend, targets: [s], duration: .nan}}}}}}\n",
@@ -168,7 +171,25 @@ class TestValidate:
 
     def test_bad_duration_file_exit_2(self, capsys):
         assert main(["validate", str(BAD_DURATION)]) == 2
-        assert "defaults.timeout: not a finite duration: nan" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        errors = captured.out.splitlines()
+        assert len(errors) == 2 and captured.err == ""
+        assert errors[0] == "error: document: defaults.timeout: not a finite duration: nan"
+        assert errors[1].startswith("error: emitter: expression 'MAX() QUERY(load, 999")
+        assert "query window: not a finite duration: '999" in errors[1]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_several_errors_file_reports_each_action_once(self, command, tmp_path, capsys):
+        args = [command, str(SEVERAL_ERRORS)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "warning: document: unknown top-level key 'owner'",
+            "error: server: spec[0] (server).timeout: not a finite duration: nan",
+            "error: client: spec[1] (client): depends must be a map",
+            "error: stall: spec[2] (stall): unknown body key 'retries'",
+        ]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_finite_timeout_default_exit_2(self, command, capsys):

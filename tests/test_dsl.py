@@ -3,9 +3,12 @@
 import math
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from conftest import SCENARIOS
 from whatif.dsl import (
+    ACTION_KINDS,
     ActionSpec,
     DependsClause,
     ScenarioDoc,
@@ -13,20 +16,15 @@ from whatif.dsl import (
     compile_scenario,
     expand_macro,
     instantiate_template,
+    load_templates,
     parse_scenario,
     parse_template,
     render_scenario,
     validate,
 )
 from whatif.durations import parse_duration
-from whatif.errors import (
-    IndexOutOfRange,
-    MissingParameter,
-    ScenarioSyntaxError,
-    SchemaError,
-    UnknownCluster,
-    UnknownParameter,
-)
+from whatif.errors import Finding, ScenarioSyntaxError, SchemaError
+from whatif.executors.base import EFFECT_OPS, FAULT_KINDS
 
 DEMO_KINDS = [
     ("masters", "Cluster"),
@@ -59,25 +57,38 @@ class TestParseScenario:
         assert doc.name == "scenario"
 
     def test_unknown_kind_rejected(self):
-        text = "spec:\n- action: Teleport\n  name: beam\n"
-        with pytest.raises(SchemaError, match="beam|Teleport"):
-            parse_scenario(text)
+        doc = parse_scenario("spec:\n- action: Teleport\n  name: beam\n")
+        assert doc.actions == []
+        assert doc.findings == [Finding("error", "document", "spec[0] (beam): unknown action kind 'Teleport'")]
 
     def test_unknown_top_level_key_warns(self):
         doc = parse_scenario("spec: []\nextras: 1\n")
-        assert any("extras" in w for w in doc.warnings)
+        assert doc.findings == [Finding("warning", "document", "unknown top-level key 'extras'")]
+
+    @pytest.mark.parametrize("text,message", [
+        ("- 1\n", "scenario document must be a mapping"),
+        ("name: x\ndefaults: 1\n", "missing mandatory top-level key 'spec'"),
+        ("spec: {a: 1}\n", "'spec' must be a list of actions"),
+    ])
+    def test_a_bad_document_shape_is_one_error(self, text, message):
+        assert parse_scenario(text).findings == [Finding("error", "document", message)]
 
     def test_malformed_markup(self):
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario("spec: [unclosed\n  nope: {")
 
     def test_missing_mandatory_field(self):
-        with pytest.raises(SchemaError, match="instances"):
-            parse_scenario("spec:\n- action: Cluster\n  name: c\n  cluster: { templateRef: x }\n")
+        doc = parse_scenario("spec:\n- action: Cluster\n  name: c\n  cluster: { templateRef: x }\n")
+        assert doc.findings == [Finding("error", "c", "spec[0] (c): cluster requires instances")]
+        assert [(a.name, a.instances) for a in doc.actions] == [("c", None)]
+        assert [str(f) for f in validate(doc).findings] == ["error: c: spec[0] (c): cluster requires instances"]
 
     def test_bad_identifier(self):
-        with pytest.raises(SchemaError, match="identifier"):
-            parse_scenario("spec:\n- action: Call\n  name: 'has space'\n  call: {callable: x, services: []}\n")
+        doc = parse_scenario("spec:\n- action: Call\n  name: 'has space'\n  call: {callable: x, services: []}\n")
+        assert doc.actions == []
+        assert doc.findings == [
+            Finding("error", "document", "spec[0] (has space).name: invalid identifier 'has space'"),
+        ]
 
     def test_duration_fields(self):
         doc = parse_scenario(
@@ -103,6 +114,7 @@ class TestDurations:
     @pytest.mark.parametrize("bad", [
         "", "10x", "m10", "-5s", None, math.nan, math.inf, pytest.param("9" * 400, id="400-nines"),
         pytest.param("9" * 400 + "s", id="400-nines-s"), pytest.param("9" * 308 + "h", id="308-nines-h"),
+        pytest.param(10**400, id="int-past-float"),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -122,12 +134,12 @@ class TestTemplates:
 
     def test_unknown_parameter(self):
         tmpl = Template("t", {"source": None}, "x {{source}}")
-        with pytest.raises(UnknownParameter, match="typo"):
+        with pytest.raises(SchemaError, match="typo"):
             instantiate_template(tmpl, {"typo": "x"})
 
     def test_missing_parameter(self):
         tmpl = Template("t", {"source": None}, "x {{source}}")
-        with pytest.raises(MissingParameter, match="source"):
+        with pytest.raises(SchemaError, match="source"):
             instantiate_template(tmpl, {})
 
     def test_default_applies(self):
@@ -176,11 +188,11 @@ class TestMacros:
         assert expand_macro("masters-3", clusters) == ["masters-3"]
 
     def test_index_out_of_range(self, clusters):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(SchemaError, match="cluster has 4 instances"):
             expand_macro(".cluster.masters.7", clusters)
 
     def test_unknown_cluster(self, clusters):
-        with pytest.raises(UnknownCluster):
+        with pytest.raises(SchemaError, match="unknown cluster 'ghost'"):
             expand_macro(".cluster.ghost.all", clusters)
 
     def test_malformed_macro(self, clusters):
@@ -332,7 +344,22 @@ class TestValidate:
             "spec:\n- action: Call\n  name: a\n  call: { callable: t, services: [ .cluster.ghost.all ] }\n"
         )
         report = validate(doc, {"t": Template("t", {"services": None}, "command: true\n")})
-        assert [f.message for f in report.errors()] == ["bad target '.cluster.ghost.all': ghost"]
+        assert [f.message for f in report.errors()] == ["bad target '.cluster.ghost.all': unknown cluster 'ghost'"]
+
+    def test_an_action_named_document_is_checked_beside_a_document_error(self):
+        doc = parse_scenario(
+            "defaults: {timeout: .nan}\n"
+            "spec:\n- {action: Service, name: document, depends: {success: [ghost]}, service: {command: 'true'}}\n"
+        )
+        assert [str(f) for f in validate(doc).errors()] == [
+            "error: document: defaults.timeout: not a finite duration: nan",
+            "error: document: unknown action: ghost",
+        ]
+
+    def test_a_template_input_that_does_not_resolve_is_a_finding(self):
+        doc = parse_scenario("spec:\n- {action: Service, name: s, service: {templateRef: t, inputs: [{typo: 1}]}}\n")
+        report = validate(doc, {"t": Template("t", {"source": None}, "command: {{source}}\n")})
+        assert [str(f) for f in report.findings] == ["error: s: template t: unknown parameter 'typo'"]
 
     @pytest.mark.parametrize("kind", ["Service", "Call", "Chaos"])
     def test_only_the_first_inputs_map_is_compiled(self, kind):
@@ -465,3 +492,122 @@ def _ref_docs(draw):
 def test_validate_matches_brute_force(doc):
     templates = {"t": Template("t", {}, "command: true\n")}
     assert validate(doc, templates).ok == brute_force_accepts(doc)
+
+
+# --- every schema error is a finding ---------------------------------------------
+
+CORPUS = sorted(SCENARIOS.glob("*.yaml"))  # the valid documents; scenarios/invalid is not globbed
+CORPUS_TEMPLATES = load_templates(SCENARIOS / "templates")
+
+
+def _unknown_key(entry):
+    entry["retries"] = 3
+
+
+def _nan_timeout(entry):
+    entry["timeout"] = math.nan
+
+
+def _scalar_assertions(entry):
+    entry["assertions"] = 5
+
+
+def _unknown_body_key(entry):
+    entry[entry["action"].lower()]["retries"] = 3
+
+
+def _depends_list(entry):
+    entry["depends"] = ["x"]
+
+
+INJECTED_ERRORS = [_unknown_key, _nan_timeout, _scalar_assertions, _unknown_body_key, _depends_list]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_k_injected_errors_are_k_findings_each_at_its_action(data):
+    raw = yaml.safe_load(data.draw(st.sampled_from(CORPUS)).read_text())
+    entries = raw["spec"]
+    broken = data.draw(st.lists(st.sampled_from(range(len(entries))), unique=True))
+    for index in broken:
+        data.draw(st.sampled_from(INJECTED_ERRORS))(entries[index])
+    report = validate(parse_scenario(yaml.safe_dump(raw, sort_keys=False)), CORPUS_TEMPLATES)
+    assert sorted(f.location for f in report.errors()) == sorted(entries[index]["name"] for index in broken)
+
+
+# Any YAML value. Integers stay small: a Cluster's `instances` has no upper
+# bound, and a compile builds one node per instance.
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_SCALARS, inner, max_size=3), max_leaves=6,
+)
+
+
+def _mostly(valid):
+    """A value from ``valid`` seven times in eight, any YAML value otherwise."""
+    return st.sampled_from([valid] * 7 + [_VALUES]).flatmap(lambda strategy: strategy)
+
+
+def _map(required=None, optional=None):
+    return st.fixed_dictionaries(
+        {key: _mostly(value) for key, value in (required or {}).items()},
+        optional={key: _mostly(value) for key, value in (optional or {}).items()},
+    )
+
+
+_NAMES = st.sampled_from(["a", "b", "a-0", "document"])
+_TARGETS = st.lists(st.sampled_from(["a", "b", "a-0", ".cluster.a.all", ".cluster.a.1", ".cluster.b"]), max_size=3)
+_DURATIONS = st.sampled_from(["1s", "10m", 0, 5, -1])
+_TEMPLATE_NAMES = st.sampled_from(sorted(CORPUS_TEMPLATES) + ["ghost"])
+_INPUTS = st.lists(st.dictionaries(
+    st.sampled_from(["services", "source", "dst", "duration", "direction", "x"]),
+    st.sampled_from(["a-0", "a-0, b", "10m", "to"]),
+), max_size=2)
+_EXPRESSIONS = st.text(max_size=12) | st.sampled_from([
+    ".state.failed() > 0", "a-0.state.running() == 1", "MAX() QUERY(m, 1m, now) IS ABOVE(1)",
+    "MAX() QUERY(m, 1m, now) IS ABOVE(CHECKPOINT(a.k))", "SUM() QUERY(m, 1m, now)",
+])
+_SCRIPTS = st.lists(_map(
+    {"at": _DURATIONS, "do": st.sampled_from(EFFECT_OPS)},
+    {"name": st.just("m"), "value": _SCALARS, "to": _NAMES},
+), max_size=3)
+_BODIES = {
+    "Service": _map(optional={"templateRef": _TEMPLATE_NAMES, "inputs": _INPUTS, "script": _SCRIPTS}),
+    "Cluster": _map(
+        {"templateRef": _TEMPLATE_NAMES, "instances": st.integers(0, 4)},
+        {"toleratedFailures": st.integers(0, 4), "inputs": _INPUTS},
+    ),
+    "Call": _map({"callable": _TEMPLATE_NAMES, "services": _TARGETS}, {"inputs": _INPUTS}),
+    "Chaos": _map(optional={"templateRef": _TEMPLATE_NAMES, "inputs": _INPUTS, "fault": _map(
+        {"kind": st.sampled_from(FAULT_KINDS)},
+        {"targets": _TARGETS, "source": _TARGETS, "dst": _TARGETS, "duration": _DURATIONS},
+    )}),
+    "Checkpoint": _map(optional={"values": st.dictionaries(st.sampled_from(["k", "j"]), _EXPRESSIONS, max_size=2)}),
+}
+_ENTRIES = st.sampled_from(ACTION_KINDS).flatmap(lambda kind: _map(
+    {"action": st.just(kind), "name": _NAMES, kind.lower(): _BODIES[kind]},
+    {
+        "depends": _map(optional={
+            "running": st.lists(_NAMES, max_size=2), "success": st.lists(_NAMES, max_size=2), "after": _DURATIONS,
+        }),
+        "timeout": _DURATIONS,
+        "assertions": st.lists(_EXPRESSIONS, max_size=2),
+    },
+))
+# Near-valid documents, a part of them any YAML value anywhere.
+_DOCUMENTS = _VALUES | _map(
+    {"spec": st.lists(_ENTRIES, max_size=4)},
+    {"name": _NAMES, "defaults": _map(optional={"timeout": _DURATIONS}), "owner": _VALUES},
+)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=200, deadline=None)
+def test_only_a_syntax_error_leaves_parse_and_compile(value):
+    try:
+        doc = parse_scenario(yaml.safe_dump(value, sort_keys=False))
+    except ScenarioSyntaxError:
+        return
+    report = compile_scenario(doc, CORPUS_TEMPLATES, default_timeout=None).report
+    assert report.findings[:len(doc.findings)] == doc.findings
+    assert not report.ok or not any(f.severity == "error" for f in doc.findings)

@@ -284,6 +284,11 @@ class TestParseJobBody:
                 {"at": "1s", "do": "success"},
             ]})
 
+    def test_a_metric_value_past_every_float_is_rejected(self):
+        from whatif.errors import SchemaError
+        with pytest.raises(SchemaError, match=r"script\[0\].value: expected a number, got 1000"):
+            parse_job_body({"script": [{"at": "0s", "do": "metric", "name": "m", "value": 10**400}]})
+
     def test_declares_and_metrics_source(self):
         spec = parse_job_body({"command": "true", "metrics": "stdout-lines", "declares": ["m"]})
         assert spec.metrics_source == "stdout-lines"

@@ -299,10 +299,6 @@ class TestScope:
         assert findings and findings[0].severity == "error"
         assert "outside the local scope" in findings[0].message
 
-    def test_root_may_reach_down(self):
-        ast = parse_expression("cluster-b-1.state.failed() > 0")
-        assert self.check(ast, "scenario") == []
-
     def test_metrics_expressions_exempt(self):
         ast = parse_expression("MAX() QUERY(anything, 1m, now) IS ABOVE(1)")
         assert self.check(ast, "cluster-a") == []

@@ -68,7 +68,7 @@ UNHASHABLE = {
     ),
     ScenarioDoc: (
         lambda: ("s", [ActionSpec("a", "Call")], None, []),
-        lambda: ("t", [], 60.0, []),  # warnings alone do not count
+        lambda: ("t", [], 60.0, []),  # findings alone do not count
     ),
     Template: (lambda: ("t", {"p": None}, "x"), lambda: ("u", {}, "y")),
     ValidationReport: (lambda: ([Finding("error", "a", "m")],), lambda: ([],)),
@@ -98,7 +98,7 @@ def test_one_differing_argument_makes_unequal_instances(cls):
     changed = 0
     for position, value in enumerate(other()):
         if cls is ScenarioDoc and position == 3:
-            continue  # warnings: checked below
+            continue  # findings: checked below
         args = list(make())
         args[position] = value
         assert cls(*args) != base, (cls.__name__, position)
@@ -106,11 +106,11 @@ def test_one_differing_argument_makes_unequal_instances(cls):
     assert changed
 
 
-def test_scenario_doc_equality_ignores_warnings():
-    a = ScenarioDoc("s", [ActionSpec("a", "Call")], warnings=[])
-    b = ScenarioDoc("s", [ActionSpec("a", "Call")], warnings=["unknown top-level key 'x'"])
+def test_scenario_doc_equality_ignores_findings():
+    a = ScenarioDoc("s", [ActionSpec("a", "Call")], findings=[])
+    b = ScenarioDoc("s", [ActionSpec("a", "Call")], findings=[Finding("warning", "document", "unknown top-level key 'x'")])
     assert a == b
-    assert "warnings=" in repr(b) and "unknown top-level key" in repr(b)
+    assert "findings=" in repr(b) and "unknown top-level key" in repr(b)
 
 
 def test_repr_names_the_class_and_every_field():
