@@ -14,7 +14,6 @@ from .dsl import (
     instantiate_template,
     load_templates,
     parse_scenario,
-    render_scenario,
     validate,
 )
 from .engine import Engine, Outcome, run_scenario
@@ -52,7 +51,6 @@ __all__ = [
     "make_executor",
     "parse_expression",
     "parse_scenario",
-    "render_scenario",
     "run_scenario",
     "validate",
 ]

@@ -28,15 +28,16 @@ runs the rest.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
-from .durations import format_duration, parse_duration
+from .durations import parse_duration
 from .errors import ExprSyntaxError, Finding, ScenarioSyntaxError, SchemaError
-from .executors.base import parse_fault_body, parse_job_body
+from .executors.base import FaultSpec, JobSpec, SimEffect
 from .expressions import MetricsExprAst, check_scope, parse_expression
 from .lifecycle import ResourceNode
 from .values import Value
@@ -49,6 +50,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{([A-Za-z_][A-Za-z0-9_.]*)\}\}")
 _MACRO_RE = re.compile(r"\.cluster\.([A-Za-z_][A-Za-z0-9_-]*)\.(all|\d+)")
 
 ENGINE_DEFAULT_TIMEOUT = 3600.0
+MAX_INSTANCES = 100_000  # of all clusters together: each instance is a node of the run's tree
 
 # PyYAML's safe loader on libyaml when PyYAML was built with it, about 8x
 # faster than the pure-Python one, which it falls back to otherwise. Both
@@ -149,12 +151,6 @@ class ScenarioDoc(Value):
         self.timeout = timeout
         self.findings = [] if findings is None else findings
         self._reported: set[int] = set()  # positions in `actions` of the actions `findings` reports
-
-    def action(self, name: str) -> Optional[ActionSpec]:
-        for action in self.actions:
-            if action.name == name:
-                return action
-        return None
 
 
 class Template(Value):
@@ -282,10 +278,7 @@ def _parse_action(doc: ScenarioDoc, position: int, raw) -> None:
         if not isinstance(raw["assertions"], list) or not all(isinstance(a, str) for a in raw["assertions"]):
             raise SchemaError(f"{where}: assertions must be a list of expression strings")
         action.assertions = list(raw["assertions"])
-    known_keys = {"action", "name", "depends", "timeout", "assertions", body_key}
-    for key in raw:
-        if key not in known_keys:
-            raise SchemaError(f"{where}: unknown key {key!r}")
+    _reject_extra(raw, {"action", "name", "depends", "timeout", "assertions", body_key}, f"{where}: unknown key")
 
 
 def _parse_cluster_body(action: ActionSpec, body: dict, where: str) -> None:
@@ -293,7 +286,7 @@ def _parse_cluster_body(action: ActionSpec, body: dict, where: str) -> None:
         raise SchemaError(f"{where}: cluster requires templateRef")
     if "instances" not in body:
         raise SchemaError(f"{where}: cluster requires instances")
-    action.template_ref = str(body["templateRef"])
+    action.template_ref = _coerce_str(body["templateRef"], f"{where}.templateRef")
     instances = body["instances"]
     if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
         raise SchemaError(f"{where}: instances must be an integer >= 1")
@@ -303,7 +296,7 @@ def _parse_cluster_body(action: ActionSpec, body: dict, where: str) -> None:
         raise SchemaError(f"{where}: toleratedFailures must be an integer >= 0")
     action.tolerated_failures = tolerated
     action.inputs = _parse_inputs(body.get("inputs"), where)
-    _reject_extra(body, {"templateRef", "instances", "toleratedFailures", "inputs"}, where)
+    _reject_extra(body, {"templateRef", "instances", "toleratedFailures", "inputs"}, f"{where}: unknown body key")
 
 
 def _parse_service_body(action: ActionSpec, body: dict, where: str) -> None:
@@ -312,7 +305,7 @@ def _parse_service_body(action: ActionSpec, body: dict, where: str) -> None:
     if "templateRef" in body:
         if inline:
             raise SchemaError(f"{where}: service takes templateRef or an inline body, not both")
-        action.template_ref = str(body["templateRef"])
+        action.template_ref = _coerce_str(body["templateRef"], f"{where}.templateRef")
     elif inline:
         action.inline_job = inline
     else:
@@ -326,10 +319,10 @@ def _parse_call_body(action: ActionSpec, body: dict, where: str) -> None:
         raise SchemaError(f"{where}: call requires services")
     if not isinstance(body["services"], list) or not all(isinstance(s, str) for s in body["services"]):
         raise SchemaError(f"{where}: call services must be a list of names or macros")
-    action.callable = str(body["callable"])
+    action.callable = _coerce_str(body["callable"], f"{where}.callable")
     action.services = list(body["services"])
     action.inputs = _parse_inputs(body.get("inputs"), where)
-    _reject_extra(body, {"callable", "services", "inputs"}, where)
+    _reject_extra(body, {"callable", "services", "inputs"}, f"{where}: unknown body key")
 
 
 def _parse_chaos_body(action: ActionSpec, body: dict, where: str) -> None:
@@ -339,12 +332,12 @@ def _parse_chaos_body(action: ActionSpec, body: dict, where: str) -> None:
     if has_template == has_fault:
         raise SchemaError(f"{where}: chaos requires exactly one of templateRef or fault")
     if has_template:
-        action.template_ref = str(body["templateRef"])
+        action.template_ref = _coerce_str(body["templateRef"], f"{where}.templateRef")
     else:
         if not isinstance(body["fault"], dict):
             raise SchemaError(f"{where}: fault must be a map")
         action.fault = dict(body["fault"])
-    _reject_extra(body, {"templateRef", "fault", "inputs"}, where)
+    _reject_extra(body, {"templateRef", "fault", "inputs"}, f"{where}: unknown body key")
 
 
 def _parse_checkpoint_body(action: ActionSpec, body: dict, where: str) -> None:
@@ -352,13 +345,14 @@ def _parse_checkpoint_body(action: ActionSpec, body: dict, where: str) -> None:
     if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
         raise SchemaError(f"{where}: checkpoint values must map keys to expression strings")
     action.values = {str(k): v for k, v in values.items()}
-    _reject_extra(body, {"values"}, where)
+    _reject_extra(body, {"values"}, f"{where}: unknown body key")
 
 
-def _reject_extra(body: dict, allowed: set, where: str) -> None:
+def _reject_extra(body: dict, allowed: set, message: str) -> None:
+    """Raise ``<message> '<key>'`` for the first key of ``body`` not in ``allowed``."""
     for key in body:
         if key not in allowed:
-            raise SchemaError(f"{where}: unknown body key {key!r}")
+            raise SchemaError(f"{message} {key!r}")
 
 
 _BODY_PARSERS = {
@@ -390,9 +384,7 @@ def _parse_top_level(doc: ScenarioDoc, key, value) -> None:
             raise SchemaError("'defaults' must be a map")
         if "timeout" in value:
             doc.timeout = _parse_duration_field(value["timeout"], "defaults.timeout")
-        for default in value:
-            if default != "timeout":
-                raise SchemaError(f"defaults: unknown key {default!r}")
+        _reject_extra(value, {"timeout"}, "defaults: unknown key")
     elif key != "spec":
         doc.findings.append(Finding("warning", "document", f"unknown top-level key {key!r}"))
 
@@ -431,59 +423,6 @@ def parse_scenario(text: str) -> ScenarioDoc:
                 doc._reported.add(parsed)
             doc.findings.append(Finding("error", location, str(exc)))
     return doc
-
-
-def render_scenario(doc: ScenarioDoc) -> str:
-    """Serialize a document back to YAML; parse(render(doc)) == doc."""
-    out: dict = {"name": doc.name}
-    if doc.timeout is not None:
-        out["defaults"] = {"timeout": format_duration(doc.timeout)}
-    out["spec"] = [_render_action(a) for a in doc.actions]
-    return yaml.safe_dump(out, sort_keys=False)
-
-
-def _render_action(action: ActionSpec) -> dict:
-    entry: dict = {"action": action.kind, "name": action.name}
-    depends: dict = {}
-    if action.depends.running:
-        depends["running"] = list(action.depends.running)
-    if action.depends.success:
-        depends["success"] = list(action.depends.success)
-    if action.depends.after is not None:
-        depends["after"] = format_duration(action.depends.after)
-    if depends:
-        entry["depends"] = depends
-    body: dict = {}
-    if action.kind == "Cluster":
-        body["templateRef"] = action.template_ref
-        body["instances"] = action.instances
-        if action.tolerated_failures:
-            body["toleratedFailures"] = action.tolerated_failures
-    elif action.kind == "Service":
-        if action.template_ref is not None:
-            body["templateRef"] = action.template_ref
-        else:
-            body.update(action.inline_job or {})
-    elif action.kind == "Call":
-        body["callable"] = action.callable
-        body["services"] = list(action.services)
-    elif action.kind == "Chaos":
-        if action.template_ref is not None:
-            body["templateRef"] = action.template_ref
-        else:
-            body["fault"] = dict(action.fault or {})
-    elif action.kind == "Checkpoint":
-        if action.values:
-            body["values"] = dict(action.values)
-    if action.inputs:
-        body["inputs"] = [dict(m) for m in action.inputs]
-    if body:
-        entry[action.kind.lower()] = body
-    if action.assertions:
-        entry["assertions"] = list(action.assertions)
-    if action.timeout is not None:
-        entry["timeout"] = format_duration(action.timeout)
-    return entry
 
 
 # --- templates -----------------------------------------------------------------
@@ -589,6 +528,149 @@ def expand_targets(names: list[str], clusters: dict) -> list[str]:
     return out
 
 
+# --- job and fault bodies --------------------------------------------------------
+
+EFFECT_OPS = ("running", "success", "failed", "crash", "metric", "send", "block")
+FAULT_KINDS = ("kill", "suspend", "partition")
+_JOB_KEYS = {"command", "script", "env", "metrics", "expectedRuntime", "declares", "kind"}
+_FAULT_KEYS = {"kind", "targets", "source", "dst", "direction", "duration"}
+
+
+def _parse_effect(raw, where: str) -> SimEffect:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be a map")
+    if "at" not in raw or "do" not in raw:
+        raise SchemaError(f"{where} needs 'at' and 'do'")
+    offset = _parse_duration_field(raw["at"], f"{where}.at")
+    op = raw["do"]
+    if op not in EFFECT_OPS:
+        raise SchemaError(f"{where}: unknown effect {op!r}")
+    metric = value = target = None
+    if op == "metric":
+        if "name" not in raw or "value" not in raw:
+            raise SchemaError(f"{where}: metric effect needs name and value")
+        metric = _coerce_str(raw["name"], f"{where}.name")
+        try:
+            value = float(raw["value"])
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if math.isnan(value):
+            raise SchemaError(f"{where}.value: expected a number, got {raw['value']!r}")
+    elif op == "send":
+        if "to" not in raw:
+            raise SchemaError(f"{where}: send effect needs 'to'")
+        target = _coerce_str(raw["to"], f"{where}.to")
+    return SimEffect(offset, op, metric=metric, value=value, target=target)
+
+
+def parse_job_body(body) -> JobSpec:
+    """Build a JobSpec from a resolved template body or inline action body.
+
+    A simulated job runs a script of timed effects, a process job a command
+    line; ``declares`` names metrics up front, so that a query can tell a
+    quiet metric from a mis-wired one::
+
+        command: "python3 worker.py"            # or a script:
+        script:
+          - { at: 0s,  do: running }
+          - { at: 2s,  do: metric, name: goroutines, value: 1200 }
+          - { at: 3s,  do: send, to: masters-0 }
+          - { at: 4s,  do: block }              # wait for one message
+          - { at: 10s, do: success }            # or failed / crash
+        env: { LEVEL: debug }
+        metrics: stdout-lines                   # or none
+        declares: [ goroutines ]
+        expectedRuntime: 10s                    # checked, then ignored
+        kind: job                               # a label, ignored
+    """
+    if not isinstance(body, dict):
+        raise SchemaError("job body must be a map")
+    _reject_extra(body, _JOB_KEYS, "unknown job body key")
+    spec = JobSpec()
+    if "command" in body:
+        spec.command = _coerce_str(body["command"], "command")
+    if "script" in body:
+        if not isinstance(body["script"], list):
+            raise SchemaError("script must be a list of effects")
+        spec.script = [_parse_effect(e, f"script[{i}]") for i, e in enumerate(body["script"])]
+        offsets = [e.offset for e in spec.script]
+        if offsets != sorted(offsets):
+            raise SchemaError("script offsets must be non-decreasing")
+    if "env" in body:
+        if not isinstance(body["env"], dict):
+            raise SchemaError("env must be a map")
+        spec.env = {_coerce_str(k, "env"): _coerce_str(v, f"env.{k}") for k, v in body["env"].items()}
+    if "metrics" in body:
+        if body["metrics"] not in ("stdout-lines", "none"):
+            raise SchemaError(f"metrics must be 'stdout-lines' or 'none', got {body['metrics']!r}")
+        spec.metrics_source = body["metrics"]
+    if "expectedRuntime" in body:
+        _parse_duration_field(body["expectedRuntime"], "expectedRuntime")
+    if "declares" in body:
+        if not isinstance(body["declares"], list):
+            raise SchemaError("declares must be a list of metric names")
+        spec.declares = [_coerce_str(v, f"declares[{i}]") for i, v in enumerate(body["declares"])]
+    if "kind" in body:
+        _coerce_str(body["kind"], "kind")
+    if spec.command is None and not spec.script:
+        raise SchemaError("job body needs a command or a script")
+    return spec
+
+
+def _target_list(raw, where: str, clusters: dict) -> list[str]:
+    if isinstance(raw, str):
+        names = [part.strip() for part in raw.split(",") if part.strip()]
+    elif isinstance(raw, list):
+        names = [_coerce_str(part, f"{where}[{i}]") for i, part in enumerate(raw)]
+    else:
+        raise SchemaError(f"{where} must be a name, list, or comma-separated string")
+    return expand_targets(names, clusters)
+
+
+def parse_fault_body(body, clusters: dict) -> FaultSpec:
+    """Build a FaultSpec, expanding addressing macros by a cluster index (name -> instances)::
+
+        kind: kill | suspend | partition
+        targets: [ name-or-macro, ... ]         # kill / suspend
+        source: masters-0                       # partition
+        dst: "masters-1, masters-2"             # partition; list or comma string
+        direction: to | from | both             # partition; both by default
+        duration: 10m                           # required except for kill
+    """
+    if not isinstance(body, dict):
+        raise SchemaError("fault body must be a map")
+    kind = body.get("kind")
+    if kind not in FAULT_KINDS:
+        raise SchemaError(f"unknown fault kind {kind!r}")
+    spec = FaultSpec(kind=kind)
+    if "duration" in body:
+        spec.duration = _parse_duration_field(body["duration"], "fault duration")
+        if spec.duration <= 0:
+            raise SchemaError("fault duration must be positive")
+    if kind == "partition":
+        if "source" not in body or "dst" not in body:
+            raise SchemaError("partition requires source and dst")
+        spec.targets = _target_list(body["source"], "source", clusters)
+        spec.dst = _target_list(body["dst"], "dst", clusters)
+        spec.direction = body.get("direction", "both")
+        if spec.direction not in ("to", "from", "both"):
+            raise SchemaError(f"unknown partition direction {spec.direction!r}")
+        if not spec.targets or not spec.dst:
+            raise SchemaError("partition requires at least one source and one destination")
+        if spec.duration is None:
+            raise SchemaError("partition requires a duration")
+    else:
+        if "targets" not in body:
+            raise SchemaError(f"{kind} fault requires targets")
+        spec.targets = _target_list(body["targets"], "targets", clusters)
+        if not spec.targets:
+            raise SchemaError(f"{kind} fault requires at least one target")
+        if kind == "suspend" and spec.duration is None:
+            raise SchemaError("suspend requires a duration")
+    _reject_extra(body, _FAULT_KEYS, "unknown fault key")
+    return spec
+
+
 # --- compile and validate ------------------------------------------------------------
 
 class Plan:
@@ -684,12 +766,20 @@ def compile_scenario(
     and fault bodies that do not parse, expression errors with scope
     violations, cluster tolerance bounds, and actions that could block
     forever when no timeout applies at any level. It starts with the parse's
-    findings, and an action reported there gets none of these checks.
+    findings, and an action reported there gets none of these checks. A
+    document whose clusters have more than ``MAX_INSTANCES`` instances in
+    all gets that finding and no other check, and no instance is built.
     """
     templates = templates or {}
     plan = Plan(ResourceNode(doc.name, kind="scenario"))
     findings = plan.report.findings
     findings.extend(doc.findings)
+    instances = sum(action.instances or 0 for action in doc.actions)
+    if instances > MAX_INSTANCES:
+        findings.append(Finding(
+            "error", "document", f"clusters have {instances} instances in all, more than {MAX_INSTANCES}",
+        ))
+        return plan
 
     checked = []  # (index, action, node) of each action that parsed without error
     for index, action in enumerate(doc.actions):
@@ -799,25 +889,20 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
         for target in action.services:
             findings.extend(_check_target(target, name, plan))
 
-    if action.kind == "Chaos":
-        fault_body = action.fault
-        if fault_body is None and texts:
-            try:
-                fault_body = _load_instance(template, texts[0])
-            except yaml.YAMLError as exc:
-                findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
-        if isinstance(fault_body, dict):
-            try:
-                spec = parse_fault_body(fault_body, plan.clusters)
-            except SchemaError as exc:
-                findings.append(Finding("error", name, f"invalid fault: {exc}"))
-            else:
-                for target in spec.targets + spec.dst:
-                    if not plan.is_service(target):
-                        findings.append(Finding("error", name, f"unknown fault target: {target}"))
-                plan.faults[name] = (spec, [plan.nodes.get(target) for target in spec.targets])
-        elif fault_body is not None:
-            findings.append(Finding("error", name, "fault body must be a map"))
+    if action.kind == "Chaos" and (action.fault is not None or texts):
+        try:
+            spec = parse_fault_body(
+                action.fault if action.fault is not None else _load_instance(template, texts[0]), plan.clusters,
+            )
+        except yaml.YAMLError as exc:
+            findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
+        except SchemaError as exc:
+            findings.append(Finding("error", name, f"invalid fault: {exc}"))
+        else:
+            for target in spec.targets + spec.dst:
+                if not plan.is_service(target):
+                    findings.append(Finding("error", name, f"unknown fault target: {target}"))
+            plan.faults[name] = (spec, [plan.nodes.get(target) for target in spec.targets])
 
     for text in action.assertions:
         findings.extend(_compile_assertion(plan, text, node, checkpoints))

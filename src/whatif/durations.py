@@ -1,7 +1,8 @@
-"""Duration strings: parsing and canonical rendering.
+"""Duration strings: one grammar for documents and expressions.
 
 Durations appear in scenario files (timeouts, `after` delays, fault
-durations) and inside metrics expressions (`QUERY(metric, 1m, now)`).
+durations) and inside metrics expressions (`QUERY(metric, 1m, now)`),
+whose tokenizer builds its duration token from ``_SEGMENT``.
 Accepted forms: a bare number (seconds) or one or more `<number><unit>`
 segments with units ms, s, m, h (e.g. ``10m``, ``1h30m``, ``500ms``).
 A duration is finite: YAML's ``.nan`` and ``.inf``, and digits that
@@ -50,9 +51,3 @@ def _seconds(value) -> float:
         raise ValueError(f"malformed duration: {value!r}")
     return total
 
-
-def format_duration(seconds: float) -> str:
-    """Render seconds canonically, e.g. 600.0 -> "600s"."""
-    if seconds == int(seconds):
-        return f"{int(seconds)}s"
-    return f"{seconds}s"

@@ -5,7 +5,7 @@ first use: by ``make_executor("process")`` or by looking up
 ``ProcessExecutor`` here.
 """
 
-from .base import Executor, FaultSpec, JobSpec, SimEffect, parse_fault_body, parse_job_body
+from .base import Executor, FaultSpec, JobSpec, SimEffect
 from .sim import SimExecutor
 
 
@@ -35,6 +35,4 @@ __all__ = [
     "SimExecutor",
     "ProcessExecutor",
     "make_executor",
-    "parse_fault_body",
-    "parse_job_body",
 ]

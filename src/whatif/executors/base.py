@@ -1,43 +1,19 @@
 """Executor-facing data types and the shared backend interface.
 
-Job bodies come out of templates (or inline action bodies) as small YAML
-maps. Simulated jobs carry a script of timed effects; process jobs carry a
-command line. A job may declare metric names up front so that queries can
-distinguish a quiet metric from a mis-wired one.
-
-Script schema::
-
-    script:
-      - { at: 0s,  do: running }
-      - { at: 2s,  do: metric, name: goroutines, value: 1200 }
-      - { at: 3s,  do: send, to: masters-0 }
-      - { at: 4s,  do: block }              # wait for one message
-      - { at: 10s, do: success }            # or failed / crash
-
-Fault schema::
-
-    kind: kill | suspend | partition
-    targets: [ name-or-macro, ... ]         # kill / suspend
-    source: masters-0                       # partition
-    dst: "masters-1, masters-2"             # partition; list or comma string
-    direction: to | from | both
-    duration: 10m                           # required except for kill
+The document parser builds the specs from a document's job and fault
+bodies, under the schema that ``parse_job_body`` and ``parse_fault_body``
+describe.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Optional
 
-from ..durations import parse_duration
-from ..errors import SchemaError, UnknownHandle
+from ..errors import UnknownHandle
 from ..events import Event, EventKind
 from ..lifecycle import Phase
 from ..values import FrozenValue, Value
-
-EFFECT_OPS = ("running", "success", "failed", "crash", "metric", "send", "block")
-FAULT_KINDS = ("kill", "suspend", "partition")
 
 
 class SimEffect(FrozenValue):
@@ -179,128 +155,3 @@ class Executor:
             EventKind.STATE, subject=name, phase=phase, failure_mode=mode, reason=reason,
         ))
 
-
-def _parse_effect(raw, index: int) -> SimEffect:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"script[{index}] must be a map")
-    if "at" not in raw or "do" not in raw:
-        raise SchemaError(f"script[{index}] needs 'at' and 'do'")
-    try:
-        offset = parse_duration(raw["at"])
-    except ValueError as exc:
-        raise SchemaError(f"script[{index}].at: {exc}") from exc
-    op = raw["do"]
-    if op not in EFFECT_OPS:
-        raise SchemaError(f"script[{index}]: unknown effect {op!r}")
-    metric = value = target = None
-    if op == "metric":
-        if "name" not in raw or "value" not in raw:
-            raise SchemaError(f"script[{index}]: metric effect needs name and value")
-        metric = str(raw["name"])
-        try:
-            value = float(raw["value"])
-        except (TypeError, ValueError, OverflowError):
-            value = math.nan
-        if math.isnan(value):
-            raise SchemaError(f"script[{index}].value: expected a number, got {raw['value']!r}")
-    elif op == "send":
-        if "to" not in raw:
-            raise SchemaError(f"script[{index}]: send effect needs 'to'")
-        target = str(raw["to"])
-    return SimEffect(offset, op, metric=metric, value=value, target=target)
-
-
-def parse_job_body(body: dict) -> JobSpec:
-    """Build a JobSpec from a resolved template body or inline action body."""
-    if not isinstance(body, dict):
-        raise SchemaError("job body must be a map")
-    spec = JobSpec()
-    for key, value in body.items():
-        if key == "command":
-            spec.command = str(value)
-        elif key == "script":
-            if not isinstance(value, list):
-                raise SchemaError("script must be a list of effects")
-            spec.script = [_parse_effect(e, i) for i, e in enumerate(value)]
-            offsets = [e.offset for e in spec.script]
-            if offsets != sorted(offsets):
-                raise SchemaError("script offsets must be non-decreasing")
-        elif key == "env":
-            if not isinstance(value, dict):
-                raise SchemaError("env must be a map")
-            spec.env = {str(k): str(v) for k, v in value.items()}
-        elif key == "metrics":
-            if value not in ("stdout-lines", "none"):
-                raise SchemaError(f"metrics must be 'stdout-lines' or 'none', got {value!r}")
-            spec.metrics_source = value
-        elif key == "expectedRuntime":  # checked, then ignored: no executor uses it
-            try:
-                parse_duration(value)
-            except ValueError as exc:
-                raise SchemaError(f"expectedRuntime: {exc}") from exc
-        elif key == "declares":
-            if not isinstance(value, list):
-                raise SchemaError("declares must be a list of metric names")
-            spec.declares = [str(v) for v in value]
-        elif key == "kind":
-            pass  # allow templates to label their bodies
-        else:
-            raise SchemaError(f"unknown job body key {key!r}")
-    if spec.command is None and not spec.script:
-        raise SchemaError("job body needs a command or a script")
-    return spec
-
-
-def _target_list(raw, where: str, clusters=None) -> list:
-    if isinstance(raw, str):
-        names = [part.strip() for part in raw.split(",") if part.strip()]
-    elif isinstance(raw, list):
-        names = [str(part) for part in raw]
-    else:
-        raise SchemaError(f"{where} must be a name, list, or comma-separated string")
-    if clusters is None:
-        return names
-    from ..dsl import expand_targets
-
-    return expand_targets(names, clusters)
-
-
-def parse_fault_body(body: dict, clusters=None) -> FaultSpec:
-    """Build a FaultSpec, expanding addressing macros when a cluster index (name -> instances) is given."""
-    if not isinstance(body, dict):
-        raise SchemaError("fault body must be a map")
-    kind = body.get("kind")
-    if kind not in FAULT_KINDS:
-        raise SchemaError(f"unknown fault kind {kind!r}")
-    spec = FaultSpec(kind=kind)
-    if "duration" in body:
-        try:
-            spec.duration = parse_duration(body["duration"])
-        except ValueError as exc:
-            raise SchemaError(f"fault duration: {exc}") from exc
-        if spec.duration <= 0:
-            raise SchemaError("fault duration must be positive")
-    if kind == "partition":
-        if "source" not in body or "dst" not in body:
-            raise SchemaError("partition requires source and dst")
-        spec.targets = _target_list(body["source"], "source", clusters)
-        spec.dst = _target_list(body["dst"], "dst", clusters)
-        spec.direction = body.get("direction", "both")
-        if spec.direction not in ("to", "from", "both"):
-            raise SchemaError(f"unknown partition direction {body.get('direction')!r}")
-        if not spec.targets or not spec.dst:
-            raise SchemaError("partition requires at least one source and one destination")
-        if spec.duration is None:
-            raise SchemaError("partition requires a duration")
-    else:
-        if "targets" not in body:
-            raise SchemaError(f"{kind} fault requires targets")
-        spec.targets = _target_list(body["targets"], "targets", clusters)
-        if not spec.targets:
-            raise SchemaError(f"{kind} fault requires at least one target")
-        if kind == "suspend" and spec.duration is None:
-            raise SchemaError("suspend requires a duration")
-    extra = set(body) - {"kind", "targets", "source", "dst", "direction", "duration"}
-    if extra:
-        raise SchemaError(f"unknown fault keys {sorted(extra)}")
-    return spec

@@ -53,7 +53,6 @@ class ProcessExecutor(Executor):
         env = dict(os.environ)
         env.update(spec.env)
         want_stdout = spec.metrics_source == "stdout-lines"
-        self._emit(spec.name, Phase.PENDING)
         try:
             proc = subprocess.Popen(
                 shlex.split(spec.command),
@@ -65,6 +64,7 @@ class ProcessExecutor(Executor):
         except (OSError, ValueError) as exc:
             raise SpawnError(f"{spec.name}: {exc}") from exc
         self.procs[spec.name] = proc
+        self._emit(spec.name, Phase.PENDING)
         # Each step is recorded once it is complete, so an interrupt between
         # two leaves ``shutdown`` nothing half registered to undo.
         if proc.stdout is not None:
@@ -141,9 +141,8 @@ class ProcessExecutor(Executor):
         self.store.ingest(parts[1], value, max(0.0, self.clock.from_unix_ms(unix_ms)))
 
     def kill_job(self, name: str) -> None:
-        proc = self.procs.get(name)
-        if proc is not None:
-            _signal_group(proc, signal.SIGKILL)
+        if name in self._pidfds:  # a reaped job's group was killed at its reap, and its id may be reused
+            _signal_group(self.procs[name], signal.SIGKILL)
 
     # --- faults -------------------------------------------------------------
 
@@ -151,8 +150,7 @@ class ProcessExecutor(Executor):
         if spec.kind == "partition":
             raise UnsupportedFault("partition requires the simulated executor")
         for target in spec.targets:
-            proc = self.procs.get(target)
-            if proc is None or proc.poll() is not None:
+            if not self._alive(target):
                 raise TargetNotRunning(target)
         if spec.kind == "kill":
             self._fault_killed.update(spec.targets)
@@ -160,8 +158,14 @@ class ProcessExecutor(Executor):
             _signal_group(self.procs[target], signal.SIGKILL if spec.kind == "kill" else signal.SIGSTOP)
         self._record_fault(action, spec)
 
+    def _alive(self, name: str) -> bool:
+        """True until the job exits; unlike ``Popen.poll`` this reaps nothing, so ``_reap`` stays the one reaper."""
+        pidfd = self._pidfds.get(name)
+        return pidfd is not None and os.waitid(os.P_PIDFD, pidfd, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+
     def _resume_target(self, name: str) -> None:
-        _signal_group(self.procs[name], signal.SIGCONT)
+        if name in self._pidfds:
+            _signal_group(self.procs[name], signal.SIGCONT)
 
     # --- plumbing ------------------------------------------------------------
 

@@ -25,7 +25,7 @@ import re
 from collections import deque
 from typing import Optional, Sequence
 
-from .durations import parse_duration
+from .durations import _SEGMENT, parse_duration
 from .errors import ExprSyntaxError, Finding, UnknownCheckpoint
 from .lifecycle import (
     FailureClass,
@@ -174,7 +174,7 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<statefn>[A-Za-z0-9_.-]*\.state\.[A-Za-z_]+)
-    | (?P<duration>\d+(?:\.\d+)?(?:ms|s|m|h)\b)
+    | (?P<duration>(?:""" + _SEGMENT.pattern + r""")+\b)
     | (?P<number>\d+(?:\.\d+)?)
     | (?P<string>'[^']*'|"[^"]*")
     | (?P<word>[A-Za-z_][A-Za-z0-9_.:-]*)

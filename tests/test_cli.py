@@ -6,11 +6,12 @@ import random
 import pytest
 
 from whatif.cli import main
-from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario, render_scenario
+from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario
 from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
 from whatif.report import build_report, load_run, plot_data, report_json_text
 from conftest import SCENARIOS, script_template
+from documents import render_scenario
 from test_engine import LaggingEngine
 
 VALID = SCENARIOS / "partition-demo.yaml"
@@ -21,6 +22,8 @@ BAD_METRIC_VALUE = SCENARIOS / "invalid" / "bad-metric-value.yaml"
 BAD_TIMESTAMP = SCENARIOS / "invalid" / "bad-timestamp.yaml"
 BAD_DURATION = SCENARIOS / "invalid" / "bad-duration.yaml"
 SEVERAL_ERRORS = SCENARIOS / "invalid" / "several-errors.yaml"
+NON_SCALAR_FIELDS = SCENARIOS / "invalid" / "non-scalar-fields.yaml"
+TOO_MANY_INSTANCES = SCENARIOS / "invalid" / "too-many-instances.yaml"
 
 NINES = "9" * 400  # overflows a float to inf
 SERVICE = ("{action: Service, name: s, service: {declares: [m], script: [{at: 0s, do: running}, "
@@ -190,6 +193,20 @@ class TestValidate:
             "error: stall: spec[2] (stall): unknown body key 'retries'",
         ]
         assert not (tmp_path / "out").exists()
+
+    def test_non_scalar_fields_file_reports_each_action_once(self, capsys):
+        assert main(["validate", str(NON_SCALAR_FIELDS), "--templates", str(TEMPLATES)]) == 2
+        errors = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[1].strip() for line in errors] == [
+            "list-command", "map-env-value", "map-in-declares", "map-metric-name", "nested-targets", "nested-source",
+        ]
+        assert all(line.startswith("error: ") and "expected a scalar" in line for line in errors)
+
+    def test_too_many_instances_is_one_error(self, capsys):
+        assert main(["validate", str(TOO_MANY_INSTANCES), "--templates", str(TEMPLATES)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error: document: clusters have 123456789 instances in all, more than 100000",
+        ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_finite_timeout_default_exit_2(self, command, capsys):

@@ -13,9 +13,8 @@ import pytest
 import yaml
 
 from whatif import dsl
-from whatif.dsl import Template, compile_scenario, parse_scenario, validate
+from whatif.dsl import Template, compile_scenario, parse_job_body, parse_scenario, validate
 from whatif.engine import Engine, Outcome, run_scenario
-from whatif.executors.base import parse_job_body
 
 from conftest import count_operations
 

@@ -1,5 +1,6 @@
 """Scenario parsing, templating, macros, and static validation."""
 
+import copy
 import math
 
 import pytest
@@ -7,8 +8,12 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from conftest import SCENARIOS
+from documents import action_named, render_scenario
+from whatif import dsl
 from whatif.dsl import (
     ACTION_KINDS,
+    EFFECT_OPS,
+    FAULT_KINDS,
     ActionSpec,
     DependsClause,
     ScenarioDoc,
@@ -19,12 +24,12 @@ from whatif.dsl import (
     load_templates,
     parse_scenario,
     parse_template,
-    render_scenario,
     validate,
 )
 from whatif.durations import parse_duration
-from whatif.errors import Finding, ScenarioSyntaxError, SchemaError
-from whatif.executors.base import EFFECT_OPS, FAULT_KINDS
+from whatif.engine import run_scenario
+from whatif.errors import Finding, InvalidScenario, ScenarioSyntaxError, SchemaError
+from whatif.executors.sim import SimExecutor
 
 DEMO_KINDS = [
     ("masters", "Cluster"),
@@ -40,13 +45,13 @@ class TestParseScenario:
     def test_demo_scenario_layout(self, partition_demo):
         doc, _ = partition_demo
         assert [(a.name, a.kind) for a in doc.actions] == DEMO_KINDS
-        masters = doc.action("masters")
+        masters = action_named(doc, "masters")
         assert masters.instances == 4
         assert masters.tolerated_failures == 0
-        boot = doc.action("boot")
+        boot = action_named(doc, "boot")
         assert boot.depends.running == ["masters"]
         assert boot.services == [".cluster.masters.all"]
-        partition = doc.action("partition0")
+        partition = action_named(doc, "partition0")
         assert partition.depends.success == ["wait-for-3x-replication"]
         assert partition.inputs[0]["source"] == "masters-0"
         assert partition.inputs[0]["duration"] == "10m"
@@ -535,8 +540,8 @@ def test_k_injected_errors_are_k_findings_each_at_its_action(data):
     assert sorted(f.location for f in report.errors()) == sorted(entries[index]["name"] for index in broken)
 
 
-# Any YAML value. Integers stay small: a Cluster's `instances` has no upper
-# bound, and a compile builds one node per instance.
+# Any YAML value. Integers stay small: a compile builds one node per
+# Cluster instance, up to `MAX_INSTANCES` of them.
 _SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8)
 _VALUES = st.recursive(
     _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_SCALARS, inner, max_size=3), max_leaves=6,
@@ -611,3 +616,112 @@ def test_only_a_syntax_error_leaves_parse_and_compile(value):
     report = compile_scenario(doc, CORPUS_TEMPLATES, default_timeout=None).report
     assert report.findings[:len(doc.findings)] == doc.findings
     assert not report.ok or not any(f.severity == "error" for f in doc.findings)
+
+
+# --- a list or map in a scalar field of a job or fault body -------------------------
+
+_JOB = {
+    "command": "true",
+    "script": [
+        {"at": "0s", "do": "running"},
+        {"at": "1s", "do": "metric", "name": "m", "value": 1},
+        {"at": "2s", "do": "send", "to": "svc"},
+        {"at": "3s", "do": "success"},
+    ],
+    "env": {"A": "1"},
+    "declares": ["m"],
+    "metrics": "none",
+    "expectedRuntime": "5s",
+    "kind": "job",
+}
+_KILL = {"kind": "kill", "targets": ["svc"], "duration": "1s"}
+_PARTITION = {"kind": "partition", "source": ["svc"], "dst": ["svc"], "direction": "both", "duration": "1s"}
+# (body, path to a scalar in it)
+SCALAR_FIELDS = [
+    *[(_JOB, path) for path in [
+        ("command",), ("env", "A"), ("declares", 0), ("metrics",), ("expectedRuntime",), ("kind",),
+        ("script", 0, "at"), ("script", 0, "do"), ("script", 1, "name"), ("script", 1, "value"), ("script", 2, "to"),
+    ]],
+    *[(_KILL, path) for path in [("kind",), ("targets", 0), ("duration",)]],
+    *[(_PARTITION, path) for path in [("source", 0), ("dst", 0), ("direction",)]],
+]
+_NON_SCALARS = st.lists(st.integers(0, 9) | st.sampled_from(["a", "b"]), max_size=3) | st.dictionaries(
+    st.sampled_from(["a", "b"]), st.integers(0, 9), max_size=2,
+)
+_MARK = "__value__"
+
+
+def _broken(body, path, value):
+    """A deep copy of ``body`` with ``value`` at ``path``."""
+    body = copy.deepcopy(body)
+    container = body
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    return body
+
+
+def _broken_action(name, field, value, templated, job_kind, templates):
+    """An action whose job or fault body holds ``value`` at the field, inline or through a template input."""
+    body, path = field
+    kind = "Chaos" if body is not _JOB else job_kind if templated else "Service"
+    if not templated:
+        broken = _broken(body, path, value)
+        return {"action": kind, "name": name, kind.lower(): {"fault": broken} if kind == "Chaos" else broken}
+    text = yaml.safe_dump(_broken(body, path, _MARK), sort_keys=False).replace(_MARK, "{{value}}")
+    templates[name] = Template(name, {"value": None}, text)
+    inputs = [{"value": yaml.safe_dump(value, default_flow_style=True).strip()}]
+    entry = {"templateRef": name, "inputs": inputs}
+    if kind == "Cluster":
+        entry["instances"] = 2
+    elif kind == "Call":
+        entry = {"callable": name, "services": ["svc"], "inputs": inputs}
+    return {"action": kind, "name": name, kind.lower(): entry}
+
+
+class _NoRun(SimExecutor):
+    def start_job(self, spec):
+        raise AssertionError(f"job {spec.name} started")
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=lambda f: ".".join(map(str, f[1])) + f"-{f[0]['kind']}")
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_a_list_or_map_in_a_scalar_field_is_one_finding_and_no_run(field, data):
+    fields = [field] + data.draw(st.lists(st.sampled_from(SCALAR_FIELDS), max_size=2))
+    templates: dict = {}
+    spec = [{"action": "Service", "name": "svc", "service": {"command": "true"}}]
+    for index, broken in enumerate(fields):
+        spec.append(_broken_action(
+            f"b{index}", broken, data.draw(_NON_SCALARS), data.draw(st.booleans()),
+            data.draw(st.sampled_from(["Service", "Cluster", "Call"])), templates,
+        ))
+    doc = parse_scenario(yaml.safe_dump({"spec": spec}, sort_keys=False))
+    report = validate(doc, templates)
+    assert sorted(f.location for f in report.findings) == [f"b{index}" for index in range(len(fields))]
+    assert not report.ok
+    with pytest.raises(InvalidScenario):
+        run_scenario(doc, templates, executor=_NoRun())
+
+
+@pytest.mark.parametrize("sizes,ok", [((3, 2), True), ((3, 3), False)])
+def test_the_instances_of_all_clusters_together_are_capped(sizes, ok, monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_INSTANCES", 5)
+    text = "spec:\n" + "".join(
+        f"- {{action: Cluster, name: c{i}, cluster: {{templateRef: t, instances: {n}}}}}\n" for i, n in enumerate(sizes)
+    )
+    plan = compile_scenario(parse_scenario(text), {"t": Template("t", {}, "command: 'true'\n")})
+    assert plan.report.ok is ok
+    if not ok:
+        assert [str(f) for f in plan.report.findings] == ["error: document: clusters have 6 instances in all, more than 5"]
+        assert list(plan.nodes) == [plan.tree.name]
+
+
+@pytest.mark.parametrize("body", ["", "kill\n", "[kill]\n"])
+def test_a_fault_template_that_is_no_map_is_a_finding(body):
+    doc = parse_scenario(
+        "spec:\n- {action: Service, name: s, service: {command: 'true'}}\n"
+        "- {action: Chaos, name: k, chaos: {templateRef: f}}\n"
+    )
+    report = validate(doc, {"f": Template("f", {}, body)})
+    assert [str(f) for f in report.findings] == ["error: k: invalid fault: fault body must be a map"]

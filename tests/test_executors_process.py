@@ -128,6 +128,13 @@ class TestProcessJobs:
             executor.start_job(JobSpec(name="ghost", command="definitely-not-a-binary-xyz"))
         executor.shutdown()
 
+    def test_a_failed_spawn_emits_no_state(self):
+        executor, queue, clock, store = make_harness()
+        with pytest.raises(SpawnError):
+            executor.start_job(JobSpec(name="ghost", command="definitely-not-a-binary-xyz"))
+        assert queue.pop_next() is None
+        executor.shutdown()
+
     def test_stdout_metric_lines_ingested(self):
         executor, queue, clock, store = make_harness()
         executor.start_job(JobSpec(
@@ -179,6 +186,31 @@ class TestProcessFaults:
         events = drain(executor, queue, want=1)
         failed = events[-1]
         assert failed.phase is Phase.FAILED and failed.failure_mode == "kill"
+        executor.shutdown()
+
+    def test_a_fault_on_an_exited_job_leaves_the_reaping_to_its_exit(self):
+        executor, queue, clock, store = make_harness()
+        executor.start_job(JobSpec(name="quick", command="true"))
+        proc = executor.procs["quick"]
+        gone(proc.pid)  # exited; unreaped, it is a zombie that pins its group id
+        with pytest.raises(TargetNotRunning):
+            executor.inject_fault("killer", FaultSpec("kill", targets=["quick"]))
+        assert proc.returncode is None
+        events = drain(executor, queue, want=1)
+        assert [e.phase for e in events] == [Phase.PENDING, Phase.RUNNING, Phase.SUCCESS]
+        executor.shutdown()
+
+    def test_a_reaped_job_is_signalled_no_more(self, monkeypatch):
+        executor, queue, clock, store = make_harness()
+        executor.start_job(JobSpec(name="napper", command="sleep 30"))
+        executor.inject_fault("pause", FaultSpec("suspend", targets=["napper"]))  # revoked by hand below
+        os.killpg(executor.procs["napper"].pid, signal.SIGKILL)  # killed from outside the run
+        assert drain(executor, queue, want=1)[-1].phase is Phase.FAILED  # seen and reaped
+        sent = []
+        monkeypatch.setattr(os, "killpg", lambda pgid, sig: sent.append((pgid, sig)))
+        executor.revoke_fault("pause")
+        executor.kill_job("napper")
+        assert sent == []  # its group id is no longer pinned
         executor.shutdown()
 
     def test_kill_requires_running_target(self):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from whatif.dsl import parse_job_body
 from whatif.errors import SpawnError, TargetNotRunning, UnknownHandle
-from whatif.executors.base import FaultSpec, JobSpec, SimEffect, parse_job_body
+from whatif.executors.base import FaultSpec, JobSpec, SimEffect
 from whatif.lifecycle import Phase
 
 from conftest import make_sim_harness

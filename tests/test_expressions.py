@@ -4,8 +4,9 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from whatif.durations import parse_duration
 from whatif.errors import ExprSyntaxError, UnknownCheckpoint, UnknownMetric
 from whatif.expressions import (
     BoolGroup,
@@ -312,3 +313,23 @@ class TestScope:
         ast = parse_expression(".state.failed() > 0")
         snap = scope(R, S)
         assert eval_state(ast, snap) == eval_state(ast, ScopeSnapshot("elsewhere", snap.jobs))
+
+
+_SEGMENTS = st.lists(
+    st.tuples(st.integers(0, 999), st.none() | st.integers(0, 99), st.sampled_from(["ms", "s", "m", "h"])),
+    min_size=1, max_size=4,
+)
+
+
+@given(_SEGMENTS)
+@example([(1, None, "h"), (30, None, "m")])  # 1h30m: 5400 s
+@settings(max_examples=200, deadline=None)
+def test_a_query_window_reads_as_the_duration_it_writes(segments):
+    """The tokenizer's duration is the document grammar: `1h30m` is 5400 s in both."""
+    text = "".join(f"{whole}{'' if part is None else f'.{part}'}{unit}" for whole, part, unit in segments)
+    window = parse_duration(text)
+    if window <= 0:
+        with pytest.raises(ExprSyntaxError, match="query window must be positive"):
+            parse_expression(f"MAX() QUERY(m, {text}, now) IS ABOVE(1)")
+    else:
+        assert parse_expression(f"MAX() QUERY(m, {text}, now) IS ABOVE(1)").window == window

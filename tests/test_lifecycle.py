@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from whatif.dsl import parse_scenario
 from whatif.engine import Engine
 from whatif.errors import IllegalTransition
-from whatif.executors.base import FAULT_KINDS
+from whatif.dsl import FAULT_KINDS
 from whatif.lifecycle import (
     FailureClass,
     Phase,

@@ -4,9 +4,11 @@ A simulated run needs neither the process executor (with ``subprocess`` and
 ``signal``) nor ``logging``, and the package's data classes are plain
 classes, so importing it must not load these modules; nor must the CLI,
 which loads ``logging`` only for ``-v``. The check counts modules; it times
-nothing.
+nothing. The document schema lives in ``whatif.dsl``, and no executor module
+imports it.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -80,3 +82,18 @@ def test_unknown_attribute_still_raises():
     for module in (whatif, whatif.executors):
         with pytest.raises(AttributeError, match="NoSuchName"):
             module.NoSuchName
+
+
+def test_no_executor_module_imports_the_document_parser():
+    found = []
+    for path in sorted((REPO / "src" / "whatif" / "executors").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):  # function-level imports too
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any("dsl" in name.split(".") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -27,15 +27,17 @@ from whatif.dsl import (
     instantiate_template,
     load_templates,
     load_yaml,
+    parse_fault_body,
+    parse_job_body,
     parse_scenario,
-    render_scenario,
     validate,
 )
 from whatif.engine import run_scenario
 from whatif.errors import ScenarioSyntaxError
-from whatif.executors.base import SimEffect, parse_fault_body, parse_job_body
+from whatif.executors.base import SimEffect
 
 from conftest import SCENARIOS
+from documents import render_scenario
 from test_acceptance import CORPUS_TEMPLATES
 from test_golden import AFTER_RACE, _build, corpus_docs
 
