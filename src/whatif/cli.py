@@ -78,20 +78,24 @@ def cmd_run(args) -> int:
 
     # SIGINT, SIGTERM and SIGHUP interrupt the run: the engine kills its jobs
     # and records an Aborted outcome, and the run files get written. Only the
-    # first signal interrupts; a later one would cut that cleanup short.
+    # first signal during the run interrupts; a later one would cut that
+    # cleanup short. A signal after the run is only noted: the outcome is
+    # decided, and its run files and exit code stand.
     import signal  # here, so that importing the CLI does not load it
 
-    signalled = []
+    signalled = []  # (signal, whether it came during the run)
+    running = True
 
     def interrupt(signum, frame):
-        if not signalled:
-            signalled.append(signum)
+        signalled.append((signum, running))
+        if running and len(signalled) == 1:
             raise KeyboardInterrupt
 
     handlers = {sig: signal.signal(sig, interrupt) for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)}
     try:
         try:
             engine.run()
+            running = False  # in the try, so that a signal just before it is caught here
         except KeyboardInterrupt:
             pass  # recorded by the engine as `interrupted: KeyboardInterrupt`
         print(f"{engine.outcome}: {engine.reason}", file=sys.stderr)
@@ -102,6 +106,9 @@ def cmd_run(args) -> int:
         except OSError as exc:  # the run is over, but its directory cannot hold its files
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
+        for signum, during_run in signalled:
+            if not during_run:
+                print(f"{signal.Signals(signum).name} after the outcome: ignored", file=sys.stderr)
     finally:
         for sig, handler in handlers.items():
             signal.signal(sig, handler)

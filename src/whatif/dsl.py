@@ -14,16 +14,18 @@ logical dependencies::
       depends: { running: [ masters ] }
       call: { callable: boot, services: [ .cluster.masters.all ] }
 
-Templates live in a directory of YAML files and are instantiated by
-replacing ``{{placeholder}}`` markers in a single literal pass; the instance
-text is what the template means. Each ``Template`` object parses each
-distinct instance text once, on the first compile that needs it, and every
-later compile shares that value, read only. The addressing macro
-``.cluster.<name>.<all|index>`` expands to instance names like
-``masters-0``. ``compile_scenario`` checks a document once and compiles it
-into a ``Plan``: ``validate`` returns its findings, every static check that
-keeps a run from blocking or dying on a malformed document, and the engine
-runs the rest.
+Each entry parses into an ``ActionSpec``: a template reference
+(``templateRef``, or a Call's ``callable``) or an inline body, plus its
+kind's own keys. Templates live in a directory of YAML files and are
+instantiated by replacing ``{{placeholder}}`` markers in a single literal
+pass; the instance text is what the template means. Each ``Template``
+object parses each distinct instance text once, on the first compile that
+needs it, and every later compile shares that value, read only. The
+addressing macro ``.cluster.<name>.<all|index>`` expands to instance names
+like ``masters-0``. ``compile_scenario`` checks a document once and
+compiles it into a ``Plan``: ``validate`` returns its findings, every
+static check that keeps a run from blocking or dying on a malformed
+document, and the engine runs the rest.
 """
 
 from __future__ import annotations
@@ -90,9 +92,16 @@ class DependsClause(Value):
 
 
 class ActionSpec(Value):
+    """One ``spec`` entry: a template reference or an inline body, and its kind's own keys.
+
+    ``template_ref`` is a Call's ``callable`` or another kind's ``templateRef``,
+    instantiated with ``inputs``; ``inline`` is the raw mapping of a Service's
+    inline job body or of a Chaos action's ``fault``.
+    """
+
     __slots__ = (
         "name", "kind", "depends", "template_ref", "inputs", "instances", "tolerated_failures",
-        "callable", "services", "fault", "values", "inline_job", "assertions", "timeout",
+        "services", "values", "inline", "assertions", "timeout",
     )
 
     def __init__(
@@ -102,18 +111,11 @@ class ActionSpec(Value):
         depends: Optional[DependsClause] = None,
         template_ref: Optional[str] = None,
         inputs: Optional[list[dict]] = None,
-        # Cluster
         instances: Optional[int] = None,
         tolerated_failures: int = 0,
-        # Call
-        callable: Optional[str] = None,
         services: Optional[list[str]] = None,
-        # Chaos (inline fault body, raw mapping)
-        fault: Optional[dict] = None,
-        # Checkpoint
         values: Optional[dict] = None,
-        # Service (inline job body, raw mapping)
-        inline_job: Optional[dict] = None,
+        inline: Optional[dict] = None,
         assertions: Optional[list[str]] = None,
         timeout: Optional[float] = None,
     ):
@@ -124,11 +126,9 @@ class ActionSpec(Value):
         self.inputs = [] if inputs is None else inputs
         self.instances = instances
         self.tolerated_failures = tolerated_failures
-        self.callable = callable
         self.services = [] if services is None else services
-        self.fault = fault
         self.values = {} if values is None else values
-        self.inline_job = inline_job
+        self.inline = inline
         self.assertions = [] if assertions is None else assertions
         self.timeout = timeout
 
@@ -218,7 +218,16 @@ def _parse_inputs(raw, where: str) -> list[dict]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f"{where}: inputs[{i}] must be a map")
-        out.append({str(k): _coerce_str(v, f"{where}.inputs[{i}].{k}") for k, v in entry.items()})
+        out.append(_string_map(entry, f"{where}.inputs[{i}]"))
+    return out
+
+
+def _string_map(raw: dict, where: str) -> dict[str, str]:
+    """``raw`` with each key and value a string, as ``_coerce_str`` makes them."""
+    out = {}
+    for raw_key, value in raw.items():
+        name = _coerce_str(raw_key, where)
+        out[name] = _coerce_str(value, f"{where}.{name}")
     return out
 
 
@@ -234,28 +243,39 @@ def _parse_depends(raw, where: str) -> DependsClause:
         return DependsClause()
     if not isinstance(raw, dict):
         raise SchemaError(f"{where}: depends must be a map")
+    _reject_extra(raw, {"running", "success", "after"}, f"{where}: unknown depends key")
     clause = DependsClause()
     for key, value in raw.items():
-        if key in ("running", "success"):
-            if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
-                raise SchemaError(f"{where}: depends.{key} must be a list of action names")
-            setattr(clause, key, list(value))
-        elif key == "after":
+        if key == "after":
             clause.after = _parse_duration_field(value, f"{where}.depends.after")
+        elif not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+            raise SchemaError(f"{where}: depends.{key} must be a list of action names")
         else:
-            raise SchemaError(f"{where}: unknown depends key {key!r}")
+            setattr(clause, key, list(value))
     return clause
+
+
+# The keys each kind's body may hold, and those it must hold. A Service's other
+# keys are its inline job body, a Chaos action's `fault` its inline fault body.
+_BODY_KEYS = {
+    "Cluster": ({"templateRef", "instances", "toleratedFailures", "inputs"}, ("templateRef", "instances")),
+    "Service": ({"templateRef", "inputs"}, ()),
+    "Call": ({"callable", "services", "inputs"}, ("callable", "services")),
+    "Chaos": ({"templateRef", "fault", "inputs"}, ()),
+    "Checkpoint": ({"values"}, ()),
+}
 
 
 def _parse_action(doc: ScenarioDoc, position: int, raw) -> None:
     """Parse one ``spec`` entry; its action joins ``doc.actions`` once its kind and name parse.
 
-    The body parses first, as other actions' macros expand to a Cluster's instances.
+    The body parses first, as other actions' macros expand to a Cluster's
+    instances: its required keys, the kind's own keys, ``inputs``, the
+    template reference or inline body, then any key the kind does not take.
     """
     if not isinstance(raw, dict):
         raise SchemaError(f"spec[{position}]: action entry must be a map")
-    kind = raw.get("action")
-    name = raw.get("name")
+    kind, name = raw.get("action"), raw.get("name")
     where = f"spec[{position}]" + (f" ({name})" if isinstance(name, str) else "")
     if kind not in ACTION_KINDS:
         raise SchemaError(f"{where}: unknown action kind {kind!r}")
@@ -264,12 +284,45 @@ def _parse_action(doc: ScenarioDoc, position: int, raw) -> None:
     action = ActionSpec(name=name, kind=kind)
     doc.actions.append(action)
     body_key = kind.lower()
-    body = raw.get(body_key)
-    if body is None:
-        body = {}
+    body = {} if raw.get(body_key) is None else raw[body_key]
     if not isinstance(body, dict):
         raise SchemaError(f"{where}: {body_key} body must be a map")
-    _BODY_PARSERS[kind](action, body, where)
+    allowed, required = _BODY_KEYS[kind]
+    for key in required:
+        if key not in body:
+            raise SchemaError(f"{where}: {body_key} requires {key}")
+    if kind == "Cluster":
+        action.instances = _parse_count(body["instances"], 1, f"{where}: instances")
+        action.tolerated_failures = _parse_count(body.get("toleratedFailures", 0), 0, f"{where}: toleratedFailures")
+    elif kind == "Call":
+        if not isinstance(body["services"], list) or not all(isinstance(s, str) for s in body["services"]):
+            raise SchemaError(f"{where}: call services must be a list of names or macros")
+        action.services = list(body["services"])
+    elif kind == "Checkpoint":
+        values = body.get("values", {})
+        if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
+            raise SchemaError(f"{where}: checkpoint values must map keys to expression strings")
+        action.values = _string_map(values, f"{where}.values")
+    if "inputs" in allowed:
+        action.inputs = _parse_inputs(body.get("inputs"), where)
+
+    ref_key = "callable" if kind == "Call" else "templateRef"
+    if kind == "Service":
+        action.inline = {k: v for k, v in body.items() if k not in allowed} or None
+        if ref_key in body and action.inline:
+            raise SchemaError(f"{where}: service takes templateRef or an inline body, not both")
+        if ref_key not in body and not action.inline:
+            raise SchemaError(f"{where}: service requires templateRef or an inline body")
+    elif kind == "Chaos":
+        if (ref_key in body) == ("fault" in body):
+            raise SchemaError(f"{where}: chaos requires exactly one of templateRef or fault")
+        if not isinstance(body.get("fault", {}), dict):
+            raise SchemaError(f"{where}: fault must be a map")
+        action.inline = body.get("fault")
+    if ref_key in body and ref_key in allowed:
+        action.template_ref = _coerce_str(body[ref_key], f"{where}.{ref_key}")
+    if kind != "Service":
+        _reject_extra(body, allowed, f"{where}: unknown body key")
 
     action.depends = _parse_depends(raw.get("depends"), where)
     if "timeout" in raw:
@@ -281,71 +334,10 @@ def _parse_action(doc: ScenarioDoc, position: int, raw) -> None:
     _reject_extra(raw, {"action", "name", "depends", "timeout", "assertions", body_key}, f"{where}: unknown key")
 
 
-def _parse_cluster_body(action: ActionSpec, body: dict, where: str) -> None:
-    if "templateRef" not in body:
-        raise SchemaError(f"{where}: cluster requires templateRef")
-    if "instances" not in body:
-        raise SchemaError(f"{where}: cluster requires instances")
-    action.template_ref = _coerce_str(body["templateRef"], f"{where}.templateRef")
-    instances = body["instances"]
-    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
-        raise SchemaError(f"{where}: instances must be an integer >= 1")
-    action.instances = instances
-    tolerated = body.get("toleratedFailures", 0)
-    if not isinstance(tolerated, int) or isinstance(tolerated, bool) or tolerated < 0:
-        raise SchemaError(f"{where}: toleratedFailures must be an integer >= 0")
-    action.tolerated_failures = tolerated
-    action.inputs = _parse_inputs(body.get("inputs"), where)
-    _reject_extra(body, {"templateRef", "instances", "toleratedFailures", "inputs"}, f"{where}: unknown body key")
-
-
-def _parse_service_body(action: ActionSpec, body: dict, where: str) -> None:
-    action.inputs = _parse_inputs(body.get("inputs"), where)
-    inline = {k: v for k, v in body.items() if k not in ("templateRef", "inputs")}
-    if "templateRef" in body:
-        if inline:
-            raise SchemaError(f"{where}: service takes templateRef or an inline body, not both")
-        action.template_ref = _coerce_str(body["templateRef"], f"{where}.templateRef")
-    elif inline:
-        action.inline_job = inline
-    else:
-        raise SchemaError(f"{where}: service requires templateRef or an inline body")
-
-
-def _parse_call_body(action: ActionSpec, body: dict, where: str) -> None:
-    if "callable" not in body:
-        raise SchemaError(f"{where}: call requires callable")
-    if "services" not in body:
-        raise SchemaError(f"{where}: call requires services")
-    if not isinstance(body["services"], list) or not all(isinstance(s, str) for s in body["services"]):
-        raise SchemaError(f"{where}: call services must be a list of names or macros")
-    action.callable = _coerce_str(body["callable"], f"{where}.callable")
-    action.services = list(body["services"])
-    action.inputs = _parse_inputs(body.get("inputs"), where)
-    _reject_extra(body, {"callable", "services", "inputs"}, f"{where}: unknown body key")
-
-
-def _parse_chaos_body(action: ActionSpec, body: dict, where: str) -> None:
-    action.inputs = _parse_inputs(body.get("inputs"), where)
-    has_template = "templateRef" in body
-    has_fault = "fault" in body
-    if has_template == has_fault:
-        raise SchemaError(f"{where}: chaos requires exactly one of templateRef or fault")
-    if has_template:
-        action.template_ref = _coerce_str(body["templateRef"], f"{where}.templateRef")
-    else:
-        if not isinstance(body["fault"], dict):
-            raise SchemaError(f"{where}: fault must be a map")
-        action.fault = dict(body["fault"])
-    _reject_extra(body, {"templateRef", "fault", "inputs"}, f"{where}: unknown body key")
-
-
-def _parse_checkpoint_body(action: ActionSpec, body: dict, where: str) -> None:
-    values = body.get("values", {})
-    if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
-        raise SchemaError(f"{where}: checkpoint values must map keys to expression strings")
-    action.values = {str(k): v for k, v in values.items()}
-    _reject_extra(body, {"values"}, f"{where}: unknown body key")
+def _parse_count(value, least: int, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise SchemaError(f"{where} must be an integer >= {least}")
+    return value
 
 
 def _reject_extra(body: dict, allowed: set, message: str) -> None:
@@ -353,15 +345,6 @@ def _reject_extra(body: dict, allowed: set, message: str) -> None:
     for key in body:
         if key not in allowed:
             raise SchemaError(f"{message} {key!r}")
-
-
-_BODY_PARSERS = {
-    "Cluster": _parse_cluster_body,
-    "Service": _parse_service_body,
-    "Call": _parse_call_body,
-    "Chaos": _parse_chaos_body,
-    "Checkpoint": _parse_checkpoint_body,
-}
 
 
 def _spec_entries(raw) -> list:
@@ -435,15 +418,14 @@ def parse_template(raw) -> Template:
         raise SchemaError(f"template: invalid name {name!r}")
     params_raw = raw.get("parameters")
     parameters: dict = {}
-    if params_raw is None:
-        pass
-    elif isinstance(params_raw, list):
+    if isinstance(params_raw, list):
         for entry in params_raw:
             parameters[_coerce_str(entry, f"template {name}: parameter")] = None
     elif isinstance(params_raw, dict):
-        for key, default in params_raw.items():
-            parameters[str(key)] = None if default is None else _coerce_str(default, f"template {name}: default for {key}")
-    else:
+        for given, default in params_raw.items():
+            key = _coerce_str(given, f"template {name}: parameter")
+            parameters[key] = None if default is None else _coerce_str(default, f"template {name}: default for {key}")
+    elif params_raw is not None:
         raise SchemaError(f"template {name}: parameters must be a list or map")
     body = raw.get("body", "")
     if not isinstance(body, str):
@@ -599,7 +581,7 @@ def parse_job_body(body) -> JobSpec:
     if "env" in body:
         if not isinstance(body["env"], dict):
             raise SchemaError("env must be a map")
-        spec.env = {_coerce_str(k, "env"): _coerce_str(v, f"env.{k}") for k, v in body["env"].items()}
+        spec.env = _string_map(body["env"], "env")
     if "metrics" in body:
         if body["metrics"] not in ("stdout-lines", "none"):
             raise SchemaError(f"metrics must be 'stdout-lines' or 'none', got {body['metrics']!r}")
@@ -680,19 +662,19 @@ class Plan:
     tree (scenario -> actions -> cluster instances); ``clusters`` maps each
     cluster to its instance count. Keyed by action name, in document order:
     ``asserts`` holds an action's parsed (text, ast) assertions,
-    ``checkpoint_exprs`` a Checkpoint's (key, ast) values, ``texts`` a
-    templated action's instantiated text per inputs map, ``jobs`` a Service,
-    Cluster or Call's JobSpec per inputs map (one for an inline body; equal
-    texts share one), ``faults`` a Chaos action's resolved FaultSpec with
-    its target nodes, ``timeouts`` every action's effective timeout, and
-    ``dependents`` the indexes of the actions whose ``depends`` names it.
+    ``checkpoint_exprs`` a Checkpoint's (key, ast) values, ``jobs`` a
+    Service, Cluster or Call's JobSpec per inputs map (one for an inline
+    body; equal instance texts share one), ``faults`` a Chaos action's
+    resolved FaultSpec with its target nodes, ``timeouts`` every action's
+    effective timeout, and ``dependents`` the indexes of the actions whose
+    ``depends`` names it.
     All of it is complete only when ``report.ok``. The tree's nodes carry a
     run's phases, so a plan serves one run.
     """
 
     __slots__ = (
         "report", "tree", "nodes", "clusters", "asserts", "checkpoint_exprs",
-        "texts", "jobs", "faults", "timeouts", "dependents",
+        "jobs", "faults", "timeouts", "dependents",
     )
 
     def __init__(self, tree: ResourceNode):
@@ -702,7 +684,6 @@ class Plan:
         self.clusters: dict[str, int] = {}
         self.asserts: dict[str, list] = {}
         self.checkpoint_exprs: dict[str, list] = {}
-        self.texts: dict[str, list[str]] = {}
         self.jobs: dict[str, list] = {}
         self.faults: dict[str, tuple] = {}
         self.timeouts: dict[str, Optional[float]] = {}
@@ -832,34 +813,22 @@ def validate(
     return compile_scenario(doc, templates, engine_default_timeout).report
 
 
-def _required_template(action: ActionSpec) -> Optional[str]:
-    if action.kind in ("Cluster", "Service", "Chaos"):
-        return action.template_ref
-    if action.kind == "Call":
-        return action.callable
-    return None
-
-
 def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[Finding]:
     findings: list[Finding] = []
-    name = action.name
+    name, ref = action.name, action.template_ref
 
     if action.kind == "Cluster" and action.tolerated_failures >= action.instances:
-        findings.append(Finding(
-            "error", name,
-            f"toleratedFailures ({action.tolerated_failures}) must be below instances ({action.instances})",
-        ))
+        message = f"toleratedFailures ({action.tolerated_failures}) must be below instances ({action.instances})"
+        findings.append(Finding("error", name, message))
     if action.kind != "Cluster" and len(action.inputs) > 1:
         findings.append(Finding("warning", name, "only the first inputs map is used"))
 
     texts: list[str] = []
-    ref = _required_template(action)
-    if ref is not None and action.inline_job is None:
+    if ref is not None:
         template = templates.get(ref)
         if template is None:
             findings.append(Finding("error", name, f"unknown template: {ref}"))
         else:
-            plan.texts[name] = texts
             for inputs in (action.inputs if action.kind == "Cluster" else action.inputs[:1]) or [{}]:
                 try:
                     inputs = _with_builtins(template, inputs, action, plan.clusters)
@@ -871,28 +840,10 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
                     findings.append(Finding("error", name, f"template {ref}: {exc}"))
                     break
 
-    if action.kind in ("Service", "Cluster", "Call"):
-        specs = plan.jobs[name] = []
-        try:
-            if action.inline_job is not None:
-                specs.append(parse_job_body(action.inline_job))
-            for text in texts:
-                if text not in parsed:
-                    parsed[text] = parse_job_body(_load_instance(template, text))
-                specs.append(parsed[text])
-        except yaml.YAMLError as exc:
-            findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
-        except SchemaError as exc:
-            findings.append(Finding("error", name, str(exc)))
-
-    if action.kind == "Call":
-        for target in action.services:
-            findings.extend(_check_target(target, name, plan))
-
-    if action.kind == "Chaos" and (action.fault is not None or texts):
+    if action.kind == "Chaos" and (action.inline is not None or texts):
         try:
             spec = parse_fault_body(
-                action.fault if action.fault is not None else _load_instance(template, texts[0]), plan.clusters,
+                action.inline if action.inline is not None else _load_instance(template, texts[0]), plan.clusters,
             )
         except yaml.YAMLError as exc:
             findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
@@ -903,7 +854,22 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
                 if not plan.is_service(target):
                     findings.append(Finding("error", name, f"unknown fault target: {target}"))
             plan.faults[name] = (spec, [plan.nodes.get(target) for target in spec.targets])
+    elif action.kind != "Checkpoint":
+        specs = plan.jobs[name] = []
+        try:
+            if action.inline is not None:
+                specs.append(parse_job_body(action.inline))
+            for text in texts:
+                if text not in parsed:
+                    parsed[text] = parse_job_body(_load_instance(template, text))
+                specs.append(parsed[text])
+        except yaml.YAMLError as exc:
+            findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
+        except SchemaError as exc:
+            findings.append(Finding("error", name, str(exc)))
 
+    for target in action.services:
+        findings.extend(_check_target(target, name, plan))
     for text in action.assertions:
         findings.extend(_compile_assertion(plan, text, node, checkpoints))
     for key, text in action.values.items():

@@ -138,7 +138,7 @@ class ProcessExecutor(Executor):
             unix_ms = float(parts[3])
         except ValueError:
             return
-        self.store.ingest(parts[1], value, max(0.0, self.clock.from_unix_ms(unix_ms)))
+        self.store.ingest(parts[1], value, self.clock.from_unix_ms(unix_ms))
 
     def kill_job(self, name: str) -> None:
         if name in self._pidfds:  # a reaped job's group was killed at its reap, and its id may be reused

@@ -28,7 +28,8 @@ class MetricsStore:
     """Per-run time-series store keyed by metric name.
 
     Points arrive in time order per name; anything older than the last
-    accepted point for its name, and any NaN value, is dropped and counted.
+    accepted point for its name, any NaN value and any stamp that is not
+    finite is dropped and counted.
     """
 
     def __init__(self):
@@ -62,12 +63,13 @@ class MetricsStore:
         self._values.setdefault(name, [])
 
     def ingest(self, name: str, value: float, at: float) -> bool:
-        """Store one point. Returns False when dropped: out of order, or NaN,
-        which no threshold compares with and which hides the later points of
-        a window from MAX and MIN."""
+        """Store one point. Returns False when dropped: out of order, a NaN
+        value, which no threshold compares with and which hides the later
+        points of a window from MAX and MIN, or a stamp that is not finite,
+        which no window holds and ``metrics.txt`` cannot keep."""
         times = self._times.setdefault(name, [])
         values = self._values.setdefault(name, [])
-        if (times and at < times[-1]) or value != value:
+        if (times and at < times[-1]) or value != value or not math.isfinite(at):
             self.dropped += 1
             return False
         times.append(at)

@@ -53,15 +53,15 @@ def _render_action(action: ActionSpec) -> dict:
         if action.template_ref is not None:
             body["templateRef"] = action.template_ref
         else:
-            body.update(action.inline_job or {})
+            body.update(action.inline or {})
     elif action.kind == "Call":
-        body["callable"] = action.callable
+        body["callable"] = action.template_ref
         body["services"] = list(action.services)
     elif action.kind == "Chaos":
         if action.template_ref is not None:
             body["templateRef"] = action.template_ref
         else:
-            body["fault"] = dict(action.fault or {})
+            body["fault"] = dict(action.inline or {})
     elif action.kind == "Checkpoint":
         if action.values:
             body["values"] = dict(action.values)

@@ -47,7 +47,7 @@ def _stage_doc(policy: str, durations, delay=None) -> ScenarioDoc:
     actions = []
     for i, duration in enumerate(durations):
         action = ActionSpec(
-            name=f"stage-{i}", kind="Call", callable="stage", services=[],
+            name=f"stage-{i}", kind="Call", template_ref="stage", services=[],
             inputs=[{"dur": f"{duration}s"}],
         )
         if policy == "state" and i:
@@ -396,7 +396,7 @@ def _generate_scenario(rng: random.Random, defect: str) -> ScenarioDoc:
             services = []
             if cluster_names and rng.random() < 0.5:
                 services.append(f".cluster.{rng.choice(cluster_names)}.all")
-            action = ActionSpec(name=name, kind="Call", callable="task", services=services)
+            action = ActionSpec(name=name, kind="Call", template_ref="task", services=services)
         if actions and rng.random() < 0.7:
             dep = rng.choice(actions).name
             action.depends = DependsClause(success=[dep]) if rng.random() < 0.5 else DependsClause(running=[dep])
@@ -412,7 +412,7 @@ def _generate_scenario(rng: random.Random, defect: str) -> ScenarioDoc:
     elif defect == "missing-template":
         calls = [a for a in actions if a.kind == "Call"]
         if calls:
-            rng.choice(calls).callable = "no-such-template"
+            rng.choice(calls).template_ref = "no-such-template"
         else:
             rng.choice(actions).template_ref = "no-such-template"
     elif defect == "bad-expression":
@@ -425,7 +425,7 @@ def _generate_scenario(rng: random.Random, defect: str) -> ScenarioDoc:
         if calls:
             rng.choice(calls).services = [target]
         else:
-            actions.append(ActionSpec(name="extra", kind="Call", callable="task", services=[target]))
+            actions.append(ActionSpec(name="extra", kind="Call", template_ref="task", services=[target]))
     elif defect == "tolerance":
         clusters = [a for a in actions if a.kind == "Cluster"]
         if clusters:

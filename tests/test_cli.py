@@ -1,7 +1,10 @@
 """CLI exit codes, run artifacts, and report formats."""
 
 import json
+import os
 import random
+import signal
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario
 from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
 from whatif.report import build_report, load_run, plot_data, report_json_text
+from whatif.trace import RunTrace
 from conftest import SCENARIOS, script_template
 from documents import render_scenario
 from test_engine import LaggingEngine
@@ -24,6 +28,10 @@ BAD_DURATION = SCENARIOS / "invalid" / "bad-duration.yaml"
 SEVERAL_ERRORS = SCENARIOS / "invalid" / "several-errors.yaml"
 NON_SCALAR_FIELDS = SCENARIOS / "invalid" / "non-scalar-fields.yaml"
 TOO_MANY_INSTANCES = SCENARIOS / "invalid" / "too-many-instances.yaml"
+INVALID_DOCUMENTS = sorted((SCENARIOS / "invalid").glob("*.yaml"))
+# The stdout of `whatif validate <document> --templates scenarios/templates`
+# for each document of scenarios/invalid, in <document stem>.txt.
+VALIDATE_OUTPUTS = Path(__file__).resolve().parent / "validate_outputs"
 
 NINES = "9" * 400  # overflows a float to inf
 SERVICE = ("{action: Service, name: s, service: {declares: [m], script: [{at: 0s, do: running}, "
@@ -114,6 +122,11 @@ class BrokenExecutor(SimExecutor):
 
 
 class TestValidate:
+    @pytest.mark.parametrize("document", INVALID_DOCUMENTS, ids=lambda path: path.stem)
+    def test_invalid_document_output_is_pinned(self, document, capsys):
+        assert main(["validate", str(document), "--templates", str(TEMPLATES)]) == 2
+        assert capsys.readouterr().out == (VALIDATE_OUTPUTS / f"{document.stem}.txt").read_text()
+
     def test_valid_scenario_exit_0(self, capsys):
         assert main(["validate", str(VALID), "--templates", str(TEMPLATES)]) == 0
         assert "ok" in capsys.readouterr().out
@@ -274,6 +287,23 @@ class TestRun:
         path.write_text(SLOW)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
 
+    @pytest.mark.parametrize("text,code", [(TWO_SERVICES, 0), (CRASHY, 1), (SLOW, 3)], ids=["success", "failed", "aborted"])
+    def test_a_signal_while_the_run_files_are_written_keeps_the_outcome(self, text, code, tmp_path, monkeypatch, capsys):
+        save = RunTrace.save
+
+        def signalled_save(trace, path):
+            os.kill(os.getpid(), signal.SIGTERM)
+            save(trace, path)
+
+        monkeypatch.setattr(RunTrace, "save", signalled_save)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == code
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "report.json", "trace.ndjson"]
+        assert build_report(load_run(out)[0]) == json.loads((out / "report.json").read_text())
+        assert capsys.readouterr().err.endswith("SIGTERM after the outcome: ignored\n")
+
     def test_internal_error_exit_3_writes_run_files(self, tmp_path, monkeypatch):
         executor = BrokenExecutor()
         monkeypatch.setattr("whatif.cli.make_executor", lambda name: executor)
@@ -365,18 +395,18 @@ def _generate_doc(rng: random.Random, klass: str) -> ScenarioDoc:
             action = ActionSpec(name=f"a{i}", kind="Cluster", template_ref="node",
                                 instances=rng.randint(1, 3))
         else:
-            action = ActionSpec(name=f"a{i}", kind="Call", callable="task", services=[])
+            action = ActionSpec(name=f"a{i}", kind="Call", template_ref="task", services=[])
         if actions and rng.random() < 0.6:
             action.depends = DependsClause(success=[rng.choice(actions).name])
         actions.append(action)
     if klass == "failed":
-        actions.append(ActionSpec(name="doomed", kind="Service", inline_job={
+        actions.append(ActionSpec(name="doomed", kind="Service", inline={
             "script": [{"at": "0s", "do": "running"}, {"at": "2s", "do": "crash"}],
         }))
     elif klass == "invalid":
         actions[0].depends = DependsClause(success=["ghost"])
     elif klass == "aborted":
-        actions.append(ActionSpec(name="stuck", kind="Service", timeout=2.0, inline_job={
+        actions.append(ActionSpec(name="stuck", kind="Service", timeout=2.0, inline={
             "script": [{"at": "0s", "do": "running"}, {"at": "60s", "do": "success"}],
         }))
     return ScenarioDoc(name="generated", actions=actions)

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from whatif import dsl
-from whatif.dsl import Template, compile_scenario, parse_job_body, parse_scenario, validate
+from whatif.dsl import Template, compile_scenario, instantiate_template, parse_job_body, parse_scenario, validate
 from whatif.engine import Engine, Outcome, run_scenario
 
 from conftest import count_operations
@@ -147,16 +147,16 @@ def test_compile_parses_each_template_once(instances, monkeypatch):
     parses = counting_loader(monkeypatch)
     plan = compile_scenario(doc, templates)
     assert plan.report.ok, str(plan.report)
-    assert len(set(plan.texts["db"])) == instances
+    assert len(node._parsed) == instances
     assert len(parses) == instances + 1
     again = compile_scenario(doc, templates)
     result = run_scenario(doc, templates, seed=1)
     assert len(parses) == instances + 1
-    assert again.jobs == plan.jobs and again.texts == plan.texts
+    assert again.jobs == plan.jobs
     assert result.outcome == Outcome.SUCCESS, result.reason
     monkeypatch.undo()
-    for text, spec in list(zip(plan.texts["db"], plan.jobs["db"]))[::97]:
-        assert spec == parse_job_body(dsl.load_yaml(text))
+    for given, spec in list(zip(inputs, plan.jobs["db"]))[::97]:
+        assert spec == parse_job_body(dsl.load_yaml(instantiate_template(node, given)))
 
 
 def test_runs_of_one_loaded_document_parse_its_templates_once(monkeypatch):
@@ -192,4 +192,4 @@ def test_plan_indexes_every_name_once():
     assert spec.targets == ["db-1", "db-2", "db-3"]
     assert targets == [plan.nodes[name] for name in spec.targets]
     assert plan.dependents == {"db": [1]}
-    assert plan.texts == {"db": [NODE.body]}
+    assert plan.jobs == {"db": [parse_job_body(dsl.load_yaml(NODE.body))]}

@@ -152,6 +152,29 @@ class TestTemplates:
         assert instantiate_template(tmpl, {}) == "port=26257"
         assert instantiate_template(tmpl, {"port": "1"}) == "port=1"
 
+    @pytest.mark.parametrize("parameters", ["[true]", "{true: 9s}"])
+    def test_a_key_is_the_name_its_scalar_spells(self, parameters):
+        """``{true: x}`` names the parameter declared ``[true]``, as a value ``true`` would read ``'true'``."""
+        template = parse_template(yaml.safe_load(
+            f"name: t\nparameters: {parameters}\nbody: 'script: [{{at: 0s, do: running}}, {{at: {{{{true}}}}, do: success}}]'\n",
+        ))
+        assert template.parameters.keys() == {"true"}
+        doc = parse_scenario("spec:\n- {action: Service, name: s, service: {templateRef: t, inputs: [{true: 5s}]}}\n")
+        assert doc.actions[0].inputs == [{"true": "5s"}]
+        plan = compile_scenario(doc, {"t": template})
+        assert plan.report.ok, str(plan.report)
+        assert [effect.offset for effect in plan.jobs["s"][0].script] == [0.0, 5.0]
+
+    @pytest.mark.parametrize("where,entry", [
+        ("inputs[0]", "{action: Service, name: a, service: {templateRef: t, inputs: [{~: 1}]}}"),
+        ("values", "{action: Checkpoint, name: a, checkpoint: {values: {~: 'SUM() QUERY(m, 1m, now)'}}}"),
+    ])
+    def test_a_null_key_is_a_finding(self, where, entry):
+        doc = parse_scenario(f"spec:\n- {entry}\n")
+        assert [str(f) for f in doc.findings] == [f"error: a: spec[0] (a).{where}: expected a scalar, got None"]
+        with pytest.raises(SchemaError, match="template t: parameter: expected a scalar, got None"):
+            parse_template({"name": "t", "parameters": {None: "1"}})
+
     def test_undeclared_placeholder_rejected_at_load(self):
         with pytest.raises(SchemaError, match="undeclared"):
             parse_template({"name": "t", "body": "oops {{ghost}}"})
@@ -235,7 +258,7 @@ class TestValidate:
     def test_long_chain_in_reverse_order(self):
         """The cycle search keeps its own stack, so a chain deeper than Python's recursion limit fits."""
         actions = [
-            ActionSpec(name=f"c{i}", kind="Call", callable="t",
+            ActionSpec(name=f"c{i}", kind="Call", template_ref="t",
                        depends=DependsClause(success=[f"c{i - 1}"] if i else []))
             for i in reversed(range(1500))
         ]
@@ -379,9 +402,10 @@ class TestValidate:
             "spec:\n- {action: Service, name: s, service: {script: [{at: 0s, do: running}, {at: 9s, do: success}]}}\n"
             f"- {{action: {kind}, name: a, depends: {{running: [s]}}, {kind.lower()}: {bodies[kind]}}}\n"
         )
-        plan = compile_scenario(doc, {"t": Template("t", {"d": None}, body)})
+        template = Template("t", {"d": None}, body)
+        plan = compile_scenario(doc, {"t": template})
         assert [str(f) for f in plan.report.findings] == ["warning: a: only the first inputs map is used"]
-        assert plan.texts["a"] == [body.replace("{{d}}", "5s")]
+        assert list(template._parsed) == [body.replace("{{d}}", "5s")]
 
     def test_warnings_do_not_flip_ok(self):
         doc = parse_scenario(
@@ -420,10 +444,10 @@ def scenario_docs(draw):
         elif kind == "Service":
             action.template_ref = "tmpl"
         elif kind == "Call":
-            action.callable = "do-thing"
+            action.template_ref = "do-thing"
             action.services = draw(st.lists(_names, max_size=2))
         elif kind == "Chaos":
-            action.fault = {"kind": "kill", "targets": ["x-0"]}
+            action.inline = {"kind": "kill", "targets": ["x-0"]}
         elif kind == "Checkpoint":
             action.values = draw(st.dictionaries(
                 st.from_regex(r"[a-z]{1,4}", fullmatch=True),
@@ -486,7 +510,7 @@ def _ref_docs(draw):
         pool = names + (["ghost"] if draw(st.booleans()) else [])
         deps = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
         actions.append(ActionSpec(
-            name=name, kind="Call", callable="t", services=[],
+            name=name, kind="Call", template_ref="t", services=[],
             depends=DependsClause(success=deps),
         ))
     return ScenarioDoc(name="gen", actions=actions)

@@ -14,6 +14,7 @@ import pytest
 from conftest import REPO
 from oracles import run_one_time_per_step
 
+from whatif import cli
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import Engine, Outcome, run_scenario
 from whatif.errors import SpawnError, TargetNotRunning, UnsupportedFault
@@ -365,6 +366,44 @@ spec:
         assert result.reason == f"spiky: assertion fired: {rule}"
         assert [value for _, value in result.store.series("x")] == [100.0]
         assert result.store.dropped == 1
+
+
+# Four points of x: stamped `inf`, a minute before the run, `nan`, and now.
+STAMPS = """
+import time
+now = time.time() * 1000
+for value, stamp in ((1, "inf"), (2, "%d" % (now - 60000)), (3, "nan"), (4, "%d" % now)):
+    print("metric x %d %s" % (value, stamp), flush=True)
+"""
+
+
+def test_stamps_not_finite_are_dropped_and_one_before_the_start_is_kept(tmp_path, monkeypatch):
+    emitter = tmp_path / "stamps.py"
+    emitter.write_text(STAMPS)
+    scenario = tmp_path / "stamps.yaml"
+    scenario.write_text(f"""
+spec:
+- action: Service
+  name: stamps
+  service: {{ command: {sys.executable} {emitter}, metrics: stdout-lines, declares: [x] }}
+""")
+    engines = []
+
+    class RecordingEngine(Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(cli, "Engine", RecordingEngine)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--executor", "process", "--out", str(out)]) == 0
+    store = engines[0].store
+    assert store.dropped == 2
+    (early, two), (late, four) = store.series("x")
+    assert (two, four) == (2.0, 4.0)
+    assert -70.0 < early < -50.0 and late >= 0.0
+    assert cli.main(["report", str(out)]) == 0
+    assert MetricsStore.load(out / "metrics.txt").series("x") == store.series("x")
 
 
 class TestNothingOutlivesARun:

@@ -60,10 +60,10 @@ UNHASHABLE = {
     FaultSpec: (lambda: ("kill", ["a-0"], [], "both", None), lambda: ("partition", ["b"], ["c"], "to", 5.0)),
     DependsClause: (lambda: (["a"], ["b"], None), lambda: (["c"], [], 1.0)),
     ActionSpec: (
-        lambda: ("a", "Cluster", DependsClause(), "t", [{"x": "1"}], 3, 1, None, [], None, {}, None, [], None),
+        lambda: ("a", "Cluster", DependsClause(), "t", [{"x": "1"}], 3, 1, [], {}, None, [], None),
         lambda: (
-            "b", "Call", DependsClause(["a"]), None, [], None, 0, "boot", [".cluster.a.all"],
-            {"kind": "kill"}, {"k": "MAX() QUERY(m, 1m, now)"}, {"script": []}, [".state.failed() > 0"], 9.0,
+            "b", "Call", DependsClause(["a"]), "boot", [], None, 0, [".cluster.a.all"],
+            {"k": "MAX() QUERY(m, 1m, now)"}, {"script": []}, [".state.failed() > 0"], 9.0,
         ),
     ),
     ScenarioDoc: (

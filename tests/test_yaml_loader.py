@@ -151,8 +151,19 @@ def _corpus() -> list[tuple]:
 
 
 def _instantiated(doc, templates) -> list[str]:
-    """Every template text compiling this document instantiates."""
-    return [text for texts in compile_scenario(doc, templates).texts.values() for text in texts]
+    """Every template text compiling this document instantiates, once per instantiation."""
+    texts: list[str] = []
+
+    def recording(template, inputs):
+        texts.append(instantiate_template(template, inputs))
+        return texts[-1]
+
+    dsl.instantiate_template = recording
+    try:
+        compile_scenario(doc, templates)
+    finally:
+        dsl.instantiate_template = instantiate_template
+    return texts
 
 
 def _documents() -> list[str]:
@@ -384,7 +395,8 @@ spec:
             first.jobs[name][0].script.append(SimEffect(10.0, "failed"))
             first.jobs[name][0].script[0].offset = 5.0
         second = compile_scenario(doc, templates)
-    expected = {name: [parse_job_body(load_yaml(text)) for text in texts] for name, texts in second.texts.items()}
+    expected = {name: [parse_job_body(load_yaml(instantiate_template(templates[ref], inputs)))]
+                for name, ref, inputs in (("s", "node", {"up": "1s"}), ("t", "fixed", {}))}
     assert second.jobs == expected
     assert [e.op for e in second.jobs["t"][0].script] == ["running", "success"]
 
