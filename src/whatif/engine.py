@@ -1,10 +1,10 @@
 """The reconciliation core: one logical loop that owns all run state.
 
-Events (state changes, timers, metric ingests, tag notifications) are
-consumed in (timestamp, sequence) order from a single queue. Each event
-starts a reconciliation cycle that re-checks dependencies, dispatches
-newly satisfied actions in document order, evaluates assertions, and
-decides the run outcome. Executors affect the run only through the events
+Events (state changes, timers, metric ingests) are consumed in
+(timestamp, sequence) order from a single queue. Each event starts a
+reconciliation cycle that re-checks dependencies, dispatches newly
+satisfied actions in document order, evaluates assertions, and decides
+the run outcome. Executors affect the run only through the events
 they emit, and the engine reaches executors only through calls, each traced
 as a ``command`` record, so a simulated run is a deterministic function of
 (document, seed) and its trace is the run's one record of what it did.
@@ -245,14 +245,9 @@ class Engine:
         """Run to an outcome; returns the engine. An internal error aborts the run; cleanup always runs."""
         try:
             self._loop()
-        except Exception as exc:
-            _logger().exception("internal error")
+        except BaseException as exc:  # an interrupt (KeyboardInterrupt, SystemExit) propagates after the cleanup
             self.now = self.clock.now()  # the abort is a step of its own
-            self._abort(f"internal error: {type(exc).__name__}: {exc}")
-        except BaseException as exc:  # KeyboardInterrupt, SystemExit: clean up, record, re-raise
-            self.now = self.clock.now()
-            self._abort(f"interrupted: {type(exc).__name__}")
-            raise
+            self._abort_for(exc)
         finally:
             self._finalize()
         return self
@@ -297,8 +292,6 @@ class Engine:
                 self._on_time(event)
             elif event.kind == EventKind.METRICS:
                 self._evaluate_rules()
-            elif event.kind == EventKind.TAG:
-                self._on_tag(event)
             if not self.finished:
                 self._recheck_dispatch()
                 self._check_completion()
@@ -357,28 +350,16 @@ class Engine:
             self._evaluate_action_assertions(node.name, metrics=True)
 
     def _on_time(self, event: Event) -> None:
-        timer = event.timer_id
-        if timer.startswith("timeout:"):
-            name = timer.split(":", 1)[1]
+        kind, _, name = event.timer_id.partition(":")
+        if kind == "timeout":
             node = self.nodes.get(name)
             if node is not None and not node.phase.terminal:
                 self._abort(f"timeout: action {name} did not finish in time")
-        elif timer.startswith("window:"):
+        elif kind == "window":
             self._evaluate_rules()
+        elif kind == "fault":
+            self._end_fault(name)
         # "after:" timers only need the dispatch recheck that follows.
-
-    def _on_tag(self, event: Event) -> None:
-        """A fault ended (``fault-revoked``, the one Tag an executor emits): its action succeeds."""
-        tags = event.tags
-        if tags.get("event") != "fault-revoked":
-            return
-        action = tags["action"]
-        for target in self.plan.faults[action][1]:
-            target.chaos = None
-        node = self.nodes[action]
-        if not node.phase.terminal:
-            self._move(node, Phase.SUCCESS)
-            self._on_terminal(node)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -459,10 +440,6 @@ class Engine:
         self._move(node, Phase.PENDING)
         for target in targets:
             target.chaos = spec.kind
-            self.trace.append(
-                "event", self.now, event="Tag", subject=target.name,
-                tags={"metadata.Chaos": spec.kind, "target": target.name, "source": action.name},
-            )
         self._trace_command("InjectFault", action.name, {
             "kind": spec.kind, "targets": list(spec.targets), "dst": list(spec.dst),
             "direction": spec.direction, "duration": spec.duration,
@@ -478,6 +455,8 @@ class Engine:
             self.kill_watch[action.name] = len(live)
             for target in live:
                 self.kill_watchers.setdefault(target.name, []).append(action.name)
+        else:
+            self.queue.push(self.now + spec.duration, Event(EventKind.TIME, timer_id=f"fault:{action.name}"))
 
     def _dispatch_checkpoint(self, action: ActionSpec) -> None:
         node = self.nodes[action.name]
@@ -631,13 +610,22 @@ class Engine:
             return
         for action_name in self.kill_watchers.pop(target.name, ()):
             self.kill_watch[action_name] -= 1
-            if self.kill_watch[action_name]:
-                continue
-            del self.kill_watch[action_name]
-            node = self.nodes[action_name]
-            if not node.phase.terminal:
-                self._move(node, Phase.SUCCESS)
-                self._on_terminal(node)
+            if not self.kill_watch[action_name]:
+                del self.kill_watch[action_name]
+                self._end_fault(action_name)
+
+    def _end_fault(self, action: str) -> None:
+        """The one place a Chaos action ends: a kill once its last live target is terminal, a suspend
+        or partition at its ``fault:`` timer. Revokes the fault in effect and unmarks the targets."""
+        spec, targets = self.plan.faults[action]
+        if spec.kind != "kill":  # a kill is over once injected
+            self._trace_command("RevokeFault", action)
+            self.executor.revoke_fault(action)
+        for target in targets:
+            target.chaos = None
+        node = self.nodes[action]
+        self._move(node, Phase.SUCCESS)
+        self._on_terminal(node)
 
     # --- outcome ----------------------------------------------------------------
 
@@ -661,20 +649,46 @@ class Engine:
         self.finished = True
         self._trace_command("AbortRun", self.doc.name, {"outcome": outcome.value, "reason": reason})
 
+    def _abort_for(self, exc: BaseException) -> None:
+        """Abort the run for an exception that escaped a step; log an internal error, re-raise an interrupt."""
+        if not isinstance(exc, Exception):
+            self._abort(f"interrupted: {type(exc).__name__}")
+            raise exc
+        _logger().error("internal error", exc_info=exc)
+        self._abort(f"internal error: {type(exc).__name__}: {exc}")
+
     def _finalize(self) -> None:
-        self.now = self.clock.now()  # a step of its own: the cleanup and the outcome
+        """The cleanup and the outcome, a step of its own. Each cleanup call is made, also after an earlier one
+        raised; the first that raised aborts a run that had a verdict. The ``outcome`` record is always written."""
+        self.now = self.clock.now()
+        raised = []
         for action_name in list(self.executor.faults):
-            self._trace_command("RevokeFault", action_name)
-            self.executor.revoke_fault(action_name)
+            try:
+                self._trace_command("RevokeFault", action_name)
+                self.executor.revoke_fault(action_name)
+            except BaseException as exc:
+                raised.append(exc)
         for node in iter_nodes(self.tree):
             if node.name in self.started and not node.phase.terminal:
-                self._trace_command("KillJob", node.name)
-                self.executor.kill_job(node.name)
-        self.executor.shutdown()
-        if not self.tree.phase.terminal and self.outcome in (Outcome.SUCCESS, Outcome.FAILED):
-            target = Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED
-            self._move(self.tree, target)
-        self.trace.append("outcome", self.now, outcome=self.outcome.value, reason=self.reason)
+                try:
+                    self._trace_command("KillJob", node.name)
+                    self.executor.kill_job(node.name)
+                except BaseException as exc:
+                    raised.append(exc)
+        try:
+            self.executor.shutdown()
+        except BaseException as exc:
+            raised.append(exc)
+        try:
+            if raised and self.outcome != Outcome.ABORTED:
+                self.finished = False  # a verdict stands only on a clean cleanup
+            for exc in raised:
+                self._abort_for(exc)
+            if not self.tree.phase.terminal and self.outcome in (Outcome.SUCCESS, Outcome.FAILED):
+                target = Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED
+                self._move(self.tree, target)
+        finally:
+            self.trace.append("outcome", self.now, outcome=self.outcome.value, reason=self.reason)
 
     # --- phase changes ---------------------------------------------------------------
 

@@ -3,10 +3,10 @@
 Everything that happens in a run flows through one priority queue ordered
 by (timestamp, sequence number), which gives reconciliation a total order.
 Queue items are either Events (consumed by the engine loop) or plain
-callables (scheduled work such as scripted simulator effects and timer
-internals). Under the simulated clock the loop jumps time to each item;
-under the wall clock it waits in the executor until items fall due, so
-one thread runs the whole run.
+callables (scheduled work: the simulated executor's scripted effects).
+Under the simulated clock the loop jumps time to each item; under the
+wall clock it waits in the executor until items fall due, so one thread
+runs the whole run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class EventKind(Enum):
     TIME = "Time"
     STATE = "State"
     METRICS = "Metrics"
-    TAG = "Tag"
 
     def __str__(self) -> str:
         return self.value
@@ -33,7 +32,7 @@ class EventKind(Enum):
 class Event(Value):
     """What happened; its queue entry holds when it is due, and the engine stamps what it causes."""
 
-    __slots__ = ("kind", "subject", "timer_id", "phase", "failure_mode", "reason", "tags")
+    __slots__ = ("kind", "subject", "timer_id", "phase", "failure_mode", "reason")
 
     def __init__(
         self,
@@ -43,7 +42,6 @@ class Event(Value):
         phase: Optional[Phase] = None,  # STATE
         failure_mode: str = "",  # STATE, when phase is Failed
         reason: str = "",
-        tags: Optional[dict] = None,  # TAG
     ):
         self.kind = kind
         self.subject = subject
@@ -51,7 +49,6 @@ class Event(Value):
         self.phase = phase
         self.failure_mode = failure_mode
         self.reason = reason
-        self.tags = {} if tags is None else tags
 
     def describe(self) -> dict:
         """Compact, JSON-safe view for trace records."""
@@ -66,8 +63,6 @@ class Event(Value):
             data["mode"] = self.failure_mode
         if self.reason:
             data["reason"] = self.reason
-        if self.tags:
-            data["tags"] = dict(self.tags)
         return data
 
 

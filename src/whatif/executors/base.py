@@ -80,12 +80,12 @@ class Executor:
     """Backend interface: the engine calls it, and it answers through events.
 
     Concrete executors emit State events into the queue they are bound to,
-    and a ``fault-revoked`` Tag event when a fault ends, and they ingest
-    metric points straight into the bound store. The fault bookkeeping is
-    shared: ``faults`` holds the faults still in effect by the name of the
-    action that injected them (a kill is over once injected), and one with
-    a duration is revoked when the duration elapses, unless revoked before.
-    A target of overlapping suspends resumes when the last of them ends.
+    and they ingest metric points straight into the bound store. They apply
+    and undo faults; the engine decides when each one ends. The fault
+    bookkeeping is shared: ``faults`` holds the faults still in effect by
+    the name of the action that injected them (a kill is over once
+    injected). A target of overlapping suspends resumes when the last of
+    them ends.
     """
 
     name = "abstract"
@@ -108,7 +108,7 @@ class Executor:
         raise NotImplementedError
 
     def revoke_fault(self, action: str) -> None:
-        """End the action's fault in effect: undo it, then report its end."""
+        """Undo the action's fault in effect; UnknownHandle when it has none."""
         spec = self.faults.pop(action, None)
         if spec is None:
             raise UnknownHandle(action)
@@ -117,11 +117,6 @@ class Executor:
             for target in spec.targets:
                 if target not in suspended:
                     self._resume_target(target)
-        self.queue.push(self.clock.now(), Event(
-            EventKind.TAG,
-            subject=action,
-            tags={"event": "fault-revoked", "action": action, "fault": spec.kind, "targets": ",".join(spec.targets)},
-        ))
 
     def wait(self, timeout: Optional[float]) -> bool:
         """Block until a job has news or ``timeout`` seconds pass; False when no job can bring news.
@@ -140,15 +135,9 @@ class Executor:
         raise NotImplementedError
 
     def _record_fault(self, action: str, spec: FaultSpec) -> None:
-        """Record a fault just injected for ``action``."""
+        """Record a fault just injected for ``action``: in effect until revoked, unless a kill."""
         if spec.kind != "kill":
             self.faults[action] = spec
-            if spec.duration is not None:
-                self.queue.push(self.clock.now() + spec.duration, lambda: self._auto_revoke(action))
-
-    def _auto_revoke(self, action: str) -> None:
-        if action in self.faults:
-            self.revoke_fault(action)
 
     def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
         self.queue.push(self.clock.now(), Event(

@@ -13,6 +13,7 @@ import pytest
 
 from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, Template, parse_scenario, validate
 from whatif.engine import Engine, Outcome, run_scenario
+from whatif.events import EventKind
 from whatif.expressions import (
     ScopeJob,
     ScopeSnapshot,
@@ -500,6 +501,7 @@ def test_criterion_8_process_smoke():
                   if r.kind == "transition" and r.data["subject"] == "sleepers-0"
                   and r.data["to"] == "Failed")
     assert killed.data["class"] == "Expected"
+    assert {r.data["event"] for r in result.trace if r.kind == "event"} <= {kind.value for kind in EventKind}
     assert len(result.store.series("beats")) >= 3
     assert elapsed < 30.0
     _passed(8, f"process scenario with tagged kill finished green in {elapsed:.1f}s")

@@ -80,6 +80,17 @@ spec:
     - { at: 2s, do: crash }
 """
 
+# The crash fails the run at 2 s, and the cleanup revokes the suspend and kills `steady`.
+CRASH_DURING_SUSPEND = CRASHY + """\
+- action: Service
+  name: steady
+  service: { script: [ { at: 0s, do: running }, { at: 2h, do: success } ] }
+- action: Chaos
+  name: pause
+  depends: { running: [ steady ] }
+  chaos: { fault: { kind: suspend, targets: [ steady ], duration: 1h } }
+"""
+
 SLOW = """
 spec:
 - action: Service
@@ -319,6 +330,34 @@ class TestRun:
         kills = [r["target"] for r in records if r["kind"] == "command" and r["verb"] == "KillJob"]
         assert kills == ["first"]
         assert json.loads((out / "report.json").read_text())["outcome"] == "Aborted"
+
+    @pytest.mark.parametrize("exc,reason", [
+        (OSError("revoke failed"), "internal error: OSError: revoke failed"),
+        (KeyboardInterrupt(), "interrupted: KeyboardInterrupt"),
+    ], ids=["error", "interrupt"])
+    def test_a_cleanup_call_that_raises_exit_3_after_the_rest_of_the_cleanup(self, exc, reason, tmp_path, monkeypatch):
+        cleanup = []
+
+        def revoke_fault(executor, action):
+            cleanup.append(("revoke", action))
+            raise exc
+
+        monkeypatch.setattr(SimExecutor, "revoke_fault", revoke_fault)
+        monkeypatch.setattr(SimExecutor, "kill_job", lambda executor, name: cleanup.append(("kill", name)))
+        monkeypatch.setattr(SimExecutor, "shutdown", lambda executor: cleanup.append(("shutdown",)))
+        path = tmp_path / "scenario.yaml"
+        path.write_text(CRASH_DURING_SUSPEND)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert cleanup == [("revoke", "pause"), ("kill", "steady"), ("shutdown",)]
+        records = [json.loads(line) for line in (out / "trace.ndjson").read_text().splitlines()]
+        commands = [(r["verb"], r["target"], r["args"].get("outcome")) for r in records if r["kind"] == "command"]
+        assert commands[-4:] == [
+            ("AbortRun", "scenario", "Failed"), ("RevokeFault", "pause", None),
+            ("KillJob", "steady", None), ("AbortRun", "scenario", "Aborted"),
+        ]
+        assert [(r["outcome"], r["reason"]) for r in records if r["kind"] == "outcome"] == [("Aborted", reason)]
+        assert build_report(load_run(out)[0]) == json.loads((out / "report.json").read_text())
 
     def test_a_record_stamped_before_the_last_exit_3_writes_run_files(self, tmp_path, monkeypatch):
         monkeypatch.setattr("whatif.cli.Engine", LaggingEngine)

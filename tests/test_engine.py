@@ -6,13 +6,14 @@ from whatif.dsl import DependsClause, Template, parse_scenario, validate
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
 from whatif.errors import InvalidScenario, UnknownHandle
 from whatif.events import Event, EventKind
+from whatif.executors import make_executor
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 from whatif.report import build_report
 from whatif.trace import RunTrace
 
-from conftest import SCENARIOS, script_template
+from conftest import SCENARIOS, script_template, stage_template
 from oracles import assert_one_time_per_fact, run_one_time_per_step
-from test_acceptance import CORPUS_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES
+from test_acceptance import CORPUS_TEMPLATES, LEAK_TEMPLATES, PANIC_DOC, PANIC_TEMPLATES, _leak_doc, _stage_doc
 from test_golden import GOLDEN, _build, corpus_docs
 
 
@@ -95,15 +96,6 @@ class TestReconcileExamples:
             ("CreateJob", "run-workload"),
             ("InjectFault", "partition0"),
         ]
-
-    def test_tag_event_for_unknown_target_changes_nothing(self, engine):
-        before = {n: node.phase for n, node in engine.nodes.items()}
-        tags = {"target": "ghost-7", "x": "1", "source": "chaos-controller"}
-        assert cycle(engine, Event(EventKind.TAG, subject="ghost-7", tags=tags)) == []
-        assert {n: node.phase for n, node in engine.nodes.items()} == before
-
-    def test_empty_tag_payload_is_legal(self, engine):
-        assert cycle(engine, Event(EventKind.TAG)) == []
 
 
 class TestDependencySatisfied:
@@ -406,6 +398,25 @@ class TestRunOutcomes:
         assert outcomes == [{"outcome": "Aborted", "reason": "interrupted: KeyboardInterrupt"}]
         assert engine.tree.phase is not Phase.SUCCESS
 
+    def test_a_cleanup_error_keeps_the_reason_of_a_run_aborted_already(self, monkeypatch, caplog):
+        """Only a verdict is overruled by a cleanup call that raised: an aborted run keeps its reason."""
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: slow\n  timeout: 5s\n"
+            "  service: { script: [ { at: 0s, do: running }, { at: 60s, do: success } ] }\n"
+        )
+        engine = Engine(doc)
+
+        def kill_job(name):
+            raise OSError("kill failed")
+
+        monkeypatch.setattr(engine.executor, "kill_job", kill_job)
+        with caplog.at_level("ERROR", logger="whatif.engine"):
+            result = engine.run()
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action slow did not finish in time")
+        assert [r.data["verb"] for r in result.trace if r.kind == "command"][-2:] == ["AbortRun", "KillJob"]
+        assert [r.kind for r in result.trace][-1] == "outcome"
+        assert caplog.records[-1].exc_info[0] is OSError
+
 
 class TestTraceInvariants:
     def test_ordering_soundness_success_dependencies(self, partition_demo):
@@ -430,16 +441,6 @@ class TestTraceInvariants:
         chain = ["boot", "import-workload", "wait-for-3x-replication", "run-workload"]
         for first, second in zip(chain, chain[1:]):
             assert regions[first]["end"] <= regions[second]["start"]
-
-    def test_tag_precedes_injection(self, partition_demo):
-        doc, templates = partition_demo
-        trace = run_scenario(doc, templates).trace
-        tag_seq = min(r.seq for r in trace
-                      if r.kind == "event" and r.data.get("event") == "Tag"
-                      and r.data.get("tags", {}).get("metadata.Chaos"))
-        inject_seq = min(r.seq for r in trace
-                         if r.kind == "command" and r.data["verb"] == "InjectFault")
-        assert tag_seq < inject_seq
 
     def test_abort_on_unexpected_stops_creating_jobs(self):
         doc = parse_scenario(
@@ -480,6 +481,47 @@ class TestTraceInvariants:
                    for r in result.trace)
         regions = report_regions(result.trace)
         assert list(regions) == ["net"] and regions["net"]["end"] == 10.0
+
+    @pytest.mark.parametrize("executor,body,duration", [
+        ("sim", "script: [{at: 0s, do: running}, {at: 900s, do: success}]", 600.0),
+        ("process", "command: sleep 1", 0.3),
+    ])
+    def test_a_fault_ends_at_its_timer(self, executor, body, duration):
+        """A suspend's `fault:` timer, its RevokeFault and its action's Success
+        are one step, the fault's duration after the InjectFault: exactly on
+        the simulated clock, once due on the wall clock."""
+        doc = parse_scenario(
+            f"spec:\n- action: Service\n  name: napper\n  service: {{ {body} }}\n"
+            "- action: Chaos\n  name: pause\n  depends: { running: [napper] }\n"
+            f"  chaos: {{ fault: {{ kind: suspend, targets: [napper], duration: {duration}s }} }}\n"
+        )
+        result = run_scenario(doc, executor=make_executor(executor))
+        assert result.outcome is Outcome.SUCCESS, result.reason
+        trace = result.trace.records
+        [inject] = [r.at for r in trace if r.kind == "command" and r.data["verb"] == "InjectFault"]
+        [timer] = [r for r in trace if r.kind == "event" and r.data.get("timer") == "fault:pause"]
+        [revoke] = [r for r in trace if r.kind == "command" and r.data["verb"] == "RevokeFault"]
+        [success] = [r for r in trace if r.kind == "transition" and r.data == {"subject": "pause", "to": "Success"}]
+        assert timer.seq < revoke.seq < success.seq
+        assert timer.at == revoke.at == success.at
+        if executor == "sim":
+            assert timer.at == inject + duration
+        else:
+            assert inject + duration <= timer.at < inject + duration + 1.0
+
+    def test_every_event_record_names_an_event_kind(self, partition_demo):
+        """On the demo, golden, corpus, panic and acceptance runs, each `event`
+        record is a State, Time or Metrics event: the engine's only kinds."""
+        runs = [partition_demo, *(_build(name) for name in sorted(GOLDEN))]
+        runs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
+        runs.append((parse_scenario(PANIC_DOC), PANIC_TEMPLATES))
+        runs += [(_leak_doc(node), LEAK_TEMPLATES) for node in ("healthy-node", "leaky-node")]
+        runs += [(_stage_doc(policy, [2.0, 3.0], 1.0), {"stage": stage_template()}) for policy in ("parallel", "time", "state")]
+        kinds = {kind.value for kind in EventKind}
+        assert kinds == {"State", "Time", "Metrics"}
+        for doc, templates in runs:
+            named = {r.data["event"] for r in run_scenario(doc, templates).trace if r.kind == "event"}
+            assert named <= kinds, (doc.name, named - kinds)
 
     def test_every_region_closes_once(self, partition_demo):
         """On green, failed and timed-out runs, each Region of the report ends once, no earlier than it starts."""

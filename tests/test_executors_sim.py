@@ -132,6 +132,8 @@ class TestSuspend:
         self.make_emitter(ex)
         ex.advance_to(2.5)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
+        ex.advance_to(5.5)
+        ex.revoke_fault("pause")
         delivered = ex.advance_to(30.0)
         # Emissions scheduled strictly inside (2.5, 5.5) are dropped.
         assert [at for at, _ in store.series("m")] == [1.0, 2.0, 6.0, 7.0, 8.0, 9.0, 10.0]
@@ -142,27 +144,23 @@ class TestSuspend:
         ex.start_job(job("j", (0.0, "running"), (2.0, "success")))
         ex.advance_to(1.0)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=10.0))
+        ex.advance_to(11.0)
+        ex.revoke_fault("pause")
         success = [at for at, e in ex.advance_to(30.0) if e.phase is Phase.SUCCESS]
-        assert success and success[0] == 11.0  # held until the window ends
+        assert success == [11.0]  # held until the window ends
 
-    def test_auto_revoke_matches_explicit(self):
-        # Identical event shapes modulo the revocation timestamp itself.
-        def run(auto: bool):
+    def test_revokes_between_the_same_two_effects_give_the_same_run(self):
+        def run(revoke_at: float):
             ex, queue, clock, store = make_sim_harness()
             self.make_emitter(ex)
             ex.advance_to(2.5)
             ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
-            if auto:
-                delivered = ex.advance_to(30.0)
-            else:
-                delivered = ex.advance_to(5.4)
-                ex.revoke_fault("pause")
-                delivered += ex.advance_to(30.0)
-            shape = [(e.subject, str(e.phase), dict(e.tags)) for _, e in delivered]
-            return shape, store.series("m")
+            delivered = ex.advance_to(revoke_at)
+            ex.revoke_fault("pause")
+            delivered += ex.advance_to(30.0)
+            return delivered, store.series("m")
 
-        auto_run, explicit_run = run(True), run(False)
-        assert auto_run == explicit_run
+        assert run(5.1) == run(5.9)  # no effect is due in (5, 6)
 
     def test_revoke_twice(self, sim_harness):
         ex, queue, clock, store = sim_harness
@@ -182,6 +180,10 @@ class TestSuspend:
         ex.inject_fault("a", FaultSpec("suspend", targets=["x"], duration=60.0))  # 5-65 s
         ex.advance_to(35.0)
         ex.inject_fault("b", FaultSpec("suspend", targets=["x"], duration=60.0))  # 35-95 s
+        ex.advance_to(65.0)
+        ex.revoke_fault("a")
+        ex.advance_to(95.0)
+        ex.revoke_fault("b")
         ex.advance_to(200.0)
         assert [at for at, _ in store.series("m")] == [0.0, 100.0]
 
@@ -191,17 +193,10 @@ class TestSuspend:
         ex.start_job(job("B", (0.0, "running"), (1.0, "block"), (2.0, "success")))
         ex.advance_to(1.5)  # B is blocked
         ex.inject_fault("pause", FaultSpec("suspend", targets=["B"], duration=10.0))
+        ex.advance_to(11.5)
+        ex.revoke_fault("pause")
         b_success = [at for at, e in ex.advance_to(30.0) if e.subject == "B" and e.phase is Phase.SUCCESS]
         assert b_success == [11.5]  # the message came at 3 s; the resume at 11.5 s releases it
-
-    def test_revocation_emits_tag_event(self, sim_harness):
-        ex, queue, clock, store = sim_harness
-        ex.start_job(job("j", (0.0, "running"), (50.0, "success")))
-        ex.advance_to(1.0)
-        ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=2.0))
-        tags = [(at, e) for at, e in ex.advance_to(4.0) if e.tags.get("event") == "fault-revoked"]
-        assert tags and tags[0][1].tags["targets"] == "j"
-        assert tags[0][0] == 3.0
 
 
 def chatty_pair():
@@ -252,18 +247,10 @@ class TestPartition:
         ex.inject_fault("net", FaultSpec(
             "partition", targets=["B"], dst=["A"], direction="to", duration=5.0,
         ))
+        ex.advance_to(5.5)
+        ex.revoke_fault("net")
         b_success = [at for at, e in ex.advance_to(30.0) if e.subject == "B" and e.phase is Phase.SUCCESS]
         assert b_success and b_success[0] == 8.0  # unblocked by the post-revoke message
-
-    def test_auto_revoke_fires_exactly_at_duration(self):
-        ex, queue, clock, store = make_sim_harness()
-        ex.start_job(job("A", (0.0, "running"), (700.0, "success")))
-        ex.advance_to(1.0)
-        ex.inject_fault("net", FaultSpec(
-            "partition", targets=["A"], dst=["A"], direction="both", duration=600.0,
-        ))
-        revokes = [at for at, e in ex.advance_to(2000.0) if e.tags.get("event") == "fault-revoked"]
-        assert revokes and revokes[0] == 601.0
 
 
 class TestParseJobBody:

@@ -123,10 +123,10 @@ def trace_digest(doc, templates, tmp_path) -> str:
 GOLDEN = {
     "after-race": "d77c6da37cbd333b136cc27b6874ca890da68da30f6aa4f17696e395d5bea2c2",
     "chain-120": "0b59c1e2ab5a5415a72db5a7527bd198dc9a9ee5d9fbf2cc709aa45af72e059d",
-    "cluster-200": "dd2fd11ee90f848a0c505a9d07eb2f73930653482155d67dea0d346bfa0696e7",
+    "cluster-200": "ed77e60c517f5e1a722fb6c7784b6ecd46c9c0d1f7b0326b5caeae3737e543ce",
     "metrics-300": "4b53f198221cd0bf18eda8dfb6ba278efd5a8f303a14cc787af8f9a95b9b1bac",
 }
-DEMO_GOLDEN = "9fa15602e0a4180a67955f681e59f9449643e4fd6a014c063c1c11a6619c2333"
+DEMO_GOLDEN = "5877273235621d680dd3b4550ce07fb84502970652d42aa550176c3fffc73cef"
 # sha256 over the concatenated per-document digests of the 25 corpus documents.
 CORPUS_GOLDEN = "6c1f55bbb9c0b56221f9d3bcfa634b57853584396e4ca2ea0c89ce96950a46a1"
 
@@ -167,7 +167,7 @@ REPORT_GOLDEN = {
     "cluster-200": "bc7d13460a026d4ec41f0c27e117c179e5c7793101af69e802c1c265686c542e",
     "metrics-300": "069ed5ccc5bc5e698648fea45a8d05a4ee5347e51425d12f53a6bc8928a389e5",
 }
-DEMO_REPORT_GOLDEN = "90a89c6303d2756ecc6a309deecb286dc4dc7bf1c6d48a969b210726ae81330d"
+DEMO_REPORT_GOLDEN = "b67fcc757b5166d6db8b7f1eac8666eccf9abfbad4ad54d386bcbe4b91fc3a32"
 PANIC_REPORT_GOLDEN = "d1033cc224257a283d7936e3e132a5da0a3acf1ae82135836ddec7668c161699"
 # sha256 over the concatenated per-document report digests of the 25 corpus documents.
 CORPUS_REPORT_GOLDEN = "1dd458fe4d18185e72622dd98f933f52591536fbddc566913d68b0e4f5b15793"

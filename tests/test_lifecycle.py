@@ -164,7 +164,8 @@ spec:
     def test_revoke_removes(self):
         engine = self.engine()
         result = engine.run()
-        assert any(r.kind == "event" and r.data.get("tags", {}).get("event") == "fault-revoked" for r in result.trace)
+        revokes = [(r.at, r.data["target"]) for r in result.trace if r.kind == "command" and r.data["verb"] == "RevokeFault"]
+        assert revokes == [(10.0, "net")]  # at the fault's end, not at the run's
         assert [engine.nodes[f"masters-{i}"].chaos for i in range(2)] == [None, None]
 
 

@@ -50,8 +50,8 @@ HASHABLE = {
 UNHASHABLE = {
     TraceRecord: (lambda: (0, 1.0, "event", {"a": 1}), lambda: (1, 2.0, "command", {"b": 2})),
     Event: (
-        lambda: (EventKind.STATE, "a", "", Phase.FAILED, "kill", "r", {}),
-        lambda: (EventKind.TIME, "b", "t", Phase.RUNNING, "crash", "s", {"k": "v"}),
+        lambda: (EventKind.STATE, "a", "", Phase.FAILED, "kill", "r"),
+        lambda: (EventKind.TIME, "b", "t", Phase.RUNNING, "crash", "s"),
     ),
     JobSpec: (
         lambda: ("j", None, [SimEffect(0.0, "running")], {"A": "1"}, "none", ["m"]),
@@ -134,7 +134,6 @@ MUTABLE_DEFAULTS = [
     (DependsClause, ()),
     (JobSpec, ()),
     (ResourceNode, ("n",)),
-    (Event, (EventKind.TAG,)),
     (ScenarioDoc, ()),
     (FaultSpec, ("kill",)),
     (Template, ("t",)),
