@@ -106,6 +106,9 @@ def cmd_run(args) -> int:
         except OSError as exc:  # the run is over, but its directory cannot hold its files
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
+        except CorruptRun as exc:  # the engine's own trace holds no report: an internal error
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ABORTED
         for signum, during_run in signalled:
             if not during_run:
                 print(f"{signal.Signals(signum).name} after the outcome: ignored", file=sys.stderr)

@@ -518,6 +518,14 @@ _JOB_KEYS = {"command", "script", "env", "metrics", "expectedRuntime", "declares
 _FAULT_KEYS = {"kind", "targets", "source", "dst", "direction", "duration"}
 
 
+def _metric_name(raw, where: str) -> str:
+    """A metric name: one word, the only form a ``metrics.txt`` line keeps."""
+    name = _coerce_str(raw, where)
+    if name.split() != [name]:
+        raise SchemaError(f"{where}: a metric name is one word with no whitespace, got {name!r}")
+    return name
+
+
 def _parse_effect(raw, where: str) -> SimEffect:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be a map")
@@ -531,7 +539,7 @@ def _parse_effect(raw, where: str) -> SimEffect:
     if op == "metric":
         if "name" not in raw or "value" not in raw:
             raise SchemaError(f"{where}: metric effect needs name and value")
-        metric = _coerce_str(raw["name"], f"{where}.name")
+        metric = _metric_name(raw["name"], f"{where}.name")
         try:
             value = float(raw["value"])
         except (TypeError, ValueError, OverflowError):
@@ -591,7 +599,7 @@ def parse_job_body(body) -> JobSpec:
     if "declares" in body:
         if not isinstance(body["declares"], list):
             raise SchemaError("declares must be a list of metric names")
-        spec.declares = [_coerce_str(v, f"declares[{i}]") for i, v in enumerate(body["declares"])]
+        spec.declares = [_metric_name(v, f"declares[{i}]") for i, v in enumerate(body["declares"])]
     if "kind" in body:
         _coerce_str(body["kind"], "kind")
     if spec.command is None and not spec.script:

@@ -12,6 +12,10 @@ as a ``command`` record, so a simulated run is a deterministic function of
 Time is ``Engine.now``: the clock is read once per step (the run start, a
 cycle, an abort from outside one, the cleanup), and the step's records carry it.
 
+The engine keeps the run's one record of the faults in effect (the kill
+watch and ``in_effect``); executors keep none. A failure is Expected exactly
+when it is observed as a kill while a kill fault watches its job.
+
 A cycle's work grows with what the event touched, not with the document:
 every phase change goes through ``Engine._move``, which marks the actions
 that depend on the changed node for a dependency recheck, keeps per-cluster
@@ -56,7 +60,7 @@ from .errors import (
     UnsupportedFault,
 )
 from .events import Event, EventKind, EventQueue, SimClock, WallClock
-from .executors.base import Executor, JobSpec
+from .executors.base import Executor, FaultSpec, JobSpec
 from .expressions import (
     MetricsExprAst,
     WindowAggregate,
@@ -73,7 +77,6 @@ from .lifecycle import (
     ResourceNode,
     advance_to,
     aggregate_phase,  # unused here; bench/tracer.py wraps it on this module
-    classify_failure,
     counted_phase,
     find_node,  # unused here; bench/tracer.py wraps it on this module
     iter_nodes,
@@ -230,10 +233,11 @@ class Engine:
 
         self.dispatched: set = set()
         self.started: set = set()  # jobs whose start_job returned
-        # Kill faults that end when their targets do: each one's count of
-        # targets not yet terminal, and the faults watching each target.
+        # The faults in effect by action: each kill's count of live targets, the kills
+        # watching each target, and the suspends and partitions in injection order.
         self.kill_watch: dict[str, int] = {}
         self.kill_watchers: dict[str, list[str]] = {}
+        self.in_effect: dict[str, FaultSpec] = {}
         self.now = 0.0  # the engine's time: the clock's one reading for the step under way
         self.finished = False
         self.outcome = Outcome.ABORTED  # until the run decides it: an undecided run is no Success
@@ -309,7 +313,8 @@ class Engine:
             return
 
         if event.phase == Phase.FAILED:
-            node.failure_class = classify_failure(node, event.failure_mode)
+            expected = event.failure_mode == "kill" and node.name in self.kill_watchers
+            node.failure_class = FailureClass.EXPECTED if expected else FailureClass.UNEXPECTED
             node.failure_reason = event.reason or event.failure_mode or "failed"
         self._move(node, event.phase)
 
@@ -438,13 +443,14 @@ class Engine:
         spec, targets = self.plan.faults[action.name]
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING)
-        for target in targets:
-            target.chaos = spec.kind
         self._trace_command("InjectFault", action.name, {
             "kind": spec.kind, "targets": list(spec.targets), "dst": list(spec.dst),
             "direction": spec.direction, "duration": spec.duration,
         })
         try:
+            for target in spec.targets:
+                if target in self.kill_watchers:  # killed, though its exit may not be seen yet
+                    raise TargetNotRunning(target)
             self.executor.inject_fault(action.name, spec)
         except (UnsupportedFault, TargetNotRunning) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
@@ -456,6 +462,7 @@ class Engine:
             for target in live:
                 self.kill_watchers.setdefault(target.name, []).append(action.name)
         else:
+            self.in_effect[action.name] = spec
             self.queue.push(self.now + spec.duration, Event(EventKind.TIME, timer_id=f"fault:{action.name}"))
 
     def _dispatch_checkpoint(self, action: ActionSpec) -> None:
@@ -616,16 +623,21 @@ class Engine:
 
     def _end_fault(self, action: str) -> None:
         """The one place a Chaos action ends: a kill once its last live target is terminal, a suspend
-        or partition at its ``fault:`` timer. Revokes the fault in effect and unmarks the targets."""
-        spec, targets = self.plan.faults[action]
-        if spec.kind != "kill":  # a kill is over once injected
-            self._trace_command("RevokeFault", action)
-            self.executor.revoke_fault(action)
-        for target in targets:
-            target.chaos = None
+        or partition at its ``fault:`` timer, which revokes it."""
+        if action in self.in_effect:  # a kill is over once injected
+            self._revoke(action)
         node = self.nodes[action]
         self._move(node, Phase.SUCCESS)
         self._on_terminal(node)
+
+    def _revoke(self, action: str) -> None:
+        """Take a suspend or partition out of ``in_effect`` and undo it. A target of overlapping
+        suspends resumes when the last of them ends."""
+        spec = self.in_effect.pop(action)
+        held = {t for other in self.in_effect.values() if other.kind == "suspend" for t in other.targets}
+        resume = [t for t in spec.targets if t not in held] if spec.kind == "suspend" else []
+        self._trace_command("RevokeFault", action)
+        self.executor.revoke_fault(action, resume)
 
     # --- outcome ----------------------------------------------------------------
 
@@ -662,10 +674,9 @@ class Engine:
         raised; the first that raised aborts a run that had a verdict. The ``outcome`` record is always written."""
         self.now = self.clock.now()
         raised = []
-        for action_name in list(self.executor.faults):
+        for action_name in list(self.in_effect):
             try:
-                self._trace_command("RevokeFault", action_name)
-                self.executor.revoke_fault(action_name)
+                self._revoke(action_name)
             except BaseException as exc:
                 raised.append(exc)
         for node in iter_nodes(self.tree):

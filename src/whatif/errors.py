@@ -67,10 +67,6 @@ class TargetNotRunning(WhatifError):
     """Fault injection requires every target to be in phase Running."""
 
 
-class UnknownHandle(WhatifError):
-    """revoke_fault was called for an action with no fault in effect."""
-
-
 # --- validation findings --------------------------------------------------
 
 class Finding(FrozenValue):

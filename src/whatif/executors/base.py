@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..errors import UnknownHandle
 from ..events import Event, EventKind
 from ..lifecycle import Phase
 from ..values import FrozenValue, Value
@@ -81,17 +80,12 @@ class Executor:
 
     Concrete executors emit State events into the queue they are bound to,
     and they ingest metric points straight into the bound store. They apply
-    and undo faults; the engine decides when each one ends. The fault
-    bookkeeping is shared: ``faults`` holds the faults still in effect by
-    the name of the action that injected them (a kill is over once
-    injected). A target of overlapping suspends resumes when the last of
-    them ends.
+    and undo faults, each named by the action that injected it; the engine
+    keeps the record of the faults in effect and decides when each one ends
+    and which of its targets resume.
     """
 
     name = "abstract"
-
-    def __init__(self):
-        self.faults: dict[str, FaultSpec] = {}  # action -> its fault in effect
 
     def bind(self, queue, clock, store) -> None:
         self.queue = queue
@@ -107,16 +101,9 @@ class Executor:
     def inject_fault(self, action: str, spec: FaultSpec) -> None:
         raise NotImplementedError
 
-    def revoke_fault(self, action: str) -> None:
-        """Undo the action's fault in effect; UnknownHandle when it has none."""
-        spec = self.faults.pop(action, None)
-        if spec is None:
-            raise UnknownHandle(action)
-        if spec.kind == "suspend":  # a target resumes once no suspend holds it
-            suspended = {t for other in self.faults.values() if other.kind == "suspend" for t in other.targets}
-            for target in spec.targets:
-                if target not in suspended:
-                    self._resume_target(target)
+    def revoke_fault(self, action: str, resume: list[str]) -> None:
+        """Undo the action's suspend or partition, and let the jobs in ``resume`` go on."""
+        raise NotImplementedError
 
     def wait(self, timeout: Optional[float]) -> bool:
         """Block until a job has news or ``timeout`` seconds pass; False when no job can bring news.
@@ -129,15 +116,6 @@ class Executor:
 
     def shutdown(self) -> None:
         pass
-
-    def _resume_target(self, name: str) -> None:
-        """Let a job that no suspend holds any longer go on."""
-        raise NotImplementedError
-
-    def _record_fault(self, action: str, spec: FaultSpec) -> None:
-        """Record a fault just injected for ``action``: in effect until revoked, unless a kill."""
-        if spec.kind != "kill":
-            self.faults[action] = spec
 
     def _emit(self, name: str, phase: Phase, mode: str = "", reason: str = "") -> None:
         self.queue.push(self.clock.now(), Event(

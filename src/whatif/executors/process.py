@@ -4,8 +4,9 @@ Each job is one process in a process group of its own. The engine's loop
 waits in ``wait`` on each job's pidfd (Linux 5.3+) and stdout pipe, which
 ingests ``metric <name> <float> <unix-ms>`` lines and, when a job exits,
 kills the rest of its group, reaps it and emits its exit status as a State
-event. Kill and suspend faults send SIGKILL and SIGSTOP/SIGCONT to the
-group; network partitions need the simulated executor.
+event: a death by SIGKILL fails it in mode ``kill``, any other nonzero
+status in mode ``crash``. Kill and suspend faults send SIGKILL and
+SIGSTOP/SIGCONT to the group; network partitions need the simulated executor.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ class ProcessExecutor(Executor):
     name = "process"
 
     def __init__(self):
-        super().__init__()
         self.procs: dict[str, subprocess.Popen] = {}
-        self._fault_killed: set = set()
         self._pidfds: dict[str, int] = {}  # jobs not reaped yet
         self._tails: dict[str, bytes] = {}  # each pipe's unterminated last line
         self._selector = selectors.DefaultSelector()
@@ -89,7 +88,7 @@ class ProcessExecutor(Executor):
                 if returncode == 0:
                     self._emit(name, Phase.SUCCESS)
                 else:
-                    mode = "kill" if name in self._fault_killed else "crash"
+                    mode = "kill" if returncode == -signal.SIGKILL else "crash"
                     self._emit(name, Phase.FAILED, mode=mode, reason=f"exit={returncode}")
             elif not key.fileobj.closed:  # not closed by a reap earlier in this batch
                 self._read(name, key.fileobj)
@@ -152,20 +151,18 @@ class ProcessExecutor(Executor):
         for target in spec.targets:
             if not self._alive(target):
                 raise TargetNotRunning(target)
-        if spec.kind == "kill":
-            self._fault_killed.update(spec.targets)
         for target in spec.targets:
             _signal_group(self.procs[target], signal.SIGKILL if spec.kind == "kill" else signal.SIGSTOP)
-        self._record_fault(action, spec)
+
+    def revoke_fault(self, action: str, resume: list[str]) -> None:
+        for name in resume:
+            if name in self._pidfds:  # not reaped: its group id is still its own
+                _signal_group(self.procs[name], signal.SIGCONT)
 
     def _alive(self, name: str) -> bool:
         """True until the job exits; unlike ``Popen.poll`` this reaps nothing, so ``_reap`` stays the one reaper."""
         pidfd = self._pidfds.get(name)
         return pidfd is not None and os.waitid(os.P_PIDFD, pidfd, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
-
-    def _resume_target(self, name: str) -> None:
-        if name in self._pidfds:
-            _signal_group(self.procs[name], signal.SIGCONT)
 
     # --- plumbing ------------------------------------------------------------
 

@@ -37,8 +37,8 @@ class SimExecutor(Executor):
     name = "sim"
 
     def __init__(self):
-        super().__init__()
         self.jobs: dict[str, _SimJob] = {}
+        self.partitions: dict[str, FaultSpec] = {}  # by action: the partitions `_dropped` reads
 
     # --- jobs -----------------------------------------------------------
 
@@ -79,7 +79,22 @@ class SimExecutor(Executor):
         elif spec.kind == "suspend":
             for target in spec.targets:
                 self.jobs[target].suspended = True
-        self._record_fault(action, spec)  # a partition acts through `faults`
+        else:
+            self.partitions[action] = spec
+
+    def revoke_fault(self, action: str, resume: list[str]) -> None:
+        self.partitions.pop(action, None)
+        for name in resume:  # a finished job is never scheduled again
+            job = self.jobs[name]
+            job.suspended = False
+            if job.held:
+                job.held = False
+                self._schedule_next(job)  # its held effect, now
+            elif job.blocked and job.mailbox > 0:
+                job.blocked = False
+                job.mailbox -= 1
+                job.index += 1
+                self._schedule_next(job)
 
     # --- effect chain -----------------------------------------------------------
 
@@ -137,20 +152,6 @@ class SimExecutor(Executor):
             job.phase = Phase.RUNNING
             self._emit(name, Phase.RUNNING)
 
-    def _resume_target(self, name: str) -> None:
-        job = self.jobs[name]
-        if job.finished:
-            return
-        job.suspended = False
-        if job.held:
-            job.held = False
-            self.queue.push(self.clock.now(), lambda: self._fire(job))
-        elif job.blocked and job.mailbox > 0:
-            job.blocked = False
-            job.mailbox -= 1
-            job.index += 1
-            self._schedule_next(job)
-
     # --- message layer ------------------------------------------------------------
 
     def _deliver(self, src: str, dst: str) -> None:
@@ -168,9 +169,7 @@ class SimExecutor(Executor):
 
     def _dropped(self, src: str, dst: str) -> bool:
         # direction "to": source->dst delivered, dst->source dropped.
-        for spec in self.faults.values():
-            if spec.kind != "partition":
-                continue
+        for spec in self.partitions.values():
             if spec.direction in ("to", "both") and src in spec.dst and dst in spec.targets:
                 return True
             if spec.direction in ("from", "both") and src in spec.targets and dst in spec.dst:

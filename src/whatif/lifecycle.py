@@ -9,10 +9,9 @@ legal chain, which is the declaration order of ``Phase``:
 Success and Failed are terminal. ``phase_order``, ``transition`` and
 ``advance_to`` all read the chain from that order. Parents with children
 derive their phase from how many children sit in each ``slot``
-(``counted_phase``; ``aggregate_phase`` counts a list of children first),
-and failure classification (expected chaos vs. application bug) is decided
-by the fault kind a chaos action marks on a service before it injects the
-fault.
+(``counted_phase``; ``aggregate_phase`` counts a list of children first).
+A Failed node's class (expected chaos vs. application bug) is set by the
+engine, which keeps the record of the faults in effect.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class ResourceNode:
     """
 
     __slots__ = (
-        "name", "kind", "phase", "owner", "children", "chaos",
+        "name", "kind", "phase", "owner", "children",
         "failure_reason", "failure_class", "tolerated", "phase_times",
     )
 
@@ -75,7 +74,6 @@ class ResourceNode:
         phase: Phase = Phase.UNINITIALIZED,
         owner: Optional["ResourceNode"] = None,
         children: Optional[list["ResourceNode"]] = None,
-        chaos: Optional[str] = None,
         failure_reason: Optional[str] = None,
         failure_class: Optional[FailureClass] = None,
         tolerated: int = 0,
@@ -86,7 +84,6 @@ class ResourceNode:
         self.phase = phase
         self.owner = owner
         self.children = [] if children is None else children
-        self.chaos = chaos  # kind of the fault aimed at this service until it is revoked
         self.failure_reason = failure_reason
         self.failure_class = failure_class
         self.tolerated = tolerated
@@ -188,17 +185,6 @@ def aggregate_phase(
     for phase, failure_class in children:
         counts[slot(phase, failure_class)] += 1
     return counted_phase(counts, tolerated)
-
-
-def classify_failure(node: ResourceNode, observed_mode: str) -> FailureClass:
-    """Decide whether a failure was part of the experiment.
-
-    Expected only when a fault of the observed failure mode is aimed at the
-    node; a kill does not excuse an unrelated crash.
-    """
-    if node.chaos is not None and node.chaos == observed_mode:
-        return FailureClass.EXPECTED
-    return FailureClass.UNEXPECTED
 
 
 def phase_order(p: Phase) -> int:

@@ -113,13 +113,15 @@ class MetricsStore:
 
     @classmethod
     def load(cls, path) -> "MetricsStore":
-        """Read what ``save`` wrote; ValueError for a value or stamp that is not a number, or a stamp not finite."""
+        """Read what ``save`` wrote; ValueError for a non-blank line of another shape or a bad number."""
         store = cls()
         with open(path, encoding="ascii") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 parts = line.split()
-                if len(parts) != 4 or parts[0] != "metric":
+                if not parts:
                     continue
+                if len(parts) != 4 or parts[0] != "metric":
+                    raise ValueError(f"line {number} is not 'metric <name> <value> <seconds>': {line.strip()!r}")
                 at = float(parts[3])
                 if not math.isfinite(at):
                     raise ValueError(f"stamp {parts[3]} of {parts[1]} is not finite")

@@ -158,7 +158,10 @@ class BruteRules(CheckedRules):
 
 
 class TickReference(Engine):
-    """The polling model: metrics rules are read on a 1 s tick, and when their action succeeds."""
+    """The polling model: metrics rules are read on a 1 s tick, and when their action succeeds.
+
+    A tick reads after the other work due at its instant.
+    """
 
     ticking = False
     tick_armed = False
@@ -174,6 +177,12 @@ class TickReference(Engine):
         # an order the engine never takes.
         if event.timer_id != "tick" or self.finished:
             super().reconcile(event)
+            return
+        if self.queue._heap and self.queue._heap[0][0] <= self.clock.now():
+            # Work due at this instant is still queued: read once it has run,
+            # so a tick sees the instant's points together, as the engine does,
+            # and not the few that were pushed before the tick.
+            self.queue.push(self.clock.now(), event)
             return
         self.now = self.clock.now()
         self.trace.append("event", self.now, **event.describe())
@@ -338,6 +347,20 @@ spec:
    assertions: ["MAX() QUERY(a, 5s, now) IS ABOVE(CHECKPOINT(k.a) * 2)"]}
 """
 
+# Both emitters stamp `a` at 11 s, when the Call succeeds. e1's point was
+# queued after the 11 s tick, so a tick read before the instant's work has
+# run sees 121.25, below 122; the instant's points sum to 122.5. Nothing fires.
+SPLIT_INSTANT = """
+name: split-instant
+spec:
+- {action: Service, name: e0, service: {script: [{at: 0s, do: running},
+   {at: 11s, do: metric, name: a, value: 121.25}, {at: 21s, do: success}]}}
+- {action: Service, name: e1, service: {script: [{at: 0s, do: running},
+   {at: 10.5s, do: metric, name: b, value: 0}, {at: 11s, do: metric, name: a, value: 1.25}, {at: 21s, do: success}]}}
+- {action: Call, name: w0, call: {callable: task, services: [e0], inputs: [{dur: 11s}]},
+   assertions: ["SUM() QUERY(a, 1s, now) IS BELOW(122)"]}
+"""
+
 # A metric that no job ever declares is an expression error when the
 # asserting action succeeds, its last evaluation.
 NEVER_DECLARED = """
@@ -354,6 +377,7 @@ spec:
 @example(EXPIRY)
 @example(CALL_FIRST)
 @example(LATE_CHECKPOINT)
+@example(SPLIT_INSTANT)
 def test_event_driven_matches_brute_force_and_never_fires_after_polling(text):
     assume(validate(parse_scenario(text), TEMPLATES).ok)
     engine = _run(CheckedRules, text)

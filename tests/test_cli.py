@@ -70,6 +70,28 @@ TIMED_OUT_CALL_OLD_TRACE = """\
 {"at":10.0,"kind":"outcome","outcome":"Aborted","reason":"timeout: action slow did not finish in time","seq":13}
 """
 
+# A run whose report has a checkpoint, one quiet assertion and one that fires.
+WATCHED = """
+name: watched
+spec:
+- action: Service
+  name: emitter
+  service:
+    declares: [cpu]
+    script:
+    - { at: 0s, do: running }
+    - { at: 1s, do: metric, name: cpu, value: 40 }
+    - { at: 3s, do: metric, name: cpu, value: 90 }
+    - { at: 5s, do: success }
+  assertions:
+  - MAX() QUERY(cpu, 10s, now) IS ABOVE(100)
+  - MAX() QUERY(cpu, 10s, now) IS ABOVE(CHECKPOINT(base.cpu) * 2)
+- action: Checkpoint
+  name: base
+  depends: { running: [emitter], after: 2s }
+  checkpoint: { values: { cpu: "MAX() QUERY(cpu, 5s, now)" } }
+"""
+
 CRASHY = """
 spec:
 - action: Service
@@ -338,7 +360,7 @@ class TestRun:
     def test_a_cleanup_call_that_raises_exit_3_after_the_rest_of_the_cleanup(self, exc, reason, tmp_path, monkeypatch):
         cleanup = []
 
-        def revoke_fault(executor, action):
+        def revoke_fault(executor, action, resume):
             cleanup.append(("revoke", action))
             raise exc
 
@@ -366,6 +388,25 @@ class TestRun:
         assert {p.name for p in out.iterdir()} == {"trace.ndjson", "metrics.txt", "report.json"}
         report = json.loads((out / "report.json").read_text())
         assert (report["outcome"], report["reason"].split(":")[:2]) == ("Aborted", ["internal error", " ValueError"])
+
+    def test_a_failure_at_the_run_header_exit_3_without_a_report(self, tmp_path, monkeypatch, capsys):
+        """The run aborts with no `run` record, so no report can be built: exit 3, not a traceback."""
+        append = RunTrace.append
+
+        def failing_append(trace, kind, at, **data):
+            if kind == "run":
+                raise OSError("disk gone")
+            return append(trace, kind, at, **data)
+
+        monkeypatch.setattr(RunTrace, "append", failing_append)
+        out = tmp_path / "out"
+        assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "trace.ndjson"]
+        err = capsys.readouterr().err
+        assert err.startswith("Aborted: internal error: OSError: disk gone\n")
+        assert err.endswith("error: trace is missing its run header or outcome record\n")
+        monkeypatch.undo()
+        assert main(["report", str(out)]) == 2
 
     def test_out_under_a_regular_file_exit_2_before_the_run(self, tmp_path, capsys):
         marker = tmp_path / "ran"
@@ -565,6 +606,44 @@ class TestReport:
         templates = {"t": script_template("t", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])}
         result = run_scenario(parse_scenario(TIMED_OUT_CALL), templates)
         assert capsys.readouterr().out == report_json_text(build_report(result.trace.records))
+
+    def test_text_view_of_checkpoints_and_assertions(self, tmp_path, capsys):
+        path = tmp_path / "watched.yaml"
+        path.write_text(WATCHED)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        fired = "MAX() QUERY(cpu, 10s, now) IS ABOVE(CHECKPOINT(base.cpu) * 2)"
+        assert capsys.readouterr().out == f"""\
+scenario: watched  executor: sim  seed: 0
+outcome: Failed  (emitter: assertion fired: {fired})
+
+timeline:
+       0.000  watched -> Pending
+       0.000  watched -> Running
+       0.000  emitter -> Pending
+       0.000  emitter -> Running
+       0.000  * emitter
+       2.000  base -> Pending
+       2.000  base -> Running
+       2.000  base -> Success
+       3.000  watched -> Failed
+
+checkpoints:
+  base @ 2.000: cpu=40.0
+
+assertions:
+  [quiet] emitter: MAX() QUERY(cpu, 10s, now) IS ABOVE(100)
+  [FIRED] emitter: {fired}
+"""
+
+    @pytest.mark.parametrize("line", ["metric cpu load 3.0 1.0", "metric  4.0 1.0", "cpu 3.0 1.0 x"])
+    def test_metrics_line_of_another_shape_exit_2(self, run_dir, line, capsys):
+        with open(run_dir / "metrics.txt", "a") as fh:
+            fh.write(line + "\n")
+        assert main(["report", str(run_dir), "--format", "plotdata"]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable metrics: line ")
 
     def test_unreadable_metrics_exit_2(self, run_dir, capsys):
         (run_dir / "metrics.txt").write_text("metric cpu high 1000\n")

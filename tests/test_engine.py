@@ -4,7 +4,7 @@ import pytest
 
 from whatif.dsl import DependsClause, Template, parse_scenario, validate
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
-from whatif.errors import InvalidScenario, UnknownHandle
+from whatif.errors import InvalidScenario, UnsupportedFault
 from whatif.events import Event, EventKind
 from whatif.executors import make_executor
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
@@ -338,11 +338,11 @@ class TestRunOutcomes:
         return engine
 
     def test_whatif_error_inside_the_run_aborts_it(self, monkeypatch):
-        engine = self.broken_run(monkeypatch, UnknownHandle("r"))
+        engine = self.broken_run(monkeypatch, UnsupportedFault("r"))
         result = engine.run()
-        assert (result.outcome, result.reason) == (Outcome.ABORTED, "internal error: UnknownHandle: r")
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "internal error: UnsupportedFault: r")
         outcomes = [r.data for r in result.trace if r.kind == "outcome"]
-        assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnknownHandle: r"}]
+        assert outcomes == [{"outcome": "Aborted", "reason": "internal error: UnsupportedFault: r"}]
         assert engine.tree.phase is not Phase.SUCCESS
 
     def test_a_record_stamped_before_the_last_aborts_the_run(self):

@@ -19,6 +19,7 @@ from whatif.dsl import Template, parse_scenario
 from whatif.engine import Engine, Outcome, run_scenario
 from whatif.errors import SpawnError, TargetNotRunning, UnsupportedFault
 from whatif.events import EventQueue, WallClock
+from whatif.executors import make_executor
 from whatif.executors.base import FaultSpec, JobSpec
 from whatif.executors.process import ProcessExecutor
 from whatif.lifecycle import Phase
@@ -206,7 +207,7 @@ class TestProcessFaults:
         assert drain(executor, queue, want=1)[-1].phase is Phase.FAILED  # seen and reaped
         sent = []
         monkeypatch.setattr(os, "killpg", lambda pgid, sig: sent.append((pgid, sig)))
-        executor.revoke_fault("pause")
+        executor.revoke_fault("pause", ["napper"])
         executor.kill_job("napper")
         assert sent == []  # its group id is no longer pinned
         executor.shutdown()
@@ -223,43 +224,48 @@ class TestProcessFaults:
         time.sleep(0.1)
         executor.inject_fault("pause", FaultSpec("suspend", targets=["napper"], duration=30.0))
         time.sleep(0.3)
-        executor.revoke_fault("pause")
-        assert executor.faults == {}
+        executor.revoke_fault("pause", ["napper"])
         events = drain(executor, queue, want=1)
         assert events[-1].phase is Phase.SUCCESS
         executor.shutdown()
 
 
     def test_overlapping_suspends_resume_when_the_last_ends(self):
-        executor, queue, clock, store = make_harness()
-        executor.start_job(JobSpec(name="napper", command="sleep 30"))
-        stat = f"/proc/{executor.procs['napper'].pid}/stat"
+        """Through the engine: `a` holds napper over 0-0.2 s and `b` over 0.1-0.4 s; only `b`'s end resumes it."""
+        doc = parse_scenario("""
+spec:
+- action: Service
+  name: napper
+  timeout: 5s
+  service: { command: sleep 0.8 }
+- action: Chaos
+  name: a
+  depends: { running: [napper] }
+  chaos: { fault: { kind: suspend, targets: [napper], duration: 200ms } }
+- action: Chaos
+  name: b
+  depends: { running: [napper], after: 100ms }
+  chaos: { fault: { kind: suspend, targets: [napper], duration: 300ms } }
+""")
+        executor = ProcessExecutor()
+        revoke = executor.revoke_fault
+        seen = []
 
-        def state():
-            with open(stat) as f:
-                return f.read().rsplit(")", 1)[1].split()[0]
+        def spy(action, resume):
+            revoke(action, resume)
+            pid = executor.procs["napper"].pid
+            seen.append((action, resume, states(pid)[pid] if action == "a" else None))
 
-        def settles(want, timeout=5.0):
-            deadline = time.monotonic() + timeout
-            while state() != want and time.monotonic() < deadline:
-                time.sleep(0.02)
-            return state() == want
-
-        executor.inject_fault("a", FaultSpec("suspend", targets=["napper"], duration=30.0))
-        executor.inject_fault("b", FaultSpec("suspend", targets=["napper"], duration=30.0))
-        assert settles("T")
-        executor.revoke_fault("a")
-        time.sleep(0.3)
-        assert state() == "T"  # `b` still holds it
-        executor.revoke_fault("b")
-        assert settles("S")
-        executor.shutdown()
+        executor.revoke_fault = spy
+        result = run_scenario(doc, {}, executor)
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+        assert seen == [("a", [], "T"), ("b", ["napper"], None)]  # `b` still held it after `a` ended
 
 
 class TestSuspendClassification:
     def test_crash_after_resume_is_unexpected(self):
-        """The suspend tag lives only for the fault window; a later nonzero
-        exit is the application's own failure."""
+        """A suspend excuses no failure: a nonzero exit after the resume is
+        the application's own failure."""
         doc = parse_scenario("""
 spec:
 - action: Service
@@ -317,6 +323,30 @@ spec:
         proc_result = run_scenario(doc, proc_templates, ProcessExecutor())
         assert sim_result.outcome is proc_result.outcome is Outcome.FAILED
         assert self.shapes(sim_result.trace) == self.shapes(proc_result.trace)
+
+    KILL_THEN_SUSPEND = """
+spec:
+- action: Cluster
+  name: c
+  cluster: { templateRef: node, instances: 2, toleratedFailures: 1 }
+- action: Chaos
+  name: k
+  depends: { running: [c] }
+  chaos: { fault: { kind: kill, targets: [c-0] } }
+- action: Chaos
+  name: s
+  depends: { running: [c] }
+  chaos: { fault: { kind: suspend, targets: [c-0], duration: 200ms } }
+"""
+
+    @pytest.mark.parametrize("executor", ["sim", "process"])
+    def test_a_target_a_kill_still_watches_is_not_running(self, executor):
+        """`k` and `s` are dispatched in one cycle: `s` finds c-0 killed, whether or not its exit was seen."""
+        templates = {"node": Template("node", {}, (
+            "script:\n- { at: 0s, do: running }\n- { at: 1s, do: success }\n" if executor == "sim" else "command: sleep 1\n"
+        ))}
+        result = run_scenario(parse_scenario(self.KILL_THEN_SUSPEND), templates, make_executor(executor))
+        assert (result.outcome, result.reason) == (Outcome.FAILED, "s: TargetNotRunning: c-0")
 
 
 SPIKY = """
@@ -555,6 +585,18 @@ def _at(result, kind, **data):
     """The ``at`` of the one record of ``kind`` whose fields include ``data``."""
     [at] = [r.at for r in result.trace if r.kind == kind and data.items() <= r.data.items()]
     return at
+
+
+def test_a_run_with_no_timer_queued_waits_on_its_job():
+    """No timeout applies, so while the Service runs the queue is empty and the loop blocks in the executor."""
+    doc = parse_scenario("spec:\n- action: Service\n  name: napper\n  service: { command: sleep 0.2 }\n")
+    engine = Engine(doc, {}, ProcessExecutor(), default_timeout=None)
+    waits = []
+    wait = engine.executor.wait
+    engine.executor.wait = lambda timeout: waits.append((timeout, len(engine.queue))) or wait(timeout)
+    result = engine.run()
+    assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+    assert (None, 0) in waits
 
 
 def test_a_dependent_is_dispatched_at_the_time_its_depends_held():

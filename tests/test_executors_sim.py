@@ -2,8 +2,9 @@
 
 import pytest
 
-from whatif.dsl import parse_job_body
-from whatif.errors import SpawnError, TargetNotRunning, UnknownHandle
+from whatif.dsl import parse_job_body, parse_scenario
+from whatif.engine import Engine, Outcome
+from whatif.errors import SpawnError, TargetNotRunning
 from whatif.executors.base import FaultSpec, JobSpec, SimEffect
 from whatif.lifecycle import Phase
 
@@ -133,7 +134,7 @@ class TestSuspend:
         ex.advance_to(2.5)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
         ex.advance_to(5.5)
-        ex.revoke_fault("pause")
+        ex.revoke_fault("pause", ["j"])
         delivered = ex.advance_to(30.0)
         # Emissions scheduled strictly inside (2.5, 5.5) are dropped.
         assert [at for at, _ in store.series("m")] == [1.0, 2.0, 6.0, 7.0, 8.0, 9.0, 10.0]
@@ -145,7 +146,7 @@ class TestSuspend:
         ex.advance_to(1.0)
         ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=10.0))
         ex.advance_to(11.0)
-        ex.revoke_fault("pause")
+        ex.revoke_fault("pause", ["j"])
         success = [at for at, e in ex.advance_to(30.0) if e.phase is Phase.SUCCESS]
         assert success == [11.0]  # held until the window ends
 
@@ -156,36 +157,53 @@ class TestSuspend:
             ex.advance_to(2.5)
             ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=3.0))
             delivered = ex.advance_to(revoke_at)
-            ex.revoke_fault("pause")
+            ex.revoke_fault("pause", ["j"])
             delivered += ex.advance_to(30.0)
             return delivered, store.series("m")
 
         assert run(5.1) == run(5.9)  # no effect is due in (5, 6)
 
-    def test_revoke_twice(self, sim_harness):
+    def test_a_revoke_resumes_only_the_jobs_it_names(self, sim_harness):
         ex, queue, clock, store = sim_harness
-        ex.start_job(job("j", (0.0, "running"), (50.0, "success")))
+        ex.start_job(job("j", (0.0, "running"), (2.0, "success")))
         ex.advance_to(1.0)
-        ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=40.0))
-        ex.revoke_fault("pause")
-        with pytest.raises(UnknownHandle):
-            ex.revoke_fault("pause")
+        ex.inject_fault("pause", FaultSpec("suspend", targets=["j"], duration=10.0))
+        ex.inject_fault("other", FaultSpec("suspend", targets=["j"], duration=29.0))
+        ex.advance_to(11.0)
+        ex.revoke_fault("pause", [])  # `other` still holds j
+        assert not any(e.phase is Phase.SUCCESS for _, e in ex.advance_to(30.0))
+        ex.revoke_fault("other", ["j"])
+        assert [at for at, e in ex.advance_to(40.0) if e.phase is Phase.SUCCESS] == [30.0]
 
-    def test_overlapping_suspends_resume_when_the_last_ends(self, sim_harness):
-        ex, queue, clock, store = sim_harness
-        effects = [(0.0, "running")]
-        effects += [SimEffect(float(t), "metric", metric="m", value=float(t)) for t in range(0, 101, 10)]
-        ex.start_job(job("x", *effects, (110.0, "success")))
-        ex.advance_to(5.0)
-        ex.inject_fault("a", FaultSpec("suspend", targets=["x"], duration=60.0))  # 5-65 s
-        ex.advance_to(35.0)
-        ex.inject_fault("b", FaultSpec("suspend", targets=["x"], duration=60.0))  # 35-95 s
-        ex.advance_to(65.0)
-        ex.revoke_fault("a")
-        ex.advance_to(95.0)
-        ex.revoke_fault("b")
-        ex.advance_to(200.0)
-        assert [at for at, _ in store.series("m")] == [0.0, 100.0]
+    def test_overlapping_suspends_resume_when_the_last_ends(self):
+        """Through the engine: `a` holds x over 5-65 s and `b` over 35-95 s, so x emits nothing in 5-95 s."""
+        doc = parse_scenario("""
+spec:
+- action: Service
+  name: x
+  service:
+    declares: [m]
+    script:
+    - { at: 0s, do: running }
+""" + "".join(f"    - {{ at: {t}s, do: metric, name: m, value: {t} }}\n" for t in range(0, 101, 10)) + """\
+    - { at: 110s, do: success }
+- action: Chaos
+  name: a
+  depends: { running: [x], after: 5s }
+  chaos: { fault: { kind: suspend, targets: [x], duration: 60s } }
+- action: Chaos
+  name: b
+  depends: { running: [x], after: 35s }
+  chaos: { fault: { kind: suspend, targets: [x], duration: 60s } }
+""")
+        engine = Engine(doc)
+        revokes = []
+        revoke = engine.executor.revoke_fault
+        engine.executor.revoke_fault = lambda action, resume: revokes.append((action, resume)) or revoke(action, resume)
+        result = engine.run()
+        assert result.outcome is Outcome.SUCCESS
+        assert revokes == [("a", []), ("b", ["x"])]
+        assert [at for at, _ in result.store.series("m")] == [0.0, 100.0]
 
     def test_message_received_while_suspended_releases_a_blocked_job_on_resume(self, sim_harness):
         ex, queue, clock, store = sim_harness
@@ -194,7 +212,7 @@ class TestSuspend:
         ex.advance_to(1.5)  # B is blocked
         ex.inject_fault("pause", FaultSpec("suspend", targets=["B"], duration=10.0))
         ex.advance_to(11.5)
-        ex.revoke_fault("pause")
+        ex.revoke_fault("pause", ["B"])
         b_success = [at for at, e in ex.advance_to(30.0) if e.subject == "B" and e.phase is Phase.SUCCESS]
         assert b_success == [11.5]  # the message came at 3 s; the resume at 11.5 s releases it
 
@@ -248,7 +266,7 @@ class TestPartition:
             "partition", targets=["B"], dst=["A"], direction="to", duration=5.0,
         ))
         ex.advance_to(5.5)
-        ex.revoke_fault("net")
+        ex.revoke_fault("net", [])
         b_success = [at for at, e in ex.advance_to(30.0) if e.subject == "B" and e.phase is Phase.SUCCESS]
         assert b_success and b_success[0] == 8.0  # unblocked by the post-revoke message
 

@@ -1,4 +1,4 @@
-"""Phase chain, aggregation, chaos tags, classification, propagation."""
+"""Phase chain, aggregation, the engine's fault table, classification, propagation."""
 
 import itertools
 import random
@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from whatif.dsl import parse_scenario
 from whatif.engine import Engine
 from whatif.errors import IllegalTransition
+from whatif.events import Event, EventKind
+from whatif.executors.base import Executor
 from whatif.dsl import FAULT_KINDS
 from whatif.lifecycle import (
     FailureClass,
@@ -16,7 +18,6 @@ from whatif.lifecycle import (
     ResourceNode,
     advance_to,
     aggregate_phase,
-    classify_failure,
     find_node,
     transition,
 )
@@ -130,8 +131,8 @@ def test_aggregate_exhaustive_oracle():
     assert checked > 1000
 
 
-class TestChaosTags:
-    """A chaos action marks the fault kind on its targets until the fault is revoked."""
+class TestFaultTable:
+    """The engine holds a suspend or partition in its fault table until the fault is revoked."""
 
     DOC = """
 spec:
@@ -148,47 +149,83 @@ spec:
         templates = {"node": script_template("node", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])}
         return Engine(parse_scenario(self.DOC), templates)
 
-    def test_tag_applies(self, monkeypatch):
+    def test_filled_at_injection(self, monkeypatch):
         engine = self.engine()
-        inject = engine.executor.inject_fault
+        end_fault = engine._end_fault
         seen = []
 
-        def spy(action, spec):
-            seen.append([engine.nodes[f"masters-{i}"].chaos for i in range(2)])
-            return inject(action, spec)
+        def spy(action):
+            seen.append((engine.now, action, dict(engine.in_effect)))
+            return end_fault(action)
 
-        monkeypatch.setattr(engine.executor, "inject_fault", spy)
+        monkeypatch.setattr(engine, "_end_fault", spy)
         engine.run()
-        assert seen == [["partition", None]]
+        spec, _ = engine.plan.faults["net"]
+        assert seen == [(10.0, "net", {"net": spec})]
 
-    def test_revoke_removes(self):
+    def test_empty_after_the_revoke(self):
         engine = self.engine()
         result = engine.run()
         revokes = [(r.at, r.data["target"]) for r in result.trace if r.kind == "command" and r.data["verb"] == "RevokeFault"]
         assert revokes == [(10.0, "net")]  # at the fault's end, not at the run's
-        assert [engine.nodes[f"masters-{i}"].chaos for i in range(2)] == [None, None]
+        assert engine.in_effect == {}
+
+
+class ObservingExecutor(Executor):
+    """Brings each job up at once, applies no fault, and fails job ``t`` at 1 s in the observed mode."""
+
+    name = "sim"
+
+    def __init__(self, mode):
+        self.mode = mode
+
+    def start_job(self, spec):
+        self._emit(spec.name, P)
+        self._emit(spec.name, R)
+        if spec.name == "t":
+            self.queue.push(1.0, Event(EventKind.STATE, subject="t", phase=F, failure_mode=self.mode))
+
+    def kill_job(self, name):
+        pass
+
+    def inject_fault(self, action, spec):
+        pass
+
+    def revoke_fault(self, action, resume):
+        pass
 
 
 class TestClassify:
-    def test_tagged_kill_observed_kill(self):
-        node = ResourceNode("n", phase=F, chaos="kill")
-        assert classify_failure(node, "kill") is EXP
+    """A failure is Expected exactly when it is observed as a kill while a kill fault watches its job."""
 
-    def test_untagged_crash(self):
-        node = ResourceNode("n", phase=F)
-        assert classify_failure(node, "crash") is UNEXP
+    @staticmethod
+    def failure_class(fault, mode):
+        doc = """
+spec:
+- action: Service
+  name: t
+  service: { script: [ { at: 0s, do: running } ] }
+- action: Service
+  name: u
+  service: { script: [ { at: 0s, do: running } ] }
+"""
+        if fault is not None:
+            body = {
+                "kill": "kind: kill, targets: [t]",
+                "suspend": "kind: suspend, targets: [t], duration: 10s",
+                "partition": "kind: partition, source: t, dst: u, duration: 10s",
+            }[fault]
+            doc += f"- action: Chaos\n  name: f\n  depends: {{ running: [t, u] }}\n  chaos: {{ fault: {{ {body} }} }}\n"
+        result = Engine(parse_scenario(doc), executor=ObservingExecutor(mode)).run()
+        failed = [r.data for r in result.trace if r.kind == "transition" and r.data["to"] == "Failed"]
+        assert [data["subject"] for data in failed[:1]] == ["t"]
+        return failed[0]["class"]
 
-    def test_mismatched_tag(self):
-        node = ResourceNode("n", phase=F, chaos="partition")
-        assert classify_failure(node, "crash") is UNEXP
-
-    def test_truth_table_exhaustive(self):
-        modes = list(FAULT_KINDS) + ["crash"]
-        for tag in list(FAULT_KINDS) + [None]:
-            for mode in modes:
-                node = ResourceNode("n", phase=F, chaos=tag)
-                expected = EXP if (tag is not None and tag == mode) else UNEXP
-                assert classify_failure(node, mode) is expected
+    @pytest.mark.parametrize("fault", list(FAULT_KINDS) + [None])
+    @pytest.mark.parametrize("mode", ["kill", "crash"])
+    def test_table(self, fault, mode):
+        expected = "Expected" if (fault, mode) == ("kill", "kill") else "Unexpected"
+        assert self.failure_class(fault, mode) == expected
 
 
 # --- propagation ------------------------------------------------------------
