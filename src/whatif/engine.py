@@ -232,7 +232,6 @@ class Engine:
         self.unfinished = len(doc.actions)
 
         self.dispatched: set = set()
-        self.started: set = set()  # jobs whose start_job returned
         # The faults in effect by action: each kill's count of live targets, the kills
         # watching each target, and the suspends and partitions in injection order.
         self.kill_watch: dict[str, int] = {}
@@ -490,16 +489,15 @@ class Engine:
         })
         try:
             self.executor.start_job(spec)
-            self.started.add(spec.name)
         except SpawnError as exc:
-            # The job never came up: surface the standard lifecycle so the
-            # failure classifies as an unexpected crash of that service.
-            for phase in (Phase.PENDING, Phase.RUNNING):
-                self.queue.push(self.now, Event(EventKind.STATE, subject=spec.name, phase=phase))
+            # The job never came up: it fails as an unexpected crash, and its
+            # step records the Pending and Running it passes through.
             self.queue.push(self.now, Event(
                 EventKind.STATE, subject=spec.name, phase=Phase.FAILED,
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
+            return
+        self._move(self.nodes[spec.name], Phase.PENDING)  # the spawn succeeded
 
     def _resolve_job(self, action: ActionSpec, index: int, name: str) -> JobSpec:
         """The plan's job for instance ``index``, under the instance's name.
@@ -680,7 +678,7 @@ class Engine:
             except BaseException as exc:
                 raised.append(exc)
         for node in iter_nodes(self.tree):
-            if node.name in self.started and not node.phase.terminal:
+            if node.kind in ("service", "call") and node.phase in (Phase.PENDING, Phase.RUNNING):  # started, not ended
                 try:
                     self._trace_command("KillJob", node.name)
                     self.executor.kill_job(node.name)

@@ -78,11 +78,13 @@ class FaultSpec(Value):
 class Executor:
     """Backend interface: the engine calls it, and it answers through events.
 
-    Concrete executors emit State events into the queue they are bound to,
-    and they ingest metric points straight into the bound store. They apply
-    and undo faults, each named by the action that injected it; the engine
-    keeps the record of the faults in effect and decides when each one ends
-    and which of its targets resume.
+    Concrete executors emit State events into the queue they are bound to
+    for what only they observe, a job's Running and how it ended: a job whose
+    ``start_job`` returned is Pending, and the engine records that itself.
+    They ingest metric points straight into the bound store. They apply and
+    undo faults, each named by the action that injected it; the engine keeps
+    the record of the faults in effect and decides when each one ends and
+    which of its targets resume.
     """
 
     name = "abstract"

@@ -1,12 +1,13 @@
 """Local-process executor: real child processes on the workstation.
 
-Each job is one process in a process group of its own. The engine's loop
-waits in ``wait`` on each job's pidfd (Linux 5.3+) and stdout pipe, which
-ingests ``metric <name> <float> <unix-ms>`` lines and, when a job exits,
-kills the rest of its group, reaps it and emits its exit status as a State
-event: a death by SIGKILL fails it in mode ``kill``, any other nonzero
-status in mode ``crash``. Kill and suspend faults send SIGKILL and
-SIGSTOP/SIGCONT to the group; network partitions need the simulated executor.
+Each job is one process in a process group of its own, reported Running
+once its pidfd is registered. The engine's loop waits in ``wait`` on each
+job's pidfd (Linux 5.3+) and stdout pipe, which ingests UTF-8 ``metric
+<name> <float> <unix-ms>`` lines and, when a job exits, kills the rest of
+its group, reaps it and emits its exit status as a State event: a death by
+SIGKILL fails it in mode ``kill``, any other nonzero status in mode
+``crash``. Kill and suspend faults send SIGKILL and SIGSTOP/SIGCONT to the
+group; network partitions need the simulated executor.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class ProcessExecutor(Executor):
         except (OSError, ValueError) as exc:
             raise SpawnError(f"{spec.name}: {exc}") from exc
         self.procs[spec.name] = proc
-        self._emit(spec.name, Phase.PENDING)
         # Each step is recorded once it is complete, so an interrupt between
         # two leaves ``shutdown`` nothing half registered to undo.
         if proc.stdout is not None:

@@ -19,13 +19,13 @@ class _SimJob:
     """One simulated job. At most one ``_fire`` of it is queued at a time,
     and none while it is blocked or held."""
 
-    __slots__ = ("spec", "started_at", "index", "phase", "suspended", "blocked", "held", "mailbox", "finished")
+    __slots__ = ("spec", "started_at", "index", "running", "suspended", "blocked", "held", "mailbox", "finished")
 
     def __init__(self, spec: JobSpec, started_at: float):
         self.spec = spec
         self.started_at = started_at
         self.index = 0  # next effect to fire
-        self.phase = Phase.UNINITIALIZED
+        self.running = False  # reported Running: only then can a fault target it
         self.suspended = False
         self.blocked = False
         self.held = False  # chain paused by a suspend window
@@ -54,8 +54,6 @@ class SimExecutor(Executor):
         for effect in spec.script:
             if effect.op == "metric":
                 self.store.declare(effect.metric)
-        job.phase = Phase.PENDING
-        self._emit(spec.name, Phase.PENDING)
         self._schedule_next(job)
 
     def kill_job(self, name: str) -> None:
@@ -68,13 +66,12 @@ class SimExecutor(Executor):
     def inject_fault(self, action: str, spec: FaultSpec) -> None:
         for target in spec.targets:
             job = self.jobs.get(target)
-            if job is None or job.finished or job.phase != Phase.RUNNING:
+            if job is None or job.finished or not job.running:
                 raise TargetNotRunning(target)
         if spec.kind == "kill":
             for target in spec.targets:
                 job = self.jobs[target]
                 job.finished = True
-                job.phase = Phase.FAILED
                 self._emit(target, Phase.FAILED, mode="kill", reason=f"killed by {action}")
         elif spec.kind == "suspend":
             for target in spec.targets:
@@ -138,18 +135,15 @@ class SimExecutor(Executor):
             self._deliver(name, effect.target)
         elif effect.op == "crash":
             job.finished = True
-            job.phase = Phase.FAILED
             self._emit(name, Phase.FAILED, mode="crash", reason="crashed")
         elif effect.op == "failed":
             job.finished = True
-            job.phase = Phase.FAILED
             self._emit(name, Phase.FAILED, mode="crash", reason="scripted failure")
         elif effect.op == "success":
             job.finished = True
-            job.phase = Phase.SUCCESS
             self._emit(name, Phase.SUCCESS)
         elif effect.op == "running":
-            job.phase = Phase.RUNNING
+            job.running = True
             self._emit(name, Phase.RUNNING)
 
     # --- message layer ------------------------------------------------------------

@@ -106,7 +106,7 @@ class MetricsStore:
 
     def save(self, path) -> None:
         """Persist every accepted point, one ``metric <name> <value> <seconds>`` line each."""
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for name, times in self._times.items():
                 for at, value in zip(times, self._values[name]):
                     fh.write(f"metric {name} {value!r} {at!r}\n")
@@ -115,7 +115,7 @@ class MetricsStore:
     def load(cls, path) -> "MetricsStore":
         """Read what ``save`` wrote; ValueError for a non-blank line of another shape or a bad number."""
         store = cls()
-        with open(path, encoding="ascii") as fh:
+        with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 parts = line.split()
                 if not parts:

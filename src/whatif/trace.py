@@ -8,9 +8,10 @@ traces also hold ``annotation`` records, which readers ignore. Simulated
 runs with the same document and seed serialize to byte-identical traces.
 
 A record's ``at`` is the one clock reading of the engine step that wrote it,
-in seconds since the run started. So a process job's Pending and Running are
-stamped when their events pop, not at the spawn instant. Record times
-never decrease: an earlier one is an engine defect, and ``append`` raises.
+in seconds since the run started. So a job's Pending is stamped by the step
+that created it, and a process job's Running when its event pops, not at
+the spawn instant. Record times never decrease: an earlier one is an
+engine defect, and ``append`` raises.
 """
 
 from __future__ import annotations

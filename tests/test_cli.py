@@ -4,6 +4,7 @@ import json
 import os
 import random
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -353,20 +354,24 @@ class TestRun:
         assert kills == ["first"]
         assert json.loads((out / "report.json").read_text())["outcome"] == "Aborted"
 
+    @pytest.mark.parametrize("raiser", ["revoke", "kill", "shutdown"])
     @pytest.mark.parametrize("exc,reason", [
-        (OSError("revoke failed"), "internal error: OSError: revoke failed"),
+        (OSError("cleanup failed"), "internal error: OSError: cleanup failed"),
         (KeyboardInterrupt(), "interrupted: KeyboardInterrupt"),
     ], ids=["error", "interrupt"])
-    def test_a_cleanup_call_that_raises_exit_3_after_the_rest_of_the_cleanup(self, exc, reason, tmp_path, monkeypatch):
+    def test_a_cleanup_call_that_raises_exit_3_after_the_rest_of_the_cleanup(
+        self, exc, reason, raiser, tmp_path, monkeypatch,
+    ):
         cleanup = []
 
-        def revoke_fault(executor, action, resume):
-            cleanup.append(("revoke", action))
-            raise exc
+        def call(*made):
+            cleanup.append(made)
+            if made[0] == raiser:
+                raise exc
 
-        monkeypatch.setattr(SimExecutor, "revoke_fault", revoke_fault)
-        monkeypatch.setattr(SimExecutor, "kill_job", lambda executor, name: cleanup.append(("kill", name)))
-        monkeypatch.setattr(SimExecutor, "shutdown", lambda executor: cleanup.append(("shutdown",)))
+        monkeypatch.setattr(SimExecutor, "revoke_fault", lambda executor, action, resume: call("revoke", action))
+        monkeypatch.setattr(SimExecutor, "kill_job", lambda executor, name: call("kill", name))
+        monkeypatch.setattr(SimExecutor, "shutdown", lambda executor: call("shutdown"))
         path = tmp_path / "scenario.yaml"
         path.write_text(CRASH_DURING_SUSPEND)
         out = tmp_path / "out"
@@ -440,6 +445,28 @@ class TestRun:
         assert main(["run", str(path), "--executor", "process", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["executor"] == "process"
+
+    @pytest.mark.parametrize("executor,service", [
+        ("sim", {"script": [{"at": "0s", "do": "running"}, {"at": "1s", "do": "metric", "name": "cpü", "value": 1.5},
+                            {"at": "2s", "do": "success"}]}),
+        ("process", {"metrics": "stdout-lines", "command": (
+            f"{sys.executable} -c \"import sys, time; "
+            f"sys.stdout.buffer.write(('metric cp\\u00fc 1.5 %r\\n' % (time.time() * 1000)).encode())\"")}),
+    ])
+    def test_a_non_ascii_metric_name_is_written_and_read_back(self, executor, service, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(json.dumps({"spec": [{"action": "Service", "name": "s", "service": service}]}),
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--executor", executor, "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {"trace.ndjson", "metrics.txt", "report.json"}
+        records, store = load_run(out)
+        assert [value for _, value in store.series("cpü")] == [1.5]
+        assert build_report(records) == json.loads((out / "report.json").read_text())
+        capsys.readouterr()
+        assert main(["report", str(out), "--format", "plotdata"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["series"]) == ["cpü"]
 
     def test_same_doc_and_seed_identical_trace_files(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

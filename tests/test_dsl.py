@@ -417,6 +417,82 @@ class TestValidate:
         assert any(f.severity == "warning" for f in report.findings)
 
 
+# A library of one process job and one job body that is no map, for the document cases below.
+LIBRARY = "name: job\nbody: 'command: sleep 1'\n---\nname: listed\nbody: '- 1'\n"
+SLEEPER = "{action: Service, name: s, service: {command: 'sleep 1'}}"
+
+
+def _fault(body: str) -> str:
+    return f"{SLEEPER}\n- {{action: Chaos, name: k, chaos: {{fault: {body}}}}}"
+
+
+@pytest.mark.parametrize("library,entries,message", [
+    # template library: each error stops the load
+    ("- 1\n", None, "template document must be a mapping"),
+    ("name: 'bad name'\n", None, "template: invalid name 'bad name'"),
+    ("name: t\nparameters: 3\n", None, "template t: parameters must be a list or map"),
+    ("name: t\nbody: [1]\n", None, "template t: body must be text"),
+    ("name: t\n---\nname: t\n", None, "duplicate template name 't' in {file}"),
+    # job bodies
+    (LIBRARY, "{action: Service, name: s, service: {templateRef: listed}}", "error: s: job body must be a map"),
+    (LIBRARY, "{action: Service, name: s, service: {script: 1}}", "error: s: script must be a list of effects"),
+    (LIBRARY, "{action: Service, name: s, service: {command: x, env: [1]}}", "error: s: env must be a map"),
+    (LIBRARY, "{action: Service, name: s, service: {command: x, declares: m}}",
+     "error: s: declares must be a list of metric names"),
+    (LIBRARY, "{action: Service, name: s, service: {env: {A: b}}}", "error: s: job body needs a command or a script"),
+    # effects
+    (LIBRARY, "{action: Service, name: s, service: {script: [1]}}", "error: s: script[0] must be a map"),
+    (LIBRARY, "{action: Service, name: s, service: {script: [{at: 0s}]}}", "error: s: script[0] needs 'at' and 'do'"),
+    (LIBRARY, "{action: Service, name: s, service: {script: [{at: 0s, do: metric, name: m}]}}",
+     "error: s: script[0]: metric effect needs name and value"),
+    (LIBRARY, "{action: Service, name: s, service: {script: [{at: 0s, do: send}]}}",
+     "error: s: script[0]: send effect needs 'to'"),
+    # faults
+    (LIBRARY, _fault("{kind: suspend, targets: [s], duration: 0s}"),
+     "error: k: invalid fault: fault duration must be positive"),
+    (LIBRARY, _fault("{kind: partition, source: s, dst: s}"), "error: k: invalid fault: partition requires a duration"),
+    (LIBRARY, _fault("{kind: partition, source: '', dst: s, duration: 1s}"),
+     "error: k: invalid fault: partition requires at least one source and one destination"),
+    (LIBRARY, _fault("{kind: kill}"), "error: k: invalid fault: kill fault requires targets"),
+    (LIBRARY, _fault("{kind: suspend, targets: [], duration: 1s}"),
+     "error: k: invalid fault: suspend fault requires at least one target"),
+    (LIBRARY, _fault("{kind: suspend, targets: [s]}"), "error: k: invalid fault: suspend requires a duration"),
+    (LIBRARY, _fault("{kind: kill, targets: 3}"),
+     "error: k: invalid fault: targets must be a name, list, or comma-separated string"),
+    (LIBRARY, "{action: Chaos, name: k, chaos: {fault: 1}}", "error: k: spec[0] (k): fault must be a map"),
+    # checkpoint values
+    (LIBRARY, "{action: Checkpoint, name: c, checkpoint: {values: [1]}}",
+     "error: c: spec[0] (c): checkpoint values must map keys to expression strings"),
+    (LIBRARY, "{action: Checkpoint, name: c, checkpoint: {values: {v: 'MAX() QUERY(m, 1m, now) IS ABOVE(1)'}}}",
+     "error: c.v: checkpoint values take no condition"),
+    (LIBRARY, "{action: Checkpoint, name: c, checkpoint: {values: {v: '.state.failed() > 1'}}}",
+     "error: c.v: checkpoint values must be metrics reductions"),
+    (LIBRARY, "{action: Checkpoint, name: c, checkpoint: {values: {v: 'MAX() QUERY(m, 1m)'}}}",
+     "error: c.v: expression 'MAX() QUERY(m, 1m)': expected ',', found ')' (at position 17)"),
+    # actions
+    (LIBRARY, "{action: Service, name: s, service: {templateRef: job}, assertions: ['MAX() QUERY(m, 1m, now)']}",
+     "error: s: assertion 'MAX() QUERY(m, 1m, now)' has no condition"),
+    (LIBRARY, "{action: Service, name: s, service: {templateRef: job, inputs: [1]}}",
+     "error: s: spec[0] (s): inputs[0] must be a map"),
+    (LIBRARY, f"{SLEEPER}\n- {{action: Service, name: t, depends: {{running: s}}, service: {{templateRef: job}}}}",
+     "error: t: spec[1] (t): depends.running must be a list of action names"),
+    (LIBRARY, "{action: Call, name: c, call: {callable: job, services: s}}",
+     "error: c: spec[0] (c): call services must be a list of names or macros"),
+    (LIBRARY, "1", "error: document: spec[0]: action entry must be a map"),
+])
+def test_each_document_error_is_its_finding(library, entries, message, tmp_path):
+    """A template library error stops its load; any other is the document's one finding."""
+    file = tmp_path / "lib.yaml"
+    file.write_text(library)
+    if entries is None:
+        with pytest.raises(SchemaError) as raised:
+            load_templates(tmp_path)
+        assert str(raised.value) == message.format(file=file)
+        return
+    doc = parse_scenario(f"spec:\n- {entries}\n")
+    assert [str(f) for f in validate(doc, load_templates(tmp_path)).findings] == [message]
+
+
 # --- round-trip property ---------------------------------------------------
 
 _names = st.from_regex(r"[a-z][a-z0-9-]{0,6}", fullmatch=True)

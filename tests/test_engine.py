@@ -1,5 +1,7 @@
 """Reconciliation: dispatch ordering, dependencies, outcomes, determinism."""
 
+import itertools
+
 import pytest
 
 from whatif.dsl import DependsClause, Template, parse_scenario, validate
@@ -75,7 +77,6 @@ class TestReconcileExamples:
     def drive_to_running(self, engine, names):
         records = []
         for name in names:
-            engine.reconcile(state_event(name, Phase.PENDING))
             records = cycle(engine, state_event(name, Phase.RUNNING))
         return records
 
@@ -89,7 +90,6 @@ class TestReconcileExamples:
     def test_wait_success_dispatches_two_in_document_order(self, engine):
         self.drive_to_running(engine, [f"masters-{i}" for i in range(4)])
         for call in ("boot", "import-workload", "wait-for-3x-replication"):
-            engine.reconcile(state_event(call, Phase.PENDING))
             engine.reconcile(state_event(call, Phase.RUNNING))
             records = cycle(engine, state_event(call, Phase.SUCCESS))
         assert dispatch_commands(records) == [
@@ -508,6 +508,38 @@ class TestTraceInvariants:
             assert timer.at == inject + duration
         else:
             assert inject + duration <= timer.at < inject + duration + 1.0
+
+    @pytest.mark.parametrize("executor,body,unstartable", [
+        ("sim", "script: [{at: 0s, do: running}, {at: 200ms, do: success}]", "command: sleep 1"),
+        ("process", "command: sleep 0.2", "script: [{at: 0s, do: running}]"),
+    ])
+    def test_the_engine_marks_a_started_job_pending(self, executor, body, unstartable):
+        """Each CreateJob that starts its job is followed, at its time, by the job's Pending, and no
+        executor reports a Pending. A job that cannot start fails in one State event, whose step
+        walks it through Pending and Running to Failed."""
+        doc = parse_scenario(
+            f"spec:\n- action: Service\n  name: svc\n  service: {{ {body} }}\n"
+            "- action: Cluster\n  name: c\n  depends: { running: [svc] }\n"
+            "  cluster: { templateRef: node, instances: 2 }\n"
+            "- action: Service\n  name: broken\n  depends: { success: [c] }\n"
+            f"  service: {{ {unstartable} }}\n"
+        )
+        result = run_scenario(doc, {"node": Template("node", {}, body)}, make_executor(executor))
+        assert result.outcome is Outcome.FAILED and result.reason.startswith("broken: spawn failed: ")
+        records = result.trace.records
+        assert [r for r in records if r.kind == "event" and r.data.get("phase") == "Pending"] == []
+        creates = [r for r in records if r.kind == "command" and r.data["verb"] == "CreateJob"]
+        assert [r.data["target"] for r in creates] == ["svc", "c-0", "c-1", "broken"]
+        for create in creates[:-1]:
+            after = records[create.seq + 1]
+            assert (after.kind, after.at, after.data) == (
+                "transition", create.at, {"subject": create.data["target"], "to": "Pending"},
+            )
+        [event] = [r for r in records if r.kind == "event" and r.data.get("subject") == "broken"]
+        step = list(itertools.takewhile(lambda r: r.kind != "event", records[event.seq + 1:]))
+        hops = [r for r in records if r.kind == "transition" and r.data["subject"] == "broken"]
+        assert [r.data["to"] for r in hops] == ["Pending", "Running", "Failed"]
+        assert all(r in step for r in hops)
 
     def test_every_event_record_names_an_event_kind(self, partition_demo):
         """On the demo, golden, corpus, panic and acceptance runs, each `event`

@@ -108,7 +108,7 @@ class TestProcessJobs:
         executor, queue, clock, store = make_harness()
         executor.start_job(JobSpec(name="ok", command="true"))
         events = drain(executor, queue, want=1)
-        assert [e.phase for e in events] == [Phase.PENDING, Phase.RUNNING, Phase.SUCCESS]
+        assert [e.phase for e in events] == [Phase.RUNNING, Phase.SUCCESS]
         executor.shutdown()
 
     def test_exit_one_maps_to_failed(self):
@@ -196,7 +196,7 @@ class TestProcessFaults:
             executor.inject_fault("killer", FaultSpec("kill", targets=["quick"]))
         assert proc.returncode is None
         events = drain(executor, queue, want=1)
-        assert [e.phase for e in events] == [Phase.PENDING, Phase.RUNNING, Phase.SUCCESS]
+        assert [e.phase for e in events] == [Phase.RUNNING, Phase.SUCCESS]
         executor.shutdown()
 
     def test_a_reaped_job_is_signalled_no_more(self, monkeypatch):

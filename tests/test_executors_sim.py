@@ -28,8 +28,8 @@ class TestScriptedJobs:
         ex, queue, clock, store = sim_harness
         ex.start_job(job("j", (0.0, "running"), (10.0, "success")))
         delivered = ex.advance_to(20.0)
-        assert states(delivered) == [("j", "Pending"), ("j", "Running"), ("j", "Success")]
-        assert [at for at, _ in delivered] == [0.0, 0.0, 10.0]
+        assert states(delivered) == [("j", "Running"), ("j", "Success")]  # the engine marks Pending
+        assert [at for at, _ in delivered] == [0.0, 10.0]
 
     def test_metrics_ingested_at_virtual_time(self, sim_harness):
         ex, queue, clock, store = sim_harness
@@ -63,7 +63,6 @@ class TestScriptedJobs:
         ex.start_job(job("a", (0.0, "running"), (5.0, "success")))
         ex.start_job(job("b", (0.0, "running"), (5.0, "success")))
         assert states(ex.advance_to(5.0)) == [
-            ("a", "Pending"), ("b", "Pending"),
             ("a", "Running"), ("b", "Running"),
             ("a", "Success"), ("b", "Success"),
         ]

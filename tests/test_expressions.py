@@ -109,6 +109,23 @@ class TestParse:
             parse_expression(".state.failed() > ?")
         assert err.value.position == 18
 
+    @pytest.mark.parametrize("text,message", [
+        ("MAX( QUERY(m, 1m, now)", "expected ')', found 'QUERY' (at position 5)"),
+        ("MAX() QUERY(m, 1m, later)", "expected 'now', found 'later' (at position 19)"),
+        ("9db.state.failed() > 1", "invalid job reference '9db' (at position 0)"),
+        (".state.failed() > 1.5", "state comparisons use integer literals (at position 18)"),
+        (".state.failed() > AND", "expected literal, found 'AND' (at position 18)"),
+        ("MAX() QUERY(5, 1m, now)", "expected metric name, found '5' (at position 12)"),
+        ("MAX() QUERY(m, now, now)", "expected window duration, found 'now' (at position 15)"),
+        ("MAX() QUERY(m, 1m, now) IS NEAR(1)", "expected condition, found 'NEAR' (at position 27)"),
+        ("MAX() QUERY(m, 1m, now) IS ABOVE(CHECKPOINT(base))", "expected CHECKPOINT(name.key) (at position 44)"),
+        ("MAX() QUERY(m, 1m, now) IS ABOVE(high)", "expected threshold term, found 'high' (at position 33)"),
+    ])
+    def test_each_syntax_error_names_what_it_expected(self, text, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text)
+        assert str(err.value) == message
+
     @given(st.text(max_size=40))
     @settings(max_examples=300)
     def test_parse_is_total(self, text):

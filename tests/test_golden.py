@@ -121,14 +121,14 @@ def trace_digest(doc, templates, tmp_path) -> str:
 
 # sha256 of trace.ndjson for each generated document.
 GOLDEN = {
-    "after-race": "d77c6da37cbd333b136cc27b6874ca890da68da30f6aa4f17696e395d5bea2c2",
-    "chain-120": "0b59c1e2ab5a5415a72db5a7527bd198dc9a9ee5d9fbf2cc709aa45af72e059d",
-    "cluster-200": "ed77e60c517f5e1a722fb6c7784b6ecd46c9c0d1f7b0326b5caeae3737e543ce",
-    "metrics-300": "4b53f198221cd0bf18eda8dfb6ba278efd5a8f303a14cc787af8f9a95b9b1bac",
+    "after-race": "d7a13426c6a8f883ac85b8e7caaaa7dea5a905fefa0f8b2ef256d8e8c72ad29e",
+    "chain-120": "e9d0b88584ada4c66c5b172bfaf272cf9caaac4a27529e0a515ed19ad33d3c5f",
+    "cluster-200": "9cab1a6f7b338b6e87b1c431d345746e622137274269080ade1acdd2d40b13e2",
+    "metrics-300": "945088e735abc19a3c7287dd2ed3a8d038f35cb51edf63bd17ae4560df02531a",
 }
-DEMO_GOLDEN = "5877273235621d680dd3b4550ce07fb84502970652d42aa550176c3fffc73cef"
+DEMO_GOLDEN = "70b6447f1cb4033c3cf8a2fad5d00ef7aa12f46b62550e40910a269eb47c4705"
 # sha256 over the concatenated per-document digests of the 25 corpus documents.
-CORPUS_GOLDEN = "6c1f55bbb9c0b56221f9d3bcfa634b57853584396e4ca2ea0c89ce96950a46a1"
+CORPUS_GOLDEN = "21a8493262d34368e27db825141e29ae59c1ce79c27d60f29d6e0c6f90819d64"
 
 
 def _build(name: str):
