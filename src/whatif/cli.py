@@ -4,12 +4,13 @@ Exit codes are part of the contract: 0 success, 1 the test failed,
 2 invalid scenario, unreadable input or an unusable run directory, 3 run
 aborted (timeout, engine error, or SIGINT, SIGTERM or SIGHUP). Logs go to
 stderr; machine-readable output goes to files under the run directory,
-also for an aborted run.
+also for an aborted run. Each run file is whole or absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +54,17 @@ def cmd_validate(args) -> int:
     report = validate(doc, templates, args.timeout_default)
     print(str(report))
     return EXIT_OK if report.ok else EXIT_INVALID
+
+
+def _write_whole(path: Path, save) -> None:
+    """Write a run file whole or not at all: ``save`` writes a temporary file beside ``path``, which then replaces it."""
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        save(partial)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def cmd_run(args) -> int:
@@ -100,9 +112,10 @@ def cmd_run(args) -> int:
             pass  # recorded by the engine as `interrupted: KeyboardInterrupt`
         print(f"{engine.outcome}: {engine.reason}", file=sys.stderr)
         try:
-            engine.trace.save(out / TRACE_FILE)
-            engine.store.save(out / METRICS_FILE)
-            (out / REPORT_FILE).write_text(report_json_text(build_report(engine.trace.records)))
+            _write_whole(out / TRACE_FILE, engine.trace.save)
+            _write_whole(out / METRICS_FILE, engine.store.save)
+            report = report_json_text(build_report(engine.trace.records))
+            _write_whole(out / REPORT_FILE, lambda path: path.write_text(report))
         except OSError as exc:  # the run is over, but its directory cannot hold its files
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID

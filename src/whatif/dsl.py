@@ -557,8 +557,9 @@ def parse_job_body(body) -> JobSpec:
     """Build a JobSpec from a resolved template body or inline action body.
 
     A simulated job runs a script of timed effects, a process job a command
-    line; ``declares`` names metrics up front, so that a query can tell a
-    quiet metric from a mis-wired one::
+    line. ``declares`` names metrics up front, so that a query can tell a quiet
+    metric from a mis-wired one; the spec holds them, then the script's metric
+    names, each once, for the engine to declare when the job starts::
 
         command: "python3 worker.py"            # or a script:
         script:
@@ -600,6 +601,7 @@ def parse_job_body(body) -> JobSpec:
         if not isinstance(body["declares"], list):
             raise SchemaError("declares must be a list of metric names")
         spec.declares = [_metric_name(v, f"declares[{i}]") for i, v in enumerate(body["declares"])]
+    spec.declares = list(dict.fromkeys(spec.declares + [e.metric for e in spec.script if e.op == "metric"]))
     if "kind" in body:
         _coerce_str(body["kind"], "kind")
     if spec.command is None and not spec.script:

@@ -13,8 +13,9 @@ Time is ``Engine.now``: the clock is read once per step (the run start, a
 cycle, an abort from outside one, the cleanup), and the step's records carry it.
 
 The engine keeps the run's one record of the faults in effect (the kill
-watch and ``in_effect``); executors keep none. A failure is Expected exactly
-when it is observed as a kill while a kill fault watches its job.
+watch and ``in_effect``); executors keep none. A fault target is running when
+its recorded phase is Running and no kill watches it. A failure is Expected
+exactly when it is observed as a kill while a kill fault watches its job.
 
 A cycle's work grows with what the event touched, not with the document:
 every phase change goes through ``Engine._move``, which marks the actions
@@ -447,18 +448,18 @@ class Engine:
             "direction": spec.direction, "duration": spec.duration,
         })
         try:
-            for target in spec.targets:
-                if target in self.kill_watchers:  # killed, though its exit may not be seen yet
-                    raise TargetNotRunning(target)
+            for target in targets:  # as recorded; a killed job's exit may not be seen yet
+                if target.phase != Phase.RUNNING or target.name in self.kill_watchers:
+                    raise TargetNotRunning(target.name)
             self.executor.inject_fault(action.name, spec)
         except (UnsupportedFault, TargetNotRunning) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
         self._move(node, Phase.RUNNING)
         if spec.kind == "kill":
-            live = [target for target in dict.fromkeys(targets) if not target.phase.terminal]
-            self.kill_watch[action.name] = len(live)
-            for target in live:
+            watched = dict.fromkeys(targets)  # each one Running
+            self.kill_watch[action.name] = len(watched)
+            for target in watched:
                 self.kill_watchers.setdefault(target.name, []).append(action.name)
         else:
             self.in_effect[action.name] = spec
@@ -497,7 +498,9 @@ class Engine:
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
             return
-        self._move(self.nodes[spec.name], Phase.PENDING)  # the spawn succeeded
+        for metric in spec.declares:  # the spawn succeeded
+            self.store.declare(metric)
+        self._move(self.nodes[spec.name], Phase.PENDING)
 
     def _resolve_job(self, action: ActionSpec, index: int, name: str) -> JobSpec:
         """The plan's job for instance ``index``, under the instance's name.

@@ -64,7 +64,7 @@ class UnsupportedFault(WhatifError):
 
 
 class TargetNotRunning(WhatifError):
-    """Fault injection requires every target to be in phase Running."""
+    """A fault target is not running as the engine recorded it: its phase is not Running, or a kill watches it."""
 
 
 # --- validation findings --------------------------------------------------

@@ -43,7 +43,7 @@ class JobSpec(Value):
         script: Optional[list] = None,
         env: Optional[dict] = None,
         metrics_source: str = "none",  # "stdout-lines" | "none"
-        declares: Optional[list] = None,
+        declares: Optional[list] = None,  # the metrics the engine declares once the job starts
     ):
         self.name = name
         self.command = command
@@ -78,13 +78,14 @@ class FaultSpec(Value):
 class Executor:
     """Backend interface: the engine calls it, and it answers through events.
 
-    Concrete executors emit State events into the queue they are bound to
-    for what only they observe, a job's Running and how it ended: a job whose
-    ``start_job`` returned is Pending, and the engine records that itself.
-    They ingest metric points straight into the bound store. They apply and
-    undo faults, each named by the action that injected it; the engine keeps
-    the record of the faults in effect and decides when each one ends and
-    which of its targets resume.
+    Executors only start, signal and observe: they emit State events for a
+    job's Running and its end into the bound queue, and ingest metric points
+    into the bound store. The engine owns a job's state. It marks a started
+    job Pending and declares its metrics, and it injects a fault only when
+    every target is Running as recorded, so a target that ended meanwhile
+    takes no effect: its own end is its one report. The engine keeps the
+    faults in effect, each named by its action, and decides when each ends
+    and which of its targets resume.
     """
 
     name = "abstract"

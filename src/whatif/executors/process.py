@@ -19,7 +19,7 @@ import signal
 import subprocess
 from typing import Optional
 
-from ..errors import SpawnError, TargetNotRunning, UnsupportedFault
+from ..errors import SpawnError, UnsupportedFault
 from ..lifecycle import Phase
 from .base import Executor, FaultSpec, JobSpec
 
@@ -48,8 +48,6 @@ class ProcessExecutor(Executor):
             raise SpawnError(f"{spec.name}: process jobs need a command")
         if spec.name in self.procs:
             raise SpawnError(f"job name already in use: {spec.name}")
-        for metric in spec.declares:
-            self.store.declare(metric)
         env = dict(os.environ)
         env.update(spec.env)
         want_stdout = spec.metrics_source == "stdout-lines"
@@ -140,29 +138,24 @@ class ProcessExecutor(Executor):
         self.store.ingest(parts[1], value, self.clock.from_unix_ms(unix_ms))
 
     def kill_job(self, name: str) -> None:
-        if name in self._pidfds:  # a reaped job's group was killed at its reap, and its id may be reused
-            _signal_group(self.procs[name], signal.SIGKILL)
+        self._signal([name], signal.SIGKILL)
 
     # --- faults -------------------------------------------------------------
 
     def inject_fault(self, action: str, spec: FaultSpec) -> None:
         if spec.kind == "partition":
             raise UnsupportedFault("partition requires the simulated executor")
-        for target in spec.targets:
-            if not self._alive(target):
-                raise TargetNotRunning(target)
-        for target in spec.targets:
-            _signal_group(self.procs[target], signal.SIGKILL if spec.kind == "kill" else signal.SIGSTOP)
+        self._signal(spec.targets, signal.SIGKILL if spec.kind == "kill" else signal.SIGSTOP)
 
     def revoke_fault(self, action: str, resume: list[str]) -> None:
-        for name in resume:
-            if name in self._pidfds:  # not reaped: its group id is still its own
-                _signal_group(self.procs[name], signal.SIGCONT)
+        self._signal(resume, signal.SIGCONT)
 
-    def _alive(self, name: str) -> bool:
-        """True until the job exits; unlike ``Popen.poll`` this reaps nothing, so ``_reap`` stays the one reaper."""
-        pidfd = self._pidfds.get(name)
-        return pidfd is not None and os.waitid(os.P_PIDFD, pidfd, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+    def _signal(self, names: list[str], sig: int) -> None:
+        """Signal the groups of the jobs in ``names`` not reaped yet: an exited job pins its group id until
+        its reap, which kills the group, and after which the id may be reused."""
+        for name in names:
+            if name in self._pidfds:
+                _signal_group(self.procs[name], sig)
 
     # --- plumbing ------------------------------------------------------------
 

@@ -10,7 +10,7 @@ emissions scheduled inside the window.
 
 from __future__ import annotations
 
-from ..errors import SpawnError, TargetNotRunning
+from ..errors import SpawnError
 from ..lifecycle import Phase
 from .base import Executor, FaultSpec, JobSpec
 
@@ -19,13 +19,12 @@ class _SimJob:
     """One simulated job. At most one ``_fire`` of it is queued at a time,
     and none while it is blocked or held."""
 
-    __slots__ = ("spec", "started_at", "index", "running", "suspended", "blocked", "held", "mailbox", "finished")
+    __slots__ = ("spec", "started_at", "index", "suspended", "blocked", "held", "mailbox", "finished")
 
     def __init__(self, spec: JobSpec, started_at: float):
         self.spec = spec
         self.started_at = started_at
         self.index = 0  # next effect to fire
-        self.running = False  # reported Running: only then can a fault target it
         self.suspended = False
         self.blocked = False
         self.held = False  # chain paused by a suspend window
@@ -49,30 +48,19 @@ class SimExecutor(Executor):
             raise SpawnError(f"{spec.name}: simulated jobs need a script")
         job = _SimJob(spec, self.clock.now())
         self.jobs[spec.name] = job
-        for metric in spec.declares:
-            self.store.declare(metric)
-        for effect in spec.script:
-            if effect.op == "metric":
-                self.store.declare(effect.metric)
         self._schedule_next(job)
 
     def kill_job(self, name: str) -> None:
-        job = self.jobs.get(name)
-        if job is not None:
-            job.finished = True
+        self.jobs[name].finished = True
 
     # --- faults -----------------------------------------------------------
 
     def inject_fault(self, action: str, spec: FaultSpec) -> None:
-        for target in spec.targets:
-            job = self.jobs.get(target)
-            if job is None or job.finished or not job.running:
-                raise TargetNotRunning(target)
         if spec.kind == "kill":
             for target in spec.targets:
-                job = self.jobs[target]
-                job.finished = True
-                self._emit(target, Phase.FAILED, mode="kill", reason=f"killed by {action}")
+                if not self.jobs[target].finished:  # a job that ended already made its one report
+                    self.kill_job(target)
+                    self._emit(target, Phase.FAILED, mode="kill", reason=f"killed by {action}")
         elif spec.kind == "suspend":
             for target in spec.targets:
                 self.jobs[target].suspended = True
@@ -143,7 +131,6 @@ class SimExecutor(Executor):
             job.finished = True
             self._emit(name, Phase.SUCCESS)
         elif effect.op == "running":
-            job.running = True
             self._emit(name, Phase.RUNNING)
 
     # --- message layer ------------------------------------------------------------

@@ -21,7 +21,8 @@ def count_operations(fn):
 
     An operation is a call entered or a line executed in a frame of the
     package's source, and a loop's line counts on every pass, so the count
-    measures work, whatever the speed of the machine.
+    measures work, whatever the speed of the machine. A tracer installed
+    around the call, such as a coverage tool's, is put back after it.
     """
     count = 0
 
@@ -33,11 +34,12 @@ def count_operations(fn):
     def start(frame, event, arg):
         return local(frame, event, arg) if frame.f_code.co_filename.startswith(WHATIF_SOURCE) else None
 
+    outer = sys.gettrace()
     sys.settrace(start)
     try:
         result = fn()
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return result, count
 
 

@@ -1,5 +1,6 @@
 """CLI exit codes, run artifacts, and report formats."""
 
+import errno
 import json
 import os
 import random
@@ -14,6 +15,7 @@ from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario
 from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
 from whatif.report import build_report, load_run, plot_data, report_json_text
+from whatif.telemetry import MetricsStore
 from whatif.trace import RunTrace
 from conftest import SCENARIOS, script_template
 from documents import render_scenario
@@ -33,6 +35,7 @@ INVALID_DOCUMENTS = sorted((SCENARIOS / "invalid").glob("*.yaml"))
 # The stdout of `whatif validate <document> --templates scenarios/templates`
 # for each document of scenarios/invalid, in <document stem>.txt.
 VALIDATE_OUTPUTS = Path(__file__).resolve().parent / "validate_outputs"
+RUN_FILES = ["trace.ndjson", "metrics.txt", "report.json"]  # in the order `run` writes them
 
 NINES = "9" * 400  # overflows a float to inf
 SERVICE = ("{action: Service, name: s, service: {declares: [m], script: [{at: 0s, do: running}, "
@@ -429,6 +432,33 @@ class TestRun:
         outcome, error = capsys.readouterr().err.splitlines()
         assert outcome == "Success: all actions completed"
         assert error.startswith("error: ") and "trace.ndjson" in error
+
+    @pytest.mark.parametrize("torn", RUN_FILES)
+    def test_a_write_that_fails_part_way_leaves_no_partial_file_exit_2(self, torn, tmp_path, monkeypatch, capsys):
+        """As on a full disk, half of the file's text is out when its write raises: the run files
+        written before it stay, whole, and neither the torn file nor a temporary one is left."""
+        write_text, save = Path.write_text, MetricsStore.save
+
+        def tear(path):
+            if torn in path.name:
+                os.truncate(path, path.stat().st_size // 2)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def torn_write_text(path, *args, **kwargs):  # RunTrace.save writes through it too
+            written = write_text(path, *args, **kwargs)
+            tear(path)
+            return written
+
+        def torn_save(store, path):
+            save(store, path)
+            tear(Path(path))
+
+        monkeypatch.setattr(Path, "write_text", torn_write_text)
+        monkeypatch.setattr(MetricsStore, "save", torn_save)
+        out = tmp_path / "out"
+        assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == sorted(RUN_FILES[:RUN_FILES.index(torn)])
+        assert capsys.readouterr().err.endswith(f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
     def test_invalid_scenario_exit_2(self, tmp_path):
         path = tmp_path / "cyclic.yaml"

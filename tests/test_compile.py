@@ -9,6 +9,8 @@ re-evaluates only the state assertions whose scope it changed. The scaling
 checks count operations (`conftest.count_operations`), not wall time.
 """
 
+import sys
+
 import pytest
 import yaml
 
@@ -60,6 +62,20 @@ def test_validate_work_per_action_does_not_grow_with_the_document(kind):
         assert report.ok, str(report)
         per_action[n] = ops / n
     assert per_action[1000] <= 1.1 * per_action[250], per_action
+
+
+def test_counting_puts_back_an_outer_tracer():
+    def outer(frame, event, arg):
+        return None
+
+    around = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        report, ops = count_operations(lambda: validate(*chain(2, "macro")))
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(around)
+    assert report.ok and ops > 0
 
 
 def test_wide_kill_work_per_event_does_not_grow_with_the_cluster():

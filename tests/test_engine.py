@@ -1,8 +1,10 @@
 """Reconciliation: dispatch ordering, dependencies, outcomes, determinism."""
 
 import itertools
+import random
 
 import pytest
+import yaml
 
 from whatif.dsl import DependsClause, Template, parse_scenario, validate
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
@@ -596,3 +598,114 @@ class TestTraceInvariants:
         a = run_scenario(doc, templates, seed=0).trace.to_text()
         b = run_scenario(doc, templates, seed=0).trace.to_text()
         assert a == b
+
+
+FAULT_TEMPLATES = {
+    "node": Template("node", {"up": None, "end": None, "how": None},
+                     "script:\n- { at: '{{up}}', do: running }\n- { at: '{{end}}', do: {{how}} }\n"),
+    "task": Template("task", {"services": None, "dur": None},
+                     "env: { TARGETS: '{{services}}' }\n"
+                     "script:\n- { at: 0s, do: running }\n- { at: '{{dur}}', do: success }\n"),
+}
+
+
+def fault_document(rng: random.Random) -> str:
+    """One cluster `c` of 1-4 instances, then 1-5 kills, suspends, partitions and Calls.
+
+    Each action depends on `c` or an earlier Call, often with an `after:`
+    delay; whole-second times make many events share an instant.
+    """
+    instances = rng.randint(1, 4)
+    names = [f"c-{i}" for i in range(instances)]
+    inputs = []
+    for _ in range(instances):
+        up = rng.randint(0, 3)
+        how = rng.choice(["success"] * 5 + ["crash"])
+        inputs.append({"up": f"{up}s", "end": f"{up + rng.randint(0, 4)}s", "how": how})
+    spec = [{"action": "Cluster", "name": "c", "cluster": {
+        "templateRef": "node", "instances": instances, "toleratedFailures": instances - 1, "inputs": inputs}}]
+    calls = []
+    for index in range(rng.randint(1, 5)):
+        name = f"a{index}"
+        kind = rng.choice(["kill", "suspend", "partition", "Call"] if instances > 1 else ["kill", "suspend", "Call"])
+        depends = {rng.choice(["running", "running", "success"]): [rng.choice(["c", *calls])]}
+        if rng.random() < 0.6:
+            depends["after"] = f"{rng.randint(0, 4)}s"
+        action = {"action": "Call" if kind == "Call" else "Chaos", "name": name, "depends": depends}
+        duration = f"{rng.randint(1, 3)}s"
+        if kind == "Call":
+            action["call"] = {"callable": "task", "services": [".cluster.c.all"],
+                              "inputs": [{"dur": f"{rng.randint(0, 3)}s"}]}
+            calls.append(name)
+        elif kind == "partition":
+            source, dst = rng.sample(names, 2)
+            action["chaos"] = {"fault": {"kind": kind, "source": source, "dst": dst, "duration": duration}}
+        else:
+            fault = {"kind": kind, "targets": rng.sample(names, rng.randint(1, instances))}
+            if kind == "suspend":
+                fault["duration"] = duration
+            action["chaos"] = {"fault": fault}
+        spec.append(action)
+    return yaml.safe_dump({"name": "faults", "spec": spec}, sort_keys=False)
+
+
+def check_fault_targets(records) -> tuple[list, int, int]:
+    """Check each InjectFault of a trace against the transitions recorded before it.
+
+    A target is running when its last transition is Running and no earlier
+    applied kill named it. A TargetNotRunning refusal, the AbortRun record that
+    follows the InjectFault, must name a target that is not; a fault that was
+    not refused must have every target running. Returns the violations, and
+    the number of faults refused and applied.
+    """
+    last, killed, wrong, refused, applied = {}, set(), [], 0, 0
+    for record, after in zip(records, records[1:]):
+        if record.kind == "transition":
+            last[record.data["subject"]] = record.data["to"]
+        if record.kind != "command" or record.data["verb"] != "InjectFault":
+            continue
+        args = record.data["args"]
+        running = {t for t in args["targets"] if last.get(t) == "Running" and t not in killed}
+        prefix = f"{record.data['target']}: TargetNotRunning: "
+        reason = after.data["args"]["reason"] if after.kind == "command" and after.data["verb"] == "AbortRun" else ""
+        if reason.startswith(prefix):
+            refused += 1
+            if reason[len(prefix):] in running:
+                wrong.append(f"seq {record.seq}: refused {reason[len(prefix):]}, recorded Running")
+        else:
+            applied += 1
+            if set(args["targets"]) - running:
+                wrong.append(f"seq {record.seq}: applied to {sorted(set(args['targets']) - running)}, not Running")
+            if args["kind"] == "kill":
+                killed.update(args["targets"])
+    return wrong, refused, applied
+
+
+class TestFaultTargets:
+    def test_a_target_recorded_running_takes_the_fault(self):
+        """`k` is dispatched at 2s, the instant `s` succeeds: the trace shows `s` Running at
+        the InjectFault, so the kill is applied, and `s`'s own Success, its one report, ends it."""
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: s\n"
+            "  service: { script: [{at: 0s, do: running}, {at: 2s, do: success}] }\n"
+            "- action: Chaos\n  name: k\n  depends: { running: [s], after: 2s }\n"
+            "  chaos: { fault: { kind: kill, targets: [s] } }\n"
+        )
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+        assert check_fault_targets(result.trace.records) == ([], 0, 1)
+        hops = [r.data["to"] for r in result.trace if r.kind == "transition" and r.data["subject"] == "s"]
+        assert hops == ["Pending", "Running", "Success"]
+
+    def test_every_refusal_and_every_applied_fault_agree_with_the_trace(self):
+        """On 300 seeded random documents, the trace alone justifies each fault's refusal or application."""
+        rng = random.Random(1)
+        refused = applied = 0
+        for number in range(300):
+            text = fault_document(rng)
+            result = run_scenario(parse_scenario(text), FAULT_TEMPLATES)
+            wrong, was_refused, was_applied = check_fault_targets(result.trace.records)
+            assert wrong == [], (number, text, wrong)
+            refused += was_refused
+            applied += was_applied
+        assert refused >= 30 and applied >= 100, (refused, applied)

@@ -17,7 +17,7 @@ from oracles import run_one_time_per_step
 from whatif import cli
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import Engine, Outcome, run_scenario
-from whatif.errors import SpawnError, TargetNotRunning, UnsupportedFault
+from whatif.errors import SpawnError, UnsupportedFault
 from whatif.events import EventQueue, WallClock
 from whatif.executors import make_executor
 from whatif.executors.base import FaultSpec, JobSpec
@@ -157,11 +157,11 @@ class TestProcessJobs:
 
     def test_non_metric_lines_ignored(self):
         executor, queue, clock, store = make_harness()
+        store.declare("m")  # as the engine does once the job starts
         executor.start_job(JobSpec(
             name="noisy",
             command="python3 -c 'print(\"hello world\"); print(\"metric m nonsense 12\")'",
             metrics_source="stdout-lines",
-            declares=["m"],
         ))
         drain(executor, queue, want=1)
         assert store.series("m") == []
@@ -192,11 +192,11 @@ class TestProcessFaults:
         executor.start_job(JobSpec(name="quick", command="true"))
         proc = executor.procs["quick"]
         gone(proc.pid)  # exited; unreaped, it is a zombie that pins its group id
-        with pytest.raises(TargetNotRunning):
-            executor.inject_fault("killer", FaultSpec("kill", targets=["quick"]))
-        assert proc.returncode is None
+        executor.inject_fault("killer", FaultSpec("kill", targets=["quick"]))  # the kill reaches no live process
+        assert proc.returncode is None and states(proc.pid) == {proc.pid: "Z"}  # still pinned, not reaped
         events = drain(executor, queue, want=1)
-        assert [e.phase for e in events] == [Phase.RUNNING, Phase.SUCCESS]
+        assert [e.phase for e in events] == [Phase.RUNNING, Phase.SUCCESS]  # one exit report, its own
+        assert queue.pop_next() is None
         executor.shutdown()
 
     def test_a_reaped_job_is_signalled_no_more(self, monkeypatch):
@@ -207,16 +207,24 @@ class TestProcessFaults:
         assert drain(executor, queue, want=1)[-1].phase is Phase.FAILED  # seen and reaped
         sent = []
         monkeypatch.setattr(os, "killpg", lambda pgid, sig: sent.append((pgid, sig)))
+        executor.inject_fault("again", FaultSpec("suspend", targets=["napper"]))
+        executor.inject_fault("killer", FaultSpec("kill", targets=["napper"]))
         executor.revoke_fault("pause", ["napper"])
         executor.kill_job("napper")
         assert sent == []  # its group id is no longer pinned
         executor.shutdown()
 
     def test_kill_requires_running_target(self):
-        executor, queue, clock, store = make_harness()
-        with pytest.raises(TargetNotRunning):
-            executor.inject_fault("killer", FaultSpec("kill", targets=["nope"]))
-        executor.shutdown()
+        """The engine refuses a kill on a job it has not started: nothing is signalled."""
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: late\n  depends: { after: 10s }\n"
+            "  service: { command: sleep 30 }\n"
+            "- action: Chaos\n  name: killer\n  chaos: { fault: { kind: kill, targets: [late] } }\n"
+        )
+        executor = ProcessExecutor()
+        result = run_scenario(doc, {}, executor)
+        assert (result.outcome, result.reason) == (Outcome.FAILED, "killer: TargetNotRunning: late")
+        assert executor.procs == {}
 
     def test_suspend_then_resume_completes(self):
         executor, queue, clock, store = make_harness()

@@ -3,8 +3,8 @@
 import pytest
 
 from whatif.dsl import parse_job_body, parse_scenario
-from whatif.engine import Engine, Outcome
-from whatif.errors import SpawnError, TargetNotRunning
+from whatif.engine import Engine, Outcome, run_scenario
+from whatif.errors import SpawnError
 from whatif.executors.base import FaultSpec, JobSpec, SimEffect
 from whatif.lifecycle import Phase
 
@@ -100,12 +100,24 @@ class TestKill:
         failed = [e for _, e in ex.advance_to(2.0) if e.phase is Phase.FAILED]
         assert failed and failed[0].failure_mode == "kill"
 
-    def test_target_must_be_running(self, sim_harness):
+    def test_target_must_be_running(self):
+        """The engine refuses a fault on a target it has not recorded Running: `j` is still Pending at 1s."""
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: j\n"
+            "  service: { script: [{at: 5s, do: running}, {at: 9s, do: success}] }\n"
+            "- action: Chaos\n  name: killer\n  depends: { after: 1s }\n"
+            "  chaos: { fault: { kind: kill, targets: [j] } }\n"
+        )
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.FAILED, "killer: TargetNotRunning: j")
+
+    def test_a_kill_on_an_ended_job_emits_nothing(self, sim_harness):
+        """The job's own end is its one report: no Failed(kill) follows its Success."""
         ex, queue, clock, store = sim_harness
-        ex.start_job(job("j", (5.0, "running")))
-        ex.advance_to(1.0)  # still Pending
-        with pytest.raises(TargetNotRunning):
-            ex.inject_fault("killer", FaultSpec("kill", targets=["j"]))
+        ex.start_job(job("j", (0.0, "running"), (1.0, "success")))
+        ex.advance_to(1.0)
+        ex.inject_fault("killer", FaultSpec("kill", targets=["j"]))
+        assert ex.advance_to(5.0) == []
 
     def test_killed_job_emits_nothing_more(self, sim_harness):
         ex, queue, clock, store = sim_harness
@@ -117,7 +129,7 @@ class TestKill:
         ex.advance_to(1.0)
         ex.inject_fault("killer", FaultSpec("kill", targets=["j"]))
         assert all(e.phase is not Phase.SUCCESS for _, e in ex.advance_to(20.0))
-        assert store.series("m") == []
+        assert "m" not in store.names()  # never ingested; the engine declares a job's metrics
 
 
 class TestSuspend:
@@ -298,6 +310,11 @@ class TestParseJobBody:
         spec = parse_job_body({"command": "true", "metrics": "stdout-lines", "declares": ["m"]})
         assert spec.metrics_source == "stdout-lines"
         assert spec.declares == ["m"]
+        metric = {"do": "metric", "value": 1}
+        spec = parse_job_body({"declares": ["b", "a"], "script": [
+            {"at": "0s", "name": "a", **metric}, {"at": "1s", "name": "c", **metric}, {"at": "2s", "name": "c", **metric},
+        ]})
+        assert spec.declares == ["b", "a", "c"]  # the declares entries, then the script's metric names, each once
 
     def test_expected_runtime_is_checked_and_ignored(self):
         from whatif.errors import SchemaError
