@@ -104,12 +104,16 @@ def cmd_run(args) -> int:
             raise KeyboardInterrupt
 
     handlers = {sig: signal.signal(sig, interrupt) for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)}
+    escaped = False  # an exception left the run: whatever its outcome says, the run was not clean
     try:
         try:
             engine.run()
             running = False  # in the try, so that a signal just before it is caught here
         except KeyboardInterrupt:
-            pass  # recorded by the engine as `interrupted: KeyboardInterrupt`
+            escaped = True  # recorded by the engine as `interrupted: KeyboardInterrupt`
+        except Exception as exc:  # the engine's last records failed; the trace holds what it recorded
+            escaped = True
+            print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         print(f"{engine.outcome}: {engine.reason}", file=sys.stderr)
         try:
             _write_whole(out / TRACE_FILE, engine.trace.save)
@@ -128,6 +132,8 @@ def cmd_run(args) -> int:
     finally:
         for sig, handler in handlers.items():
             signal.signal(sig, handler)
+    if escaped:
+        return EXIT_ABORTED
     if engine.outcome == Outcome.SUCCESS:
         return EXIT_OK
     if engine.outcome == Outcome.FAILED:

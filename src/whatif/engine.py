@@ -290,11 +290,12 @@ class Engine:
         self.now = self.clock.now()
         self.trace.append("event", self.now, **event.describe())
         try:
-            if event.kind == EventKind.STATE:
+            kind = event.kind
+            if kind is EventKind.STATE:
                 self._on_state(event)
-            elif event.kind == EventKind.TIME:
+            elif kind is EventKind.TIME:
                 self._on_time(event)
-            elif event.kind == EventKind.METRICS:
+            elif kind is EventKind.METRICS:
                 self._evaluate_rules()
             if not self.finished:
                 self._recheck_dispatch()
@@ -312,7 +313,7 @@ class Engine:
         if node.phase.terminal or event.phase is None:
             return
 
-        if event.phase == Phase.FAILED:
+        if event.phase is Phase.FAILED:
             expected = event.failure_mode == "kill" and node.name in self.kill_watchers
             node.failure_class = FailureClass.EXPECTED if expected else FailureClass.UNEXPECTED
             node.failure_reason = event.reason or event.failure_mode or "failed"
@@ -377,8 +378,11 @@ class Engine:
         at or past their due instant. Each pass visits those in document
         order; an action dirtied by a dispatch joins the current pass when
         it comes later in the document and the next pass otherwise, and
-        passes repeat while a dispatch made progress.
+        passes repeat while a dispatch made progress. A cycle with no such
+        action makes no pass.
         """
+        if not (self.dirty or self.timed):
+            return
         progress = True
         while progress and not self.finished:
             progress = False
@@ -672,7 +676,8 @@ class Engine:
 
     def _finalize(self) -> None:
         """The cleanup and the outcome, a step of its own. Each cleanup call is made, also after an earlier one
-        raised; the first that raised aborts a run that had a verdict. The ``outcome`` record is always written."""
+        raised; the first that raised aborts a run that had a verdict. After a clean cleanup the root takes the
+        verdict's phase, a call that may raise like the others. The ``outcome`` record is always written."""
         self.now = self.clock.now()
         raised = []
         for action_name in list(self.in_effect):
@@ -691,14 +696,16 @@ class Engine:
             self.executor.shutdown()
         except BaseException as exc:
             raised.append(exc)
+        if not raised and self.outcome != Outcome.ABORTED:
+            try:
+                self._move(self.tree, Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED)
+            except BaseException as exc:
+                raised.append(exc)
         try:
             if raised and self.outcome != Outcome.ABORTED:
                 self.finished = False  # a verdict stands only on a clean cleanup
             for exc in raised:
                 self._abort_for(exc)
-            if not self.tree.phase.terminal and self.outcome in (Outcome.SUCCESS, Outcome.FAILED):
-                target = Phase.SUCCESS if self.outcome == Outcome.SUCCESS else Phase.FAILED
-                self._move(self.tree, target)
         finally:
             self.trace.append("outcome", self.now, outcome=self.outcome.value, reason=self.reason)
 
@@ -741,10 +748,10 @@ class Engine:
     # --- trace helpers -------------------------------------------------------------
 
     def _trace_transition(self, node: ResourceNode, phase: Phase) -> None:
-        data = {"subject": node.name, "to": phase.value}
-        if phase == Phase.FAILED:
+        data = {"subject": node.name, "to": phase._value_}  # ``_value_`` skips Enum's ``value`` descriptor
+        if phase is Phase.FAILED:
             if node.failure_class is not None:
-                data["class"] = node.failure_class.value
+                data["class"] = node.failure_class._value_
             if node.failure_reason:
                 data["reason"] = node.failure_reason
         self.trace.append("transition", node.phase_times[phase], **data)

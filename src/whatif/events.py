@@ -25,6 +25,8 @@ class EventKind(Enum):
     STATE = "State"
     METRICS = "Metrics"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash is Python code
+
     def __str__(self) -> str:
         return self.value
 
@@ -51,14 +53,14 @@ class Event(Value):
         self.reason = reason
 
     def describe(self) -> dict:
-        """Compact, JSON-safe view for trace records."""
-        data: dict = {"event": self.kind.value}
+        """Compact, JSON-safe view for trace records; ``_value_`` skips Enum's ``value`` descriptor."""
+        data: dict = {"event": self.kind._value_}
         if self.subject:
             data["subject"] = self.subject
         if self.timer_id:
             data["timer"] = self.timer_id
         if self.phase is not None:
-            data["phase"] = self.phase.value
+            data["phase"] = self.phase._value_
         if self.failure_mode:
             data["mode"] = self.failure_mode
         if self.reason:

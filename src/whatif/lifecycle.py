@@ -12,6 +12,13 @@ derive their phase from how many children sit in each ``slot``
 (``counted_phase``; ``aggregate_phase`` counts a list of children first).
 A Failed node's class (expected chaos vs. application bug) is set by the
 engine, which keeps the record of the faults in effect.
+
+The engine reads these on every event, so they are cheap: ``Phase`` and
+``FailureClass`` members hash by identity (each is a singleton, and
+``Enum``'s own hash is Python code), and ``terminal`` is a plain attribute
+set on each member when the enum is built. No run iterates a set of
+phases, so identity hashes, which differ between processes, never reach a
+trace.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ class Phase(Enum):
     SUCCESS = "Success"
     FAILED = "Failed"
 
-    @property
-    def terminal(self) -> bool:
-        return self is Phase.SUCCESS or self is Phase.FAILED
+    def __init__(self, value: str):
+        self.terminal = value in ("Success", "Failed")
+
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash is Python code
 
     def __str__(self) -> str:
         return self.value
@@ -40,6 +48,8 @@ class Phase(Enum):
 class FailureClass(Enum):
     EXPECTED = "Expected"
     UNEXPECTED = "Unexpected"
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value

@@ -1,5 +1,7 @@
 """Shared fixtures: simulator harnesses, scenario building blocks, an operation counter."""
 
+import faulthandler
+import os
 import sys
 from pathlib import Path
 
@@ -14,6 +16,25 @@ from whatif.telemetry import MetricsStore
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 WHATIF_SOURCE = str(Path(whatif.__file__).resolve().parent)
+
+
+# Far above the slowest test's few seconds: a test that hangs dumps every
+# thread's stack and ends the session, instead of hanging it.
+TEST_TIME_LIMIT_S = 120
+STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # A copy of the session's stderr: while a test runs, fd 2 is pytest's
+    # capture file, which nothing reads once the process has exited.
+    config.stash[STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+@pytest.fixture(autouse=True)
+def time_limit(pytestconfig):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=pytestconfig.stash[STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def count_operations(fn):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from whatif.cli import main
-from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, parse_scenario
+from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, load_templates, parse_scenario
 from whatif.engine import run_scenario
 from whatif.executors import SimExecutor
 from whatif.report import build_report, load_run, plot_data, report_json_text
@@ -415,6 +415,39 @@ class TestRun:
         assert err.endswith("error: trace is missing its run header or outcome record\n")
         monkeypatch.undo()
         assert main(["report", str(out)]) == 2
+
+    @pytest.mark.parametrize("exc", [OSError("disk gone"), MemoryError(), KeyboardInterrupt()],
+                             ids=["oserror", "memoryerror", "interrupt"])
+    @pytest.mark.parametrize("record", ["root-transition", "outcome"])
+    def test_a_failure_at_the_last_two_records_exit_3(self, record, exc, tmp_path, monkeypatch, capsys):
+        """The root's terminal transition and the `outcome` record are the demo's last two appends. An
+        exception at either ends the run with exit 3, not a traceback, and an interrupt never exits 0."""
+        demo = run_scenario(parse_scenario(VALID.read_text()), load_templates(TEMPLATES)).trace.records
+        root = demo[0].data["scenario"]
+        assert [(r.kind, r.data.get("subject")) for r in demo[-2:]] == [("transition", root), ("outcome", None)]
+        fail_at = len(demo) - (record == "root-transition")  # 1-based, as the appends are counted
+        append, calls = RunTrace.append, []
+
+        def failing_append(trace, kind, at, **data):
+            calls.append(kind)
+            if len(calls) == fail_at:
+                raise exc
+            return append(trace, kind, at, **data)
+
+        monkeypatch.setattr(RunTrace, "append", failing_append)
+        out = tmp_path / "out"
+        assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(out)]) == 3
+        monkeypatch.undo()
+        if record == "outcome":  # the trace ends before its outcome: no report can be built
+            assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "trace.ndjson"]
+            assert capsys.readouterr().err.endswith("error: trace is missing its run header or outcome record\n")
+            return
+        reason = "interrupted: KeyboardInterrupt" if isinstance(exc, KeyboardInterrupt) else (
+            f"internal error: {type(exc).__name__}: {exc}")
+        report = json.loads((out / "report.json").read_text())
+        assert (report["outcome"], report["reason"]) == ("Aborted", reason)
+        assert capsys.readouterr().err.startswith(f"Aborted: {reason}\n")
+        assert build_report(load_run(out)[0]) == report
 
     def test_out_under_a_regular_file_exit_2_before_the_run(self, tmp_path, capsys):
         marker = tmp_path / "ran"

@@ -45,7 +45,17 @@ class CheckedEngine(Engine):
 
 
 class FullScanEngine(CheckedEngine):
-    """Oracle: a full dependency scan and every state assertion, every cycle."""
+    """Oracle: a full dependency scan and every state assertion, every cycle.
+
+    It also evaluates them after every State event itself, so an engine that
+    skipped that evaluation would not skip it in the oracle too. On a correct
+    engine the second evaluation reads what the first read, and writes nothing.
+    """
+
+    def _on_state(self, event):
+        super()._on_state(event)
+        if not self.finished:
+            self._evaluate_state_assertions()
 
     def _recheck_dispatch(self):
         progress = True
@@ -198,11 +208,24 @@ spec:
 """
 
 
+# One tolerated kill makes the cluster's state assertion hold at 5 s, not at
+# the cluster's Success at 100 s.
+ONE_KILL = """
+name: one-kill
+spec:
+- {action: Cluster, name: db, assertions: [".state.failed() > 0"],
+   cluster: {templateRef: node, instances: 3, toleratedFailures: 1, inputs: [{up: 0s, end: 100s}]}}
+- {action: Chaos, name: kill, depends: {running: [db], after: 5s},
+   chaos: {fault: {kind: kill, targets: [db-0]}}}
+"""
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(documents())
 @example(PASS_ORDER)
 @example(AFTER_RACE)
 @example(TOLERATED_KILLS)
+@example(ONE_KILL)
 def test_incremental_dispatch_matches_full_scan(text):
     doc = parse_scenario(text)
     assume(validate(doc, TEMPLATES).ok)

@@ -173,6 +173,18 @@ class TestRunOutcomes:
         assert result.outcome is Outcome.FAILED
         assert "fragile" in result.reason
 
+    def test_an_expected_failure_at_scenario_level_fails_the_run_with_its_reason(self):
+        """No tolerance applies at scenario level, so even a declared kill fails the run, naming its reason."""
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: victim\n"
+            "  service:\n    script:\n"
+            "    - { at: 0s, do: running }\n    - { at: 60s, do: success }\n"
+            "- action: Chaos\n  name: kill\n  depends: { running: [victim] }\n"
+            "  chaos: { fault: { kind: kill, targets: [victim] } }\n"
+        )
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.FAILED, "victim: killed by kill at scenario level")
+
     def test_demo_runs_green_with_ordered_dispatch(self, partition_demo):
         doc, templates = partition_demo
         result = run_scenario(doc, templates)
