@@ -4,53 +4,46 @@ Scenarios are DAGs of five action kinds (Service, Cluster, Chaos, Call,
 Checkpoint) with logical dependencies, execution-driven fault injection,
 expected-vs-unexpected failure discrimination, and assertions over live
 metrics, runnable against a deterministic simulator or local processes.
-"""
 
-from .dsl import (
-    ScenarioDoc,
-    Template,
-    ValidationReport,
-    expand_macro,
-    instantiate_template,
-    load_templates,
-    parse_scenario,
-    validate,
-)
-from .engine import Engine, Outcome, run_scenario
-from .executors import SimExecutor, make_executor
-from .expressions import eval_metrics, eval_state, parse_expression
-from .lifecycle import FailureClass, Phase
+`import whatif` loads no other module. Each public name loads its module on
+first access (PEP 562): `whatif.parse_scenario` loads the DSL, expressions
+and PyYAML but not the engine, `whatif.Engine` the engine with the trace and
+telemetry, `whatif.SimExecutor` the simulator and `whatif.ProcessExecutor`
+the process executor with `subprocess` and `signal`.
+"""
 
 __version__ = "0.1.0"
 
+# public name -> the module it is loaded from
+_SOURCES = {
+    "Engine": ".engine",
+    "FailureClass": ".lifecycle",
+    "Outcome": ".engine",
+    "Phase": ".lifecycle",
+    "ProcessExecutor": ".executors",
+    "ScenarioDoc": ".dsl",
+    "SimExecutor": ".executors",
+    "Template": ".dsl",
+    "ValidationReport": ".dsl",
+    "eval_metrics": ".expressions",
+    "eval_state": ".expressions",
+    "expand_macro": ".dsl",
+    "instantiate_template": ".dsl",
+    "load_templates": ".dsl",
+    "make_executor": ".executors",
+    "parse_expression": ".expressions",
+    "parse_scenario": ".dsl",
+    "run_scenario": ".engine",
+    "validate": ".dsl",
+}
+
+__all__ = sorted(_SOURCES)
+
 
 def __getattr__(name: str):
-    # The process executor loads on first use; see whatif.executors.
-    if name == "ProcessExecutor":
-        from .executors import ProcessExecutor
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return ProcessExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Engine",
-    "FailureClass",
-    "Outcome",
-    "Phase",
-    "ProcessExecutor",
-    "ScenarioDoc",
-    "SimExecutor",
-    "Template",
-    "ValidationReport",
-    "eval_metrics",
-    "eval_state",
-    "expand_macro",
-    "instantiate_template",
-    "load_templates",
-    "make_executor",
-    "parse_expression",
-    "parse_scenario",
-    "run_scenario",
-    "validate",
-]
+    value = globals()[name] = getattr(import_module(_SOURCES[name], __name__), name)  # later lookups skip this hook
+    return value

@@ -5,6 +5,9 @@ Exit codes are part of the contract: 0 success, 1 the test failed,
 aborted (timeout, engine error, or SIGINT, SIGTERM or SIGHUP). Logs go to
 stderr; machine-readable output goes to files under the run directory,
 also for an aborted run. Each run file is whole or absent.
+
+Each command imports the modules it runs when it starts, so `validate`
+loads no engine and `report` loads neither PyYAML, the DSL nor the engine.
 """
 
 from __future__ import annotations
@@ -14,22 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from .dsl import ENGINE_DEFAULT_TIMEOUT, load_templates, parse_scenario, validate
-from .durations import parse_duration
-from .engine import Engine, Outcome
+from .durations import ENGINE_DEFAULT_TIMEOUT, parse_duration
 from .errors import InvalidScenario, WhatifError
-from .executors import make_executor
-from .report import (
-    METRICS_FILE,
-    REPORT_FILE,
-    TRACE_FILE,
-    CorruptRun,
-    build_report,
-    load_run,
-    plot_data,
-    render_text,
-    report_json_text,
-)
 
 EXIT_OK = 0
 EXIT_TEST_FAILED = 1
@@ -39,6 +28,8 @@ EXIT_ABORTED = 3
 
 def _load_inputs(scenario_path: str, template_dir):
     """Raises for an unreadable file, text that is not YAML or a bad template library, not for a schema error."""
+    from .dsl import load_templates, parse_scenario
+
     text = Path(scenario_path).read_text()
     doc = parse_scenario(text)
     templates = load_templates(template_dir) if template_dir else {}
@@ -46,6 +37,8 @@ def _load_inputs(scenario_path: str, template_dir):
 
 
 def cmd_validate(args) -> int:
+    from .dsl import validate
+
     try:
         doc, templates = _load_inputs(args.scenario, args.templates)
     except (OSError, WhatifError) as exc:
@@ -68,6 +61,10 @@ def _write_whole(path: Path, save) -> None:
 
 
 def cmd_run(args) -> int:
+    from .engine import Engine, Outcome
+    from .executors import make_executor
+    from .report import METRICS_FILE, REPORT_FILE, TRACE_FILE, CorruptRun, build_report, report_json_text
+
     try:
         doc, templates = _load_inputs(args.scenario, args.templates)
     except (OSError, WhatifError) as exc:
@@ -146,6 +143,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import CorruptRun, build_report, load_run, plot_data, render_text, report_json_text
+
     try:
         records, store = load_run(args.out_dir)
         report = build_report(records)

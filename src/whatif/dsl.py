@@ -37,7 +37,7 @@ from typing import Optional
 
 import yaml
 
-from .durations import parse_duration
+from .durations import ENGINE_DEFAULT_TIMEOUT, parse_duration
 from .errors import ExprSyntaxError, Finding, ScenarioSyntaxError, SchemaError
 from .executors.base import FaultSpec, JobSpec, SimEffect
 from .expressions import MetricsExprAst, check_scope, parse_expression
@@ -51,7 +51,6 @@ _TEMPLATE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _PLACEHOLDER_RE = re.compile(r"\{\{([A-Za-z_][A-Za-z0-9_.]*)\}\}")
 _MACRO_RE = re.compile(r"\.cluster\.([A-Za-z_][A-Za-z0-9_-]*)\.(all|\d+)")
 
-ENGINE_DEFAULT_TIMEOUT = 3600.0
 MAX_INSTANCES = 100_000  # of all clusters together: each instance is a node of the run's tree
 
 # PyYAML's safe loader on libyaml when PyYAML was built with it, about 8x

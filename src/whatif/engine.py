@@ -47,7 +47,6 @@ from enum import Enum
 from typing import Optional
 
 from .dsl import (
-    ENGINE_DEFAULT_TIMEOUT,
     ActionSpec,
     ScenarioDoc,
     compile_scenario,
@@ -55,6 +54,7 @@ from .dsl import (
     instantiate_template,  # unused here; bench/tracer.py wraps it on this module
     validate,  # unused here; bench/tracer.py wraps it on this module
 )
+from .durations import ENGINE_DEFAULT_TIMEOUT
 from .errors import (
     InvalidScenario,
     IllegalTransition,
@@ -86,7 +86,7 @@ from .lifecycle import (
     aggregate_phase,  # unused here; bench/tracer.py wraps it on this module
     counted_phase,
     find_node,  # unused here; bench/tracer.py wraps it on this module
-    iter_nodes,
+    iter_nodes,  # unused here; bench/tracer.py wraps it on this module
     phase_order,
     slot,
 )
@@ -702,7 +702,7 @@ class Engine:
                 self._revoke(action_name)
             except BaseException as exc:
                 raised.append(exc)
-        for node in iter_nodes(self.tree):
+        for node in self.nodes.values():  # the tree's depth-first order, as the plan indexed it
             if node.kind in ("service", "call") and node.phase in (Phase.PENDING, Phase.RUNNING):  # started, not ended
                 try:
                     self._trace_command("KillJob", node.name)

@@ -1,16 +1,18 @@
 """Pluggable job/fault backends: a deterministic simulator and local processes.
 
-The process executor, with ``subprocess`` and ``signal``, is imported on
-first use: by ``make_executor("process")`` or by looking up
-``ProcessExecutor`` here.
+Each executor is imported on first use: by ``make_executor`` or by looking
+up ``SimExecutor`` or ``ProcessExecutor`` here. The process executor brings
+``subprocess`` and ``signal`` with it; the document compiler, which needs
+only ``base``, loads neither executor.
 """
 
 from .base import Executor, FaultSpec, JobSpec, SimEffect
-from .sim import SimExecutor
 
 
 def make_executor(name: str) -> Executor:
     if name == "sim":
+        from .sim import SimExecutor
+
         return SimExecutor()
     if name == "process":
         from .process import ProcessExecutor
@@ -20,6 +22,10 @@ def make_executor(name: str) -> Executor:
 
 
 def __getattr__(name: str):
+    if name == "SimExecutor":
+        from .sim import SimExecutor
+
+        return SimExecutor
     if name == "ProcessExecutor":
         from .process import ProcessExecutor
 

@@ -343,7 +343,7 @@ class TestRun:
 
     def test_internal_error_exit_3_writes_run_files(self, tmp_path, monkeypatch):
         executor = BrokenExecutor()
-        monkeypatch.setattr("whatif.cli.make_executor", lambda name: executor)
+        monkeypatch.setattr("whatif.executors.make_executor", lambda name: executor)
         path = tmp_path / "two.yaml"
         path.write_text(TWO_SERVICES)
         out = tmp_path / "out"
@@ -390,7 +390,7 @@ class TestRun:
         assert build_report(load_run(out)[0]) == json.loads((out / "report.json").read_text())
 
     def test_a_record_stamped_before_the_last_exit_3_writes_run_files(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("whatif.cli.Engine", LaggingEngine)
+        monkeypatch.setattr("whatif.engine.Engine", LaggingEngine)
         out = tmp_path / "out"
         assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(out)]) == 3
         assert {p.name for p in out.iterdir()} == {"trace.ndjson", "metrics.txt", "report.json"}

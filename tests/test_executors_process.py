@@ -428,7 +428,7 @@ spec:
             super().__init__(*args, **kwargs)
             engines.append(self)
 
-    monkeypatch.setattr(cli, "Engine", RecordingEngine)
+    monkeypatch.setattr("whatif.engine.Engine", RecordingEngine)
     out = tmp_path / "out"
     assert cli.main(["run", str(scenario), "--executor", "process", "--out", str(out)]) == 0
     store = engines[0].store
