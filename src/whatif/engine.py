@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from .dsl import (
@@ -585,8 +586,10 @@ class Engine:
         changed = set(changed or ())
         for metric in self.store.take_notices():
             changed.update(self.rules.get(metric, ()))
-        changed.update(rule for rule in self.armed if rule.due <= self.now)
-        for rule in sorted(changed, key=lambda r: r.order):
+        for rule in self.armed:
+            if rule.due <= self.now:
+                changed.add(rule)
+        for rule in sorted(changed, key=attrgetter("order")) if len(changed) > 1 else changed:
             if not self._live(rule.owner):
                 self.armed.discard(rule)  # finished: never evaluated again
             elif self._evaluate_rule(rule):
@@ -618,7 +621,7 @@ class Engine:
             self._fire(rule.owner, rule.text)
             return True
         due = rule.window.next_change()
-        if due is not None and self._live(rule.owner) and (rule.due is None or due < rule.due):
+        if due is not None and (rule.due is None or due < rule.due) and self._live(rule.owner):
             rule.due = due
             self.armed.add(rule)
             self.queue.push(due, Event(EventKind.TIME, timer_id=rule.timer))

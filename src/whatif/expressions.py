@@ -103,11 +103,15 @@ class Term(FrozenValue):
 
 
 class Condition(FrozenValue):
-    __slots__ = ("kind", "terms")
+    __slots__ = ("kind", "terms", "_bounds")
+    _uncompared = ("_bounds",)
 
     def __init__(self, kind: str, terms: tuple):
         self.kind = kind  # ABOVE | BELOW | WITHIN | OUTSIDE
         self.terms = terms
+        # Constant thresholds, resolved once. A checkpoint term is resolved at each
+        # evaluation, since a rule can be read before its checkpoint is taken.
+        self._bounds = None if any(t.checkpoint for t in terms) else tuple([t.value * t.scale for t in terms])
 
 
 class MetricsExprAst(FrozenValue):
@@ -360,12 +364,10 @@ def _parse_metrics(parser: _Parser) -> MetricsExprAst:
         if kind_token.text in ("WITHIN", "OUTSIDE"):
             parser.expect("comma", "','")
             terms.append(_parse_term(parser))
-            low, high = terms
-            if low.checkpoint is None and high.checkpoint is None:
-                if low.value * low.scale >= high.value * high.scale:
-                    raise ExprSyntaxError(f"{kind_token.text} bounds require a < b", kind_token.pos)
-        parser.expect("rparen", "')'")
         condition = Condition(kind_token.text, tuple(terms))
+        if len(terms) == 2 and condition._bounds and condition._bounds[0] >= condition._bounds[1]:
+            raise ExprSyntaxError(f"{kind_token.text} bounds require a < b", kind_token.pos)
+        parser.expect("rparen", "')'")
     return MetricsExprAst(reducer_token.text, metric_token.text, window, condition)
 
 
@@ -489,7 +491,9 @@ def alert_holds(ast: MetricsExprAst, value: Optional[float], checkpoints=None) -
     """
     if value is None:
         return False
-    terms = [_resolve_term(t, checkpoints) for t in ast.condition.terms]
+    terms = ast.condition._bounds
+    if terms is None:
+        terms = [_resolve_term(t, checkpoints) for t in ast.condition.terms]
     kind = ast.condition.kind
     if kind == "ABOVE":
         return value > terms[0]
@@ -527,12 +531,13 @@ class WindowAggregate:
 
     The window holds the points of ``metric`` with ``now - window <= at <=
     now``, the test ``MetricsStore.query`` applies. ``advance`` admits the
-    points accepted since its last call and evicts those that left the
-    window, each once, so a point costs O(1) amortized instead of a copy of
-    the window per evaluation. MAX and MIN keep a monotonic deque; SUM and
-    AVG keep exact Shewchuk partials (a value is added on admission and its
-    negation on eviction), so they equal ``reduce_series`` bit for bit. While
-    the window holds a non-finite or huge value it reduces by brute force.
+    points accepted since its last call, read in place from the store's
+    columns, and evicts those that left the window, each once, so a point
+    costs O(1) amortized instead of a copy of the window per evaluation. MAX
+    and MIN keep a monotonic deque; SUM and AVG keep exact Shewchuk partials
+    (a value is added on admission and its negation on eviction), so they
+    equal ``reduce_series`` bit for bit. While the window holds a non-finite
+    or huge value it reduces by brute force.
     """
 
     def __init__(self, metric: str, reducer: str, window: float):
@@ -545,15 +550,16 @@ class WindowAggregate:
         self.extremes: deque = deque()  # MAX/MIN: (store index, value), monotonic
         self.partials: list = []  # SUM/AVG: non-overlapping, exact sum of the window
         self.inexact = 0  # window values kept out of extremes and partials
+        self.oldest = self.expiry = None  # the oldest point's stamp at the last expiry search, and its expiry
 
     def advance(self, store, now: float) -> Optional[float]:
         """The reduced window at ``now``; None when the window is empty."""
-        self.upcoming = None
-        for at, value in store.points_from(self.metric, self.admitted):
-            if at > now:
-                self.upcoming = at
-                break
-            self._admit(at, value)
+        times, values = store.columns(self.metric)
+        index, end = self.admitted, len(times)
+        while index < end and times[index] <= now:
+            self._admit(times[index], values[index])
+            index += 1
+        self.upcoming = times[index] if index < end else None
         lower = now - self.window
         while self.points and self.points[0][0] < lower:
             self._evict()
@@ -564,8 +570,10 @@ class WindowAggregate:
         without a new point: the oldest point expires or a future-stamped one enters."""
         due = self.upcoming
         if self.points:
-            expiry = expiry_instant(self.points[0][0], self.window)
-            due = expiry if due is None else min(due, expiry)
+            oldest = self.points[0][0]
+            if oldest != self.oldest:
+                self.oldest, self.expiry = oldest, expiry_instant(oldest, self.window)
+            due = self.expiry if due is None else min(due, self.expiry)
         return due
 
     def value(self) -> Optional[float]:
@@ -587,7 +595,7 @@ class WindowAggregate:
         index = self.admitted
         self.admitted += 1
         self.points.append((at, value))
-        if not abs(value) < _EXACT_LIMIT:
+        if not -_EXACT_LIMIT < value < _EXACT_LIMIT:
             self.inexact += 1
         elif self.reducer == "MAX":
             while self.extremes and self.extremes[-1][1] < value:
@@ -597,17 +605,17 @@ class WindowAggregate:
             while self.extremes and self.extremes[-1][1] > value:
                 self.extremes.pop()
             self.extremes.append((index, value))
-        elif self.reducer in ("SUM", "AVG") and value:
+        elif self.reducer in ("SUM", "AVG"):
             _add_partial(self.partials, value)
 
     def _evict(self) -> None:
         index = self.admitted - len(self.points)
         _, value = self.points.popleft()
-        if not abs(value) < _EXACT_LIMIT:
+        if not -_EXACT_LIMIT < value < _EXACT_LIMIT:
             self.inexact -= 1
         elif self.extremes and self.extremes[0][0] == index:
             self.extremes.popleft()
-        elif self.reducer in ("SUM", "AVG") and value:
+        elif self.reducer in ("SUM", "AVG"):
             _add_partial(self.partials, -value)
 
 

@@ -33,8 +33,7 @@ class MetricsStore:
     """
 
     def __init__(self):
-        self._times: dict[str, list[float]] = {}
-        self._values: dict[str, list[float]] = {}
+        self._series: dict[str, tuple[list[float], list[float]]] = {}  # name -> (stamps, values)
         self.dropped = 0
         self._watched: frozenset = frozenset()
         self._pending: set = set()  # watched metrics with an unacknowledged event
@@ -59,16 +58,14 @@ class MetricsStore:
 
     def declare(self, name: str) -> None:
         """Register a metric name before any point arrives."""
-        self._times.setdefault(name, [])
-        self._values.setdefault(name, [])
+        self._series.setdefault(name, ([], []))
 
     def ingest(self, name: str, value: float, at: float) -> bool:
         """Store one point. Returns False when dropped: out of order, a NaN
         value, which no threshold compares with and which hides the later
         points of a window from MAX and MIN, or a stamp that is not finite,
         which no window holds and ``metrics.txt`` cannot keep."""
-        times = self._times.setdefault(name, [])
-        values = self._values.setdefault(name, [])
+        times, values = self._series.get(name) or self._series.setdefault(name, ([], []))
         if (times and at < times[-1]) or value != value or not math.isfinite(at):
             self.dropped += 1
             return False
@@ -83,32 +80,30 @@ class MetricsStore:
         """All points with frm <= at <= to, in time order."""
         if frm > to:
             raise ValueError(f"query window inverted: {frm} > {to}")
-        if name not in self._times:
-            raise UnknownMetric(name)
-        times = self._times[name]
+        times, values = self.columns(name)
         lo = bisect.bisect_left(times, frm)
         hi = bisect.bisect_right(times, to)
-        return list(zip(times[lo:hi], self._values[name][lo:hi]))
+        return list(zip(times[lo:hi], values[lo:hi]))
 
-    def points_from(self, name: str, start: int) -> list[tuple[float, float]]:
-        """The points of ``name`` from the ``start``-th accepted one on, in time order."""
-        if name not in self._times:
+    def columns(self, name: str) -> tuple[list[float], list[float]]:
+        """The store's own ``(stamps, values)`` lists of ``name``, not copies: read them, never
+        change them. Points are only appended, so an index into them stays valid."""
+        series = self._series.get(name)
+        if series is None:
             raise UnknownMetric(name)
-        return list(zip(self._times[name][start:], self._values[name][start:]))
+        return series
 
     def names(self) -> list[str]:
-        return list(self._times)
+        return list(self._series)
 
     def series(self, name: str) -> list[tuple[float, float]]:
-        if name not in self._times:
-            raise UnknownMetric(name)
-        return list(zip(self._times[name], self._values[name]))
+        return list(zip(*self.columns(name)))
 
     def save(self, path) -> None:
         """Persist every accepted point, one ``metric <name> <value> <seconds>`` line each."""
         with open(path, "w", encoding="utf-8") as fh:
-            for name, times in self._times.items():
-                for at, value in zip(times, self._values[name]):
+            for name, (times, values) in self._series.items():
+                for at, value in zip(times, values):
                     fh.write(f"metric {name} {value!r} {at!r}\n")
 
     @classmethod

@@ -7,7 +7,8 @@ incrementally. Three oracles check that:
 (a) at every ingest and expiry instant each incremental window equals
     `reduce_series` over `MetricsStore.query`, bit for bit;
 (b) an engine that evaluates every live rule by brute force at every such
-    instant reaches the same outcome, reason and fire time;
+    instant, resolving each threshold anew, reaches the same outcome, reason
+    and fire time;
 (c) an engine that polls the rules on a 1 s tick never fires earlier, and
     where it decides the run otherwise, the engine caught a condition that
     held only between two ticks.
@@ -146,7 +147,17 @@ class CheckedRules(Engine):
 
 
 class BruteRules(CheckedRules):
-    """Oracle: every live rule, by brute force over the store, wherever the engine evaluates rules."""
+    """Oracle: every live rule, by brute force over the store, wherever the engine evaluates rules.
+
+    Its thresholds are resolved from their terms at each evaluation, not
+    taken from the ones ``Condition`` resolves once at parse.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for rules in self.rules.values():
+            for rule in rules:
+                rule.ast.condition._bounds = None
 
     def _evaluate_rules(self, changed=None):
         every = {item for pairs in self.asserts.values() for _, item in pairs if isinstance(item, Rule)}
@@ -419,24 +430,23 @@ def test_reference_missing_when_the_action_succeeds_is_an_expression_error():
 
 
 def test_metrics_cost_grows_linearly_in_points(monkeypatch):
-    """One job emitting P points read by a 1 h MAX window: the rule reads each
-    stored point once, not a copy of its window per evaluation, and the run
+    """One job emitting P points read by a 1 h MAX window: the rule admits
+    each stored point once, not its whole window per evaluation, and the run
     records grow linearly in P."""
-    rows = []
-    points_from = MetricsStore.points_from
+    admitted = []
+    admit = WindowAggregate._admit
 
-    def counted(store, name, start):
-        got = points_from(store, name, start)
-        rows.append(len(got))
-        return got
+    def counted(window, at, value):
+        admitted.append(at)
+        admit(window, at, value)
 
-    monkeypatch.setattr(MetricsStore, "points_from", counted)
+    monkeypatch.setattr(WindowAggregate, "_admit", counted)
     records = {}
     for points in (1000, 3000):
-        rows.clear()
+        admitted.clear()
         doc, templates = metrics_doc(points)
         result = Engine(doc, templates).run()
         assert "assertion fired" in result.reason
-        assert sum(rows) <= points
+        assert 0 < len(admitted) <= points
         records[points] = len(result.trace)
     assert records[3000] <= 3.5 * records[1000], records

@@ -266,6 +266,8 @@ class TestEvalMetrics:
         assert not eval_metrics(ast, store, now=20, checkpoints=checkpoints)
         store2 = self.store_with([(10, 1201)], name="goroutines")
         assert eval_metrics(ast, store2, now=20, checkpoints=checkpoints)
+        # The term is read from the checkpoints of each call, never kept.
+        assert eval_metrics(ast, store, now=20, checkpoints={"maxSeen": {"goroutines": 900.0}})
 
     def test_unknown_checkpoint(self):
         store = self.store_with([(10, 1)])

@@ -152,7 +152,7 @@ class TestNotices:
             if popped is not None:
                 assert popped[1].kind is EventKind.METRICS
                 for name in store.take_notices():
-                    seen[name] = len(store.points_from(name, 0))
+                    seen[name] = len(store.series(name))
 
         for step in steps:
             if step is None:

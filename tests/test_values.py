@@ -129,6 +129,19 @@ def test_a_template_compares_and_shows_the_same_once_parsed():
         hash(used)
 
 
+def test_a_condition_compares_and_shows_only_its_terms():
+    constant = Condition("WITHIN", (Term(1.0), Term(2.0, scale=3.0)))
+    assert constant._bounds == (1.0, 6.0)
+    assert Condition("ABOVE", (Term(checkpoint=("k", "a")),))._bounds is None
+    unresolved = Condition("WITHIN", (Term(1.0), Term(2.0, scale=3.0)))
+    unresolved._bounds = None
+    assert constant == unresolved and hash(constant) == hash(unresolved)
+    assert repr(constant) == repr(unresolved) == (
+        "Condition(kind='WITHIN', terms=(Term(value=1.0, checkpoint=None, scale=1.0), "
+        "Term(value=2.0, checkpoint=None, scale=3.0)))"
+    )
+
+
 MUTABLE_DEFAULTS = [
     (ActionSpec, ("a", "Call")),
     (DependsClause, ()),
