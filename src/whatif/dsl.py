@@ -22,10 +22,12 @@ pass; the instance text is what the template means. Each ``Template``
 object parses each distinct instance text once, on the first compile that
 needs it, and every later compile shares that value, read only. The
 addressing macro ``.cluster.<name>.<all|index>`` expands to instance names
-like ``masters-0``. ``compile_scenario`` checks a document once and
-compiles it into a ``Plan``: ``validate`` returns its findings, every
-static check that keeps a run from blocking or dying on a malformed
-document, and the engine runs the rest.
+like ``masters-0``. ``compile_scenario`` checks a document and compiles
+it into a ``Plan``, which holds no run state: ``validate`` returns its
+findings, every static check that keeps a run from blocking or dying on a
+malformed document, and the engine runs the rest. The document keeps its
+plan, so one loaded document is compiled once for ``validate`` and all its
+runs; it is read only from then on.
 """
 
 from __future__ import annotations
@@ -133,10 +135,15 @@ class ActionSpec(Value):
 
 
 class ScenarioDoc(Value):
-    """A parsed document; ``findings`` are what its parse found, which equality ignores."""
+    """A parsed document; ``findings`` are what its parse found, which equality ignores.
 
-    __slots__ = ("name", "actions", "timeout", "findings", "_reported")
-    _uncompared = ("findings", "_reported")
+    ``_plan`` holds its last compile (see ``compile_scenario``), so a
+    document is read only once compiled, as a ``Template``'s stored values
+    are: to change one, build a new one.
+    """
+
+    __slots__ = ("name", "actions", "timeout", "findings", "_reported", "_plan")
+    _uncompared = ("findings", "_reported", "_plan")
 
     def __init__(
         self,
@@ -150,6 +157,7 @@ class ScenarioDoc(Value):
         self.timeout = timeout
         self.findings = [] if findings is None else findings
         self._reported: set[int] = set()  # positions in `actions` of the actions `findings` reports
+        self._plan: Optional[tuple] = None  # (key, Plan) of the last compile; see compile_scenario
 
 
 class Template(Value):
@@ -674,13 +682,13 @@ class Plan:
     ``checkpoint_exprs`` a Checkpoint's (key, ast) values, ``jobs`` a
     Service, Cluster or Call's JobSpec per inputs map (one for an inline
     body; equal instance texts share one), ``faults`` a Chaos action's
-    resolved FaultSpec with its target nodes, ``timeouts`` every action's
-    effective timeout. ``dependents`` maps (name, phase) to the indexes, in
-    document order, of the actions whose ``depends`` clause can turn true
-    when that node enters that phase: Running for a ``running:`` part,
-    Success for either part. No other move can satisfy a clause.
-    All of it is complete only when ``report.ok``. The tree's nodes carry a
-    run's phases, so a plan serves one run.
+    resolved FaultSpec, ``timeouts`` every action's effective timeout.
+    ``dependents`` maps (name, phase) to the indexes, in document order, of
+    the actions whose ``depends`` clause can turn true when that node enters
+    that phase: Running for a ``running:`` part, Success for either part. No
+    other move can satisfy a clause. All of it is complete only when
+    ``report.ok``. A plan holds no run state: its tree is the template each
+    run copies its own nodes from, and every run shares the rest, read only.
     """
 
     __slots__ = (
@@ -696,7 +704,7 @@ class Plan:
         self.asserts: dict[str, list] = {}
         self.checkpoint_exprs: dict[str, list] = {}
         self.jobs: dict[str, list] = {}
-        self.faults: dict[str, tuple] = {}
+        self.faults: dict[str, FaultSpec] = {}
         self.timeouts: dict[str, Optional[float]] = {}
         self.dependents: dict[tuple[str, Phase], list[int]] = {}
 
@@ -761,8 +769,21 @@ def compile_scenario(
     findings, and an action reported there gets none of these checks. A
     document whose clusters have more than ``MAX_INSTANCES`` instances in
     all gets that finding and no other check, and no instance is built.
+
+    The document keeps the plan with a copy of each template's name,
+    parameters and body: a later compile with the same ``default_timeout``
+    and the same copies returns it, and a template changed since, even in
+    place, compiles again. A compiled document is read only; to change one,
+    build a new one.
     """
     templates = templates or {}
+    key = (default_timeout, {k: (t.name, dict(t.parameters), t.body) for k, t in templates.items()})
+    if doc._plan is None or doc._plan[0] != key:
+        doc._plan = (key, _compile(doc, templates, default_timeout))
+    return doc._plan[1]
+
+
+def _compile(doc: ScenarioDoc, templates: dict, default_timeout: Optional[float]) -> Plan:
     plan = Plan(ResourceNode(doc.name, kind="scenario"))
     findings = plan.report.findings
     findings.extend(doc.findings)
@@ -822,8 +843,8 @@ def validate(
     templates: Optional[dict] = None,
     engine_default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
 ) -> ValidationReport:
-    """Every static check that keeps a run well-formed: ``compile_scenario``'s report."""
-    return compile_scenario(doc, templates, engine_default_timeout).report
+    """Every static check that keeps a run well-formed: a copy of ``compile_scenario``'s report."""
+    return ValidationReport(list(compile_scenario(doc, templates, engine_default_timeout).report.findings))
 
 
 def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[Finding]:
@@ -866,7 +887,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
             for target in spec.targets + spec.dst:
                 if not plan.is_service(target):
                     findings.append(Finding("error", name, f"unknown fault target: {target}"))
-            plan.faults[name] = (spec, [plan.nodes.get(target) for target in spec.targets])
+            plan.faults[name] = spec
     elif action.kind != "Checkpoint":
         specs = plan.jobs[name] = []
         try:

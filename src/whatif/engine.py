@@ -50,6 +50,7 @@ from typing import Optional
 from .dsl import (
     ActionSpec,
     ScenarioDoc,
+    ValidationReport,
     compile_scenario,
     expand_targets,  # unused here; bench/tracer.py wraps it on this module
     instantiate_template,  # unused here; bench/tracer.py wraps it on this module
@@ -168,8 +169,10 @@ def dependency_satisfied(clause, nodes: dict, now: float) -> bool:
 class Engine:
     """Runs one scenario to completion over a bound executor.
 
-    The document is compiled once (``compile_scenario``): every name, job,
-    fault and expression the run needs is read from that plan.
+    The document's plan (``compile_scenario``, compiled once per loaded
+    document) gives every name, job, fault and expression the run needs.
+    The run's phases live in its own copy of the plan's tree, so any number
+    of engines can share one plan.
     """
 
     def __init__(
@@ -184,7 +187,7 @@ class Engine:
         self.doc = doc
         plan = compile_scenario(doc, templates, default_timeout)
         if not plan.report.ok:
-            raise InvalidScenario(plan.report)
+            raise InvalidScenario(ValidationReport(list(plan.report.findings)))
         self.plan = plan
 
         if executor is None:
@@ -201,8 +204,10 @@ class Engine:
         self.checkpoints: dict[str, dict] = {}  # checkpoint name -> its values, each written once
         self.executor.bind(self.queue, self.clock, self.store)
 
-        self.tree = plan.tree
-        self.nodes = plan.nodes
+        # The run's own nodes, copied from the plan's tree and indexed in the plan's order.
+        copies: dict[ResourceNode, ResourceNode] = {}
+        self.tree = _copy_tree(plan.tree, copies)
+        self.nodes = {name: copies[node] for name, node in plan.nodes.items()}
         # Each action's assertions in text order: a state AST, or a Rule for a
         # metrics one. Rules are also indexed by the metric they read and by
         # the checkpoints their thresholds read; `armed` holds the rules with
@@ -459,7 +464,7 @@ class Engine:
             self._create_job(self._resolve_job(action, index, child.name))
 
     def _dispatch_chaos(self, action: ActionSpec) -> None:
-        spec, targets = self.plan.faults[action.name]
+        spec = self.plan.faults[action.name]
         node = self.nodes[action.name]
         self._move(node, Phase.PENDING)
         self._trace_command("InjectFault", action.name, {
@@ -467,19 +472,19 @@ class Engine:
             "direction": spec.direction, "duration": spec.duration,
         })
         try:
-            for target in targets:  # as recorded; a killed job's exit may not be seen yet
-                if target.phase != Phase.RUNNING or target.name in self.kill_watchers:
-                    raise TargetNotRunning(target.name)
+            for target in spec.targets:  # as recorded; a killed job's exit may not be seen yet
+                if self.nodes[target].phase != Phase.RUNNING or target in self.kill_watchers:
+                    raise TargetNotRunning(target)
             self.executor.inject_fault(action.name, spec)
         except (UnsupportedFault, TargetNotRunning) as exc:
             self._fail(f"{action.name}: {type(exc).__name__}: {exc}")
             return
         self._move(node, Phase.RUNNING)
         if spec.kind == "kill":
-            watched = dict.fromkeys(targets)  # each one Running
+            watched = dict.fromkeys(spec.targets)  # each one Running
             self.kill_watch[action.name] = len(watched)
             for target in watched:
-                self.kill_watchers.setdefault(target.name, []).append(action.name)
+                self.kill_watchers.setdefault(target, []).append(action.name)
         else:
             self.in_effect[action.name] = spec
             self.queue.push(self.now + spec.duration, Event(EventKind.TIME, timer_id=f"fault:{action.name}"))
@@ -789,6 +794,14 @@ class Engine:
     def _trace_command(self, verb: str, target: str, args: Optional[dict] = None) -> None:
         """Record one call into the executor, or the run's abort."""
         self.trace.append("command", self.now, verb=verb, target=target, args={} if args is None else args)
+
+
+def _copy_tree(model: ResourceNode, copies: dict) -> ResourceNode:
+    """A fresh, Uninitialized copy of the subtree at ``model``; ``copies`` maps each model node to its copy."""
+    node = copies[model] = ResourceNode(model.name, model.kind, tolerated=model.tolerated)
+    for child in model.children:
+        node.add_child(_copy_tree(child, copies))
+    return node
 
 
 class CountedScope:

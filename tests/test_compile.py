@@ -5,10 +5,13 @@ macro or a state assertion costs the same in a document of any size, and
 the engine reads each template text, fault and expression from the plan
 instead of deriving it again. A kill fault counts its targets that are not
 yet terminal, so a wide kill costs O(1) per target event, and an event
-re-evaluates only the state assertions whose scope it changed. The scaling
-checks count operations (`conftest.count_operations`), not wall time.
+re-evaluates only the state assertions whose scope it changed. A loaded
+document keeps its plan, which holds no run state, so every later compile and run of
+it shares that plan. The scaling checks count operations
+(`conftest.count_operations`), not wall time.
 """
 
+import hashlib
 import sys
 
 import pytest
@@ -17,9 +20,12 @@ import yaml
 from whatif import dsl
 from whatif.dsl import Template, compile_scenario, instantiate_template, parse_job_body, parse_scenario, validate
 from whatif.engine import Engine, Outcome, run_scenario
-from whatif.lifecycle import Phase
+from whatif.errors import Finding
+from whatif.lifecycle import Phase, iter_nodes
 
 from conftest import count_operations
+from test_acceptance import CORPUS_TEMPLATES
+from test_golden import CORPUS_GOLDEN, DEMO_GOLDEN, GOLDEN, _build, corpus_docs, trace_digest
 
 NODE = Template("node", {}, "script:\n- { at: 0s, do: running }\n- { at: 100s, do: success }\n")
 STEP = Template("step", {"services": None}, "env: { TARGETS: '{{services}}' }\n"
@@ -105,10 +111,9 @@ def test_state_assertion_work_per_event_does_not_grow_with_the_chain():
     assert per_event[1000] <= 1.1 * per_event[250], per_event
 
 
-def test_engine_compiles_each_expression_and_template_once(monkeypatch):
-    """Parsing and instantiation happen in `compile_scenario` only: once per
-    expression and once per inputs map, however many instances and events."""
-    counts = {"parse": 0, "instantiate": 0}
+def count_calls(monkeypatch, *names) -> dict:
+    """Count the calls of each named `dsl` function from now on: the dict, by name, that holds the counts."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -116,8 +121,15 @@ def test_engine_compiles_each_expression_and_template_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dsl, "parse_expression", counted("parse", dsl.parse_expression))
-    monkeypatch.setattr(dsl, "instantiate_template", counted("instantiate", dsl.instantiate_template))
+    for name in names:
+        monkeypatch.setattr(dsl, name, counted(name, getattr(dsl, name)))
+    return counts
+
+
+def test_engine_compiles_each_expression_and_template_once(monkeypatch):
+    """Parsing and instantiation happen in `compile_scenario` only: once per
+    expression and once per inputs map, however many instances and events."""
+    counts = count_calls(monkeypatch, "parse_expression", "instantiate_template")
     node = Template("node", {"cpu": None}, "declares: [cpu]\nscript:\n- { at: 0s, do: running }\n"
                     "- { at: 1s, do: metric, name: cpu, value: {{cpu}} }\n- { at: 100s, do: success }\n")
     doc = _doc([
@@ -130,9 +142,9 @@ def test_engine_compiles_each_expression_and_template_once(monkeypatch):
          "assertions": ["MAX() QUERY(cpu, 1m, now) IS ABOVE(CHECKPOINT(seen.cpu))"]},
     ])
     engine = Engine(doc, {"node": node, "step": STEP})
-    assert counts == {"parse": 3, "instantiate": 3}
+    assert counts == {"parse_expression": 3, "instantiate_template": 3}
     assert engine.run().outcome is Outcome.SUCCESS
-    assert counts == {"parse": 3, "instantiate": 3}
+    assert counts == {"parse_expression": 3, "instantiate_template": 3}
 
 
 def counting_loader(monkeypatch) -> list:
@@ -205,9 +217,7 @@ def test_plan_indexes_every_name_once():
     assert plan.report.ok
     assert list(plan.nodes) == ["plan", "db", "db-0", "db-1", "db-2", "db-3", "kill-most"]
     assert plan.clusters == {"db": 4}
-    spec, targets = plan.faults["kill-most"]
-    assert spec.targets == ["db-1", "db-2", "db-3"]
-    assert targets == [plan.nodes[name] for name in spec.targets]
+    assert plan.faults["kill-most"].targets == ["db-1", "db-2", "db-3"]
     # `kill-most` waits for `running: [db]`: db entering Running or Success can satisfy it.
     assert plan.dependents == {("db", Phase.RUNNING): [1], ("db", Phase.SUCCESS): [1]}
     assert plan.jobs == {"db": [parse_job_body(dsl.load_yaml(NODE.body))]}
@@ -229,3 +239,119 @@ spec:
     assert plan.dependents == {
         ("a", Phase.RUNNING): [2], ("a", Phase.SUCCESS): [2, 3], ("b", Phase.SUCCESS): [2],
     }
+
+
+# --- one plan for every run of a loaded document ------------------------------------
+
+COMPILE_STEPS = ("parse_expression", "instantiate_template", "parse_job_body")
+
+
+def test_runs_of_one_loaded_document_compile_it_once(partition_demo, tmp_path, monkeypatch):
+    """Every golden document and the corpus, each loaded once and run three
+    times: every run writes its pinned trace, and only the first compiles."""
+    named = {"demo": partition_demo, **{name: _build(name) for name in GOLDEN}}
+    corpus = corpus_docs()
+    counts = count_calls(monkeypatch, *COMPILE_STEPS)
+    for run in range(3):
+        counts.update(dict.fromkeys(COMPILE_STEPS, 0))
+        digests = {name: trace_digest(doc, templates, tmp_path) for name, (doc, templates) in named.items()}
+        assert digests == {"demo": DEMO_GOLDEN, **GOLDEN}, run
+        corpus_digests = "".join(trace_digest(doc, CORPUS_TEMPLATES, tmp_path) for doc in corpus)
+        assert hashlib.sha256(corpus_digests.encode("ascii")).hexdigest() == CORPUS_GOLDEN, run
+        if run:
+            assert counts == dict.fromkeys(COMPILE_STEPS, 0), run
+        else:
+            assert all(counts.values()), counts
+
+
+# A kill, a suspend, a checkpoint and a metrics rule that reads it.
+STATELESS = """
+name: stateless
+spec:
+- {action: Cluster, name: db, cluster: {templateRef: node, instances: 4, toleratedFailures: 1},
+   assertions: [".state.failed() > 1"]}
+- {action: Service, name: emit, service: {script: [{at: 0s, do: running}, {at: 1s, do: metric, name: load, value: 5},
+   {at: 3s, do: metric, name: load, value: 4}, {at: 30s, do: success}]}}
+- {action: Chaos, name: kill, depends: {running: [db]}, chaos: {fault: {kind: kill, targets: [db-0]}}}
+- {action: Chaos, name: pause, depends: {running: [db], after: 2s},
+   chaos: {fault: {kind: suspend, targets: [db-1], duration: 5s}}}
+- {action: Checkpoint, name: seen, depends: {running: [emit], after: 2s},
+   checkpoint: {values: {load: "MAX() QUERY(load, 1m, now)"}}}
+- {action: Call, name: watch, depends: {success: [seen]}, call: {callable: step, services: [.cluster.db.all]},
+   assertions: ["MAX() QUERY(load, 1m, now) IS ABOVE(CHECKPOINT(seen.load))"]}
+"""
+
+
+def test_the_plan_holds_no_run_state():
+    """Two engines built from one loaded document before either runs, run in
+    the other order, each write the trace of a freshly parsed copy's run, and
+    leave the shared plan as a fresh compile makes it."""
+    templates = {"node": NODE, "step": STEP}
+    doc = parse_scenario(STATELESS)
+    first, second = Engine(doc, templates), Engine(doc, templates)
+    assert first.plan is second.plan
+    second.run()
+    first.run()
+    fresh = run_scenario(parse_scenario(STATELESS), templates)
+    assert (fresh.outcome, fresh.reason) == (Outcome.SUCCESS, "all actions completed")
+    faults = [r.data["args"]["kind"] for r in fresh.trace if r.kind == "command" and r.data["verb"] == "InjectFault"]
+    assert faults == ["kill", "suspend"]
+    assert [r.data["name"] for r in fresh.trace if r.kind == "checkpoint"] == ["seen"]
+    assert first.trace.to_text() == second.trace.to_text() == fresh.trace.to_text()
+    plan = first.plan
+    assert all(node.phase is Phase.UNINITIALIZED and not node.phase_times for node in iter_nodes(plan.tree))
+    again = compile_scenario(parse_scenario(STATELESS), templates)
+    assert (plan.faults, plan.jobs) == (again.faults, again.jobs)
+
+
+def test_another_default_timeout_compiles_again():
+    doc, templates = chain(3, "macro")
+    assert validate(doc, templates).ok
+    blocked = validate(doc, templates, None)
+    assert [f.message for f in blocked.errors()] == ["no effective timeout and a depends clause that could block forever"] * 3
+    assert validate(doc, templates).ok
+
+
+def test_only_templates_equal_by_value_share_a_plan():
+    doc, templates = chain(3, "macro")
+    plan = compile_scenario(doc, templates)
+    assert compile_scenario(doc, templates) is plan
+    reloaded = {name: Template(t.name, dict(t.parameters), t.body) for name, t in templates.items()}
+    assert compile_scenario(doc, reloaded) is plan
+    edited = dict(templates, step=Template(STEP.name, STEP.parameters, STEP.body.replace("1s", "2s")))
+    other = compile_scenario(doc, edited)
+    assert other is not plan
+    assert [spec.script[-1].offset for spec in other.jobs["c0"]] == [2.0]
+
+
+def test_a_template_changed_in_place_compiles_again():
+    """The plan is kept with a copy of each template's values, so reassigning
+    a template's body or changing its parameters in place is seen."""
+    doc, _ = chain(3, "macro")
+    step = Template(STEP.name, dict(STEP.parameters), STEP.body)
+    templates = {"node": NODE, "step": step}
+    plan = compile_scenario(doc, templates)
+    step.body = STEP.body.replace("1s", "2s")
+    edited = compile_scenario(doc, templates)
+    assert edited is not plan
+    assert [spec.script[-1].offset for spec in edited.jobs["c0"]] == [2.0]
+    assert run_scenario(doc, templates).trace.to_text() == run_scenario(chain(3, "macro")[0], templates).trace.to_text()
+    step.parameters["extra"] = "x"
+    assert compile_scenario(doc, templates) is not edited
+
+
+def test_an_equal_fresh_document_gets_its_own_plan():
+    doc, templates = chain(3, "macro")
+    copy, _ = chain(3, "macro")
+    assert copy == doc
+    assert compile_scenario(copy, templates) is not compile_scenario(doc, templates)
+
+
+def test_a_returned_report_is_the_callers():
+    doc, templates = chain(3, "macro")
+    report = validate(doc, templates)
+    report.findings.append(Finding("error", "c0", "added by the caller"))
+    assert not report.ok
+    assert validate(doc, templates).ok
+    assert run_scenario(doc, templates).outcome is Outcome.SUCCESS
+

@@ -453,6 +453,30 @@ class TestNothingOutlivesARun:
         assert gone(executor.procs["slow"].pid, group=True)
         assert gone(int(pidfile.read_text()))
 
+    def test_runs_of_one_loaded_document_leave_no_process(self, tmp_path):
+        """Two runs share the document's plan; each kills and reaps what it started."""
+        pidfile = tmp_path / "pids"
+        doc = parse_scenario(
+            "spec:\n"
+            "- { action: Cluster, name: c, timeout: 500ms,"
+            " cluster: { templateRef: node, instances: 2, toleratedFailures: 1 } }\n"
+            "- { action: Chaos, name: k, depends: { running: [c] }, chaos: { fault: { kind: kill, targets: [c-0] } } }\n"
+        )
+        templates = {"node": Template("node", {}, f"command: \"sh -c 'sleep 30 & echo $! >> {pidfile}; sleep 30'\"\n")}
+        for _ in range(2):
+            executor = ProcessExecutor()
+            result = run_scenario(doc, templates, executor)
+            assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action c did not finish in time")
+            killed = [r.data["subject"] for r in result.trace if r.kind == "transition" and r.data.get("class") == "Expected"]
+            assert killed == ["c-0"]
+            assert sorted(executor.procs) == ["c-0", "c-1"]
+            for proc in executor.procs.values():
+                assert proc.returncode is not None
+                assert gone(proc.pid, group=True)
+        pids = pidfile.read_text().split()
+        assert len(pids) >= 2  # c-1's of each run; c-0 may be killed before it starts its own
+        assert all(gone(int(pid)) for pid in pids)
+
     def test_exit_is_seen_while_a_background_process_holds_stdout(self):
         executor, queue, clock, store = make_harness()
         started = time.monotonic()

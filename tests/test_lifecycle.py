@@ -191,7 +191,7 @@ spec:
 
         monkeypatch.setattr(engine, "_end_fault", spy)
         engine.run()
-        spec, _ = engine.plan.faults["net"]
+        spec = engine.plan.faults["net"]
         assert seen == [(10.0, "net", {"net": spec})]
 
     def test_empty_after_the_revoke(self):
