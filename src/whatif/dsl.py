@@ -18,16 +18,15 @@ Each entry parses into an ``ActionSpec``: a template reference
 (``templateRef``, or a Call's ``callable``) or an inline body, plus its
 kind's own keys. Templates live in a directory of YAML files and are
 instantiated by replacing ``{{placeholder}}`` markers in a single literal
-pass; the instance text is what the template means. Each ``Template``
-object parses each distinct instance text once, on the first compile that
-needs it, and every later compile shares that value, read only. The
-addressing macro ``.cluster.<name>.<all|index>`` expands to instance names
-like ``masters-0``. ``compile_scenario`` checks a document and compiles
-it into a ``Plan``, which holds no run state: ``validate`` returns its
-findings, every static check that keeps a run from blocking or dying on a
-malformed document, and the engine runs the rest. The document keeps its
-plan, so one loaded document is compiled once for ``validate`` and all its
-runs; it is read only from then on.
+pass; the instance text is what the template means, and each compile
+parses it with ``load_yaml``. The addressing macro
+``.cluster.<name>.<all|index>`` expands to instance names like
+``masters-0``. ``compile_scenario`` checks a document and compiles it into
+a ``Plan``, which holds no run state: ``validate`` returns its findings,
+every static check that keeps a run from blocking or dying on a malformed
+document, and the engine runs the rest. The document keeps its plan, so one
+loaded document is compiled once for ``validate`` and all its runs; it is
+read only from then on.
 """
 
 from __future__ import annotations
@@ -138,8 +137,7 @@ class ScenarioDoc(Value):
     """A parsed document; ``findings`` are what its parse found, which equality ignores.
 
     ``_plan`` holds its last compile (see ``compile_scenario``), so a
-    document is read only once compiled, as a ``Template``'s stored values
-    are: to change one, build a new one.
+    document is read only once compiled: to change one, build a new one.
     """
 
     __slots__ = ("name", "actions", "timeout", "findings", "_reported", "_plan")
@@ -164,19 +162,15 @@ class Template(Value):
     """A reusable body with ``{{placeholder}}`` markers.
 
     ``parameters`` maps each declared placeholder to its default value, or
-    None when the caller must supply it. ``_parsed`` maps each instance
-    text that a compile has parsed to what ``load_yaml`` built from it (see
-    ``_load_instance``).
+    None when the caller must supply it.
     """
 
-    __slots__ = ("name", "parameters", "body", "_parsed")
-    _uncompared = ("_parsed",)
+    __slots__ = ("name", "parameters", "body")
 
     def __init__(self, name: str, parameters: Optional[dict] = None, body: str = ""):
         self.name = name
         self.parameters = {} if parameters is None else parameters
         self.body = body
-        self._parsed: dict = {}
 
 
 class ValidationReport(Value):
@@ -716,9 +710,12 @@ class Plan:
         """Attach ``node`` under ``owner`` and index it, reporting a name already taken."""
         previous = self.nodes.get(node.name)
         self.nodes[node.name] = owner.add_child(node)
-        if previous is None or previous is self.tree:
+        if previous is None:
             return node
-        if previous.owner is self.tree and owner is self.tree:
+        if previous is self.tree:
+            user = "an action" if owner is self.tree else f"an instance of cluster {owner.name}"
+            message = f"name used by the document and by {user}"
+        elif previous.owner is self.tree and owner is self.tree:
             message = "duplicate action name"
         else:
             cluster = owner.name if owner is not self.tree else previous.owner.name
@@ -877,7 +874,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
     if action.kind == "Chaos" and (action.inline is not None or texts):
         try:
             spec = parse_fault_body(
-                action.inline if action.inline is not None else _load_instance(template, texts[0]), plan.clusters,
+                action.inline if action.inline is not None else load_yaml(texts[0]), plan.clusters,
             )
         except yaml.YAMLError as exc:
             findings.append(Finding("error", name, f"fault template does not parse: {exc}"))
@@ -895,7 +892,7 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
                 specs.append(parse_job_body(action.inline))
             for text in texts:
                 if text not in parsed:
-                    parsed[text] = parse_job_body(_load_instance(template, text))
+                    parsed[text] = parse_job_body(load_yaml(text))
                 specs.append(parsed[text])
         except yaml.YAMLError as exc:
             findings.append(Finding("error", name, f"template {ref} body does not parse: {exc}"))
@@ -909,20 +906,6 @@ def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[
     for key, text in action.values.items():
         findings.extend(_compile_checkpoint_value(plan, text, name, key))
     return findings
-
-
-def _load_instance(template: Template, text: str):
-    """What ``load_yaml(text)`` constructs, ``text`` being an instance of ``template``.
-
-    Every template instance is built here, and each distinct text is parsed
-    once per ``Template``: later compiles share the stored value, so it is
-    read only (``parse_job_body`` and ``parse_fault_body`` copy every
-    container they keep). An error is not stored, so a text that does not
-    parse raises on every compile.
-    """
-    if text not in template._parsed:
-        template._parsed[text] = load_yaml(text)
-    return template._parsed[text]
 
 
 def _check_target(target, owner, plan) -> list[Finding]:

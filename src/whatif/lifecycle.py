@@ -6,12 +6,11 @@ legal chain, which is the declaration order of ``Phase``:
 
     Uninitialized -> Pending -> Running -> Success | Failed
 
-Success and Failed are terminal. ``phase_order``, ``transition`` and
-``advance_to`` all read the chain from that order; ``advance_to``, the
-engine's one way to move a node, walks the hops itself, and ``transition``,
-one checked edge, is the reference the tests hold it to. Parents with children
-derive their phase from how many children sit in each ``slot``
-(``counted_phase``; ``aggregate_phase`` counts a list of children first).
+Success and Failed are terminal. ``phase_order`` and ``advance_to`` read
+the chain from that order; ``advance_to``, the engine's one way to move a
+node, walks the hops itself. Parents with children derive their phase from
+how many children sit in each ``slot`` (``counted_phase``;
+``aggregate_phase`` counts a list of children first).
 A Failed node's class (expected chaos vs. application bug) is set by the
 engine, which keeps the record of the faults in effect.
 
@@ -127,29 +126,13 @@ def _next(phase: Phase, target: Phase) -> Phase:
     return target if nxt.terminal and target.terminal else nxt
 
 
-def transition(node: ResourceNode, to: Phase, at: float = 0.0) -> ResourceNode:
-    """Move a node along one legal edge of the lifecycle chain.
-
-    A transition to the node's current phase is a no-op. Anything off the
-    legal chain raises IllegalTransition, which signals an engine bug and
-    aborts the run.
-    """
-    if to is node.phase:
-        return node
-    if node.phase.terminal or to is not _next(node.phase, to):
-        raise IllegalTransition(f"{node.name}: {node.phase} -> {to}")
-    node.phase = to
-    node.phase_times[to] = at  # the chain enters each phase once
-    return node
-
-
 def advance_to(node: ResourceNode, target: Phase, at: float = 0.0) -> list[Phase]:
     """Walk the node forward to ``target`` through every intermediate phase.
 
     Returns the phases actually entered, in order, so the caller can record
-    each hop. Moving backwards raises IllegalTransition. Each hop is the
-    one ``_next`` gives, so it is a legal edge without ``transition``'s
-    check.
+    each hop. Moving backwards raises IllegalTransition, which signals an
+    engine bug and aborts the run. Each hop is the one ``_next`` gives, so
+    it is a legal edge without a check of its own.
     """
     phase = node.phase
     if phase is target:

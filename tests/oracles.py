@@ -4,8 +4,33 @@ import json
 import math
 from pathlib import Path
 
+from whatif.errors import IllegalTransition
 from whatif.lifecycle import Phase, ResourceNode, advance_to, aggregate_phase, find_node, iter_nodes, phase_order
 from whatif.trace import TraceRecord
+
+# The legal edges of the lifecycle chain, written out: Uninitialized ->
+# Pending -> Running -> Success | Failed.
+LEGAL_EDGES = {
+    Phase.UNINITIALIZED: (Phase.PENDING,),
+    Phase.PENDING: (Phase.RUNNING,),
+    Phase.RUNNING: (Phase.SUCCESS, Phase.FAILED),
+}
+
+
+def transition(node: ResourceNode, to: Phase, at: float = 0.0) -> ResourceNode:
+    """Move a node along one legal edge of the lifecycle chain: the edge
+    check that ``advance_to``'s hops are held to.
+
+    A transition to the node's current phase is a no-op. Anything off the
+    chain raises IllegalTransition.
+    """
+    if to is node.phase:
+        return node
+    if to not in LEGAL_EDGES.get(node.phase, ()):
+        raise IllegalTransition(f"{node.name}: {node.phase} -> {to}")
+    node.phase = to
+    node.phase_times[to] = at
+    return node
 
 
 def propagate(tree: ResourceNode, failed_leaf: str, at: float = 0.0) -> ResourceNode:

@@ -162,27 +162,30 @@ def counting_loader(monkeypatch) -> list:
 
 @pytest.mark.parametrize("instances", [200, 1000])
 def test_compile_parses_each_template_once(instances, monkeypatch):
-    """The first compile parses each distinct instance text once, and a
-    second compile or a run of the same templates parses nothing."""
+    """The first compile of a document parses each distinct instance text
+    once; a second compile or a run of it parses none, and a freshly parsed
+    equal document parses them again."""
     node = Template("node", {"up": None, "cpu": None}, "declares: [cpu]\nscript:\n- { at: '{{up}}', do: running }\n"
                     "- { at: 1s, do: metric, name: cpu, value: {{cpu}} }\n- { at: 100s, do: success }\n")
     inputs = [{"up": f"{i}ms", "cpu": str(i % 97)} for i in range(instances)]
-    doc = _doc([
+    spec = [
         {"action": "Cluster", "name": "db", "cluster": {"templateRef": "node", "instances": instances, "inputs": inputs}},
         {"action": "Call", "name": "work", "depends": {"running": ["db"]},
          "call": {"callable": "step", "services": ["db-0", "db-1"]}},
-    ])
-    templates = {"node": node, "step": Template(STEP.name, STEP.parameters, STEP.body)}
-    parses = counting_loader(monkeypatch)
+    ]
+    doc, copy = _doc(spec), _doc(spec)
+    templates = {"node": node, "step": STEP}
+    counts = count_calls(monkeypatch, "load_yaml")
     plan = compile_scenario(doc, templates)
     assert plan.report.ok, str(plan.report)
-    assert len(node._parsed) == instances
-    assert len(parses) == instances + 1
+    assert counts["load_yaml"] == instances + 1
     again = compile_scenario(doc, templates)
     result = run_scenario(doc, templates, seed=1)
-    assert len(parses) == instances + 1
+    assert counts["load_yaml"] == instances + 1
     assert again.jobs == plan.jobs
     assert result.outcome == Outcome.SUCCESS, result.reason
+    assert compile_scenario(copy, templates).jobs == plan.jobs
+    assert counts["load_yaml"] == 2 * (instances + 1)
     monkeypatch.undo()
     for given, spec in list(zip(inputs, plan.jobs["db"]))[::97]:
         assert spec == parse_job_body(dsl.load_yaml(instantiate_template(node, given)))
@@ -200,7 +203,7 @@ def test_runs_of_one_loaded_document_parse_its_templates_once(monkeypatch):
          "call": {"callable": "step", "services": [".cluster.db.all"]},
          "assertions": ["MAX() QUERY(cpu, 30s, now) IS ABOVE(7)"]},
     ])
-    templates = {"node": Template("node", {}, body), "step": Template(STEP.name, STEP.parameters, STEP.body)}
+    templates = {"node": Template("node", {}, body), "step": STEP}
     parses = counting_loader(monkeypatch)
     traces = []
     for run in range(3):

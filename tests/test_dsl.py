@@ -22,6 +22,7 @@ from whatif.dsl import (
     expand_macro,
     instantiate_template,
     load_templates,
+    load_yaml,
     parse_scenario,
     parse_template,
     validate,
@@ -349,6 +350,19 @@ class TestValidate:
                 ("db-1", "name used by an action and by an instance of cluster db"),
             ]
 
+    @pytest.mark.parametrize("text,name,user", [
+        ("name: db\nspec:\n- {action: Service, name: db, service: {templateRef: t}}\n", "db", "an action"),
+        # a document without `name` is named `scenario`
+        ("spec:\n- {action: Service, name: scenario, service: {templateRef: t}}\n", "scenario", "an action"),
+        ("name: db-1\nspec:\n- {action: Cluster, name: db, cluster: {templateRef: t, instances: 2}}\n",
+         "db-1", "an instance of cluster db"),
+    ], ids=["named", "unnamed", "instance"])
+    def test_document_name_taken_by_an_action_or_an_instance(self, text, name, user):
+        # A run traces the document and its resources by name, so two of them
+        # under one name would read as one resource.
+        report = validate(parse_scenario(text), {"t": Template("t", {}, "command: true\n")})
+        assert [(f.location, f.message) for f in report.errors()] == [(name, f"name used by the document and by {user}")]
+
     def test_checkpoint_reference_needs_the_checkpoint_and_its_key(self):
         def report_for(reference):
             return validate(parse_scenario(
@@ -390,7 +404,7 @@ class TestValidate:
         assert [str(f) for f in report.findings] == ["error: s: template t: unknown parameter 'typo'"]
 
     @pytest.mark.parametrize("kind", ["Service", "Call", "Chaos"])
-    def test_only_the_first_inputs_map_is_compiled(self, kind):
+    def test_only_the_first_inputs_map_is_compiled(self, kind, monkeypatch):
         bodies = {
             "Service": "{templateRef: t, inputs: [{d: 5s}, {}]}",
             "Call": "{callable: t, services: [s], inputs: [{d: 5s}, {}]}",
@@ -402,10 +416,11 @@ class TestValidate:
             "spec:\n- {action: Service, name: s, service: {script: [{at: 0s, do: running}, {at: 9s, do: success}]}}\n"
             f"- {{action: {kind}, name: a, depends: {{running: [s]}}, {kind.lower()}: {bodies[kind]}}}\n"
         )
-        template = Template("t", {"d": None}, body)
-        plan = compile_scenario(doc, {"t": template})
+        loaded = []
+        monkeypatch.setattr(dsl, "load_yaml", lambda text: loaded.append(text) or load_yaml(text))
+        plan = compile_scenario(doc, {"t": Template("t", {"d": None}, body)})
         assert [str(f) for f in plan.report.findings] == ["warning: a: only the first inputs map is used"]
-        assert list(template._parsed) == [body.replace("{{d}}", "5s")]
+        assert loaded == [body.replace("{{d}}", "5s")]
 
     def test_warnings_do_not_flip_ok(self):
         doc = parse_scenario(

@@ -19,11 +19,10 @@ from whatif.lifecycle import (
     advance_to,
     aggregate_phase,
     find_node,
-    transition,
 )
 
 from conftest import script_template
-from oracles import propagate
+from oracles import propagate, transition
 
 U, P, R, S, F = Phase.UNINITIALIZED, Phase.PENDING, Phase.RUNNING, Phase.SUCCESS, Phase.FAILED
 EXP, UNEXP = FailureClass.EXPECTED, FailureClass.UNEXPECTED

@@ -6,10 +6,8 @@ PyYAML has it, so on the documents the tests and the benchmark use it must
 construct the values `yaml.SafeLoader` constructs, and a document that does
 not parse must still fail with the program's own error at each site.
 
-Each distinct instance text of a job or fault template is parsed once per
-`Template` object, on the first compile that needs it, and every later
-compile and run shares the stored value. So the stored value must stay what
-`load_yaml(text)` constructs, under either loader: nothing may change it.
+A template instance is what `load_yaml` constructs from its instantiated
+text, under either loader.
 """
 
 import datetime
@@ -32,7 +30,6 @@ from whatif.dsl import (
     parse_scenario,
     validate,
 )
-from whatif.engine import run_scenario
 from whatif.errors import ScenarioSyntaxError
 from whatif.executors.base import SimEffect
 
@@ -98,19 +95,6 @@ def loader_in_use(loader):
         dsl._YAML_LOADER = saved
 
 
-def counting(loader):
-    """A subclass of ``loader`` that lists every stream it is made to parse."""
-
-    class Counting(loader):
-        streams = []
-
-        def __init__(self, stream):
-            self.streams.append(stream)
-            super().__init__(stream)
-
-    return Counting
-
-
 def same(a, b) -> bool:
     """Equal by type and value, recursively and in order; NaN equals NaN.
 
@@ -138,14 +122,9 @@ def test_same_tells_types_apart():
 
 
 def _corpus() -> list[tuple]:
-    """(document, templates): the demo, the valid criterion-7 corpus, three golden documents.
-
-    Every call makes new ``Template`` objects, so that no parse stored by an
-    earlier call (or under another loader) is reused.
-    """
+    """(document, templates): the demo, the valid criterion-7 corpus, three golden documents."""
     pairs = [(parse_scenario((SCENARIOS / "partition-demo.yaml").read_text()), load_templates(SCENARIOS / "templates"))]
-    fresh = {name: Template(t.name, t.parameters, t.body) for name, t in CORPUS_TEMPLATES.items()}
-    pairs += [(doc, fresh) for doc in corpus_docs()]
+    pairs += [(doc, CORPUS_TEMPLATES) for doc in corpus_docs()]
     pairs += [_build(name) for name in ("chain-120", "cluster-200", "metrics-300")]
     return pairs
 
@@ -185,31 +164,11 @@ def test_loader_constructs_what_the_safe_loader_constructs():
         assert same(load_yaml(text), yaml.load(text, Loader=yaml.SafeLoader)), text
 
 
-# --- one parse per instance text, shared read only ----------------------------------
+# --- template instances ---------------------------------------------------------------
 
 def _load(template: Template, values: dict):
     """The instance the compile builds for ``values``."""
-    return dsl._load_instance(template, instantiate_template(template, values))
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-def test_stored_instances_stay_what_their_texts_parse_to(loader):
-    # Every compile and run after the first shares the stored values, so
-    # nothing that reads them (the job and fault body parsers, the engine)
-    # may change them.
-    with loader_in_use(loader):
-        corpus = _corpus()
-        for doc, templates in corpus:
-            for _ in range(2):
-                compile_scenario(doc, templates)
-                run_scenario(doc, templates, seed=1)
-    loaded = {id(t): t for _, templates in corpus for t in templates.values()}.values()
-    stored = [(text, value) for t in loaded for text, value in t._parsed.items()]
-    assert any(text.startswith("kind: partition") for text, _ in stored)  # a fault template
-    assert len(stored) > 150
-    for text, value in stored:
-        for fresh in (LIBYAML, yaml.SafeLoader):
-            assert same(value, yaml.load(text, Loader=fresh)), text
+    return load_yaml(instantiate_template(template, values))
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -231,73 +190,7 @@ def test_a_placeholder_in_an_ordered_map_is_filled(loader, body, expected):
     # An !!omap or !!pairs entry is a (key, value) tuple.
     template = Template("t", {"x": None}, body)
     with loader_in_use(loader):
-        for _ in range(2):
-            assert same(_load(template, {"x": "5"}), expected)
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-def test_each_instance_text_is_parsed_once_per_template(loader):
-    counted = counting(loader)
-    templates = [Template("t", {"x": None}, "a: [{{x}}, '{{x}}']\n"), Template("u", {"x": "5"}, SCALARS)]
-    with loader_in_use(counted):
-        first = [_load(t, {"x": "5"}) for t in templates]
-        assert len(counted.streams) == 2
-        again = [_load(t, {"x": "5"}) for t in templates for _ in range(3)]
-        assert len(counted.streams) == 2
-        other = [_load(t, {"x": "yes"}) for t in templates for _ in range(3)]
-        assert len(counted.streams) == 3  # u's body has no placeholder: its one text is stored
-        _load(Template("t", {"x": None}, templates[0].body), {"x": "5"})
-        assert len(counted.streams) == 4  # another Template object keeps its own
-    assert same(first[0], {"a": [5, "5"]}) and same(other[0], {"a": [True, "yes"]})
-    assert all(value is first[0] for value in again[:3])
-    assert same(first[1], load_yaml(SCALARS)) and other[-1] is first[1]
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-def test_templates_reused_across_compiles_are_parsed_once(loader):
-    counted = counting(loader)
-    with loader_in_use(counted):
-        for doc, templates in _corpus():
-            copy = parse_scenario(render_scenario(doc))  # an equal document, with no plan of its own yet
-            first = compile_scenario(doc, templates)
-            parsed = len(counted.streams)
-            second = compile_scenario(copy, templates)
-            assert len(counted.streams) == parsed, doc.name
-            assert second is not first
-            assert second.jobs == first.jobs
-            assert second.faults == first.faults
-        assert counted.streams
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-def test_a_reassigned_body_is_parsed_again(loader):
-    counted = counting(loader)
-    template = Template("t", {"x": None}, "a: {{x}}\n")
-    with loader_in_use(counted):
-        assert same(_load(template, {"x": "1"}), {"a": 1})
-        template.body = "b: '{{x}}'\n"
-        assert same(_load(template, {"x": "1"}), {"b": "1"})
-        template.body = "c: 2\n"
-        assert same(_load(template, {"x": "1"}), {"c": 2})
-        assert len(counted.streams) == 3
-        template.body = "a: {{x}}\n"  # a text parsed before
-        assert same(_load(template, {"x": "1"}), {"a": 1})
-        assert len(counted.streams) == 3
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-@pytest.mark.parametrize("body", ["a: [{{x}}, 2001-12-14]\n", "a: [1, 2001-12-14]\n"])
-def test_a_loader_switch_reuses_the_stored_value(loader, body):
-    # The memo is keyed by the text alone, as both loaders build equal values.
-    other = counting(yaml.SafeLoader if loader is not yaml.SafeLoader else LIBYAML)
-    template = Template("t", {"x": None}, body)
-    with loader_in_use(loader):
-        first = _load(template, {"x": "7"})
-    with loader_in_use(other):
-        second = _load(template, {"x": "7"})
-        assert not other.streams
-    assert second is first
-    assert same(first, yaml.load(instantiate_template(template, {"x": "7"}), Loader=other))
+        assert same(_load(template, {"x": "5"}), expected)
 
 
 # A placeholder is replaced as text wherever it sits, so an input can add
@@ -323,19 +216,16 @@ def test_an_instance_is_what_its_instantiated_text_parses_to(body, x, expected):
     template = Template("t", {"x": None}, body)
     text = instantiate_template(template, {"x": x})
     if expected is yaml.YAMLError:
-        for _ in range(2):  # an error is not stored
-            with pytest.raises(yaml.YAMLError):
-                _load(template, {"x": x})
-        assert not template._parsed
+        with pytest.raises(yaml.YAMLError):
+            _load(template, {"x": x})
         return
-    first = _load(template, {"x": x})
-    assert same(first, expected) and same(first, load_yaml(text))
-    assert _load(template, {"x": x}) is first and list(template._parsed) == [text]
+    instance = _load(template, {"x": x})
+    assert same(instance, expected) and same(instance, yaml.load(text, Loader=yaml.SafeLoader))
 
 
-# Bodies without a placeholder: every inputs map makes the same text, so each
-# is parsed once and every instance is the stored value. They keep aliases (a
-# merge key, a recursive one), a set, ordered maps and escaped text.
+# Bodies without a placeholder: every inputs map makes the same text, and
+# every instance is what it parses to. They keep aliases (a merge key, a
+# recursive one), a set, ordered maps and escaped text.
 PLACEHOLDER_FREE = [
     "a: 1\n", "", "plain text\n", "- 1\n- [2, {b: 3}]\n", SCALARS, *WORKLOAD_STYLE,
     "anchor: &base {at: 0s, do: running}\nscript: [*base, *base, {<<: *base, do: success}]\n",
@@ -363,26 +253,24 @@ def _shape(value, seen=None) -> list:
 
 @pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize("body", PLACEHOLDER_FREE)
-def test_a_body_without_placeholders_is_parsed_once_for_any_inputs(loader, body):
-    counted = counting(loader)
+def test_a_body_without_placeholders_is_what_its_text_parses_to(loader, body):
     template = Template("t", {"x": "default"}, body)
-    with loader_in_use(counted):
-        first, second = _load(template, {}), _load(template, {"x": "other"})
-        assert len(counted.streams) == 1
-    assert second is first
     parsed = yaml.load(body, Loader=loader)
-    if body != "a: &n [1, *n]\n":  # `same` would not end
-        assert same(first, parsed)
-    else:
-        assert first["a"][0] == 1 and first["a"][1] is first["a"]
-    # The stored value shares containers where the text's aliases share them.
-    assert _shape(first) == _shape(parsed)
+    with loader_in_use(loader):
+        instances = [_load(template, {}), _load(template, {"x": "other"})]
+    for instance in instances:
+        if body != "a: &n [1, *n]\n":  # `same` would not end
+            assert same(instance, parsed)
+        else:
+            assert instance["a"][0] == 1 and instance["a"][1] is instance["a"]
+        # The instance shares containers where the text's aliases share them.
+        assert _shape(instance) == _shape(parsed)
 
 
 @pytest.mark.parametrize("loader", LOADERS)
 def test_a_mutated_plan_does_not_reach_the_next_compile(loader):
     # A plan is shared read only by the runs of its document; what is tested
-    # here is that the templates' stored instances do not share its values.
+    # here is that a freshly parsed equal document does not share its values.
     text = """
 name: mutated
 spec:
@@ -405,11 +293,11 @@ spec:
     assert [e.op for e in second.jobs["t"][0].script] == ["running", "success"]
 
 
-# A fault template is built as a job template is: through ``_load_instance``.
+# A fault template is built as a job template is: ``load_yaml`` of its instance text.
 NET = Template("net", {"src": None, "bits": "1"},
                "kind: partition\nsource: {{src}}\ndst: 'b'\nduration: {{bits}}\ndirection: both\n")
 CUT = """
-name: cut
+name: partitioned
 spec:
 - {action: Service, name: a, service: {script: [{at: 0s, do: running}, {at: 5s, do: success}]}}
 - {action: Service, name: b, service: {script: [{at: 0s, do: running}, {at: 5s, do: success}]}}
@@ -418,20 +306,14 @@ spec:
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-def test_a_fault_template_is_parsed_once_per_template(loader):
-    counted = counting(loader)
-    docs = [parse_scenario(CUT % "{src: a, bits: '30'}") for _ in range(3)]  # a plan each
-    with loader_in_use(counted):
-        plans = [compile_scenario(docs[0], {"net": Template(NET.name, NET.parameters, NET.body)})]
-        templates = {"net": Template(NET.name, NET.parameters, NET.body)}
-        plans += [compile_scenario(doc, templates) for doc in docs[1:]]
-        assert len(counted.streams) == 2  # one parse for each Template object
+def test_a_fault_template_compiles_to_what_its_text_parses_to(loader):
+    with loader_in_use(loader):
+        plan = compile_scenario(parse_scenario(CUT % "{src: a, bits: '30'}"), {"net": NET})
+    assert plan.report.ok, str(plan.report)
+    spec = plan.faults["cut"]
     text = instantiate_template(NET, {"src": "a", "bits": "30"})
-    for plan in plans:
-        assert plan.report.ok, str(plan.report)
-        spec = plan.faults["cut"]
-        assert spec == parse_fault_body(load_yaml(text), plan.clusters)
-        assert (spec.targets, spec.dst, spec.duration) == (["a"], ["b"], 30.0)
+    assert spec == parse_fault_body(yaml.load(text, Loader=yaml.SafeLoader), plan.clusters)
+    assert (spec.targets, spec.dst, spec.duration) == (["a"], ["b"], 30.0)
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -509,9 +391,7 @@ spec:
     assert all(severity == "error" for severity, _, _ in findings)
     assert all(message.startswith("template broken body does not parse: ") for _, _, message in findings[:2])
     assert findings[2][2] == "script[0]: unknown effect 'runnning'"
-    # An error is not stored: the next compile finds the same.
     assert [(f.severity, f.location, f.message) for f in validate(doc, templates).findings] == findings
-    assert not templates["broken"]._parsed
 
 
 def test_malformed_inline_job_body_is_a_finding():
