@@ -8,7 +8,15 @@ instance its own.
 
 import pytest
 
-from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, Template, ValidationReport
+from whatif.dsl import (
+    ActionSpec,
+    DependsClause,
+    ScenarioDoc,
+    Template,
+    ValidationReport,
+    compile_scenario,
+    parse_scenario,
+)
 from whatif.errors import Finding
 from whatif.events import Event, EventKind
 from whatif.executors.base import FaultSpec, JobSpec, SimEffect
@@ -117,6 +125,19 @@ def test_repr_names_the_class_and_every_field():
     assert repr(StateCall("failed")) == "StateCall(fn='failed', subject=None)"
     assert repr(Finding("error", "a", "m")) == "Finding(severity='error', location='a', message='m')"
     assert str(Finding("error", "a", "m")) == "error: a: m"
+
+
+def test_a_template_compares_and_shows_the_same_once_compiled():
+    # A compile keeps nothing on a template: it holds its name, parameters and body only.
+    body = "script:\n- {at: '{{p}}', do: running}\n- {at: 9s, do: success}\n"
+    used, fresh = Template("t", {"p": None}, body), Template("t", {"p": None}, body)
+    doc = parse_scenario("spec:\n- {action: Service, name: s, service: {templateRef: t, inputs: [{p: 1s}]}}\n")
+    assert compile_scenario(doc, {"t": used}).report.ok
+    assert Template.__slots__ == ("name", "parameters", "body")
+    assert used == fresh
+    assert repr(used) == repr(fresh) == f"Template(name='t', parameters={{'p': None}}, body={body!r})"
+    with pytest.raises(TypeError):
+        hash(used)
 
 
 def test_a_condition_compares_and_shows_only_its_terms():

@@ -30,6 +30,7 @@ from whatif.dsl import (
     parse_scenario,
     validate,
 )
+from whatif.engine import run_scenario
 from whatif.errors import ScenarioSyntaxError
 from whatif.executors.base import SimEffect
 
@@ -93,6 +94,19 @@ def loader_in_use(loader):
         yield
     finally:
         dsl._YAML_LOADER = saved
+
+
+def counting(loader):
+    """A subclass of ``loader`` that lists every stream it is made to parse."""
+
+    class Counting(loader):
+        streams = []
+
+        def __init__(self, stream):
+            self.streams.append(stream)
+            super().__init__(stream)
+
+    return Counting
 
 
 def same(a, b) -> bool:
@@ -191,6 +205,127 @@ def test_a_placeholder_in_an_ordered_map_is_filled(loader, body, expected):
     template = Template("t", {"x": None}, body)
     with loader_in_use(loader):
         assert same(_load(template, {"x": "5"}), expected)
+
+
+# --- one parse per instance text in a compile, one plan per document ------------------
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_kept_plan_stays_what_its_texts_parse_to(loader):
+    # A document keeps its plan, and every later compile and run of it shares
+    # the stored job and fault specs, so nothing that reads them (the engine,
+    # the executors) may change them.
+    with loader_in_use(loader):
+        corpus = _corpus()
+        plans = []
+        for doc, templates in corpus:
+            plans.append(compile_scenario(doc, templates))
+            for _ in range(2):
+                run_scenario(doc, templates, seed=1)
+                assert compile_scenario(doc, templates) is plans[-1], doc.name
+    assert any(plan.faults for plan in plans)  # a fault template
+    assert sum(len(specs) for plan in plans for specs in plan.jobs.values()) > 150
+    with loader_in_use(yaml.SafeLoader):
+        for (doc, templates), plan in zip(corpus, plans):
+            fresh = compile_scenario(parse_scenario(render_scenario(doc)), templates)
+            assert fresh.jobs == plan.jobs, doc.name
+            assert fresh.faults == plan.faults, doc.name
+
+
+REPEATED = """
+spec:
+- {action: Cluster, name: a, cluster: {templateRef: t, instances: 6, inputs: [{x: 1s}, {x: 2s}, {x: 1s}, {x: 1s}, {x: 2s}, {x: 3s}]}}
+- {action: Cluster, name: b, cluster: {templateRef: u, instances: 3, inputs: [{x: '1'}, {x: '2'}, {}]}}
+- {action: Service, name: c, service: {templateRef: t, inputs: [{x: 2s}]}}
+"""
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_compile_parses_each_instance_text_once(loader):
+    # A compile parses each distinct instance text once, however many
+    # instances and actions make it: u's body has no placeholder, so its
+    # three instances are one text.
+    counted = counting(loader)
+    templates = {
+        "t": Template("t", {"x": None}, "script:\n- {at: '{{x}}', do: running}\n- {at: 9s, do: success}\n"),
+        "u": Template("u", {"x": "5"}, "script:\n- {at: 0s, do: running}\n- {at: 9s, do: success}\n"),
+    }
+    doc, copy = parse_scenario(REPEATED), parse_scenario(REPEATED)
+    with loader_in_use(counted):
+        plan = compile_scenario(doc, templates)
+        assert sorted(counted.streams) == sorted({
+            instantiate_template(templates["t"], {"x": x}) for x in ("1s", "2s", "3s")
+        } | {templates["u"].body})
+        assert compile_scenario(copy, templates).jobs == plan.jobs
+        assert len(counted.streams) == 8  # a freshly parsed document compiles on its own
+    assert plan.report.ok, str(plan.report)
+    starts = [[spec.script[0].offset for spec in plan.jobs[name]] for name in ("a", "b", "c")]
+    assert starts == [[1.0, 2.0, 1.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [2.0]]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_document_parses_its_templates_on_its_first_compile_only(loader):
+    # A document keeps its plan, so its templates are parsed on its first
+    # compile only; a freshly parsed equal document has no plan yet, and
+    # parses them again to equal specs.
+    counted = counting(loader)
+    with loader_in_use(counted):
+        for original, templates in _corpus():
+            doc, copy = (parse_scenario(render_scenario(original)) for _ in range(2))
+            start = len(counted.streams)
+            first = compile_scenario(doc, templates)
+            parsed = len(counted.streams) - start
+            assert compile_scenario(doc, templates) is first
+            run_scenario(doc, templates, seed=1)
+            assert len(counted.streams) - start == parsed, doc.name
+            second = compile_scenario(copy, templates)
+            assert len(counted.streams) - start == 2 * parsed, doc.name
+            assert second is not first
+            assert second.jobs == first.jobs
+            assert second.faults == first.faults
+        assert counted.streams
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_reassigned_body_compiles_again(loader):
+    # The document's plan is keyed by a copy of each template, so a body
+    # changed in place compiles again, even back to a text parsed before.
+    counted = counting(loader)
+    running = "script:\n- {at: '{{x}}', do: running}\n- {at: 9s, do: success}\n"
+    template = Template("t", {"x": None}, running)
+    doc = parse_scenario("spec:\n- {action: Service, name: s, service: {templateRef: t, inputs: [{x: 1s}]}}\n")
+    plans = []
+    with loader_in_use(counted):
+        for body in (running, "script:\n- {at: 0s, do: running}\n- {at: '{{x}}', do: failed}\n", running):
+            template.body = body
+            plans.append(compile_scenario(doc, {"t": template}))
+            assert compile_scenario(doc, {"t": template}) is plans[-1]
+        assert len(counted.streams) == 3
+    assert [[(e.offset, e.op) for e in plan.jobs["s"][0].script] for plan in plans] == [
+        [(1.0, "running"), (9.0, "success")], [(0.0, "running"), (1.0, "failed")], [(1.0, "running"), (9.0, "success")],
+    ]
+    assert plans[2] is not plans[0]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("body", [
+    "script:\n- {at: 0s, do: running}\n- {at: '{{x}}', do: success}\n",
+    "script:\n- {at: 0s, do: running}\n- {at: 7s, do: success}\n",
+])
+def test_a_loader_switch_reuses_the_kept_plan(loader, body):
+    # The plan's key holds no loader, as both loaders build equal values.
+    other = counting(yaml.SafeLoader if loader is not yaml.SafeLoader else LIBYAML)
+    templates = {"t": Template("t", {"x": None}, body)}
+    text = "spec:\n- {action: Service, name: s, service: {templateRef: t, inputs: [{x: 7s}]}}\n"
+    doc, copy = parse_scenario(text), parse_scenario(text)
+    with loader_in_use(loader):
+        first = compile_scenario(doc, templates)
+    with loader_in_use(other):
+        assert compile_scenario(doc, templates) is first
+        assert not other.streams
+        fresh = compile_scenario(copy, templates)
+        assert len(other.streams) == 1
+    assert fresh.jobs == first.jobs
+    assert [(e.offset, e.op) for e in first.jobs["s"][0].script] == [(0.0, "running"), (7.0, "success")]
 
 
 # A placeholder is replaced as text wherever it sits, so an input can add
