@@ -17,7 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from .durations import ENGINE_DEFAULT_TIMEOUT, parse_duration
 from .errors import InvalidScenario, WhatifError
 
 EXIT_OK = 0
@@ -44,7 +43,7 @@ def cmd_validate(args) -> int:
     except (OSError, WhatifError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = validate(doc, templates, args.timeout_default)
+    report = validate(doc, templates)
     print(str(report))
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -71,10 +70,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        engine = Engine(
-            doc, templates, make_executor(args.executor),
-            seed=args.seed, default_timeout=args.timeout_default,
-        )
+        engine = Engine(doc, templates, make_executor(args.executor), seed=args.seed)
     except InvalidScenario as exc:  # the engine validates before it starts anything
         print(str(exc.report), file=sys.stderr)
         return EXIT_INVALID
@@ -160,13 +156,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _duration_arg(value: str) -> float:
-    try:
-        return parse_duration(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="whatif", description="Event-driven what-if scenario runner")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging on stderr")
@@ -175,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="statically check a scenario")
     p_validate.add_argument("scenario")
     p_validate.add_argument("--templates", default=None, help="template directory")
-    p_validate.add_argument("--timeout-default", type=_duration_arg, default=ENGINE_DEFAULT_TIMEOUT)
     p_validate.set_defaults(func=cmd_validate)
 
     p_run = sub.add_parser("run", help="run a scenario and write trace/report files")
@@ -184,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--executor", choices=("sim", "process"), default="sim")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--timeout-default", type=_duration_arg, default=ENGINE_DEFAULT_TIMEOUT)
     p_run.set_defaults(func=cmd_run)
 
     p_report = sub.add_parser("report", help="render a completed run")

@@ -38,7 +38,7 @@ from typing import Optional
 
 import yaml
 
-from .durations import ENGINE_DEFAULT_TIMEOUT, parse_duration
+from .durations import parse_duration
 from .errors import ExprSyntaxError, Finding, ScenarioSyntaxError, SchemaError
 from .executors.base import FaultSpec, JobSpec, SimEffect
 from .expressions import MetricsExprAst, check_scope, parse_expression
@@ -53,6 +53,7 @@ _PLACEHOLDER_RE = re.compile(r"\{\{([A-Za-z_][A-Za-z0-9_.]*)\}\}")
 _MACRO_RE = re.compile(r"\.cluster\.([A-Za-z_][A-Za-z0-9_-]*)\.(all|\d+)")
 
 MAX_INSTANCES = 100_000  # of all clusters together: each instance is a node of the run's tree
+ENGINE_DEFAULT_TIMEOUT = 3600.0  # seconds: an action's timeout when neither it nor its document sets one
 
 # PyYAML's safe loader on libyaml when PyYAML was built with it, about 8x
 # faster than the pure-Python one, which it falls back to otherwise. Both
@@ -699,7 +700,7 @@ class Plan:
         self.checkpoint_exprs: dict[str, list] = {}
         self.jobs: dict[str, list] = {}
         self.faults: dict[str, FaultSpec] = {}
-        self.timeouts: dict[str, Optional[float]] = {}
+        self.timeouts: dict[str, float] = {}
         self.dependents: dict[tuple[str, Phase], list[int]] = {}
 
     def is_service(self, name: str) -> bool:
@@ -750,37 +751,31 @@ def _find_cycle(edges: dict) -> Optional[list[str]]:
     return None
 
 
-def compile_scenario(
-    doc: ScenarioDoc,
-    templates: Optional[dict] = None,
-    default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
-) -> Plan:
+def compile_scenario(doc: ScenarioDoc, templates: Optional[dict] = None) -> Plan:
     """Check a document and compile it for a run, in one pass.
 
     The plan's report holds every static check that keeps a run
     well-formed: dependency cycles, dangling references (depends,
     templateRef, macros, chaos targets, checkpoints), names used twice, job
     and fault bodies that do not parse, expression errors with scope
-    violations, cluster tolerance bounds, and actions that could block
-    forever when no timeout applies at any level. It starts with the parse's
+    violations and cluster tolerance bounds. It starts with the parse's
     findings, and an action reported there gets none of these checks. A
     document whose clusters have more than ``MAX_INSTANCES`` instances in
     all gets that finding and no other check, and no instance is built.
 
     The document keeps the plan with a copy of each template's name,
-    parameters and body: a later compile with the same ``default_timeout``
-    and the same copies returns it, and a template changed since, even in
-    place, compiles again. A compiled document is read only; to change one,
-    build a new one.
+    parameters and body: a later compile with the same copies returns it,
+    and a template changed since, even in place, compiles again. A compiled
+    document is read only; to change one, build a new one.
     """
     templates = templates or {}
-    key = (default_timeout, {k: (t.name, dict(t.parameters), t.body) for k, t in templates.items()})
+    key = {k: (t.name, dict(t.parameters), t.body) for k, t in templates.items()}
     if doc._plan is None or doc._plan[0] != key:
-        doc._plan = (key, _compile(doc, templates, default_timeout))
+        doc._plan = (key, _compile(doc, templates))
     return doc._plan[1]
 
 
-def _compile(doc: ScenarioDoc, templates: dict, default_timeout: Optional[float]) -> Plan:
+def _compile(doc: ScenarioDoc, templates: dict) -> Plan:
     plan = Plan(ResourceNode(doc.name, kind="scenario"))
     findings = plan.report.findings
     findings.extend(doc.findings)
@@ -819,29 +814,17 @@ def _compile(doc: ScenarioDoc, templates: dict, default_timeout: Optional[float]
         findings.append(Finding("error", cycle[0], "dependency cycle: " + "->".join(cycle)))
 
     checkpoints = {a.name: a.values for a in doc.actions if a.kind == "Checkpoint"}
-    scenario_timeout = default_timeout if doc.timeout is None else doc.timeout
+    scenario_timeout = ENGINE_DEFAULT_TIMEOUT if doc.timeout is None else doc.timeout
     parsed: dict = {}  # instantiated job text -> its JobSpec, across actions
     for _, action, node in checked:
         plan.timeouts[action.name] = scenario_timeout if action.timeout is None else action.timeout
         findings.extend(_compile_action(plan, action, node, templates, checkpoints, parsed))
-
-    if default_timeout is None and doc.timeout is None:
-        for _, action, _ in checked:
-            if action.timeout is None and (action.depends.running or action.depends.success):
-                findings.append(Finding(
-                    "error", action.name,
-                    "no effective timeout and a depends clause that could block forever",
-                ))
     return plan
 
 
-def validate(
-    doc: ScenarioDoc,
-    templates: Optional[dict] = None,
-    engine_default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
-) -> ValidationReport:
+def validate(doc: ScenarioDoc, templates: Optional[dict] = None) -> ValidationReport:
     """Every static check that keeps a run well-formed: a copy of ``compile_scenario``'s report."""
-    return ValidationReport(list(compile_scenario(doc, templates, engine_default_timeout).report.findings))
+    return ValidationReport(list(compile_scenario(doc, templates).report.findings))
 
 
 def _compile_action(plan, action, node, templates, checkpoints, parsed) -> list[Finding]:

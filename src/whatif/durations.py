@@ -19,8 +19,6 @@ _SEGMENT = re.compile(r"(\d+(?:\.\d+)?)(ms|s|m|h)")
 
 _UNIT_SECONDS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0}
 
-ENGINE_DEFAULT_TIMEOUT = 3600.0  # seconds: an action's timeout when neither it nor its document sets one
-
 
 def parse_duration(value) -> float:
     """Convert a duration literal to seconds. Raises ValueError when malformed."""

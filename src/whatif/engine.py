@@ -56,7 +56,6 @@ from .dsl import (
     instantiate_template,  # unused here; bench/tracer.py wraps it on this module
     validate,  # unused here; bench/tracer.py wraps it on this module
 )
-from .durations import ENGINE_DEFAULT_TIMEOUT
 from .errors import (
     InvalidScenario,
     IllegalTransition,
@@ -182,10 +181,9 @@ class Engine:
         executor: Optional[Executor] = None,
         clock=None,
         seed: int = 0,
-        default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
     ):
         self.doc = doc
-        plan = compile_scenario(doc, templates, default_timeout)
+        plan = compile_scenario(doc, templates)
         if not plan.report.ok:
             raise InvalidScenario(ValidationReport(list(plan.report.findings)))
         self.plan = plan
@@ -442,8 +440,7 @@ class Engine:
 
     def _dispatch(self, action: ActionSpec) -> None:
         timeout = self.plan.timeouts[action.name]
-        if timeout is not None:  # None: no timeout applies at any level
-            self.queue.push(self.now + timeout, Event(EventKind.TIME, timer_id=f"timeout:{action.name}"))
+        self.queue.push(self.now + timeout, Event(EventKind.TIME, timer_id=f"timeout:{action.name}"))
         if action.kind in ("Service", "Call"):
             self._create_job(self._resolve_job(action, 0, action.name))
         elif action.kind == "Cluster":
@@ -864,8 +861,7 @@ def run_scenario(
     executor: Optional[Executor] = None,
     clock=None,
     seed: int = 0,
-    default_timeout: Optional[float] = ENGINE_DEFAULT_TIMEOUT,
 ) -> Engine:
     """Validate, run, and trace one scenario; returns the finished Engine, see there for the mechanics."""
-    engine = Engine(doc, templates, executor, clock=clock, seed=seed, default_timeout=default_timeout)
+    engine = Engine(doc, templates, executor, clock=clock, seed=seed)
     return engine.run()

@@ -121,8 +121,8 @@ class SimClock:
 
     virtual = True
 
-    def __init__(self, start: float = 0.0):
-        self._now = start
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -9,16 +9,13 @@ only ``base``, loads neither executor.
 from .base import Executor, FaultSpec, JobSpec, SimEffect
 
 
+_CLASS_NAMES = {"sim": "SimExecutor", "process": "ProcessExecutor"}
+
+
 def make_executor(name: str) -> Executor:
-    if name == "sim":
-        from .sim import SimExecutor
-
-        return SimExecutor()
-    if name == "process":
-        from .process import ProcessExecutor
-
-        return ProcessExecutor()
-    raise ValueError(f"unknown executor {name!r}")
+    if name not in _CLASS_NAMES:
+        raise ValueError(f"unknown executor {name!r}")
+    return __getattr__(_CLASS_NAMES[name])()
 
 
 def __getattr__(name: str):

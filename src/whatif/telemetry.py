@@ -10,8 +10,8 @@ unix milliseconds, written exactly (``repr``)::
 Every ingest and query runs on the engine's thread: the process executor
 ingests job output while the loop waits in it. The engine names the
 metrics its assertions read with ``watch``; an ingest of such a metric
-then pushes a Metrics event into the run queue, at most one pending per
-metric, which is how both executors wake the loop.
+then pushes a Metrics event into the run queue, at most one pending for
+all of them, which is how both executors wake the loop.
 """
 
 from __future__ import annotations
@@ -36,16 +36,17 @@ class MetricsStore:
         self._series: dict[str, tuple[list[float], list[float]]] = {}  # name -> (stamps, values)
         self.dropped = 0
         self._watched: frozenset = frozenset()
-        self._pending: set = set()  # watched metrics with an unacknowledged event
+        self._pending: set = set()  # watched metrics with points since take_notices; one event wakes them all
         self._queue = None
         self._clock = None
 
     def watch(self, names, queue, clock) -> None:
         """Push a Metrics event into ``queue`` when a point of one of ``names`` arrives.
 
-        A metric has at most one pending event: later points need none until
-        the engine takes the notice with ``take_notices``, since the
-        evaluation that follows reads them from the store anyway.
+        At most one event is pending for all of them: later points, of any
+        watched metric, need none until the engine takes every notice with
+        ``take_notices``, since the evaluation that follows reads them from
+        the store anyway.
         """
         self._watched = frozenset(names)
         self._queue = queue
@@ -71,9 +72,10 @@ class MetricsStore:
             return False
         times.append(at)
         values.append(value)
-        if name in self._watched and name not in self._pending:
+        if name in self._watched:
+            if not self._pending:
+                self._queue.push(self._clock.now(), Event(EventKind.METRICS, subject=name))
             self._pending.add(name)
-            self._queue.push(self._clock.now(), Event(EventKind.METRICS, subject=name))
         return True
 
     def query(self, name: str, frm: float, to: float) -> list[tuple[float, float]]:

@@ -259,11 +259,12 @@ class TestValidate:
         ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_non_finite_timeout_default_exit_2(self, command, capsys):
+    def test_no_flag_sets_the_timeouts_exit_2(self, command, capsys):
+        """A run's timeouts come from its document alone: no flag sets a default."""
         with pytest.raises(SystemExit) as info:
-            main([command, str(VALID), "--templates", str(TEMPLATES), "--timeout-default", NINES])
+            main([command, str(VALID), "--templates", str(TEMPLATES), "--timeout-default", "5s"])
         assert info.value.code == 2
-        assert "argument --timeout-default: not a finite duration: '999" in capsys.readouterr().err
+        assert "unrecognized arguments: --timeout-default 5s" in capsys.readouterr().err
 
     def test_bad_timestamp_exit_2(self, capsys):
         assert main(["validate", str(BAD_TIMESTAMP), "--templates", str(TEMPLATES)]) == 2

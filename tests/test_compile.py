@@ -32,13 +32,14 @@ STEP = Template("step", {"services": None}, "env: { TARGETS: '{{services}}' }\n"
                 "script:\n- { at: 0s, do: running }\n- { at: 1s, do: success }\n")
 
 
-def _doc(spec):
-    return parse_scenario(yaml.safe_dump({"name": "plan", "spec": spec}, sort_keys=False))
+def _doc(spec, **top):
+    return parse_scenario(yaml.safe_dump({"name": "plan", **top, "spec": spec}, sort_keys=False))
 
 
-def chain(n: int, kind: str):
+def chain(n: int, kind: str, **top):
     """N Calls chained by success beside a 2-instance cluster; each Call has
-    one macro target (`macro`) or one state assertion (`assertion`)."""
+    one macro target (`macro`) or one state assertion (`assertion`). Each
+    keyword is a top-level key of the document, such as ``defaults``."""
     spec = [{"action": "Cluster", "name": "db", "cluster": {"templateRef": "node", "instances": 2}}]
     for i in range(n):
         call = {"action": "Call", "name": f"c{i}",
@@ -47,7 +48,7 @@ def chain(n: int, kind: str):
         if kind == "assertion":
             call["assertions"] = [".state.failed() > 0"]
         spec.append(call)
-    return _doc(spec), {"node": NODE, "step": STEP}
+    return _doc(spec, **top), {"node": NODE, "step": STEP}
 
 
 def wide_kill(n: int):
@@ -104,8 +105,8 @@ def test_state_assertion_work_per_event_does_not_grow_with_the_chain():
     not every asserting action of the document."""
     per_event = {}
     for n in (250, 1000):
-        doc, templates = chain(n, "assertion")
-        result, ops = count_operations(lambda: run_scenario(doc, templates, default_timeout=1e6))
+        doc, templates = chain(n, "assertion", defaults={"timeout": "1000000s"})
+        result, ops = count_operations(lambda: run_scenario(doc, templates))
         assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
         per_event[n] = ops / sum(1 for r in result.trace if r.kind == "event")
     assert per_event[1000] <= 1.1 * per_event[250], per_event
@@ -305,14 +306,6 @@ def test_the_plan_holds_no_run_state():
     assert all(node.phase is Phase.UNINITIALIZED and not node.phase_times for node in iter_nodes(plan.tree))
     again = compile_scenario(parse_scenario(STATELESS), templates)
     assert (plan.faults, plan.jobs) == (again.faults, again.jobs)
-
-
-def test_another_default_timeout_compiles_again():
-    doc, templates = chain(3, "macro")
-    assert validate(doc, templates).ok
-    blocked = validate(doc, templates, None)
-    assert [f.message for f in blocked.errors()] == ["no effective timeout and a depends clause that could block forever"] * 3
-    assert validate(doc, templates).ok
 
 
 def test_only_templates_equal_by_value_share_a_plan():

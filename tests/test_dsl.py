@@ -309,20 +309,6 @@ class TestValidate:
         report = validate(doc, {"t": Template("t", {}, "command: true\n")})
         assert any("outside the local scope" in f.message for f in report.errors())
 
-    def test_missing_timeout_flagged_only_without_any_default(self):
-        text = (
-            "spec:\n"
-            "- action: Call\n  name: a\n  call: { callable: t, services: [] }\n"
-            "- action: Call\n  name: b\n  depends: { success: [a] }\n"
-            "  call: { callable: t, services: [] }\n"
-        )
-        templates = {"t": Template("t", {}, "command: true\n")}
-        assert validate(parse_scenario(text), templates).ok
-        report = validate(parse_scenario(text), templates, engine_default_timeout=None)
-        assert any("block forever" in f.message for f in report.errors())
-        with_defaults = "defaults: { timeout: 5m }\n" + text
-        assert validate(parse_scenario(with_defaults), templates, engine_default_timeout=None).ok
-
     def test_unknown_chaos_target(self):
         doc = parse_scenario(
             "spec:\n- action: Chaos\n  name: z\n"
@@ -728,7 +714,7 @@ def test_only_a_syntax_error_leaves_parse_and_compile(value):
         doc = parse_scenario(yaml.safe_dump(value, sort_keys=False))
     except ScenarioSyntaxError:
         return
-    report = compile_scenario(doc, CORPUS_TEMPLATES, default_timeout=None).report
+    report = compile_scenario(doc, CORPUS_TEMPLATES).report
     assert report.findings[:len(doc.findings)] == doc.findings
     assert not report.ok or not any(f.severity == "error" for f in doc.findings)
 

@@ -6,11 +6,12 @@ import random
 import pytest
 import yaml
 
-from whatif.dsl import DependsClause, Template, parse_scenario, validate
+from whatif.dsl import DependsClause, Template, parse_scenario
 from whatif.engine import Engine, Outcome, dependency_satisfied, ready_since, run_scenario
 from whatif.errors import InvalidScenario, UnsupportedFault
 from whatif.events import Event, EventKind
 from whatif.executors import make_executor
+from whatif.executors.sim import SimExecutor
 from whatif.lifecycle import Phase, ResourceNode, advance_to, iter_nodes
 from whatif.report import build_report
 from whatif.trace import RunTrace
@@ -227,18 +228,30 @@ class TestRunOutcomes:
         assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
         assert [r.at for r in result.trace if r.kind == "outcome"] == [302.0]
 
-    def test_no_timeout_at_any_level(self):
-        doc = parse_scenario(self.SOLO)
-        assert validate(doc, {}, None).ok
-        result = run_scenario(doc, default_timeout=None)
-        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
-
-    def test_job_that_never_finishes_without_a_timeout_aborts_when_nothing_is_pending(self):
+    def test_job_that_never_finishes_aborts_at_its_documents_timeout(self):
         doc = parse_scenario(
+            "defaults: { timeout: 5s }\n"
             "spec:\n- action: Service\n  name: forever\n"
             "  service:\n    script:\n    - { at: 0s, do: running }\n"
         )
-        result = run_scenario(doc, default_timeout=None)
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action forever did not finish in time")
+        assert [r.at for r in result.trace if r.kind == "outcome"] == [5.0]
+
+    def test_an_executor_that_loses_a_jobs_end_aborts_when_nothing_is_pending(self):
+        class Losing(SimExecutor):
+            """A defective executor: starting a job drops every queued item, its action's timeout with them."""
+
+            def start_job(self, spec):
+                super().start_job(spec)
+                while self.queue.pop_next() is not None:
+                    pass
+
+        doc = parse_scenario(
+            "spec:\n- action: Service\n  name: lost\n"
+            "  service:\n    script:\n    - { at: 0s, do: running }\n    - { at: 1s, do: success }\n"
+        )
+        result = run_scenario(doc, executor=Losing())
         assert (result.outcome, result.reason) == (
             Outcome.ABORTED, "timeout: no pending events but actions remain unfinished",
         )

@@ -619,18 +619,6 @@ def _at(result, kind, **data):
     return at
 
 
-def test_a_run_with_no_timer_queued_waits_on_its_job():
-    """No timeout applies, so while the Service runs the queue is empty and the loop blocks in the executor."""
-    doc = parse_scenario("spec:\n- action: Service\n  name: napper\n  service: { command: sleep 0.2 }\n")
-    engine = Engine(doc, {}, ProcessExecutor(), default_timeout=None)
-    waits = []
-    wait = engine.executor.wait
-    engine.executor.wait = lambda timeout: waits.append((timeout, len(engine.queue))) or wait(timeout)
-    result = engine.run()
-    assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
-    assert (None, 0) in waits
-
-
 def test_a_dependent_is_dispatched_at_the_time_its_depends_held():
     """An event and every record its cycle writes share one reading of the wall clock."""
     doc = parse_scenario("""

@@ -126,15 +126,42 @@ class TestStore:
 class TestNotices:
     def test_unwatched_metrics_push_nothing(self):
         store, queue = MetricsStore(), EventQueue()
-        store.watch(["cpu"], queue, WallClock())
+        store.watch(["cpu", "disk"], queue, WallClock())
         store.ingest("mem", 1.0, 0.0)
         assert len(queue) == 0
         store.ingest("cpu", 1.0, 0.0)
         store.ingest("cpu", 2.0, 0.0)
-        assert len(queue) == 1  # one pending event per metric
-        assert store.take_notices() == ["cpu"]
+        store.ingest("disk", 1.0, 0.0)
+        assert len(queue) == 1  # one pending event for all watched metrics
+        assert sorted(store.take_notices()) == ["cpu", "disk"]
         store.ingest("cpu", 3.0, 0.0)
         assert len(queue) == 2
+
+    THREE_EMITTERS = """
+name: three-emitters
+spec:
+- {{action: Service, name: e0, service: {{script: [{{at: 0s, do: running}},
+   {{at: 1s, do: metric, name: a, value: 10}}, {{at: 5s, do: success}}]}}}}
+- {{action: Service, name: e1, service: {{script: [{{at: 0s, do: running}},
+   {{at: 1s, do: metric, name: b, value: 10}}, {{at: 5s, do: success}}]}}}}
+- {{action: Service, name: e2, service: {{script: [{{at: 0s, do: running}},
+   {{at: 1s, do: metric, name: c, value: {c}}}, {{at: 5s, do: success}}]}}}}
+- {{action: Service, name: w, service: {{script: [{{at: 0s, do: running}}, {{at: 5s, do: success}}]}},
+   assertions: ["LAST() QUERY(a, 5s, now) IS ABOVE(50)", "LAST() QUERY(b, 5s, now) IS ABOVE(50)",
+                "LAST() QUERY(c, 5s, now) IS ABOVE(50)"]}}
+"""
+
+    def test_metrics_ingested_at_one_instant_wake_the_run_once(self):
+        """Three watched metrics arrive at 1 s: one Metrics cycle reads them all,
+        and a rule on the last of them still fires at 1 s."""
+        quiet = run_scenario(parse_scenario(self.THREE_EMITTERS.format(c=10)))
+        assert (quiet.outcome, quiet.reason) == (Outcome.SUCCESS, "all actions completed")
+        wakes = [(r.at, r.data["subject"]) for r in quiet.trace
+                 if r.kind == "event" and r.data["event"] == "Metrics" and "fired" not in r.data]
+        assert wakes == [(1.0, "a")]
+        fired = run_scenario(parse_scenario(self.THREE_EMITTERS.format(c=90)))
+        assert (fired.outcome, fired.reason) == (Outcome.FAILED, "w: assertion fired: LAST() QUERY(c, 5s, now) IS ABOVE(50)")
+        assert [r.at for r in fired.trace if r.kind == "outcome"] == [1.0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["m0", "m1", None]), max_size=60))
