@@ -238,6 +238,20 @@ class TestRunOutcomes:
         assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action forever did not finish in time")
         assert [r.at for r in result.trace if r.kind == "outcome"] == [5.0]
 
+    @pytest.mark.parametrize("defaults, own, at", [
+        pytest.param("defaults: { timeout: 5s }\n", "  timeout: 2s\n", 2.0, id="shorter-own"),
+        pytest.param("defaults: { timeout: 5s }\n", "  timeout: 10s\n", 10.0, id="longer-own"),
+        pytest.param("", "", 3600.0, id="engine"),
+    ])
+    def test_an_actions_timeout_is_its_own_else_its_documents_else_the_engines(self, defaults, own, at):
+        doc = parse_scenario(
+            defaults + "spec:\n- action: Service\n  name: forever\n" + own
+            + "  service:\n    script:\n    - { at: 0s, do: running }\n"
+        )
+        result = run_scenario(doc)
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action forever did not finish in time")
+        assert [r.at for r in result.trace if r.kind == "outcome"] == [at]
+
     def test_an_executor_that_loses_a_jobs_end_aborts_when_nothing_is_pending(self):
         class Losing(SimExecutor):
             """A defective executor: starting a job drops every queued item, its action's timeout with them."""
