@@ -25,7 +25,6 @@ _SOURCES = {
     "SimExecutor": ".executors",
     "Template": ".dsl",
     "ValidationReport": ".dsl",
-    "eval_metrics": ".expressions",
     "eval_state": ".expressions",
     "expand_macro": ".dsl",
     "instantiate_template": ".dsl",

@@ -58,7 +58,6 @@ from .dsl import (
 )
 from .errors import (
     InvalidScenario,
-    IllegalTransition,
     SpawnError,
     TargetNotRunning,
     UnknownCheckpoint,
@@ -251,10 +250,10 @@ class Engine:
         self.unfinished = len(doc.actions)
 
         self.dispatched: set = set()
-        # The faults in effect by action: each kill's count of live targets, the kills
+        # The faults in effect by action: each kill's count of live targets, the one kill
         # watching each target, and the suspends and partitions in injection order.
         self.kill_watch: dict[str, int] = {}
-        self.kill_watchers: dict[str, list[str]] = {}
+        self.kill_watchers: dict[str, str] = {}
         self.in_effect: dict[str, FaultSpec] = {}
         self.now = 0.0  # the engine's time: the clock's one reading for the step under way
         self.finished = False
@@ -307,19 +306,16 @@ class Engine:
             return
         self.now = self.clock.now()
         self.trace.append("event", self.now, **event.describe())
-        try:
-            kind = event.kind
-            if kind is EventKind.STATE:
-                self._on_state(event)
-            elif kind is EventKind.TIME:
-                self._on_time(event)
-            elif kind is EventKind.METRICS:
-                self._evaluate_rules()
-            if not self.finished:
-                self._recheck_dispatch()
-                self._check_completion()
-        except IllegalTransition as exc:
-            self._abort(f"illegal transition: {exc}")
+        kind = event.kind
+        if kind is EventKind.STATE:
+            self._on_state(event)
+        elif kind is EventKind.TIME:
+            self._on_time(event)
+        elif kind is EventKind.METRICS:
+            self._evaluate_rules()
+        if not self.finished:
+            self._recheck_dispatch()
+            self._check_completion()
 
     # --- event handlers -----------------------------------------------------
 
@@ -328,7 +324,7 @@ class Engine:
         if node is None:
             _logger().warning("state event for unknown resource %s", event.subject)
             return
-        if node.phase.terminal or event.phase is None:
+        if node.phase.terminal:
             return
 
         if event.phase is Phase.FAILED:
@@ -481,7 +477,7 @@ class Engine:
             watched = dict.fromkeys(spec.targets)  # each one Running
             self.kill_watch[action.name] = len(watched)
             for target in watched:
-                self.kill_watchers.setdefault(target, []).append(action.name)
+                self.kill_watchers[target] = action.name
         else:
             self.in_effect[action.name] = spec
             self.queue.push(self.now + spec.duration, Event(EventKind.TIME, timer_id=f"fault:{action.name}"))
@@ -559,8 +555,6 @@ class Engine:
         node = self.nodes[name]
         self.stale.discard(name)
         for text, item in self.asserts.get(name, []):
-            if self.finished:
-                return
             if isinstance(item, Rule):
                 if metrics and self._evaluate_rule(item):
                     return
@@ -639,14 +633,15 @@ class Engine:
     # --- fault bookkeeping -------------------------------------------------------
 
     def _watch_kill_faults(self, target: ResourceNode) -> None:
-        """Count a target that just turned terminal; a kill fault whose count reaches 0 succeeds."""
-        if not target.phase.terminal:
+        """Count a watched target, which was Running at injection, so its one later State event is terminal;
+        a kill fault whose count reaches 0 succeeds."""
+        action_name = self.kill_watchers.pop(target.name, None)
+        if action_name is None:
             return
-        for action_name in self.kill_watchers.pop(target.name, ()):
-            self.kill_watch[action_name] -= 1
-            if not self.kill_watch[action_name]:
-                del self.kill_watch[action_name]
-                self._end_fault(action_name)
+        self.kill_watch[action_name] -= 1
+        if not self.kill_watch[action_name]:
+            del self.kill_watch[action_name]
+            self._end_fault(action_name)
 
     def _end_fault(self, action: str) -> None:
         """The one place a Chaos action ends: a kill once its last live target is terminal, a suspend

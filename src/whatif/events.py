@@ -6,7 +6,7 @@ Queue items are either Events (consumed by the engine loop) or plain
 callables (scheduled work: the simulated executor's scripted effects).
 Under the simulated clock the loop jumps time to each item; under the
 wall clock it waits in the executor until items fall due, so one thread
-runs the whole run.
+runs the whole run. On either clock an empty queue ends the run's wait.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class EventKind(Enum):
     METRICS = "Metrics"
 
     __hash__ = object.__hash__  # members are singletons; Enum's own hash is Python code
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Event(Value):
@@ -98,22 +95,21 @@ class EventQueue:
         at, _, item = heapq.heappop(self._heap)
         return at, item
 
-    def wait_next(self, clock, wait: Callable[[Optional[float]], bool]) -> Optional[tuple]:
-        """Pop the earliest item once it falls due on the wall clock.
+    def wait_next(self, clock, wait: Callable[[float], None]) -> Optional[tuple]:
+        """Pop the earliest item once it falls due on the wall clock; None as soon as the queue is empty.
 
         Meanwhile ``wait(seconds until due)`` may push items (``Executor.wait``).
-        On an empty queue, return None once ``wait(None)`` says nothing can arrive.
+        An empty queue waits for nothing, as ``pop_next`` does: every action
+        in progress keeps its timeout timer queued, so only a defective
+        executor can drain the queue before the run ends.
         """
-        while True:
-            if not self._heap:
-                if not wait(None):
-                    return None
-                continue
+        while self._heap:
             delay = self._heap[0][0] - clock.now()
             if delay <= 0:
                 at, _, item = heapq.heappop(self._heap)
                 return at, item
             wait(delay)
+        return None
 
 
 class SimClock:

@@ -108,14 +108,9 @@ class Executor:
         """Undo the action's suspend or partition, and let the jobs in ``resume`` go on."""
         raise NotImplementedError
 
-    def wait(self, timeout: Optional[float]) -> bool:
-        """Block until a job has news or ``timeout`` seconds pass; False when no job can bring news.
-
-        ``None`` sets no limit. Here no job can: this sleeps, or returns at once for no limit.
-        """
-        if timeout is not None:
-            time.sleep(timeout)
-        return False
+    def wait(self, timeout: float) -> None:
+        """Block until a job has news or ``timeout`` seconds pass. Here no job can bring news: this sleeps."""
+        time.sleep(timeout)
 
     def shutdown(self) -> None:
         pass

@@ -17,7 +17,6 @@ import selectors
 import shlex
 import signal
 import subprocess
-from typing import Optional
 
 from ..errors import SpawnError, UnsupportedFault
 from ..lifecycle import Phase
@@ -76,9 +75,9 @@ class ProcessExecutor(Executor):
         self._pidfds[spec.name] = pidfd
         self._emit(spec.name, Phase.RUNNING)
 
-    def wait(self, timeout: Optional[float]) -> bool:
-        if not self._pidfds:  # no job left to bring news
-            return super().wait(timeout)
+    def wait(self, timeout: float) -> None:
+        """Block until a job exits or prints, or ``timeout`` seconds pass: a select on the jobs' pidfds and
+        pipes, which sleeps when no job is left."""
         for key, _ in self._selector.select(timeout):
             name = key.data
             if isinstance(key.fileobj, int):  # the pidfd: the job exited
@@ -90,7 +89,6 @@ class ProcessExecutor(Executor):
                     self._emit(name, Phase.FAILED, mode=mode, reason=f"exit={returncode}")
             elif not key.fileobj.closed:  # not closed by a reap earlier in this batch
                 self._read(name, key.fileobj)
-        return True
 
     def _reap(self, name: str) -> int:
         """Kill what is left of the job's group, reap the job, ingest the rest of its output."""

@@ -175,7 +175,8 @@ class TestRunOutcomes:
         assert "fragile" in result.reason
 
     def test_an_expected_failure_at_scenario_level_fails_the_run_with_its_reason(self):
-        """No tolerance applies at scenario level, so even a declared kill fails the run, naming its reason."""
+        """No tolerance applies at scenario level, so even a declared kill fails the run, naming its reason.
+        The failure ends its cycle: the kill that watched the victim does not go on to succeed."""
         doc = parse_scenario(
             "spec:\n- action: Service\n  name: victim\n"
             "  service:\n    script:\n"
@@ -185,6 +186,10 @@ class TestRunOutcomes:
         )
         result = run_scenario(doc)
         assert (result.outcome, result.reason) == (Outcome.FAILED, "victim: killed by kill at scenario level")
+        records = result.trace.records
+        [abort] = [r for r in records if r.kind == "command" and r.data["verb"] == "AbortRun"]
+        after = records[abort.seq + 1]
+        assert (after.kind, after.data) == ("transition", {"subject": result.tree.name, "to": "Failed"})
 
     def test_demo_runs_green_with_ordered_dispatch(self, partition_demo):
         doc, templates = partition_demo
@@ -408,16 +413,23 @@ class TestRunOutcomes:
             Outcome.ABORTED, "internal error: ValueError: cannot set the simulated clock back from 0.0 to -1.0")
         assert [r.kind for r in result.trace][-2:] == ["command", "outcome"]
 
-    def test_illegal_transition_in_a_dispatch_aborts_the_run(self):
-        """An engine bug met while dispatching is no test failure: the run aborts (exit 3)."""
-        doc = parse_scenario(
-            self.SOLO + "- action: Checkpoint\n  name: snap\n  depends: { success: [solo] }\n"
-        )
+    @pytest.mark.parametrize("depends", [
+        pytest.param("", id="first-pass"),
+        pytest.param("  depends: { success: [solo] }\n", id="later-cycle"),
+    ])
+    def test_an_illegal_transition_in_a_dispatch_is_an_internal_error(self, depends, caplog):
+        """An engine bug met while dispatching is no test failure: the run aborts (exit 3) with one
+        internal error, logged once, whether the run's first pass or a later cycle meets it."""
+        doc = parse_scenario(self.SOLO + "- action: Checkpoint\n  name: snap\n" + depends)
         engine = Engine(doc)
         engine.nodes["snap"].phase = Phase.SUCCESS  # so its dispatch moves it backwards
-        result = engine.run()
-        assert (result.outcome, result.reason) == (Outcome.ABORTED, "illegal transition: snap: Success -> Running")
-        assert [r.data["verb"] for r in result.trace if r.kind == "command"][-1] == "AbortRun"
+        with caplog.at_level("ERROR", logger="whatif.engine"):
+            result = engine.run()
+        reason = "internal error: IllegalTransition: snap: Success -> Running"
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, reason)
+        aborts = [r.data["args"] for r in result.trace if r.kind == "command" and r.data["verb"] == "AbortRun"]
+        assert aborts == [{"outcome": "Aborted", "reason": reason}]
+        assert [r.getMessage() for r in caplog.records] == ["internal error"]
 
     def test_internal_error_and_unknown_subjects_log_on_the_engine_logger(self, monkeypatch, caplog):
         engine = Engine(parse_scenario(self.SOLO))

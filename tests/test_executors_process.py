@@ -18,9 +18,9 @@ from whatif import cli
 from whatif.dsl import Template, parse_scenario
 from whatif.engine import Engine, Outcome, run_scenario
 from whatif.errors import SpawnError, UnsupportedFault
-from whatif.events import EventQueue, WallClock
+from whatif.events import EventQueue, SimClock, WallClock
 from whatif.executors import make_executor
-from whatif.executors.base import FaultSpec, JobSpec
+from whatif.executors.base import FaultSpec, JobSpec, SimEffect
 from whatif.executors.process import ProcessExecutor
 from whatif.lifecycle import Phase
 from whatif.telemetry import MetricsStore
@@ -133,6 +133,15 @@ class TestProcessJobs:
             executor.start_job(JobSpec(name="ghost", command="definitely-not-a-binary-xyz"))
         assert queue.pop_next() is None
         executor.shutdown()
+
+    def test_a_script_only_job_fails_the_run_as_a_spawn_failure(self):
+        """A job with no command is refused before anything is spawned."""
+        doc = parse_scenario("spec:\n- { action: Service, name: scripted, service: { script: [{ at: 0s, do: running }] } }\n")
+        executor = ProcessExecutor()
+        result = run_scenario(doc, {}, executor)
+        assert (result.outcome, result.reason) == (
+            Outcome.FAILED, "scripted: spawn failed: scripted: process jobs need a command")
+        assert executor.procs == {}
 
     def test_stdout_metric_lines_ingested(self):
         executor, queue, clock, store = make_harness()
@@ -348,6 +357,22 @@ spec:
 """
 
     @pytest.mark.parametrize("executor", ["sim", "process"])
+    def test_duplicate_name_rejected(self, executor):
+        """A second job under a name in use is refused; the first one stands."""
+        ex = make_executor(executor)
+        ex.bind(EventQueue(), SimClock() if executor == "sim" else WallClock(), MetricsStore())
+        spec = JobSpec(name="j", command="sleep 30", script=[SimEffect(0.0, "running")])
+        ex.start_job(spec)
+        try:
+            with pytest.raises(SpawnError, match="^job name already in use: j$"):
+                ex.start_job(spec)
+        finally:
+            ex.shutdown()
+        if executor == "process":
+            assert list(ex.procs) == ["j"]
+            assert gone(ex.procs["j"].pid, group=True)
+
+    @pytest.mark.parametrize("executor", ["sim", "process"])
     def test_a_target_a_kill_still_watches_is_not_running(self, executor):
         """`k` and `s` are dispatched in one cycle: `s` finds c-0 killed, whether or not its exit was seen."""
         templates = {"node": Template("node", {}, (
@@ -477,6 +502,27 @@ class TestNothingOutlivesARun:
         assert len(pids) >= 2  # c-1's of each run; c-0 may be killed before it starts its own
         assert all(gone(int(pid)) for pid in pids)
 
+    def test_an_executor_that_loses_a_jobs_end_aborts_at_once(self):
+        """A drained queue aborts the run at once, as on the simulator, with the job still alive."""
+
+        class Losing(ProcessExecutor):
+            """A defective executor: starting a job drops every queued item, its action's timeout with them."""
+
+            def start_job(self, spec):
+                super().start_job(spec)
+                while self.queue.pop_next() is not None:
+                    pass
+
+        doc = parse_scenario("spec:\n- { action: Service, name: lost, service: { command: 'sleep 30' } }\n")
+        executor = Losing()
+        started = time.monotonic()
+        result = run_scenario(doc, {}, executor)
+        assert time.monotonic() - started < 2.0
+        assert (result.outcome, result.reason) == (
+            Outcome.ABORTED, "timeout: no pending events but actions remain unfinished",
+        )
+        assert gone(executor.procs["lost"].pid, group=True)
+
     def test_exit_is_seen_while_a_background_process_holds_stdout(self):
         executor, queue, clock, store = make_harness()
         started = time.monotonic()
@@ -592,7 +638,7 @@ def test_a_process_run_starts_no_thread():
     class CountingExecutor(ProcessExecutor):
         def wait(self, timeout):
             counts.append(threading.active_count())
-            return super().wait(timeout)
+            super().wait(timeout)
 
     body = json.dumps({"command": EMITTER.replace("range(3)", "range(10)"), "metrics": "stdout-lines",
                        "declares": ["beats"]})
@@ -640,7 +686,7 @@ def test_an_after_delay_is_waited_out_with_no_job_alive():
     class RecordingExecutor(ProcessExecutor):
         def wait(self, timeout):
             waits.append((len(self._pidfds), timeout))
-            return super().wait(timeout)
+            super().wait(timeout)
 
     doc = parse_scenario("""
 spec:

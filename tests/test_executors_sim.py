@@ -47,12 +47,6 @@ class TestScriptedJobs:
         failed = [e for _, e in ex.advance_to(5.0) if e.phase is Phase.FAILED]
         assert failed[0].failure_mode == "crash"
 
-    def test_duplicate_name_rejected(self, sim_harness):
-        ex, *_ = sim_harness
-        ex.start_job(job("j", (0.0, "running")))
-        with pytest.raises(SpawnError):
-            ex.start_job(job("j", (0.0, "running")))
-
     def test_script_required(self, sim_harness):
         ex, *_ = sim_harness
         with pytest.raises(SpawnError):
