@@ -158,7 +158,6 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="whatif", description="Event-driven what-if scenario runner")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="statically check a scenario")
@@ -183,10 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verbose:  # without -v, the engine's rare warnings reach stderr through logging's default handler
-        import logging
-
-        logging.basicConfig(stream=sys.stderr, level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

@@ -91,7 +91,7 @@ from .lifecycle import (
     slot,
 )
 from .telemetry import MetricsStore, snapshot
-from .trace import RunTrace
+from .trace import FORMAT, RunTrace
 
 
 def _logger():
@@ -279,7 +279,7 @@ class Engine:
             "run", self.now,
             scenario=self.doc.name, seed=self.seed, executor=self.executor.name,
             actions=[{"name": a.name, "kind": a.kind} for a in self.doc.actions],
-            assertions={name: [t for t, _ in pairs] for name, pairs in self.asserts.items()},
+            assertions={name: [t for t, _ in pairs] for name, pairs in self.asserts.items()}, format=FORMAT,
         )
         self.store.watch(self.rules.keys(), self.queue, self.clock)
         self._move(self.tree, Phase.RUNNING)
@@ -627,7 +627,7 @@ class Engine:
         return rule.window.advance(self.store, self.now)
 
     def _fire(self, name: str, text: str) -> None:
-        self.trace.append("event", self.now, event="Metrics", subject=name, expr=text, fired=True)
+        self.trace.append("fired", self.now, owner=name, expr=text)
         self._fail(f"{name}: assertion fired: {text}")
 
     # --- fault bookkeeping -------------------------------------------------------

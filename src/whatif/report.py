@@ -16,8 +16,6 @@ their labels first appear:
   action's transition to Running;
 - a Region ends at that action's first transition to Success or Failed,
   or else at the ``outcome`` record's time.
-
-Older traces also hold ``annotation`` records; the report ignores them.
 """
 
 from __future__ import annotations
@@ -39,40 +37,28 @@ class CorruptRun(WhatifError):
 
 
 def build_report(records: list[TraceRecord]) -> dict:
-    """Shape the trace into the report structure.
+    """Shape the trace into the report structure; CorruptRun without a run or an outcome record.
 
-    CorruptRun if a record lacks a field the report reads, or a field it
-    copies has the wrong type.
+    The records are the engine's own or ``load_trace``'s, so each holds the
+    fields ``trace.RECORDS`` lists for its kind.
     """
-    try:
-        return _shape(records)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise CorruptRun(f"malformed trace record: {type(exc).__name__}: {exc}") from exc
-
-
-def _field(record: TraceRecord, key: str, kind: type, *default):
-    """The record's ``key`` field, or ``default`` when given and it is absent; CorruptRun unless a ``kind``."""
-    value = record.data.get(key, *default) if default else record.data[key]
-    if not isinstance(value, kind):
-        raise CorruptRun(f"malformed trace record {record.seq}: {key} is not a {kind.__name__}")
-    return value
-
-
-def _shape(records: list[TraceRecord]) -> dict:
     header = next((r for r in records if r.kind == "run"), None)
     outcome = next((r for r in records if r.kind == "outcome"), None)
     if header is None or outcome is None:
         raise CorruptRun("trace is missing its run header or outcome record")
-    actions = _field(header, "actions", list, [])
+    actions = header.data["actions"]
     kinds = {action["name"]: action["kind"] for action in actions}
 
     resources: dict[str, dict] = {}
     annotations: dict[str, dict] = {}
     regions: dict[str, dict] = {}  # the open ones, by label
     commands = []
+    checkpoints = []
+    fired: dict[tuple, float] = {}  # the first time of each (owner, expr)
     for record in records:
-        if record.kind == "command":
-            verb, target = _field(record, "verb", str), _field(record, "target", str)
+        kind, data = record.kind, record.data
+        if kind == "command":
+            verb, target = data["verb"], data["target"]
             commands.append({"verb": verb, "target": target, "at": record.at})
             if verb != "CreateJob":
                 continue
@@ -80,8 +66,8 @@ def _shape(records: list[TraceRecord]) -> dict:
                 annotations[target] = regions[target] = {"kind": "Region", "label": target, "start": record.at}
             else:
                 annotations[target] = {"kind": "Point", "label": target, "start": record.at}
-        elif record.kind == "transition":
-            subject, to = _field(record, "subject", str), _field(record, "to", str)
+        elif kind == "transition":
+            subject, to = data["subject"], data["to"]
             entry = resources.get(subject)
             if entry is None:
                 entry = resources[subject] = {"phases": [], "start": record.at}
@@ -92,48 +78,30 @@ def _shape(records: list[TraceRecord]) -> dict:
                 entry["end"] = record.at
                 if subject in regions:
                     regions.pop(subject)["end"] = record.at
-            if record.data.get("class"):
-                entry["failure_class"] = _field(record, "class", str)
-            if record.data.get("reason"):
-                entry["reason"] = _field(record, "reason", str)
+            if data.get("class"):
+                entry["failure_class"] = data["class"]
+            if data.get("reason"):
+                entry["reason"] = data["reason"]
+        elif kind == "checkpoint":
+            checkpoints.append(
+                {"name": data["name"], "at": record.at, "values": data["values"], "phases": data["phases"]})
+        elif kind == "fired":
+            fired.setdefault((data["owner"], data["expr"]), record.at)
     for region in regions.values():
         region["end"] = outcome.at
 
-    fired = [
-        {"subject": r.data.get("subject", ""), "expr": r.data.get("expr", ""), "at": r.at}
-        for r in records
-        if r.kind == "event" and r.data.get("event") == "Metrics" and r.data.get("fired")
-    ]
-    assertions = []
-    for owner, texts in _field(header, "assertions", dict, {}).items():
-        if not isinstance(texts, list):
-            raise CorruptRun(f"malformed trace record {header.seq}: assertions of {owner} is not a list")
-        for text in texts:
-            hit = next((f for f in fired if f["subject"] == owner and f["expr"] == text), None)
-            assertions.append({
-                "owner": owner,
-                "expr": text,
-                "fired": hit is not None,
-                "at": hit["at"] if hit else None,
-            })
-
-    checkpoints = [
-        {
-            "name": _field(r, "name", str),
-            "at": r.at,
-            "values": _field(r, "values", dict),
-            "phases": _field(r, "phases", dict),
-        }
-        for r in records
-        if r.kind == "checkpoint"
+    assertions = [
+        {"owner": owner, "expr": text, "fired": (owner, text) in fired, "at": fired.get((owner, text))}
+        for owner, texts in header.data["assertions"].items()
+        for text in texts
     ]
 
     return {
-        "scenario": _field(header, "scenario", str, ""),
-        "seed": _field(header, "seed", int, 0),
-        "executor": _field(header, "executor", str, ""),
-        "outcome": _field(outcome, "outcome", str),
-        "reason": _field(outcome, "reason", str, ""),
+        "scenario": header.data["scenario"],
+        "seed": header.data["seed"],
+        "executor": header.data["executor"],
+        "outcome": outcome.data["outcome"],
+        "reason": outcome.data["reason"],
         "actions": actions,
         "resources": resources,
         "assertions": assertions,
@@ -150,7 +118,7 @@ def load_run(out_dir) -> tuple:
         raise CorruptRun(f"missing {TRACE_FILE} in {out_dir}")
     try:
         records = load_trace(trace_path)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: a line nested deeper than json can read
         raise CorruptRun(f"unreadable trace: {exc}") from exc
     metrics_path = out / METRICS_FILE
     try:

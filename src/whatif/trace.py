@@ -1,11 +1,12 @@
 """The run trace: an append-only, totally ordered record of one run.
 
 Each record is one newline-delimited JSON object with a sequence number,
-a timestamp, a kind (run, event, command, transition, checkpoint,
-outcome), and kind-specific fields. Each fact is recorded once; the report
-derives what follows from several facts, such as the annotations. Older
-traces also hold ``annotation`` records, which readers ignore. Simulated
-runs with the same document and seed serialize to byte-identical traces.
+a timestamp, a kind (run, event, command, transition, checkpoint, fired,
+outcome), and the fields ``RECORDS`` lists for its kind. Each fact is
+recorded once; the report derives what follows from several facts, such as
+the annotations. The ``run`` record states the trace's ``format``, and
+``load_trace`` reads only format ``FORMAT``. Simulated runs with the same
+document and seed serialize to byte-identical traces.
 
 A record's ``at`` is the one clock reading of the engine step that wrote it,
 in seconds since the run started. So a job's Pending is stamped by the step
@@ -34,6 +35,62 @@ _encode = json.encoder.c_make_encoder(
 # json.loads, less its wrappers: a value, with JSON whitespace around it.
 _decode = json.JSONDecoder().raw_decode
 _space = json.decoder.WHITESPACE.match
+
+FORMAT = 1  # the trace format this version writes, and the only one it reads
+
+
+def _actions(value) -> bool:
+    return type(value) is list and all(
+        type(action) is dict and type(action.get("name")) is str and type(action.get("kind")) is str
+        for action in value)
+
+
+def _assertions(value) -> bool:
+    return type(value) is dict and all(
+        type(owner) is str and type(texts) is list and all(type(text) is str for text in texts)
+        for owner, texts in value.items())
+
+
+def _format(value) -> bool:
+    return type(value) is int and value == FORMAT
+
+
+# What each kind of record holds besides seq, at and kind: its required
+# fields, then its optional ones. A field is of exactly its type (a bool is
+# not an int), or passes its check; a field not listed may be there too.
+RECORDS = {
+    "run": ({"scenario": str, "seed": int, "executor": str, "actions": _actions, "assertions": _assertions,
+             "format": _format}, {}),
+    "event": ({"event": str}, {"subject": str, "timer": str, "phase": str, "mode": str, "reason": str}),
+    "command": ({"verb": str, "target": str, "args": dict}, {}),
+    "transition": ({"subject": str, "to": str}, {"class": str, "reason": str}),
+    "checkpoint": ({"name": str, "values": dict, "phases": dict}, {}),
+    "fired": ({"owner": str, "expr": str}, {}),
+    "outcome": ({"outcome": str, "reason": str}, {}),
+}
+# How an error names what a field should be.
+_WHAT = {str: "a str", int: "an int", dict: "a dict", _format: str(FORMAT),
+         _actions: "a list of maps, each with a str name and a str kind",
+         _assertions: "a map from str to a list of str"}
+
+
+def check_record(kind: str, data: dict) -> None:
+    """ValueError unless ``data`` holds the fields ``RECORDS`` lists for ``kind``, each of its type."""
+    fields = RECORDS.get(kind)
+    if fields is None:
+        raise ValueError(f"unknown record kind {kind!r}")
+    required, optional = fields
+    for name, want in required.items():
+        value = data.get(name)
+        if type(value) is not want and (type(want) is type or not want(value)):
+            if name not in data:
+                raise ValueError(f"{kind} record has no {name}")
+            raise ValueError(f"{kind} record: {name} is not {_WHAT[want]}")
+    if len(data) > len(required):  # optional or extra fields
+        for name, value in data.items():
+            want = optional.get(name)
+            if want is not None and type(value) is not want and (type(want) is type or not want(value)):
+                raise ValueError(f"{kind} record: {name} is not {_WHAT[want]}")
 
 
 class TraceRecord(Value):
@@ -83,20 +140,27 @@ class RunTrace:
 
 
 def load_trace(path) -> list[TraceRecord]:
-    """Read the records of a trace file; ValueError for a line that is not one."""
+    """Read the records of a trace file; ValueError for a line that is not one of ``RECORDS``."""
     records = []
     for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         if not line.strip():
             continue
-        payload, end = _decode(line, _space(line).end())
-        end = _space(line, end).end()
+        # A record as the engine writes it has no whitespace around it: no match needed.
+        payload, end = _decode(line, 0 if line[0] == "{" else _space(line).end())
         if end != len(line):
-            raise json.JSONDecodeError("Extra data", line, end)
+            end = _space(line, end).end()
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         # An int seq, a finite number at (a bool is neither) and a str kind.
         seq, at = (payload.get("seq"), payload.get("at")) if isinstance(payload, dict) else (None, None)
         if not (type(seq) is int and (type(at) is int or type(at) is float and math.isfinite(at))
                 and isinstance(payload.get("kind"), str)):
             raise ValueError(f"line {number} is not a record with a seq, an at and a kind")
         del payload["seq"], payload["at"]
-        records.append(TraceRecord(seq, at, payload.pop("kind"), payload))
+        kind = payload.pop("kind")
+        try:
+            check_record(kind, payload)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        records.append(TraceRecord(seq, at, kind, payload))
     return records

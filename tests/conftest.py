@@ -1,4 +1,5 @@
-"""Shared fixtures: simulator harnesses, scenario building blocks, an operation counter."""
+"""Shared fixtures: simulator harnesses, scenario building blocks, an operation counter,
+and the check of every record each run writes against the trace's record table."""
 
 import faulthandler
 import os
@@ -9,9 +10,11 @@ import pytest
 
 import whatif
 from whatif.dsl import Template, load_templates, parse_scenario
+from whatif.engine import Engine
 from whatif.events import Event, EventQueue, SimClock
 from whatif.executors.sim import SimExecutor
 from whatif.telemetry import MetricsStore
+from whatif.trace import check_record
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -35,6 +38,23 @@ def time_limit(pytestconfig):
     faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=pytestconfig.stash[STDERR_FD])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def conforming_records(monkeypatch):
+    """Every run a test makes, on any executor and however it ends, writes
+    only records that ``trace.RECORDS`` allows: ``check_record`` reads each
+    record once ``Engine.run`` returns or raises."""
+    run = Engine.run
+
+    def checked_run(self):
+        try:
+            return run(self)
+        finally:
+            for record in self.trace:
+                check_record(record.kind, record.data)
+
+    monkeypatch.setattr(Engine, "run", checked_run)
 
 
 def count_operations(fn):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from whatif.errors import IllegalTransition
 from whatif.lifecycle import Phase, ResourceNode, advance_to, aggregate_phase, find_node, iter_nodes, phase_order
-from whatif.trace import TraceRecord
+from whatif.trace import TraceRecord, check_record
 
 # The legal edges of the lifecycle chain, written out: Uninitialized ->
 # Pending -> Running -> Success | Failed.
@@ -116,7 +116,8 @@ def run_one_time_per_step(engine):
 
 
 def load_trace_per_line(path) -> list[TraceRecord]:
-    """The records of a trace file, each line read by ``json.loads``: the reference for ``trace.load_trace``."""
+    """The records of a trace file, each line read by ``json.loads`` and checked by ``trace.check_record``:
+    the reference for ``trace.load_trace``."""
     records = []
     for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         if not line.strip():
@@ -130,5 +131,9 @@ def load_trace_per_line(path) -> list[TraceRecord]:
         seq = payload.pop("seq")
         at = payload.pop("at")
         kind = payload.pop("kind")
+        try:
+            check_record(kind, payload)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
         records.append(TraceRecord(seq, at, kind, payload))
     return records

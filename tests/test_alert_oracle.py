@@ -225,7 +225,7 @@ class TickReference(Engine):
 def fire_time(result):
     """When an assertion decided the run: it fired, or it could not be evaluated."""
     for record in result.trace:
-        if record.kind == "event" and record.data.get("fired"):
+        if record.kind == "fired":
             return record.at
         if (record.kind == "command" and record.data["verb"] == "AbortRun"
                 and "expression error" in record.data["args"]["reason"]):

@@ -1,23 +1,28 @@
 """CLI exit codes, run artifacts, and report formats."""
 
 import errno
+import io
 import json
 import os
 import random
+import re
 import signal
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whatif.cli import main
 from whatif.dsl import ActionSpec, DependsClause, ScenarioDoc, load_templates, parse_scenario
 from whatif.engine import Outcome, run_scenario
 from whatif.executors import SimExecutor
-from whatif.report import build_report, load_run, plot_data, report_json_text
+from whatif.report import build_report, load_run, plot_data
 from whatif.telemetry import MetricsStore
-from whatif.trace import RunTrace
-from conftest import SCENARIOS, script_template
+from whatif.trace import RECORDS, RunTrace
+from conftest import SCENARIOS
 from documents import render_scenario
 from test_engine import LaggingEngine
 
@@ -53,10 +58,9 @@ spec:
   call: { callable: boot, services: [] }
 """
 
-TIMED_OUT_CALL = "spec:\n- action: Call\n  name: slow\n  timeout: 10s\n  call: { callable: t, services: [] }\n"
-
-# The trace of TIMED_OUT_CALL as runs wrote it when each annotation was also
-# its own `annotation` record.
+# The trace of a Call that times out at 10 s, as runs wrote it before the run
+# record stated its format, when each annotation was also its own
+# `annotation` record.
 TIMED_OUT_CALL_OLD_TRACE = """\
 {"actions":[{"kind":"Call","name":"slow"}],"assertions":{},"at":0.0,"executor":"sim","kind":"run","scenario":"scenario","seed":0,"seq":0}
 {"at":0.0,"kind":"transition","seq":1,"subject":"scenario","to":"Pending"}
@@ -168,9 +172,12 @@ class TestValidate:
         assert main(["validate", str(VALID), "--templates", str(TEMPLATES)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_verbose_flag_still_accepted(self, capsys):
-        assert main(["-v", "validate", str(VALID), "--templates", str(TEMPLATES)]) == 0
-        assert "ok" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_no_verbose_flag_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main([flag, "validate", str(VALID), "--templates", str(TEMPLATES)])
+        assert exit.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_name_collision_exit_2(self, capsys):
         assert main(["validate", str(NAME_COLLISION), "--templates", str(TEMPLATES)]) == 2
@@ -671,35 +678,56 @@ class TestReport:
     def test_record_missing_a_field_exit_2(self, run_dir, capsys):
         trace = run_dir / "trace.ndjson"
         records = [json.loads(line) for line in trace.read_text().splitlines()]
-        transition = next(r for r in records if r["kind"] == "transition")
+        number, transition = next((n, r) for n, r in enumerate(records, 1) if r["kind"] == "transition")
         del transition["subject"]
         trace.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(run_dir)]) == 2
-        assert capsys.readouterr().err == "error: malformed trace record: KeyError: 'subject'\n"
+        assert capsys.readouterr().err == f"error: unreadable trace: line {number}: transition record has no subject\n"
 
-    @pytest.mark.parametrize("field, value, kind", [("values", [1], "dict"), ("phases", "Running", "dict"), ("name", 7, "str")])
+    @pytest.mark.parametrize("field, value, kind", [
+        ("values", [1], "a dict"), ("phases", "Running", "a dict"), ("name", 7, "a str"), ("name", None, "a str"),
+    ])
     def test_field_of_the_wrong_type_exit_2(self, run_dir, field, value, kind, capsys):
         record = {"seq": 999, "at": 1, "kind": "checkpoint", "name": "x", "values": {}, "phases": {}}
         record[field] = value
+        number = len((run_dir / "trace.ndjson").read_text().splitlines()) + 1
         with (run_dir / "trace.ndjson").open("a") as trace:
             trace.write(json.dumps(record) + "\n")
         assert main(["report", str(run_dir)]) == 2
-        assert capsys.readouterr().err == f"error: malformed trace record 999: {field} is not a {kind}\n"
+        assert capsys.readouterr().err == f"error: unreadable trace: line {number}: checkpoint record: {field} is not {kind}\n"
 
-    def test_assertion_texts_not_a_list_exit_2(self, run_dir, capsys):
+    @pytest.mark.parametrize("field, value, message", [
+        ("assertions", {"run-workload": "MAX() > 1"}, "assertions is not a map from str to a list of str"),
+        ("actions", [{"name": "a"}], "actions is not a list of maps, each with a str name and a str kind"),
+        ("seed", True, "seed is not an int"),
+        ("format", 2, "format is not 1"),
+        ("format", True, "format is not 1"),
+        ("format", 1.0, "format is not 1"),
+    ])
+    def test_run_record_of_the_wrong_shape_exit_2(self, run_dir, field, value, message, capsys):
         trace = run_dir / "trace.ndjson"
         records = [json.loads(line) for line in trace.read_text().splitlines()]
-        records[0]["assertions"] = {"run-workload": "MAX() > 1"}
+        records[0][field] = value
         trace.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["report", str(run_dir)]) == 2
-        assert capsys.readouterr().err == "error: malformed trace record 0: assertions of run-workload is not a list\n"
+        assert capsys.readouterr().err == f"error: unreadable trace: line 1: run record: {message}\n"
 
-    def test_old_trace_with_annotation_records_gives_the_same_report(self, tmp_path, capsys):
-        (tmp_path / "trace.ndjson").write_text(TIMED_OUT_CALL_OLD_TRACE)
-        assert main(["report", str(tmp_path), "--format", "json"]) == 0
-        templates = {"t": script_template("t", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])}
-        result = run_scenario(parse_scenario(TIMED_OUT_CALL), templates)
-        assert capsys.readouterr().out == report_json_text(build_report(result.trace.records))
+    def test_a_line_nested_past_the_recursion_limit_exit_2(self, tmp_path, capsys):
+        depth = 10 * sys.getrecursionlimit()
+        (tmp_path / "trace.ndjson").write_text('{"seq":0,"at":0,"kind":"event","event":"x","deep":'
+                                               + "[" * depth + "]" * depth + "}\n")
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable trace: maximum recursion depth exceeded")
+
+    def test_old_trace_with_annotation_records_exit_2(self, tmp_path, capsys):
+        """A trace written before the run record stated its format is refused, not read as this format."""
+        trace = tmp_path / "trace.ndjson"
+        trace.write_text(TIMED_OUT_CALL_OLD_TRACE)
+        assert main(["report", str(tmp_path), "--format", "json"]) == 2
+        assert capsys.readouterr().err == "error: unreadable trace: line 1: run record has no format\n"
+        trace.write_text(TIMED_OUT_CALL_OLD_TRACE.replace('"executor"', '"format":1,"executor"', 1))
+        assert main(["report", str(tmp_path), "--format", "json"]) == 2
+        assert capsys.readouterr().err == "error: unreadable trace: line 5: unknown record kind 'annotation'\n"
 
     def test_text_view_of_checkpoints_and_assertions(self, tmp_path, capsys):
         path = tmp_path / "watched.yaml"
@@ -743,3 +771,58 @@ assertions:
         (run_dir / "metrics.txt").write_text("metric cpu high 1000\n")
         assert main(["report", str(run_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: unreadable metrics: ")
+
+
+# One value of each JSON type, an int and a float being one type: numbers.
+OTHER_JSON_VALUES = {"null": None, "bool": True, "number": 0, "string": "x", "array": [], "object": {}}
+
+
+def json_type(value) -> str:
+    return next(name for name, example in OTHER_JSON_VALUES.items()
+                if type(value) is type(example) or name == "number" and type(value) is float)
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    """The run files of the demo, which succeeds, and of WATCHED, which holds a checkpoint and a fired assertion."""
+    root = tmp_path_factory.mktemp("runs")
+    (root / "watched.yaml").write_text(WATCHED)
+    with redirect_stderr(io.StringIO()):
+        assert main(["run", str(VALID), "--templates", str(TEMPLATES), "--out", str(root / "demo")]) == 0
+        assert main(["run", str(root / "watched.yaml"), "--out", str(root / "watched")]) == 1
+    return [root / "demo", root / "watched"]
+
+
+class TestMutatedTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_report_exits_2_or_prints_a_report(self, run_dirs, tmp_path_factory, data):
+        """One field of one record dropped or given another JSON type, or the
+        record's kind renamed: `whatif report` refuses the trace with exit 2,
+        or prints a report, and never raises. Only an optional field may go."""
+        source = data.draw(st.sampled_from(run_dirs))
+        lines = (source / "trace.ndjson").read_text().splitlines()
+        number = data.draw(st.integers(1, len(lines)))
+        record = json.loads(lines[number - 1])
+        change = data.draw(st.sampled_from(["drop", "retype", "rename"]))
+        field = "kind" if change == "rename" else data.draw(st.sampled_from(sorted(record)))
+        if change == "drop":
+            del record[field]
+        elif change == "retype":
+            others = [v for name, v in OTHER_JSON_VALUES.items() if name != json_type(record[field])]
+            record[field] = data.draw(st.sampled_from(others))
+        else:
+            record["kind"] = data.draw(st.sampled_from(sorted({*RECORDS, "annotation"} - {record["kind"]})))
+        out = tmp_path_factory.mktemp("mutated")
+        (out / "metrics.txt").write_text((source / "metrics.txt").read_text())
+        lines[number - 1] = json.dumps(record)
+        (out / "trace.ndjson").write_text("\n".join(lines) + "\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["report", str(out), "--format", data.draw(st.sampled_from(["text", "json", "plotdata"]))])
+        if code == 2:
+            assert re.match(rf"error: unreadable trace: line {number}[: ]", stderr.getvalue()), stderr.getvalue()
+        else:
+            assert code == 0 and stdout.getvalue() and not stderr.getvalue()
+            optional = RECORDS[record["kind"]][1]
+            assert change == "rename" or change == "drop" and field in optional, (change, field)

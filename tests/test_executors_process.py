@@ -415,7 +415,7 @@ spec:
         assert result.outcome is Outcome.FAILED
         assert result.reason == f"spiky: assertion fired: {rule}"
         spike_at = next(at for at, value in result.store.series("x") if value == 99)
-        fired = next(r for r in result.trace if r.kind == "event" and r.data.get("fired"))
+        fired = next(r for r in result.trace if r.kind == "fired")
         assert spike_at <= fired.at < spike_at + tail
 
     def test_a_nan_point_is_dropped_and_hides_no_later_point(self, tmp_path):

@@ -121,14 +121,14 @@ def trace_digest(doc, templates, tmp_path) -> str:
 
 # sha256 of trace.ndjson for each generated document.
 GOLDEN = {
-    "after-race": "d7a13426c6a8f883ac85b8e7caaaa7dea5a905fefa0f8b2ef256d8e8c72ad29e",
-    "chain-120": "e9d0b88584ada4c66c5b172bfaf272cf9caaac4a27529e0a515ed19ad33d3c5f",
-    "cluster-200": "9cab1a6f7b338b6e87b1c431d345746e622137274269080ade1acdd2d40b13e2",
-    "metrics-300": "945088e735abc19a3c7287dd2ed3a8d038f35cb51edf63bd17ae4560df02531a",
+    "after-race": "ca068bd7a9a132fcb6b366a684d9278d7d703bcf1de6979615d3437346506a5a",
+    "chain-120": "3834c04262bd706512ef8e13b11677c27111f6e80d5b2c6d6d789a4ec2dbb672",
+    "cluster-200": "e8e8e1f5a1118fde13890b8918eeabefb5a3904212d27feeebb7b695f78fcc64",
+    "metrics-300": "71c51aa200bc89dca76cb62b411f23477c366da8af102d5595bf2e205773083c",
 }
-DEMO_GOLDEN = "70b6447f1cb4033c3cf8a2fad5d00ef7aa12f46b62550e40910a269eb47c4705"
+DEMO_GOLDEN = "1299df17a6850c0dd3420716e5e5e9993136f8834417a9c320939e8d9fdb9516"
 # sha256 over the concatenated per-document digests of the 25 corpus documents.
-CORPUS_GOLDEN = "21a8493262d34368e27db825141e29ae59c1ce79c27d60f29d6e0c6f90819d64"
+CORPUS_GOLDEN = "79545c7bc1b9afbc215b73bd2e8cae0978420a8de72b62481db7ff4a06404a9e"
 
 
 def _build(name: str):

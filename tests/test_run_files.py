@@ -12,13 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whatif.dsl import load_templates, parse_scenario
-from whatif.engine import run_scenario
+from whatif.engine import Engine, run_scenario
+from whatif.executors import SimExecutor
 from whatif import report
 from whatif.report import build_report, report_json_text
-from whatif.trace import RunTrace, TraceRecord, load_trace
+from whatif.trace import RECORDS, RunTrace, TraceRecord, check_record, load_trace
 
 from conftest import SCENARIOS
 from oracles import load_trace_per_line
+from test_cli import WATCHED
 
 # Keys and strings with non-ASCII characters and control characters.
 TEXT = st.text(max_size=8)
@@ -158,13 +160,13 @@ MUTATIONS = {
     "one-record-over-two-lines": lambda lines: [*lines[:3], *_split_record(lines[3]), *lines[4:]],
     "trailing-garbage": lambda lines: [*lines[:3], lines[3] + " x", *lines[4:]],
     "trailing-non-json-space": lambda lines: [*lines[:3], lines[3] + "\x1f", *lines[4:]],
-    "missing-at": lambda lines: [*lines[:3], '{"seq":3,"kind":"run"}', *lines[4:]],
-    "string-at": lambda lines: [*lines[:3], '{"seq":3,"at":"0","kind":"run"}', *lines[4:]],
-    "bool-seq": lambda lines: [*lines[:3], '{"seq":true,"at":0.0,"kind":"run"}', *lines[4:]],
-    "bool-at": lambda lines: [*lines[:3], '{"seq":3,"at":false,"kind":"run"}', *lines[4:]],
-    "infinite-at": lambda lines: [*lines[:3], '{"seq":3,"at":1e400,"kind":"run"}', *lines[4:]],
-    "nan-at": lambda lines: [*lines[:3], '{"seq":3,"at":NaN,"kind":"run"}', *lines[4:]],
-    "huge-int-at": lambda lines: [*lines[:3], '{"seq":3,"at":' + "9" * 400 + ',"kind":"run"}', *lines[4:]],
+    "missing-at": lambda lines: [*lines[:3], '{"seq":3,"kind":"event","event":"Time"}', *lines[4:]],
+    "string-at": lambda lines: [*lines[:3], '{"seq":3,"at":"0","kind":"event","event":"Time"}', *lines[4:]],
+    "bool-seq": lambda lines: [*lines[:3], '{"seq":true,"at":0.0,"kind":"event","event":"Time"}', *lines[4:]],
+    "bool-at": lambda lines: [*lines[:3], '{"seq":3,"at":false,"kind":"event","event":"Time"}', *lines[4:]],
+    "infinite-at": lambda lines: [*lines[:3], '{"seq":3,"at":1e400,"kind":"event","event":"Time"}', *lines[4:]],
+    "nan-at": lambda lines: [*lines[:3], '{"seq":3,"at":NaN,"kind":"event","event":"Time"}', *lines[4:]],
+    "huge-int-at": lambda lines: [*lines[:3], '{"seq":3,"at":' + "9" * 400 + ',"kind":"event","event":"Time"}', *lines[4:]],
 }
 
 
@@ -180,17 +182,52 @@ class TestTraceReader:
     @settings(max_examples=300, deadline=None)
     @given(inserted=st.lists(st.text(alphabet=' \t{}[]",:.-+0123456789aeflnrstuE\\', max_size=30), max_size=4),
            where=st.integers(min_value=0, max_value=5))
-    @example(inserted=[' {"seq":9,"at":1e2,"kind":"x"} '], where=2)
-    @example(inserted=['{"seq":9,"at":1,"kind":"x"}{}'], where=0)
+    @example(inserted=[' {"seq":9,"at":1e2,"kind":"event","event":"x"} '], where=2)
+    @example(inserted=['{"seq":9,"at":1,"kind":"event","event":"x"}{}'], where=0)
     def test_inserted_lines_equal_the_per_line_reader(self, inserted, where, tmp_path_factory):
-        lines = ['{"at":0.0,"kind":"run","seq":0}', '{"at":0.5,"kind":"event","seq":1,"tags":{"a":[1,2.5]}}'] * 3
+        run = ('{"actions":[{"kind":"Call","name":"c"}],"assertions":{"c":[]},"at":0.0,"executor":"sim",'
+               '"format":1,"kind":"run","scenario":"s","seed":0,"seq":0}')
+        lines = [run, '{"at":0.5,"event":"State","kind":"event","seq":1,"tags":{"a":[1,2.5]}}'] * 3
         path = tmp_path_factory.mktemp("trace") / "trace.ndjson"
         path.write_text("\n".join(lines[:where] + inserted + lines[where:]) + "\n", encoding="ascii")
         assert outcome(load_trace, path) == outcome(load_trace_per_line, path)
 
     def test_a_saved_trace_reads_back(self, tmp_path):
         trace = RunTrace()
-        trace.append("run", 0.0, scenario="s", actions=[{"kind": "Call", "name": "c"}])
+        trace.append("run", 0.0, scenario="s", seed=0, executor="sim", actions=[{"kind": "Call", "name": "c"}],
+                     assertions={}, format=1)
         trace.append("event", 0.25, event="State", subject="cé", phase="Running")
         trace.save(tmp_path / "trace.ndjson")
         assert load_trace(tmp_path / "trace.ndjson") == trace.records
+
+
+class TestRecordTable:
+    def test_every_kind_in_the_table_is_one_the_engine_writes(self, demo_trace):
+        """WATCHED takes a checkpoint and fires an assertion; with the demo, the runs write every kind."""
+        watched = run_scenario(parse_scenario(WATCHED)).trace
+        assert {record.kind for record in [*demo_trace, *watched]} == set(RECORDS)
+
+    @pytest.mark.parametrize("kind, data, error", [
+        ("annotation", {}, "unknown record kind 'annotation'"),
+        ("fired", {"owner": "a"}, "fired record has no expr"),
+        ("outcome", {"outcome": "Success", "reason": 1}, "outcome record: reason is not a str"),
+        ("transition", {"subject": "a", "to": "Failed", "class": None}, "transition record: class is not a str"),
+        ("run", {"scenario": "s", "seed": 0.0, "executor": "sim", "actions": [], "assertions": {}, "format": 1},
+         "run record: seed is not an int"),
+    ])
+    def test_a_record_outside_the_table_is_refused(self, kind, data, error):
+        with pytest.raises(ValueError) as refused:
+            check_record(kind, data)
+        assert str(refused.value) == error
+
+    def test_a_run_that_writes_a_record_outside_the_table_fails_its_test(self):
+        """The suite's `conforming_records` fixture reads every record a run wrote."""
+        class Terse(Engine):
+            def _fire(self, name, text):
+                self.trace.append("fired", self.now, owner=name)
+                self._fail(f"{name}: assertion fired: {text}")
+
+        engine = Terse(parse_scenario(WATCHED), {}, SimExecutor())
+        with pytest.raises(ValueError, match="^fired record has no expr$"):
+            engine.run()
+        assert engine.outcome.value == "Failed"

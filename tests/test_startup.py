@@ -3,7 +3,7 @@
 A simulated run needs neither the process executor (with ``subprocess`` and
 ``signal``) nor ``logging``, and the package's data classes are plain
 classes, so importing it must not load these modules; nor must the CLI,
-which loads ``logging`` only for ``-v``. `import whatif` loads nothing else:
+which sets up no ``logging``. `import whatif` loads nothing else:
 each public name loads its module on first access, so validating a document
 loads no engine, and `whatif report` loads no PyYAML, DSL or engine. The
 checks count modules; they time nothing. The document schema lives in

@@ -156,11 +156,11 @@ spec:
         and a rule on the last of them still fires at 1 s."""
         quiet = run_scenario(parse_scenario(self.THREE_EMITTERS.format(c=10)))
         assert (quiet.outcome, quiet.reason) == (Outcome.SUCCESS, "all actions completed")
-        wakes = [(r.at, r.data["subject"]) for r in quiet.trace
-                 if r.kind == "event" and r.data["event"] == "Metrics" and "fired" not in r.data]
+        wakes = [(r.at, r.data["subject"]) for r in quiet.trace if r.kind == "event" and r.data["event"] == "Metrics"]
         assert wakes == [(1.0, "a")]
         fired = run_scenario(parse_scenario(self.THREE_EMITTERS.format(c=90)))
         assert (fired.outcome, fired.reason) == (Outcome.FAILED, "w: assertion fired: LAST() QUERY(c, 5s, now) IS ABOVE(50)")
+        assert [(r.at, r.data["owner"]) for r in fired.trace if r.kind == "fired"] == [(1.0, "w")]
         assert [r.at for r in fired.trace if r.kind == "outcome"] == [1.0]
 
     @settings(max_examples=200, deadline=None)
