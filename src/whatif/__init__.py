@@ -9,7 +9,7 @@ metrics, runnable against a deterministic simulator or local processes.
 first access (PEP 562): `whatif.parse_scenario` loads the DSL, expressions
 and PyYAML but not the engine, `whatif.Engine` the engine with the trace and
 telemetry, `whatif.SimExecutor` the simulator and `whatif.ProcessExecutor`
-the process executor with `subprocess` and `signal`.
+the process executor with `signal`.
 """
 
 __version__ = "0.1.0"

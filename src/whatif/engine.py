@@ -515,6 +515,9 @@ class Engine:
                 failure_mode="crash", reason=f"spawn failed: {exc}",
             ))
             return
+        except KeyboardInterrupt:  # it may land once the job is started: as Pending, the cleanup kills it
+            self._move(self.nodes[spec.name], Phase.PENDING)
+            raise
         for metric in spec.declares:  # the spawn succeeded
             self.store.declare(metric)
         self._move(self.nodes[spec.name], Phase.PENDING)

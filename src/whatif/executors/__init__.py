@@ -2,8 +2,8 @@
 
 Each executor is imported on first use: by ``make_executor`` or by looking
 up ``SimExecutor`` or ``ProcessExecutor`` here. The process executor brings
-``subprocess`` and ``signal`` with it; the document compiler, which needs
-only ``base``, loads neither executor.
+``signal`` with it; the document compiler, which needs only ``base``, loads
+neither executor.
 """
 
 from .base import Executor, FaultSpec, JobSpec, SimEffect

@@ -40,12 +40,11 @@ def build_report(records: list[TraceRecord]) -> dict:
     """Shape the trace into the report structure; CorruptRun without a run or an outcome record.
 
     The records are the engine's own or ``load_trace``'s, so each holds the
-    fields ``trace.RECORDS`` lists for its kind.
+    fields ``trace.RECORDS`` lists for its kind, in the order it states.
     """
-    header = next((r for r in records if r.kind == "run"), None)
-    outcome = next((r for r in records if r.kind == "outcome"), None)
-    if header is None or outcome is None:
+    if not (records and records[0].kind == "run" and records[-1].kind == "outcome"):
         raise CorruptRun("trace is missing its run header or outcome record")
+    header, outcome = records[0], records[-1]
     actions = header.data["actions"]
     kinds = {action["name"]: action["kind"] for action in actions}
 

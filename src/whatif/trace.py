@@ -58,6 +58,9 @@ def _format(value) -> bool:
 # What each kind of record holds besides seq, at and kind: its required
 # fields, then its optional ones. A field is of exactly its type (a bool is
 # not an int), or passes its check; a field not listed may be there too.
+# The records of a trace are also in order: seq counts 0, 1, 2 and so on,
+# at never decreases, the first record is ``run``, and ``outcome``, if there,
+# comes once and last. ``load_trace`` refuses a trace that breaks either rule.
 RECORDS = {
     "run": ({"scenario": str, "seed": int, "executor": str, "actions": _actions, "assertions": _assertions,
              "format": _format}, {}),
@@ -140,7 +143,7 @@ class RunTrace:
 
 
 def load_trace(path) -> list[TraceRecord]:
-    """Read the records of a trace file; ValueError for a line that is not one of ``RECORDS``."""
+    """Read the records of a trace file; ValueError for a line that is not one of ``RECORDS``, or out of order."""
     records = []
     for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         if not line.strip():
@@ -162,5 +165,11 @@ def load_trace(path) -> list[TraceRecord]:
             check_record(kind, payload)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
+        if seq != len(records):
+            raise ValueError(f"line {number}: seq {seq} where {len(records)} is due")
+        if not records and kind != "run":
+            raise ValueError(f"line {number}: the first record is {kind}, not run")
+        if records and (at < records[-1].at or records[-1].kind == "outcome"):
+            raise ValueError(f"line {number}: {kind} at {at!r} after {records[-1].kind} at {records[-1].at!r}")
         records.append(TraceRecord(seq, at, kind, payload))
     return records

@@ -116,8 +116,8 @@ def run_one_time_per_step(engine):
 
 
 def load_trace_per_line(path) -> list[TraceRecord]:
-    """The records of a trace file, each line read by ``json.loads`` and checked by ``trace.check_record``:
-    the reference for ``trace.load_trace``."""
+    """The records of a trace file, each line read by ``json.loads``, checked by ``trace.check_record`` and then
+    against the record before it: the reference for ``trace.load_trace``."""
     records = []
     for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         if not line.strip():
@@ -135,5 +135,11 @@ def load_trace_per_line(path) -> list[TraceRecord]:
             check_record(kind, payload)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
+        if seq != len(records):
+            raise ValueError(f"line {number}: seq {seq} where {len(records)} is due")
+        if not records and kind != "run":
+            raise ValueError(f"line {number}: the first record is {kind}, not run")
+        if records and (at < records[-1].at or records[-1].kind == "outcome"):
+            raise ValueError(f"line {number}: {kind} at {at!r} after {records[-1].kind} at {records[-1].at!r}")
         records.append(TraceRecord(seq, at, kind, payload))
     return records

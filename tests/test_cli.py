@@ -712,6 +712,24 @@ class TestReport:
         assert main(["report", str(run_dir)]) == 2
         assert capsys.readouterr().err == f"error: unreadable trace: line 1: run record: {message}\n"
 
+    @pytest.mark.parametrize("reorder, error", [
+        (lambda rs: [rs[0], rs[-1], *rs[1:-1]], "line 3: transition at 0.0 after outcome at 700.0"),
+        (lambda rs: [*rs, rs[-1]], "line 63: outcome at 700.0 after outcome at 700.0"),
+        (lambda rs: rs[1:], "line 1: the first record is transition, not run"),
+        (lambda rs: [*rs[:3], dict(rs[3], at=-1.0), *rs[4:]], "line 4: transition at -1.0 after transition at 0.0"),
+        (lambda rs: [*rs[:3], *(dict(r, seq=r["seq"] + 1) for r in rs[3:])], "line 4: seq 4 where 3 is due"),
+    ], ids=["outcome-on-line-2", "second-outcome", "first-not-run", "earlier-at", "seq-gap"])
+    def test_records_out_of_order_exit_2(self, run_dir, reorder, error, capsys):
+        """The outcome moved to line 2, or a second one after it; no run record first; an at earlier than the
+        last; a skipped seq. Each record is whole: only the order is wrong, and seq counts on unless skipped."""
+        trace = run_dir / "trace.ndjson"
+        records = reorder([json.loads(line) for line in trace.read_text().splitlines()])
+        if "seq" not in error:
+            records = [dict(record, seq=seq) for seq, record in enumerate(records)]
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"error: unreadable trace: {error}\n"
+
     def test_a_line_nested_past_the_recursion_limit_exit_2(self, tmp_path, capsys):
         depth = 10 * sys.getrecursionlimit()
         (tmp_path / "trace.ndjson").write_text('{"seq":0,"at":0,"kind":"event","event":"x","deep":'

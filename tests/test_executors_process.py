@@ -1,5 +1,6 @@
 """Local-process executor: real children, exit mapping, signals, metrics."""
 
+import fcntl
 import glob
 import json
 import os
@@ -161,7 +162,7 @@ class TestProcessJobs:
         ))
         events = drain(executor, queue, want=1)
         assert events[-1].phase is Phase.SUCCESS
-        assert executor.procs["emitter"].stdout.closed
+        assert executor.procs["emitter"].stdout is None  # closed
         executor.shutdown()
 
     def test_non_metric_lines_ignored(self):
@@ -175,6 +176,54 @@ class TestProcessJobs:
         drain(executor, queue, want=1)
         assert store.series("m") == []
         executor.shutdown()
+
+
+class TestSpawnContract:
+    """What a job starts with: the caller's signal mask, SIGPIPE and SIGXFSZ at default, fds 0-2 of the
+    caller's inheritable fds, and a bare command looked up on its own env's PATH."""
+
+    @staticmethod
+    def run_job(command, env=None):
+        executor, queue, clock, store = make_harness()
+        try:
+            executor.start_job(JobSpec(name="probe", command=command, env=env or {}))
+            return drain(executor, queue, want=1)[-1]
+        finally:
+            executor.shutdown()
+
+    def test_a_job_starts_with_no_signal_blocked_and_sigpipe_and_sigxfsz_at_default(self, tmp_path):
+        status = tmp_path / "status"
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()  # the caller's mask
+        assert self.run_job(f"sh -c 'exec cat /proc/self/status > {status}'").phase is Phase.SUCCESS
+        fields = dict(line.split(":\t", 1) for line in status.read_text().splitlines() if ":\t" in line)
+        ignored = int(fields["SigIgn"], 16)
+        assert int(fields["SigBlk"], 16) == 0
+        assert [sig for sig in (signal.SIGPIPE, signal.SIGXFSZ) if ignored >> (sig - 1) & 1] == []
+
+    def test_a_job_does_not_see_an_inheritable_fd_of_the_caller(self, tmp_path):
+        listing = tmp_path / "fds"
+        read_end, write_end = os.pipe()
+        inheritable = fcntl.fcntl(write_end, fcntl.F_DUPFD, 100)  # F_DUPFD sets no close-on-exec
+        try:
+            assert os.get_inheritable(inheritable)
+            assert self.run_job(f"sh -c 'exec ls /proc/self/fd > {listing}'").phase is Phase.SUCCESS
+        finally:
+            for fd in (read_end, write_end, inheritable):
+                os.close(fd)
+        fds = [int(name) for name in listing.read_text().split()]
+        assert {0, 1, 2} <= set(fds) and inheritable not in fds
+
+    def test_a_bare_command_is_looked_up_on_the_jobs_own_path(self, tmp_path):
+        folder = tmp_path / "bin"
+        folder.mkdir()
+        ran = tmp_path / "ran"
+        tool = folder / "whatif-probe-tool"
+        tool.write_text(f"#!/bin/sh\necho ran > {ran}\n")
+        tool.chmod(0o755)
+        assert self.run_job("whatif-probe-tool", env={"PATH": str(folder)}).phase is Phase.SUCCESS
+        assert ran.read_text() == "ran\n"
+        with pytest.raises(SpawnError, match="No such file or directory: 'true'"):  # on the caller's PATH only
+            self.run_job("true", env={"PATH": str(folder)})
 
 
 class TestProcessFaults:
@@ -530,7 +579,7 @@ class TestNothingOutlivesARun:
         events = drain(executor, queue, want=1)
         assert time.monotonic() - started < 0.2
         assert events[-1].phase is Phase.FAILED and events[-1].reason == "exit=3"
-        assert executor.procs["quick"].stdout.closed
+        assert executor.procs["quick"].stdout is None  # closed
         executor.shutdown()
         assert gone(executor.procs["quick"].pid, group=True)
 
@@ -596,6 +645,35 @@ class TestNothingOutlivesARun:
         assert executor.procs["svc"].returncode == -signal.SIGKILL
         assert gone(executor.procs["svc"].pid, group=True)
 
+    def test_a_signal_during_the_spawn_is_handled_with_the_job_recorded(self, monkeypatch):
+        """SIGINT sent to this thread as the spawn returns waits until the job is recorded, then interrupts
+        the run, whose cleanup kills the job."""
+        spawn = os.posix_spawn
+
+        def signalled(*args, **kwargs):
+            pid = spawn(*args, **kwargs)
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)  # to this thread, not to a watchdog's
+            return pid
+
+        engines = []
+
+        class RecordingEngine(Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(os, "posix_spawn", signalled)
+        monkeypatch.setattr("whatif.engine.Engine", RecordingEngine)
+        doc = parse_scenario("spec:\n- { action: Service, name: svc, service: { command: \"sh -c 'sleep 30 & sleep 30'\" } }\n")
+        executor = ProcessExecutor()
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(doc, {}, executor)
+        records = engines[0].trace.records
+        assert records[-1].data == {"outcome": "Aborted", "reason": "interrupted: KeyboardInterrupt"}
+        assert [r.data["target"] for r in records if r.kind == "command" and r.data["verb"] == "KillJob"] == ["svc"]
+        assert executor.procs["svc"].returncode == -signal.SIGKILL
+        assert gone(executor.procs["svc"].pid, group=True)
+
     @pytest.mark.parametrize("step", ["pidfd", "pipe"])
     def test_an_interrupt_while_registering_a_job_leaves_no_job(self, step, monkeypatch):
         def open_pidfds():
@@ -606,7 +684,7 @@ class TestNothingOutlivesARun:
         register = executor._selector.register
 
         def interrupted(fileobj, events, data=None):
-            if isinstance(fileobj, int) == (step == "pidfd"):
+            if (fileobj == executor.procs["svc"].pidfd) == (step == "pidfd"):
                 raise KeyboardInterrupt
             return register(fileobj, events, data)
 
@@ -621,7 +699,7 @@ class TestNothingOutlivesARun:
         assert executor._selector.get_map() is None  # closed
         assert open_pidfds() == before
         assert executor.procs["svc"].returncode == -signal.SIGKILL
-        assert executor.procs["svc"].stdout.closed
+        assert executor.procs["svc"].stdout is None  # closed
         assert gone(executor.procs["svc"].pid, group=True)
 
 
@@ -685,7 +763,7 @@ def test_an_after_delay_is_waited_out_with_no_job_alive():
 
     class RecordingExecutor(ProcessExecutor):
         def wait(self, timeout):
-            waits.append((len(self._pidfds), timeout))
+            waits.append((sum(job.returncode is None for job in self.procs.values()), timeout))
             super().wait(timeout)
 
     doc = parse_scenario("""

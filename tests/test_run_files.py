@@ -148,6 +148,10 @@ def _split_record(line: str) -> list[str]:
     return [line[:cut], line[cut:]]
 
 
+def _renumber(lines: list[str], start: int = 0) -> list[str]:
+    return [json.dumps(dict(json.loads(line), seq=seq)) for seq, line in enumerate(lines, start)]
+
+
 MUTATIONS = {
     "unchanged": lambda lines: lines,
     "json-whitespace-padding": lambda lines: [" \t" + lines[0] + "  \t", *lines[1:4], "\t" + lines[4], *lines[5:]],
@@ -166,7 +170,11 @@ MUTATIONS = {
     "bool-at": lambda lines: [*lines[:3], '{"seq":3,"at":false,"kind":"event","event":"Time"}', *lines[4:]],
     "infinite-at": lambda lines: [*lines[:3], '{"seq":3,"at":1e400,"kind":"event","event":"Time"}', *lines[4:]],
     "nan-at": lambda lines: [*lines[:3], '{"seq":3,"at":NaN,"kind":"event","event":"Time"}', *lines[4:]],
-    "huge-int-at": lambda lines: [*lines[:3], '{"seq":3,"at":' + "9" * 400 + ',"kind":"event","event":"Time"}', *lines[4:]],
+    "huge-int-at": lambda lines: [*lines[:-1], json.dumps(dict(json.loads(lines[-1]), at=int("9" * 400)))],
+    "outcome-on-line-2": lambda lines: _renumber([lines[0], lines[-1], *lines[1:-1]]),
+    "first-not-run": lambda lines: _renumber(lines[1:]),
+    "earlier-at": lambda lines: [*lines[:3], json.dumps(dict(json.loads(lines[3]), at=-1.0)), *lines[4:]],
+    "seq-gap": lambda lines: [*lines[:3], *_renumber(lines[3:], 4)],
 }
 
 
@@ -187,7 +195,7 @@ class TestTraceReader:
     def test_inserted_lines_equal_the_per_line_reader(self, inserted, where, tmp_path_factory):
         run = ('{"actions":[{"kind":"Call","name":"c"}],"assertions":{"c":[]},"at":0.0,"executor":"sim",'
                '"format":1,"kind":"run","scenario":"s","seed":0,"seq":0}')
-        lines = [run, '{"at":0.5,"event":"State","kind":"event","seq":1,"tags":{"a":[1,2.5]}}'] * 3
+        lines = [run, *('{"at":0.5,"event":"State","kind":"event","seq":%d,"tags":{"a":[1,2.5]}}' % seq for seq in range(1, 6))]
         path = tmp_path_factory.mktemp("trace") / "trace.ndjson"
         path.write_text("\n".join(lines[:where] + inserted + lines[where:]) + "\n", encoding="ascii")
         assert outcome(load_trace, path) == outcome(load_trace_per_line, path)

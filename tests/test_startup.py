@@ -1,7 +1,7 @@
 """What `import whatif`, `import whatif.cli` and each command load, checked in fresh interpreters.
 
-A simulated run needs neither the process executor (with ``subprocess`` and
-``signal``) nor ``logging``, and the package's data classes are plain
+A simulated run needs neither the process executor (with ``signal``) nor
+``logging``, and the package's data classes are plain
 classes, so importing it must not load these modules; nor must the CLI,
 which sets up no ``logging``. `import whatif` loads nothing else:
 each public name loads its module on first access, so validating a document
@@ -29,12 +29,15 @@ before = set(sys.modules)
 import whatif
 added = sorted(set(sys.modules) - before)
 
+before = set(sys.modules)
 from_package = whatif.ProcessExecutor
 from whatif.executors import ProcessExecutor, make_executor
 made = make_executor("process")
+executor_added = sorted(set(sys.modules) - before)
 from whatif.executors import process
 print(json.dumps({{
     "added": added,
+    "executor_added": executor_added,
     "package_attr": from_package is process.ProcessExecutor,
     "executors_attr": ProcessExecutor is process.ProcessExecutor,
     "made": type(made) is process.ProcessExecutor,
@@ -76,6 +79,12 @@ def test_process_executor_still_resolves(result):
     assert result["package_attr"] and result["executors_attr"]
     assert result["made"]
     assert result["in_all"]
+
+
+def test_the_process_executor_loads_no_subprocess(result):
+    """It spawns its jobs with ``os.posix_spawn``; ``subprocess`` is not part of it."""
+    assert "whatif.executors.process" in result["executor_added"]
+    assert "subprocess" not in result["executor_added"]
 
 
 def test_unknown_attribute_still_raises():
