@@ -85,7 +85,11 @@ def cmd_run(args) -> int:
     # and records an Aborted outcome, and the run files get written. Only the
     # first signal during the run interrupts; a later one would cut that
     # cleanup short. A signal after the run is only noted: the outcome is
-    # decided, and its run files and exit code stand.
+    # decided, and its run files and exit code stand. Once the files are
+    # written, the caller's handlers come back, unless this process is
+    # `whatif` itself: it then ignores the three signals until it exits,
+    # since the interpreter's own SIGINT handler, or a default disposition,
+    # would otherwise replace the run's exit code as the process ends.
     import signal  # here, so that importing the CLI does not load it
 
     signalled = []  # (signal, whether it came during the run)
@@ -128,7 +132,7 @@ def cmd_run(args) -> int:
                 print(f"{signal.Signals(signum).name} after the outcome: ignored", file=sys.stderr)
     finally:
         for sig, handler in handlers.items():
-            signal.signal(sig, handler)
+            signal.signal(sig, signal.SIG_IGN if args.own_process else handler)
     if escaped:
         return EXIT_ABORTED
     if engine.outcome == Outcome.SUCCESS:
@@ -181,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. With ``argv`` None it is this process's own command line, and the process is `whatif`."""
     args = build_parser().parse_args(argv)
+    args.own_process = argv is None
     return args.func(args)
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -22,7 +23,7 @@ from whatif.executors import SimExecutor
 from whatif.report import build_report, load_run, plot_data
 from whatif.telemetry import MetricsStore
 from whatif.trace import RECORDS, RunTrace
-from conftest import SCENARIOS
+from conftest import REPO, SCENARIOS
 from documents import render_scenario
 from test_engine import LaggingEngine
 
@@ -348,6 +349,37 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "report.json", "trace.ndjson"]
         assert build_report(load_run(out)[0]) == json.loads((out / "report.json").read_text())
         assert capsys.readouterr().err.endswith("SIGTERM after the outcome: ignored\n")
+
+    @pytest.mark.parametrize("text,code", [(TWO_SERVICES, 0), (CRASHY, 1), (SLOW, 3)], ids=["success", "failed", "aborted"])
+    def test_a_signal_after_the_run_files_keeps_the_exit_code_of_the_whatif_process(self, text, code, tmp_path):
+        """`whatif` itself ignores SIGINT, SIGTERM and SIGHUP from the end of a run until it exits: the
+        interpreter's SIGINT handler or a default disposition would replace the exit code of the outcome."""
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        program = (
+            "import os, signal, sys\n"
+            "from whatif.cli import main\n"
+            "code = main()\n"
+            "for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):\n"
+            "    os.kill(os.getpid(), sig)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", program, "run", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "report.json", "trace.ndjson"]
+
+    def test_a_run_called_in_process_gives_the_signal_handlers_back(self, tmp_path):
+        before = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(TWO_SERVICES)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert {sig: signal.getsignal(sig) for sig in before} == before
 
     def test_internal_error_exit_3_writes_run_files(self, tmp_path, monkeypatch):
         executor = BrokenExecutor()
