@@ -39,7 +39,7 @@ from typing import Optional
 import yaml
 
 from .durations import parse_duration
-from .errors import ExprSyntaxError, Finding, ScenarioSyntaxError, SchemaError
+from .errors import ExprSyntaxError, Finding, ScenarioSyntaxError, SchemaError, quote
 from .executors.base import FaultSpec, JobSpec, SimEffect
 from .expressions import MetricsExprAst, check_scope, parse_expression
 from .lifecycle import Phase, ResourceNode
@@ -197,7 +197,7 @@ class ValidationReport(Value):
 
 def _require_ident(value, where: str) -> str:
     if not isinstance(value, str) or not _IDENT_RE.fullmatch(value):
-        raise SchemaError(f"{where}: invalid identifier {value!r}")
+        raise SchemaError(f"{where}: invalid identifier {quote(value)}")
     return value
 
 
@@ -208,7 +208,7 @@ def _coerce_str(value, where: str) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return str(value)
-    raise SchemaError(f"{where}: expected a scalar, got {value!r}")
+    raise SchemaError(f"{where}: expected a scalar, got {quote(value)}")
 
 
 def _parse_inputs(raw, where: str) -> list[dict]:
@@ -280,7 +280,7 @@ def _parse_action(doc: ScenarioDoc, position: int, raw) -> None:
     kind, name = raw.get("action"), raw.get("name")
     where = f"spec[{position}]" + (f" ({name})" if isinstance(name, str) else "")
     if kind not in ACTION_KINDS:
-        raise SchemaError(f"{where}: unknown action kind {kind!r}")
+        raise SchemaError(f"{where}: unknown action kind {quote(kind)}")
     _require_ident(name, f"{where}.name")
 
     action = ActionSpec(name=name, kind=kind)
@@ -346,7 +346,7 @@ def _reject_extra(body: dict, allowed: set, message: str) -> None:
     """Raise ``<message> '<key>'`` for the first key of ``body`` not in ``allowed``."""
     for key in body:
         if key not in allowed:
-            raise SchemaError(f"{message} {key!r}")
+            raise SchemaError(f"{message} {quote(key)}")
 
 
 def _spec_entries(raw) -> list:
@@ -371,7 +371,7 @@ def _parse_top_level(doc: ScenarioDoc, key, value) -> None:
             doc.timeout = _parse_duration_field(value["timeout"], "defaults.timeout")
         _reject_extra(value, {"timeout"}, "defaults: unknown key")
     elif key != "spec":
-        doc.findings.append(Finding("warning", "document", f"unknown top-level key {key!r}"))
+        doc.findings.append(Finding("warning", "document", f"unknown top-level key {quote(key)}"))
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
@@ -417,7 +417,7 @@ def parse_template(raw) -> Template:
         raise SchemaError("template document must be a mapping")
     name = raw.get("name")
     if not isinstance(name, str) or not _TEMPLATE_NAME_RE.fullmatch(name):
-        raise SchemaError(f"template: invalid name {name!r}")
+        raise SchemaError(f"template: invalid name {quote(name)}")
     params_raw = raw.get("parameters")
     parameters: dict = {}
     if isinstance(params_raw, list):
@@ -434,7 +434,7 @@ def parse_template(raw) -> Template:
         raise SchemaError(f"template {name}: body must be text")
     for match in _PLACEHOLDER_RE.finditer(body):
         if match.group(1) not in parameters:
-            raise SchemaError(f"template {name}: undeclared placeholder {match.group(1)!r}")
+            raise SchemaError(f"template {name}: undeclared placeholder {quote(match.group(1))}")
     return Template(name=name, parameters=parameters, body=body)
 
 
@@ -454,7 +454,7 @@ def load_templates(directory) -> dict[str, Template]:
                 continue
             template = parse_template(raw)
             if template.name in library:
-                raise SchemaError(f"duplicate template name {template.name!r} in {file}")
+                raise SchemaError(f"duplicate template name {quote(template.name)} in {file}")
             library[template.name] = template
     return library
 
@@ -468,7 +468,7 @@ def instantiate_template(template: Template, inputs: dict) -> str:
     """
     for key in inputs:
         if key not in template.parameters:
-            raise SchemaError(f"unknown parameter {key!r}")
+            raise SchemaError(f"unknown parameter {quote(key)}")
     resolved = {}
     for key, default in template.parameters.items():
         if key in inputs:
@@ -476,7 +476,7 @@ def instantiate_template(template: Template, inputs: dict) -> str:
         elif default is not None:
             resolved[key] = default
         else:
-            raise SchemaError(f"missing parameter {key!r}")
+            raise SchemaError(f"missing parameter {quote(key)}")
     return _PLACEHOLDER_RE.sub(lambda m: resolved[m.group(1)], template.body)
 
 
@@ -492,11 +492,11 @@ def expand_macro(macro: str, clusters: dict) -> list[str]:
         return [macro]
     match = _MACRO_RE.fullmatch(macro)
     if match is None:
-        raise SchemaError(f"malformed addressing macro {macro!r}")
+        raise SchemaError(f"malformed addressing macro {quote(macro)}")
     cluster_name, selector = match.group(1), match.group(2)
     instances = clusters.get(cluster_name)
     if instances is None:
-        raise SchemaError(f"unknown cluster {cluster_name!r}")
+        raise SchemaError(f"unknown cluster {quote(cluster_name)}")
     if selector == "all":
         return cluster_child_names(cluster_name, instances)
     index = int(selector)
@@ -524,7 +524,7 @@ def _metric_name(raw, where: str) -> str:
     """A metric name: one word, the only form a ``metrics.txt`` line keeps."""
     name = _coerce_str(raw, where)
     if name.split() != [name]:
-        raise SchemaError(f"{where}: a metric name is one word with no whitespace, got {name!r}")
+        raise SchemaError(f"{where}: a metric name is one word with no whitespace, got {quote(name)}")
     return name
 
 
@@ -536,7 +536,7 @@ def _parse_effect(raw, where: str) -> SimEffect:
     offset = _parse_duration_field(raw["at"], f"{where}.at")
     op = raw["do"]
     if op not in EFFECT_OPS:
-        raise SchemaError(f"{where}: unknown effect {op!r}")
+        raise SchemaError(f"{where}: unknown effect {quote(op)}")
     metric = value = target = None
     if op == "metric":
         if "name" not in raw or "value" not in raw:
@@ -547,7 +547,7 @@ def _parse_effect(raw, where: str) -> SimEffect:
         except (TypeError, ValueError, OverflowError):
             value = math.nan
         if math.isnan(value):
-            raise SchemaError(f"{where}.value: expected a number, got {raw['value']!r}")
+            raise SchemaError(f"{where}.value: expected a number, got {quote(raw['value'])}")
     elif op == "send":
         if "to" not in raw:
             raise SchemaError(f"{where}: send effect needs 'to'")
@@ -595,7 +595,7 @@ def parse_job_body(body) -> JobSpec:
         spec.env = _string_map(body["env"], "env")
     if "metrics" in body:
         if body["metrics"] not in ("stdout-lines", "none"):
-            raise SchemaError(f"metrics must be 'stdout-lines' or 'none', got {body['metrics']!r}")
+            raise SchemaError(f"metrics must be 'stdout-lines' or 'none', got {quote(body['metrics'])}")
         spec.metrics_source = body["metrics"]
     if "expectedRuntime" in body:
         _parse_duration_field(body["expectedRuntime"], "expectedRuntime")
@@ -635,7 +635,7 @@ def parse_fault_body(body, clusters: dict) -> FaultSpec:
         raise SchemaError("fault body must be a map")
     kind = body.get("kind")
     if kind not in FAULT_KINDS:
-        raise SchemaError(f"unknown fault kind {kind!r}")
+        raise SchemaError(f"unknown fault kind {quote(kind)}")
     spec = FaultSpec(kind=kind)
     if "duration" in body:
         spec.duration = _parse_duration_field(body["duration"], "fault duration")
@@ -648,7 +648,7 @@ def parse_fault_body(body, clusters: dict) -> FaultSpec:
         spec.dst = _target_list(body["dst"], "dst", clusters)
         spec.direction = body.get("direction", "both")
         if spec.direction not in ("to", "from", "both"):
-            raise SchemaError(f"unknown partition direction {spec.direction!r}")
+            raise SchemaError(f"unknown partition direction {quote(spec.direction)}")
         if not spec.targets or not spec.dst:
             raise SchemaError("partition requires at least one source and one destination")
         if spec.duration is None:
@@ -895,7 +895,7 @@ def _check_target(target, owner, plan) -> list[Finding]:
     try:
         expanded = expand_macro(target, plan.clusters)
     except SchemaError as exc:
-        return [Finding("error", owner, f"bad target {target!r}: {exc}")]
+        return [Finding("error", owner, f"bad target {quote(target)}: {exc}")]
     return [Finding("warning", owner, f"unknown service: {name}") for name in expanded if not plan.is_service(name)]
 
 
@@ -904,11 +904,11 @@ def _compile_assertion(plan, text, node, checkpoints) -> list[Finding]:
     try:
         ast = parse_expression(text)
     except ExprSyntaxError as exc:
-        return [Finding("error", owner, f"expression {text!r}: {exc}")]
+        return [Finding("error", owner, f"expression {quote(text)}: {exc}")]
     if not isinstance(ast, MetricsExprAst):
         findings = check_scope(ast, node, plan.nodes)
     elif ast.condition is None:
-        return [Finding("error", owner, f"assertion {text!r} has no condition")]
+        return [Finding("error", owner, f"assertion {quote(text)} has no condition")]
     else:
         findings = []
         for term in ast.condition.terms:
@@ -916,9 +916,9 @@ def _compile_assertion(plan, text, node, checkpoints) -> list[Finding]:
                 continue
             checkpoint, key = term.checkpoint
             if checkpoint not in checkpoints:
-                findings.append(Finding("error", owner, f"assertion {text!r}: unknown checkpoint: {checkpoint}"))
+                findings.append(Finding("error", owner, f"assertion {quote(text)}: unknown checkpoint: {checkpoint}"))
             elif key not in checkpoints[checkpoint]:
-                findings.append(Finding("error", owner, f"assertion {text!r}: checkpoint {checkpoint} has no value {key}"))
+                findings.append(Finding("error", owner, f"assertion {quote(text)}: checkpoint {checkpoint} has no value {key}"))
     plan.asserts.setdefault(owner, []).append((text, ast))
     return findings
 
@@ -928,7 +928,7 @@ def _compile_checkpoint_value(plan, text, name, key) -> list[Finding]:
     try:
         ast = parse_expression(text)
     except ExprSyntaxError as exc:
-        return [Finding("error", location, f"expression {text!r}: {exc}")]
+        return [Finding("error", location, f"expression {quote(text)}: {exc}")]
     if not isinstance(ast, MetricsExprAst):
         return [Finding("error", location, "checkpoint values must be metrics reductions")]
     if ast.condition is not None:

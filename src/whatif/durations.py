@@ -15,6 +15,8 @@ import math
 import re
 import sys
 
+from .errors import quote
+
 _SEGMENT = re.compile(r"(\d+(?:\.\d+)?)(ms|s|m|h)")
 
 _UNIT_SECONDS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0}
@@ -24,17 +26,17 @@ def parse_duration(value) -> float:
     """Convert a duration literal to seconds. Raises ValueError when malformed."""
     seconds = _seconds(value)
     if not math.isfinite(seconds):
-        raise ValueError(f"not a finite duration: {value!r}")
+        raise ValueError(f"not a finite duration: {quote(value)}")
     return seconds
 
 
 def _seconds(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < 0:
-            raise ValueError(f"negative duration: {value!r}")
+            raise ValueError(f"negative duration: {quote(value)}")
         return math.inf if value > sys.float_info.max else float(value)  # an int too large for a float
     if not isinstance(value, str):
-        raise ValueError(f"not a duration: {value!r}")
+        raise ValueError(f"not a duration: {quote(value)}")
     text = value.strip()
     if not text:
         raise ValueError("empty duration")
@@ -44,10 +46,10 @@ def _seconds(value) -> float:
     total = 0.0
     for match in _SEGMENT.finditer(text):
         if match.start() != pos:
-            raise ValueError(f"malformed duration: {value!r}")
+            raise ValueError(f"malformed duration: {quote(value)}")
         total += float(match.group(1)) * _UNIT_SECONDS[match.group(2)]
         pos = match.end()
     if pos != len(text):
-        raise ValueError(f"malformed duration: {value!r}")
+        raise ValueError(f"malformed duration: {quote(value)}")
     return total
 

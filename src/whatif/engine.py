@@ -27,7 +27,8 @@ when a job in its scope (a cluster's instances, or any other action's own
 job) leaves or enters a count slot one of them reads. A cluster's phase
 and its state assertions are answered from those counts
 (``CountedScope``), so a child's event costs O(1) however many instances
-the cluster has.
+the cluster has. Armed window timers and `after:` waits sit in heaps by due
+instant, and the run's end kills only the jobs it keeps as live.
 
 A metrics assertion is evaluated only at the instants its value can change:
 when its action is dispatched, when a point of its metric is ingested (the
@@ -207,19 +208,20 @@ class Engine:
         self.nodes = {name: copies[node] for name, node in plan.nodes.items()}
         # Each action's assertions in text order: a state AST, or a Rule for a
         # metrics one. Rules are also indexed by the metric they read and by
-        # the checkpoints their thresholds read; `armed` holds the rules with
-        # a window timer in the queue.
+        # the checkpoints their thresholds read; `armed` is a heap of the
+        # (due, order) of each window timer in the queue, an entry stale once
+        # its rule's `due` moved, and `by_order` finds an entry's rule.
         self.asserts: dict[str, list] = {}
         self.rules: dict[str, list[Rule]] = {}
         self.checkpoint_readers: dict[str, list[Rule]] = {}
-        self.armed: set[Rule] = set()
-        order = 0
+        self.armed: list[tuple[float, int]] = []
+        self.by_order: list[Rule] = []
         for owner, pairs in plan.asserts.items():
             for index, (text, ast) in enumerate(pairs):
                 if isinstance(ast, MetricsExprAst):
                     window = WindowAggregate(ast.metric, ast.reducer, ast.window)
-                    rule = Rule(order, owner, text, ast, window, f"window:{owner}:{index}")
-                    order += 1
+                    rule = Rule(len(self.by_order), owner, text, ast, window, f"window:{owner}:{index}")
+                    self.by_order.append(rule)
                     self.rules.setdefault(ast.metric, []).append(rule)
                     for name in dict.fromkeys(t.checkpoint[0] for t in ast.condition.terms if t.checkpoint):
                         self.checkpoint_readers.setdefault(name, []).append(rule)
@@ -231,6 +233,7 @@ class Engine:
         # plan's `dependents` names the actions waiting on each (name, phase).
         self.dirty: set[int] = set(range(len(doc.actions)))
         self.timed: set[int] = set()  # `after:` timer armed, not yet dispatched
+        self.waits: list[tuple[float, int]] = []  # a heap of each timed action's (due, index)
         # Per-cluster child counts by phase slot (see lifecycle.slot; every
         # child starts Uninitialized), the stale asserting actions (a job in
         # their scope left or entered a slot their state assertions read since
@@ -250,11 +253,13 @@ class Engine:
         self.unfinished = len(doc.actions)
 
         self.dispatched: set = set()
+        self.live_jobs: set[ResourceNode] = set()  # the jobs started and not ended: `_finalize` kills them
         # The faults in effect by action: each kill's count of live targets, the one kill
         # watching each target, and the suspends and partitions in injection order.
         self.kill_watch: dict[str, int] = {}
         self.kill_watchers: dict[str, str] = {}
         self.in_effect: dict[str, FaultSpec] = {}
+        self.holds: dict[str, int] = {}  # each target's count of suspends in effect on it
         self.now = 0.0  # the engine's time: the clock's one reading for the step under way
         self.finished = False
         self.outcome = Outcome.ABORTED  # until the run decides it: an undecided run is no Success
@@ -334,6 +339,8 @@ class Engine:
         self._move(node, event.phase)
 
         newly_terminal = [node] if node.phase.terminal else []
+        if newly_terminal:
+            self.live_jobs.discard(node)
         owner = node.owner
         if owner is not None and owner.kind == "cluster" and not owner.phase.terminal:
             agg = self.cluster_phase(owner)
@@ -388,19 +395,22 @@ class Engine:
 
         Only two kinds of action can have become satisfied since they were
         last checked: the dirty ones, a target of which entered a phase their
-        clause waits for, and the ones with an armed `after:` timer, which
-        turn satisfied at any event at or past their due instant. Each pass
-        visits those in document order; an action dirtied by a dispatch
-        joins the current pass when it comes later in the document and the
-        next pass otherwise, and passes repeat while a dispatch made
-        progress. A cycle with no such action makes no pass.
+        clause waits for, and the ones popped from ``waits`` at the first
+        cycle at or past the due instant of their `after:` timer (a timer
+        armed in a cycle falls due after it). Each pass visits those in
+        document order; an action dirtied by a dispatch joins the current
+        pass when it comes later in the document and the next pass
+        otherwise, and passes repeat while a dispatch made progress. A cycle
+        with no such action makes no pass.
         """
-        if not (self.dirty or self.timed):
+        while self.waits and self.waits[0][0] <= self.now + 1e-9:  # as `dependency_satisfied` compares
+            self.dirty.add(heapq.heappop(self.waits)[1])
+        if not self.dirty:
             return
         progress = True
         while progress and not self.finished:
             progress = False
-            pending = sorted(self.dirty | self.timed)  # a sorted list is a heap
+            pending = sorted(self.dirty)  # a sorted list is a heap
             queued = set(pending)
             self.dirty = set()
             while pending:
@@ -432,6 +442,7 @@ class Engine:
         if base is None:
             return
         self.timed.add(index)
+        heapq.heappush(self.waits, (base + clause.after, index))
         self.queue.push(base + clause.after, Event(EventKind.TIME, timer_id=f"after:{action.name}"))
 
     def _dispatch(self, action: ActionSpec) -> None:
@@ -480,6 +491,8 @@ class Engine:
                 self.kill_watchers[target] = action.name
         else:
             self.in_effect[action.name] = spec
+            for target in spec.targets if spec.kind == "suspend" else ():
+                self.holds[target] = self.holds.get(target, 0) + 1
             self.queue.push(self.now + spec.duration, Event(EventKind.TIME, timer_id=f"fault:{action.name}"))
 
     def _dispatch_checkpoint(self, action: ActionSpec) -> None:
@@ -517,10 +530,12 @@ class Engine:
             return
         except KeyboardInterrupt:  # it may land once the job is started: as Pending, the cleanup kills it
             self._move(self.nodes[spec.name], Phase.PENDING)
+            self.live_jobs.add(self.nodes[spec.name])
             raise
         for metric in spec.declares:  # the spawn succeeded
             self.store.declare(metric)
         self._move(self.nodes[spec.name], Phase.PENDING)
+        self.live_jobs.add(self.nodes[spec.name])
 
     def _resolve_job(self, action: ActionSpec, index: int, name: str) -> JobSpec:
         """The plan's job for instance ``index``, under the instance's name.
@@ -585,13 +600,12 @@ class Engine:
         changed = set(changed or ())
         for metric in self.store.take_notices():
             changed.update(self.rules.get(metric, ()))
-        for rule in self.armed:
-            if rule.due <= self.now:
-                changed.add(rule)
+        while self.armed and self.armed[0][0] <= self.now:
+            due, order = heapq.heappop(self.armed)
+            if self.by_order[order].due == due:
+                changed.add(self.by_order[order])
         for rule in sorted(changed, key=attrgetter("order")) if len(changed) > 1 else changed:
-            if not self._live(rule.owner):
-                self.armed.discard(rule)  # finished: never evaluated again
-            elif self._evaluate_rule(rule):
+            if self._live(rule.owner) and self._evaluate_rule(rule):
                 return
 
     def _evaluate_rule(self, rule: Rule) -> bool:
@@ -608,7 +622,6 @@ class Engine:
         """
         if rule.due is not None and rule.due <= self.now:
             rule.due = None
-            self.armed.discard(rule)
         try:
             fired = alert_holds(rule.ast, self._rule_value(rule), self.checkpoints)
         except (UnknownMetric, UnknownCheckpoint, ValueError) as exc:
@@ -622,7 +635,7 @@ class Engine:
         due = rule.window.next_change()
         if due is not None and (rule.due is None or due < rule.due) and self._live(rule.owner):
             rule.due = due
-            self.armed.add(rule)
+            heapq.heappush(self.armed, (due, rule.order))
             self.queue.push(due, Event(EventKind.TIME, timer_id=rule.timer))
         return False
 
@@ -659,8 +672,10 @@ class Engine:
         """Take a suspend or partition out of ``in_effect`` and undo it. A target of overlapping
         suspends resumes when the last of them ends."""
         spec = self.in_effect.pop(action)
-        held = {t for other in self.in_effect.values() if other.kind == "suspend" for t in other.targets}
-        resume = [t for t in spec.targets if t not in held] if spec.kind == "suspend" else []
+        targets = spec.targets if spec.kind == "suspend" else ()
+        for target in targets:
+            self.holds[target] -= 1
+        resume = [t for t in targets if not self.holds[t]]
         self._trace_command("RevokeFault", action)
         self.executor.revoke_fault(action, resume)
 
@@ -705,13 +720,12 @@ class Engine:
                 self._revoke(action_name)
             except BaseException as exc:
                 raised.append(exc)
-        for node in self.nodes.values():  # the tree's depth-first order, as the plan indexed it
-            if node.kind in ("service", "call") and node.phase in (Phase.PENDING, Phase.RUNNING):  # started, not ended
-                try:
-                    self._trace_command("KillJob", node.name)
-                    self.executor.kill_job(node.name)
-                except BaseException as exc:
-                    raised.append(exc)
+        for node in sorted(self.live_jobs, key=attrgetter("order")):  # in the plan's depth-first order
+            try:
+                self._trace_command("KillJob", node.name)
+                self.executor.kill_job(node.name)
+            except BaseException as exc:
+                raised.append(exc)
         try:
             self.executor.shutdown()
         except BaseException as exc:
@@ -792,8 +806,10 @@ class Engine:
 
 
 def _copy_tree(model: ResourceNode, copies: dict) -> ResourceNode:
-    """A fresh, Uninitialized copy of the subtree at ``model``; ``copies`` maps each model node to its copy."""
+    """A fresh, Uninitialized copy of the subtree at ``model``; ``copies`` maps each model node to its copy.
+    Each copy's ``order`` is its place in the depth-first walk of the whole tree."""
     node = copies[model] = ResourceNode(model.name, model.kind, tolerated=model.tolerated)
+    node.order = len(copies)
     for child in model.children:
         node.add_child(_copy_tree(child, copies))
     return node

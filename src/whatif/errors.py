@@ -19,6 +19,25 @@ class SchemaError(WhatifError):
     """The document parses but violates the scenario schema, or a template input or macro does not resolve."""
 
 
+QUOTE_LIMIT = 200  # characters: the most of a document value that a finding or error quotes
+
+
+def quote(value) -> str:
+    """``repr`` of a document value, at most ``QUOTE_LIMIT`` characters long.
+
+    ``reprlib`` walks a container only as deep and as wide as it prints, so a
+    value made of shared references (YAML aliases) or nested deep costs no
+    more than a short one. It loads here, on the error path, and not at start-up.
+    """
+    import reprlib
+
+    short = reprlib.Repr()
+    short.maxlevel = 3
+    short.maxstring = short.maxother = QUOTE_LIMIT
+    text = short.repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT - 3] + "..."
+
+
 class InvalidScenario(WhatifError):
     """A run was requested for a document that fails validation."""
 

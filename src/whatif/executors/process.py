@@ -11,6 +11,10 @@ Running. The engine's loop waits in ``wait`` on each job's pidfd (Linux
 it and emits its exit status as a State event: a death by SIGKILL fails it
 in mode ``kill``, any other nonzero status in mode ``crash``. Kill and suspend
 faults send SIGKILL and SIGSTOP/SIGCONT to the group; partitions need the simulator.
+Under an ignored SIGCHLD the kernel would reap each job itself and lose its
+exit status, so the executor sets SIGCHLD to its default for the run and
+puts SIG_IGN back at ``shutdown``; a thread other than the main one cannot,
+and its jobs fail to spawn.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ class ProcessExecutor(Executor):
     def __init__(self):
         self.procs: dict[str, SimpleNamespace] = {}  # each job's record
         self._selector = selectors.DefaultSelector()
+        self._ignored_sigchld = False  # SIGCHLD was SIG_IGN at the first job: `shutdown` puts it back
 
     # --- jobs -------------------------------------------------------------
 
@@ -46,6 +51,13 @@ class ProcessExecutor(Executor):
             raise SpawnError(f"{spec.name}: process jobs need a command")
         if spec.name in self.procs:
             raise SpawnError(f"job name already in use: {spec.name}")
+        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+            try:
+                signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+            except ValueError as exc:  # not the main thread
+                raise SpawnError(f"{spec.name}: SIGCHLD is ignored, so the job's exit status would be lost, "
+                                 "and only the main thread can set it to its default") from exc
+            self._ignored_sigchld = True
         env = {**os.environ, **spec.env}
         held = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)  # the caller's mask, restored below
         pipe = ()
@@ -163,7 +175,11 @@ class ProcessExecutor(Executor):
     # --- plumbing ------------------------------------------------------------
 
     def shutdown(self) -> None:
-        for job in self.procs.values():
-            if job.returncode is None:
-                self._reap(job)
+        try:
+            for job in self.procs.values():
+                if job.returncode is None:
+                    self._reap(job)
+        finally:
+            if self._ignored_sigchld:
+                signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         self._selector.close()

@@ -75,7 +75,7 @@ class ResourceNode:
 
     __slots__ = (
         "name", "kind", "phase", "owner", "children",
-        "failure_reason", "failure_class", "tolerated", "phase_times",
+        "failure_reason", "failure_class", "tolerated", "phase_times", "order",
     )
 
     def __init__(
@@ -99,6 +99,7 @@ class ResourceNode:
         self.failure_class = failure_class
         self.tolerated = tolerated
         self.phase_times = {} if phase_times is None else phase_times
+        self.order = 0  # the node's place in its tree's depth-first walk, where the tree numbers it
 
     def add_child(self, child: "ResourceNode") -> "ResourceNode":
         child.owner = self

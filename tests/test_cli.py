@@ -169,6 +169,22 @@ class TestValidate:
         assert main(["validate", str(document), "--templates", str(TEMPLATES)]) == 2
         assert capsys.readouterr().out == (VALIDATE_OUTPUTS / f"{document.stem}.txt").read_text()
 
+    @pytest.mark.parametrize("fields", [
+        "callable: *a0",
+        "callable: *a5",  # 10^6 leaves, from six anchors
+        "callable: x, env: { X: " + "[" * 1000 + "]" * 1000 + " }",
+        "callable: x, env: { X: '" + "y" * 100_000 + "' }",
+    ], ids=["list", "alias-fanout", "deep-env", "long-env"])
+    def test_a_quoted_document_value_is_cut_to_a_fixed_size(self, tmp_path, fields, capsys):
+        anchors = "".join(f"- &a{i} [{', '.join([f'*a{i - 1}'] * 10)}]\n" for i in range(1, 6))
+        document = tmp_path / "hostile.yaml"
+        document.write_text(f"anchors:\n- &a0 [{', '.join(['x'] * 10)}]\n{anchors}spec:\n"
+                            f"- {{ action: Call, name: c, call: {{ services: [], {fields} }} }}\n")
+        assert main(["validate", str(document)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("warning: document: unknown top-level key 'anchors'\nerror: c: ")
+        assert len(out.splitlines()[1]) <= 300, out
+
     def test_valid_scenario_exit_0(self, capsys):
         assert main(["validate", str(VALID), "--templates", str(TEMPLATES)]) == 0
         assert "ok" in capsys.readouterr().out

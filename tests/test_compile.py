@@ -5,7 +5,10 @@ macro or a state assertion costs the same in a document of any size, and
 the engine reads each template text, fault and expression from the plan
 instead of deriving it again. A kill fault counts its targets that are not
 yet terminal, so a wide kill costs O(1) per target event, and an event
-re-evaluates only the state assertions whose scope it changed. A loaded
+re-evaluates only the state assertions whose scope it changed. The window
+and `after:` timers wait in heaps, a revoked suspend reads its targets'
+counts and the run's end kills only the jobs still live, so none of those
+costs grows with what is waiting, in effect or already ended. A loaded
 document keeps its plan, which holds no run state, so every later compile and run of
 it shares that plan. The scaling checks count operations
 (`conftest.count_operations`), not wall time.
@@ -110,6 +113,89 @@ def test_state_assertion_work_per_event_does_not_grow_with_the_chain():
         assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
         per_event[n] = ops / sum(1 for r in result.trace if r.kind == "event")
     assert per_event[1000] <= 1.1 * per_event[250], per_event
+
+
+def ended_cluster(n: int):
+    """A cluster of N instances that all succeed, so no job is left to kill at the run's end."""
+    return _doc([{"action": "Cluster", "name": "db", "cluster": {"templateRef": "node", "instances": n}}]), {
+        "node": Template("node", {}, "script:\n- { at: 0s, do: running }\n- { at: 1s, do: success }\n")}
+
+
+def quiet_rules(n: int, points: int):
+    """N quiet metrics rules, each kept armed by one point in a 1 h window, beside
+    one rule whose metric gets a point every second, ``points`` times."""
+    hot = Template("hot", {}, "declares: [hot]\nscript:\n- { at: 0s, do: running }\n"
+                   + "".join(f"- {{ at: {i}s, do: metric, name: hot, value: 1 }}\n" for i in range(1, points + 1))
+                   + f"- {{ at: {points + 1}s, do: success }}\n")
+    quiet = Template("quiet", {}, f"declares: [{', '.join(f'q{i}' for i in range(n))}]\n"
+                     "script:\n- { at: 0s, do: running }\n"
+                     + "".join(f"- {{ at: 0s, do: metric, name: q{i}, value: 1 }}\n" for i in range(n))
+                     + "- { at: 300s, do: success }\n")
+    return _doc([
+        {"action": "Service", "name": "quiet", "service": {"templateRef": "quiet"},
+         "assertions": [f"MAX() QUERY(q{i}, 1h, now) IS ABOVE(1000)" for i in range(n)]},
+        {"action": "Service", "name": "hot", "service": {"templateRef": "hot"},
+         "assertions": ["MAX() QUERY(hot, 1s, now) IS ABOVE(1000)"]},
+    ]), {"hot": hot, "quiet": quiet}
+
+
+def waiting_services(n: int, instances: int):
+    """N Services that wait out `after: 250s` from a cluster's Running, while
+    the cluster's instances end one per second."""
+    node = Template("node", {"end": None}, "script:\n- { at: 0s, do: running }\n- { at: {{end}}, do: success }\n")
+    spec = [{"action": "Cluster", "name": "db", "cluster": {
+        "templateRef": "node", "instances": instances, "inputs": [{"end": f"{i + 1}s"} for i in range(instances)]}}]
+    spec += [{"action": "Service", "name": f"w{j}", "depends": {"running": ["db"], "after": "250s"},
+              "service": {"templateRef": "node", "inputs": [{"end": "1s"}]}} for j in range(n)]
+    return _doc(spec), {"node": node}
+
+
+def run_operations(doc, templates) -> int:
+    result, ops = count_operations(lambda: run_scenario(doc, templates))
+    assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+    return ops
+
+
+def test_run_end_work_does_not_grow_with_the_ended_jobs():
+    """The cleanup kills the jobs started and not ended, not a walk of the tree."""
+    cleanup = {}
+    for n in (10, 1000):
+        engine = Engine(*ended_cluster(n))
+        finalize = engine._finalize
+        engine._finalize = lambda: cleanup.__setitem__(n, count_operations(finalize)[1])
+        assert engine.run().outcome is Outcome.SUCCESS
+    assert cleanup[1000] <= 1.1 * cleanup[10], cleanup
+
+
+def test_hot_metric_point_work_does_not_grow_with_the_armed_rules():
+    """A point on one metric pops only the window timers that are due, not every armed rule."""
+    per_point = {}
+    for n in (10, 1000):
+        per_point[n] = (run_operations(*quiet_rules(n, 200)) - run_operations(*quiet_rules(n, 100))) / 100
+    assert per_point[1000] <= 1.1 * per_point[10], per_point
+
+
+def test_state_event_work_does_not_grow_with_the_actions_waiting_out_after():
+    """An event rechecks an action waiting out `after:` only once its timer is due."""
+    per_event = {}
+    for n in (10, 1000):
+        per_event[n] = (run_operations(*waiting_services(n, 200)) - run_operations(*waiting_services(n, 100))) / 100
+    assert per_event[1000] <= 1.1 * per_event[10], per_event
+
+
+def test_revoke_work_does_not_grow_with_the_suspends_in_effect():
+    """N suspends, one on each instance of a cluster, end one per second: each revoke
+    reads its own targets' counts of the suspends holding them, not every fault in effect."""
+    per_event = {}
+    for n in (50, 400):
+        doc, templates = _doc([{"action": "Cluster", "name": "db", "cluster": {"templateRef": "node", "instances": n}}] + [
+            {"action": "Chaos", "name": f"pause{i}", "depends": {"running": ["db"]},
+             "chaos": {"fault": {"kind": "suspend", "targets": [f"db-{i}"], "duration": f"{i + 1}s"}}}
+            for i in range(n)]), {"node": NODE}
+        result, ops = count_operations(lambda: run_scenario(doc, templates))
+        assert (result.outcome, result.reason) == (Outcome.SUCCESS, "all actions completed")
+        per_event[n] = ops / sum(1 for r in result.trace if r.kind == "event")
+    assert per_event[400] <= 1.1 * per_event[50], per_event
 
 
 def count_calls(monkeypatch, *names) -> dict:

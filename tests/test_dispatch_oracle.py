@@ -338,10 +338,9 @@ def test_a_chained_call_is_checked_once_at_start_and_once_when_its_predecessor_s
     """Only a node entering a phase the clause waits for rechecks its dependents:
     on a chain of N Calls each action is checked in the first cycle, and each
     Call again when the one before it succeeds (the first Call: when the
-    service runs). An action with an armed `after:` timer is also checked on
-    every cycle until it is dispatched; those checks are counted apart, and
-    since nothing else happens on the chain while a timer is armed, each
-    such Call is checked once more, at its timer."""
+    service runs). An action with an armed `after:` timer is checked once
+    more, at the first cycle at or past its due instant; those checks are
+    counted apart, one for each such Call."""
     for n in (120, 480):
         doc, templates = chain_doc(n)
         engine = Engine(doc, templates)

@@ -470,6 +470,22 @@ class TestRunOutcomes:
         assert [r.kind for r in result.trace][-1] == "outcome"
         assert caplog.records[-1].exc_info[0] is OSError
 
+    def test_the_cleanup_kills_live_jobs_in_plan_order_not_dispatch_order(self):
+        """The cluster comes first in the document and is dispatched after the
+        Service it depends on; the abort finds all three jobs live, and kills
+        them in the tree's depth-first order."""
+        doc = parse_scenario(
+            "spec:\n"
+            "- { action: Cluster, name: db, timeout: 5s, depends: { running: [front] },"
+            " cluster: { templateRef: slow, instances: 2 } }\n"
+            "- { action: Service, name: front, service: { templateRef: slow } }\n"
+        )
+        result = run_scenario(doc, {"slow": script_template("slow", ["{ at: 0s, do: running }", "{ at: 60s, do: success }"])})
+        assert (result.outcome, result.reason) == (Outcome.ABORTED, "timeout: action db did not finish in time")
+        commands = [(r.data["verb"], r.data["target"]) for r in result.trace if r.kind == "command"]
+        assert [target for verb, target in commands if verb == "CreateJob"] == ["front", "db-0", "db-1"]
+        assert [target for verb, target in commands if verb == "KillJob"] == ["db-0", "db-1", "front"]
+
 
 class TestTraceInvariants:
     def test_ordering_soundness_success_dependencies(self, partition_demo):

@@ -144,6 +144,41 @@ class TestProcessJobs:
             Outcome.FAILED, "scripted: spawn failed: scripted: process jobs need a command")
         assert executor.procs == {}
 
+    def test_a_run_under_an_ignored_sigchld_reads_its_jobs_exit_status(self):
+        """SIGCHLD is at its default while the run's jobs live, and SIG_IGN again after."""
+        doc = parse_scenario("spec:\n- { action: Service, name: s, service: { templateRef: t } }\n")
+        templates = {"t": Template("t", {}, "command: \"sh -c 'exit 3'\"\n")}
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            result = run_scenario(doc, templates, ProcessExecutor())
+            after = signal.getsignal(signal.SIGCHLD)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert (result.outcome, result.reason) == (Outcome.FAILED, "s: exit=3")
+        assert after == signal.SIG_IGN
+
+    def test_an_ignored_sigchld_outside_the_main_thread_is_a_spawn_error(self):
+        executor, queue, clock, store = make_harness()
+        raised = []
+
+        def start():
+            try:
+                executor.start_job(JobSpec(name="ok", command="true"))
+            except SpawnError as exc:
+                raised.append(str(exc))
+
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            thread = threading.Thread(target=start)
+            thread.start()
+            thread.join()
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        executor.shutdown()
+        assert raised == ["ok: SIGCHLD is ignored, so the job's exit status would be lost, "
+                          "and only the main thread can set it to its default"]
+        assert executor.procs == {}
+
     def test_stdout_metric_lines_ingested(self):
         executor, queue, clock, store = make_harness()
         executor.start_job(JobSpec(
